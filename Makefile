@@ -47,7 +47,7 @@ BENCH_CHAOS_SET = ^BenchmarkChaosRecovery$$
 # are visible in review rather than as CI wall time (DESIGN.md §11).
 BENCH_LINT_SET = ^BenchmarkQcdoclintTree$$
 
-.PHONY: check vet lint fuzz build test race bench benchall tables chaos chaos-storm fleet obs
+.PHONY: check vet lint fuzz build test race bench bench-smoke benchall tables chaos chaos-storm fleet obs
 
 check: vet lint build race fuzz
 
@@ -99,6 +99,15 @@ bench:
 
 benchall:
 	$(GO) test -bench=. -benchmem ./...
+
+# The repo's benchmark (bench/README.md) is its own module, so the root
+# `go build ./...` and `go test ./...` never compile it: vet it, run its
+# tests, and smoke all five workloads at tiny sizes, so an API slip in a
+# package it imports shows here rather than in the benchmark run.
+bench-smoke:
+	$(GO) -C bench vet ./...
+	$(GO) -C bench test ./...
+	$(GO) -C bench run . -smoke
 
 tables:
 	$(GO) run ./cmd/benchtables

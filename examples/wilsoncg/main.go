@@ -23,73 +23,49 @@ func main() {
 	gauge.Randomize(7)
 
 	fmt.Println("operator   iterations  sim time      Mflops/node  efficiency  paper")
-	row := func(name string, met core.SolveMetrics, paper string) {
+	spinors := func(seed uint64) *lattice.FermionField {
+		b := lattice.NewFermionField(global)
+		b.Gaussian(seed)
+		return b
+	}
+	rows := []struct {
+		name, paper string
+		solve       func(*core.Session) (core.SolveMetrics, error)
+	}{
+		{"wilson", "40%", func(s *core.Session) (core.SolveMetrics, error) {
+			_, met, err := s.SolveWilson(gauge, spinors(8), 0.5, fermion.Double, 1e-4, 200)
+			return met, err
+		}},
+		{"clover", "46.5%", func(s *core.Session) (core.SolveMetrics, error) {
+			_, met, err := s.SolveClover(fermion.NewClover(gauge, 0.5, 1.0), spinors(9), fermion.Double, 1e-4, 200)
+			return met, err
+		}},
+		{"asqtad", "38%", func(s *core.Session) (core.SolveMetrics, error) {
+			b := lattice.NewColorField(global)
+			b.Gaussian(10)
+			_, met, err := s.SolveASQTAD(fermion.NewASQTAD(gauge, 0.5), b, fermion.Double, 1e-4, 400)
+			return met, err
+		}},
+		{"dwf", "> clover (forecast)", func(s *core.Session) (core.SolveMetrics, error) {
+			const ls = 4
+			b := fermion.NewField5(global, ls)
+			b.Gaussian(11)
+			_, met, err := s.SolveDWF(gauge, b, 1.8, 0.1, ls, fermion.Double, 1e-3, 400)
+			return met, err
+		}},
+	}
+	for _, r := range rows {
+		sess, err := core.NewSession(machineShape, global)
+		if err != nil {
+			log.Fatal(err)
+		}
+		met, err := r.solve(sess)
+		sess.Close()
+		if err != nil {
+			log.Fatal(err)
+		}
 		fmt.Printf("%-10s %-11d %-13v %-12.1f %-11s %s\n",
-			name, met.Iterations, met.SimTime, met.SustainedPerNode/1e6,
-			fmt.Sprintf("%.1f%%", 100*met.Efficiency), paper)
-	}
-
-	// Wilson.
-	{
-		sess, err := core.NewSession(machineShape, global)
-		if err != nil {
-			log.Fatal(err)
-		}
-		b := lattice.NewFermionField(global)
-		b.Gaussian(8)
-		_, met, err := sess.SolveWilson(gauge, b, 0.5, fermion.Double, 1e-4, 200)
-		sess.Close()
-		if err != nil {
-			log.Fatal(err)
-		}
-		row("wilson", met, "40%")
-	}
-	// Clover.
-	{
-		sess, err := core.NewSession(machineShape, global)
-		if err != nil {
-			log.Fatal(err)
-		}
-		ref := fermion.NewClover(gauge, 0.5, 1.0)
-		b := lattice.NewFermionField(global)
-		b.Gaussian(9)
-		_, met, err := sess.SolveClover(ref, b, fermion.Double, 1e-4, 200)
-		sess.Close()
-		if err != nil {
-			log.Fatal(err)
-		}
-		row("clover", met, "46.5%")
-	}
-	// ASQTAD staggered.
-	{
-		sess, err := core.NewSession(machineShape, global)
-		if err != nil {
-			log.Fatal(err)
-		}
-		ref := fermion.NewASQTAD(gauge, 0.5)
-		b := lattice.NewColorField(global)
-		b.Gaussian(10)
-		_, met, err := sess.SolveASQTAD(ref, b, fermion.Double, 1e-4, 400)
-		sess.Close()
-		if err != nil {
-			log.Fatal(err)
-		}
-		row("asqtad", met, "38%")
-	}
-	// Domain-wall.
-	{
-		const ls = 4
-		sess, err := core.NewSession(machineShape, global)
-		if err != nil {
-			log.Fatal(err)
-		}
-		b := fermion.NewField5(global, ls)
-		b.Gaussian(11)
-		_, met, err := sess.SolveDWF(gauge, b, 1.8, 0.1, ls, fermion.Double, 1e-3, 400)
-		sess.Close()
-		if err != nil {
-			log.Fatal(err)
-		}
-		row("dwf", met, "> clover (forecast)")
+			r.name, met.Iterations, met.SimTime, met.SustainedPerNode/1e6,
+			fmt.Sprintf("%.1f%%", 100*met.Efficiency), r.paper)
 	}
 }

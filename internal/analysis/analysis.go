@@ -71,9 +71,6 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 // that line. Markers are deliberate, grep-able waivers: the reviewable
 // record that a human decided the invariant does not apply there.
 const (
-	// MarkerUnorderedOK waives maprange: the map iteration's order
-	// genuinely cannot be observed (e.g. accumulating a commutative sum).
-	MarkerUnorderedOK = "qcdoclint:unordered-ok"
 	// MarkerAllocOK waives hotalloc for one statement of a //qcdoc:noalloc
 	// function — the cold error/panic branch off the hot path.
 	MarkerAllocOK = "qcdoclint:alloc-ok"
@@ -110,7 +107,6 @@ const (
 // tree that belongs to no active analyzer, or that suppresses zero
 // diagnostics, is itself a lint finding.
 var MarkerOwners = map[string]string{
-	MarkerUnorderedOK:  "maprange",
 	MarkerAllocOK:      "hotalloc",
 	MarkerBlockingOK:   "contsafe",
 	MarkerWalltimeOK:   "simtime",

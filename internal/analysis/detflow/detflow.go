@@ -1,7 +1,6 @@
-// Package detflow is the interprocedural successor to maprange: it
-// tracks nondeterminism from its sources into order-observable sinks
-// through the package call graph, so a source laundered through one
-// helper call no longer escapes the determinism gate.
+// Package detflow is the determinism gate: it tracks nondeterminism
+// from its sources into order-observable sinks through the package call
+// graph, so a source laundered through one helper call does not escape.
 //
 // Sources come in two shapes. Order sources are regions whose execution
 // order the host chooses: the body of a range over a map, and the case
@@ -16,15 +15,15 @@
 // shards), digest hashing, appends to ordered output, and telemetry
 // emission.
 //
-// What maprange could only see lexically, detflow sees through calls:
-// a map-range body that calls a same-package helper which schedules an
+// Flows are followed through calls, not just lexically: a map-range
+// body that calls a same-package helper which schedules an
 // event is flagged at the range statement, with the callgraph witness
 // chain in the message. Value taint likewise flows through assignments
 // and into callees that pass the parameter to a sink
 // (callgraph.Summary.ParamSinks), and out of callees whose results
 // derive from a source (ReturnsNondet).
 //
-// Repairs recognized, mirroring maprange: ranging over sorted keys
+// Repairs recognized: ranging over sorted keys
 // (the sorted slice is not a map), collecting then sorting before
 // anything observes the order, and floating-point or last-write
 // accumulation that stays commutative (integer counters, min/max by
@@ -46,13 +45,13 @@ var Analyzer = &analysis.Analyzer{
 	Name: "detflow",
 	Doc: "track nondeterminism sources (map order, select order, %p, global rand, " +
 		"wall clock) through the call graph into order-observable sinks (event " +
-		"scheduling, digest hashing, ordered append, telemetry); supersedes maprange's " +
-		"lexical check. Waive a flow with //qcdoclint:detflow-ok.",
+		"scheduling, digest hashing, ordered append, telemetry). Waive a flow with " +
+		"//qcdoclint:detflow-ok.",
 	Run: run,
 }
 
 // sorters recognize the "sorted before observation" repair for
-// appended output (maprange's rule, kept verbatim).
+// appended output.
 var sorters = map[string]bool{
 	"Strings": true, "Ints": true, "Float64s": true,
 	"Slice": true, "SliceStable": true, "Sort": true, "Stable": true,

@@ -3,44 +3,9 @@ package detflow
 import (
 	"testing"
 
-	"qcdoc/internal/analysis"
 	"qcdoc/internal/analysis/analysistest"
-	"qcdoc/internal/analysis/load"
-	"qcdoc/internal/analysis/maprange"
 )
 
 func TestDetflow(t *testing.T) {
 	analysistest.Run(t, "testdata", Analyzer, "a", "laundered")
-}
-
-// TestMaprangeMissesLaundered pins the reason detflow exists: the
-// laundered fixture schedules events in map order through one helper
-// call, which maprange's lexical scan cannot see. If maprange ever
-// starts reporting here, the fixture no longer demonstrates the
-// interprocedural gap and needs a deeper laundering chain.
-func TestMaprangeMissesLaundered(t *testing.T) {
-	ctx := load.NewContext("testdata/src")
-	pkg, err := ctx.LoadDir("testdata/src/laundered", "laundered")
-	if err != nil {
-		t.Fatalf("loading fixture: %v", err)
-	}
-	var diags []analysis.Diagnostic
-	pass := &analysis.Pass{
-		Analyzer:  maprange.Analyzer,
-		Fset:      pkg.Fset,
-		Files:     pkg.Files,
-		Pkg:       pkg.Types,
-		TypesInfo: pkg.Info,
-		Report:    func(d analysis.Diagnostic) { diags = append(diags, d) },
-	}
-	if _, err := maprange.Analyzer.Run(pass); err != nil {
-		t.Fatalf("maprange failed: %v", err)
-	}
-	for _, d := range diags {
-		t.Errorf("maprange unexpectedly caught the laundered flow at %s: %s",
-			pkg.Fset.Position(d.Pos), d.Message)
-	}
-	if len(diags) == 0 {
-		t.Logf("maprange reports nothing on laundered (as designed); detflow flags it via the callgraph")
-	}
 }

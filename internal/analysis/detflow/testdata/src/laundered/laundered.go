@@ -1,10 +1,9 @@
 // Package laundered is the acceptance pair for the interprocedural
 // gate: Broadcast schedules events in map order, but the scheduling
-// call is laundered through one same-package helper. maprange's lexical
-// scan sees only a plain function call in the loop body and stays
-// silent (detflow_test pins that); detflow's callgraph summary carries
-// the Schedules bit out of helper and flags the range statement with
-// the witness chain.
+// call is laundered through one same-package helper. A lexical scan
+// sees only a plain function call in the loop body; detflow's callgraph
+// summary carries the Schedules bit out of helper and flags the range
+// statement with the witness chain.
 package laundered
 
 import "event"

@@ -39,10 +39,7 @@ import (
 	"qcdoc/internal/analysis/simtime"
 )
 
-// Suite is the analyzer suite in reporting order. detflow supersedes
-// maprange: it carries all of maprange's lexical rules plus the
-// interprocedural, select-order, and value-taint extensions, so
-// running both would double-report every map-range finding.
+// Suite is the analyzer suite in reporting order.
 var Suite = []*analysis.Analyzer{
 	simtime.Analyzer,
 	detflow.Analyzer,

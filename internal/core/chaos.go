@@ -39,7 +39,6 @@ import (
 	"qcdoc/internal/machine"
 	"qcdoc/internal/node"
 	"qcdoc/internal/qdaemon"
-	"qcdoc/internal/qmp"
 	"qcdoc/internal/qos"
 	"qcdoc/internal/solver"
 	"qcdoc/internal/telemetry"
@@ -298,55 +297,39 @@ func runChaosAttempt(cfg ChaosConfig, sup *supervisor, attempt int, shape geom.S
 	d := qdaemon.New(eng, m)
 	d.FS = fs
 
-	dec := lay.Dec
-	res.solution = lattice.NewFermionField(cfg.Global)
-	errs := make([]error, shape.Volume())
-	prog := fmt.Sprintf("chaos-wilson-a%d", attempt)
-	d.LoadProgram(prog, func(rank int) node.Program {
-		return func(ctx *node.Ctx) {
-			comm := qmp.New(ctx, lay.Fold)
-			gc := GridCoord(comm.Coord())
-			localG := ScatterGauge(gauge, dec, gc)
-			localB := ScatterFermion(b, dec, gc)
-			dw := NewDistWilson(ctx, comm, dec, localG, cfg.Mass, fermion.Double)
-			ss := DistSpace(ctx, comm, dec, fermion.WilsonKind, fermion.Double)
-			sp := distSpinorSpace(ss)
-			x := ScatterFermion(rst.x0, dec, gc) // warm restart from the restored iterate
-			k := qos.FromCtx(ctx)
-			ck := solver.Checkpoint[*lattice.FermionField]{
-				Every: cfg.CheckpointEvery,
-				Save: func(iter int, cur *lattice.FermionField) {
-					// Observability envelope: one flow + span per chunk so a
-					// checkpoint stream exports as a Chrome-trace flow, and
-					// the write's sim time lands in the CkptWrite histogram.
-					peng := ctx.P.Engine()
-					flow := peng.NewFlow()
-					prev := peng.SetFlow(flow)
-					peng.MarkSpanBegin("ckpt-chunk")
-					start := ctx.P.Now()
-					var buf bytes.Buffer
-					if err := checkpoint.WriteSolverState(&buf, cur, uint32(rst.iter+iter)); err != nil {
-						panic(err) // bytes.Buffer writes cannot fail
-					}
-					k.WriteFile(ctx.P, chunkName(attempt, rst.iter+iter, rank), buf.Bytes())
-					peng.SetFlow(flow)
-					peng.MarkSpanEnd("ckpt-chunk")
-					peng.SetFlow(prev)
-					if ctr := ctx.N.Counters(); ctr != nil {
-						ctr.CkptWrite.Record(uint64(ctx.P.Now() - start))
-					}
-				},
-			}
-			r, err := solver.CGNECheckpointed(sp, dw.Apply, dw.ApplyDag, x, localB, cfg.Tol, cfg.MaxIter, ck)
-			errs[rank] = err
-			GatherFermion(res.solution, dec, gc, x)
-			if rank == 0 {
-				res.met.Iterations = r.Iterations
-				res.met.RelResidual = r.RelResidual
-				res.rec.Converged = r.Converged
-			}
+	pr := wilsonProblem(gauge, nil, b, cfg.Mass, fermion.Double, cfg.Tol, cfg.MaxIter)
+	pr.warmStart = func() *lattice.FermionField { return rst.x0 } // the restored iterate
+	pr.checkpointer = func(ctx *node.Ctx, rank int) solver.Checkpoint[*lattice.FermionField] {
+		k := qos.FromCtx(ctx)
+		return solver.Checkpoint[*lattice.FermionField]{
+			Every: cfg.CheckpointEvery,
+			Save: func(iter int, cur *lattice.FermionField) {
+				// Observability envelope: one flow + span per chunk so a
+				// checkpoint stream exports as a Chrome-trace flow, and
+				// the write's sim time lands in the CkptWrite histogram.
+				peng := ctx.P.Engine()
+				flow := peng.NewFlow()
+				prev := peng.SetFlow(flow)
+				peng.MarkSpanBegin("ckpt-chunk")
+				start := ctx.P.Now()
+				var buf bytes.Buffer
+				if err := checkpoint.WriteSolverState(&buf, cur, uint32(rst.iter+iter)); err != nil {
+					panic(err) // bytes.Buffer writes cannot fail
+				}
+				k.WriteFile(ctx.P, chunkName(attempt, rst.iter+iter, rank), buf.Bytes())
+				peng.SetFlow(flow)
+				peng.MarkSpanEnd("ckpt-chunk")
+				peng.SetFlow(prev)
+				if ctr := ctx.N.Counters(); ctr != nil {
+					ctr.CkptWrite.Record(uint64(ctx.P.Now() - start))
+				}
+			},
 		}
-	})
+	}
+	program, out := rankProgram(lay, pr, shape.Volume())
+	res.solution = out.solution
+	prog := fmt.Sprintf("chaos-wilson-a%d", attempt)
+	d.LoadProgram(prog, program)
 
 	var runErr error
 	eng.Spawn("chaos control", func(p *event.Proc) {
@@ -400,6 +383,9 @@ func runChaosAttempt(cfg ChaosConfig, sup *supervisor, attempt int, shape geom.S
 		}
 	}
 
+	res.met.Iterations = out.res.Iterations
+	res.met.RelResidual = out.res.RelResidual
+	res.rec.Converged = out.res.Converged
 	res.rec.Nodes = shape.Volume()
 	res.rec.RestoredIter = rst.iter
 	res.rec.Iterations = res.met.Iterations
@@ -415,7 +401,7 @@ func runChaosAttempt(cfg ChaosConfig, sup *supervisor, attempt int, shape geom.S
 	case runErr != nil:
 		return res, runErr
 	}
-	if err := firstOf(errs); err != nil {
+	if err := firstOf(out.errs); err != nil {
 		return res, err
 	}
 	res.met.SimTime = res.rec.EndedAt

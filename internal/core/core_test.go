@@ -1,7 +1,9 @@
 package core
 
 import (
+	"errors"
 	"math"
+	"math/cmplx"
 	"testing"
 
 	"qcdoc/internal/fermion"
@@ -71,88 +73,162 @@ func TestScatterGatherRoundTrip(t *testing.T) {
 	}
 }
 
-// TestDistWilsonMatchesReference is the heart of the functional
-// validation: the distributed operator on a real 16-node machine must
-// reproduce the single-node reference bit-for-bit... up to the exact
-// arithmetic, which is identical since both compute the same local
-// expressions; we require agreement to near machine precision.
-func TestDistWilsonMatchesReference(t *testing.T) {
-	global := lattice.Shape4{4, 4, 4, 4}
-	sess, err := NewSession(geom.MakeShape(2, 2, 2, 2), global)
+// applyOnce runs one distributed application of pr's operator to pr.b
+// (D, or D† with dag) on a freshly booted machine, gathers the result
+// into a global field and audits the link checksums.
+func applyOnce[F solver.Field[F]](t *testing.T, shape geom.Shape, global lattice.Shape4, pr problem[F], dag bool) F {
+	t.Helper()
+	sess, err := NewSession(shape, global)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer sess.Close()
-	gauge := lattice.NewGaugeField(global)
-	gauge.Randomize(7)
-	src := lattice.NewFermionField(global)
-	src.Gaussian(8)
-	mass := 0.3
-
-	// Reference.
-	ref := lattice.NewFermionField(global)
-	fermion.NewWilson(gauge, mass).Apply(ref, src)
-
-	// Distributed: one application per node, gathered.
-	got := lattice.NewFermionField(global)
 	dec := sess.Lay.Dec
-	err = sess.M.RunSPMD("dslash-once", func(rank int) node.Program {
+	if err := pr.validate(dec); err != nil {
+		t.Fatal(err)
+	}
+	got := pr.newField(global)
+	err = sess.M.RunSPMD("apply-once", func(rank int) node.Program {
 		return func(ctx *node.Ctx) {
 			comm := qmp.New(ctx, sess.Lay.Fold)
 			gc := GridCoord(comm.Coord())
-			localG := ScatterGauge(gauge, dec, gc)
-			localSrc := ScatterFermion(src, dec, gc)
-			dw := NewDistWilson(ctx, comm, dec, localG, mass, fermion.Double)
-			dst := lattice.NewFermionField(dec.Local)
-			dw.Apply(dst, localSrc)
-			GatherFermion(got, dec, gc, dst)
+			op := pr.newOperator(ctx, comm, dec)
+			dst := pr.newField(dec.Local)
+			if dag {
+				op.ApplyDag(dst, pr.scatter(pr.b, dec, gc))
+			} else {
+				op.Apply(dst, pr.scatter(pr.b, dec, gc))
+			}
+			pr.gather(got, dec, gc, dst)
 		}
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	diff := got.Clone()
-	diff.AXPY(-1, ref)
-	rel := diff.Norm2() / ref.Norm2()
-	if rel > 1e-24 {
-		t.Fatalf("distributed dslash deviates from reference: relative |diff|^2 = %g", rel)
-	}
 	if _, err := sess.M.VerifyChecksums(); err != nil {
 		t.Fatal(err)
+	}
+	return got
+}
+
+// checkReference compares the distributed operator mk builds against the
+// single-node reference ref: D v exactly (both compute the same local
+// expressions, so agreement is to near machine precision), and, with
+// adjoint set, D† u likewise plus γ5-hermiticity <u,Dv> = <D†u,v> through
+// the shared applyDag.
+func checkReference[F solver.Field[F]](t *testing.T, shape geom.Shape, global lattice.Shape4,
+	mk func(b F) problem[F], ref distOperator[F], u, v F, adjoint bool) {
+	t.Helper()
+	pr := mk(v)
+	deviation := func(got F, refApply solver.Op[F], src F) float64 {
+		want := pr.newField(global)
+		refApply(want, src)
+		got.AXPY(-1, want)
+		return got.Norm2() / want.Norm2()
+	}
+	dv := applyOnce(t, shape, global, pr, false)
+	uDv := u.Dot(dv)
+	if rel := deviation(dv, ref.Apply, v); rel > 1e-24 {
+		t.Fatalf("distributed D deviates from reference: relative |diff|^2 = %g", rel)
+	}
+	if !adjoint {
+		return
+	}
+	du := applyOnce(t, shape, global, mk(u), true)
+	duV := du.Dot(v)
+	if rel := deviation(du, ref.ApplyDag, u); rel > 1e-24 {
+		t.Fatalf("distributed D† deviates from reference: relative |diff|^2 = %g", rel)
+	}
+	if d := cmplx.Abs(uDv - duV); d > 1e-10*cmplx.Abs(uDv) {
+		t.Fatalf("<u,Dv> = %v but <D†u,v> = %v", uDv, duV)
+	}
+}
+
+// TestDistMatchesReference is the heart of the functional validation:
+// every distributed operator, on machines that split one, two, four and
+// a mixed pair of lattice directions, must reproduce its single-node
+// reference. Local extents are 3 in every split direction — the smallest
+// ASQTAD's three-layer halo allows, where its high layers are its low
+// layers — and DWF runs at Ls 1 (the Wilson hop plus the 5-D mass terms)
+// and Ls 4.
+func TestDistMatchesReference(t *testing.T) {
+	machines := []struct {
+		name   string
+		shape  geom.Shape
+		global lattice.Shape4
+	}{
+		{"2", geom.MakeShape(2), lattice.Shape4{6, 4, 2, 2}},
+		{"2x2", geom.MakeShape(2, 2), lattice.Shape4{6, 6, 2, 2}},
+		{"2x2x2x2", geom.MakeShape(2, 2, 2, 2), lattice.Shape4{6, 6, 6, 6}},
+		{"4x2", geom.MakeShape(4, 2), lattice.Shape4{12, 6, 2, 2}},
+	}
+	spinors := func(l lattice.Shape4, seed uint64) *lattice.FermionField {
+		f := lattice.NewFermionField(l)
+		f.Gaussian(seed)
+		return f
+	}
+	dwf := func(ls int) func(*testing.T, geom.Shape, *lattice.GaugeField, bool) {
+		return func(t *testing.T, shape geom.Shape, g *lattice.GaugeField, adjoint bool) {
+			u, v := fermion.NewField5(g.L, ls), fermion.NewField5(g.L, ls)
+			u.Gaussian(9)
+			v.Gaussian(8)
+			checkReference(t, shape, g.L, func(b *fermion.Field5) problem[*fermion.Field5] {
+				return dwfProblem(g, b, 1.8, 0.05, ls, fermion.Double, 0, 0)
+			}, fermion.NewDWF(g, 1.8, 0.05, ls), u, v, adjoint)
+		}
+	}
+	operators := []struct {
+		name string
+		run  func(t *testing.T, shape geom.Shape, g *lattice.GaugeField, adjoint bool)
+	}{
+		{"wilson", func(t *testing.T, shape geom.Shape, g *lattice.GaugeField, adjoint bool) {
+			checkReference(t, shape, g.L, func(b *lattice.FermionField) problem[*lattice.FermionField] {
+				return wilsonProblem(g, nil, b, 0.3, fermion.Double, 0, 0)
+			}, fermion.NewWilson(g, 0.3), spinors(g.L, 9), spinors(g.L, 8), adjoint)
+		}},
+		{"clover", func(t *testing.T, shape geom.Shape, g *lattice.GaugeField, adjoint bool) {
+			ref := fermion.NewClover(g, 0.2, 1.3)
+			checkReference(t, shape, g.L, func(b *lattice.FermionField) problem[*lattice.FermionField] {
+				return wilsonProblem(g, ref, b, ref.Mass, fermion.Double, 0, 0)
+			}, ref, spinors(g.L, 9), spinors(g.L, 8), adjoint)
+		}},
+		{"asqtad", func(t *testing.T, shape geom.Shape, g *lattice.GaugeField, adjoint bool) {
+			ref := fermion.NewASQTAD(g, 0.25)
+			u, v := lattice.NewColorField(g.L), lattice.NewColorField(g.L)
+			u.Gaussian(9)
+			v.Gaussian(8)
+			checkReference(t, shape, g.L, func(b *lattice.ColorField) problem[*lattice.ColorField] {
+				return asqtadProblem(ref, b, fermion.Double, 0, 0)
+			}, ref, u, v, adjoint)
+		}},
+		{"dwf-ls1", dwf(1)},
+		{"dwf-ls4", dwf(4)},
+	}
+	for _, op := range operators {
+		t.Run(op.name, func(t *testing.T) {
+			for _, m := range machines {
+				t.Run(m.name, func(t *testing.T) {
+					gauge := lattice.NewGaugeField(m.global)
+					gauge.Randomize(7)
+					// D† and hermiticity once per operator, on the mixed machine.
+					op.run(t, m.shape, gauge, m.name == "4x2")
+				})
+			}
+		})
 	}
 }
 
 func TestDistWilsonDagAdjoint(t *testing.T) {
 	global := lattice.Shape4{4, 4, 2, 2}
-	sess, err := NewSession(geom.MakeShape(2, 2), global)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sess.Close()
 	gauge := lattice.NewGaugeField(global)
 	gauge.Randomize(9)
 	ref := lattice.NewFermionField(global)
 	src := lattice.NewFermionField(global)
 	src.Gaussian(10)
 	fermion.NewWilson(gauge, 0.2).ApplyDag(ref, src)
-	got := lattice.NewFermionField(global)
-	dec := sess.Lay.Dec
-	err = sess.M.RunSPMD("dag-once", func(rank int) node.Program {
-		return func(ctx *node.Ctx) {
-			comm := qmp.New(ctx, sess.Lay.Fold)
-			gc := GridCoord(comm.Coord())
-			dw := NewDistWilson(ctx, comm, dec, ScatterGauge(gauge, dec, gc), 0.2, fermion.Double)
-			dst := lattice.NewFermionField(dec.Local)
-			dw.ApplyDag(dst, ScatterFermion(src, dec, gc))
-			GatherFermion(got, dec, gc, dst)
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	diff := got.Clone()
-	diff.AXPY(-1, ref)
-	if diff.Norm2()/ref.Norm2() > 1e-24 {
+	got := applyOnce(t, geom.MakeShape(2, 2), global, wilsonProblem(gauge, nil, src, 0.2, fermion.Double, 0, 0), true)
+	got.AXPY(-1, ref)
+	if got.Norm2()/ref.Norm2() > 1e-24 {
 		t.Fatal("distributed D† deviates from reference")
 	}
 }
@@ -254,122 +330,6 @@ func TestSolveWilsonDeterministic(t *testing.T) {
 	}
 }
 
-// TestDistCloverMatchesReference validates the distributed clover
-// operator against the single-node reference on a hot configuration.
-func TestDistCloverMatchesReference(t *testing.T) {
-	global := lattice.Shape4{4, 4, 2, 2}
-	sess, err := NewSession(geom.MakeShape(2, 2), global)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sess.Close()
-	gauge := lattice.NewGaugeField(global)
-	gauge.Randomize(31)
-	ref := fermion.NewClover(gauge, 0.2, 1.3)
-	src := lattice.NewFermionField(global)
-	src.Gaussian(32)
-	want := lattice.NewFermionField(global)
-	ref.Apply(want, src)
-	got := lattice.NewFermionField(global)
-	dec := sess.Lay.Dec
-	err = sess.M.RunSPMD("clover-once", func(rank int) node.Program {
-		return func(ctx *node.Ctx) {
-			comm := qmp.New(ctx, sess.Lay.Fold)
-			gc := GridCoord(comm.Coord())
-			dcv := NewDistClover(ctx, comm, dec, ScatterGauge(gauge, dec, gc), ref, fermion.Double)
-			dst := lattice.NewFermionField(dec.Local)
-			dcv.Apply(dst, ScatterFermion(src, dec, gc))
-			GatherFermion(got, dec, gc, dst)
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	diff := got.Clone()
-	diff.AXPY(-1, want)
-	if diff.Norm2()/want.Norm2() > 1e-24 {
-		t.Fatalf("distributed clover deviates: %g", diff.Norm2()/want.Norm2())
-	}
-}
-
-// TestDistASQTADMatchesReference validates the distributed ASQTAD
-// operator (three-layer Naik halos, sender-applied backward links)
-// against the single-node reference.
-func TestDistASQTADMatchesReference(t *testing.T) {
-	global := lattice.Shape4{8, 8, 4, 4} // local 4x4x4x4 on the 2x2 grid (Naik needs extent >= 3)
-	sess, err := NewSession(geom.MakeShape(2, 2), global)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sess.Close()
-	gauge := lattice.NewGaugeField(global)
-	gauge.Randomize(41)
-	ref := fermion.NewASQTAD(gauge, 0.25)
-	src := lattice.NewColorField(global)
-	src.Gaussian(42)
-	want := lattice.NewColorField(global)
-	ref.Apply(want, src)
-	got := lattice.NewColorField(global)
-	dec := sess.Lay.Dec
-	err = sess.M.RunSPMD("asqtad-once", func(rank int) node.Program {
-		return func(ctx *node.Ctx) {
-			comm := qmp.New(ctx, sess.Lay.Fold)
-			gc := GridCoord(comm.Coord())
-			da := NewDistASQTAD(ctx, comm, dec, ref, fermion.Double)
-			dst := lattice.NewColorField(dec.Local)
-			da.Apply(dst, ScatterColor(src, dec, gc))
-			GatherColor(got, dec, gc, dst)
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	diff := got.Clone()
-	diff.AXPY(-1, want)
-	if diff.Norm2()/want.Norm2() > 1e-24 {
-		t.Fatalf("distributed ASQTAD deviates: %g", diff.Norm2()/want.Norm2())
-	}
-}
-
-// TestDistDWFMatchesReference validates the distributed domain-wall
-// operator against the single-node reference.
-func TestDistDWFMatchesReference(t *testing.T) {
-	global := lattice.Shape4{4, 4, 2, 2}
-	const ls = 4
-	sess, err := NewSession(geom.MakeShape(2, 2), global)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sess.Close()
-	gauge := lattice.NewGaugeField(global)
-	gauge.Randomize(51)
-	ref := fermion.NewDWF(gauge, 1.8, 0.05, ls)
-	src := fermion.NewField5(global, ls)
-	src.Gaussian(52)
-	want := fermion.NewField5(global, ls)
-	ref.Apply(want, src)
-	got := fermion.NewField5(global, ls)
-	dec := sess.Lay.Dec
-	err = sess.M.RunSPMD("dwf-once", func(rank int) node.Program {
-		return func(ctx *node.Ctx) {
-			comm := qmp.New(ctx, sess.Lay.Fold)
-			gc := GridCoord(comm.Coord())
-			dd := NewDistDWF(ctx, comm, dec, ScatterGauge(gauge, dec, gc), 1.8, 0.05, ls, fermion.Double)
-			dst := fermion.NewField5(dec.Local, ls)
-			dd.Apply(dst, scatterField5(src, dec, gc))
-			gatherField5(got, dec, gc, dst)
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	diff := got.Clone()
-	diff.AXPY(-1, want)
-	if diff.Norm2()/want.Norm2() > 1e-24 {
-		t.Fatalf("distributed DWF deviates: %g", diff.Norm2()/want.Norm2())
-	}
-}
-
 // TestSolveAllOperatorsEndToEnd runs small distributed CG solves for
 // clover, ASQTAD and DWF, verifying residuals with the reference
 // operators.
@@ -453,5 +413,37 @@ func TestSolveAllOperatorsEndToEnd(t *testing.T) {
 		if met.Efficiency <= 0 {
 			t.Fatal("no dwf efficiency recorded")
 		}
+	}
+}
+
+// TestSolveValidatesBeforeLaunch: a solve the layout cannot run returns
+// a typed error before anything is launched — no rank ever panics — and
+// leaves the session fit for the next, valid solve.
+func TestSolveValidatesBeforeLaunch(t *testing.T) {
+	global := lattice.Shape4{4, 4, 4, 4}
+	sess, err := NewSession(geom.MakeShape(2, 2), global) // local 2x2x4x4
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+	gauge := lattice.NewGaugeField(global)
+	gauge.Randomize(71)
+	b := lattice.NewFermionField(global)
+	b.Gaussian(72)
+
+	_, _, err = sess.SolveASQTAD(fermion.NewASQTAD(gauge, 0.5), lattice.NewColorField(global), fermion.Double, 1e-8, 100)
+	if !errors.Is(err, ErrLocalExtent) {
+		t.Fatalf("ASQTAD on local extent 2: %v, want ErrLocalExtent", err)
+	}
+	_, _, err = sess.SolveWilson(gauge, lattice.NewFermionField(lattice.Shape4{4, 4, 4, 2}), 0.5, fermion.Double, 1e-8, 100)
+	if !errors.Is(err, ErrShape) {
+		t.Fatalf("source of the wrong shape: %v, want ErrShape", err)
+	}
+	_, _, err = sess.SolveDWF(gauge, fermion.NewField5(global, 2), 1.8, 0.1, 4, fermion.Double, 1e-8, 100)
+	if !errors.Is(err, ErrShape) {
+		t.Fatalf("source of the wrong Ls: %v, want ErrShape", err)
+	}
+	if _, met, err := sess.SolveWilson(gauge, b, 0.5, fermion.Double, 1e-8, 1000); err != nil || met.Iterations == 0 {
+		t.Fatalf("valid solve after rejected ones: %v, %+v", err, met)
 	}
 }

@@ -1,303 +1,238 @@
 package core
 
 import (
-	"fmt"
-
-	"qcdoc/internal/event"
 	"qcdoc/internal/fermion"
-	"qcdoc/internal/geom"
 	"qcdoc/internal/latmath"
 	"qcdoc/internal/lattice"
 	"qcdoc/internal/node"
-	"qcdoc/internal/ppc440"
 	"qcdoc/internal/qmp"
-	"qcdoc/internal/scu"
 )
 
-// DistWilson is the distributed Wilson Dirac operator running on one
-// node of the machine. Boundary spin-projected half spinors travel
-// through the SCU as in the hand-tuned production code: the low face is
-// projected with (1-γ_mu) and sent backward (the receiver applies its
-// own gauge link); the high face is projected with (1+γ_mu), multiplied
-// by U†, and sent forward (the sender applies the link). Twelve complex
-// numbers per face site per direction — exactly the cost model's comm
-// volume.
-//
-// While the real data moves, the node's CPU model is charged the
-// operator's per-site kernel cost, so simulated time reflects both
-// compute and communication, overlapped as on the real machine (the DMA
-// engines run while the CPU works the volume).
-type DistWilson struct {
-	ctx  *node.Ctx
-	comm *qmp.Comm
-	dec  lattice.Decomp
-	grid lattice.Site
-	G    *lattice.GaugeField
-	Mass float64
+// wilsonHop is the distributed 4-D Wilson hopping term on Ls slices of
+// spinors sharing one gauge field: the kernel of the Wilson and clover
+// operators (Ls = 1) and of the domain-wall operator, whose fifth
+// dimension stays node-local. Boundary spin-projected half spinors
+// travel through the SCU as in the hand-tuned production code: the low
+// face is projected with (1-γ_mu) and sent backward (the receiver
+// applies its own gauge link); the high face is projected with (1+γ_mu),
+// multiplied by U†, and sent forward (the sender owns that link). Twelve
+// complex numbers per face site per slice per direction — exactly the
+// cost model's comm volume. The gauge field is read once for all slices,
+// which is the data reuse behind the DWF kernel's high efficiency (§4).
+type wilsonHop struct {
+	halo
+	local lattice.Shape4
+	G     *lattice.GaugeField // the node's sub-volume of the configuration
+	Ls    int
 
-	// Timing.
-	siteCost ppc440.KernelCost
-	timing   bool
-
-	// Per (mu, end) comm plumbing: face site lists and node-memory
-	// buffers (12 words per face site).
-	faces    [lattice.Ndim][2][]int
-	sendAddr [lattice.Ndim][2]uint64
-	recvAddr [lattice.Ndim][2]uint64
-
-	// Unpacked ghosts.
-	ghostFwd [lattice.Ndim][]latmath.HalfSpinor // ψ(x+mu) projected (1-γ), link applied by us
-	ghostBwd [lattice.Ndim][]latmath.HalfSpinor // U†(1+γ)ψ(x-mu), link applied by sender
+	faces [lattice.Ndim][2][]int // face site lists: the slot order
 }
 
-// NewDistWilson builds the operator on one node. localGauge is the
-// node's sub-volume of the configuration (normally produced by
-// ScatterGauge).
-func NewDistWilson(ctx *node.Ctx, comm *qmp.Comm, dec lattice.Decomp, localGauge *lattice.GaugeField, mass float64, prec fermion.Precision) *DistWilson {
-	d := &DistWilson{
-		ctx:  ctx,
-		comm: comm,
-		dec:  dec,
-		grid: GridCoord(comm.Coord()),
-		G:    localGauge,
-		Mass: mass,
+func newWilsonHop(ctx *node.Ctx, comm *qmp.Comm, dec lattice.Decomp, gauge *lattice.GaugeField, kind fermion.OpKind, ls int, prec fermion.Precision) wilsonHop {
+	sites := dec.LocalVolume() * ls
+	level := fermion.WorkingSetLevel(kind, prec, sites)
+	cost := fermion.SiteCost(kind, prec, level)
+	if kind == fermion.DWFKind {
+		cost = fermion.DWFSiteCost(prec, level, ls)
 	}
-	if localGauge.L != dec.Local {
-		panic(fmt.Sprintf("core: local gauge %v does not match decomposition %v", localGauge.L, dec.Local))
+	w := wilsonHop{
+		halo:  newHalo(ctx, comm, dec, ls*latmath.HalfSpinorWords, cost.Scale(float64(sites))),
+		local: dec.Local,
+		G:     ScatterGauge(gauge, dec, GridCoord(comm.Coord())),
+		Ls:    ls,
 	}
-	level := fermion.WorkingSetLevel(fermion.WilsonKind, prec, dec.LocalVolume())
-	d.siteCost = fermion.SiteCost(fermion.WilsonKind, prec, level)
-	d.timing = true
 	for mu := 0; mu < lattice.Ndim; mu++ {
-		if dec.Grid[mu] == 1 {
+		if w.split[mu] {
+			w.faces[mu][0] = lattice.FaceSites(dec.Local, mu, 0)
+			w.faces[mu][1] = lattice.FaceSites(dec.Local, mu, 1)
+		}
+	}
+	return w
+}
+
+// hop computes dst = diag·src - ½ Σ_mu [(1-γ_mu)U_mu(x)src(x+mu) +
+// (1+γ_mu)U†_mu(x-mu)src(x-mu)] on every slice, with halo exchange over
+// the machine.
+func (w *wilsonHop) hop(dst, src []latmath.Spinor, diag complex128) {
+	l := w.local
+	v4 := l.Volume()
+	for mu := 0; mu < lattice.Ndim; mu++ {
+		if !w.split[mu] {
 			continue
 		}
-		fv := lattice.FaceVolume(dec.Local, mu)
-		words := fv * latmath.HalfSpinorWords
-		for end := 0; end < 2; end++ {
-			d.faces[mu][end] = lattice.FaceSites(dec.Local, mu, end)
-			d.sendAddr[mu][end] = ctx.N.AllocWords(words)
-			d.recvAddr[mu][end] = ctx.N.AllocWords(words)
+		fv := len(w.faces[mu][0])
+		for s := 0; s < w.Ls; s++ {
+			for i, idx := range w.faces[mu][0] {
+				w.putHalf(mu, 0, s*fv+i, latmath.Project(mu, +1, src[s*v4+idx]))
+			}
+			for i, idx := range w.faces[mu][1] {
+				link := w.G.Link(l.SiteOf(idx), mu)
+				w.putHalf(mu, 1, s*fv+i, latmath.Project(mu, -1, src[s*v4+idx]).DagMulMat(link))
+			}
 		}
-		d.ghostFwd[mu] = make([]latmath.HalfSpinor, fv)
-		d.ghostBwd[mu] = make([]latmath.HalfSpinor, fv)
 	}
-	return d
-}
-
-// SetTiming enables or disables charging the CPU model (packing-only
-// verification runs disable it).
-func (d *DistWilson) SetTiming(on bool) { d.timing = on }
-
-// Name implements a DiracOperator-like interface for logging.
-func (d *DistWilson) Name() string { return "dist-wilson" }
-
-// ghostIndex maps a local face-site index (its position in the sorted
-// FaceSites list) — the packing order shared by sender and receiver.
-
-// exchangeHalos projects and ships all boundary faces, overlapping the
-// transfers with the bulk compute charge, then unpacks the ghosts.
-func (d *DistWilson) exchangeHalos(src *lattice.FermionField, computeCharge ppc440.KernelCost) {
-	p := d.ctx.P
-	n := d.ctx.N
-	var transfers []*scu.Transfer
-	for mu := 0; mu < lattice.Ndim; mu++ {
-		if d.dec.Grid[mu] == 1 {
-			continue
-		}
-		// Receives first (idle receive would hold data anyway, but
-		// programming them early gives the zero-copy landing).
-		fv := len(d.faces[mu][0])
-		words := fv * latmath.HalfSpinorWords
-		rtF, err := d.comm.StartRecv(mu, geom.Fwd, scu.Contiguous(d.recvAddr[mu][1], words))
-		check(err)
-		rtB, err := d.comm.StartRecv(mu, geom.Bwd, scu.Contiguous(d.recvAddr[mu][0], words))
-		check(err)
-		transfers = append(transfers, rtF, rtB)
-
-		// Low face: project (1-γ_mu)ψ, receiver applies its U.
-		var buf [latmath.HalfSpinorWords]uint64
-		for i, idx := range d.faces[mu][0] {
-			h := latmath.Project(mu, +1, src.S[idx])
-			latmath.PackHalfSpinor(h, buf[:])
-			base := d.sendAddr[mu][0] + 8*uint64(i*latmath.HalfSpinorWords)
-			for k, w := range buf {
-				n.Mem.WriteWord(base+8*uint64(k), w)
-			}
-		}
-		stB, err := d.comm.StartSend(mu, geom.Bwd, scu.Contiguous(d.sendAddr[mu][0], words))
-		check(err)
-		// High face: project (1+γ_mu)ψ and apply U† here (the sender owns
-		// the link U_mu(x) for x on the high face).
-		for i, idx := range d.faces[mu][1] {
-			x := d.dec.Local.SiteOf(idx)
-			h := latmath.Project(mu, -1, src.S[idx]).DagMulMat(d.G.Link(x, mu))
-			latmath.PackHalfSpinor(h, buf[:])
-			base := d.sendAddr[mu][1] + 8*uint64(i*latmath.HalfSpinorWords)
-			for k, w := range buf {
-				n.Mem.WriteWord(base+8*uint64(k), w)
-			}
-		}
-		stF, err := d.comm.StartSend(mu, geom.Fwd, scu.Contiguous(d.sendAddr[mu][1], words))
-		check(err)
-		transfers = append(transfers, stB, stF)
-	}
-	// Overlap: the CPU works the volume while the DMA engines move the
-	// faces.
-	if d.timing {
-		n.Compute(p, computeCharge)
-	}
-	qmp.WaitAll(p, transfers...)
-	// Unpack ghosts.
-	var buf [latmath.HalfSpinorWords]uint64
-	for mu := 0; mu < lattice.Ndim; mu++ {
-		if d.dec.Grid[mu] == 1 {
-			continue
-		}
-		for i := range d.ghostFwd[mu] {
-			base := d.recvAddr[mu][1] + 8*uint64(i*latmath.HalfSpinorWords)
-			for k := range buf {
-				buf[k] = n.Mem.ReadWord(base + 8*uint64(k))
-			}
-			d.ghostFwd[mu][i] = latmath.UnpackHalfSpinor(buf[:])
-			base = d.recvAddr[mu][0] + 8*uint64(i*latmath.HalfSpinorWords)
-			for k := range buf {
-				buf[k] = n.Mem.ReadWord(base + 8*uint64(k))
-			}
-			d.ghostBwd[mu][i] = latmath.UnpackHalfSpinor(buf[:])
-		}
+	w.exchange()
+	for s := 0; s < w.Ls; s++ {
+		w.hopSlice(dst[s*v4:(s+1)*v4], src[s*v4:(s+1)*v4], s, diag)
 	}
 }
 
-// facePos returns the position of local face site idx in the packing
-// order, or -1. faces lists are ascending, so binary search.
-func facePos(faces []int, idx int) int {
-	lo, hi := 0, len(faces)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		switch {
-		case faces[mid] == idx:
-			return mid
-		case faces[mid] < idx:
-			lo = mid + 1
-		default:
-			hi = mid
-		}
-	}
-	return -1
-}
-
-// Apply computes dst = D src with halo exchange over the machine.
-func (d *DistWilson) Apply(dst, src *lattice.FermionField) {
-	l := d.dec.Local
-	charge := d.siteCost.Scale(float64(l.Volume()))
-	d.exchangeHalos(src, charge)
-	diag := complex(d.Mass+4, 0)
-	v := l.Volume()
-	for idx := 0; idx < v; idx++ {
+// hopSlice is hop's site loop on fifth-dimension slice s, after the
+// exchange.
+func (w *wilsonHop) hopSlice(dst, src []latmath.Spinor, s int, diag complex128) {
+	l := w.local
+	for idx := range dst {
 		x := l.SiteOf(idx)
 		var acc latmath.Spinor
 		for mu := 0; mu < lattice.Ndim; mu++ {
-			// +mu term: (1-γ)U_mu(x)ψ(x+mu).
-			if d.dec.Grid[mu] > 1 && x[mu] == l[mu]-1 {
-				pos := facePos(d.faces[mu][1], idx)
-				h := d.ghostFwd[mu][pos].MulMat(d.G.Link(x, mu))
+			// +mu term (1-γ)U_mu(x)ψ(x+mu); off the high face ψ(x+mu) is a
+			// ghost, already projected, and the link is ours.
+			if w.split[mu] && x[mu] == l[mu]-1 {
+				h := w.ghost(mu, 1, s, x).MulMat(w.G.Link(x, mu))
 				acc = acc.Add(latmath.Reconstruct(mu, +1, h))
 			} else {
 				xp := l.Neighbor(x, mu, +1)
-				h := latmath.Project(mu, +1, src.S[l.Index(xp)]).MulMat(d.G.Link(x, mu))
+				h := latmath.Project(mu, +1, src[l.Index(xp)]).MulMat(w.G.Link(x, mu))
 				acc = acc.Add(latmath.Reconstruct(mu, +1, h))
 			}
-			// -mu term: (1+γ)U†_mu(x-mu)ψ(x-mu).
-			if d.dec.Grid[mu] > 1 && x[mu] == 0 {
-				pos := facePos(d.faces[mu][0], idx)
-				h := d.ghostBwd[mu][pos] // link already applied by sender
-				acc = acc.Add(latmath.Reconstruct(mu, -1, h))
+			// -mu term (1+γ)U†_mu(x-mu)ψ(x-mu); off the low face the sender
+			// already applied its link.
+			if w.split[mu] && x[mu] == 0 {
+				acc = acc.Add(latmath.Reconstruct(mu, -1, w.ghost(mu, 0, s, x)))
 			} else {
 				xm := l.Neighbor(x, mu, -1)
-				h := latmath.Project(mu, -1, src.S[l.Index(xm)]).DagMulMat(d.G.Link(xm, mu))
+				h := latmath.Project(mu, -1, src[l.Index(xm)]).DagMulMat(w.G.Link(xm, mu))
 				acc = acc.Add(latmath.Reconstruct(mu, -1, h))
 			}
 		}
-		dst.S[idx] = src.S[idx].Scale(diag).Sub(acc.Scale(0.5))
+		dst[idx] = src[idx].Scale(diag).Sub(acc.Scale(0.5))
+	}
+}
+
+// ghost is the half spinor the (mu, end) neighbour packed for our face
+// site x on slice s.
+func (w *wilsonHop) ghost(mu, end, s int, x lattice.Site) latmath.HalfSpinor {
+	return w.half(mu, end, s*len(w.faces[mu][end])+faceSlot(w.local, x, mu))
+}
+
+// applyDag computes dst = D† src = R γ5 D γ5 R src for the operator D
+// built on this hop; R reflects the fifth dimension (the identity at
+// Ls = 1).
+func (w *wilsonHop) applyDag(dst, src []latmath.Spinor, applyD func(dst, src []latmath.Spinor)) {
+	tmp := make([]latmath.Spinor, len(src))
+	mid := make([]latmath.Spinor, len(src))
+	w.reflectGamma5(tmp, src)
+	applyD(mid, tmp)
+	w.reflectGamma5(dst, mid)
+}
+
+func (w *wilsonHop) reflectGamma5(dst, src []latmath.Spinor) {
+	v4 := w.local.Volume()
+	for s := 0; s < w.Ls; s++ {
+		to, from := dst[s*v4:(s+1)*v4], src[(w.Ls-1-s)*v4:(w.Ls-s)*v4]
+		for i := range to {
+			to[i] = latmath.Gamma5.ApplySpin(from[i])
+		}
+	}
+}
+
+// DistWilson is the distributed Wilson Dirac operator running on one
+// node of the machine and, with a clover term, the clover-improved one.
+// The term is precomputed on the full configuration when the job is set
+// up (as production codes do once per configuration) and scattered to
+// the nodes; the per-iteration work — the benchmarked part — runs
+// entirely on-machine.
+type DistWilson struct {
+	wilsonHop
+	Mass float64
+	term [][4][4]latmath.Mat3 // site-local clover term; nil for plain Wilson
+}
+
+// NewDistWilson builds the operator on one node from the global gauge
+// field. clover, when non-nil, must be the clover operator constructed
+// on that field.
+func NewDistWilson(ctx *node.Ctx, comm *qmp.Comm, dec lattice.Decomp, gauge *lattice.GaugeField, clover *fermion.Clover, mass float64, prec fermion.Precision) *DistWilson {
+	d := &DistWilson{Mass: mass}
+	kind := fermion.WilsonKind
+	if clover != nil {
+		kind = fermion.CloverKind
+		d.term = make([][4][4]latmath.Mat3, dec.LocalVolume())
+		forEachSite(dec, GridCoord(comm.Coord()), func(l, g int) { d.term[l] = clover.TermAt(g) })
+	}
+	d.wilsonHop = newWilsonHop(ctx, comm, dec, gauge, kind, 1, prec)
+	return d
+}
+
+// Apply computes dst = D src.
+func (d *DistWilson) Apply(dst, src *lattice.FermionField) { d.apply(dst.S, src.S) }
+
+func (d *DistWilson) apply(dst, src []latmath.Spinor) {
+	d.hop(dst, src, complex(d.Mass+4, 0))
+	for idx := range d.term {
+		var extra latmath.Spinor
+		for a := 0; a < 4; a++ {
+			for b := 0; b < 4; b++ {
+				m := &d.term[idx][a][b]
+				if *m == latmath.Zero3() {
+					continue
+				}
+				extra[a] = extra[a].Add(m.MulVec(src[idx][b]))
+			}
+		}
+		dst[idx] = dst[idx].Add(extra)
 	}
 }
 
 // ApplyDag computes dst = D† src = γ5 D γ5 src.
-func (d *DistWilson) ApplyDag(dst, src *lattice.FermionField) {
-	l := d.dec.Local
-	tmp := lattice.NewFermionField(l)
-	for i := range src.S {
-		tmp.S[i] = latmath.Gamma5.ApplySpin(src.S[i])
-	}
-	mid := lattice.NewFermionField(l)
-	d.Apply(mid, tmp)
-	for i := range mid.S {
-		dst.S[i] = latmath.Gamma5.ApplySpin(mid.S[i])
-	}
+func (d *DistWilson) ApplyDag(dst, src *lattice.FermionField) { d.applyDag(dst.S, src.S, d.apply) }
+
+// DistDWF is the distributed domain-wall operator: the 4-D Wilson hop on
+// each of the Ls fifth-dimension slices plus the node-local fifth-
+// dimension hops.
+type DistDWF struct {
+	wilsonHop
+	M5, Mf float64
 }
 
-// DistSpace is the solver vector space for distributed spinor fields:
-// local BLAS plus machine-wide reductions through the SCU global-sum
-// hardware, each charged to the CPU model.
-func DistSpace(ctx *node.Ctx, comm *qmp.Comm, dec lattice.Decomp, kind fermion.OpKind, prec fermion.Precision) solverSpace {
-	level := fermion.WorkingSetLevel(kind, prec, dec.LocalVolume())
-	axpyCharge := fermion.AXPYCost(kind, prec, level).Scale(float64(dec.LocalVolume()))
-	dotCharge := fermion.DotCost(kind, prec, level).Scale(float64(dec.LocalVolume()))
-	return solverSpace{
-		ctx:        ctx,
-		comm:       comm,
-		local:      dec.Local,
-		axpyCharge: axpyCharge,
-		dotCharge:  dotCharge,
-		iterAt:     new(event.Time),
-	}
+// NewDistDWF builds the operator on one node from the global gauge
+// field.
+func NewDistDWF(ctx *node.Ctx, comm *qmp.Comm, dec lattice.Decomp, gauge *lattice.GaugeField, m5, mf float64, ls int, prec fermion.Precision) *DistDWF {
+	return &DistDWF{wilsonHop: newWilsonHop(ctx, comm, dec, gauge, fermion.DWFKind, ls, prec), M5: m5, Mf: mf}
 }
 
-// solverSpace carries the shared pieces; concrete Space[T] adapters are
-// built in session.go.
-type solverSpace struct {
-	ctx        *node.Ctx
-	comm       *qmp.Comm
-	local      lattice.Shape4
-	axpyCharge ppc440.KernelCost
-	dotCharge  ppc440.KernelCost
-	// iterAt remembers (through the value-type copies the Space adapters
-	// make) the simulated time of the previous iteration hook, so
-	// noteIteration can histogram per-iteration sim time.
-	iterAt *event.Time
-}
+// Apply computes dst = D src.
+func (d *DistDWF) Apply(dst, src *fermion.Field5) { d.apply(dst.S, src.S) }
 
-func (s solverSpace) globalSum(x float64) float64 {
-	s.ctx.N.Compute(s.ctx.P, s.dotCharge)
-	return s.comm.GlobalSumFloat64(s.ctx.P, x)
-}
-
-func (s solverSpace) chargeAXPY() {
-	s.ctx.N.Compute(s.ctx.P, s.axpyCharge)
-}
-
-// noteIteration feeds the solver's per-iteration hook into the node's
-// telemetry counters (no-op with telemetry disabled): the iteration
-// count, and the simulated time since the previous iteration into the
-// CG-iteration histogram.
-func (s solverSpace) noteIteration() {
-	ctr := s.ctx.N.Counters()
-	if ctr == nil {
-		return
-	}
-	ctr.SolverIterations++
-	now := s.ctx.P.Now()
-	if s.iterAt != nil {
-		if *s.iterAt != 0 {
-			ctr.IterTime.Record(uint64(now - *s.iterAt))
+func (d *DistDWF) apply(dst, src []latmath.Spinor) {
+	d.hop(dst, src, complex(-d.M5+4+1, 0))
+	v4 := d.local.Volume()
+	mf := complex(d.Mf, 0)
+	for s := 0; s < d.Ls; s++ {
+		for idx := 0; idx < v4; idx++ {
+			out := dst[s*v4+idx]
+			if up := s + 1; up < d.Ls {
+				out = out.Sub(projMinus5(src[up*v4+idx]))
+			} else {
+				out = out.AXPY(mf, projMinus5(src[idx]))
+			}
+			if dn := s - 1; dn >= 0 {
+				out = out.Sub(projPlus5(src[dn*v4+idx]))
+			} else {
+				out = out.AXPY(mf, projPlus5(src[(d.Ls-1)*v4+idx]))
+			}
+			dst[s*v4+idx] = out
 		}
-		*s.iterAt = now
 	}
 }
 
-func check(err error) {
-	if err != nil {
-		panic("core: " + err.Error())
-	}
+// ApplyDag computes dst = D† src = R γ5 D γ5 R src.
+func (d *DistDWF) ApplyDag(dst, src *fermion.Field5) { d.applyDag(dst.S, src.S, d.apply) }
+
+// projPlus5 and projMinus5 are the chiral projectors (1 ± γ5)/2.
+func projPlus5(s latmath.Spinor) latmath.Spinor {
+	return s.Add(latmath.Gamma5.ApplySpin(s)).Scale(0.5)
+}
+
+func projMinus5(s latmath.Spinor) latmath.Spinor {
+	return s.Sub(latmath.Gamma5.ApplySpin(s)).Scale(0.5)
 }

@@ -103,60 +103,45 @@ func GridCoord(lc geom.Coord) lattice.Site {
 	return lattice.Site{lc[0], lc[1], lc[2], lc[3]}
 }
 
+// forEachSite calls f with the local and the global lexicographic index
+// of every site grid node gc owns, in ascending local order: the site map
+// behind every scatter and gather.
+func forEachSite(dec lattice.Decomp, gc lattice.Site, f func(local, global int)) {
+	v := dec.Local.Volume()
+	for idx := 0; idx < v; idx++ {
+		f(idx, dec.Global.Index(dec.GlobalOf(gc, dec.Local.SiteOf(idx))))
+	}
+}
+
 // ScatterGauge extracts the local gauge field owned by grid node gc.
 func ScatterGauge(global *lattice.GaugeField, dec lattice.Decomp, gc lattice.Site) *lattice.GaugeField {
 	local := lattice.NewGaugeField(dec.Local)
-	v := dec.Local.Volume()
-	for idx := 0; idx < v; idx++ {
-		ls := dec.Local.SiteOf(idx)
-		gs := dec.GlobalOf(gc, ls)
-		for mu := 0; mu < lattice.Ndim; mu++ {
-			local.SetLink(ls, mu, global.Link(gs, mu))
-		}
-	}
+	forEachSite(dec, gc, func(l, g int) {
+		copy(local.U[lattice.Ndim*l:lattice.Ndim*(l+1)], global.U[lattice.Ndim*g:])
+	})
 	return local
 }
 
 // ScatterFermion extracts the local spinor field owned by grid node gc.
 func ScatterFermion(global *lattice.FermionField, dec lattice.Decomp, gc lattice.Site) *lattice.FermionField {
 	local := lattice.NewFermionField(dec.Local)
-	v := dec.Local.Volume()
-	for idx := 0; idx < v; idx++ {
-		ls := dec.Local.SiteOf(idx)
-		gs := dec.GlobalOf(gc, ls)
-		local.S[idx] = global.S[global.L.Index(gs)]
-	}
+	forEachSite(dec, gc, func(l, g int) { local.S[l] = global.S[g] })
 	return local
 }
 
 // GatherFermion writes a node's local spinor field into the global field.
 func GatherFermion(global *lattice.FermionField, dec lattice.Decomp, gc lattice.Site, local *lattice.FermionField) {
-	v := dec.Local.Volume()
-	for idx := 0; idx < v; idx++ {
-		ls := dec.Local.SiteOf(idx)
-		gs := dec.GlobalOf(gc, ls)
-		global.S[global.L.Index(gs)] = local.S[idx]
-	}
+	forEachSite(dec, gc, func(l, g int) { global.S[g] = local.S[l] })
 }
 
 // ScatterColor extracts the local staggered field owned by grid node gc.
 func ScatterColor(global *lattice.ColorField, dec lattice.Decomp, gc lattice.Site) *lattice.ColorField {
 	local := lattice.NewColorField(dec.Local)
-	v := dec.Local.Volume()
-	for idx := 0; idx < v; idx++ {
-		ls := dec.Local.SiteOf(idx)
-		gs := dec.GlobalOf(gc, ls)
-		local.V[idx] = global.V[global.L.Index(gs)]
-	}
+	forEachSite(dec, gc, func(l, g int) { local.V[l] = global.V[g] })
 	return local
 }
 
 // GatherColor writes a node's local staggered field into the global field.
 func GatherColor(global *lattice.ColorField, dec lattice.Decomp, gc lattice.Site, local *lattice.ColorField) {
-	v := dec.Local.Volume()
-	for idx := 0; idx < v; idx++ {
-		ls := dec.Local.SiteOf(idx)
-		gs := dec.GlobalOf(gc, ls)
-		global.V[global.L.Index(gs)] = local.V[idx]
-	}
+	forEachSite(dec, gc, func(l, g int) { global.V[g] = local.V[l] })
 }

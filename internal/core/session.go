@@ -1,16 +1,11 @@
 package core
 
 import (
-	"fmt"
-
 	"qcdoc/internal/event"
 	"qcdoc/internal/fermion"
 	"qcdoc/internal/geom"
 	"qcdoc/internal/lattice"
 	"qcdoc/internal/machine"
-	"qcdoc/internal/node"
-	"qcdoc/internal/qmp"
-	"qcdoc/internal/solver"
 )
 
 // Session is a booted machine plus a lattice layout: the environment a
@@ -89,55 +84,6 @@ type SolveMetrics struct {
 	Resends   uint64
 }
 
-// SolveWilson runs a distributed CGNE Wilson solve of D x = b on the
-// machine, with every halo exchange and global sum travelling the
-// simulated network and every kernel charged to the CPU model. It
-// returns the gathered global solution and timing metrics.
-func (s *Session) SolveWilson(gauge *lattice.GaugeField, b *lattice.FermionField, mass float64, prec fermion.Precision, tol float64, maxIter int) (*lattice.FermionField, SolveMetrics, error) {
-	dec := s.Lay.Dec
-	if gauge.L != dec.Global || b.L != dec.Global {
-		return nil, SolveMetrics{}, fmt.Errorf("core: field shape %v does not match layout %v", gauge.L, dec.Global)
-	}
-	solution := lattice.NewFermionField(dec.Global)
-	var met SolveMetrics
-	// Per-rank error slots: rank programs may execute on different shard
-	// engines concurrently, so each writes only its own element.
-	errs := make([]error, s.M.NumNodes())
-	start := s.Eng.Now()
-	runErr := s.M.RunSPMD("wilson-cg", func(rank int) node.Program {
-		return func(ctx *node.Ctx) {
-			comm := qmp.New(ctx, s.Lay.Fold)
-			gc := GridCoord(comm.Coord())
-			localG := ScatterGauge(gauge, dec, gc)
-			localB := ScatterFermion(b, dec, gc)
-			dw := NewDistWilson(ctx, comm, dec, localG, mass, prec)
-			ss := DistSpace(ctx, comm, dec, fermion.WilsonKind, prec)
-			sp := distSpinorSpace(ss)
-			x := lattice.NewFermionField(dec.Local)
-			res, err := solver.CGNE(sp, dw.Apply, dw.ApplyDag, x, localB, tol, maxIter)
-			errs[rank] = err
-			GatherFermion(solution, dec, gc, x)
-			if rank == 0 {
-				met.Iterations = res.Iterations
-				met.Applications = res.Applications
-				met.RelResidual = res.RelResidual
-			}
-		}
-	})
-	if runErr != nil {
-		return nil, met, runErr
-	}
-	if err := firstOf(errs); err != nil {
-		return solution, met, err
-	}
-	met.SimTime = s.Eng.Now() - start
-	s.fillMetrics(&met, fermion.WilsonKind, 1)
-	if _, err := s.M.VerifyChecksums(); err != nil {
-		return solution, met, err
-	}
-	return solution, met, nil
-}
-
 // fillMetrics derives rates from counts. slices is 1 for 4-D operators
 // and Ls for domain-wall fields (whose per-site costs are per slice).
 func (s *Session) fillMetrics(met *SolveMetrics, kind fermion.OpKind, slices int) {
@@ -155,30 +101,4 @@ func (s *Session) fillMetrics(met *SolveMetrics, kind fermion.OpKind, slices int
 	st := s.M.Stats()
 	met.WordsSent = st.WordsSent
 	met.Resends = st.Resends
-}
-
-// distSpinorSpace adapts solverSpace to spinor fields.
-func distSpinorSpace(ss solverSpace) solver.Space[*lattice.FermionField] {
-	return solver.Space[*lattice.FermionField]{
-		New:  func() *lattice.FermionField { return lattice.NewFermionField(ss.local) },
-		Copy: func(dst, src *lattice.FermionField) { dst.Copy(src) },
-		Dot: func(a, b *lattice.FermionField) complex128 {
-			local := a.Dot(b)
-			re := ss.globalSum(real(local))
-			im := ss.globalSum(imag(local))
-			return complex(re, im)
-		},
-		Norm2: func(a *lattice.FermionField) float64 {
-			return ss.globalSum(a.Norm2())
-		},
-		AXPY: func(y *lattice.FermionField, a complex128, x *lattice.FermionField) {
-			ss.chargeAXPY()
-			y.AXPY(a, x)
-		},
-		Scale: func(x *lattice.FermionField, a complex128) {
-			ss.chargeAXPY()
-			x.Scale(a)
-		},
-		OnIteration: ss.noteIteration,
-	}
 }

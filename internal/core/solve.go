@@ -1,0 +1,274 @@
+package core
+
+import (
+	"errors"
+	"fmt"
+
+	"qcdoc/internal/event"
+	"qcdoc/internal/fermion"
+	"qcdoc/internal/lattice"
+	"qcdoc/internal/node"
+	"qcdoc/internal/qmp"
+	"qcdoc/internal/solver"
+)
+
+// Errors a solve returns before anything is launched on the machine.
+var (
+	// ErrShape: the gauge field, the source or its Ls does not have the
+	// session's global lattice shape.
+	ErrShape = errors.New("core: field shape does not match the layout")
+	// ErrLocalExtent: a distributed direction's local extent is below the
+	// operator's hop reach (ASQTAD's Naik term needs three sites).
+	ErrLocalExtent = errors.New("core: local extent below the operator's hop reach")
+)
+
+// distOperator is a Dirac operator on one node's sub-lattice.
+type distOperator[F any] interface {
+	Apply(dst, src F)
+	ApplyDag(dst, src F)
+}
+
+// problem is one distributed linear system D x = b: everything the
+// shared rank program needs to know about the operator and its field
+// type F.
+type problem[F solver.Field[F]] struct {
+	kind    fermion.OpKind
+	prec    fermion.Precision
+	ls      int // slices per 4-D site: Ls for domain-wall fields, else 1
+	reach   int // smallest local extent a distributed direction may have
+	tol     float64
+	maxIter int
+
+	b            F
+	gaugeL, bL   lattice.Shape4 // global shapes of the configuration and of b
+	bLs          int
+	newField     func(lattice.Shape4) F
+	scatter      func(global F, dec lattice.Decomp, gc lattice.Site) F
+	gather       func(global F, dec lattice.Decomp, gc lattice.Site, local F)
+	newOperator  func(ctx *node.Ctx, comm *qmp.Comm, dec lattice.Decomp) distOperator[F]
+	warmStart    func() F                                           // global initial iterate, read at launch; nil starts from zero
+	checkpointer func(ctx *node.Ctx, rank int) solver.Checkpoint[F] // nil disables capture
+}
+
+func wilsonProblem(gauge *lattice.GaugeField, clover *fermion.Clover, b *lattice.FermionField, mass float64, prec fermion.Precision, tol float64, maxIter int) problem[*lattice.FermionField] {
+	kind := fermion.WilsonKind
+	if clover != nil {
+		kind = fermion.CloverKind
+	}
+	return problem[*lattice.FermionField]{
+		kind: kind, prec: prec, ls: 1, tol: tol, maxIter: maxIter,
+		b: b, gaugeL: gauge.L, bL: b.L, bLs: 1,
+		newField: lattice.NewFermionField, scatter: ScatterFermion, gather: GatherFermion,
+		newOperator: func(ctx *node.Ctx, comm *qmp.Comm, dec lattice.Decomp) distOperator[*lattice.FermionField] {
+			return NewDistWilson(ctx, comm, dec, gauge, clover, mass, prec)
+		},
+	}
+}
+
+func asqtadProblem(ref *fermion.ASQTAD, b *lattice.ColorField, prec fermion.Precision, tol float64, maxIter int) problem[*lattice.ColorField] {
+	return problem[*lattice.ColorField]{
+		kind: fermion.AsqtadKind, prec: prec, ls: 1, reach: naikReach, tol: tol, maxIter: maxIter,
+		b: b, gaugeL: ref.G.L, bL: b.L, bLs: 1,
+		newField: lattice.NewColorField, scatter: ScatterColor, gather: GatherColor,
+		newOperator: func(ctx *node.Ctx, comm *qmp.Comm, dec lattice.Decomp) distOperator[*lattice.ColorField] {
+			return NewDistASQTAD(ctx, comm, dec, ref, prec)
+		},
+	}
+}
+
+func dwfProblem(gauge *lattice.GaugeField, b *fermion.Field5, m5, mf float64, ls int, prec fermion.Precision, tol float64, maxIter int) problem[*fermion.Field5] {
+	newField := func(l lattice.Shape4) *fermion.Field5 { return fermion.NewField5(l, ls) }
+	return problem[*fermion.Field5]{
+		kind: fermion.DWFKind, prec: prec, ls: ls, tol: tol, maxIter: maxIter,
+		b: b, gaugeL: gauge.L, bL: b.L, bLs: b.Ls,
+		newField: newField,
+		scatter: func(global *fermion.Field5, dec lattice.Decomp, gc lattice.Site) *fermion.Field5 {
+			local := newField(dec.Local)
+			vl, vg := dec.LocalVolume(), dec.Global.Volume()
+			forEachSite(dec, gc, func(l, g int) {
+				for s := 0; s < ls; s++ {
+					local.S[s*vl+l] = global.S[s*vg+g]
+				}
+			})
+			return local
+		},
+		gather: func(global *fermion.Field5, dec lattice.Decomp, gc lattice.Site, local *fermion.Field5) {
+			vl, vg := dec.LocalVolume(), dec.Global.Volume()
+			forEachSite(dec, gc, func(l, g int) {
+				for s := 0; s < ls; s++ {
+					global.S[s*vg+g] = local.S[s*vl+l]
+				}
+			})
+		},
+		newOperator: func(ctx *node.Ctx, comm *qmp.Comm, dec lattice.Decomp) distOperator[*fermion.Field5] {
+			return NewDistDWF(ctx, comm, dec, gauge, m5, mf, ls, prec)
+		},
+	}
+}
+
+// validate checks the problem against the layout it is about to run on.
+// Rank constructors assume it passed.
+func (pr *problem[F]) validate(dec lattice.Decomp) error {
+	if pr.gaugeL != dec.Global || pr.bL != dec.Global || pr.bLs != pr.ls {
+		return fmt.Errorf("%w: gauge %v, source %v (Ls %d) on lattice %v (Ls %d)",
+			ErrShape, pr.gaugeL, pr.bL, pr.bLs, dec.Global, pr.ls)
+	}
+	for mu := 0; mu < lattice.Ndim; mu++ {
+		if dec.Grid[mu] > 1 && dec.Local[mu] < pr.reach {
+			return fmt.Errorf("%w: %s needs %d sites per node in distributed direction %d, local volume is %v",
+				ErrLocalExtent, pr.kind, pr.reach, mu, dec.Local)
+		}
+	}
+	return nil
+}
+
+// solveOutput is what the ranks of one launch leave behind.
+type solveOutput[F any] struct {
+	solution F // global field; every rank gathers its x into its own sites
+	// Per-rank solver errors: rank programs may execute on different shard
+	// engines concurrently, so each writes only its own element.
+	errs []error
+	res  solver.Result // rank 0's
+}
+
+// rankProgram builds the SPMD program of a distributed CGNE solve, the
+// one body every operator and both launchers (Session solves through
+// RunSPMD, chaos attempts through the qdaemon) run: scatter the node's
+// share of b, build the operator and the distributed vector space, run
+// CG on the normal equations — every halo exchange and global sum
+// travelling the simulated network, every kernel charged to the CPU
+// model — and gather x.
+func rankProgram[F solver.Field[F]](lay Layout, pr problem[F], nodes int) (func(rank int) node.Program, *solveOutput[F]) {
+	dec := lay.Dec
+	out := &solveOutput[F]{solution: pr.newField(dec.Global), errs: make([]error, nodes)}
+	return func(rank int) node.Program {
+		return func(ctx *node.Ctx) {
+			comm := qmp.New(ctx, lay.Fold)
+			gc := GridCoord(comm.Coord())
+			b := pr.scatter(pr.b, dec, gc)
+			op := pr.newOperator(ctx, comm, dec)
+			sp := distSpace(ctx, comm, dec, pr)
+			var x F
+			if pr.warmStart != nil {
+				x = pr.scatter(pr.warmStart(), dec, gc)
+			} else {
+				x = sp.New()
+			}
+			var ck solver.Checkpoint[F]
+			if pr.checkpointer != nil {
+				ck = pr.checkpointer(ctx, rank)
+			}
+			res, err := solver.CGNECheckpointed(sp, op.Apply, op.ApplyDag, x, b, pr.tol, pr.maxIter, ck)
+			out.errs[rank] = err
+			pr.gather(out.solution, dec, gc, x)
+			if rank == 0 {
+				out.res = res
+			}
+		}
+	}, out
+}
+
+// distSpace is the solver vector space of a distributed field: the
+// field's own BLAS on the node's sub-lattice, each reduction completed
+// machine-wide through the SCU global-sum hardware, each operation
+// charged to the CPU model. Linear-algebra charges scale with the Ls
+// slices a site carries.
+func distSpace[F solver.Field[F]](ctx *node.Ctx, comm *qmp.Comm, dec lattice.Decomp, pr problem[F]) solver.Space[F] {
+	n, p := ctx.N, ctx.P
+	vol := float64(dec.LocalVolume())
+	level := fermion.WorkingSetLevel(pr.kind, pr.prec, dec.LocalVolume())
+	axpyCharge := fermion.AXPYCost(pr.kind, pr.prec, level).Scale(vol).Scale(float64(pr.ls))
+	dotCharge := fermion.DotCost(pr.kind, pr.prec, level).Scale(vol).Scale(float64(pr.ls))
+	globalSum := func(x float64) float64 {
+		n.Compute(p, dotCharge)
+		return comm.GlobalSumFloat64(p, x)
+	}
+	local := solver.SpaceOf(func() F { return pr.newField(dec.Local) })
+	sp := local
+	sp.Dot = func(a, b F) complex128 {
+		z := local.Dot(a, b)
+		re := globalSum(real(z))
+		im := globalSum(imag(z))
+		return complex(re, im)
+	}
+	sp.Norm2 = func(a F) float64 { return globalSum(local.Norm2(a)) }
+	sp.AXPY = func(y F, a complex128, x F) {
+		n.Compute(p, axpyCharge)
+		local.AXPY(y, a, x)
+	}
+	sp.Scale = func(x F, a complex128) {
+		n.Compute(p, axpyCharge)
+		local.Scale(x, a)
+	}
+	// Feed the solver's per-iteration hook into the node's telemetry
+	// counters (no-op with telemetry disabled): the iteration count, and
+	// the simulated time since the previous iteration into the
+	// CG-iteration histogram.
+	var iterAt event.Time
+	sp.OnIteration = func() {
+		ctr := n.Counters()
+		if ctr == nil {
+			return
+		}
+		ctr.SolverIterations++
+		now := p.Now()
+		if iterAt != 0 {
+			ctr.IterTime.Record(uint64(now - iterAt))
+		}
+		iterAt = now
+	}
+	return sp
+}
+
+// solve runs a distributed CGNE solve of pr on the session's machine and
+// returns the gathered global solution and timing metrics.
+func solve[F solver.Field[F]](s *Session, name string, pr problem[F]) (F, SolveMetrics, error) {
+	var none F
+	if err := pr.validate(s.Lay.Dec); err != nil {
+		return none, SolveMetrics{}, err
+	}
+	program, out := rankProgram(s.Lay, pr, s.M.NumNodes())
+	start := s.Eng.Now()
+	runErr := s.M.RunSPMD(name, program)
+	met := SolveMetrics{
+		Iterations:   out.res.Iterations,
+		Applications: out.res.Applications,
+		RelResidual:  out.res.RelResidual,
+	}
+	if runErr != nil {
+		return none, met, runErr
+	}
+	if err := firstOf(out.errs); err != nil {
+		return out.solution, met, err
+	}
+	met.SimTime = s.Eng.Now() - start
+	s.fillMetrics(&met, pr.kind, pr.ls)
+	_, err := s.M.VerifyChecksums()
+	return out.solution, met, err
+}
+
+// SolveWilson runs a distributed CGNE Wilson solve of D x = b on the
+// machine, with every halo exchange and global sum travelling the
+// simulated network and every kernel charged to the CPU model. It
+// returns the gathered global solution and timing metrics.
+func (s *Session) SolveWilson(gauge *lattice.GaugeField, b *lattice.FermionField, mass float64, prec fermion.Precision, tol float64, maxIter int) (*lattice.FermionField, SolveMetrics, error) {
+	return solve(s, "wilson-cg", wilsonProblem(gauge, nil, b, mass, prec, tol, maxIter))
+}
+
+// SolveClover runs a distributed CGNE solve of the clover-improved
+// operator. ref is the clover operator built on the global gauge field
+// (the clover term is a per-configuration precomputation).
+func (s *Session) SolveClover(ref *fermion.Clover, b *lattice.FermionField, prec fermion.Precision, tol float64, maxIter int) (*lattice.FermionField, SolveMetrics, error) {
+	return solve(s, "clover-cg", wilsonProblem(ref.G, ref, b, ref.Mass, prec, tol, maxIter))
+}
+
+// SolveASQTAD runs a distributed CGNE solve of the ASQTAD staggered
+// operator. ref carries the globally precomputed fat and long links.
+func (s *Session) SolveASQTAD(ref *fermion.ASQTAD, b *lattice.ColorField, prec fermion.Precision, tol float64, maxIter int) (*lattice.ColorField, SolveMetrics, error) {
+	return solve(s, "asqtad-cg", asqtadProblem(ref, b, prec, tol, maxIter))
+}
+
+// SolveDWF runs a distributed CGNE solve of the domain-wall operator.
+func (s *Session) SolveDWF(gauge *lattice.GaugeField, b *fermion.Field5, m5, mf float64, ls int, prec fermion.Precision, tol float64, maxIter int) (*fermion.Field5, SolveMetrics, error) {
+	return solve(s, "dwf-cg", dwfProblem(gauge, b, m5, mf, ls, prec, tol, maxIter))
+}

@@ -37,83 +37,53 @@ func E1Functional() (Table, error) {
 	gauge := lattice.NewGaugeField(global)
 	gauge.Randomize(1001)
 
-	addRow := func(name string, met core.SolveMetrics, errs uint64) {
+	spinors := func(seed uint64) *lattice.FermionField {
+		b := lattice.NewFermionField(global)
+		b.Gaussian(seed)
+		return b
+	}
+	const ls = 4 // short fifth dimension to bound host time
+	rows := []struct {
+		name  string
+		solve func(*core.Session) (core.SolveMetrics, error)
+	}{
+		{"wilson", func(s *core.Session) (core.SolveMetrics, error) {
+			_, met, err := s.SolveWilson(gauge, spinors(1002), 0.5, fermion.Double, 1e-4, 300)
+			return met, err
+		}},
+		{"clover", func(s *core.Session) (core.SolveMetrics, error) {
+			_, met, err := s.SolveClover(fermion.NewClover(gauge, 0.5, 1.0), spinors(1003), fermion.Double, 1e-4, 300)
+			return met, err
+		}},
+		{"asqtad", func(s *core.Session) (core.SolveMetrics, error) {
+			b := lattice.NewColorField(global)
+			b.Gaussian(1004)
+			_, met, err := s.SolveASQTAD(fermion.NewASQTAD(gauge, 0.5), b, fermion.Double, 1e-4, 600)
+			return met, err
+		}},
+		{fmt.Sprintf("dwf (Ls=%d)", ls), func(s *core.Session) (core.SolveMetrics, error) {
+			b := fermion.NewField5(global, ls)
+			b.Gaussian(1005)
+			_, met, err := s.SolveDWF(gauge, b, 1.8, 0.1, ls, fermion.Double, 1e-3, 600)
+			return met, err
+		}},
+	}
+	for _, r := range rows {
+		sess, err := core.NewSession(shape, global)
+		if err != nil {
+			return t, err
+		}
+		met, err := r.solve(sess)
+		st := sess.M.Stats()
+		sess.Close()
+		if err != nil {
+			return t, err
+		}
 		t.Rows = append(t.Rows, []string{
-			name, fmt.Sprint(met.Iterations), met.SimTime.String(),
-			fmt.Sprintf("%.1f", met.SustainedPerNode/1e6), pct(met.Efficiency), fmt.Sprint(errs),
+			r.name, fmt.Sprint(met.Iterations), met.SimTime.String(),
+			fmt.Sprintf("%.1f", met.SustainedPerNode/1e6), pct(met.Efficiency),
+			fmt.Sprint(st.ParityErrors + st.HeaderErrors),
 		})
-	}
-
-	// Wilson.
-	{
-		sess, err := core.NewSession(shape, global)
-		if err != nil {
-			return t, err
-		}
-		defer sess.Close()
-		b := lattice.NewFermionField(global)
-		b.Gaussian(1002)
-		_, met, err := sess.SolveWilson(gauge, b, 0.5, fermion.Double, 1e-4, 300)
-		st := sess.M.Stats()
-		sess.Close()
-		if err != nil {
-			return t, err
-		}
-		addRow("wilson", met, st.ParityErrors+st.HeaderErrors)
-	}
-	// Clover.
-	{
-		sess, err := core.NewSession(shape, global)
-		if err != nil {
-			return t, err
-		}
-		defer sess.Close()
-		ref := fermion.NewClover(gauge, 0.5, 1.0)
-		b := lattice.NewFermionField(global)
-		b.Gaussian(1003)
-		_, met, err := sess.SolveClover(ref, b, fermion.Double, 1e-4, 300)
-		st := sess.M.Stats()
-		sess.Close()
-		if err != nil {
-			return t, err
-		}
-		addRow("clover", met, st.ParityErrors+st.HeaderErrors)
-	}
-	// ASQTAD.
-	{
-		sess, err := core.NewSession(shape, global)
-		if err != nil {
-			return t, err
-		}
-		defer sess.Close()
-		ref := fermion.NewASQTAD(gauge, 0.5)
-		b := lattice.NewColorField(global)
-		b.Gaussian(1004)
-		_, met, err := sess.SolveASQTAD(ref, b, fermion.Double, 1e-4, 600)
-		st := sess.M.Stats()
-		sess.Close()
-		if err != nil {
-			return t, err
-		}
-		addRow("asqtad", met, st.ParityErrors+st.HeaderErrors)
-	}
-	// DWF (short Ls to bound host time).
-	{
-		const ls = 4
-		sess, err := core.NewSession(shape, global)
-		if err != nil {
-			return t, err
-		}
-		defer sess.Close()
-		b := fermion.NewField5(global, ls)
-		b.Gaussian(1005)
-		_, met, err := sess.SolveDWF(gauge, b, 1.8, 0.1, ls, fermion.Double, 1e-3, 600)
-		st := sess.M.Stats()
-		sess.Close()
-		if err != nil {
-			return t, err
-		}
-		addRow(fmt.Sprintf("dwf (Ls=%d)", ls), met, st.ParityErrors+st.HeaderErrors)
 	}
 	return t, nil
 }

@@ -67,6 +67,9 @@ func (f *Field5) Scale(a complex128) {
 	}
 }
 
+// Copy copies x into f.
+func (f *Field5) Copy(x *Field5) { copy(f.S, x.S) }
+
 // Clone deep-copies.
 func (f *Field5) Clone() *Field5 {
 	c := NewField5(f.L, f.Ls)

@@ -305,6 +305,9 @@ func (f *ColorField) Scale(a complex128) {
 	}
 }
 
+// Copy copies x into f.
+func (f *ColorField) Copy(x *ColorField) { copy(f.V, x.V) }
+
 // Clone deep-copies.
 func (f *ColorField) Clone() *ColorField {
 	c := NewColorField(f.L)

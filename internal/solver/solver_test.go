@@ -145,7 +145,7 @@ func TestPlainCGOnNormalOperator(t *testing.T) {
 	l := lattice.Shape4{4, 4, 2, 2}
 	g := hotGauge(15, l)
 	w := fermion.NewWilson(g, 0.5)
-	sp := SpinorSpace(l)
+	sp := SpaceOf(func() *lattice.FermionField { return lattice.NewFermionField(l) })
 	tmp := lattice.NewFermionField(l)
 	applyA := func(dst, src *lattice.FermionField) {
 		w.Apply(tmp, src)

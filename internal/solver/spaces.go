@@ -5,53 +5,44 @@ import (
 	"qcdoc/internal/lattice"
 )
 
-// SpinorSpace is the vector space of Dirac spinor fields on lattice l.
-func SpinorSpace(l lattice.Shape4) Space[*lattice.FermionField] {
-	return Space[*lattice.FermionField]{
-		New:   func() *lattice.FermionField { return lattice.NewFermionField(l) },
-		Copy:  func(dst, src *lattice.FermionField) { dst.Copy(src) },
-		Dot:   func(a, b *lattice.FermionField) complex128 { return a.Dot(b) },
-		Norm2: func(a *lattice.FermionField) float64 { return a.Norm2() },
-		AXPY:  func(y *lattice.FermionField, a complex128, x *lattice.FermionField) { y.AXPY(a, x) },
-		Scale: func(x *lattice.FermionField, a complex128) { x.Scale(a) },
-	}
+// Field is the BLAS-1 method set every lattice field type in this
+// repository carries (spinor, staggered color and domain-wall 5-D
+// fields); T is the field's own pointer type.
+type Field[T any] interface {
+	Dot(T) complex128
+	Norm2() float64
+	AXPY(a complex128, x T)
+	Scale(a complex128)
+	Copy(T)
 }
 
-// ColorSpace is the vector space of staggered color fields on lattice l.
-func ColorSpace(l lattice.Shape4) Space[*lattice.ColorField] {
-	return Space[*lattice.ColorField]{
-		New:   func() *lattice.ColorField { return lattice.NewColorField(l) },
-		Copy:  func(dst, src *lattice.ColorField) { copy(dst.V, src.V) },
-		Dot:   func(a, b *lattice.ColorField) complex128 { return a.Dot(b) },
-		Norm2: func(a *lattice.ColorField) float64 { return a.Norm2() },
-		AXPY:  func(y *lattice.ColorField, a complex128, x *lattice.ColorField) { y.AXPY(a, x) },
-		Scale: func(x *lattice.ColorField, a complex128) { x.Scale(a) },
-	}
-}
-
-// Field5Space is the vector space of domain-wall 5-D fields.
-func Field5Space(l lattice.Shape4, ls int) Space[*fermion.Field5] {
-	return Space[*fermion.Field5]{
-		New:   func() *fermion.Field5 { return fermion.NewField5(l, ls) },
-		Copy:  func(dst, src *fermion.Field5) { copy(dst.S, src.S) },
-		Dot:   func(a, b *fermion.Field5) complex128 { return a.Dot(b) },
-		Norm2: func(a *fermion.Field5) float64 { return a.Norm2() },
-		AXPY:  func(y *fermion.Field5, a complex128, x *fermion.Field5) { y.AXPY(a, x) },
-		Scale: func(x *fermion.Field5, a complex128) { x.Scale(a) },
+// SpaceOf is the vector space of a field type, built from the field's
+// own methods; newField allocates a zero field of the space's shape.
+func SpaceOf[T Field[T]](newField func() T) Space[T] {
+	return Space[T]{
+		New:   newField,
+		Copy:  func(dst, src T) { dst.Copy(src) },
+		Dot:   func(a, b T) complex128 { return a.Dot(b) },
+		Norm2: func(a T) float64 { return a.Norm2() },
+		AXPY:  func(y T, a complex128, x T) { y.AXPY(a, x) },
+		Scale: func(x T, a complex128) { x.Scale(a) },
 	}
 }
 
 // SolveDirac runs CGNE for a Dirac operator.
 func SolveDirac(op fermion.DiracOperator, x, b *lattice.FermionField, tol float64, maxIter int) (Result, error) {
-	return CGNE(SpinorSpace(op.Lattice()), op.Apply, op.ApplyDag, x, b, tol, maxIter)
+	sp := SpaceOf(func() *lattice.FermionField { return lattice.NewFermionField(op.Lattice()) })
+	return CGNE(sp, op.Apply, op.ApplyDag, x, b, tol, maxIter)
 }
 
 // SolveStaggered runs CGNE for a staggered operator.
 func SolveStaggered(op fermion.StaggeredOperator, x, b *lattice.ColorField, tol float64, maxIter int) (Result, error) {
-	return CGNE(ColorSpace(op.Lattice()), op.Apply, op.ApplyDag, x, b, tol, maxIter)
+	sp := SpaceOf(func() *lattice.ColorField { return lattice.NewColorField(op.Lattice()) })
+	return CGNE(sp, op.Apply, op.ApplyDag, x, b, tol, maxIter)
 }
 
 // SolveDWF runs CGNE for the domain-wall operator.
 func SolveDWF(op *fermion.DWF, x, b *fermion.Field5, tol float64, maxIter int) (Result, error) {
-	return CGNE(Field5Space(op.Lattice(), op.Ls), op.Apply, op.ApplyDag, x, b, tol, maxIter)
+	sp := SpaceOf(func() *fermion.Field5 { return fermion.NewField5(op.Lattice(), op.Ls) })
+	return CGNE(sp, op.Apply, op.ApplyDag, x, b, tol, maxIter)
 }
