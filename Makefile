@@ -9,10 +9,12 @@ GO ?= go
 FUZZTIME ?= 3s
 
 # The pinned benchmark set tracked across allocation-path changes:
-# engine dispatch (both tiers), one machine-wide reduction, and the
-# full functional Wilson solve. `make bench` runs it with -benchmem so
-# per-op allocation counts are part of the record, and writes the
-# parsed results to BENCH_frames.json (one JSON entry per -count run).
+# engine dispatch (both tiers, and `backlog`: the solve's queue shape,
+# a few hundred live events in front of ~44 000 superseded timers), one
+# machine-wide reduction, and the full functional Wilson solve. `make
+# bench` runs it with -benchmem so per-op allocation counts are part of
+# the record, and writes the parsed results to BENCH_frames.json (one
+# JSON entry per -count run).
 BENCH_SET = ^(BenchmarkEngineDispatch|BenchmarkGlobalSumMachine|BenchmarkTelemetryOverhead|BenchmarkE1FunctionalWilson)$$
 
 # The parallel-engine benchmark set: the functional Wilson solve and the
@@ -53,6 +55,7 @@ check: vet lint build race fuzz
 
 vet:
 	$(GO) vet ./...
+	test -z "$$(gofmt -l $$(git ls-files '*.go' | grep -v /testdata/))"
 
 # qcdoclint: the project's own analyzers (simtime, detflow, crossalias,
 # hotalloc, contsafe, shardsafe, fleetsafe, obssafe) machine-check the
@@ -68,11 +71,13 @@ lint:
 # on the SCU packet codec, and the checkpoint decoder's and generation
 # manifest's typed-error / bounded-allocation contracts (what the
 # recovery ladder trusts when it restores from a possibly-corrupt or
-# torn storage plane).
+# torn storage plane). FuzzQueueOrder fuzzes the event queue's order
+# contract: random event programs must dispatch in (at, seq) order.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzWireDecode$$' -fuzztime $(FUZZTIME) ./internal/scupkt
 	$(GO) test -run '^$$' -fuzz '^FuzzCheckpointDecode$$' -fuzztime $(FUZZTIME) ./internal/checkpoint
 	$(GO) test -run '^$$' -fuzz '^FuzzManifestDecode$$' -fuzztime $(FUZZTIME) ./internal/checkpoint
+	$(GO) test -run '^$$' -fuzz '^FuzzQueueOrder$$' -fuzztime $(FUZZTIME) ./internal/event
 
 build:
 	$(GO) build ./...

@@ -142,7 +142,7 @@ func run(pass *analysis.Pass) (any, error) {
 					if s, found := pass.TypesInfo.Selections[sel]; found && s.Kind() == types.MethodVal {
 						if sig, ok := s.Obj().Type().(*types.Signature); ok && sig.Recv() != nil {
 							if _, isPtr := sig.Recv().Type().(*types.Pointer); isPtr {
-								noteExpr(sel.X, "mutated via pointer-receiver method " + s.Obj().Name())
+								noteExpr(sel.X, "mutated via pointer-receiver method "+s.Obj().Name())
 							}
 						}
 					}

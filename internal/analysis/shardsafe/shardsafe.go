@@ -191,7 +191,7 @@ func run(pass *analysis.Pass) (any, error) {
 						if !pass.Suppressed(analysis.MarkerShardOK, nn.For) {
 							pass.Reportf(nn.For,
 								"shard-context code (via %s) ranges over the machine-wide []*%s.%s elements; per-shard code may touch only its own rank's hardware — route through CrossAt/CrossPayload/AtGlobal/OnBarrier or mark //qcdoclint:shard-ok",
-							via, pkg, name)
+								via, pkg, name)
 						}
 					}
 				}

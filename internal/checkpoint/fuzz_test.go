@@ -103,11 +103,11 @@ func FuzzCheckpointDecode(f *testing.F) {
 	for _, k := range []Kind{KindGauge, KindFermion, KindSolver} {
 		s := validStream(f, k)
 		f.Add(s)
-		f.Add(s[:7])            // truncated magic
-		f.Add(s[:16])           // header cut at the kind field
-		f.Add(s[:len(s)/2])     // truncated payload
-		f.Add(s[:len(s)-2])     // truncated CRC trailer
-		f.Add(s[:len(s)-3])     // torn write: cut at a non-word offset
+		f.Add(s[:7])        // truncated magic
+		f.Add(s[:16])       // header cut at the kind field
+		f.Add(s[:len(s)/2]) // truncated payload
+		f.Add(s[:len(s)-2]) // truncated CRC trailer
+		f.Add(s[:len(s)-3]) // torn write: cut at a non-word offset
 		// Torn write read back zero-filled to the original length (the
 		// RAID lost power mid-stripe; the tail reads as zeros).
 		torn := append([]byte(nil), s[:len(s)*3/4]...)

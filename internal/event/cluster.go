@@ -87,9 +87,8 @@ type PayloadHandler interface {
 }
 
 // xitem is a scheduled payload event on a shard's payload heap. The
-// payload heap shares its shard's sequence counter with the main event
-// heap, so the merged dispatch order over both heaps is total and
-// stable.
+// payload heap shares its shard's sequence counter with the event
+// queue, so the merged dispatch order over both is total and stable.
 type xitem struct {
 	at   Time
 	seq  uint64
@@ -231,7 +230,7 @@ func Clusterize(host *Engine, n, workers int, lookahead Time) *Cluster {
 	if host.cluster != nil {
 		panic("event: engine is already clustered")
 	}
-	if len(host.events) != 0 || host.now != 0 {
+	if host.Pending() != 0 || host.now != 0 {
 		panic("event: Clusterize needs a fresh engine")
 	}
 	if n < 1 {
@@ -345,7 +344,7 @@ func (c *Cluster) alignClocks(t Time) {
 	}
 }
 
-// drainMail empties every mailbox into its destination shard's heaps.
+// drainMail empties every mailbox into its destination shard's queues.
 // Serial (barrier) context only. The sweep order — destination major,
 // source minor, send order within a mailbox — fixes the sequence
 // numbers the destination assigns, making the merge deterministic.
@@ -355,11 +354,11 @@ func (c *Cluster) drainMail() {
 			mb := &c.mail[si][di]
 			for k := range mb.msgs {
 				m := &mb.msgs[k]
-				dst.seq++
 				if m.h != nil {
+					dst.seq++
 					dst.xevents.push(xitem{at: m.at, seq: dst.seq, h: m.h, arg: m.arg, p: m.p, flow: m.flow})
 				} else {
-					dst.events.push(item{at: m.at, seq: dst.seq, fn: m.fn, flow: m.flow})
+					dst.enqueue(m.at, m.fn, nil, 0, m.flow)
 				}
 				c.stats.CrossMessages++
 				mb.msgs[k] = xmsg{} // release closure/handler references
@@ -382,7 +381,7 @@ func (c *Cluster) run(until Time) error {
 		}
 		tmin := Forever
 		for _, s := range c.shards {
-			if t, ok := s.peekTime(); ok && t < tmin {
+			if t, _ := s.peekTime(); t < tmin { // Forever when nothing is queued
 				tmin = t
 			}
 		}
@@ -509,7 +508,7 @@ func (c *Cluster) waitWorkers() {
 
 // worker is one pool goroutine: parked on wake between runs, spinning
 // on the round counter within a run, executing its statically assigned
-// shards each round. Static shard assignment means a shard's heaps are
+// shards each round. Static shard assignment means a shard's queues are
 // only ever touched by one goroutine per window, with the round/done
 // atomics providing the happens-before edges to the master.
 func (c *Cluster) worker(id int) {
@@ -569,80 +568,16 @@ func (e *Engine) Cluster() *Cluster { return e.cluster }
 // ShardID returns this engine's shard index (0 when unclustered).
 func (e *Engine) ShardID() int { return e.shard }
 
-// peekTime returns the earliest queued event time over both heaps.
-func (e *Engine) peekTime() (Time, bool) {
-	switch {
-	case len(e.events) == 0 && len(e.xevents) == 0:
-		return 0, false
-	case len(e.events) == 0:
-		return e.xevents[0].at, true
-	case len(e.xevents) == 0:
-		return e.events[0].at, true
-	case e.xevents[0].at < e.events[0].at ||
-		(e.xevents[0].at == e.events[0].at && e.xevents[0].seq < e.events[0].seq):
-		return e.xevents[0].at, true
-	default:
-		return e.events[0].at, true
-	}
-}
-
-// dispatchNext pops and executes the earliest event across both heaps.
-// The heaps share one sequence counter, so (at, seq) totally orders the
-// merge.
-//qcdoc:noalloc
-func (e *Engine) dispatchNext() {
-	fromX := false
-	if len(e.events) == 0 {
-		fromX = true
-	} else if len(e.xevents) != 0 {
-		if e.xevents[0].at < e.events[0].at ||
-			(e.xevents[0].at == e.events[0].at && e.xevents[0].seq < e.events[0].seq) {
-			fromX = true
-		}
-	}
-	if fromX {
-		x := e.xevents.pop()
-		e.now = x.at
-		e.executed++
-		e.curFlow = x.flow
-		e.lastSeq = x.seq
-		if e.tracer != nil {
-			e.tracer(x.at)
-		}
-		if e.ring != nil {
-			e.ring.recordPayload(x.at, x.seq, x.flow, x.h, x.arg)
-		}
-		x.h.HandlePayload(x.arg, x.p)
-		return
-	}
-	next := e.events.pop()
-	e.now = next.at
-	e.executed++
-	e.curFlow = next.flow
-	e.lastSeq = next.seq
-	if e.tracer != nil {
-		e.tracer(next.at)
-	}
-	if e.ring != nil {
-		e.ring.record(next.at, next.seq, next.flow, next.fn, next.h, next.arg)
-	}
-	if next.fn != nil {
-		next.fn()
-	} else {
-		next.h.HandleEvent(next.arg)
-	}
-}
-
 // runWindow executes this shard's events with at < wend (and at <=
 // until, matching Run's inclusive horizon). Called concurrently for
 // different shards; everything it touches is shard-local.
 func (e *Engine) runWindow(wend, until Time) {
 	for {
-		t, ok := e.peekTime()
-		if !ok || t >= wend || t > until {
+		t, src := e.peekTime()
+		if src == srcNone || t >= wend || t > until {
 			return
 		}
-		e.dispatchNext()
+		e.dispatchNext(src)
 	}
 }
 
@@ -673,6 +608,7 @@ func (e *Engine) CrossAt(dst Scheduler, t Time, fn func()) {
 // CrossPayload schedules h.HandlePayload(arg, p) at t on dst's shard,
 // allocation-free — the hot wire-delivery path. t must respect the
 // cluster lookahead; see Scheduler.
+//
 //qcdoc:noalloc
 func (e *Engine) CrossPayload(dst Scheduler, t Time, h PayloadHandler, arg uint64, p Payload) {
 	d, ok := dst.(*Engine)

@@ -85,75 +85,6 @@ type Handler interface {
 	HandleEvent(arg uint64)
 }
 
-// An item in the event queue: either a closure (fn) or a pre-bound
-// handler invocation (h, arg) when fn is nil. flow is the causal trace
-// ID inherited from the event that scheduled this one (trace.go); it
-// rides in the queue either way and is only ever read at dispatch, so
-// it cannot perturb event order.
-type item struct {
-	at   Time
-	seq  uint64 // stable FIFO order among simultaneous events
-	fn   func()
-	h    Handler
-	arg  uint64
-	flow uint64
-}
-
-// eventHeap is a binary min-heap ordered by (at, seq). The sift
-// operations are hand-rolled rather than container/heap because
-// heap.Push boxes each item into an interface — a heap allocation per
-// scheduled event, which the allocation-free frame path cannot afford.
-type eventHeap []item
-
-func (h eventHeap) less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
-}
-
-//qcdoc:noalloc
-func (h *eventHeap) push(it item) {
-	*h = append(*h, it)
-	s := *h
-	i := len(s) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !s.less(i, parent) {
-			return
-		}
-		s[i], s[parent] = s[parent], s[i]
-		i = parent
-	}
-}
-
-//qcdoc:noalloc
-func (h *eventHeap) pop() item {
-	s := *h
-	top := s[0]
-	n := len(s) - 1
-	s[0] = s[n]
-	s[n] = item{} // release fn/handler references
-	s = s[:n]
-	*h = s
-	i := 0
-	for {
-		l := 2*i + 1
-		if l >= n {
-			return top
-		}
-		child := l
-		if r := l + 1; r < n && s.less(r, l) {
-			child = r
-		}
-		if !s.less(child, i) {
-			return top
-		}
-		s[i], s[child] = s[child], s[i]
-		i = child
-	}
-}
-
 // Engine is a discrete-event scheduler. All simulation activity —
 // scheduled callbacks and process resumptions — runs on the goroutine
 // that calls Run, one step at a time; processes hand control back and
@@ -161,7 +92,7 @@ func (h *eventHeap) pop() item {
 // concurrently and shared simulator state needs no locks.
 type Engine struct {
 	now        Time
-	events     eventHeap
+	events     eventQueue
 	seq        uint64
 	park       chan struct{} // a process signals here when it yields or exits
 	live       int           // processes that have started and not finished
@@ -209,8 +140,7 @@ func (e *Engine) At(t Time, fn func()) {
 	if t < e.now {
 		t = e.now
 	}
-	e.seq++
-	e.events.push(item{at: t, seq: e.seq, fn: fn, flow: e.curFlow})
+	e.enqueue(t, fn, nil, 0, e.curFlow)
 }
 
 // After schedules fn to run d from now.
@@ -219,13 +149,13 @@ func (e *Engine) After(d Time, fn func()) { e.At(e.now+d, fn) }
 // AtHandler schedules h.HandleEvent(arg) at time t (clamped to now if in
 // the past). Unlike At, it allocates nothing per call: the handler and
 // argument travel inside the event item.
+//
 //qcdoc:noalloc
 func (e *Engine) AtHandler(t Time, h Handler, arg uint64) {
 	if t < e.now {
 		t = e.now
 	}
-	e.seq++
-	e.events.push(item{at: t, seq: e.seq, h: h, arg: arg, flow: e.curFlow})
+	e.enqueue(t, nil, h, arg, e.curFlow)
 }
 
 // NewFlow mints a fresh causal-trace ID, unique per shard and stable
@@ -258,6 +188,7 @@ func (e *Engine) SetFlow(f uint64) (prev uint64) {
 func (e *Engine) CurrentFlow() uint64 { return e.curFlow }
 
 // AfterHandler schedules h.HandleEvent(arg) d from now, allocation-free.
+//
 //qcdoc:noalloc
 func (e *Engine) AfterHandler(d Time, h Handler, arg uint64) {
 	e.AtHandler(e.now+d, h, arg)
@@ -310,8 +241,8 @@ func (e *Engine) Run(until Time) error {
 func (e *Engine) runLocal(until Time) error {
 	e.stopped = false
 	for !e.stopped {
-		t, ok := e.peekTime()
-		if !ok {
+		t, src := e.peekTime()
+		if src == srcNone {
 			names := make([]string, 0, len(e.blocked))
 			for p, what := range e.blocked {
 				if !p.daemon {
@@ -328,7 +259,7 @@ func (e *Engine) runLocal(until Time) error {
 			e.now = until
 			return nil
 		}
-		e.dispatchNext()
+		e.dispatchNext(src)
 	}
 	return nil
 }
@@ -339,10 +270,10 @@ func (e *Engine) RunAll() error { return e.Run(Forever) }
 // Pending reports the number of queued events. On the host shard of a
 // cluster it sums every shard's queues (barrier-serial contexts only).
 func (e *Engine) Pending() int {
-	n := len(e.events) + len(e.xevents)
+	n := e.events.n + len(e.xevents)
 	if e.cluster != nil && e.shard == 0 {
 		for _, s := range e.cluster.shards[1:] {
-			n += len(s.events) + len(s.xevents)
+			n += s.events.n + len(s.xevents)
 		}
 	}
 	return n

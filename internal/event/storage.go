@@ -1,10 +1,10 @@
 package event
 
-// Storage is the recyclable backing memory of an engine: the event-heap
-// and cross-shard-heap arrays that grow to a simulation's high-water
-// mark and, on a fleet host building hundreds of machines, are worth
-// keeping warm across engine lifetimes instead of re-growing from
-// nothing every time. A Storage is inert — it schedules nothing and
+// Storage is the recyclable backing memory of an engine: the lane-ring,
+// event-heap and cross-shard-heap arrays that grow to a simulation's
+// high-water mark and, on a fleet host building hundreds of machines,
+// are worth keeping warm across engine lifetimes instead of re-growing
+// from nothing every time. A Storage is inert — it schedules nothing and
 // holds no references (Release clears every item, so a pooled Storage
 // cannot pin a dead machine's callbacks or timers in memory). The zero
 // value is valid and simply provides no preallocated capacity.
@@ -17,26 +17,46 @@ package event
 //	eng.Shutdown()
 //	pool.put(eng.Release())     // arrays go back, cleared
 type Storage struct {
-	events  eventHeap
+	lanes   [numLanes][]item
+	heap    eventHeap
 	xevents payloadHeap
 }
 
-// Cap reports the preallocated event-heap capacity (the timer/event
-// arena size a NewWith engine starts with).
-func (s Storage) Cap() int { return cap(s.events) }
+// Cap reports the preallocated event capacity over lanes and heap (the
+// timer/event arena size a NewWith engine starts with).
+func (s Storage) Cap() int {
+	n := cap(s.heap)
+	for _, b := range s.lanes {
+		n += len(b)
+	}
+	return n
+}
 
 // Pending reports how many live events the storage still holds. A
 // Storage obtained from Release is always empty; the method exists so
 // lifecycle-hygiene tests can assert that no timer or callback survived
 // a machine's teardown.
-func (s Storage) Pending() int { return len(s.events) + len(s.xevents) }
+func (s Storage) Pending() int {
+	n := len(s.heap) + len(s.xevents)
+	for _, b := range s.lanes {
+		for i := range b {
+			if b[i].fn != nil || b[i].h != nil {
+				n++
+			}
+		}
+	}
+	return n
+}
 
-// NewWith creates an engine with the clock at zero whose event heaps
-// reuse the given storage's backing arrays. Equivalent to New when st
+// NewWith creates an engine with the clock at zero whose event queue
+// reuses the given storage's backing arrays. Equivalent to New when st
 // is the zero Storage.
 func NewWith(st Storage) *Engine {
 	e := New()
-	e.events = st.events[:0]
+	for i, b := range st.lanes {
+		e.events.lanes[i].buf = b
+	}
+	e.events.heap = st.heap[:0]
 	e.xevents = st.xevents[:0]
 	return e
 }
@@ -48,14 +68,14 @@ func NewWith(st Storage) *Engine {
 // storage is released — shard engines are built by Clusterize and are
 // not individually pooled.
 func (e *Engine) Release() Storage {
-	for i := range e.events {
-		e.events[i] = item{}
+	clear(e.events.heap)
+	clear(e.xevents)
+	st := Storage{heap: e.events.heap[:0], xevents: e.xevents[:0]}
+	for i := range e.events.lanes {
+		clear(e.events.lanes[i].buf)
+		st.lanes[i] = e.events.lanes[i].buf
 	}
-	for i := range e.xevents {
-		e.xevents[i] = xitem{}
-	}
-	st := Storage{events: e.events[:0], xevents: e.xevents[:0]}
-	e.events = nil
+	e.events = eventQueue{}
 	e.xevents = nil
 	return st
 }

@@ -30,6 +30,7 @@ func (e *Engine) NewTimer(fn func()) *Timer {
 
 // Arm schedules the callback to run d from now, cancelling any earlier
 // arming still in flight.
+//
 //qcdoc:noalloc
 func (t *Timer) Arm(d Time) {
 	t.gen++
@@ -38,6 +39,7 @@ func (t *Timer) Arm(d Time) {
 
 // ArmAt schedules the callback to run at time at, cancelling any earlier
 // arming still in flight.
+//
 //qcdoc:noalloc
 func (t *Timer) ArmAt(at Time) {
 	t.gen++
@@ -46,11 +48,13 @@ func (t *Timer) ArmAt(at Time) {
 
 // Stop cancels the pending arming, if any. The already-queued event
 // still dispatches but matches no generation and does nothing.
+//
 //qcdoc:noalloc
 func (t *Timer) Stop() { t.gen++ }
 
 // HandleEvent dispatches a scheduled firing; stale generations are
 // ignored. It implements Handler and is not meant to be called directly.
+//
 //qcdoc:noalloc
 func (t *Timer) HandleEvent(gen uint64) {
 	if t.gen == gen {

@@ -114,6 +114,7 @@ type shardRing struct {
 
 // record stores one dispatch into the ring. Called from the dispatch
 // loop with the item by value so nothing escapes to the heap.
+//
 //qcdoc:noalloc
 func (sr *shardRing) record(at Time, seq, flow uint64, fn func(), h Handler, arg uint64) {
 	slot := &sr.ring[sr.total%uint64(len(sr.ring))]
@@ -135,6 +136,7 @@ func (sr *shardRing) record(at Time, seq, flow uint64, fn func(), h Handler, arg
 }
 
 // recordPayload stores one cross-shard payload dispatch into the ring.
+//
 //qcdoc:noalloc
 func (sr *shardRing) recordPayload(at Time, seq, flow uint64, h PayloadHandler, arg uint64) {
 	slot := &sr.ring[sr.total%uint64(len(sr.ring))]
@@ -152,6 +154,7 @@ func (sr *shardRing) recordPayload(at Time, seq, flow uint64, h PayloadHandler, 
 
 // markSpan stores one span annotation into the ring, reusing the
 // enclosing event's time and sequence number.
+//
 //qcdoc:noalloc
 func (sr *shardRing) markSpan(at Time, seq, flow uint64, name string, kind TraceKind) {
 	slot := &sr.ring[sr.total%uint64(len(sr.ring))]

@@ -221,6 +221,7 @@ func (w *Wire) SerializeTime(nBytes int) event.Time {
 // The frame travels by value: Send copies the bits into the in-flight
 // ring, so the caller's Wire value is dead the moment Send returns, and
 // nothing on the steady-state path touches the heap.
+//
 //qcdoc:noalloc
 func (w *Wire) Send(data scupkt.Wire) (event.Time, error) {
 	if !w.trained {
@@ -276,6 +277,7 @@ func (w *Wire) Send(data scupkt.Wire) (event.Time, error) {
 // packFrame flattens a frame into a cross-shard payload value: the wire
 // sequence number, the byte count, and up to MaxFrameBytes of frame
 // bytes packed little-endian into two words.
+//
 //qcdoc:noalloc
 func packFrame(f *Frame) event.Payload {
 	var p event.Payload
@@ -293,6 +295,7 @@ func packFrame(f *Frame) event.Payload {
 }
 
 // unpackFrame inverts packFrame on the receiving shard.
+//
 //qcdoc:noalloc
 func unpackFrame(p event.Payload) Frame {
 	n := int(p[1])
@@ -312,6 +315,7 @@ func unpackFrame(p event.Payload) Frame {
 // called directly. The handler deferral mirrors HandleEvent's arrive →
 // handle staging so intra-timestamp ordering matches the same-shard
 // path.
+//
 //qcdoc:noalloc
 func (w *Wire) HandlePayload(_ uint64, p event.Payload) {
 	f := unpackFrame(p)
@@ -329,6 +333,7 @@ func (w *Wire) HandlePayload(_ uint64, p event.Payload) {
 // implements event.Handler and is not meant to be called directly.
 // Arrival events fire in send order (FIFO serialization), so each stage
 // operates on the in-flight ring's head.
+//
 //qcdoc:noalloc
 func (w *Wire) HandleEvent(stage uint64) {
 	switch stage {

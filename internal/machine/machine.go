@@ -321,7 +321,6 @@ func (m *Machine) windowTick() {
 	}
 }
 
-
 // sampleClockBarrier runs at every cluster window barrier: it harvests
 // the per-rank arm requests and schedules the machine-wide sampling
 // tick as a global event. The tick time is always schedulable — a

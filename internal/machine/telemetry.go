@@ -51,6 +51,14 @@ func (m *Machine) registerTelemetry() {
 		emit("bits", w.Bits)
 		emit("corrupted", w.Corrupted)
 	})
+	m.Reg.RegisterCounters("host/event_queue", func(emit telemetry.EmitFunc) {
+		for i, q := range m.queueStats() {
+			pre := fmt.Sprintf("shard%d/", i)
+			emit(pre+"pending_high_water", q.HighWater)
+			emit(pre+"lane_appends", q.LaneAppends)
+			emit(pre+"heap_fallbacks", q.HeapFallbacks)
+		}
+	})
 	m.Reg.RegisterHistograms("machine", m.emitHistograms)
 	pkg := PackagingFor(len(m.Nodes), m.Cfg.Clock)
 	m.Reg.RegisterGauge("machine/link_utilization", m.LinkUtilization)
@@ -104,6 +112,21 @@ func (m *Machine) emitHistograms(emit telemetry.HistEmitFunc) {
 
 // TelemetryEnabled reports whether EnableTelemetry has run.
 func (m *Machine) TelemetryEnabled() bool { return m.Reg.Enabled() }
+
+// queueStats returns every shard engine's event-queue counters, shard 0
+// first (one entry on a single-engine build). They describe the host's
+// work, not the simulated machine: how deep the queue got and how much of
+// its traffic the sorted-run lanes took.
+func (m *Machine) queueStats() []event.QueueStats {
+	if m.cluster == nil {
+		return []event.QueueStats{m.Eng.QueueStats()}
+	}
+	qs := make([]event.QueueStats, m.cluster.NumShards())
+	for i := range qs {
+		qs[i] = m.cluster.Shard(i).QueueStats()
+	}
+	return qs
+}
 
 // WireStats sums HSSL wire counters over every wire in the torus.
 func (m *Machine) WireStats() hssl.Stats {
@@ -181,6 +204,7 @@ type Telemetry struct {
 	Shape        string             `json:"shape"`
 	Nodes        int                `json:"nodes"`
 	Events       uint64             `json:"events"`
+	EventQueues  []event.QueueStats `json:"event_queues"` // per shard
 	WiresTrained int                `json:"wires_trained"`
 	Aggregate    scu.Stats          `json:"aggregate"`
 	Wires        hssl.Stats         `json:"wires"`
@@ -203,6 +227,7 @@ func (m *Machine) Telemetry() Telemetry {
 		Shape:        m.Cfg.Shape.String(),
 		Nodes:        len(m.Nodes),
 		Events:       m.Eng.Executed(),
+		EventQueues:  m.queueStats(),
 		WiresTrained: m.WiresTrained(),
 		Aggregate:    m.Stats(),
 		Wires:        m.WireStats(),

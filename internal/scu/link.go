@@ -148,6 +148,7 @@ func (lu *linkUnit) start() {
 // silently suppressed instead: every suppressed data word is still in
 // the unacked ring (or covered by a stop-and-wait timer), so the window
 // protocol re-issues it once the link is back — or never, if it isn't.
+//
 //qcdoc:noalloc
 func (lu *linkUnit) sendPacket(p scupkt.Packet) {
 	if lu.retraining || lu.dead {
@@ -176,6 +177,7 @@ func (lu *linkUnit) injectsLen() int { return len(lu.injects) - lu.injHead }
 
 // popInject removes the oldest queued global word. When the queue
 // drains, the backing array is kept and reused for the next burst.
+//
 //qcdoc:noalloc
 func (lu *linkUnit) popInject() uint64 {
 	w := lu.injects[lu.injHead]
@@ -194,6 +196,7 @@ func (lu *linkUnit) popInject() uint64 {
 // wires) identical to the coroutine tier; an engine that is already
 // running, charging its startup pipeline, or parked in a different state
 // ignores the kick, exactly as a gate fire with no waiter did.
+//
 //qcdoc:noalloc
 func (lu *linkUnit) kick(state string) {
 	if lu.sm == nil || lu.pumpPending || lu.sm.State() != state {
@@ -208,6 +211,7 @@ func (lu *linkUnit) kick(state string) {
 // between the words of a bulk transfer; a word fetched from memory while
 // the ack window is full stays in hand and goes out first when the
 // window opens.
+//
 //qcdoc:noalloc
 func (lu *linkUnit) pump() {
 	if lu.sm == nil {
@@ -257,6 +261,7 @@ func (lu *linkUnit) pump() {
 }
 
 // sendHeld transmits the word in hand (window room guaranteed by pump).
+//
 //qcdoc:noalloc
 func (lu *linkUnit) sendHeld() {
 	seq := lu.seqNext
@@ -280,6 +285,7 @@ func (lu *linkUnit) sendHeld() {
 // pop of the window head implicitly cancels the outstanding timer by
 // re-arming (or stopping) it. A streak of timeouts with no progress
 // escalates to link re-training (see beginRetrain).
+//
 //qcdoc:noalloc
 func (lu *linkUnit) ackTimeout() {
 	if lu.unackedLen == 0 || lu.retraining || lu.dead {
@@ -299,6 +305,7 @@ func (lu *linkUnit) ackTimeout() {
 
 // noteResend records the gap since the word's last transmission and
 // restamps it. Telemetry only; one nil test when disabled.
+//
 //qcdoc:noalloc
 func (lu *linkUnit) noteResend(pw *pendingWord) {
 	now := lu.scu.eng.Now()
@@ -330,6 +337,7 @@ func (lu *linkUnit) transmitSup(w uint64) {
 // recovery); the supervisor ack stops the timer. Supervisor timeouts
 // feed the same escalation streak as data timeouts, so a link carrying
 // only supervisor traffic still retrains and eventually fails.
+//
 //qcdoc:noalloc
 func (lu *linkUnit) supTimeout() {
 	if !lu.supPending || lu.retraining || lu.dead {
@@ -408,6 +416,7 @@ func (lu *linkUnit) fail() {
 
 // handleFrame is the receive engine: it runs in the arrival event of
 // every inbound frame, decoding the value frame in place.
+//
 //qcdoc:noalloc
 func (lu *linkUnit) handleFrame(f hssl.Frame) {
 	pkt, _, err := f.Decode()
@@ -448,6 +457,7 @@ func (lu *linkUnit) lastAccepted() int {
 // sendNak requests a rewind-resend of everything unacknowledged. One nak
 // per stall: repeated errors before the next in-order acceptance are
 // suppressed to avoid redundant rewinds.
+//
 //qcdoc:noalloc
 func (lu *linkUnit) sendNak() {
 	if lu.nakPending {
@@ -460,6 +470,7 @@ func (lu *linkUnit) sendNak() {
 }
 
 // sendCumAck acknowledges everything accepted so far.
+//
 //qcdoc:noalloc
 func (lu *linkUnit) sendCumAck() {
 	flags := uint8(lu.lastAccepted()) & scupkt.AckSeqMask
@@ -517,6 +528,7 @@ func (lu *linkUnit) handleData(seq int, w uint64) {
 }
 
 // popIdle removes the oldest idle-held word.
+//
 //qcdoc:noalloc
 func (lu *linkUnit) popIdle() uint64 {
 	w := lu.idleBuf[lu.idleBufHead]
@@ -526,6 +538,7 @@ func (lu *linkUnit) popIdle() uint64 {
 }
 
 // storeWord lands an accepted word in local memory via the receive DMA.
+//
 //qcdoc:noalloc
 func (lu *linkUnit) storeWord(w uint64) {
 	t := lu.rxT[0]

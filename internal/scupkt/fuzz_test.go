@@ -35,7 +35,7 @@ func FuzzWireDecode(f *testing.F) {
 	}
 	f.Add([]byte{})
 	f.Add([]byte{0xFF})
-	f.Add(seeds[1].Encode(nil)[:3])                       // truncated data frame
+	f.Add(seeds[1].Encode(nil)[:3])                              // truncated data frame
 	f.Add(append(seeds[5].Encode(nil), seeds[7].Encode(nil)...)) // two frames back to back
 
 	f.Fuzz(func(t *testing.T, data []byte) {
