@@ -11,11 +11,13 @@ FUZZTIME ?= 3s
 # The pinned benchmark set tracked across allocation-path changes:
 # engine dispatch (both tiers, and `backlog`: the solve's queue shape,
 # a few hundred live events in front of ~44 000 superseded timers), one
-# machine-wide reduction, and the full functional Wilson solve. `make
-# bench` runs it with -benchmem so per-op allocation counts are part of
-# the record, and writes the parsed results to BENCH_frames.json (one
-# JSON entry per -count run).
-BENCH_SET = ^(BenchmarkEngineDispatch|BenchmarkGlobalSumMachine|BenchmarkTelemetryOverhead|BenchmarkE1FunctionalWilson)$$
+# machine-wide reduction, the full functional Wilson solve, and the host
+# kernels under it (reference Wilson / clover / domain-wall application
+# in host-Mflops and ns/site, and a reference CGNE solve). `make bench`
+# runs it with -benchmem so per-op allocation counts are part of the
+# record, and writes the parsed results to BENCH_frames.json (one JSON
+# entry per -count run).
+BENCH_SET = ^(BenchmarkEngineDispatch|BenchmarkGlobalSumMachine|BenchmarkTelemetryOverhead|BenchmarkE1FunctionalWilson|BenchmarkWilsonDslash|BenchmarkCloverApply|BenchmarkDWFApply|BenchmarkCGNEWilsonSolve)$$
 
 # The parallel-engine benchmark set: the functional Wilson solve and the
 # rack-scale halo-exchange loop, each at workers=1/4/8 on the sharded
@@ -73,11 +75,14 @@ lint:
 # recovery ladder trusts when it restores from a possibly-corrupt or
 # torn storage plane). FuzzQueueOrder fuzzes the event queue's order
 # contract: random event programs must dispatch in (at, seq) order.
+# FuzzHopKernelBits feeds the hop kernel fuzzer-chosen spinor and link
+# words and demands bit equality with the by-value oracle.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzWireDecode$$' -fuzztime $(FUZZTIME) ./internal/scupkt
 	$(GO) test -run '^$$' -fuzz '^FuzzCheckpointDecode$$' -fuzztime $(FUZZTIME) ./internal/checkpoint
 	$(GO) test -run '^$$' -fuzz '^FuzzManifestDecode$$' -fuzztime $(FUZZTIME) ./internal/checkpoint
 	$(GO) test -run '^$$' -fuzz '^FuzzQueueOrder$$' -fuzztime $(FUZZTIME) ./internal/event
+	$(GO) test -run '^$$' -fuzz '^FuzzHopKernelBits$$' -fuzztime $(FUZZTIME) ./internal/latmath
 
 build:
 	$(GO) build ./...

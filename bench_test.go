@@ -496,15 +496,24 @@ func benchGauge(b *testing.B) (*lattice.GaugeField, *lattice.FermionField, *latt
 	return g, src, lattice.NewFermionField(l)
 }
 
+// reportKernel adds the two host-side kernel rates to an operator
+// benchmark that applied kind to sites sites b.N times: Mflop/s by the
+// operator's nominal flop count (Wilson: the 1320-flop budget) and
+// ns per site.
+func reportKernel(b *testing.B, kind fermion.OpKind, sites int) {
+	siteApps := float64(sites) * float64(b.N)
+	b.ReportMetric(fermion.FlopsPerSite(kind)*siteApps/b.Elapsed().Seconds()/1e6, "host-Mflops")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/siteApps, "ns/site")
+}
+
 func BenchmarkWilsonDslash(b *testing.B) {
 	g, src, dst := benchGauge(b)
 	w := fermion.NewWilson(g, 0.1)
-	sites := float64(g.L.Volume())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		w.Apply(dst, src)
 	}
-	b.ReportMetric(fermion.FlopsPerSite(fermion.WilsonKind)*sites*float64(b.N)/b.Elapsed().Seconds()/1e6, "host-Mflops")
+	reportKernel(b, fermion.WilsonKind, g.L.Volume())
 }
 
 func BenchmarkCloverApply(b *testing.B) {
@@ -514,6 +523,7 @@ func BenchmarkCloverApply(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		c.Apply(dst, src)
 	}
+	reportKernel(b, fermion.CloverKind, g.L.Volume())
 }
 
 func BenchmarkASQTADApply(b *testing.B) {
@@ -542,6 +552,7 @@ func BenchmarkDWFApply(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		d.Apply(dst, src)
 	}
+	reportKernel(b, fermion.DWFKind, 8*l.Volume())
 }
 
 func BenchmarkCGNEWilsonSolve(b *testing.B) {

@@ -112,12 +112,16 @@ func applyOnce[F solver.Field[F]](t *testing.T, shape geom.Shape, global lattice
 }
 
 // checkReference compares the distributed operator mk builds against the
-// single-node reference ref: D v exactly (both compute the same local
-// expressions, so agreement is to near machine precision), and, with
-// adjoint set, D† u likewise plus γ5-hermiticity <u,Dv> = <D†u,v> through
-// the shared applyDag.
+// single-node reference ref: D v to a relative |diff|² of at most tol,
+// and, with adjoint set, D† u likewise plus γ5-hermiticity
+// <u,Dv> = <D†u,v> through the shared applyDag. Wilson, clover and
+// domain wall run the reference's own hop kernel on every site, ghost or
+// not, so they pass tol = 0: the paper's bit-identical reproducibility
+// (§4, E10) across decompositions. ASQTAD keeps a rounding tolerance: its
+// distributed site loop sums the fat and Naik terms in a different order
+// from the reference.
 func checkReference[F solver.Field[F]](t *testing.T, shape geom.Shape, global lattice.Shape4,
-	mk func(b F) problem[F], ref distOperator[F], u, v F, adjoint bool) {
+	mk func(b F) problem[F], ref distOperator[F], u, v F, adjoint bool, tol float64) {
 	t.Helper()
 	pr := mk(v)
 	deviation := func(got F, refApply solver.Op[F], src F) float64 {
@@ -128,7 +132,7 @@ func checkReference[F solver.Field[F]](t *testing.T, shape geom.Shape, global la
 	}
 	dv := applyOnce(t, shape, global, pr, false)
 	uDv := u.Dot(dv)
-	if rel := deviation(dv, ref.Apply, v); rel > 1e-24 {
+	if rel := deviation(dv, ref.Apply, v); rel > tol {
 		t.Fatalf("distributed D deviates from reference: relative |diff|^2 = %g", rel)
 	}
 	if !adjoint {
@@ -136,7 +140,7 @@ func checkReference[F solver.Field[F]](t *testing.T, shape geom.Shape, global la
 	}
 	du := applyOnce(t, shape, global, mk(u), true)
 	duV := du.Dot(v)
-	if rel := deviation(du, ref.ApplyDag, u); rel > 1e-24 {
+	if rel := deviation(du, ref.ApplyDag, u); rel > tol {
 		t.Fatalf("distributed D† deviates from reference: relative |diff|^2 = %g", rel)
 	}
 	if d := cmplx.Abs(uDv - duV); d > 1e-10*cmplx.Abs(uDv) {
@@ -162,44 +166,59 @@ func TestDistMatchesReference(t *testing.T) {
 		{"2x2x2x2", geom.MakeShape(2, 2, 2, 2), lattice.Shape4{6, 6, 6, 6}},
 		{"4x2", geom.MakeShape(4, 2), lattice.Shape4{12, 6, 2, 2}},
 	}
-	spinors := func(l lattice.Shape4, seed uint64) *lattice.FermionField {
+	// A source is Gaussian noise from seed or, with point set, exact
+	// zeros everywhere but one component of one site — the input on which
+	// the ghost path and the local path could differ in a zero.
+	spinors := func(l lattice.Shape4, seed uint64, point bool) *lattice.FermionField {
 		f := lattice.NewFermionField(l)
-		f.Gaussian(seed)
+		if point {
+			f.S[len(f.S)/3][2][1] = 1
+		} else {
+			f.Gaussian(seed)
+		}
 		return f
 	}
-	dwf := func(ls int) func(*testing.T, geom.Shape, *lattice.GaugeField, bool) {
-		return func(t *testing.T, shape geom.Shape, g *lattice.GaugeField, adjoint bool) {
+	dwf := func(ls int) func(*testing.T, geom.Shape, *lattice.GaugeField, bool, bool) {
+		return func(t *testing.T, shape geom.Shape, g *lattice.GaugeField, adjoint, point bool) {
 			u, v := fermion.NewField5(g.L, ls), fermion.NewField5(g.L, ls)
-			u.Gaussian(9)
-			v.Gaussian(8)
+			if point {
+				u.S[len(u.S)/3][1][0], v.S[len(v.S)/3][2][1] = 1i, 1
+			} else {
+				u.Gaussian(9)
+				v.Gaussian(8)
+			}
 			checkReference(t, shape, g.L, func(b *fermion.Field5) problem[*fermion.Field5] {
 				return dwfProblem(g, b, 1.8, 0.05, ls, fermion.Double, 0, 0)
-			}, fermion.NewDWF(g, 1.8, 0.05, ls), u, v, adjoint)
+			}, fermion.NewDWF(g, 1.8, 0.05, ls), u, v, adjoint, 0)
 		}
 	}
 	operators := []struct {
 		name string
-		run  func(t *testing.T, shape geom.Shape, g *lattice.GaugeField, adjoint bool)
+		run  func(t *testing.T, shape geom.Shape, g *lattice.GaugeField, adjoint, point bool)
 	}{
-		{"wilson", func(t *testing.T, shape geom.Shape, g *lattice.GaugeField, adjoint bool) {
+		{"wilson", func(t *testing.T, shape geom.Shape, g *lattice.GaugeField, adjoint, point bool) {
 			checkReference(t, shape, g.L, func(b *lattice.FermionField) problem[*lattice.FermionField] {
 				return wilsonProblem(g, nil, b, 0.3, fermion.Double, 0, 0)
-			}, fermion.NewWilson(g, 0.3), spinors(g.L, 9), spinors(g.L, 8), adjoint)
+			}, fermion.NewWilson(g, 0.3), spinors(g.L, 9, point), spinors(g.L, 8, point), adjoint, 0)
 		}},
-		{"clover", func(t *testing.T, shape geom.Shape, g *lattice.GaugeField, adjoint bool) {
+		{"clover", func(t *testing.T, shape geom.Shape, g *lattice.GaugeField, adjoint, point bool) {
 			ref := fermion.NewClover(g, 0.2, 1.3)
 			checkReference(t, shape, g.L, func(b *lattice.FermionField) problem[*lattice.FermionField] {
 				return wilsonProblem(g, ref, b, ref.Mass, fermion.Double, 0, 0)
-			}, ref, spinors(g.L, 9), spinors(g.L, 8), adjoint)
+			}, ref, spinors(g.L, 9, point), spinors(g.L, 8, point), adjoint, 0)
 		}},
-		{"asqtad", func(t *testing.T, shape geom.Shape, g *lattice.GaugeField, adjoint bool) {
+		{"asqtad", func(t *testing.T, shape geom.Shape, g *lattice.GaugeField, adjoint, point bool) {
 			ref := fermion.NewASQTAD(g, 0.25)
 			u, v := lattice.NewColorField(g.L), lattice.NewColorField(g.L)
-			u.Gaussian(9)
-			v.Gaussian(8)
+			if point {
+				u.V[len(u.V)/3][0], v.V[len(v.V)/3][1] = 1i, 1
+			} else {
+				u.Gaussian(9)
+				v.Gaussian(8)
+			}
 			checkReference(t, shape, g.L, func(b *lattice.ColorField) problem[*lattice.ColorField] {
 				return asqtadProblem(ref, b, fermion.Double, 0, 0)
-			}, ref, u, v, adjoint)
+			}, ref, u, v, adjoint, 1e-24)
 		}},
 		{"dwf-ls1", dwf(1)},
 		{"dwf-ls4", dwf(4)},
@@ -211,10 +230,85 @@ func TestDistMatchesReference(t *testing.T) {
 					gauge := lattice.NewGaugeField(m.global)
 					gauge.Randomize(7)
 					// D† and hermiticity once per operator, on the mixed machine.
-					op.run(t, m.shape, gauge, m.name == "4x2")
+					op.run(t, m.shape, gauge, m.name == "4x2", false)
 				})
 			}
+			// D and D† of a point source, on a configuration no other test uses.
+			t.Run("point-source", func(t *testing.T) {
+				m := machines[1]
+				gauge := lattice.NewGaugeField(m.global)
+				gauge.Randomize(40961)
+				op.run(t, m.shape, gauge, true, true)
+			})
 		})
+	}
+}
+
+// TestHopKernelAllocFree guards what the pointer kernel bought: after the
+// first call (D† scratch) an application of the reference Wilson and
+// domain-wall operators allocates nothing, and a distributed Wilson D
+// plus D† allocates exactly what its two halo exchanges do (the SCU
+// model's transfers and gates, a fixed count per exchange whatever the
+// volume). A by-value slip that makes a spinor escape to the heap fails
+// here.
+func TestHopKernelAllocFree(t *testing.T) {
+	const runs = 5
+	global := lattice.Shape4{4, 4, 2, 2}
+	gauge := lattice.NewGaugeField(global)
+	gauge.Randomize(7)
+	src, dst := lattice.NewFermionField(global), lattice.NewFermionField(global)
+	src.Gaussian(8)
+	wilson := fermion.NewWilson(gauge, 0.3)
+	if n := testing.AllocsPerRun(runs, func() { wilson.Apply(dst, src) }); n != 0 {
+		t.Errorf("fermion.Wilson.Apply: %v allocs per call", n)
+	}
+	dwf := fermion.NewDWF(gauge, 1.8, 0.05, 2)
+	src5, dst5 := fermion.NewField5(global, 2), fermion.NewField5(global, 2)
+	src5.Gaussian(9)
+	if n := testing.AllocsPerRun(runs, func() { dwf.Apply(dst5, src5) }); n != 0 {
+		t.Errorf("fermion.DWF.Apply: %v allocs per call", n)
+	}
+
+	sess, err := NewSession(geom.MakeShape(2), global)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+	dec := sess.Lay.Dec
+	var exchanges, applies float64
+	err = sess.M.RunSPMD("alloc-free", func(rank int) node.Program {
+		return func(ctx *node.Ctx) {
+			comm := qmp.New(ctx, sess.Lay.Fold)
+			op := NewDistWilson(ctx, comm, dec, gauge, nil, 0.3, fermion.Double)
+			in := ScatterFermion(src, dec, GridCoord(comm.Coord()))
+			mid, out := lattice.NewFermionField(dec.Local), lattice.NewFermionField(dec.Local)
+			twoExchanges := func() {
+				op.exchange()
+				op.exchange()
+			}
+			dAndDdag := func() {
+				op.Apply(mid, in)
+				op.ApplyDag(out, mid)
+			}
+			// An exchange needs both ranks in step: rank 0 measures (one
+			// warm-up call, then runs), rank 1 keeps it company.
+			if rank == 0 {
+				exchanges = testing.AllocsPerRun(runs, twoExchanges)
+				applies = testing.AllocsPerRun(runs, dAndDdag)
+				return
+			}
+			for _, f := range []func(){twoExchanges, dAndDdag} {
+				for i := 0; i <= runs; i++ {
+					f()
+				}
+			}
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if applies != exchanges {
+		t.Errorf("DistWilson.Apply + ApplyDag: %v allocs per pair, its two halo exchanges alone %v", applies, exchanges)
 	}
 }
 
@@ -228,7 +322,7 @@ func TestDistWilsonDagAdjoint(t *testing.T) {
 	fermion.NewWilson(gauge, 0.2).ApplyDag(ref, src)
 	got := applyOnce(t, geom.MakeShape(2, 2), global, wilsonProblem(gauge, nil, src, 0.2, fermion.Double, 0, 0), true)
 	got.AXPY(-1, ref)
-	if got.Norm2()/ref.Norm2() > 1e-24 {
+	if got.Norm2() != 0 {
 		t.Fatal("distributed D† deviates from reference")
 	}
 }

@@ -26,6 +26,11 @@ type wilsonHop struct {
 	Ls    int
 
 	faces [lattice.Ndim][2][]int // face site lists: the slot order
+	// nb holds, per direction and local site, the neighbour's site index
+	// or, where the hop leaves the node, ^slot of the ghost the (mu, end)
+	// neighbour packed for that face site.
+	nb       *lattice.Neighbors
+	tmp, mid []latmath.Spinor // D† scratch, allocated on first use
 }
 
 func newWilsonHop(ctx *node.Ctx, comm *qmp.Comm, dec lattice.Decomp, gauge *lattice.GaugeField, kind fermion.OpKind, ls int, prec fermion.Precision) wilsonHop {
@@ -40,11 +45,19 @@ func newWilsonHop(ctx *node.Ctx, comm *qmp.Comm, dec lattice.Decomp, gauge *latt
 		local: dec.Local,
 		G:     ScatterGauge(gauge, dec, GridCoord(comm.Coord())),
 		Ls:    ls,
+		nb:    dec.Local.Neighbors(),
 	}
 	for mu := 0; mu < lattice.Ndim; mu++ {
-		if w.split[mu] {
-			w.faces[mu][0] = lattice.FaceSites(dec.Local, mu, 0)
-			w.faces[mu][1] = lattice.FaceSites(dec.Local, mu, 1)
+		if !w.split[mu] {
+			continue
+		}
+		w.faces[mu][0] = lattice.FaceSites(dec.Local, mu, 0)
+		w.faces[mu][1] = lattice.FaceSites(dec.Local, mu, 1)
+		for slot, idx := range w.faces[mu][0] {
+			w.nb.Dn[mu][idx] = ^int32(slot)
+		}
+		for slot, idx := range w.faces[mu][1] {
+			w.nb.Up[mu][idx] = ^int32(slot)
 		}
 	}
 	return w
@@ -52,10 +65,10 @@ func newWilsonHop(ctx *node.Ctx, comm *qmp.Comm, dec lattice.Decomp, gauge *latt
 
 // hop computes dst = diag·src - ½ Σ_mu [(1-γ_mu)U_mu(x)src(x+mu) +
 // (1+γ_mu)U†_mu(x-mu)src(x-mu)] on every slice, with halo exchange over
-// the machine.
+// the machine. All spin and colour arithmetic is latmath's hop kernel.
 func (w *wilsonHop) hop(dst, src []latmath.Spinor, diag complex128) {
-	l := w.local
-	v4 := l.Volume()
+	v4 := w.local.Volume()
+	var h latmath.HalfSpinor
 	for mu := 0; mu < lattice.Ndim; mu++ {
 		if !w.split[mu] {
 			continue
@@ -63,11 +76,13 @@ func (w *wilsonHop) hop(dst, src []latmath.Spinor, diag complex128) {
 		fv := len(w.faces[mu][0])
 		for s := 0; s < w.Ls; s++ {
 			for i, idx := range w.faces[mu][0] {
-				w.putHalf(mu, 0, s*fv+i, latmath.Project(mu, +1, src[s*v4+idx]))
+				h.Project(mu, +1, &src[s*v4+idx])
+				w.putHalf(mu, 0, s*fv+i, &h)
 			}
 			for i, idx := range w.faces[mu][1] {
-				link := w.G.Link(l.SiteOf(idx), mu)
-				w.putHalf(mu, 1, s*fv+i, latmath.Project(mu, -1, src[s*v4+idx]).DagMulMat(link))
+				h.Project(mu, -1, &src[s*v4+idx])
+				h.DagMulMat(&w.G.U[lattice.Ndim*idx+mu], &h)
+				w.putHalf(mu, 1, s*fv+i, &h)
 			}
 		}
 	}
@@ -80,60 +95,43 @@ func (w *wilsonHop) hop(dst, src []latmath.Spinor, diag complex128) {
 // hopSlice is hop's site loop on fifth-dimension slice s, after the
 // exchange.
 func (w *wilsonHop) hopSlice(dst, src []latmath.Spinor, s int, diag complex128) {
-	l := w.local
+	var h latmath.HalfSpinor
 	for idx := range dst {
-		x := l.SiteOf(idx)
 		var acc latmath.Spinor
 		for mu := 0; mu < lattice.Ndim; mu++ {
 			// +mu term (1-γ)U_mu(x)ψ(x+mu); off the high face ψ(x+mu) is a
 			// ghost, already projected, and the link is ours.
-			if w.split[mu] && x[mu] == l[mu]-1 {
-				h := w.ghost(mu, 1, s, x).MulMat(w.G.Link(x, mu))
-				acc = acc.Add(latmath.Reconstruct(mu, +1, h))
+			u := &w.G.U[lattice.Ndim*idx+mu]
+			if up := w.nb.Up[mu][idx]; up >= 0 {
+				acc.Hop(mu, +1, u, &src[up])
 			} else {
-				xp := l.Neighbor(x, mu, +1)
-				h := latmath.Project(mu, +1, src[l.Index(xp)]).MulMat(w.G.Link(x, mu))
-				acc = acc.Add(latmath.Reconstruct(mu, +1, h))
+				w.half(&h, mu, 1, s*len(w.faces[mu][1])+int(^up))
+				h.MulMat(u, &h)
+				acc.AddReconstruct(mu, +1, &h)
 			}
 			// -mu term (1+γ)U†_mu(x-mu)ψ(x-mu); off the low face the sender
 			// already applied its link.
-			if w.split[mu] && x[mu] == 0 {
-				acc = acc.Add(latmath.Reconstruct(mu, -1, w.ghost(mu, 0, s, x)))
+			if dn := w.nb.Dn[mu][idx]; dn >= 0 {
+				acc.Hop(mu, -1, &w.G.U[lattice.Ndim*int(dn)+mu], &src[dn])
 			} else {
-				xm := l.Neighbor(x, mu, -1)
-				h := latmath.Project(mu, -1, src[l.Index(xm)]).DagMulMat(w.G.Link(xm, mu))
-				acc = acc.Add(latmath.Reconstruct(mu, -1, h))
+				w.half(&h, mu, 0, s*len(w.faces[mu][0])+int(^dn))
+				acc.AddReconstruct(mu, -1, &h)
 			}
 		}
-		dst[idx] = src[idx].Scale(diag).Sub(acc.Scale(0.5))
+		dst[idx].HopResult(diag, &src[idx], &acc)
 	}
-}
-
-// ghost is the half spinor the (mu, end) neighbour packed for our face
-// site x on slice s.
-func (w *wilsonHop) ghost(mu, end, s int, x lattice.Site) latmath.HalfSpinor {
-	return w.half(mu, end, s*len(w.faces[mu][end])+faceSlot(w.local, x, mu))
 }
 
 // applyDag computes dst = D† src = R γ5 D γ5 R src for the operator D
 // built on this hop; R reflects the fifth dimension (the identity at
 // Ls = 1).
 func (w *wilsonHop) applyDag(dst, src []latmath.Spinor, applyD func(dst, src []latmath.Spinor)) {
-	tmp := make([]latmath.Spinor, len(src))
-	mid := make([]latmath.Spinor, len(src))
-	w.reflectGamma5(tmp, src)
-	applyD(mid, tmp)
-	w.reflectGamma5(dst, mid)
-}
-
-func (w *wilsonHop) reflectGamma5(dst, src []latmath.Spinor) {
-	v4 := w.local.Volume()
-	for s := 0; s < w.Ls; s++ {
-		to, from := dst[s*v4:(s+1)*v4], src[(w.Ls-1-s)*v4:(w.Ls-s)*v4]
-		for i := range to {
-			to[i] = latmath.Gamma5.ApplySpin(from[i])
-		}
+	if w.tmp == nil {
+		w.tmp, w.mid = make([]latmath.Spinor, len(src)), make([]latmath.Spinor, len(src))
 	}
+	fermion.ReflectGamma5(w.tmp, src, w.Ls)
+	applyD(w.mid, w.tmp)
+	fermion.ReflectGamma5(dst, w.mid, w.Ls)
 }
 
 // DistWilson is the distributed Wilson Dirac operator running on one
@@ -145,7 +143,7 @@ func (w *wilsonHop) reflectGamma5(dst, src []latmath.Spinor) {
 type DistWilson struct {
 	wilsonHop
 	Mass float64
-	term [][4][4]latmath.Mat3 // site-local clover term; nil for plain Wilson
+	term *fermion.CloverTerm // site-local clover term; nil for plain Wilson
 }
 
 // NewDistWilson builds the operator on one node from the global gauge
@@ -156,8 +154,9 @@ func NewDistWilson(ctx *node.Ctx, comm *qmp.Comm, dec lattice.Decomp, gauge *lat
 	kind := fermion.WilsonKind
 	if clover != nil {
 		kind = fermion.CloverKind
-		d.term = make([][4][4]latmath.Mat3, dec.LocalVolume())
-		forEachSite(dec, GridCoord(comm.Coord()), func(l, g int) { d.term[l] = clover.TermAt(g) })
+		term := make([][4][4]latmath.Mat3, dec.LocalVolume())
+		forEachSite(dec, GridCoord(comm.Coord()), func(l, g int) { term[l] = clover.TermAt(g) })
+		d.term = fermion.NewCloverTerm(term)
 	}
 	d.wilsonHop = newWilsonHop(ctx, comm, dec, gauge, kind, 1, prec)
 	return d
@@ -168,18 +167,8 @@ func (d *DistWilson) Apply(dst, src *lattice.FermionField) { d.apply(dst.S, src.
 
 func (d *DistWilson) apply(dst, src []latmath.Spinor) {
 	d.hop(dst, src, complex(d.Mass+4, 0))
-	for idx := range d.term {
-		var extra latmath.Spinor
-		for a := 0; a < 4; a++ {
-			for b := 0; b < 4; b++ {
-				m := &d.term[idx][a][b]
-				if *m == latmath.Zero3() {
-					continue
-				}
-				extra[a] = extra[a].Add(m.MulVec(src[idx][b]))
-			}
-		}
-		dst[idx] = dst[idx].Add(extra)
+	if d.term != nil {
+		d.term.AddTo(dst, src)
 	}
 }
 
@@ -205,34 +194,8 @@ func (d *DistDWF) Apply(dst, src *fermion.Field5) { d.apply(dst.S, src.S) }
 
 func (d *DistDWF) apply(dst, src []latmath.Spinor) {
 	d.hop(dst, src, complex(-d.M5+4+1, 0))
-	v4 := d.local.Volume()
-	mf := complex(d.Mf, 0)
-	for s := 0; s < d.Ls; s++ {
-		for idx := 0; idx < v4; idx++ {
-			out := dst[s*v4+idx]
-			if up := s + 1; up < d.Ls {
-				out = out.Sub(projMinus5(src[up*v4+idx]))
-			} else {
-				out = out.AXPY(mf, projMinus5(src[idx]))
-			}
-			if dn := s - 1; dn >= 0 {
-				out = out.Sub(projPlus5(src[dn*v4+idx]))
-			} else {
-				out = out.AXPY(mf, projPlus5(src[(d.Ls-1)*v4+idx]))
-			}
-			dst[s*v4+idx] = out
-		}
-	}
+	fermion.AddFifthDimHops(dst, src, d.local.Volume(), d.Ls, d.Mf)
 }
 
 // ApplyDag computes dst = D† src = R γ5 D γ5 R src.
 func (d *DistDWF) ApplyDag(dst, src *fermion.Field5) { d.applyDag(dst.S, src.S, d.apply) }
-
-// projPlus5 and projMinus5 are the chiral projectors (1 ± γ5)/2.
-func projPlus5(s latmath.Spinor) latmath.Spinor {
-	return s.Add(latmath.Gamma5.ApplySpin(s)).Scale(0.5)
-}
-
-func projMinus5(s latmath.Spinor) latmath.Spinor {
-	return s.Sub(latmath.Gamma5.ApplySpin(s)).Scale(0.5)
-}

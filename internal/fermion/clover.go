@@ -16,16 +16,62 @@ import (
 // operator keeps γ5-hermiticity.
 type Clover struct {
 	Wilson
-	Csw float64
-	// term[idx][a][b] is the color matrix coupling spin b to spin a at
-	// site idx.
-	term [][4][4]latmath.Mat3
+	Csw  float64
+	term *CloverTerm
+}
+
+// CloverTerm is the site-diagonal clover term as spin-indexed color
+// blocks: Site[idx][a][b] couples spin b to spin a at site idx. The
+// reference operator builds it on the global configuration; a
+// distributed operator wraps the sites it was scattered.
+type CloverTerm struct {
+	Site [][4][4]latmath.Mat3
+	// live marks the spin blocks that are non-zero on some site. In the
+	// chiral basis the term is block diagonal, so 8 of the 16 never are
+	// and AddTo skips them without looking.
+	live [4][4]bool
+}
+
+// NewCloverTerm wraps the given sites, scanning them once for the blocks
+// that are zero everywhere.
+func NewCloverTerm(site [][4][4]latmath.Mat3) *CloverTerm {
+	t := &CloverTerm{Site: site}
+	for idx := range site {
+		for a := 0; a < 4; a++ {
+			for b := 0; b < 4; b++ {
+				if site[idx][a][b] != latmath.Zero3() {
+					t.live[a][b] = true
+				}
+			}
+		}
+	}
+	return t
+}
+
+// AddTo computes dst += term·src site by site, summing each row's live
+// blocks in ascending b.
+func (t *CloverTerm) AddTo(dst, src []latmath.Spinor) {
+	for idx := range t.Site {
+		blocks, psi := &t.Site[idx], &src[idx]
+		var extra latmath.Spinor
+		for a := 0; a < 4; a++ {
+			for b := 0; b < 4; b++ {
+				if !t.live[a][b] {
+					continue
+				}
+				var v latmath.Vec3
+				v.MulMat(&blocks[a][b], &psi[b])
+				extra[a] = extra[a].Add(v)
+			}
+		}
+		dst[idx] = dst[idx].Add(extra)
+	}
 }
 
 // NewClover builds the operator, precomputing the clover term on the
 // given gauge field (as production code does once per configuration).
 func NewClover(g *lattice.GaugeField, mass, csw float64) *Clover {
-	c := &Clover{Wilson: Wilson{G: g, Mass: mass}, Csw: csw}
+	c := &Clover{Wilson: *NewWilson(g, mass), Csw: csw}
 	c.buildTerm()
 	return c
 }
@@ -53,7 +99,7 @@ func cloverLeafField(g *lattice.GaugeField, x lattice.Site, mu, nu int) latmath.
 func (c *Clover) buildTerm() {
 	l := c.G.L
 	v := l.Volume()
-	c.term = make([][4][4]latmath.Mat3, v)
+	term := make([][4][4]latmath.Mat3, v)
 	coeff := complex(-c.Csw/2, 0)
 	for idx := 0; idx < v; idx++ {
 		x := l.SiteOf(idx)
@@ -68,41 +114,24 @@ func (c *Clover) buildTerm() {
 						if s == 0 {
 							continue
 						}
-						c.term[idx][a][b] = c.term[idx][a][b].Add(iF.Scale(coeff * s))
+						term[idx][a][b] = term[idx][a][b].Add(iF.Scale(coeff * s))
 					}
 				}
 			}
 		}
 	}
+	c.term = NewCloverTerm(term)
 }
 
 // Apply computes dst = D_clover src.
 func (c *Clover) Apply(dst, src *lattice.FermionField) {
 	c.Wilson.Apply(dst, src)
-	for idx := range src.S {
-		var extra latmath.Spinor
-		for a := 0; a < 4; a++ {
-			for b := 0; b < 4; b++ {
-				m := &c.term[idx][a][b]
-				if *m == latmath.Zero3() {
-					continue
-				}
-				extra[a] = extra[a].Add(m.MulVec(src.S[idx][b]))
-			}
-		}
-		dst.S[idx] = dst.S[idx].Add(extra)
-	}
+	c.term.AddTo(dst.S, src.S)
 }
 
 // ApplyDag computes dst = D† src via γ5-hermiticity (the clover term
 // commutes with γ5 and is Hermitian).
-func (c *Clover) ApplyDag(dst, src *lattice.FermionField) {
-	tmp := lattice.NewFermionField(c.G.L)
-	applyGamma5(tmp, src)
-	mid := lattice.NewFermionField(c.G.L)
-	c.Apply(mid, tmp)
-	applyGamma5(dst, mid)
-}
+func (c *Clover) ApplyDag(dst, src *lattice.FermionField) { c.applyDag(dst, src, c.Apply) }
 
 // SpinBlockDiagonal reports whether the clover term at site idx is block
 // diagonal in spin (upper 2x2 and lower 2x2 blocks only) — true in the
@@ -111,8 +140,8 @@ func (c *Clover) ApplyDag(dst, src *lattice.FermionField) {
 func (c *Clover) SpinBlockDiagonal(idx int, tol float64) bool {
 	for a := 0; a < 2; a++ {
 		for b := 2; b < 4; b++ {
-			if c.term[idx][a][b].FrobeniusDistance(latmath.Zero3()) > tol ||
-				c.term[idx][b][a].FrobeniusDistance(latmath.Zero3()) > tol {
+			if c.term.Site[idx][a][b].FrobeniusDistance(latmath.Zero3()) > tol ||
+				c.term.Site[idx][b][a].FrobeniusDistance(latmath.Zero3()) > tol {
 				return false
 			}
 		}
@@ -123,4 +152,4 @@ func (c *Clover) SpinBlockDiagonal(idx int, tol float64) bool {
 // TermAt exposes the precomputed clover term of one site (spin-indexed
 // color blocks), so a distributed operator can scatter the term built on
 // the global configuration.
-func (c *Clover) TermAt(idx int) [4][4]latmath.Mat3 { return c.term[idx] }
+func (c *Clover) TermAt(idx int) [4][4]latmath.Mat3 { return c.term.Site[idx] }

@@ -90,11 +90,14 @@ type DWF struct {
 	M5 float64 // domain-wall height, typically ~1.8
 	Mf float64 // physical quark mass coupling the walls
 	Ls int
+
+	nb       *lattice.Neighbors
+	tmp, mid *Field5 // D† scratch, allocated on first use
 }
 
 // NewDWF builds the operator.
 func NewDWF(g *lattice.GaugeField, m5, mf float64, ls int) *DWF {
-	return &DWF{G: g, M5: m5, Mf: mf, Ls: ls}
+	return &DWF{G: g, M5: m5, Mf: mf, Ls: ls, nb: g.L.Neighbors()}
 }
 
 // Name identifies the operator.
@@ -115,73 +118,63 @@ func projMinus(s latmath.Spinor) latmath.Spinor {
 	return s.Sub(g5).Scale(0.5)
 }
 
-// Apply computes dst = D src.
+// Apply computes dst = D src: the 4-D Wilson hop on every s-slice — the
+// gauge links are s-independent, which is the locality the DWF kernel
+// exploits for its high efficiency (the same links serve all Ls slices)
+// — then the fifth-dimension hops.
 func (d *DWF) Apply(dst, src *Field5) {
-	l := d.G.L
-	v := l.Volume()
+	v := d.G.L.Volume()
 	diag := complex(-d.M5+4+1, 0) // Wilson diagonal at mass -M5, plus the +1 of D_perp
 	for s := 0; s < d.Ls; s++ {
-		for idx := 0; idx < v; idx++ {
-			x := l.SiteOf(idx)
-			acc := hopTerm4D5(d.G, src, s, x, idx)
-			out := src.S[s*v+idx].Scale(diag).Sub(acc.Scale(0.5))
-			// Fifth-dimension hops.
-			up := s + 1
-			dn := s - 1
-			if up < d.Ls {
-				out = out.Sub(projMinus(src.S[up*v+idx]))
-			} else {
-				out = out.AXPY(complex(d.Mf, 0), projMinus(src.S[0*v+idx]))
-			}
-			if dn >= 0 {
-				out = out.Sub(projPlus(src.S[dn*v+idx]))
-			} else {
-				out = out.AXPY(complex(d.Mf, 0), projPlus(src.S[(d.Ls-1)*v+idx]))
-			}
-			dst.S[s*v+idx] = out
-		}
+		hopSites(dst.S[s*v:(s+1)*v], src.S[s*v:(s+1)*v], d.G, d.nb, diag)
 	}
+	AddFifthDimHops(dst.S, src.S, v, d.Ls, d.Mf)
 }
 
-// hopTerm4D5 is hopTerm for one s-slice of a 5-D field: the gauge links
-// are s-independent, which is the locality the DWF kernel exploits for
-// its high efficiency (the same links serve all Ls slices).
-func hopTerm4D5(g *lattice.GaugeField, src *Field5, s int, x lattice.Site, idx int) latmath.Spinor {
-	l := g.L
-	v := l.Volume()
-	var acc latmath.Spinor
-	for mu := 0; mu < lattice.Ndim; mu++ {
-		xp := l.Neighbor(x, mu, +1)
-		hp := latmath.Project(mu, +1, src.S[s*v+l.Index(xp)]).MulMat(g.Link(x, mu))
-		acc = acc.Add(latmath.Reconstruct(mu, +1, hp))
-		xm := l.Neighbor(x, mu, -1)
-		hm := latmath.Project(mu, -1, src.S[s*v+l.Index(xm)]).DagMulMat(g.Link(xm, mu))
-		acc = acc.Add(latmath.Reconstruct(mu, -1, hm))
+// AddFifthDimHops adds the site-local fifth-dimension terms of the
+// domain-wall operator, -P_- src(s+1) - P_+ src(s-1) with the -m_f
+// boundary condition, to dst; both are Ls slices of v4 spinors. Shared
+// with the distributed operator, whose fifth dimension stays node-local.
+func AddFifthDimHops(dst, src []latmath.Spinor, v4, ls int, mf float64) {
+	m := complex(mf, 0)
+	for s := 0; s < ls; s++ {
+		for idx := 0; idx < v4; idx++ {
+			out := dst[s*v4+idx]
+			if up := s + 1; up < ls {
+				out = out.Sub(projMinus(src[up*v4+idx]))
+			} else {
+				out = out.AXPY(m, projMinus(src[idx]))
+			}
+			if dn := s - 1; dn >= 0 {
+				out = out.Sub(projPlus(src[dn*v4+idx]))
+			} else {
+				out = out.AXPY(m, projPlus(src[(ls-1)*v4+idx]))
+			}
+			dst[s*v4+idx] = out
+		}
 	}
-	_ = idx
-	return acc
 }
 
 // ApplyDag computes dst = D† src using the domain-wall relation
 // D† = R γ5 D γ5 R, where R reflects the fifth dimension
 // (s -> Ls-1-s).
 func (d *DWF) ApplyDag(dst, src *Field5) {
-	tmp := d.reflectGamma5(src)
-	mid := NewField5(d.G.L, d.Ls)
-	d.Apply(mid, tmp)
-	out := d.reflectGamma5(mid)
-	copy(dst.S, out.S)
+	if d.tmp == nil {
+		d.tmp, d.mid = NewField5(d.G.L, d.Ls), NewField5(d.G.L, d.Ls)
+	}
+	ReflectGamma5(d.tmp.S, src.S, d.Ls)
+	d.Apply(d.mid, d.tmp)
+	ReflectGamma5(dst.S, d.mid.S, d.Ls)
 }
 
-// reflectGamma5 returns R γ5 f: γ5 in spin, reflection in s.
-func (d *DWF) reflectGamma5(f *Field5) *Field5 {
-	v := d.G.L.Volume()
-	out := NewField5(d.G.L, d.Ls)
-	for s := 0; s < d.Ls; s++ {
-		rs := d.Ls - 1 - s
-		for idx := 0; idx < v; idx++ {
-			out.S[s*v+idx] = latmath.Gamma5.ApplySpin(f.S[rs*v+idx])
+// ReflectGamma5 computes dst = R γ5 src on Ls slices: γ5 in spin,
+// reflection s -> Ls-1-s in the fifth dimension (plain γ5 at Ls = 1).
+func ReflectGamma5(dst, src []latmath.Spinor, ls int) {
+	v := len(src) / ls
+	for s := 0; s < ls; s++ {
+		to, from := dst[s*v:(s+1)*v], src[(ls-1-s)*v:(ls-s)*v]
+		for i := range to {
+			to[i] = latmath.Gamma5.ApplySpin(from[i])
 		}
 	}
-	return out
 }

@@ -55,34 +55,38 @@ func pathProduct(g *lattice.GaugeField, x lattice.Site, steps []pathStep) latmat
 	return m
 }
 
-// hopTerm accumulates the Wilson hopping term at site x:
-// Σ_mu [ (1-γ_mu) U_mu(x) ψ(x+mu) + (1+γ_mu) U†_mu(x-mu) ψ(x-mu) ],
-// using the spin projection trick (12 instead of 24 complex numbers per
-// neighbour — exactly the quantity the SCU ships between nodes).
-func hopTerm(g *lattice.GaugeField, src *lattice.FermionField, x lattice.Site) latmath.Spinor {
-	l := g.L
-	var acc latmath.Spinor
-	for mu := 0; mu < lattice.Ndim; mu++ {
-		xp := l.Neighbor(x, mu, +1)
-		hp := latmath.Project(mu, +1, src.S[l.Index(xp)]).MulMat(g.Link(x, mu))
-		acc = acc.Add(latmath.Reconstruct(mu, +1, hp))
-		xm := l.Neighbor(x, mu, -1)
-		hm := latmath.Project(mu, -1, src.S[l.Index(xm)]).DagMulMat(g.Link(xm, mu))
-		acc = acc.Add(latmath.Reconstruct(mu, -1, hm))
+// hopSites computes dst = diag·src - ½ Σ_mu [ (1-γ_mu) U_mu(x) src(x+mu)
+// + (1+γ_mu) U†_mu(x-mu) src(x-mu) ] on one 4-D volume, through the
+// spin-projected kernel in latmath (12 instead of 24 complex numbers per
+// neighbour — exactly the quantity the SCU ships between nodes). dst and
+// src must not overlap.
+func hopSites(dst, src []latmath.Spinor, g *lattice.GaugeField, nb *lattice.Neighbors, diag complex128) {
+	for idx := range dst {
+		var acc latmath.Spinor
+		for mu := 0; mu < lattice.Ndim; mu++ {
+			up, dn := nb.Up[mu][idx], nb.Dn[mu][idx]
+			acc.Hop(mu, +1, &g.U[lattice.Ndim*idx+mu], &src[up])
+			acc.Hop(mu, -1, &g.U[lattice.Ndim*int(dn)+mu], &src[dn])
+		}
+		dst[idx].HopResult(diag, &src[idx], &acc)
 	}
-	return acc
 }
 
 // Wilson is the naive Wilson Dirac operator
 // D = (m + 4) - (1/2) Σ_mu [(1-γ_mu) U_mu(x) T_{+mu} + (1+γ_mu) U†_mu T_{-mu}].
+// An operator value is not safe for concurrent use: D† works in scratch
+// fields it keeps.
 type Wilson struct {
 	G    *lattice.GaugeField
 	Mass float64
+
+	nb       *lattice.Neighbors
+	tmp, mid *lattice.FermionField // D† scratch, allocated on first use
 }
 
 // NewWilson builds the operator on gauge field g with bare mass m.
 func NewWilson(g *lattice.GaugeField, mass float64) *Wilson {
-	return &Wilson{G: g, Mass: mass}
+	return &Wilson{G: g, Mass: mass, nb: g.L.Neighbors()}
 }
 
 // Name implements DiracOperator.
@@ -93,28 +97,18 @@ func (w *Wilson) Lattice() lattice.Shape4 { return w.G.L }
 
 // Apply computes dst = D src.
 func (w *Wilson) Apply(dst, src *lattice.FermionField) {
-	l := w.G.L
-	diag := complex(w.Mass+4, 0)
-	v := l.Volume()
-	for idx := 0; idx < v; idx++ {
-		x := l.SiteOf(idx)
-		acc := hopTerm(w.G, src, x)
-		dst.S[idx] = src.S[idx].Scale(diag).Sub(acc.Scale(0.5))
-	}
+	hopSites(dst.S, src.S, w.G, w.nb, complex(w.Mass+4, 0))
 }
 
 // ApplyDag computes dst = D† src via γ5-hermiticity: D† = γ5 D γ5.
-func (w *Wilson) ApplyDag(dst, src *lattice.FermionField) {
-	tmp := lattice.NewFermionField(w.G.L)
-	applyGamma5(tmp, src)
-	mid := lattice.NewFermionField(w.G.L)
-	w.Apply(mid, tmp)
-	applyGamma5(dst, mid)
-}
+func (w *Wilson) ApplyDag(dst, src *lattice.FermionField) { w.applyDag(dst, src, w.Apply) }
 
-// applyGamma5 computes dst = (γ5 ⊗ 1) src.
-func applyGamma5(dst, src *lattice.FermionField) {
-	for i := range src.S {
-		dst.S[i] = latmath.Gamma5.ApplySpin(src.S[i])
+// applyDag is γ5 D γ5 for the operator applyD built on this Wilson term.
+func (w *Wilson) applyDag(dst, src *lattice.FermionField, applyD func(dst, src *lattice.FermionField)) {
+	if w.tmp == nil {
+		w.tmp, w.mid = lattice.NewFermionField(w.G.L), lattice.NewFermionField(w.G.L)
 	}
+	ReflectGamma5(w.tmp.S, src.S, 1)
+	applyD(w.mid, w.tmp)
+	ReflectGamma5(dst.S, w.mid.S, 1)
 }

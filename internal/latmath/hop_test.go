@@ -1,0 +1,326 @@
+package latmath
+
+import (
+	"encoding/binary"
+	"math"
+	"math/rand"
+	"testing"
+)
+
+// The by-value hop steps as they stood before the pointer kernel, kept
+// verbatim as the oracle: every pinned digest in the tree was produced
+// by these expressions, so the kernel must equal them bit for bit.
+
+func refProject(mu, s int, psi Spinor) HalfSpinor {
+	P := Identity4.Sub(Gamma[mu].Scale(complex(float64(s), 0)))
+	var h HalfSpinor
+	for a := 0; a < 2; a++ {
+		for b := 0; b < 4; b++ {
+			c := P[a][b]
+			if c == 0 {
+				continue
+			}
+			h[a] = h[a].AXPY(c, psi[b])
+		}
+	}
+	return h
+}
+
+func refReconstruct(mu, s int, h HalfSpinor) Spinor {
+	R := recon[mu][signIndex(s)]
+	var out Spinor
+	out[0] = h[0]
+	out[1] = h[1]
+	out[2] = h[0].Scale(R[0][0]).Add(h[1].Scale(R[0][1]))
+	out[3] = h[0].Scale(R[1][0]).Add(h[1].Scale(R[1][1]))
+	return out
+}
+
+func refMulMat(h HalfSpinor, m Mat3) HalfSpinor {
+	return HalfSpinor{m.MulVec(h[0]), m.MulVec(h[1])}
+}
+
+func refDagMulMat(h HalfSpinor, m Mat3) HalfSpinor {
+	return HalfSpinor{m.DagMulVec(h[0]), m.DagMulVec(h[1])}
+}
+
+// The three ways a half spinor meets a link between projection and
+// reconstruction: U (forward hop), U† (backward hop), none (a ghost the
+// sender already multiplied).
+const (
+	linkU = iota
+	linkUdag
+	linkNone
+)
+
+// refHop is the old site-loop statement acc = acc.Add(Reconstruct(...)).
+func refHop(acc Spinor, mu, s, link int, u Mat3, psi Spinor) Spinor {
+	h := refProject(mu, s, psi)
+	switch link {
+	case linkU:
+		h = refMulMat(h, u)
+	case linkUdag:
+		h = refDagMulMat(h, u)
+	}
+	return acc.Add(refReconstruct(mu, s, h))
+}
+
+// hopImpl is a kernel under test, so that the same comparison runs on
+// the real one and on deliberately broken ones.
+type hopImpl struct {
+	project func(h *HalfSpinor, mu, s int, psi *Spinor)
+}
+
+func (k hopImpl) hop(acc *Spinor, mu, s, link int, u *Mat3, psi *Spinor) {
+	var h HalfSpinor
+	k.project(&h, mu, s, psi)
+	switch link {
+	case linkU:
+		h.MulMat(u, &h)
+	case linkUdag:
+		h.DagMulMat(u, &h)
+	}
+	acc.AddReconstruct(mu, s, &h)
+}
+
+func realKernel() hopImpl { return hopImpl{project: (*HalfSpinor).Project} }
+
+// sameBits compares two complex numbers by IEEE bit pattern; NaNs match
+// any NaN (the payload depends on operand order inside the hardware).
+func sameBits(a, b complex128) bool {
+	eq := func(x, y float64) bool {
+		if math.IsNaN(x) || math.IsNaN(y) {
+			return math.IsNaN(x) && math.IsNaN(y)
+		}
+		return math.Float64bits(x) == math.Float64bits(y)
+	}
+	return eq(real(a), real(b)) && eq(imag(a), imag(b))
+}
+
+func sameSpinor(a, b *Spinor) bool {
+	for i := range a {
+		for k := range a[i] {
+			if !sameBits(a[i][k], b[i][k]) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// hopMismatches counts the (mu, sign, link, accumulator) combinations
+// on which kernel k and the oracle disagree for one spinor and link.
+func hopMismatches(k hopImpl, psi Spinor, u Mat3) int {
+	negZero := math.Copysign(0, -1)
+	var zeros, negs Spinor
+	for a := range negs {
+		for c := range negs[a] {
+			negs[a][c] = complex(negZero, negZero)
+		}
+	}
+	bad := 0
+	for mu := 0; mu < 4; mu++ {
+		for _, s := range []int{+1, -1} {
+			for link := linkU; link <= linkNone; link++ {
+				for _, acc0 := range []Spinor{zeros, negs, psi} {
+					want := refHop(acc0, mu, s, link, u, psi)
+					got := acc0
+					k.hop(&got, mu, s, link, &u, &psi)
+					if !sameSpinor(&got, &want) {
+						bad++
+					}
+				}
+			}
+		}
+	}
+	return bad
+}
+
+// adversarialSpinors are the inputs on which a "harmless" algebraic
+// simplification of the kernel shows: signed zeros, a point source,
+// denormals, infinities and NaN.
+func adversarialSpinors() []Spinor {
+	negZero := math.Copysign(0, -1)
+	fill := func(re, im float64) Spinor {
+		var s Spinor
+		for a := range s {
+			for c := range s[a] {
+				s[a][c] = complex(re, im)
+			}
+		}
+		return s
+	}
+	out := []Spinor{
+		fill(0, 0), fill(negZero, negZero), fill(0, negZero), fill(negZero, 0),
+		fill(5e-324, -5e-324), fill(math.Inf(1), 1), fill(1, math.Inf(-1)), fill(math.NaN(), 0),
+	}
+	// Point sources: one unit component in a field of +0 or -0.
+	for a := 0; a < 4; a++ {
+		for _, bg := range []float64{0, negZero} {
+			for _, one := range []complex128{1, -1, 1i, -1i} {
+				s := fill(bg, bg)
+				s[a][a%3] = one
+				out = append(out, s)
+			}
+		}
+	}
+	// Mixed signs of zero, component by component.
+	rng := rand.New(rand.NewSource(41))
+	for n := 0; n < 16; n++ {
+		var s Spinor
+		for a := range s {
+			for c := range s[a] {
+				s[a][c] = complex(math.Copysign(0, rng.Float64()-0.5), math.Copysign(0, rng.Float64()-0.5))
+			}
+		}
+		out = append(out, s)
+	}
+	return out
+}
+
+// TestHopKernelBits proves the pointer kernel equal to the by-value
+// code it replaced, bit for bit including the sign of zero, for all
+// eight (mu, sign) and all three link modes.
+func TestHopKernelBits(t *testing.T) {
+	rng := rand.New(rand.NewSource(40))
+	links := []Mat3{Identity3(), RandomSU3(rng), RandomSU3(rng), randMat(rng)}
+	spinors := adversarialSpinors()
+	for n := 0; n < 32; n++ {
+		spinors = append(spinors, randSpinor(rng))
+	}
+	for i, psi := range spinors {
+		for j, u := range links {
+			if bad := hopMismatches(realKernel(), psi, u); bad != 0 {
+				t.Fatalf("spinor %d, link %d: kernel differs from the by-value oracle in %d cases", i, j, bad)
+			}
+		}
+	}
+}
+
+// TestHopKernelWrappersAndResult covers what hopMismatches does not
+// reach: the by-value Project/Reconstruct the benchmark probes call,
+// the composite Hop, and the closing diag ψ - ½ acc.
+func TestHopKernelWrappersAndResult(t *testing.T) {
+	rng := rand.New(rand.NewSource(42))
+	u := RandomSU3(rng)
+	spinors := append(adversarialSpinors(), randSpinor(rng), randSpinor(rng))
+	for i, psi := range spinors {
+		for mu := 0; mu < 4; mu++ {
+			for _, s := range []int{+1, -1} {
+				h, hRef := Project(mu, s, psi), refProject(mu, s, psi)
+				full, fullRef := Reconstruct(mu, s, h), refReconstruct(mu, s, hRef)
+				if !sameSpinor(&full, &fullRef) {
+					t.Fatalf("spinor %d mu %d s %d: Reconstruct(Project) differs from the oracle", i, mu, s)
+				}
+				link := linkU
+				if s < 0 {
+					link = linkUdag
+				}
+				acc, want := psi, refHop(psi, mu, s, link, u, psi)
+				acc.Hop(mu, s, &u, &psi)
+				if !sameSpinor(&acc, &want) {
+					t.Fatalf("spinor %d mu %d s %d: Hop differs from the oracle", i, mu, s)
+				}
+			}
+		}
+		acc := spinors[(i+1)%len(spinors)]
+		diag := complex(4.3, 0)
+		var got Spinor
+		got.HopResult(diag, &psi, &acc)
+		want := psi.Scale(diag).Sub(acc.Scale(0.5))
+		if !sameSpinor(&got, &want) {
+			t.Fatalf("spinor %d: HopResult differs from Scale(diag).Sub(acc.Scale(0.5))", i)
+		}
+	}
+}
+
+// TestHopOracleCatchesSimplifications is the mutation check on the
+// oracle itself: three rewrites of the projection that are algebraically
+// the identity — dropping the leading 0 +, dropping the multiply by 1,
+// multiplying by ±i as a swap and negate — must each be caught on the
+// adversarial inputs (signed zeros for the first and last, infinities
+// for the second: the 0 + hides the sign 1·z gives a zero, but 0·∞ is
+// NaN). Adding the two terms in the other order is not in the list
+// because IEEE addition commutes: (0 + x) + y and (0 + y) + x are the
+// same bits for every x and y, NaN payloads aside.
+func TestHopOracleCatchesSimplifications(t *testing.T) {
+	timesEntry := func(c, z complex128) complex128 {
+		switch c {
+		case 1i:
+			return complex(-imag(z), real(z))
+		case -1i:
+			return complex(imag(z), -real(z))
+		}
+		return c * z
+	}
+	mutants := map[string]func(h *HalfSpinor, mu, s int, psi *Spinor){
+		"no leading zero": func(h *HalfSpinor, mu, s int, psi *Spinor) {
+			for a, r := range proj[mu][signIndex(s)] {
+				for k := range h[a] {
+					h[a][k] = r.c1*psi[a][k] + r.c2*psi[r.b2][k]
+				}
+			}
+		},
+		"times one dropped": func(h *HalfSpinor, mu, s int, psi *Spinor) {
+			for a, r := range proj[mu][signIndex(s)] {
+				for k := range h[a] {
+					h[a][k] = (0 + psi[a][k]) + r.c2*psi[r.b2][k]
+				}
+			}
+		},
+		"times i by swap": func(h *HalfSpinor, mu, s int, psi *Spinor) {
+			for a, r := range proj[mu][signIndex(s)] {
+				for k := range h[a] {
+					h[a][k] = (0 + r.c1*psi[a][k]) + timesEntry(r.c2, psi[r.b2][k])
+				}
+			}
+		},
+	}
+	u := Identity3()
+	for name, project := range mutants {
+		caught := 0
+		for _, psi := range adversarialSpinors() {
+			caught += hopMismatches(hopImpl{project: project}, psi, u)
+		}
+		if caught == 0 {
+			t.Errorf("mutant %q passes the oracle: the adversarial inputs do not pin that expression", name)
+		}
+	}
+}
+
+// hopFuzzWords is the fuzz input size: 24 spinor words then 18 link
+// words, little-endian float64.
+const hopFuzzWords = SpinorWords + Mat3Words
+
+// FuzzHopKernelBits lets the fuzzer pick every float64 of the spinor
+// and the link (not necessarily unitary: the kernel is linear algebra,
+// it never assumes SU(3)).
+func FuzzHopKernelBits(f *testing.F) {
+	encode := func(psi Spinor, u Mat3) []byte {
+		w := make([]uint64, hopFuzzWords)
+		PackSpinor(psi, w[:SpinorWords])
+		PackMat3(u, w[SpinorWords:])
+		b := make([]byte, 0, 8*hopFuzzWords)
+		for _, x := range w {
+			b = binary.LittleEndian.AppendUint64(b, x)
+		}
+		return b
+	}
+	rng := rand.New(rand.NewSource(43))
+	for _, psi := range adversarialSpinors()[:12] {
+		f.Add(encode(psi, RandomSU3(rng)))
+	}
+	f.Add(encode(randSpinor(rng), Identity3()))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var w [hopFuzzWords]uint64
+		for i := range w {
+			if len(data) >= 8*(i+1) {
+				w[i] = binary.LittleEndian.Uint64(data[8*i:])
+			}
+		}
+		psi, u := UnpackSpinor(w[:SpinorWords]), UnpackMat3(w[SpinorWords:])
+		if bad := hopMismatches(realKernel(), psi, u); bad != 0 {
+			t.Fatalf("kernel differs from the by-value oracle in %d cases for psi=%v u=%v", bad, psi, u)
+		}
+	})
+}

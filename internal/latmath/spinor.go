@@ -57,26 +57,6 @@ func (s Spinor) DagMulMat(m Mat3) Spinor {
 	return Spinor{m.DagMulVec(s[0]), m.DagMulVec(s[1]), m.DagMulVec(s[2]), m.DagMulVec(s[3])}
 }
 
-// Add returns h + g.
-func (h HalfSpinor) Add(g HalfSpinor) HalfSpinor {
-	return HalfSpinor{h[0].Add(g[0]), h[1].Add(g[1])}
-}
-
-// Scale returns a*h.
-func (h HalfSpinor) Scale(a complex128) HalfSpinor {
-	return HalfSpinor{h[0].Scale(a), h[1].Scale(a)}
-}
-
-// MulMat applies a color matrix to both spin components.
-func (h HalfSpinor) MulMat(m Mat3) HalfSpinor {
-	return HalfSpinor{m.MulVec(h[0]), m.MulVec(h[1])}
-}
-
-// DagMulMat applies m† to both spin components.
-func (h HalfSpinor) DagMulMat(m Mat3) HalfSpinor {
-	return HalfSpinor{m.DagMulVec(h[0]), m.DagMulVec(h[1])}
-}
-
 // SpinorWords is the number of 64-bit words in a double-precision spinor
 // (24 reals), and HalfSpinorWords in a half spinor (12 reals) — the unit
 // of SCU traffic in a Wilson halo exchange.

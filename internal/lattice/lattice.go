@@ -71,6 +71,31 @@ func (s Shape4) Hop(c Site, mu, k int) Site {
 	return n
 }
 
+// Neighbors tabulates the periodic nearest neighbours of every site by
+// lexicographic index — Up[mu][idx] one step forward along mu, Dn one
+// step back — so an operator's site loop pays the SiteOf/Neighbor/Index
+// div-mod chain once per operator instead of per site per direction.
+type Neighbors struct {
+	Up, Dn [Ndim][]int32
+}
+
+// Neighbors builds the table for this shape.
+func (s Shape4) Neighbors() *Neighbors {
+	v := s.Volume()
+	var n Neighbors
+	for mu := 0; mu < Ndim; mu++ {
+		n.Up[mu], n.Dn[mu] = make([]int32, v), make([]int32, v)
+	}
+	for idx := 0; idx < v; idx++ {
+		x := s.SiteOf(idx)
+		for mu := 0; mu < Ndim; mu++ {
+			n.Up[mu][idx] = int32(s.Index(s.Neighbor(x, mu, +1)))
+			n.Dn[mu][idx] = int32(s.Index(s.Neighbor(x, mu, -1)))
+		}
+	}
+	return &n
+}
+
 // Parity returns 0 for even sites, 1 for odd ((x+y+z+t) mod 2) — the
 // checkerboard used by even-odd preconditioned solvers.
 func Parity(c Site) int { return (c[0] + c[1] + c[2] + c[3]) % 2 }

@@ -39,6 +39,25 @@ func TestNeighborWrap(t *testing.T) {
 	}
 }
 
+// TestNeighborsTable checks the per-operator site table against the
+// coordinate arithmetic it replaces, on unequal extents (including 1 and
+// 2, where forward and backward neighbours coincide).
+func TestNeighborsTable(t *testing.T) {
+	l := Shape4{3, 1, 2, 5}
+	nb := l.Neighbors()
+	for idx := 0; idx < l.Volume(); idx++ {
+		x := l.SiteOf(idx)
+		for mu := 0; mu < Ndim; mu++ {
+			if up, want := int(nb.Up[mu][idx]), l.Index(l.Neighbor(x, mu, +1)); up != want {
+				t.Fatalf("Up[%d][%d] = %d, want %d", mu, idx, up, want)
+			}
+			if dn, want := int(nb.Dn[mu][idx]), l.Index(l.Neighbor(x, mu, -1)); dn != want {
+				t.Fatalf("Dn[%d][%d] = %d, want %d", mu, idx, dn, want)
+			}
+		}
+	}
+}
+
 func TestParityCheckerboard(t *testing.T) {
 	l := Shape4{4, 4, 4, 4}
 	even, odd := 0, 0
