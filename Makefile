@@ -26,12 +26,6 @@ BENCH_SET = ^(BenchmarkEngineDispatch|BenchmarkGlobalSumMachine|BenchmarkTelemet
 # the window-barrier overhead instead (README "Parallel engine").
 BENCH_PARALLEL_SET = ^(BenchmarkE1FunctionalWilsonParallel|BenchmarkE11RackScale)$$
 
-# The fleet benchmark: a four-seed chaos campaign through the fleet
-# scheduler at workers=1 and workers=8. Pinned in BENCH_fleet.json; the
-# meta block records GOMAXPROCS/NumCPU so campaign throughput is always
-# read against the host it was measured on (DESIGN.md §14).
-BENCH_FLEET_SET = ^BenchmarkFleetCampaign$$
-
 # The observability benchmark set (DESIGN.md §15): the zero-alloc
 # histogram record, the telemetry on/off word-path comparison (link
 # histograms enabled), and the full /metrics scrape path. Pinned in
@@ -45,13 +39,7 @@ BENCH_OBS_SET = ^(BenchmarkHistogramRecord|BenchmarkTelemetryOverhead|BenchmarkM
 # Pinned in BENCH_chaos.json.
 BENCH_CHAOS_SET = ^BenchmarkChaosRecovery$$
 
-# The lint benchmark: the full qcdoclint gate (go list + type-check +
-# every analyzer, tests included) over the whole tree. Pinned in
-# BENCH_lint.json so callgraph-fixpoint or analyzer-cost regressions
-# are visible in review rather than as CI wall time (DESIGN.md §11).
-BENCH_LINT_SET = ^BenchmarkQcdoclintTree$$
-
-.PHONY: check vet lint fuzz build test race bench bench-smoke benchall tables chaos chaos-storm fleet obs
+.PHONY: check vet lint fuzz build test race bench bench-smoke benchall tables chaos chaos-storm fleet obs loc
 
 check: vet lint build race fuzz
 
@@ -98,14 +86,10 @@ bench:
 		| $(GO) run ./cmd/benchjson -meta suite=frames -o BENCH_frames.json
 	$(GO) test -run '^$$' -bench '$(BENCH_PARALLEL_SET)' -benchmem -benchtime 3x -count=3 . \
 		| $(GO) run ./cmd/benchjson -meta suite=parallel -o BENCH_parallel.json
-	$(GO) test -run '^$$' -bench '$(BENCH_FLEET_SET)' -benchmem -benchtime 1x -count=3 . \
-		| $(GO) run ./cmd/benchjson -meta suite=fleet -o BENCH_fleet.json
 	$(GO) test -run '^$$' -bench '$(BENCH_OBS_SET)' -benchmem -count=5 . \
 		| $(GO) run ./cmd/benchjson -meta suite=obs -o BENCH_obs.json
 	$(GO) test -run '^$$' -bench '$(BENCH_CHAOS_SET)' -benchmem -benchtime 1x -count=3 . \
 		| $(GO) run ./cmd/benchjson -meta suite=chaos -o BENCH_chaos.json
-	$(GO) test -run '^$$' -bench '$(BENCH_LINT_SET)' -benchmem -benchtime 1x -count=3 . \
-		| $(GO) run ./cmd/benchjson -meta suite=lint -o BENCH_lint.json
 
 benchall:
 	$(GO) test -bench=. -benchmem ./...
@@ -121,6 +105,13 @@ bench-smoke:
 
 tables:
 	$(GO) run ./cmd/benchtables
+
+# Lines of Go by ROADMAP's rule — the number the "least code" north star
+# tracks. bench/ is its own module and counted apart.
+loc:
+	@printf 'non-test Go: %s lines\n' "$$(find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' | xargs cat | wc -l)"
+	@printf 'test Go:     %s lines\n' "$$(find . -name '*_test.go' -not -path './bench/*' | xargs cat | wc -l)"
+	@printf 'bench/ Go:   %s lines\n' "$$(find ./bench -name '*.go' | xargs cat | wc -l)"
 
 # Chaos gate: the E16 scenario under two fixed fault seeds, each run
 # twice — qcdoc exits non-zero unless both runs of a seed produce the

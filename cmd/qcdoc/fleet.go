@@ -10,8 +10,6 @@ import (
 	"time"
 
 	"qcdoc/internal/core"
-	"qcdoc/internal/event"
-	"qcdoc/internal/faultplan"
 	"qcdoc/internal/fermion"
 	"qcdoc/internal/fleet"
 	"qcdoc/internal/geom"
@@ -76,30 +74,19 @@ func cmdFleet(args []string) {
 		*chaos = true
 	}
 	if *chaos {
-		// Mirror `qcdoc chaos` defaults so fleet digests are comparable
-		// to standalone runs of the same seeds.
-		base.Seed = 4001
-		base.Tol = 1e-8
-		base.MaxIter = 400
-		base.CheckpointEvery = 10
-		base.Chaos = true
-		base.Faults = faultplan.Spec{
-			From:        2 * event.Millisecond,
-			To:          10 * event.Millisecond,
-			NodeCrashes: 1,
-			NetDrops:    2,
-			NetDups:     1,
-			LinkBursts:  1,
+		// The canonical scenario (`qcdoc chaos`, `-soak` under -storm), so
+		// fleet digests equal standalone runs of the same seeds.
+		c := core.CanonicalChaos(0)
+		if *storm {
+			c = c.Soak()
 		}
-	}
-	if *storm {
-		// Mirror `qcdoc chaos -soak` so storm digests line up with
-		// standalone soak runs of the same seeds.
-		base.MaxAttempts = 6
-		base.Faults.ChunkCorrupts += 2
-		base.Faults.ChunkTorns++
-		base.Faults.WatchdogFalsePositives++
-		base.Faults.RecoveryCrashes++
+		base.Seed = c.Seed
+		base.Tol = c.Tol
+		base.MaxIter = c.MaxIter
+		base.CheckpointEvery = c.CheckpointEvery
+		base.MaxAttempts = c.MaxAttempts
+		base.Chaos = true
+		base.Faults = c.Spec
 	}
 
 	var lattices []lattice.Shape4

@@ -316,19 +316,23 @@ func cmdEstimate(args []string) {
 // must exhaust the ladder with a typed error.
 func cmdChaos(args []string) {
 	fs := flag.NewFlagSet("chaos", flag.ExitOnError)
-	mshape := fs.String("machine", "2,2,2", "six-dimensional machine shape (comma separated)")
-	lat := fs.String("lattice", "4,4,4,4", "global lattice")
-	seed := fs.Uint64("seed", 4001, "configuration seed")
-	faultSeed := fs.Uint64("faultseed", 16, "fault plan seed (same seed = same faults, same timeline)")
-	mass := fs.Float64("mass", 0.5, "quark mass")
-	tol := fs.Float64("tol", 1e-8, "relative tolerance")
-	maxIter := fs.Int("maxiter", 400, "iteration limit per attempt")
-	ckptEvery := fs.Int("ckpt-every", 10, "checkpoint the solver state every N CG iterations")
-	crashes := fs.Int("crashes", 1, "node crashes to draw")
+	// Every default is the canonical scenario's, so a bare `qcdoc chaos`
+	// is that scenario and its digest is the one the tests pin.
+	def := core.CanonicalChaos(16)
+	commas := func(v fmt.Stringer) string { return strings.ReplaceAll(v.String(), "x", ",") }
+	mshape := fs.String("machine", commas(def.Shape), "six-dimensional machine shape (comma separated)")
+	lat := fs.String("lattice", commas(def.Global), "global lattice")
+	seed := fs.Uint64("seed", def.Seed, "configuration seed")
+	faultSeed := fs.Uint64("faultseed", def.FaultSeed, "fault plan seed (same seed = same faults, same timeline)")
+	mass := fs.Float64("mass", def.Mass, "quark mass")
+	tol := fs.Float64("tol", def.Tol, "relative tolerance")
+	maxIter := fs.Int("maxiter", def.MaxIter, "iteration limit per attempt")
+	ckptEvery := fs.Int("ckpt-every", def.CheckpointEvery, "checkpoint the solver state every N CG iterations")
+	crashes := fs.Int("crashes", def.Spec.NodeCrashes, "node crashes to draw")
 	hangs := fs.Int("hangs", 0, "node hangs to draw")
-	bursts := fs.Int("bursts", 1, "link error bursts to draw")
-	drops := fs.Int("drops", 2, "management packets to drop")
-	dups := fs.Int("dups", 1, "management packets to duplicate")
+	bursts := fs.Int("bursts", def.Spec.LinkBursts, "link error bursts to draw")
+	drops := fs.Int("drops", def.Spec.NetDrops, "management packets to drop")
+	dups := fs.Int("dups", def.Spec.NetDups, "management packets to duplicate")
 	soak := fs.Bool("soak", false, "compound preset: +2 chunk corruptions, +1 torn write, +1 false death report, +1 recovery crash, 6 attempts")
 	chunkCorrupts := fs.Int("chunk-corrupts", 0, "checkpoint chunk bit-flips to draw (host storage plane)")
 	chunkTorns := fs.Int("chunk-torns", 0, "torn checkpoint writes to draw (host storage plane)")
@@ -359,8 +363,8 @@ func cmdChaos(args []string) {
 		MaxAttempts:     *maxAttempts,
 		Recovery:        core.RecoveryConfig{Generations: *generations},
 		Spec: faultplan.Spec{
-			From:                   2 * event.Millisecond,
-			To:                     10 * event.Millisecond,
+			From:                   def.Spec.From,
+			To:                     def.Spec.To,
 			NodeCrashes:            *crashes,
 			NodeHangs:              *hangs,
 			LinkBursts:             *bursts,
@@ -375,15 +379,7 @@ func cmdChaos(args []string) {
 		},
 	}
 	if *soak {
-		// Mirror core's soak scenario (TestChaosSoakCompound) so CLI
-		// digests are comparable to the test's.
-		if cfg.MaxAttempts == 0 {
-			cfg.MaxAttempts = 6
-		}
-		cfg.Spec.ChunkCorrupts += 2
-		cfg.Spec.ChunkTorns++
-		cfg.Spec.WatchdogFalsePositives++
-		cfg.Spec.RecoveryCrashes++
+		cfg = cfg.Soak()
 	}
 	if *workers > 0 {
 		cfg.Shards = machine.ShardAuto

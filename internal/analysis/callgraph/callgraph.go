@@ -183,8 +183,8 @@ func (g *Graph) Why(fn *types.Func, flag Flags) string {
 var Schedulers = map[string]bool{
 	"At": true, "After": true, "AtHandler": true, "AfterHandler": true,
 	"Spawn": true, "SpawnDaemon": true,
-	"Put": true, "PutAfter": true, "Fire": true,
-	"Arm": true, "ArmAt": true, "Goto": true, "Sleep": true,
+	"Put": true, "Fire": true,
+	"Arm": true, "ArmAt": true, "Goto": true,
 	"CrossAt": true, "CrossPayload": true, "AtGlobal": true,
 }
 

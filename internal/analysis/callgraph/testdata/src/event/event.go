@@ -7,7 +7,10 @@ type Time int64
 
 type Payload [4]uint64
 
-type PayloadHandler interface{ HandlePayload(arg uint64, p Payload) }
+type PayloadHandler interface {
+	HandleEvent(arg uint64)
+	AcceptPayload(p Payload)
+}
 
 type Scheduler interface {
 	Now() Time

@@ -4,15 +4,15 @@
 // The event engine has two process tiers (DESIGN.md §8): coroutine
 // processes (Spawn/Proc) that may block — Proc.Sleep, Gate.Wait,
 // Queue.Get all yield the goroutine's control token — and
-// zero-goroutine continuation callbacks (Engine.At/After, StateMachine
-// handlers, Timer and Handler dispatch) that run to completion inside
+// zero-goroutine continuation callbacks (Engine.At/After, Timer and
+// Handler dispatch) that run to completion inside
 // the engine's dispatch loop. A continuation callback that calls a
 // blocking API has no token to yield: it either panics on the engine
 // goroutine or deadlocks the whole simulated machine. The type system
 // cannot see the difference — both tiers are plain funcs — so contsafe
 // tracks it statically: every function that reaches the continuation
-// tier (a literal or named function passed to Engine.At/After,
-// StateMachine.Sleep, Engine.NewTimer, or a HandleEvent method
+// tier (a literal or named function passed to Engine.At/After or
+// Engine.NewTimer, or a HandleEvent method
 // implementing event.Handler, plus everything those call within the
 // package) must not call a blocking API or accept the coroutine token
 // (*event.Proc) as an argument value.
@@ -30,7 +30,7 @@ var Analyzer = &analysis.Analyzer{
 	Name: "contsafe",
 	Doc: "forbid blocking coroutine APIs (Proc.Sleep, Gate.Wait, Queue.Get, Engine.Run) " +
 		"inside continuation-tier callbacks registered via Engine.At/After, " +
-		"StateMachine.Sleep, Engine.NewTimer, or Handler.HandleEvent; " +
+		"Engine.NewTimer, or Handler.HandleEvent; " +
 		"waive a call with //qcdoclint:blocking-ok.",
 	Run: run,
 }
@@ -40,14 +40,13 @@ var Analyzer = &analysis.Analyzer{
 var registrars = map[string]int{
 	"At":       1, // Engine.At(t, fn)
 	"After":    1, // Engine.After(d, fn)
-	"Sleep":    1, // StateMachine.Sleep(d, fn) — Proc.Sleep has 1 arg, never matches
 	"NewTimer": 0, // Engine.NewTimer(fn)
 }
 
 // blocking are the coroutine APIs that yield the control token:
 // receiver type name -> method names.
 var blocking = map[string]map[string]bool{
-	"Proc":   {"Sleep": true, "SleepUntil": true},
+	"Proc":   {"Sleep": true},
 	"Gate":   {"Wait": true, "WaitUntil": true},
 	"Queue":  {"Get": true, "GetTimeout": true},
 	"Engine": {"Run": true, "RunAll": true},
@@ -127,10 +126,7 @@ func run(pass *analysis.Pass) (any, error) {
 				if !isReg || idx >= len(call.Args) {
 					return true
 				}
-				// Engine.At/After/NewTimer and StateMachine.Sleep only;
-				// Proc.Sleep takes one argument and never reaches here
-				// with idx 1, but be explicit about the receiver.
-				if recv != "Engine" && recv != "StateMachine" {
+				if recv != "Engine" {
 					return true
 				}
 				addCallback(call.Args[idx], recv+"."+name)

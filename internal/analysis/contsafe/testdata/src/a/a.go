@@ -1,7 +1,6 @@
 // Fixture for the contsafe analyzer: blocking coroutine APIs are
 // flagged inside continuation-tier callbacks (Engine.At/After closures,
-// StateMachine.Sleep continuations, Engine.NewTimer callbacks,
-// HandleEvent methods, and everything they call in-package); coroutine
+// Engine.NewTimer callbacks, HandleEvent methods, and everything they call in-package); coroutine
 // bodies may block freely, and //qcdoclint:blocking-ok waives a call.
 package a
 
@@ -16,15 +15,15 @@ func literals(eng *event.Engine, g *event.Gate, p *event.Proc) {
 	})
 }
 
-func machine(sm *event.StateMachine, q *event.Queue, p *event.Proc) {
-	sm.Sleep(5, func() {
+func queue(eng *event.Engine, q *event.Queue, p *event.Proc) {
+	eng.After(5, func() {
 		_ = q.Get(p) // want `calls blocking Queue.Get`
 	})
 }
 
 func timer(eng *event.Engine, p *event.Proc) {
 	t := eng.NewTimer(func() {
-		p.SleepUntil(9) // want `calls blocking Proc.SleepUntil`
+		p.Sleep(9) // want `calls blocking Proc.Sleep`
 	})
 	t.Arm(4)
 }

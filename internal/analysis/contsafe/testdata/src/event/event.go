@@ -9,25 +9,24 @@ type Handler interface{ HandleEvent(arg uint64) }
 
 type Engine struct{}
 
-func (e *Engine) Now() Time                              { return 0 }
-func (e *Engine) At(t Time, fn func())                   {}
-func (e *Engine) After(d Time, fn func())                {}
+func (e *Engine) Now() Time                               { return 0 }
+func (e *Engine) At(t Time, fn func())                    {}
+func (e *Engine) After(d Time, fn func())                 {}
 func (e *Engine) AtHandler(t Time, h Handler, arg uint64) {}
-func (e *Engine) NewTimer(fn func()) *Timer              { return &Timer{} }
-func (e *Engine) Run() bool                              { return false }
-func (e *Engine) RunAll()                                {}
-func (e *Engine) Spawn(name string, fn func(*Proc))      {}
+func (e *Engine) NewTimer(fn func()) *Timer               { return &Timer{} }
+func (e *Engine) Run() bool                               { return false }
+func (e *Engine) RunAll()                                 {}
+func (e *Engine) Spawn(name string, fn func(*Proc))       {}
 
 type Timer struct{}
 
-func (t *Timer) Arm(d Time)  {}
+func (t *Timer) Arm(d Time)    {}
 func (t *Timer) ArmAt(at Time) {}
-func (t *Timer) Stop()       {}
+func (t *Timer) Stop()         {}
 
 type Proc struct{}
 
-func (p *Proc) Sleep(d Time)      {}
-func (p *Proc) SleepUntil(t Time) {}
+func (p *Proc) Sleep(d Time) {}
 
 type Gate struct{}
 
@@ -41,5 +40,4 @@ func (q *Queue) Put(v int)       {}
 
 type StateMachine struct{}
 
-func (s *StateMachine) Sleep(d Time, fn func()) {}
-func (s *StateMachine) Goto(fn func())          {}
+func (s *StateMachine) Goto(fn func()) {}

@@ -62,7 +62,8 @@ var crossClosureArg = map[string]int{
 
 func run(pass *analysis.Pass) (any, error) {
 	// The event package implements the crossing; its internals move
-	// items between shard heaps by construction.
+	// items from a mailbox to the destination shard's queue by
+	// construction.
 	if analysis.PkgIs(pass.Pkg.Path(), "event") {
 		return nil, nil
 	}
@@ -464,8 +465,10 @@ func checkClosureCrossing(pass *analysis.Pass, g *callgraph.Graph, fd *ast.FuncD
 }
 
 // checkPayloadCrossing flags CrossPayload words derived from pointers:
-// a by-value [4]uint64 crosses safely, but an address packed into a
-// word re-aliases the source shard on arrival.
+// a by-value [4]uint64 crosses safely, but an address packed into the
+// arg or a payload word re-aliases the source shard when the handler's
+// AcceptPayload (at the barrier) or HandleEvent (on the destination
+// shard) unpacks it.
 func checkPayloadCrossing(pass *analysis.Pass, g *callgraph.Graph, facts *funcFacts, call *ast.CallExpr) {
 	info := pass.TypesInfo
 	if len(call.Args) < 4 {

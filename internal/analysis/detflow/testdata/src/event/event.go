@@ -26,8 +26,7 @@ func (t *Timer) Stop()         {}
 
 type Proc struct{}
 
-func (p *Proc) Sleep(d Time)      {}
-func (p *Proc) SleepUntil(t Time) {}
+func (p *Proc) Sleep(d Time) {}
 
 type Gate struct{}
 
@@ -41,13 +40,15 @@ func (q *Queue) Put(v int)       {}
 
 type StateMachine struct{}
 
-func (s *StateMachine) Sleep(d Time, fn func()) {}
-func (s *StateMachine) Goto(fn func())          {}
+func (s *StateMachine) Goto(fn func()) {}
 
 // Cross-shard surface, so fixtures can exercise the cross schedulers.
 type Payload [4]uint64
 
-type PayloadHandler interface{ HandlePayload(arg uint64, p Payload) }
+type PayloadHandler interface {
+	Handler
+	AcceptPayload(p Payload)
+}
 
 func (e *Engine) CrossAt(dst *Engine, t Time, fn func())                                  {}
 func (e *Engine) CrossPayload(dst *Engine, t Time, h PayloadHandler, a uint64, p Payload) {}

@@ -3,19 +3,18 @@
 //
 // Under the conservative parallel engine (DESIGN.md §13) every node,
 // wire and management port belongs to exactly one shard, and code
-// scheduled on a shard's engine — Engine.At/After closures, Timer and
-// StateMachine continuations, Spawned coroutine bodies, HandleEvent and
-// HandlePayload dispatch — may run concurrently with every other
-// shard's window. Such code must touch only the hardware its own shard
+// scheduled on a shard's engine — Engine.At/After closures, Timer
+// continuations, Spawned coroutine bodies, HandleEvent dispatch — may
+// run concurrently with every other shard's window. Such code must touch only the hardware its own shard
 // owns; reaching into the machine-wide collections ([]*node.Node,
 // []*hssl.Wire, []*ethjtag.Port) selects an element that is, in
 // general, another shard's state, and mutating it there is a data race
 // the channel-queue protocol exists to prevent. The sanctioned escape
 // hatches are exactly the channel-queue path and the serialized tiers:
 // callbacks handed to Engine.CrossAt (run on the owning shard),
-// Cluster.AtGlobal (run serially with all shard clocks aligned) and
-// Cluster.OnBarrier (run serially between windows) are exempt, as is
-// any line waived with //qcdoclint:shard-ok — the reviewable record
+// Cluster.AtGlobal (run serially with all shard clocks aligned),
+// Cluster.OnBarrier and PayloadHandler.AcceptPayload (both run serially
+// between windows) are exempt, as is any line waived with //qcdoclint:shard-ok — the reviewable record
 // that an access is rank-local or pre-run by construction.
 package shardsafe
 
@@ -31,8 +30,7 @@ var Analyzer = &analysis.Analyzer{
 	Name: "shardsafe",
 	Doc: "forbid indexing or element-ranging the machine-wide hardware collections " +
 		"([]*node.Node, []*hssl.Wire, []*ethjtag.Port) inside shard-context code " +
-		"(Engine.At/After/NewTimer/Spawn callbacks, StateMachine continuations, " +
-		"HandleEvent/HandlePayload methods); route cross-shard actions through " +
+		"(Engine.At/After/NewTimer/Spawn callbacks, HandleEvent methods); route cross-shard actions through " +
 		"CrossAt/CrossPayload/AtGlobal/OnBarrier or waive with //qcdoclint:shard-ok.",
 	Run: run,
 }
@@ -48,7 +46,6 @@ var shardRegs = map[string]map[string]int{
 		"Spawn":       1,
 		"SpawnDaemon": 1,
 	},
-	"StateMachine": {"Sleep": 1},
 }
 
 // exemptRegs are the sanctioned cross-shard registrars: their callbacks
@@ -277,34 +274,16 @@ func calleeFunc(pass *analysis.Pass, call *ast.CallExpr) *types.Func {
 }
 
 // isDispatchSig reports whether a method is engine dispatch surface:
-// HandleEvent(uint64) or HandlePayload(uint64, event.Payload).
+// HandleEvent(uint64). (AcceptPayload is not: it runs at the barrier.)
 func isDispatchSig(pass *analysis.Pass, fd *ast.FuncDecl) bool {
 	fn, ok := pass.TypesInfo.Defs[fd.Name].(*types.Func)
-	if !ok {
+	if !ok || fd.Name.Name != "HandleEvent" {
 		return false
 	}
 	sig := fn.Type().(*types.Signature)
-	if sig.Results().Len() != 0 {
+	if sig.Results().Len() != 0 || sig.Params().Len() != 1 {
 		return false
 	}
-	switch fd.Name.Name {
-	case "HandleEvent":
-		if sig.Params().Len() != 1 {
-			return false
-		}
-		b, ok := sig.Params().At(0).Type().(*types.Basic)
-		return ok && b.Kind() == types.Uint64
-	case "HandlePayload":
-		if sig.Params().Len() != 2 {
-			return false
-		}
-		b, ok := sig.Params().At(0).Type().(*types.Basic)
-		if !ok || b.Kind() != types.Uint64 {
-			return false
-		}
-		named, ok := sig.Params().At(1).Type().(*types.Named)
-		return ok && named.Obj().Name() == "Payload" && named.Obj().Pkg() != nil &&
-			analysis.PkgIs(named.Obj().Pkg().Path(), "event")
-	}
-	return false
+	b, ok := sig.Params().At(0).Type().(*types.Basic)
+	return ok && b.Kind() == types.Uint64
 }

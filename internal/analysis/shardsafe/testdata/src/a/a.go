@@ -1,9 +1,9 @@
 // Fixture for the shardsafe analyzer: shard-context code (At/After
-// closures, timers, spawned bodies, HandleEvent/HandlePayload methods,
-// and everything they call in-package) must not index or element-range
-// the machine-wide hardware collections; callbacks routed through
-// CrossAt/AtGlobal/OnBarrier are exempt, and //qcdoclint:shard-ok
-// waives a line.
+// closures, timers, spawned bodies, HandleEvent methods, and everything
+// they call in-package) must not index or element-range the machine-wide
+// hardware collections; callbacks routed through
+// CrossAt/AtGlobal/OnBarrier and AcceptPayload methods are exempt, and
+// //qcdoclint:shard-ok waives a line.
 package a
 
 import (
@@ -57,8 +57,9 @@ func (s *svc) HandleEvent(uint64) {
 	s.m.Nodes[2].Crash() // want `indexes the machine-wide \[\]\*node.Node`
 }
 
-func (s *svc) HandlePayload(arg uint64, p event.Payload) {
-	s.m.Wires[1].Kill() // want `indexes the machine-wide \[\]\*hssl.Wire`
+// AcceptPayload runs at the barrier, serially, like an OnBarrier hook.
+func (s *svc) AcceptPayload(p event.Payload) {
+	s.m.Wires[1].Kill()
 }
 
 // Index-only ranges never touch elements: not flagged.

@@ -9,17 +9,20 @@ type Payload [4]uint64
 
 type Handler interface{ HandleEvent(arg uint64) }
 
-type PayloadHandler interface{ HandlePayload(arg uint64, p Payload) }
+type PayloadHandler interface {
+	Handler
+	AcceptPayload(p Payload)
+}
 
 type Engine struct{}
 
-func (e *Engine) Now() Time                                                  { return 0 }
-func (e *Engine) At(t Time, fn func())                                       {}
-func (e *Engine) After(d Time, fn func())                                    {}
-func (e *Engine) NewTimer(fn func()) *Timer                                  { return &Timer{} }
-func (e *Engine) Spawn(name string, fn func(*Proc)) *Proc                    { return &Proc{} }
-func (e *Engine) SpawnDaemon(name string, fn func(*Proc)) *Proc              { return &Proc{} }
-func (e *Engine) CrossAt(dst *Engine, t Time, fn func())                     {}
+func (e *Engine) Now() Time                                     { return 0 }
+func (e *Engine) At(t Time, fn func())                          {}
+func (e *Engine) After(d Time, fn func())                       {}
+func (e *Engine) NewTimer(fn func()) *Timer                     { return &Timer{} }
+func (e *Engine) Spawn(name string, fn func(*Proc)) *Proc       { return &Proc{} }
+func (e *Engine) SpawnDaemon(name string, fn func(*Proc)) *Proc { return &Proc{} }
+func (e *Engine) CrossAt(dst *Engine, t Time, fn func())        {}
 func (e *Engine) CrossPayload(dst *Engine, t Time, h PayloadHandler, arg uint64, p Payload) {
 }
 
@@ -36,7 +39,3 @@ func (t *Timer) Stop()      {}
 type Proc struct{}
 
 func (p *Proc) Sleep(d Time) {}
-
-type StateMachine struct{}
-
-func (s *StateMachine) Sleep(d Time, fn func()) {}

@@ -40,6 +40,7 @@ import (
 	"qcdoc/internal/node"
 	"qcdoc/internal/qdaemon"
 	"qcdoc/internal/qos"
+	"qcdoc/internal/rng"
 	"qcdoc/internal/solver"
 	"qcdoc/internal/telemetry"
 )
@@ -117,6 +118,50 @@ func (c ChaosConfig) withDefaults() ChaosConfig {
 		c.Heartbeat = 100 * event.Microsecond
 	}
 	c.Recovery = c.Recovery.withDefaults()
+	return c
+}
+
+// CanonicalChaos is the reference chaos scenario (E16): an 8-node machine
+// running a distributed Wilson solve on a 4^4 lattice while the fault
+// plan kills a node mid-solve, drops and duplicates management packets
+// during boot, and corrupts one link in a burst. Everything — victim,
+// picosecond, detection, restart — derives from faultSeed; heartbeat and
+// watchdog policy are the defaults. `qcdoc chaos`, `qcdoc fleet -chaos`,
+// experiment E16 and the tests all start from this one value, which is
+// what makes their digests comparable.
+func CanonicalChaos(faultSeed uint64) ChaosConfig {
+	return ChaosConfig{
+		Shape:           geom.MakeShape(2, 2, 2),
+		Global:          lattice.Shape4{4, 4, 4, 4},
+		Seed:            4001,
+		FaultSeed:       faultSeed,
+		Mass:            0.5,
+		Tol:             1e-8,
+		MaxIter:         400,
+		CheckpointEvery: 10,
+		Spec: faultplan.Spec{
+			From:        2 * event.Millisecond,
+			To:          10 * event.Millisecond,
+			NodeCrashes: 1,
+			NetDrops:    2,
+			NetDups:     1,
+			LinkBursts:  1,
+		},
+	}
+}
+
+// Soak adds the compound second-order preset to a scenario: two
+// checkpoint chunk corruptions, a torn write, a spurious death report
+// and a second death inside the recovery window, with attempt headroom
+// (6 unless already set) for the ladder to climb.
+func (c ChaosConfig) Soak() ChaosConfig {
+	if c.MaxAttempts == 0 {
+		c.MaxAttempts = 6
+	}
+	c.Spec.ChunkCorrupts += 2
+	c.Spec.ChunkTorns++
+	c.Spec.WatchdogFalsePositives++
+	c.Spec.RecoveryCrashes++
 	return c
 }
 
@@ -428,44 +473,37 @@ func iterationsOf(fs map[string][]byte, a int) map[int]bool {
 // determinism currency: two runs with the same -faultseed must agree
 // here exactly.
 func (o *ChaosOutcome) computeDigest() uint64 {
-	h := uint64(14695981039346656037)
-	mix := func(v uint64) {
-		for i := 0; i < 8; i++ {
-			h ^= v & 0xFF
-			h *= 1099511628211
-			v >>= 8
-		}
-	}
+	h := rng.NewFold()
 	b := func(v bool) uint64 {
 		if v {
 			return 1
 		}
 		return 0
 	}
-	mix(o.PlanDigest)
+	h.Mix(o.PlanDigest)
 	for _, a := range o.Attempts {
-		mix(uint64(a.Nodes))
-		mix(uint64(a.RestoredIter))
-		mix(uint64(a.Iterations))
-		mix(b(a.Aborted))
-		mix(b(a.Converged))
-		mix(uint64(a.Failure.Rank))
-		mix(uint64(a.Failure.Board))
-		mix(b(a.Failure.Crashed))
-		mix(uint64(a.Failure.DetectedAt))
-		mix(uint64(a.Failure.DetectLatency))
-		mix(uint64(a.EndedAt))
+		h.Mix(uint64(a.Nodes))
+		h.Mix(uint64(a.RestoredIter))
+		h.Mix(uint64(a.Iterations))
+		h.Mix(b(a.Aborted))
+		h.Mix(b(a.Converged))
+		h.Mix(uint64(a.Failure.Rank))
+		h.Mix(uint64(a.Failure.Board))
+		h.Mix(b(a.Failure.Crashed))
+		h.Mix(uint64(a.Failure.DetectedAt))
+		h.Mix(uint64(a.Failure.DetectLatency))
+		h.Mix(uint64(a.EndedAt))
 	}
-	mix(uint64(len(o.Rungs)))
+	h.Mix(uint64(len(o.Rungs)))
 	for _, r := range o.Rungs {
-		mix(uint64(r.Attempt))
-		mix(uint64(r.Kind))
-		mix(uint64(int64(r.Rank)))
-		mix(uint64(r.Gen))
-		mix(uint64(r.At))
+		h.Mix(uint64(r.Attempt))
+		h.Mix(uint64(r.Kind))
+		h.Mix(uint64(int64(r.Rank)))
+		h.Mix(uint64(r.Gen))
+		h.Mix(uint64(r.At))
 	}
-	mix(b(o.Converged))
-	mix(math.Float64bits(o.RelResidual))
-	mix(uint64(o.SolutionCRC))
-	return h
+	h.Mix(b(o.Converged))
+	h.Mix(math.Float64bits(o.RelResidual))
+	h.Mix(uint64(o.SolutionCRC))
+	return uint64(h)
 }

@@ -11,7 +11,6 @@ import (
 	"qcdoc/internal/geom"
 	"qcdoc/internal/lattice"
 	"qcdoc/internal/machine"
-	"qcdoc/internal/qdaemon"
 	"qcdoc/internal/telemetry"
 )
 
@@ -25,32 +24,6 @@ const (
 	chaosExhaustSeed = 16
 )
 
-// chaosConfig is the E16 scenario: an 8-node machine, a crash drawn to
-// land mid-solve, management-network drop/dup noise during boot, and a
-// transient link burst — all from one fault seed.
-func chaosConfig(faultSeed uint64) ChaosConfig {
-	return ChaosConfig{
-		Shape:           geom.MakeShape(2, 2, 2),
-		Global:          lattice.Shape4{4, 4, 4, 4},
-		Seed:            4001,
-		FaultSeed:       faultSeed,
-		Mass:            0.5,
-		Tol:             1e-8,
-		MaxIter:         400,
-		CheckpointEvery: 10,
-		Heartbeat:       100 * event.Microsecond,
-		Watchdog:        qdaemon.WatchdogConfig{Period: 500 * event.Microsecond, Misses: 3},
-		Spec: faultplan.Spec{
-			From:        2 * event.Millisecond,
-			To:          10 * event.Millisecond,
-			NodeCrashes: 1,
-			NetDrops:    2,
-			NetDups:     1,
-			LinkBursts:  1,
-		},
-	}
-}
-
 // TestChaosWilsonSurvivesNodeDeath drives the full recovery loop:
 // inject -> detect -> isolate -> restore -> converge, twice, and pins
 // bit-identical outcome digests (recovery-event timing included).
@@ -59,7 +32,7 @@ func TestChaosWilsonSurvivesNodeDeath(t *testing.T) {
 		t.Skip("chaos run")
 	}
 	run := func() *ChaosOutcome {
-		out, err := RunChaosWilson(chaosConfig(16))
+		out, err := RunChaosWilson(CanonicalChaos(16))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -105,7 +78,7 @@ func TestChaosWilsonNoFaults(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos run")
 	}
-	cfg := chaosConfig(1)
+	cfg := CanonicalChaos(1)
 	cfg.Spec = faultplan.Spec{}
 	out, err := RunChaosWilson(cfg)
 	if err != nil {
@@ -114,19 +87,6 @@ func TestChaosWilsonNoFaults(t *testing.T) {
 	if len(out.Attempts) != 1 || !out.Converged || out.Attempts[0].Aborted {
 		t.Fatalf("clean run: %+v", out.Attempts)
 	}
-}
-
-// soakChaosConfig is the -soak compound scenario: a first-order death
-// plus second-order and storage-plane faults, with attempt headroom for
-// the ladder to climb (mirrored by the qcdoc chaos -soak preset).
-func soakChaosConfig(faultSeed uint64) ChaosConfig {
-	cfg := chaosConfig(faultSeed)
-	cfg.MaxAttempts = 6
-	cfg.Spec.ChunkCorrupts = 2
-	cfg.Spec.ChunkTorns = 1
-	cfg.Spec.WatchdogFalsePositives = 1
-	cfg.Spec.RecoveryCrashes = 1
-	return cfg
 }
 
 func hasRung(out *ChaosOutcome, kind RungKind) bool {
@@ -273,7 +233,7 @@ func TestChaosSoakCompound(t *testing.T) {
 		t.Skip("chaos soak run")
 	}
 	run := func(workers int) *ChaosOutcome {
-		cfg := soakChaosConfig(chaosSoakSeed)
+		cfg := CanonicalChaos(chaosSoakSeed).Soak()
 		if workers > 0 {
 			cfg.Shards = machine.ShardAuto
 			cfg.Workers = workers
@@ -318,7 +278,7 @@ func TestChaosSoakCompound(t *testing.T) {
 	// A fully observed run must surface the supervisor's ladder
 	// histograms in the merged telemetry — and must not perturb the
 	// digest by a bit (the zero-perturbation contract, DESIGN.md §15).
-	cfgT := soakChaosConfig(chaosSoakSeed)
+	cfgT := CanonicalChaos(chaosSoakSeed).Soak()
 	cfgT.Telemetry = true
 	oT, err := RunChaosWilson(cfgT)
 	if err != nil {
@@ -343,7 +303,7 @@ func TestChaosPartitionExhausted(t *testing.T) {
 		t.Skip("chaos run")
 	}
 	run := func() (*ChaosOutcome, error) {
-		cfg := chaosConfig(chaosExhaustSeed)
+		cfg := CanonicalChaos(chaosExhaustSeed)
 		cfg.Shape = geom.MakeShape(2, 2)
 		cfg.MaxAttempts = 6
 		cfg.Spec.RecoveryCrashes = 1

@@ -76,7 +76,7 @@ func TestShardDeterminismDigests(t *testing.T) {
 	}
 
 	chaos := func(w int) (uint64, uint32) {
-		cfg := chaosConfig(16)
+		cfg := CanonicalChaos(16)
 		cfg.Shards = machine.ShardAuto
 		cfg.Workers = w
 		out, err := RunChaosWilson(cfg)

@@ -26,8 +26,9 @@ package event
 //     on a single engine.
 //   - Cross-shard messages are appended by their producing shard in its
 //     deterministic execution order and drained at the barrier in a
-//     fixed (destination, source, send-order) sweep, so the receiving
-//     shard assigns them sequence numbers identically on every run.
+//     fixed (destination, source, send-order) sweep into the receiving
+//     shard's one event queue, so it assigns them sequence numbers
+//     identically on every run.
 //   - Anything genuinely machine-wide (the partition-interrupt sampling
 //     clock) runs as a global event: a serial callback executed at a
 //     barrier with every shard clock aligned.
@@ -40,115 +41,24 @@ import (
 	"sync/atomic"
 )
 
-// Scheduler is the shard-aware scheduling surface a component holds
-// instead of assuming one global engine. Every *Engine is a Scheduler
-// for its own shard; the Cross* methods are the only sanctioned way to
-// make something happen on another shard, and they travel through the
-// cluster's barrier-drained mailboxes (the qcdoclint shardsafe analyzer
-// enforces the "only" part statically). On an unclustered engine the
-// Cross* methods degrade to local scheduling, so components written
-// against Scheduler run identically on a single-engine machine.
-type Scheduler interface {
-	Now() Time
-	At(t Time, fn func())
-	After(d Time, fn func())
-	AtHandler(t Time, h Handler, arg uint64)
-	AfterHandler(d Time, h Handler, arg uint64)
-	// ShardID identifies the shard (0 on an unclustered engine).
-	ShardID() int
-	// CrossAt schedules fn at time t on dst's shard. Cold control path:
-	// it may allocate, and t is clamped up to the earliest time the
-	// conservative protocol can still deliver (now + lookahead).
-	CrossAt(dst Scheduler, t Time, fn func())
-	// CrossPayload schedules h.HandlePayload(arg, p) at time t on dst's
-	// shard, allocation-free. Hot hardware path: t must already respect
-	// the lookahead (t >= now + lookahead) or the call panics — a
-	// violation means the caller's modelled latency is smaller than the
-	// lookahead the cluster was built with, which would be a silent
-	// determinism hole if clamped.
-	CrossPayload(dst Scheduler, t Time, h PayloadHandler, arg uint64, p Payload)
-}
-
-var _ Scheduler = (*Engine)(nil)
-
 // Payload is the fixed-size value carried by an allocation-free
 // cross-shard message — big enough for one HSSL frame (scupkt.Wire plus
 // its wire sequence number). Like scupkt.Wire itself, it is passed by
 // value so no shard ever aliases another shard's memory.
 type Payload [4]uint64
 
-// PayloadHandler is the cross-shard analogue of Handler: a pre-bound
-// event target that also receives a Payload value. Scheduling one
-// copies only an interface word, an argument and the payload into the
-// message, so the per-frame wire path stays allocation-free across a
-// shard boundary.
+// PayloadHandler is a Handler that can also be handed a Payload value
+// from another shard. A cross-shard delivery is two calls: AcceptPayload
+// at the barrier that drains the sender's mailbox — serial, like an
+// OnBarrier hook, so it may only store the value into state the
+// receiving side owns — and then an ordinary HandleEvent(arg) at the
+// delivery time, on the receiver's shard. Payloads are accepted in send
+// order and the handler pairs them with its events itself, so one
+// handler's deliveries must arrive in the order they were sent (a wire
+// is FIFO: one sender, arrival times in send order).
 type PayloadHandler interface {
-	HandlePayload(arg uint64, p Payload)
-}
-
-// xitem is a scheduled payload event on a shard's payload heap. The
-// payload heap shares its shard's sequence counter with the event
-// queue, so the merged dispatch order over both is total and stable.
-type xitem struct {
-	at   Time
-	seq  uint64
-	h    PayloadHandler
-	arg  uint64
-	p    Payload
-	flow uint64 // causal trace ID (trace.go); read only at dispatch
-}
-
-// payloadHeap is a binary min-heap of xitems ordered by (at, seq); the
-// sifts are hand-rolled for the same reason eventHeap's are.
-type payloadHeap []xitem
-
-func (h payloadHeap) less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
-}
-
-//qcdoc:noalloc
-func (h *payloadHeap) push(it xitem) {
-	*h = append(*h, it)
-	s := *h
-	i := len(s) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !s.less(i, parent) {
-			return
-		}
-		s[i], s[parent] = s[parent], s[i]
-		i = parent
-	}
-}
-
-//qcdoc:noalloc
-func (h *payloadHeap) pop() xitem {
-	s := *h
-	top := s[0]
-	n := len(s) - 1
-	s[0] = s[n]
-	s[n] = xitem{}
-	s = s[:n]
-	*h = s
-	i := 0
-	for {
-		l := 2*i + 1
-		if l >= n {
-			return top
-		}
-		child := l
-		if r := l + 1; r < n && s.less(r, l) {
-			child = r
-		}
-		if !s.less(child, i) {
-			return top
-		}
-		s[i], s[child] = s[child], s[i]
-		i = child
-	}
+	Handler
+	AcceptPayload(p Payload)
 }
 
 // xmsg is one cross-shard message parked in a mailbox between the
@@ -210,7 +120,7 @@ type Cluster struct {
 	panicVal any
 
 	// Worker-pool state; see worker. The pool exists only when
-	// workers > 1 and is parked on wake between runs.
+	// workers > 1 and is parked on wake whenever run is not executing.
 	started  bool
 	wake     chan struct{}
 	closed   bool
@@ -264,12 +174,6 @@ func Clusterize(host *Engine, n, workers int, lookahead Time) *Cluster {
 
 // NumShards returns the shard count.
 func (c *Cluster) NumShards() int { return len(c.shards) }
-
-// Workers returns the configured worker count.
-func (c *Cluster) Workers() int { return c.workers }
-
-// Lookahead returns the conservative lookahead.
-func (c *Cluster) Lookahead() Time { return c.look }
 
 // Shard returns shard i's engine (shard 0 is the host engine).
 func (c *Cluster) Shard(i int) *Engine { return c.shards[i] }
@@ -344,7 +248,7 @@ func (c *Cluster) alignClocks(t Time) {
 	}
 }
 
-// drainMail empties every mailbox into its destination shard's queues.
+// drainMail empties every mailbox into its destination shard's queue.
 // Serial (barrier) context only. The sweep order — destination major,
 // source minor, send order within a mailbox — fixes the sequence
 // numbers the destination assigns, making the merge deterministic.
@@ -355,11 +259,9 @@ func (c *Cluster) drainMail() {
 			for k := range mb.msgs {
 				m := &mb.msgs[k]
 				if m.h != nil {
-					dst.seq++
-					dst.xevents.push(xitem{at: m.at, seq: dst.seq, h: m.h, arg: m.arg, p: m.p, flow: m.flow})
-				} else {
-					dst.enqueue(m.at, m.fn, nil, 0, m.flow)
+					m.h.AcceptPayload(m.p)
 				}
+				dst.enqueue(m.at, m.fn, m.h, m.arg, m.flow) // fn or h, never both
 				c.stats.CrossMessages++
 				mb.msgs[k] = xmsg{} // release closure/handler references
 			}
@@ -374,6 +276,7 @@ func (c *Cluster) drainMail() {
 // *ErrStall, Stop ends the run at the next barrier.
 func (c *Cluster) run(until Time) error {
 	c.stopReq.Store(false)
+	defer c.parkWorkers()
 	for {
 		c.drainMail()
 		for _, h := range c.hooks {
@@ -466,7 +369,7 @@ func (c *Cluster) runWindow(wend, until Time) {
 	c.waitWorkers()
 }
 
-// startWorkers brings the pool out of idle for one run session.
+// startWorkers brings the pool out of idle for the current run.
 func (c *Cluster) startWorkers() {
 	if c.mode.Load() == 1 {
 		return
@@ -484,7 +387,8 @@ func (c *Cluster) startWorkers() {
 	}
 }
 
-// parkWorkers returns the pool to idle at the end of a run session.
+// parkWorkers returns the pool to idle; run defers it, so no pool
+// goroutine spins between runs or after a run that panicked.
 func (c *Cluster) parkWorkers() {
 	if c.mode.Load() != 1 {
 		return
@@ -581,16 +485,12 @@ func (e *Engine) runWindow(wend, until Time) {
 	}
 }
 
-// CrossAt schedules fn at time t on dst's shard — the cold control
+// CrossAt schedules fn at time t on d's shard — the cold control
 // path for cross-shard actions (fault injection, management hops). On
 // the same engine, or without a cluster, it is Engine.At. Across
 // shards, t is clamped up to now + lookahead: the earliest instant the
 // conservative window protocol can still deliver.
-func (e *Engine) CrossAt(dst Scheduler, t Time, fn func()) {
-	d, ok := dst.(*Engine)
-	if !ok {
-		panic("event: CrossAt destination is not an Engine")
-	}
+func (e *Engine) CrossAt(d *Engine, t Time, fn func()) {
 	if d == e || e.cluster == nil {
 		e.At(t, fn)
 		return
@@ -605,22 +505,20 @@ func (e *Engine) CrossAt(dst Scheduler, t Time, fn func()) {
 	mb.msgs = append(mb.msgs, xmsg{at: t, fn: fn, flow: e.curFlow})
 }
 
-// CrossPayload schedules h.HandlePayload(arg, p) at t on dst's shard,
-// allocation-free — the hot wire-delivery path. t must respect the
-// cluster lookahead; see Scheduler.
+// CrossPayload hands p to h (AcceptPayload) and schedules
+// h.HandleEvent(arg) at t on d's shard, allocation-free — the hot
+// wire-delivery path; see PayloadHandler. On the same engine, or without
+// a cluster, both happen here and now. Across shards t must already
+// respect the lookahead (t >= now + lookahead) or the call panics: a
+// violation means the caller's modelled latency is smaller than the
+// lookahead the cluster was built with, which would be a silent
+// determinism hole if clamped.
 //
 //qcdoc:noalloc
-func (e *Engine) CrossPayload(dst Scheduler, t Time, h PayloadHandler, arg uint64, p Payload) {
-	d, ok := dst.(*Engine)
-	if !ok {
-		panic("event: CrossPayload destination is not an Engine")
-	}
+func (e *Engine) CrossPayload(d *Engine, t Time, h PayloadHandler, arg uint64, p Payload) {
 	if d == e || e.cluster == nil {
-		if t < e.now {
-			t = e.now
-		}
-		e.seq++
-		e.xevents.push(xitem{at: t, seq: e.seq, h: h, arg: arg, p: p, flow: e.curFlow})
+		h.AcceptPayload(p)
+		e.AtHandler(t, h, arg)
 		return
 	}
 	if d.cluster != e.cluster {

@@ -1,17 +1,21 @@
 // Package event provides the discrete-event simulation core used by the
-// QCDOC machine model: a virtual clock with picosecond resolution, a
-// stable event queue, and a two-tier process model — coroutine processes
-// (Spawn/Proc, goroutines with a single token of control, for complex
-// control flow) and zero-goroutine continuation processes (At/After
-// callbacks and StateMachine, for the hot per-link hardware services).
-// Everything runs on the engine goroutine one event at a time, so no
-// locking is needed anywhere in the simulator's guts; see
-// statemachine.go for the tier model.
+// QCDOC machine model: a virtual clock with picosecond resolution, one
+// stable event queue per engine (queue.go), and a two-tier process model
+// — coroutine processes (Spawn/Proc, goroutines with a single token of
+// control) for programs, and zero-goroutine continuations (At/After
+// callbacks, Handler, Timer) for the per-link and per-node hardware
+// services; see statemachine.go for the tier model. Everything on an
+// engine runs on one goroutine, one event at a time, so no locking is
+// needed anywhere in the simulator's guts.
 //
-// The engine is deliberately sequential: the paper's machine is
+// An engine is deliberately sequential: the paper's machine is
 // self-synchronizing at the link level (§2.2), and a conservative,
 // deterministic scheduler is what makes the bit-identical reproducibility
-// experiment (E10) meaningful.
+// experiment (E10) meaningful. A Cluster (cluster.go) runs several
+// engines — shards of one machine — in parallel inside windows one link
+// latency wide; what crosses a shard boundary waits in a mailbox for the
+// next barrier and then becomes an ordinary event in the destination's
+// queue, so each shard is still exactly a sequential engine.
 package event
 
 import (
@@ -70,9 +74,6 @@ func (f Hz) Cycle() Time { return Time(int64(Second) / int64(f)) }
 // Cycles returns the duration of n clock cycles.
 func (f Hz) Cycles(n int64) Time { return Time(n) * f.Cycle() }
 
-// CyclesOf returns how many whole cycles fit in d.
-func (f Hz) CyclesOf(d Time) int64 { return int64(d) / int64(f.Cycle()) }
-
 // Handler is a pre-bound event target for the continuation tier's hot
 // paths. Scheduling a Handler copies only an interface word and a
 // uint64 argument into the event item, so services that fire an event
@@ -120,7 +121,6 @@ type Engine struct {
 	// An unclustered engine is its own shard 0.
 	cluster *Cluster
 	shard   int
-	xevents payloadHeap // cross-shard payload events, merged by (at, seq)
 }
 
 // New creates an engine with the clock at zero.
@@ -270,10 +270,10 @@ func (e *Engine) RunAll() error { return e.Run(Forever) }
 // Pending reports the number of queued events. On the host shard of a
 // cluster it sums every shard's queues (barrier-serial contexts only).
 func (e *Engine) Pending() int {
-	n := e.events.n + len(e.xevents)
+	n := e.events.n
 	if e.cluster != nil && e.shard == 0 {
 		for _, s := range e.cluster.shards[1:] {
-			n += s.events.n + len(s.xevents)
+			n += s.events.n
 		}
 	}
 	return n
@@ -436,9 +436,6 @@ func (p *Proc) Kill() {
 	}
 }
 
-// Killed reports whether Kill has been called on the process.
-func (p *Proc) Killed() bool { return p.killed }
-
 // IsKillPanic reports whether a recovered panic value is the engine's
 // process-unwind signal (from Shutdown or Proc.Kill) rather than an
 // application panic. Code that recovers around process bodies must
@@ -461,12 +458,6 @@ func (p *Proc) Engine() *Engine { return p.eng }
 // Sleep suspends the process for d of simulated time.
 func (p *Proc) Sleep(d Time) {
 	p.eng.After(d, p.wake)
-	p.yield("sleep")
-}
-
-// SleepUntil suspends the process until time t.
-func (p *Proc) SleepUntil(t Time) {
-	p.eng.At(t, p.wake)
 	p.yield("sleep")
 }
 
@@ -580,12 +571,6 @@ func NewQueue[T any](e *Engine, name string) *Queue[T] {
 func (q *Queue[T]) Put(item T) {
 	q.items = append(q.items, item)
 	q.gate.Fire()
-}
-
-// PutAfter makes item available d from now. Items put with different
-// delays are delivered in arrival-time order (ties broken by put order).
-func (q *Queue[T]) PutAfter(d Time, item T) {
-	q.eng.After(d, func() { q.Put(item) })
 }
 
 // TryGet removes and returns the head item if one is available now.

@@ -35,9 +35,6 @@ func TestHzCycle(t *testing.T) {
 	if got := (500 * MHz).Cycles(300); got != 600*Nanosecond {
 		t.Fatalf("300 cycles = %v", got)
 	}
-	if got := (500 * MHz).CyclesOf(600 * Nanosecond); got != 300 {
-		t.Fatalf("CyclesOf = %d", got)
-	}
 }
 
 func TestEventOrdering(t *testing.T) {
@@ -195,24 +192,6 @@ func TestQueueHandoff(t *testing.T) {
 	}
 }
 
-func TestQueuePutAfter(t *testing.T) {
-	e := New()
-	q := NewQueue[string](e, "wire")
-	var at Time
-	var item string
-	e.Spawn("rx", func(p *Proc) {
-		item = q.Get(p)
-		at = p.Now()
-	})
-	q.PutAfter(600*Nanosecond, "payload")
-	if err := e.RunAll(); err != nil {
-		t.Fatal(err)
-	}
-	if item != "payload" || at != 600*Nanosecond {
-		t.Fatalf("got %q at %v", item, at)
-	}
-}
-
 func TestQueueTryGet(t *testing.T) {
 	e := New()
 	q := NewQueue[int](e, "q")
@@ -307,21 +286,6 @@ func TestSpawnFromProc(t *testing.T) {
 	}
 	if !childRan {
 		t.Fatal("child did not run")
-	}
-}
-
-func TestSleepUntil(t *testing.T) {
-	e := New()
-	var at Time
-	e.Spawn("p", func(p *Proc) {
-		p.SleepUntil(123 * Nanosecond)
-		at = p.Now()
-	})
-	if err := e.RunAll(); err != nil {
-		t.Fatal(err)
-	}
-	if at != 123*Nanosecond {
-		t.Fatalf("woke at %v", at)
 	}
 }
 

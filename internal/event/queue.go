@@ -4,8 +4,8 @@ import "math/bits"
 
 // This file is the event queue: K sorted-run lanes in front of a binary
 // heap, the one enqueue that stores into them, and the dispatch step
-// that merges them with the payload heap. Whatever the container, events
-// leave in (at, seq) order — the determinism contract (DESIGN.md "The
+// that merges them. Whatever the container, events leave in (at, seq)
+// order — the determinism contract (DESIGN.md "The
 // event queue").
 
 // An item in the event queue: either a closure (fn) or a pre-bound
@@ -88,9 +88,8 @@ const numLanes = 8
 
 // Dispatch sources beyond the lanes 0..numLanes-1.
 const (
-	srcHeap    = numLanes
-	srcPayload = numLanes + 1
-	srcNone    = -1
+	srcHeap = numLanes
+	srcNone = -1
 )
 
 // lane is a ring of items that is non-decreasing in (at, seq) from head
@@ -126,8 +125,7 @@ type eventQueue struct {
 // QueueStats counts an engine's event-queue traffic: host-side
 // bookkeeping that no event can read, so it cannot move event order.
 type QueueStats struct {
-	// HighWater is the most events ever pending at once (payload events
-	// excluded).
+	// HighWater is the most events ever pending at once.
 	HighWater uint64 `json:"high_water"`
 	// LaneAppends counts events appended to a sorted-run lane in O(1).
 	LaneAppends uint64 `json:"lane_appends"`
@@ -178,9 +176,9 @@ func (e *Engine) enqueue(at Time, fn func(), h Handler, arg, flow uint64) {
 }
 
 // peekTime returns the time of the earliest queued event and where it
-// sits: a lane head, the heap top or the payload heap top, compared once
-// by (at, seq). Every container shares the engine's sequence counter, so
-// the order is total. The source is srcNone when nothing is queued.
+// sits: a lane head or the heap top, compared once by (at, seq). Every
+// container shares the engine's sequence counter, so the order is total.
+// The source is srcNone when nothing is queued.
 //
 //qcdoc:noalloc
 func (e *Engine) peekTime() (Time, int) {
@@ -193,10 +191,7 @@ func (e *Engine) peekTime() (Time, int) {
 		}
 	}
 	if h := e.events.heap; len(h) != 0 && (h[0].at < at || (h[0].at == at && h[0].seq < seq)) {
-		src, at, seq = srcHeap, h[0].at, h[0].seq
-	}
-	if x := e.xevents; len(x) != 0 && (x[0].at < at || (x[0].at == at && x[0].seq < seq)) {
-		src, at = srcPayload, x[0].at
+		src, at = srcHeap, h[0].at
 	}
 	return at, src
 }
@@ -205,21 +200,6 @@ func (e *Engine) peekTime() (Time, int) {
 //
 //qcdoc:noalloc
 func (e *Engine) dispatchNext(src int) {
-	if src == srcPayload {
-		x := e.xevents.pop()
-		e.now = x.at
-		e.executed++
-		e.curFlow = x.flow
-		e.lastSeq = x.seq
-		if e.tracer != nil {
-			e.tracer(x.at)
-		}
-		if e.ring != nil {
-			e.ring.recordPayload(x.at, x.seq, x.flow, x.h, x.arg)
-		}
-		x.h.HandlePayload(x.arg, x.p)
-		return
-	}
 	var next item
 	if src == srcHeap {
 		next = e.events.heap.pop()

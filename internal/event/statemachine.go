@@ -25,21 +25,18 @@ import (
 // queue, and simulated-time results do not depend on which tier a
 // process runs on.
 //
-// StateMachine itself is deliberately small: a name and a state label
-// (the callback-tier analogue of a Proc's name and blocked-reason, for
-// stall diagnostics), and generation-counted timers that cancel
-// themselves when the machine has moved on — the pattern that replaces
-// "sleep, unless something woke me first".
+// StateMachine itself is deliberately small: a name and a state label,
+// the callback-tier analogue of a Proc's name and blocked-reason, for
+// stall diagnostics. A timer that must be cancelled when the machine
+// moves on is a Timer (timer.go).
 
 // StateMachine is a named, flat simulation process on the continuation
 // tier. Drive it by mutating your own state and calling Goto to label
-// transitions; use Sleep for timers that are implicitly cancelled by the
-// next transition.
+// transitions.
 type StateMachine struct {
 	eng   *Engine
 	name  string
 	state string
-	gen   uint64
 	since Time // when the current state was entered
 }
 
@@ -61,11 +58,9 @@ func (sm *StateMachine) State() string { return sm.state }
 // Engine returns the engine the machine runs on.
 func (sm *StateMachine) Engine() *Engine { return sm.eng }
 
-// Goto transitions to a new state label and invalidates every timer
-// armed before the transition.
+// Goto transitions to a new state label.
 func (sm *StateMachine) Goto(state string) {
 	sm.state = state
-	sm.gen++
 	sm.since = sm.eng.now
 }
 
@@ -73,19 +68,6 @@ func (sm *StateMachine) Goto(state string) {
 // (now minus the last transition time) — the first thing to look at when
 // diagnosing a wedged service.
 func (sm *StateMachine) StateAge() Time { return sm.eng.now - sm.since }
-
-// Sleep arms a timer: fn runs d from now unless the machine transitions
-// (Goto) first. This is the continuation-tier replacement for a
-// coroutine's "sleep unless woken": arm the timer, and let the wake path
-// call Goto.
-func (sm *StateMachine) Sleep(d Time, fn func()) {
-	gen := sm.gen
-	sm.eng.After(d, func() {
-		if sm.gen == gen {
-			fn()
-		}
-	})
-}
 
 // DumpStateMachines returns "name: state (age)" for every registered
 // continuation-tier process, sorted by name — the callback-tier

@@ -6,51 +6,6 @@ import (
 	"time"
 )
 
-func TestStateMachineGotoAndSleep(t *testing.T) {
-	e := New()
-	sm := e.NewStateMachine("tx", "idle")
-	if sm.Name() != "tx" || sm.State() != "idle" || sm.Engine() != e {
-		t.Fatalf("bad initial machine: %q %q", sm.Name(), sm.State())
-	}
-	var fired []Time
-	sm.Goto("run")
-	sm.Sleep(10*Nanosecond, func() { fired = append(fired, e.Now()) })
-	if err := e.RunAll(); err != nil {
-		t.Fatal(err)
-	}
-	if len(fired) != 1 || fired[0] != 10*Nanosecond {
-		t.Fatalf("timer fired at %v", fired)
-	}
-	if sm.State() != "run" {
-		t.Fatalf("state = %q", sm.State())
-	}
-}
-
-func TestStateMachineGotoCancelsSleep(t *testing.T) {
-	// A state transition invalidates timers armed in the old state: the
-	// continuation-tier analogue of a coroutine abandoning a sleep path.
-	e := New()
-	sm := e.NewStateMachine("tx", "window")
-	stale := false
-	sm.Sleep(Microsecond, func() { stale = true })
-	e.After(10*Nanosecond, func() { sm.Goto("run") })
-	if err := e.RunAll(); err != nil {
-		t.Fatal(err)
-	}
-	if stale {
-		t.Fatal("timer from a left state fired")
-	}
-	// A timer armed in the new state still fires.
-	ok := false
-	sm.Sleep(Nanosecond, func() { ok = true })
-	if err := e.RunAll(); err != nil {
-		t.Fatal(err)
-	}
-	if !ok {
-		t.Fatal("timer in current state did not fire")
-	}
-}
-
 func TestDumpStateMachines(t *testing.T) {
 	e := New()
 	// Register out of name order: the dump must sort.

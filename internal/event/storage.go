@@ -1,7 +1,7 @@
 package event
 
-// Storage is the recyclable backing memory of an engine: the lane-ring,
-// event-heap and cross-shard-heap arrays that grow to a simulation's
+// Storage is the recyclable backing memory of an engine: the lane-ring
+// and event-heap arrays that grow to a simulation's
 // high-water mark and, on a fleet host building hundreds of machines,
 // are worth keeping warm across engine lifetimes instead of re-growing
 // from nothing every time. A Storage is inert — it schedules nothing and
@@ -17,9 +17,8 @@ package event
 //	eng.Shutdown()
 //	pool.put(eng.Release())     // arrays go back, cleared
 type Storage struct {
-	lanes   [numLanes][]item
-	heap    eventHeap
-	xevents payloadHeap
+	lanes [numLanes][]item
+	heap  eventHeap
 }
 
 // Cap reports the preallocated event capacity over lanes and heap (the
@@ -37,7 +36,7 @@ func (s Storage) Cap() int {
 // lifecycle-hygiene tests can assert that no timer or callback survived
 // a machine's teardown.
 func (s Storage) Pending() int {
-	n := len(s.heap) + len(s.xevents)
+	n := len(s.heap)
 	for _, b := range s.lanes {
 		for i := range b {
 			if b[i].fn != nil || b[i].h != nil {
@@ -57,7 +56,6 @@ func NewWith(st Storage) *Engine {
 		e.events.lanes[i].buf = b
 	}
 	e.events.heap = st.heap[:0]
-	e.xevents = st.xevents[:0]
 	return e
 }
 
@@ -69,13 +67,11 @@ func NewWith(st Storage) *Engine {
 // not individually pooled.
 func (e *Engine) Release() Storage {
 	clear(e.events.heap)
-	clear(e.xevents)
-	st := Storage{heap: e.events.heap[:0], xevents: e.xevents[:0]}
+	st := Storage{heap: e.events.heap[:0]}
 	for i := range e.events.lanes {
 		clear(e.events.lanes[i].buf)
 		st.lanes[i] = e.events.lanes[i].buf
 	}
 	e.events = eventQueue{}
-	e.xevents = nil
 	return st
 }

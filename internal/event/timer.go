@@ -6,10 +6,9 @@ package event
 // when the timer is created; arming, re-arming, stopping, and firing
 // allocate nothing.
 //
-// A Timer carries a generation counter, the same idiom StateMachine uses
-// for its state-scoped sleeps: every Arm or Stop bumps the generation,
-// so a scheduled firing whose stamp no longer matches is a stale event
-// and does nothing. Re-arming therefore implicitly cancels the previous
+// A Timer carries a generation counter: every Arm or Stop bumps it, so
+// a scheduled firing whose stamp no longer matches is a stale event and
+// does nothing. Re-arming therefore implicitly cancels the previous
 // arming — exactly the semantics the SCU's acknowledgement-timeout
 // registers need (each window-head pop restarts the clock).
 //

@@ -33,10 +33,6 @@ const (
 	// TraceHandler is a pre-bound Handler event (the continuation tier's
 	// hot paths: wires, link pumps, timers).
 	TraceHandler
-	// TracePayload is a cross-shard payload event (a PayloadHandler
-	// delivery that crossed a shard boundary through the cluster
-	// mailboxes).
-	TracePayload
 	// TraceSpanBegin / TraceSpanEnd are span marks dropped by
 	// instrumented code (Engine.MarkSpanBegin/End): not events at all,
 	// but annotations sharing the enclosing event's time and sequence
@@ -50,8 +46,6 @@ func (k TraceKind) String() string {
 	switch k {
 	case TraceHandler:
 		return "handler"
-	case TracePayload:
-		return "payload"
 	case TraceSpanBegin:
 		return "span-begin"
 	case TraceSpanEnd:
@@ -71,7 +65,6 @@ type TraceRecord struct {
 	Arg   uint64
 	Flow  uint64
 	h     Handler
-	ph    PayloadHandler
 	name  string // span label (static string; set only by markSpan)
 }
 
@@ -85,15 +78,13 @@ func (r TraceRecord) Actor() string {
 		return r.name
 	case r.Kind == TraceHandler && r.h != nil:
 		return fmt.Sprintf("%T", r.h)
-	case r.Kind == TracePayload && r.ph != nil:
-		return fmt.Sprintf("%T", r.ph)
 	}
 	return "func"
 }
 
 func (r TraceRecord) String() string {
 	switch r.Kind {
-	case TraceHandler, TracePayload:
+	case TraceHandler:
 		return fmt.Sprintf("%v shard=%d seq=%d %s arg=%d", r.At, r.Shard, r.Seq, r.Actor(), r.Arg)
 	case TraceSpanBegin, TraceSpanEnd:
 		return fmt.Sprintf("%v shard=%d seq=%d %s %s flow=%#x", r.At, r.Shard, r.Seq, r.Kind, r.name, r.Flow)
@@ -123,7 +114,6 @@ func (sr *shardRing) record(at Time, seq, flow uint64, fn func(), h Handler, arg
 	slot.Shard = sr.shard
 	slot.Arg = arg
 	slot.Flow = flow
-	slot.ph = nil
 	slot.name = ""
 	if fn != nil {
 		slot.Kind = TraceFunc
@@ -132,23 +122,6 @@ func (sr *shardRing) record(at Time, seq, flow uint64, fn func(), h Handler, arg
 		slot.Kind = TraceHandler
 		slot.h = h
 	}
-	sr.total++
-}
-
-// recordPayload stores one cross-shard payload dispatch into the ring.
-//
-//qcdoc:noalloc
-func (sr *shardRing) recordPayload(at Time, seq, flow uint64, h PayloadHandler, arg uint64) {
-	slot := &sr.ring[sr.total%uint64(len(sr.ring))]
-	slot.At = at
-	slot.Seq = seq
-	slot.Shard = sr.shard
-	slot.Arg = arg
-	slot.Flow = flow
-	slot.Kind = TracePayload
-	slot.h = nil
-	slot.ph = h
-	slot.name = ""
 	sr.total++
 }
 
@@ -165,7 +138,6 @@ func (sr *shardRing) markSpan(at Time, seq, flow uint64, name string, kind Trace
 	slot.Flow = flow
 	slot.Kind = kind
 	slot.h = nil
-	slot.ph = nil
 	slot.name = name
 	sr.total++
 }

@@ -4,39 +4,7 @@ import (
 	"fmt"
 
 	"qcdoc/internal/core"
-	"qcdoc/internal/event"
-	"qcdoc/internal/faultplan"
-	"qcdoc/internal/geom"
-	"qcdoc/internal/lattice"
-	"qcdoc/internal/qdaemon"
 )
-
-// E16Config is the canonical chaos scenario: an 8-node machine running
-// a distributed Wilson solve while the fault plan kills a node
-// mid-solve and peppers the management network. Everything — victim,
-// picosecond, detection, restart — derives from faultSeed.
-func E16Config(faultSeed uint64) core.ChaosConfig {
-	return core.ChaosConfig{
-		Shape:           geom.MakeShape(2, 2, 2),
-		Global:          lattice.Shape4{4, 4, 4, 4},
-		Seed:            4001,
-		FaultSeed:       faultSeed,
-		Mass:            0.5,
-		Tol:             1e-8,
-		MaxIter:         400,
-		CheckpointEvery: 10,
-		Heartbeat:       100 * event.Microsecond,
-		Watchdog:        qdaemon.WatchdogConfig{Period: 500 * event.Microsecond, Misses: 3},
-		Spec: faultplan.Spec{
-			From:        2 * event.Millisecond,
-			To:          10 * event.Millisecond,
-			NodeCrashes: 1,
-			NetDrops:    2,
-			NetDups:     1,
-			LinkBursts:  1,
-		},
-	}
-}
 
 // E16 survives a node death mid-solve: deterministic fault injection,
 // watchdog detection over the Ethernet/JTAG side network, daughterboard
@@ -50,7 +18,7 @@ func E16() (Table, error) {
 		Header: []string{"quantity", "run 1", "run 2", "identical"},
 	}
 	run := func() (*core.ChaosOutcome, error) {
-		return core.RunChaosWilson(E16Config(16))
+		return core.RunChaosWilson(core.CanonicalChaos(16))
 	}
 	o1, err := run()
 	if err != nil {

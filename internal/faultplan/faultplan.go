@@ -549,25 +549,18 @@ func (p *Plan) Remaining() int {
 // fields): two runs from the same seed must agree here before their
 // machines even boot.
 func (p *Plan) Digest() uint64 {
-	h := uint64(14695981039346656037)
-	mix := func(v uint64) {
-		for i := 0; i < 8; i++ {
-			h ^= v & 0xFF
-			h *= 1099511628211
-			v >>= 8
-		}
-	}
-	mix(p.Seed)
+	h := rng.NewFold()
+	h.Mix(p.Seed)
 	for _, f := range p.Faults {
-		mix(uint64(f.Kind))
-		mix(uint64(f.At))
-		mix(uint64(f.Rank))
-		mix(uint64(f.Link.Dim)<<1 | uint64(f.Link.Dir))
-		mix(uint64(f.Dur))
-		mix(f.Every)
-		mix(f.Nth)
+		h.Mix(uint64(f.Kind))
+		h.Mix(uint64(f.At))
+		h.Mix(uint64(f.Rank))
+		h.Mix(uint64(f.Link.Dim)<<1 | uint64(f.Link.Dir))
+		h.Mix(uint64(f.Dur))
+		h.Mix(f.Every)
+		h.Mix(f.Nth)
 	}
-	return h
+	return uint64(h)
 }
 
 func (p *Plan) String() string {

@@ -24,6 +24,7 @@ import (
 	"qcdoc/internal/geom"
 	"qcdoc/internal/lattice"
 	"qcdoc/internal/machine"
+	"qcdoc/internal/rng"
 	"qcdoc/internal/telemetry"
 )
 
@@ -212,47 +213,25 @@ func Sweep(base Spec, lattices []lattice.Shape4, ops []fermion.OpKind, faultSeed
 }
 
 func specName(s Spec) string {
-	name := fmt.Sprintf("%s %dx%dx%dx%d", opName(s.Op), s.Global[0], s.Global[1], s.Global[2], s.Global[3])
+	name := fmt.Sprintf("%s %dx%dx%dx%d", s.Op, s.Global[0], s.Global[1], s.Global[2], s.Global[3])
 	if s.Chaos {
 		name += fmt.Sprintf(" fseed=%d", s.FaultSeed)
 	}
 	return name
 }
 
-func opName(op fermion.OpKind) string {
-	switch op {
-	case fermion.WilsonKind:
-		return "wilson"
-	case fermion.CloverKind:
-		return "clover"
-	case fermion.AsqtadKind:
-		return "asqtad"
-	case fermion.DWFKind:
-		return "dwf"
-	default:
-		return fmt.Sprintf("op%d", op)
-	}
-}
-
 // Digest folds every run's outcome into one campaign fingerprint
 // (FNV-1a): the one number a serial and a concurrent execution of the
 // same campaign must agree on.
 func Digest(rs []Result) uint64 {
-	h := uint64(14695981039346656037)
-	mix := func(v uint64) {
-		for i := 0; i < 8; i++ {
-			h ^= v & 0xFF
-			h *= 1099511628211
-			v >>= 8
-		}
-	}
+	h := rng.NewFold()
 	for _, r := range rs {
-		mix(r.Digest)
+		h.Mix(r.Digest)
 		if r.Err != nil {
-			mix(1)
+			h.Mix(1)
 		}
 	}
-	return h
+	return uint64(h)
 }
 
 // runOne executes a single spec on its own machine. The spec index i
@@ -387,20 +366,13 @@ func Aggregate(rs []Result) map[string]telemetry.HistogramSnapshot {
 // count, residual bits, solution CRC, and the simulated wall time of
 // the solve (which folds in every network and kernel timing decision).
 func solveDigest(met core.SolveMetrics, crc uint32) uint64 {
-	h := uint64(14695981039346656037)
-	mix := func(v uint64) {
-		for i := 0; i < 8; i++ {
-			h ^= v & 0xFF
-			h *= 1099511628211
-			v >>= 8
-		}
-	}
-	mix(uint64(met.Iterations))
-	mix(uint64(met.Applications))
-	mix(math.Float64bits(met.RelResidual))
-	mix(uint64(crc))
-	mix(uint64(met.SimTime))
-	mix(met.WordsSent)
-	mix(met.Resends)
-	return h
+	h := rng.NewFold()
+	h.Mix(uint64(met.Iterations))
+	h.Mix(uint64(met.Applications))
+	h.Mix(math.Float64bits(met.RelResidual))
+	h.Mix(uint64(crc))
+	h.Mix(uint64(met.SimTime))
+	h.Mix(met.WordsSent)
+	h.Mix(met.Resends)
+	return uint64(h)
 }

@@ -7,41 +7,9 @@ import (
 	"qcdoc/internal/scupkt"
 )
 
-// TestTrainAsyncMatchesTrain verifies the continuation-tier training
-// takes exactly the coroutine path's time and leaves the wire trained.
-func TestTrainAsyncMatchesTrain(t *testing.T) {
-	eng := event.New()
-	w := NewWire(eng, "w", DefaultClock, DefaultPropagation)
-	var doneAt event.Time
-	w.TrainAsync(func() { doneAt = eng.Now() })
-	if err := eng.RunAll(); err != nil {
-		t.Fatal(err)
-	}
-	if !w.Trained() {
-		t.Fatal("wire untrained after TrainAsync")
-	}
-	if doneAt != w.TrainTime() {
-		t.Fatalf("trained at %v, want %v", doneAt, w.TrainTime())
-	}
-
-	eng2 := event.New()
-	w2 := NewWire(eng2, "w2", DefaultClock, DefaultPropagation)
-	var procAt event.Time
-	eng2.Spawn("train", func(p *event.Proc) {
-		w2.Train(p)
-		procAt = p.Now()
-	})
-	if err := eng2.RunAll(); err != nil {
-		t.Fatal(err)
-	}
-	if procAt != doneAt {
-		t.Fatalf("tiers disagree on training time: %v vs %v", doneAt, procAt)
-	}
-}
-
-// TestOnFrameDelivery checks the continuation-tier receiver: frames
-// arrive at the handler at the same times a coroutine receiver would see
-// them, and frames queued before the handler attaches drain in order.
+// TestOnFrameDelivery checks the receiver: frames reach the handler at
+// their arrival times, and frames that arrived before the handler
+// attached drain in order.
 func TestOnFrameDelivery(t *testing.T) {
 	eng := event.New()
 	w := NewWire(eng, "w", DefaultClock, 0)

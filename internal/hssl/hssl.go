@@ -62,11 +62,11 @@ type Stats struct {
 }
 
 // Delivery stages for the wire's pre-bound event handler. Each frame
-// takes the arrive stage and, when a continuation-tier receiver is
-// attached, one handle stage — the same one-event deferral a queued
-// frame gets between Put and the receiving process's wake, so
-// intra-timestamp event ordering (and with it frame serialization order
-// on shared return wires) is identical across the two tiers.
+// takes the arrive stage and, once a receiver is attached, one handle
+// stage at the same timestamp. The deferral keeps the intra-timestamp
+// event order (and with it frame serialization order on shared return
+// wires) that every pinned digest records; ROADMAP "one wire stage per
+// frame" removes it together with the re-pin.
 const (
 	wireArrive uint64 = iota // the last bit has reached the receiver
 	wireHandle               // hand the ring head to the OnFrame handler
@@ -79,12 +79,11 @@ const (
 // the transmitter.
 type Wire struct {
 	eng     *event.Engine // transmitter's engine: Send, training, fault state
-	rxEng   *event.Engine // receiver's engine: delivery, rx queue, OnFrame
+	rxEng   *event.Engine // receiver's engine: delivery, OnFrame
 	name    string
 	clock   event.Hz
 	prop    event.Time
-	rx      *event.Queue[Frame]
-	handler func(Frame) // continuation-tier receiver; bypasses rx when set
+	handler func(Frame) // the receiver; see OnFrame
 	trained bool
 
 	busyUntil event.Time
@@ -94,15 +93,18 @@ type Wire struct {
 	dead      bool  // permanent hardware failure; see Kill
 	xmit      Frame // scratch slot for fault injection on the cross-shard path
 
-	// In-flight frames, a reusable ring: Send pushes at the tail, the
-	// delivery events pop the head. Arrival order equals send order (the
-	// wire is point-to-point and serialization is FIFO), so the ring
-	// replaces a per-frame delivery closure without changing anything
-	// observable. It grows to the wire's high-water mark once and is
-	// then allocation-free.
+	// In-flight frames, a reusable ring: Send (or, on a cross-shard wire,
+	// AcceptPayload at the barrier) pushes at the tail, the delivery
+	// events pop the head. Arrival order equals send order (the wire is
+	// point-to-point and serialization is FIFO), so the ring replaces a
+	// per-frame delivery closure without changing anything observable. It
+	// grows to the wire's high-water mark once and is then
+	// allocation-free.
 	fly     []Frame
 	flyHead int
 	flyLen  int
+
+	early []Frame // frames that arrived before a receiver attached (cold)
 }
 
 // NewWire creates a wire on the engine. clock is the serial bit rate;
@@ -113,27 +115,20 @@ func NewWire(eng *event.Engine, name string, clock event.Hz, prop event.Time) *W
 
 // NewWireBetween creates a wire whose transmitter and receiver live on
 // different shard engines of one cluster. The transmit half (Send,
-// training, the fault hook) runs on tx; deliveries, the receive queue
-// and OnFrame handlers run on rx. When the two engines differ, frames
-// cross the shard boundary by value through the cluster's mailboxes at
-// their modelled arrival time — which the conservative lookahead
-// (MinLatency) guarantees is always at least one window away.
+// training, the fault hook) runs on tx; deliveries and the OnFrame
+// handler run on rx. When the two engines differ, frames cross the shard
+// boundary by value through the cluster's mailboxes, timed at their
+// modelled arrival — which the conservative lookahead (MinLatency)
+// guarantees is always at least one window away.
 func NewWireBetween(tx, rx *event.Engine, name string, clock event.Hz, prop event.Time) *Wire {
-	return &Wire{
-		eng:   tx,
-		rxEng: rx,
-		name:  name,
-		clock: clock,
-		prop:  prop,
-		rx:    event.NewQueue[Frame](rx, "hssl "+name),
-	}
+	return &Wire{eng: tx, rxEng: rx, name: name, clock: clock, prop: prop}
 }
 
 // MinTransmittedFrameBytes is the smallest frame the SCU ever puts on a
 // wire: the 2-byte acknowledgement / partition-interrupt frame. (The
 // 1-byte Idle frame exists in the wire format but trained controllers
 // exchange idles implicitly; the simulator never transmits one — and
-// the cross-shard path asserts it, see event.Scheduler.CrossPayload.)
+// the cross-shard path asserts it, see event.Engine.CrossPayload.)
 const MinTransmittedFrameBytes = scupkt.AckFrame
 
 // MinLatency returns the guaranteed minimum time between an HSSL send
@@ -154,9 +149,6 @@ func (w *Wire) Stats() Stats { return w.stats }
 // Name returns the wire's name.
 func (w *Wire) Name() string { return w.name }
 
-// Clock returns the wire's bit clock.
-func (w *Wire) Clock() event.Hz { return w.clock }
-
 // ErrNotTrained is returned when data is sent before link training.
 var ErrNotTrained = errors.New("hssl: link not trained")
 
@@ -166,18 +158,11 @@ func (w *Wire) TrainTime() event.Time {
 	return w.clock.Cycles(int64(TrainingBytes*8)) + w.prop
 }
 
-// Train performs the power-on training handshake: the transmitter sends
-// the known TrainingBytes sequence so the receiver can lock its sampling
-// phase and byte boundaries. Takes the serialization time of the training
-// pattern plus one propagation delay.
-func (w *Wire) Train(p *event.Proc) {
-	p.Sleep(w.TrainTime())
-	w.trained = true
-}
-
-// TrainAsync is the continuation-tier Train: the wire becomes trained
-// after TrainTime, then done (if non-nil) runs. The machine layer chains
-// these to train a node's links serially without a trainer process.
+// TrainAsync performs the power-on training handshake: the transmitter
+// sends the known TrainingBytes sequence so the receiver can lock its
+// sampling phase and byte boundaries. The wire becomes trained after
+// TrainTime, then done (if non-nil) runs. The machine layer chains these
+// to train a node's links serially without a trainer process.
 func (w *Wire) TrainAsync(done func()) {
 	w.eng.After(w.TrainTime(), func() {
 		w.trained = true
@@ -203,9 +188,6 @@ func (w *Wire) Reset() { w.trained = false }
 // forces the SCU's give-up escalation: retrains that never produce an
 // acknowledgement.
 func (w *Wire) Kill() { w.dead = true }
-
-// Dead reports whether the wire has been permanently severed.
-func (w *Wire) Dead() bool { return w.dead }
 
 // SerializeTime returns how long the given frame occupies the transmitter.
 func (w *Wire) SerializeTime(nBytes int) event.Time {
@@ -256,7 +238,7 @@ func (w *Wire) Send(data scupkt.Wire) (event.Time, error) {
 		if w.fault != nil && w.fault(&w.xmit) {
 			w.stats.Corrupted++
 		}
-		w.eng.CrossPayload(w.rxEng, arrive, w, 0, packFrame(&w.xmit))
+		w.eng.CrossPayload(w.rxEng, arrive, w, wireArrive, packFrame(&w.xmit))
 		return arrive, nil
 	}
 
@@ -310,24 +292,14 @@ func unpackFrame(p event.Payload) Frame {
 	return Frame{Wire: scupkt.WireOf(buf[:n]), Seq: p[0]}
 }
 
-// HandlePayload receives one cross-shard frame on the receiver's
-// engine; it implements event.PayloadHandler and is not meant to be
-// called directly. The handler deferral mirrors HandleEvent's arrive →
-// handle staging so intra-timestamp ordering matches the same-shard
-// path.
+// AcceptPayload takes one cross-shard frame off the cluster mailbox at
+// the barrier; it implements event.PayloadHandler and is not meant to be
+// called directly. On a cross-shard wire the transmitter never touches
+// the in-flight ring, so the receive side owns it, and the frame's
+// wireArrive event finds it at the head exactly as on a same-shard wire.
 //
 //qcdoc:noalloc
-func (w *Wire) HandlePayload(_ uint64, p event.Payload) {
-	f := unpackFrame(p)
-	if w.handler == nil {
-		w.rx.Put(f)
-		return
-	}
-	// On a cross-shard wire the transmitter never touches the in-flight
-	// ring, so the receive side reuses it as its pending-frame ring.
-	w.pushInFlight(f)
-	w.rxEng.AtHandler(w.rxEng.Now(), w, wireHandle)
-}
+func (w *Wire) AcceptPayload(p event.Payload) { w.pushInFlight(unpackFrame(p)) }
 
 // HandleEvent dispatches the wire's delivery pipeline stages; it
 // implements event.Handler and is not meant to be called directly.
@@ -339,10 +311,10 @@ func (w *Wire) HandleEvent(stage uint64) {
 	switch stage {
 	case wireArrive:
 		if w.handler == nil {
-			w.rx.Put(w.popInFlight())
+			w.early = append(w.early, w.popInFlight()) // grows only before a receiver attaches
 			return
 		}
-		w.eng.AtHandler(w.eng.Now(), w, wireHandle)
+		w.rxEng.AtHandler(w.rxEng.Now(), w, wireHandle)
 	case wireHandle:
 		w.handler(w.popInFlight())
 	}
@@ -396,36 +368,23 @@ func (w *Wire) ReleaseRing() []Frame {
 	return r
 }
 
-// OnFrame attaches a continuation-tier receiver: every arriving frame is
-// handed to fn at its arrival time, with no receiver process or queue in
-// between. Frames already queued drain into fn in arrival order, in one
-// event at the current time — the same timing a receiver process spawned
-// now would observe. Attaching a handler replaces Recv; a wire has one
-// receiver, on one tier or the other.
+// OnFrame attaches the wire's receiver: every arriving frame is handed
+// to fn at its arrival time, on the receiver's engine. Frames that
+// arrived before anyone was listening drain into fn in arrival order, in
+// one event at the current time.
 func (w *Wire) OnFrame(fn func(Frame)) {
 	w.handler = fn
-	if w.rx.Len() == 0 {
+	if len(w.early) == 0 {
 		return
 	}
 	w.rxEng.At(w.rxEng.Now(), func() {
-		for {
-			f, ok := w.rx.TryGet()
-			if !ok {
-				return
-			}
+		early := w.early
+		w.early = nil
+		for _, f := range early {
 			fn(f)
 		}
 	})
 }
-
-// Recv blocks the process until the next frame arrives.
-func (w *Wire) Recv(p *event.Proc) Frame { return w.rx.Get(p) }
-
-// TryRecv returns the next frame if one has arrived.
-func (w *Wire) TryRecv() (Frame, bool) { return w.rx.TryGet() }
-
-// Busy reports whether the transmitter is still serializing.
-func (w *Wire) Busy() bool { return w.busyUntil > w.eng.Now() }
 
 // FlipBitOnce returns a FaultFunc that flips the given bit of frame
 // number seq exactly once — the single-bit-error scenario of §2.2 that
@@ -451,22 +410,6 @@ func FlipBitEvery(n uint64) FaultFunc {
 	}
 	return func(f *Frame) bool {
 		if f.Seq%n != 0 || f.Len() == 0 {
-			return false
-		}
-		f.FlipBit(int(f.Seq))
-		return true
-	}
-}
-
-// CorruptBetween returns a FaultFunc modelling a burst error: every
-// frame launched while the simulated clock is in [from, to) is
-// corrupted. Sustained corruption starves the window protocol of
-// acknowledgement progress, which is what drives the SCU into link
-// re-training rather than the single-resend path.
-func CorruptBetween(eng *event.Engine, from, to event.Time) FaultFunc {
-	return func(f *Frame) bool {
-		now := eng.Now()
-		if now < from || now >= to || f.Len() == 0 {
 			return false
 		}
 		f.FlipBit(int(f.Seq))

@@ -1,6 +1,7 @@
 package hssl
 
 import (
+	"bytes"
 	"errors"
 	"testing"
 
@@ -10,11 +11,24 @@ import (
 
 func trainedWire(e *event.Engine) *Wire {
 	w := NewWire(e, "test", DefaultClock, DefaultPropagation)
-	e.Spawn("trainer", func(p *event.Proc) { w.Train(p) })
+	w.TrainAsync(nil)
 	if err := e.RunAll(); err != nil {
 		panic(err)
 	}
 	return w
+}
+
+// arrival is one frame as the receiver saw it.
+type arrival struct {
+	at event.Time
+	f  Frame
+}
+
+// listen attaches a receiver that logs every frame with its time.
+func listen(e *event.Engine, w *Wire) *[]arrival {
+	got := new([]arrival)
+	w.OnFrame(func(f Frame) { *got = append(*got, arrival{e.Now(), f}) })
+	return got
 }
 
 func TestUntrainedRejects(t *testing.T) {
@@ -29,10 +43,7 @@ func TestTrainingTakesTime(t *testing.T) {
 	e := event.New()
 	w := NewWire(e, "w", DefaultClock, DefaultPropagation)
 	var doneAt event.Time
-	e.Spawn("trainer", func(p *event.Proc) {
-		w.Train(p)
-		doneAt = p.Now()
-	})
+	w.TrainAsync(func() { doneAt = e.Now() })
 	if err := e.RunAll(); err != nil {
 		t.Fatal(err)
 	}
@@ -59,19 +70,12 @@ func TestSerializationTiming(t *testing.T) {
 	if arrive != want {
 		t.Fatalf("arrive = %v, want %v", arrive, want)
 	}
-	var gotAt event.Time
-	e.Spawn("rx", func(p *event.Proc) {
-		f := w.Recv(p)
-		gotAt = p.Now()
-		if f.Len() != 9 {
-			t.Errorf("frame len %d", f.Len())
-		}
-	})
+	got := listen(e, w)
 	if err := e.RunAll(); err != nil {
 		t.Fatal(err)
 	}
-	if gotAt != want {
-		t.Fatalf("received at %v, want %v", gotAt, want)
+	if len(*got) != 1 || (*got)[0].at != want || (*got)[0].f.Len() != 9 {
+		t.Fatalf("received %v, want one 9-byte frame at %v", *got, want)
 	}
 }
 
@@ -89,17 +93,12 @@ func TestFIFOAndBackToBackSerialization(t *testing.T) {
 	if a2 != base+2*ser+DefaultPropagation {
 		t.Fatalf("second frame at %v, want serialized after first", a2)
 	}
-	var order []uint64
-	e.Spawn("rx", func(p *event.Proc) {
-		for i := 0; i < 2; i++ {
-			order = append(order, w.Recv(p).Seq)
-		}
-	})
+	got := listen(e, w)
 	if err := e.RunAll(); err != nil {
 		t.Fatal(err)
 	}
-	if len(order) != 2 || order[0] != 1 || order[1] != 2 {
-		t.Fatalf("order = %v", order)
+	if len(*got) != 2 || (*got)[0].f.Seq != 1 || (*got)[1].f.Seq != 2 {
+		t.Fatalf("received %v, want frames 1 and 2 in order", *got)
 	}
 }
 
@@ -113,19 +112,12 @@ func TestPayloadIntegrity(t *testing.T) {
 	}
 	payload[0] = 0   // frames travel by value; the source buffer is dead at Send
 	frame.FlipBit(1) // and so is the caller's Wire value
-	var got []byte
-	e.Spawn("rx", func(p *event.Proc) {
-		f := w.Recv(p)
-		got = append(got, f.Bytes()...)
-	})
+	rx := listen(e, w)
 	if err := e.RunAll(); err != nil {
 		t.Fatal(err)
 	}
-	want := []byte{0xDE, 0xAD, 0xBE, 0xEF}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("byte %d = %#x, want %#x", i, got[i], want[i])
-		}
+	if got := (*rx)[0].f.Bytes(); !bytes.Equal(got, []byte{0xDE, 0xAD, 0xBE, 0xEF}) {
+		t.Fatalf("received % x", got)
 	}
 }
 
@@ -159,23 +151,16 @@ func TestFaultInjectionOnce(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	var frames []Frame
-	e.Spawn("rx", func(p *event.Proc) {
-		for i := 0; i < 3; i++ {
-			frames = append(frames, w.Recv(p))
-		}
-	})
+	rx := listen(e, w)
 	if err := e.RunAll(); err != nil {
 		t.Fatal(err)
 	}
-	if frames[0].Bytes()[0] != 0 {
-		t.Fatal("frame 1 corrupted")
+	frames := *rx
+	if len(frames) != 3 || frames[0].f.Bytes()[0] != 0 || frames[2].f.Bytes()[0] != 0 {
+		t.Fatalf("received %v, want frames 1 and 3 intact", frames)
 	}
-	if frames[1].Bytes()[0] != 1<<3 {
-		t.Fatalf("frame 2 = %#x, want bit 3 flipped", frames[1].Bytes()[0])
-	}
-	if frames[2].Bytes()[0] != 0 {
-		t.Fatal("frame 3 corrupted")
+	if frames[1].f.Bytes()[0] != 1<<3 {
+		t.Fatalf("frame 2 = %#x, want bit 3 flipped", frames[1].f.Bytes()[0])
 	}
 	if w.Stats().Corrupted != 1 {
 		t.Fatalf("corrupted count = %d", w.Stats().Corrupted)

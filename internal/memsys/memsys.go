@@ -227,15 +227,6 @@ func (m Model) StreamTime(l Level, bytes, nStreams int) event.Time {
 	return event.Time(m.StreamCycles(l, bytes, nStreams) * float64(m.Clock.Cycle()))
 }
 
-// StreamThen models a bulk prefetch-stream access on the engine's
-// continuation tier: done runs when the last word has moved, StreamTime
-// from now. This is the zero-process way to overlap a modelled memory
-// stream with other activity (the coroutine equivalent is sleeping for
-// StreamTime in a spawned process).
-func (m Model) StreamThen(eng *event.Engine, l Level, bytes, nStreams int, done func()) {
-	eng.After(m.StreamTime(l, bytes, nStreams), done)
-}
-
 // FitsEDRAM reports whether a working set of the given bytes is
 // EDRAM-resident (§4: "for most of the fermion formulations, a 6^4 local
 // volume still fits in our 4 Megabytes of embedded memory").

@@ -298,11 +298,3 @@ func (n *Node) Compute(p *event.Proc, k ppc440.KernelCost) {
 	n.noteKernel(k)
 	n.CPU.Execute(p, k, n.MemModel)
 }
-
-// ComputeThen charges a kernel execution on the continuation tier: done
-// runs when the kernel retires. Same timing as Compute, no process
-// needed — for node services written as flat state machines.
-func (n *Node) ComputeThen(k ppc440.KernelCost, done func()) {
-	n.noteKernel(k)
-	n.CPU.ExecuteThen(n.Eng, k, n.MemModel, done)
-}

@@ -72,7 +72,7 @@ func (n *Node) EnableCounters() *Counters {
 func (n *Node) Counters() *Counters { return n.ctr }
 
 // noteKernel accounts one kernel execution. Called exactly once per
-// Compute/ComputeThen, before the time is charged, so memory traffic is
+// Compute, before the time is charged, so memory traffic is
 // attributed here and nowhere else (the timing model's StreamCycles is
 // also called from DMA paths the SCU accounts separately).
 func (n *Node) noteKernel(k ppc440.KernelCost) {

@@ -3,11 +3,26 @@ package node
 import (
 	"testing"
 
+	"qcdoc/internal/event"
 	"qcdoc/internal/geom"
 	"qcdoc/internal/memsys"
 	"qcdoc/internal/ppc440"
 	"qcdoc/internal/scu"
 )
+
+// compute charges the kernels to the node from a program, in order.
+func compute(t *testing.T, eng *event.Engine, n *Node, ks ...ppc440.KernelCost) {
+	t.Helper()
+	n.ForceReady()
+	n.RunProgram("compute", func(ctx *Ctx) {
+		for _, k := range ks {
+			n.Compute(ctx.P, k)
+		}
+	})
+	if err := eng.RunAll(); err != nil {
+		t.Fatal(err)
+	}
+}
 
 func TestCountersDisabledByDefault(t *testing.T) {
 	eng, n := testNode(t)
@@ -15,10 +30,7 @@ func TestCountersDisabledByDefault(t *testing.T) {
 		t.Fatal("counters on before EnableCounters")
 	}
 	// Compute with counters disabled must work and count nothing.
-	n.ComputeThen(ppc440.KernelCost{Name: "k", Flops: 100, FPUOps: 50}, func() {})
-	if err := eng.RunAll(); err != nil {
-		t.Fatal(err)
-	}
+	compute(t, eng, n, ppc440.KernelCost{Name: "k", Flops: 100, FPUOps: 50})
 	if n.Counters() != nil {
 		t.Fatal("counters appeared spontaneously")
 	}
@@ -36,12 +48,7 @@ func TestNoteKernelClassification(t *testing.T) {
 	mb := ppc440.KernelCost{Name: "axpy", Flops: 10, FPUOps: 5, LoadBytes: 4096, StoreBytes: 2048, Streams: 2, Level: memsys.EDRAM}
 	// Gather-style kernel with more streams than the prefetcher covers.
 	gather := ppc440.KernelCost{Name: "gather", Flops: 10, FPUOps: 5, LoadBytes: 1280, Streams: 3, Level: memsys.DDR}
-	for _, k := range []ppc440.KernelCost{cb, mb, gather} {
-		n.ComputeThen(k, func() {})
-	}
-	if err := eng.RunAll(); err != nil {
-		t.Fatal(err)
-	}
+	compute(t, eng, n, cb, mb, gather)
 	if c.Kernels != 3 || c.Flops != 1020 {
 		t.Fatalf("kernels %d flops %g", c.Kernels, c.Flops)
 	}

@@ -185,10 +185,3 @@ func (c CPU) SustainedFlops(k KernelCost, m memsys.Model) float64 {
 func (c CPU) Execute(p *event.Proc, k KernelCost, m memsys.Model) {
 	p.Sleep(c.KernelTime(k, m))
 }
-
-// ExecuteThen charges the kernel's time on the engine's continuation
-// tier: done runs when the kernel retires, KernelTime from now. Timing
-// is identical to Execute; only the scheduling tier differs.
-func (c CPU) ExecuteThen(eng *event.Engine, k KernelCost, m memsys.Model, done func()) {
-	eng.After(c.KernelTime(k, m), done)
-}

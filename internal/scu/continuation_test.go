@@ -3,103 +3,7 @@ package scu
 import (
 	"strings"
 	"testing"
-
-	"qcdoc/internal/event"
-	"qcdoc/internal/geom"
 )
-
-// TestTransferThen drives a full send/receive over the pair harness with
-// no waiting process at all: completion is observed through Then, the
-// continuation-tier Wait.
-func TestTransferThen(t *testing.T) {
-	pr := newPair(t, Config{})
-	const n = 8
-	want := fillWords(pr.ma, 0x100, n, 77)
-	rt, err := pr.b.StartRecv(pr.linkB, Contiguous(0x200, n))
-	if err != nil {
-		t.Fatal(err)
-	}
-	st, err := pr.a.StartSend(pr.linkA, Contiguous(0x100, n))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sendAt, recvAt event.Time
-	st.Then(func() { sendAt = pr.eng.Now() })
-	rt.Then(func() { recvAt = pr.eng.Now() })
-	pr.run(t)
-	if !st.Done() || !rt.Done() {
-		t.Fatal("transfers incomplete")
-	}
-	if sendAt != st.Finished() || recvAt != rt.Finished() {
-		t.Fatalf("Then times %v/%v, Finished %v/%v", sendAt, recvAt, st.Finished(), rt.Finished())
-	}
-	for i := 0; i < n; i++ {
-		if got := pr.mb.ReadWord(0x200 + 8*uint64(i)); got != want[i] {
-			t.Fatalf("word %d = %#x, want %#x", i, got, want[i])
-		}
-	}
-	// Then on an already-completed transfer fires synchronously.
-	late := false
-	rt.Then(func() { late = true })
-	if !late {
-		t.Fatal("Then on a completed transfer did not run immediately")
-	}
-}
-
-// TestOnGlobalDone checks the continuation-tier completion hook of the
-// global pass-through streams: callbacks registered before completion
-// fire when the stream's expected words have arrived; afterwards they
-// fire immediately.
-func TestOnGlobalDone(t *testing.T) {
-	const n = 4
-	eng, scus, _ := ring(t, n, Config{})
-	lin := geom.Link{Dim: 0, Dir: geom.Bwd}
-	lout := geom.Link{Dim: 0, Dir: geom.Fwd}
-	sums := make([]uint64, n)
-	for i, s := range scus {
-		i := i
-		err := s.ConfigureGlobal(0, GlobalConfig{
-			In: lin, HasIn: true,
-			Outs:    []geom.Link{lout},
-			Expect:  n - 1,
-			Forward: n - 2,
-			OnWord:  func(_ int, w uint64) { sums[i] += w },
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	doneAt := make([]event.Time, n)
-	for i, s := range scus {
-		i := i
-		s.OnGlobalDone(0, func() { doneAt[i] = eng.Now() })
-	}
-	for i, s := range scus {
-		if err := s.GlobalInject(0, uint64(1)<<uint(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := eng.RunAll(); err != nil {
-		t.Fatal(err)
-	}
-	for i, s := range scus {
-		if !s.GlobalDone(0) {
-			t.Fatalf("node %d stream not done", i)
-		}
-		if doneAt[i] == 0 {
-			t.Fatalf("node %d completion hook never fired", i)
-		}
-		want := uint64(1)<<n - 1 - uint64(1)<<uint(i)
-		if sums[i] != want {
-			t.Fatalf("node %d sum %#x, want %#x", i, sums[i], want)
-		}
-		late := false
-		s.OnGlobalDone(0, func() { late = true })
-		if !late {
-			t.Fatalf("node %d: hook on a finished stream did not run immediately", i)
-		}
-	}
-}
 
 // TestStateMachineDump spot-checks the introspection the refactor added:
 // after Start every link unit is a named state machine parked idle.

@@ -44,7 +44,6 @@ type globalStream struct {
 	cfg      GlobalConfig
 	received int
 	done     *event.Gate
-	thens    []func()
 }
 
 // ConfigureGlobal programs stream id (0 or 1 — the "doubled"
@@ -135,18 +134,6 @@ func (s *SCU) WaitGlobal(p *event.Proc, id int) {
 	}
 }
 
-// OnGlobalDone runs fn when stream id completes — the continuation-tier
-// WaitGlobal, for callers with no process. If the stream is already
-// complete (or not configured), fn runs immediately.
-func (s *SCU) OnGlobalDone(id int, fn func()) {
-	gs := s.globals[id]
-	if gs == nil || gs.received >= gs.cfg.Expect {
-		fn()
-		return
-	}
-	gs.thens = append(gs.thens, fn)
-}
-
 // DisableGlobal tears down stream id; its In link returns to normal DMA
 // reception.
 func (s *SCU) DisableGlobal(id int) {
@@ -178,10 +165,5 @@ func (gs *globalStream) receive(w uint64) {
 	}
 	if gs.received == gs.cfg.Expect {
 		gs.done.Fire()
-		thens := gs.thens
-		gs.thens = nil
-		for _, fn := range thens {
-			fn()
-		}
 	}
 }

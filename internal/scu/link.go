@@ -245,7 +245,7 @@ func (lu *linkUnit) pump() {
 				lu.curIdx = 0
 				lu.sm.Goto(txStartup)
 				startup := lu.scu.cfg.Clock.Cycles(lu.scu.cfg.TxStartupCycles)
-				lu.sm.Sleep(startup, lu.startupFn)
+				lu.scu.eng.After(startup, lu.startupFn)
 				return
 			default:
 				lu.sm.Goto(txIdle)
@@ -449,9 +449,15 @@ func (lu *linkUnit) handleCorrupt(err error) {
 	lu.sendNak()
 }
 
+// lastAccepted is the sequence number an ack or nak may carry: the
+// newest in-order word that has reached memory. Words idle receive still
+// holds are accepted but not yet acknowledgeable — an ack or nak that
+// covered them would reopen the sender's window onto a full register
+// file.
+//
 //qcdoc:noalloc
 func (lu *linkUnit) lastAccepted() int {
-	return (lu.expect + scupkt.SeqMod - 1) % scupkt.SeqMod
+	return (lu.expect + 2*scupkt.SeqMod - 1 - lu.idleBufLen) % scupkt.SeqMod
 }
 
 // sendNak requests a rewind-resend of everything unacknowledged. One nak
@@ -469,7 +475,7 @@ func (lu *linkUnit) sendNak() {
 	lu.stats.NaksSent++
 }
 
-// sendCumAck acknowledges everything accepted so far.
+// sendCumAck acknowledges everything stored so far.
 //
 //qcdoc:noalloc
 func (lu *linkUnit) sendCumAck() {

@@ -11,17 +11,28 @@ import (
 	"qcdoc/internal/hssl"
 )
 
-// testMem is a sparse word-addressed memory.
+// testMem is a sparse word-addressed memory. With trace set it also
+// keeps every write in order, so a test can see a word stored twice.
 type testMem struct {
-	words map[uint64]uint64
+	words  map[uint64]uint64
+	trace  bool
+	writes []memWrite
 }
 
-func newTestMem() *testMem                      { return &testMem{words: map[uint64]uint64{}} }
-func (m *testMem) ReadWord(a uint64) uint64     { return m.words[a] }
-func (m *testMem) WriteWord(a uint64, w uint64) { m.words[a] = w }
+type memWrite struct{ addr, word uint64 }
+
+func newTestMem() *testMem                  { return &testMem{words: map[uint64]uint64{}} }
+func (m *testMem) ReadWord(a uint64) uint64 { return m.words[a] }
+func (m *testMem) WriteWord(a uint64, w uint64) {
+	m.words[a] = w
+	if m.trace {
+		m.writes = append(m.writes, memWrite{a, w})
+	}
+}
 
 // pair is a two-node harness: node A's (0,Fwd) link is wired to node B's
-// (0,Bwd) link.
+// (0,Bwd) link. eng is A's engine and the one to run; B's differs from
+// it when the pair straddles two shards of a cluster.
 type pair struct {
 	eng    *event.Engine
 	a, b   *SCU
@@ -34,20 +45,21 @@ type pair struct {
 func newPair(t *testing.T, cfg Config) *pair {
 	t.Helper()
 	eng := event.New()
-	ab := hssl.NewWire(eng, "a->b", hssl.DefaultClock, hssl.DefaultPropagation)
-	ba := hssl.NewWire(eng, "b->a", hssl.DefaultClock, hssl.DefaultPropagation)
-	eng.Spawn("train", func(p *event.Proc) {
-		ab.Train(p)
-	})
-	eng.Spawn("train2", func(p *event.Proc) {
-		ba.Train(p)
-	})
+	return newPairOn(t, cfg, eng, eng)
+}
+
+func newPairOn(t *testing.T, cfg Config, eng, engB *event.Engine) *pair {
+	t.Helper()
+	ab := hssl.NewWireBetween(eng, engB, "a->b", hssl.DefaultClock, hssl.DefaultPropagation)
+	ba := hssl.NewWireBetween(engB, eng, "b->a", hssl.DefaultClock, hssl.DefaultPropagation)
+	ab.TrainAsync(nil)
+	ba.TrainAsync(nil)
 	if err := eng.RunAll(); err != nil {
 		t.Fatal(err)
 	}
 	ma, mb := newTestMem(), newTestMem()
 	a := New(eng, "A", ma, cfg)
-	b := New(eng, "B", mb, cfg)
+	b := New(engB, "B", mb, cfg)
 	la := geom.Link{Dim: 0, Dir: geom.Fwd}
 	lb := geom.Link{Dim: 0, Dir: geom.Bwd}
 	a.AttachLink(la, ab, ba)
@@ -410,7 +422,7 @@ func ring(t *testing.T, n int, cfg Config) (*event.Engine, []*SCU, []*testMem) {
 		fwd[i] = hssl.NewWire(eng, fmt.Sprintf("f%d", i), hssl.DefaultClock, hssl.DefaultPropagation)
 		bwd[i] = hssl.NewWire(eng, fmt.Sprintf("b%d", i), hssl.DefaultClock, hssl.DefaultPropagation)
 		w1, w2 := fwd[i], bwd[i]
-		eng.Spawn("train", func(p *event.Proc) { w1.Train(p); w2.Train(p) })
+		w1.TrainAsync(func() { w2.TrainAsync(nil) })
 	}
 	if err := eng.RunAll(); err != nil {
 		t.Fatal(err)

@@ -58,7 +58,6 @@ type Transfer struct {
 	wordsDone int
 	completed bool
 	done      *event.Gate
-	thens     []func()
 	started   event.Time
 	finished  event.Time
 }
@@ -85,17 +84,6 @@ func (t *Transfer) Wait(p *event.Proc) {
 	}
 }
 
-// Then runs fn at the transfer's completion time — the continuation-tier
-// Wait, for callers with no process. If the transfer has already
-// completed, fn runs immediately.
-func (t *Transfer) Then(fn func()) {
-	if t.completed {
-		fn()
-		return
-	}
-	t.thens = append(t.thens, fn)
-}
-
 // Started returns the simulated time the transfer was programmed.
 func (t *Transfer) Started() event.Time { return t.started }
 
@@ -111,11 +99,6 @@ func (t *Transfer) progress(eng *event.Engine, at event.Time) {
 			t.completed = true
 			t.finished = eng.Now()
 			t.done.Fire()
-			thens := t.thens
-			t.thens = nil
-			for _, fn := range thens {
-				fn()
-			}
 		})
 	}
 }
