@@ -62,7 +62,8 @@ lint:
 # manifest's typed-error / bounded-allocation contracts (what the
 # recovery ladder trusts when it restores from a possibly-corrupt or
 # torn storage plane). FuzzQueueOrder fuzzes the event queue's order
-# contract: random event programs must dispatch in (at, seq) order.
+# contract: random event programs must dispatch in (at, seq) order;
+# FuzzLazyTimer holds event.Timer to its eager reference model.
 # FuzzHopKernelBits feeds the hop kernel fuzzer-chosen spinor and link
 # words and demands bit equality with the by-value oracle.
 fuzz:
@@ -70,6 +71,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzCheckpointDecode$$' -fuzztime $(FUZZTIME) ./internal/checkpoint
 	$(GO) test -run '^$$' -fuzz '^FuzzManifestDecode$$' -fuzztime $(FUZZTIME) ./internal/checkpoint
 	$(GO) test -run '^$$' -fuzz '^FuzzQueueOrder$$' -fuzztime $(FUZZTIME) ./internal/event
+	$(GO) test -run '^$$' -fuzz '^FuzzLazyTimer$$' -fuzztime $(FUZZTIME) ./internal/event
 	$(GO) test -run '^$$' -fuzz '^FuzzHopKernelBits$$' -fuzztime $(FUZZTIME) ./internal/latmath
 
 build:

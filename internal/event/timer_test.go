@@ -1,6 +1,10 @@
 package event
 
-import "testing"
+import (
+	"math/rand"
+	"reflect"
+	"testing"
+)
 
 func TestTimerFiresOnce(t *testing.T) {
 	eng := New()
@@ -85,4 +89,172 @@ func TestTimerDispatchAllocFree(t *testing.T) {
 	if avg != 0 {
 		t.Errorf("timer arm/dispatch allocates: %.2f allocs per 10-firing window", avg)
 	}
+}
+
+// eagerTimer is the reference model of a Timer: every Arm queues its own
+// firing and bumps a generation that orphans the earlier ones. Timer must
+// run its callback whenever, and in the same order as, this one would.
+type eagerTimer struct {
+	eng *Engine
+	fn  func()
+	gen uint64
+}
+
+func (t *eagerTimer) Arm(d Time)    { t.gen++; t.eng.AfterHandler(d, t, t.gen) }
+func (t *eagerTimer) ArmAt(at Time) { t.gen++; t.eng.AtHandler(at, t, t.gen) }
+func (t *eagerTimer) Stop()         { t.gen++ }
+func (t *eagerTimer) HandleEvent(gen uint64) {
+	if t.gen == gen {
+		t.fn()
+	}
+}
+
+type timerAPI interface {
+	Arm(Time)
+	ArmAt(Time)
+	Stop()
+}
+
+// timerRun is one callback run: a timer's (who >= 0) or an unrelated
+// event's (who = -1).
+type timerRun struct {
+	at  Time
+	who int
+}
+
+// timerProg drives three timers and a stream of unrelated events through
+// a seeded random program. Every callback logs itself and then makes up
+// to three more calls drawn from the program's generator, so two engines
+// produce the same log only if they ran every callback at the same time
+// and in the same order. A monotone program re-arms each timer with its
+// own fixed period only — the ack clock and the heartbeat — so a deadline
+// never moves backwards.
+type timerProg struct {
+	e        *Engine
+	rng      *rand.Rand
+	timers   []timerAPI
+	log      []timerRun
+	budget   int
+	live     int // unrelated events queued
+	monotone bool
+	delays   []Time
+}
+
+func runTimerProg(t *testing.T, seed int64, budget int, monotone bool, delays []Time, mk func(*Engine, func()) timerAPI) []timerRun {
+	t.Helper()
+	p := &timerProg{e: New(), rng: rand.New(rand.NewSource(seed)), budget: budget, monotone: monotone, delays: delays}
+	for i := 0; i < 3; i++ {
+		p.timers = append(p.timers, mk(p.e, func() {
+			if p.rng.Intn(2) == 0 { // the heartbeat: re-arm from inside the callback
+				p.arm(i)
+			}
+			p.step(i)
+		}))
+	}
+	for i := range p.timers {
+		p.arm(i)
+	}
+	p.unrelated(Time(p.rng.Intn(1000)))
+	for _, until := range []Time{Time(p.rng.Int63n(int64(200 * Microsecond))), Forever} {
+		if err := p.e.Run(until); err != nil {
+			t.Fatal(err)
+		}
+		p.step(-2) // calls from outside Run, between horizons
+	}
+	if err := p.e.RunAll(); err != nil {
+		t.Fatal(err)
+	}
+	if p.e.Pending() != 0 {
+		t.Fatalf("seed %d: %d events left after RunAll", seed, p.e.Pending())
+	}
+	return p.log
+}
+
+func (p *timerProg) delay() Time { return p.delays[p.rng.Intn(len(p.delays))] }
+
+func (p *timerProg) unrelated(at Time) {
+	p.live++
+	p.e.At(at, func() {
+		p.live--
+		p.step(-1)
+	})
+}
+
+// arm re-arms timer i: by its period in a monotone program, else by Arm
+// or ArmAt at a random delay (earlier or later than whatever is pending)
+// or at a time already past.
+func (p *timerProg) arm(i int) {
+	tm := p.timers[i]
+	if p.monotone {
+		tm.Arm(p.delays[i%len(p.delays)])
+		return
+	}
+	switch p.rng.Intn(5) {
+	case 0, 1:
+		tm.Arm(p.delay())
+	case 2, 3:
+		tm.ArmAt(p.e.Now() + p.delay())
+	case 4:
+		tm.ArmAt(p.e.Now() - 3)
+	}
+}
+
+func (p *timerProg) step(who int) {
+	p.log = append(p.log, timerRun{p.e.Now(), who})
+	for k := p.rng.Intn(4); k > 0 && p.budget > 0; k-- {
+		p.budget--
+		switch p.rng.Intn(8) {
+		case 0, 1, 2:
+			p.unrelated(p.e.Now() + p.delay())
+		case 3, 4, 5, 6:
+			p.arm(p.rng.Intn(len(p.timers)))
+		case 7:
+			p.timers[p.rng.Intn(len(p.timers))].Stop()
+		}
+	}
+}
+
+func newTimerAPI(e *Engine, fn func()) timerAPI { return e.NewTimer(fn) }
+func newEagerAPI(e *Engine, fn func()) timerAPI { return &eagerTimer{eng: e, fn: fn} }
+
+// checkTimerAgainstEager runs one program on a Timer and on the eager
+// reference and demands the same log.
+func checkTimerAgainstEager(t *testing.T, seed int64, budget int, monotone bool, delays []Time) {
+	t.Helper()
+	got := runTimerProg(t, seed, budget, monotone, delays, newTimerAPI)
+	want := runTimerProg(t, seed, budget, monotone, delays, newEagerAPI)
+	if !reflect.DeepEqual(got, want) {
+		n := 0
+		for n < len(got) && n < len(want) && got[n] == want[n] {
+			n++
+		}
+		t.Fatalf("seed %d monotone %v: Timer ran %d callbacks, the eager reference %d; first difference at run %d:\n got %v\nwant %v",
+			seed, monotone, len(got), len(want), n, got[n:min(n+4, len(got))], want[n:min(n+4, len(want))])
+	}
+}
+
+func TestLazyTimerMatchesEagerReference(t *testing.T) {
+	for seed := int64(1); seed <= 60; seed++ {
+		checkTimerAgainstEager(t, seed, 2000, false, mixed())
+		checkTimerAgainstEager(t, seed, 2000, true, []Time{50 * Microsecond, 600 * Nanosecond, 842 * Microsecond})
+	}
+}
+
+// FuzzLazyTimer lets the fuzzer pick the program, as FuzzQueueOrder does.
+func FuzzLazyTimer(f *testing.F) {
+	f.Add(int64(1), uint16(500), uint8(0xff), false)
+	f.Add(int64(2), uint16(2000), uint8(0x03), false) // zero delays only
+	f.Add(int64(3), uint16(1000), uint8(0xc0), true)  // far timers only
+	f.Fuzz(func(t *testing.T, seed int64, budget uint16, mask uint8, monotone bool) {
+		var delays []Time
+		for i, d := range mixed() {
+			if mask&(1<<i) != 0 {
+				delays = append(delays, d)
+			}
+		}
+		if len(delays) == 0 {
+			delays = mixed()
+		}
+		checkTimerAgainstEager(t, seed, int(budget), monotone, delays)
+	})
 }
