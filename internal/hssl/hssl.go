@@ -61,17 +61,6 @@ type Stats struct {
 	Dropped   uint64 // frames launched into a dead wire, never delivered
 }
 
-// Delivery stages for the wire's pre-bound event handler. Each frame
-// takes the arrive stage and, once a receiver is attached, one handle
-// stage at the same timestamp. The deferral keeps the intra-timestamp
-// event order (and with it frame serialization order on shared return
-// wires) that every pinned digest records; ROADMAP "one wire stage per
-// frame" removes it together with the re-pin.
-const (
-	wireArrive uint64 = iota // the last bit has reached the receiver
-	wireHandle               // hand the ring head to the OnFrame handler
-)
-
 // Wire is one uni-directional bit-serial link between two neighbouring
 // nodes. Frames are serialized at the link clock (one bit per cycle),
 // then arrive at the far end after the propagation delay. Serialization
@@ -94,8 +83,8 @@ type Wire struct {
 	xmit      Frame // scratch slot for fault injection on the cross-shard path
 
 	// In-flight frames, a reusable ring: Send (or, on a cross-shard wire,
-	// AcceptPayload at the barrier) pushes at the tail, the delivery
-	// events pop the head. Arrival order equals send order (the wire is
+	// AcceptPayload at the barrier) pushes at the tail, each arrival
+	// event pops the head. Arrival order equals send order (the wire is
 	// point-to-point and serialization is FIFO), so the ring replaces a
 	// per-frame delivery closure without changing anything observable. It
 	// grows to the wire's high-water mark once and is then
@@ -104,7 +93,7 @@ type Wire struct {
 	flyHead int
 	flyLen  int
 
-	early []Frame // frames that arrived before a receiver attached (cold)
+	early []Frame // frames that arrived before a receiver took them (cold)
 }
 
 // NewWire creates a wire on the engine. clock is the serial bit rate;
@@ -238,7 +227,7 @@ func (w *Wire) Send(data scupkt.Wire) (event.Time, error) {
 		if w.fault != nil && w.fault(&w.xmit) {
 			w.stats.Corrupted++
 		}
-		w.eng.CrossPayload(w.rxEng, arrive, w, wireArrive, packFrame(&w.xmit))
+		w.eng.CrossPayload(w.rxEng, arrive, w, 0, packFrame(&w.xmit))
 		return arrive, nil
 	}
 
@@ -252,7 +241,7 @@ func (w *Wire) Send(data scupkt.Wire) (event.Time, error) {
 			w.stats.Corrupted++
 		}
 	}
-	w.eng.AtHandler(arrive, w, wireArrive)
+	w.eng.AtHandler(arrive, w, 0)
 	return arrive, nil
 }
 
@@ -296,28 +285,25 @@ func unpackFrame(p event.Payload) Frame {
 // the barrier; it implements event.PayloadHandler and is not meant to be
 // called directly. On a cross-shard wire the transmitter never touches
 // the in-flight ring, so the receive side owns it, and the frame's
-// wireArrive event finds it at the head exactly as on a same-shard wire.
+// arrival event finds it at the head exactly as on a same-shard wire.
 //
 //qcdoc:noalloc
 func (w *Wire) AcceptPayload(p event.Payload) { w.pushInFlight(unpackFrame(p)) }
 
-// HandleEvent dispatches the wire's delivery pipeline stages; it
-// implements event.Handler and is not meant to be called directly.
-// Arrival events fire in send order (FIFO serialization), so each stage
-// operates on the in-flight ring's head.
+// HandleEvent is a frame's one event: its last bit has reached the
+// receiver, and the OnFrame handler takes it there and then. Arrivals
+// fire in send order (FIFO serialization), so the frame is the in-flight
+// ring's head. It implements event.Handler and is not meant to be called
+// directly.
 //
 //qcdoc:noalloc
-func (w *Wire) HandleEvent(stage uint64) {
-	switch stage {
-	case wireArrive:
-		if w.handler == nil {
-			w.early = append(w.early, w.popInFlight()) // grows only before a receiver attaches
-			return
-		}
-		w.rxEng.AtHandler(w.rxEng.Now(), w, wireHandle)
-	case wireHandle:
-		w.handler(w.popInFlight())
+func (w *Wire) HandleEvent(uint64) {
+	f := w.popInFlight()
+	if w.handler == nil || len(w.early) > 0 {
+		w.early = append(w.early, f) // cold: nobody listens yet, or OnFrame's drain is still queued
+		return
 	}
+	w.handler(f)
 }
 
 //qcdoc:noalloc

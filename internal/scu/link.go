@@ -54,8 +54,9 @@ type linkUnit struct {
 	// Transmit side. The engine advances via pump(): every entry point
 	// that creates transmit work (a programmed send, an injected global
 	// word, a window-opening ack, the end of the DMA startup charge)
-	// calls pump, which sends words until it must park — idle, in the
-	// startup charge, or with the window full.
+	// pumps — the ack in its own arrival event, the rest through kick —
+	// and pump sends words until it must park: idle, in the startup
+	// charge, or with the window full.
 	sm          *event.StateMachine
 	pumpFn      func()       // pre-bound deferred pump (see kick)
 	startupFn   func()       // pre-bound end of the DMA startup charge
@@ -190,12 +191,13 @@ func (lu *linkUnit) popInject() uint64 {
 }
 
 // kick wakes the transmit engine with a deferred pump if it is parked in
-// the given state — the continuation-tier equivalent of firing the gate
-// a waiting coroutine was parked on. The one-event deferral keeps
-// intra-timestamp ordering (and so frame serialization order on the
-// wires) identical to the coroutine tier; an engine that is already
-// running, charging its startup pipeline, or parked in a different state
-// ignores the kick, exactly as a gate fire with no waiter did.
+// the given state. These are the once-per-transfer wake-ups — a
+// programmed send, an injected global word, the end of a re-training —
+// whose callers go on to touch the wire themselves, so the pump waits
+// one event for them to finish; the per-word wake-up, the
+// window-opening ack, pumps inline (handleAck). An engine that is
+// already running, charging its startup pipeline, or parked in a
+// different state ignores the kick.
 //
 //qcdoc:noalloc
 func (lu *linkUnit) kick(state string) {
@@ -597,7 +599,8 @@ func (lu *linkUnit) handleAck(flags uint8) {
 		return
 	}
 	a := int(flags & scupkt.AckSeqMask)
-	if lu.containsSeq(a) {
+	opened := lu.containsSeq(a)
+	if opened {
 		// Acknowledgement progress resets the recovery escalation ladder.
 		lu.timeoutStreak = 0
 		lu.retrainCount = 0
@@ -623,7 +626,6 @@ func (lu *linkUnit) handleAck(flags uint8) {
 		} else {
 			lu.ackTimer.Stop()
 		}
-		lu.kick(txWindow) // the window opened; release any held word
 	}
 	if flags&scupkt.AckNak != 0 {
 		// Automatic hardware resend: rewind and retransmit every word
@@ -634,6 +636,11 @@ func (lu *linkUnit) handleAck(flags uint8) {
 			lu.stats.Resends++
 			lu.noteResend(pw)
 		}
+	}
+	// The window opened: release the held word in this same event, after
+	// any rewind, so the wire carries the resends and then the new word.
+	if opened && lu.sm.State() == txWindow {
+		lu.pump()
 	}
 }
 
