@@ -148,9 +148,7 @@ func (e *Engine) enqueue(at Time, fn func(), h Handler, arg, flow uint64) {
 	e.seq++
 	q := &e.events
 	q.n++
-	if uint64(q.n) > q.stats.HighWater {
-		q.stats.HighWater = uint64(q.n)
-	}
+	q.stats.HighWater = max(q.stats.HighWater, uint64(q.n))
 	// at - tail as unsigned is the gap to a lane that fits and at least
 	// 1<<63 for one that does not (times are never negative).
 	best, gap := srcNone, uint64(1)<<63
@@ -173,6 +171,20 @@ func (e *Engine) enqueue(at Time, fn func(), h Handler, arg, flow uint64) {
 	l.buf[(l.head+l.n)&(len(l.buf)-1)] = item{at: at, seq: e.seq, fn: fn, h: h, arg: arg, flow: flow}
 	l.n++
 	q.live |= 1 << best
+}
+
+// requeue stores an event under a sequence number it already holds: a
+// Timer's firing moving on to the deadline a later Arm set. The number
+// is older than the lanes' newest, so the event goes to the heap, which
+// takes any order.
+//
+//qcdoc:noalloc
+func (e *Engine) requeue(at Time, seq uint64, h Handler) {
+	q := &e.events
+	q.n++
+	q.stats.HighWater = max(q.stats.HighWater, uint64(q.n))
+	q.stats.HeapFallbacks++
+	q.heap.push(item{at: at, seq: seq, h: h, flow: e.curFlow})
 }
 
 // peekTime returns the time of the earliest queued event and where it

@@ -9,11 +9,13 @@ import (
 )
 
 // The queue contract: whatever container an event sits in, events leave
-// in (at, seq) order. A correct engine's dispatch log is therefore the
-// stable sort by time of its push log (pushes are logged in seq order),
-// and after Run(until) exactly the pushes at or before the horizon have
-// left. qprog drives an engine through its scheduling calls, logging
-// both sides.
+// in (at, seq) order. A correct engine's dispatch log is therefore its
+// push log sorted by (at, seq), and after Run(until) exactly the pushes
+// at or before the horizon have left. qprog drives an engine through its
+// scheduling calls, logging both sides. A Timer pushes only when it has
+// no firing queued at or before the new deadline, and again when that
+// firing moves on to a later one (under the sequence number the Arm
+// took); syncTimers reads both off the timers' own state.
 
 type qkey struct {
 	at  Time
@@ -25,17 +27,21 @@ type qprog struct {
 	e      *Engine
 	rng    *rand.Rand
 	timers []*Timer
-	pushes []qkey // every scheduled event, in scheduling order
-	got    []qkey // every dispatched event, in dispatch order
-	budget int    // events the random steps may still schedule
-	delays []Time // what a random step draws its delays from
-	stopAt int    // len(got) when a step called Stop, else -1
-	npay   int    // payloads accepted
+	firing [3]uint64 // per timer, the last queued firing logged
+	pushes []qkey    // every event stored in the queue
+	got    []qkey    // every dispatched event, in dispatch order
+	budget int       // events the random steps may still schedule
+	delays []Time    // what a random step draws its delays from
+	stopAt int       // len(got) when a step called Stop, else -1
+	npay   int       // payloads accepted
 }
 
 func newQprog(t *testing.T, seed int64, budget int, delays ...Time) *qprog {
 	p := &qprog{t: t, e: New(), rng: rand.New(rand.NewSource(seed)), budget: budget, delays: delays, stopAt: -1}
-	p.e.SetTracer(func(at Time) { p.got = append(p.got, qkey{at, p.e.lastSeq}) })
+	p.e.SetTracer(func(at Time) {
+		p.syncTimers() // the previous event may have been a firing moving on
+		p.got = append(p.got, qkey{at, p.e.lastSeq})
+	})
 	for i := 0; i < 3; i++ {
 		p.timers = append(p.timers, p.e.NewTimer(p.step))
 	}
@@ -61,8 +67,18 @@ func (p *qprog) payload(at Time) {
 	}
 }
 func (p *qprog) arm(i int, d Time) {
-	p.note(p.e.now + d)
 	p.timers[i].Arm(d)
+	p.syncTimers()
+}
+
+// syncTimers logs the queued firing of every timer that has a new one.
+func (p *qprog) syncTimers() {
+	for i, tm := range p.timers {
+		if tm.qAt >= 0 && tm.qSeq != p.firing[i] {
+			p.firing[i] = tm.qSeq
+			p.pushes = append(p.pushes, qkey{tm.qAt, tm.qSeq})
+		}
+	}
 }
 
 func (p *qprog) HandleEvent(uint64)    { p.step() }
@@ -104,8 +120,11 @@ func (p *qprog) run(until Time) {
 	if err := p.e.Run(until); err != nil {
 		p.t.Fatal(err)
 	}
+	p.syncTimers()
 	want := append([]qkey(nil), p.pushes...)
-	sort.SliceStable(want, func(i, j int) bool { return want[i].at < want[j].at })
+	sort.Slice(want, func(i, j int) bool {
+		return want[i].at < want[j].at || (want[i].at == want[j].at && want[i].seq < want[j].seq)
+	})
 	if n := len(p.got); n > len(want) || !reflect.DeepEqual(p.got, want[:n]) {
 		p.t.Fatalf("dispatched %d events out of (at, seq) order:\n got %v\nwant %v", n, p.got, want)
 	}

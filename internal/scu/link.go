@@ -283,10 +283,12 @@ func (lu *linkUnit) sendHeld() {
 
 // ackTimeout is the lost-acknowledgement recovery: if the oldest
 // unacknowledged word has not been acked within AckTimeout, resend it
-// and restart the clock. Arming bumps the timer's generation, so any
-// pop of the window head implicitly cancels the outstanding timer by
-// re-arming (or stopping) it. A streak of timeouts with no progress
-// escalates to link re-training (see beginRetrain).
+// and restart the clock. Every pop of the window head re-arms (or stops)
+// the timer, which only moves its deadline — the one queued firing
+// follows it (event.Timer) — so this runs when a deadline is actually
+// reached and never for a word that was acknowledged. A streak of
+// timeouts with no progress escalates to link re-training (see
+// beginRetrain).
 //
 //qcdoc:noalloc
 func (lu *linkUnit) ackTimeout() {
