@@ -550,3 +550,36 @@ func TestSolveValidatesBeforeLaunch(t *testing.T) {
 		t.Fatalf("valid solve after rejected ones: %v, %+v", err, met)
 	}
 }
+
+// TestEventsPerWord is the host-cost budget of the word path: a data
+// word is two events (its arrival, which stores it and sends the ack;
+// the ack's arrival, which pops the window and pumps the next word), and
+// a link's recovery timers hold one queued event each however often they
+// are re-armed. A per-word deferral or a per-arm timer firing creeping
+// back shows here as 3 events per word or a queue tens of thousands deep.
+func TestEventsPerWord(t *testing.T) {
+	global := lattice.Shape4{8, 8, 4, 4}
+	sess, err := NewSession(geom.MakeShape(2, 2), global)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+	gauge := lattice.NewGaugeField(global)
+	gauge.Randomize(1)
+	b := lattice.NewFermionField(global)
+	b.Gaussian(2)
+	events, words := sess.Eng.Executed(), sess.M.Stats().WordsSent
+	if _, _, err := sess.SolveWilson(gauge, b, 0.5, fermion.Double, 1e-4, 100); err != nil {
+		t.Fatal(err)
+	}
+	events, words = sess.Eng.Executed()-events, sess.M.Stats().WordsSent-words
+	perWord := float64(events) / float64(words)
+	highWater := sess.Eng.QueueStats().HighWater
+	t.Logf("%d events for %d words: %.3f per word; queue high-water %d", events, words, perWord, highWater)
+	if perWord > 2.1 {
+		t.Errorf("%.3f events per data word, budget 2.1", perWord)
+	}
+	if highWater > 2000 {
+		t.Errorf("event queue high-water %d, budget 2000", highWater)
+	}
+}

@@ -67,25 +67,25 @@ func goldenCases() []goldenCase {
 			crc, met.SimTime, met.WordsSent, met.Resends}
 	}
 	return []goldenCase{
-		{"wilson", solveGolden{16, 36, 0x3f158caa51cadb17, 0x67f02112, 33177171385, 0x6c1a0, 0}, 0xbe5475522cd02dec, func(s *Session) (solveGolden, error) {
+		{"wilson", solveGolden{16, 36, 0x3f158caa51cadb17, 0x67f02112, 33150965584, 0x6c1a0, 0}, 0xbe5475522cd02dec, func(s *Session) (solveGolden, error) {
 			b := lattice.NewFermionField(global)
 			b.Gaussian(2)
 			x, met, err := s.SolveWilson(gauge, b, 0.5, fermion.Double, 1e-4, maxIter)
 			return golden(met, spinorsCRC(x.S)), err
 		}},
-		{"clover", solveGolden{17, 38, 0x3f1978ff483c10d1, 0xf2732638, 42157325658, 0x721b8, 0}, 0x1386a1e3b0777a3b, func(s *Session) (solveGolden, error) {
+		{"clover", solveGolden{17, 38, 0x3f1978ff483c10d1, 0xf2732638, 42131119857, 0x721b8, 0}, 0x1386a1e3b0777a3b, func(s *Session) (solveGolden, error) {
 			b := lattice.NewFermionField(global)
 			b.Gaussian(2)
 			x, met, err := s.SolveClover(fermion.NewClover(gauge, 0.5, 1.0), b, fermion.Double, 1e-4, maxIter)
 			return golden(met, spinorsCRC(x.S)), err
 		}},
-		{"asqtad", solveGolden{15, 34, 0x3f137272e0ed48ac, 0xd2cb631b, 26974313146, 0x99188, 0}, 0x4a8ed9f0a30d7e80, func(s *Session) (solveGolden, error) {
+		{"asqtad", solveGolden{15, 34, 0x3f137272e0ed48ac, 0xd2cb631b, 26930596945, 0x99188, 0}, 0x4a8ed9f0a30d7e80, func(s *Session) (solveGolden, error) {
 			b := lattice.NewColorField(global)
 			b.Gaussian(2)
 			x, met, err := s.SolveASQTAD(fermion.NewASQTAD(gauge, 0.5), b, fermion.Double, 1e-4, maxIter)
 			return golden(met, vecsCRC(0, x.V...)), err
 		}},
-		{"dwf", solveGolden{18, 40, 0x3f939c1b766743d3, 0x4e9348fa, 133381514626, 0x1e01d0, 0}, 0x47394d1749a82275, func(s *Session) (solveGolden, error) {
+		{"dwf", solveGolden{18, 40, 0x3f939c1b766743d3, 0x4e9348fa, 133331663626, 0x1e01d0, 0}, 0x47394d1749a82275, func(s *Session) (solveGolden, error) {
 			b := fermion.NewField5(global, 4)
 			b.Gaussian(2)
 			x, met, err := s.SolveDWF(gauge, b, 1.8, 0.5, 4, fermion.Double, 1e-2, maxIter)

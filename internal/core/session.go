@@ -71,7 +71,7 @@ func firstOf(errs []error) error {
 type SolveMetrics struct {
 	Iterations   int
 	Applications int
-	SimTime      event.Time // simulated wall time of the whole solve
+	SimTime      event.Time // simulated time from launch until the last rank's program returned
 	RelResidual  float64
 	// UsefulFlops is the per-node operator + Krylov linear algebra work.
 	UsefulFlops float64

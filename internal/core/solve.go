@@ -241,7 +241,7 @@ func solve[F solver.Field[F]](s *Session, name string, pr problem[F]) (F, SolveM
 	if err := firstOf(out.errs); err != nil {
 		return out.solution, met, err
 	}
-	met.SimTime = s.Eng.Now() - start
+	met.SimTime = s.M.ProgramEnd() - start
 	s.fillMetrics(&met, pr.kind, pr.ls)
 	_, err := s.M.VerifyChecksums()
 	return out.solution, met, err

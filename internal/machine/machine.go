@@ -80,7 +80,8 @@ type Machine struct {
 	// wires[rank][linkIndex] is the outbound wire of that node's link.
 	wires [][]*hssl.Wire
 
-	booted bool
+	booted     bool
+	programEnd event.Time // see ProgramEnd
 
 	// Global clock state for partition-interrupt windows.
 	windowPeriod event.Time
@@ -379,6 +380,7 @@ func (m *Machine) RunSPMD(name string, prog func(rank int) node.Program) error {
 	if err := m.Eng.RunAll(); err != nil {
 		return err
 	}
+	m.programEnd = 0
 	for _, n := range m.Nodes {
 		done, err := n.AppDone()
 		if !done {
@@ -387,9 +389,16 @@ func (m *Machine) RunSPMD(name string, prog func(rank int) node.Program) error {
 		if err != nil {
 			return err
 		}
+		m.programEnd = max(m.programEnd, n.AppEnd())
 	}
 	return nil
 }
+
+// ProgramEnd returns the simulated time at which the last rank of the
+// latest RunSPMD returned from its program. The engine's clock reads
+// later: RunSPMD drains the queue, and the last event in it is a
+// recovery timer finding nothing to do.
+func (m *Machine) ProgramEnd() event.Time { return m.programEnd }
 
 // VerifyChecksums performs the §2.2 end-of-calculation audit: for every
 // link, the transmit-side checksum must equal the receive-side checksum

@@ -84,6 +84,7 @@ type Node struct {
 	bootWords int
 	appProc   *event.Proc
 	appDone   bool
+	appEnd    event.Time // when the application thread returned
 	appErr    error
 	hung      bool   // software wedged: state looks normal, nothing progresses
 	heartbeat uint64 // liveness counter the run kernel ticks; see TickHeartbeat
@@ -205,7 +206,7 @@ func (n *Node) RunProgram(name string, prog Program) error {
 			if !n.hung && n.state == AppRunning {
 				n.state = RunKernel
 			}
-			n.appDone = true
+			n.appDone, n.appEnd = true, p.Now()
 		}()
 		prog(&Ctx{P: p, N: n})
 	})
@@ -267,6 +268,10 @@ func (n *Node) Heartbeat() uint64 { return n.heartbeat }
 
 // AppDone reports whether the last application finished, and its error.
 func (n *Node) AppDone() (bool, error) { return n.appDone, n.appErr }
+
+// AppEnd returns the simulated time at which the last application
+// returned.
+func (n *Node) AppEnd() event.Time { return n.appEnd }
 
 // AllocWords reserves n contiguous 64-bit words of node memory and
 // returns the byte address; allocation is EDRAM-first, spilling into DDR
