@@ -9,8 +9,8 @@ GO ?= go
 FUZZTIME ?= 3s
 
 # The pinned benchmark set tracked across allocation-path changes:
-# engine dispatch (both tiers, and `backlog`: the solve's queue shape,
-# a few hundred live events in front of ~44 000 superseded timers), one
+# engine dispatch (both tiers, and `backlog`: the solve's event pattern,
+# 128 sources each re-arming a 50 us timer on every 144 ns step), one
 # machine-wide reduction, the full functional Wilson solve, and the host
 # kernels under it (reference Wilson / clover / domain-wall application
 # in host-Mflops and ns/site, and a reference CGNE solve). `make bench`

@@ -565,12 +565,13 @@ func BenchmarkEngineDispatch(b *testing.B) {
 		}
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/events, "ns/event")
 	})
-	// backlog is the queue shape of a functional solve, which the two
+	// backlog is the event pattern of a functional solve, which the two
 	// cases above (1 and 4096 pending events) do not have: 128 sources
 	// each schedule their next step 144 ns out and re-arm a 50 us timer,
-	// so ~44 000 superseded timer firings sit behind a few hundred live
-	// events. One engine serves every iteration, so after the first pass
-	// has grown the queue the loop allocates nothing.
+	// so every event pays a Timer.Arm and each timer keeps one firing
+	// queued behind the live events, moving on every 50 us. One engine
+	// serves every iteration, so after the first pass has grown the
+	// queue the loop allocates nothing.
 	b.Run("backlog", func(b *testing.B) {
 		const sources, steps = 128, 1600
 		eng := event.New()
@@ -605,7 +606,7 @@ func BenchmarkEngineDispatch(b *testing.B) {
 
 // backlogSource is one event source of BenchmarkEngineDispatch/backlog:
 // a handler chain 144 ns apart whose every step re-arms a 50 us timer
-// that the next step supersedes; the last step stops it.
+// before it can run; the last step stops it.
 type backlogSource struct {
 	eng   *event.Engine
 	timer *event.Timer

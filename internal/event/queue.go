@@ -78,12 +78,12 @@ func (h *eventHeap) pop() item {
 	}
 }
 
-// numLanes is K. Measured at K = 2, 4, 8 against the single heap
-// (wall_s, bench/ workloads): the Wilson solve 5.2 s -> 3.9, 1.8, 1.9 s;
-// the chaos fleet 1.70 s -> 1.74, 1.62, 1.12 s; the other three follow
-// the solve. An ack timer plus a Compute sleep capture two lanes, the
-// fleet's watchdog, daemon and NFS timers four and most of eight; a lane
-// costs about 1 ns per event, and 16 buys the fleet only 0.1 s more.
+// numLanes is K. Measured with a solve's queue a few hundred events deep
+// (wall_s, bench/ workloads) at K = 0 (heap only), 1, 2, 4, 8: the Wilson
+// solve 1.53, 1.58, 1.12, 0.98, 0.86 s; the chaos fleet 0.53, 0.54, 0.57,
+// 0.57, 0.45 s. Two lanes take 99.7 % of the solve's events; the fleet's
+// watchdog, daemon and NFS timers spread over all eight and still send
+// 30 % to the heap. A lane costs about 1 ns per event.
 const numLanes = 8
 
 // Dispatch sources beyond the lanes 0..numLanes-1.
@@ -173,10 +173,9 @@ func (e *Engine) enqueue(at Time, fn func(), h Handler, arg, flow uint64) {
 	q.live |= 1 << best
 }
 
-// requeue stores an event under a sequence number it already holds: a
-// Timer's firing moving on to the deadline a later Arm set. The number
-// is older than the lanes' newest, so the event goes to the heap, which
-// takes any order.
+// requeue stores an event under a sequence number it already holds (a
+// Timer's firing moving on to its deadline). The number is older than
+// the lanes' newest, so the event goes to the heap, which takes any order.
 //
 //qcdoc:noalloc
 func (e *Engine) requeue(at Time, seq uint64, h Handler) {

@@ -6,17 +6,15 @@ package event
 // when the timer is created; arming, re-arming, stopping, and firing
 // allocate nothing.
 //
-// Arming an armed timer cancels the earlier arming — the semantics the
-// SCU's acknowledgement-timeout registers need (each window-head pop
-// restarts the clock) — and it is lazy: a timer keeps at most one live
-// firing in the queue. An Arm whose deadline is no earlier than that
-// firing only records the new deadline and takes the sequence number a
-// firing of its own would have been given; the queued firing, when it
-// runs ahead of the deadline, moves itself there under that number. The
-// callback therefore runs at exactly the (time, sequence) position it
-// would hold if every Arm queued its own event, and a link that re-arms
-// once per acknowledged word costs the queue one event per timeout
-// period, not one per word. Only an ArmAt earlier than the queued firing
+// Arming an armed timer cancels the earlier arming — what the SCU's
+// acknowledgement-timeout registers need (each window-head pop restarts
+// the clock) — and is lazy: a timer keeps one live firing in the queue.
+// An Arm no earlier than that firing only records the deadline and takes
+// the sequence number its own firing would have been given; the queued
+// firing, when it runs early, moves to the deadline under that number.
+// The callback so runs at exactly the (time, sequence) position it would
+// hold if every Arm queued an event, at one event per timeout period
+// instead of one per Arm. Only an ArmAt earlier than the queued firing
 // queues a second one, and the superseded firing does nothing.
 //
 // Timers are single-shot: the callback runs once per Arm. Periodic
@@ -24,13 +22,10 @@ package event
 type Timer struct {
 	eng *Engine
 	fn  func()
-	// The armed deadline and the sequence number of the Arm that set it;
-	// at < 0 while the timer is not armed.
-	at  Time
-	seq uint64
-	// The live queued firing's key; qAt < 0 when there is none.
-	qAt  Time
-	qSeq uint64
+	// The armed deadline and the sequence number of the Arm that set it
+	// (at < 0: not armed); the live queued firing's key (qAt < 0: none).
+	at, qAt   Time
+	seq, qSeq uint64
 }
 
 // NewTimer creates a timer on the engine with a fixed callback. This is
@@ -52,9 +47,7 @@ func (t *Timer) Arm(d Time) { t.ArmAt(t.eng.now + d) }
 //qcdoc:noalloc
 func (t *Timer) ArmAt(at Time) {
 	e := t.eng
-	if at < e.now {
-		at = e.now
-	}
+	at = max(at, e.now)
 	t.at = at
 	if t.qAt >= 0 && t.qAt <= at {
 		e.seq++ // the queued firing will carry the deadline on
@@ -65,16 +58,15 @@ func (t *Timer) ArmAt(at Time) {
 	t.seq, t.qAt, t.qSeq = e.seq, at, e.seq
 }
 
-// Stop cancels the pending arming, if any. A queued firing still
-// dispatches and finds nothing armed.
+// Stop cancels the pending arming, if any.
 //
 //qcdoc:noalloc
 func (t *Timer) Stop() { t.at = -1 }
 
-// HandleEvent dispatches a queued firing: it runs the callback if it is
-// the armed one, moves on to the deadline if a later Arm set one, and
-// does nothing if the timer was stopped or an earlier ArmAt superseded
-// it. It implements Handler and is not meant to be called directly.
+// HandleEvent dispatches a queued firing: the armed one runs the
+// callback, one a later Arm overtook moves on to the deadline, a stopped
+// or superseded one does nothing. It implements Handler and is not meant
+// to be called directly.
 //
 //qcdoc:noalloc
 func (t *Timer) HandleEvent(uint64) {

@@ -80,7 +80,7 @@ type Wire struct {
 	fault     FaultFunc
 	stats     Stats
 	dead      bool  // permanent hardware failure; see Kill
-	xmit      Frame // scratch slot for fault injection on the cross-shard path
+	xmit      Frame // transmit slot: the frame being launched, for the fault hook
 
 	// In-flight frames, a reusable ring: Send (or, on a cross-shard wire,
 	// AcceptPayload at the barrier) pushes at the tail, each arrival
@@ -218,30 +218,20 @@ func (w *Wire) Send(data scupkt.Wire) (event.Time, error) {
 		return arrive, nil
 	}
 
-	// Cross-shard wire: the frame leaves this shard by value through the
-	// cluster mailbox, timed at its modelled arrival. Fault injection
-	// mutates the wire's scratch slot (tx-side state) rather than a stack
-	// frame, keeping the path allocation-free.
+	// The fault injector mutates the wire's transmit slot, not a stack
+	// frame whose address would put one Frame on the heap per send. The
+	// frame then goes by value into the in-flight ring or, to a receiver
+	// on another shard, the cluster mailbox, timed at its modelled arrival.
+	w.xmit = Frame{Wire: data, Seq: w.seq}
+	if w.fault != nil && w.fault(&w.xmit) {
+		w.stats.Corrupted++
+	}
 	if w.rxEng != w.eng {
-		w.xmit = Frame{Wire: data, Seq: w.seq}
-		if w.fault != nil && w.fault(&w.xmit) {
-			w.stats.Corrupted++
-		}
 		w.eng.CrossPayload(w.rxEng, arrive, w, 0, packFrame(&w.xmit))
-		return arrive, nil
+	} else {
+		w.pushInFlight(w.xmit)
+		w.eng.AtHandler(arrive, w, 0)
 	}
-
-	// Push first, then let the fault injector mutate the ring slot in
-	// place: taking the address of a stack frame here would defeat escape
-	// analysis and put one Frame on the heap per send, fault or no fault.
-	w.pushInFlight(Frame{Wire: data, Seq: w.seq})
-	if w.fault != nil {
-		slot := &w.fly[(w.flyHead+w.flyLen-1)%len(w.fly)]
-		if w.fault(slot) {
-			w.stats.Corrupted++
-		}
-	}
-	w.eng.AtHandler(arrive, w, 0)
 	return arrive, nil
 }
 
@@ -292,9 +282,8 @@ func (w *Wire) AcceptPayload(p event.Payload) { w.pushInFlight(unpackFrame(p)) }
 
 // HandleEvent is a frame's one event: its last bit has reached the
 // receiver, and the OnFrame handler takes it there and then. Arrivals
-// fire in send order (FIFO serialization), so the frame is the in-flight
-// ring's head. It implements event.Handler and is not meant to be called
-// directly.
+// fire in send order (FIFO serialization), so the frame is the ring's
+// head. It implements event.Handler; do not call it directly.
 //
 //qcdoc:noalloc
 func (w *Wire) HandleEvent(uint64) {

@@ -80,8 +80,7 @@ type Machine struct {
 	// wires[rank][linkIndex] is the outbound wire of that node's link.
 	wires [][]*hssl.Wire
 
-	booted     bool
-	programEnd event.Time // see ProgramEnd
+	booted bool
 
 	// Global clock state for partition-interrupt windows.
 	windowPeriod event.Time
@@ -380,7 +379,6 @@ func (m *Machine) RunSPMD(name string, prog func(rank int) node.Program) error {
 	if err := m.Eng.RunAll(); err != nil {
 		return err
 	}
-	m.programEnd = 0
 	for _, n := range m.Nodes {
 		done, err := n.AppDone()
 		if !done {
@@ -389,16 +387,19 @@ func (m *Machine) RunSPMD(name string, prog func(rank int) node.Program) error {
 		if err != nil {
 			return err
 		}
-		m.programEnd = max(m.programEnd, n.AppEnd())
 	}
 	return nil
 }
 
-// ProgramEnd returns the simulated time at which the last rank of the
-// latest RunSPMD returned from its program. The engine's clock reads
-// later: RunSPMD drains the queue, and the last event in it is a
-// recovery timer finding nothing to do.
-func (m *Machine) ProgramEnd() event.Time { return m.programEnd }
+// ProgramEnd returns the simulated time at which the last rank returned
+// from its program. The engine's clock reads later: RunSPMD drains the
+// queue, and the last event in it is a recovery timer with nothing to do.
+func (m *Machine) ProgramEnd() (end event.Time) {
+	for _, n := range m.Nodes {
+		end = max(end, n.AppEnd())
+	}
+	return end
+}
 
 // VerifyChecksums performs the §2.2 end-of-calculation audit: for every
 // link, the transmit-side checksum must equal the receive-side checksum

@@ -2,7 +2,6 @@ package machine
 
 import (
 	"fmt"
-	"math"
 
 	"qcdoc/internal/event"
 	"qcdoc/internal/geom"
@@ -141,6 +140,3 @@ func GuessShape(n int) geom.Shape {
 	}
 	return geom.MakeShape(dims[:]...)
 }
-
-// SqrtNodes is a helper for quasi-square process grids.
-func SqrtNodes(n int) int { return int(math.Round(math.Sqrt(float64(n)))) }

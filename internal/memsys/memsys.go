@@ -222,11 +222,6 @@ func (m Model) KernelCycles(l Level, bytes int) float64 {
 	return float64(bytes) / m.KernelBPC(l)
 }
 
-// StreamTime converts StreamCycles to simulated time.
-func (m Model) StreamTime(l Level, bytes, nStreams int) event.Time {
-	return event.Time(m.StreamCycles(l, bytes, nStreams) * float64(m.Clock.Cycle()))
-}
-
 // FitsEDRAM reports whether a working set of the given bytes is
 // EDRAM-resident (§4: "for most of the fermion formulations, a 6^4 local
 // volume still fits in our 4 Megabytes of embedded memory").

@@ -4,8 +4,6 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
-
-	"qcdoc/internal/event"
 )
 
 func TestAddressMap(t *testing.T) {
@@ -132,14 +130,6 @@ func TestKernelSlowerThanBus(t *testing.T) {
 	// efficiency figure for spilled volumes (§4).
 	if m.KernelBPC(DDR) >= m.KernelBPC(EDRAM) {
 		t.Fatal("DDR kernel bandwidth must be below EDRAM")
-	}
-}
-
-func TestStreamTime(t *testing.T) {
-	m := DefaultModel()
-	// 16 KB at 16 B/cycle = 1024 cycles = 2.048 us at 500 MHz.
-	if got := m.StreamTime(EDRAM, 16384, 2); got != 2048*event.Nanosecond {
-		t.Fatalf("StreamTime = %v", got)
 	}
 }
 

@@ -269,8 +269,7 @@ func (n *Node) Heartbeat() uint64 { return n.heartbeat }
 // AppDone reports whether the last application finished, and its error.
 func (n *Node) AppDone() (bool, error) { return n.appDone, n.appErr }
 
-// AppEnd returns the simulated time at which the last application
-// returned.
+// AppEnd returns the simulated time the last application returned at.
 func (n *Node) AppEnd() event.Time { return n.appEnd }
 
 // AllocWords reserves n contiguous 64-bit words of node memory and

@@ -334,15 +334,3 @@ func stridedDesc(base uint64, blockWords, numBlocks, strideWords int) scu.DMADes
 func contiguousDesc(base uint64, words int) scu.DMADesc {
 	return scu.Contiguous(base, words)
 }
-
-// StridedDesc describes NumBlocks blocks of BlockWords words with block
-// starts StrideWords apart — the shape of a lattice face in field
-// storage.
-func StridedDesc(base uint64, blockWords, numBlocks, strideWords int) scu.DMADesc {
-	return stridedDesc(base, blockWords, numBlocks, strideWords)
-}
-
-// ContiguousDesc describes words consecutive 64-bit words at base.
-func ContiguousDesc(base uint64, words int) scu.DMADesc {
-	return contiguousDesc(base, words)
-}

@@ -54,9 +54,8 @@ type linkUnit struct {
 	// Transmit side. The engine advances via pump(): every entry point
 	// that creates transmit work (a programmed send, an injected global
 	// word, a window-opening ack, the end of the DMA startup charge)
-	// pumps — the ack in its own arrival event, the rest through kick —
-	// and pump sends words until it must park: idle, in the startup
-	// charge, or with the window full.
+	// calls pump, which sends words until it must park — idle, in the
+	// startup charge, or with the window full.
 	sm          *event.StateMachine
 	pumpFn      func()       // pre-bound deferred pump (see kick)
 	startupFn   func()       // pre-bound end of the DMA startup charge
@@ -191,13 +190,12 @@ func (lu *linkUnit) popInject() uint64 {
 }
 
 // kick wakes the transmit engine with a deferred pump if it is parked in
-// the given state. These are the once-per-transfer wake-ups — a
-// programmed send, an injected global word, the end of a re-training —
-// whose callers go on to touch the wire themselves, so the pump waits
-// one event for them to finish; the per-word wake-up, the
-// window-opening ack, pumps inline (handleAck). An engine that is
-// already running, charging its startup pipeline, or parked in a
-// different state ignores the kick.
+// the given state: the once-per-transfer wake-ups (a programmed send, an
+// injected global word, the end of a re-training). The one-event
+// deferral lets the caller finish its own sends first — the frame order
+// every pinned trace records; the per-word wake-up, the window-opening
+// ack, pumps inline (handleAck). An engine that is already running,
+// charging its startup pipeline, or parked elsewhere ignores the kick.
 //
 //qcdoc:noalloc
 func (lu *linkUnit) kick(state string) {
@@ -216,9 +214,6 @@ func (lu *linkUnit) kick(state string) {
 //
 //qcdoc:noalloc
 func (lu *linkUnit) pump() {
-	if lu.sm == nil {
-		return // SCU not started; queued work drains when Start runs
-	}
 	if lu.sm.State() == txStartup {
 		return // the startup timer will pump when the charge elapses
 	}
@@ -284,11 +279,9 @@ func (lu *linkUnit) sendHeld() {
 // ackTimeout is the lost-acknowledgement recovery: if the oldest
 // unacknowledged word has not been acked within AckTimeout, resend it
 // and restart the clock. Every pop of the window head re-arms (or stops)
-// the timer, which only moves its deadline — the one queued firing
-// follows it (event.Timer) — so this runs when a deadline is actually
-// reached and never for a word that was acknowledged. A streak of
-// timeouts with no progress escalates to link re-training (see
-// beginRetrain).
+// the timer, which only moves its deadline (event.Timer), so this never
+// runs for a word that was acknowledged. A streak of timeouts with no
+// progress escalates to link re-training (see beginRetrain).
 //
 //qcdoc:noalloc
 func (lu *linkUnit) ackTimeout() {
@@ -300,23 +293,32 @@ func (lu *linkUnit) ackTimeout() {
 		lu.beginRetrain()
 		return
 	}
-	pw := &lu.unacked[lu.unackedHead]
-	lu.sendPacket(scupkt.Packet{Kind: scupkt.DataKind(pw.seq), Payload: pw.word})
-	lu.stats.Resends++
-	lu.noteResend(pw)
+	lu.resend(&lu.unacked[lu.unackedHead])
 	lu.ackTimer.Arm(lu.scu.cfg.AckTimeout)
 }
 
-// noteResend records the gap since the word's last transmission and
-// restamps it. Telemetry only; one nil test when disabled.
+// resend retransmits one unacknowledged word, recording the gap since
+// its last transmission (telemetry only; one nil test when disabled).
 //
 //qcdoc:noalloc
-func (lu *linkUnit) noteResend(pw *pendingWord) {
+func (lu *linkUnit) resend(pw *pendingWord) {
+	lu.sendPacket(scupkt.Packet{Kind: scupkt.DataKind(pw.seq), Payload: pw.word})
+	lu.stats.Resends++
 	now := lu.scu.eng.Now()
 	if lu.hist != nil {
 		lu.hist.ResendGap.Record(uint64(now - pw.sentAt))
 	}
 	pw.sentAt = now
+}
+
+// resendUnacked rewinds: every word still unacknowledged goes out again,
+// in order.
+//
+//qcdoc:noalloc
+func (lu *linkUnit) resendUnacked() {
+	for i := 0; i < lu.unackedLen; i++ {
+		lu.resend(&lu.unacked[(lu.unackedHead+i)%scupkt.SeqMod])
+	}
 }
 
 // sendSupervisor transmits a supervisor word with stop-and-wait
@@ -386,12 +388,7 @@ func (lu *linkUnit) retrainDone() {
 		return
 	}
 	lu.retraining = false
-	for i := 0; i < lu.unackedLen; i++ {
-		pw := &lu.unacked[(lu.unackedHead+i)%scupkt.SeqMod]
-		lu.sendPacket(scupkt.Packet{Kind: scupkt.DataKind(pw.seq), Payload: pw.word})
-		lu.stats.Resends++
-		lu.noteResend(pw)
-	}
+	lu.resendUnacked()
 	if lu.unackedLen > 0 {
 		lu.ackTimer.Arm(lu.scu.cfg.AckTimeout)
 	}
@@ -630,17 +627,10 @@ func (lu *linkUnit) handleAck(flags uint8) {
 		}
 	}
 	if flags&scupkt.AckNak != 0 {
-		// Automatic hardware resend: rewind and retransmit every word
-		// still unacknowledged, in order.
-		for i := 0; i < lu.unackedLen; i++ {
-			pw := &lu.unacked[(lu.unackedHead+i)%scupkt.SeqMod]
-			lu.sendPacket(scupkt.Packet{Kind: scupkt.DataKind(pw.seq), Payload: pw.word})
-			lu.stats.Resends++
-			lu.noteResend(pw)
-		}
+		lu.resendUnacked() // the automatic hardware resend
 	}
-	// The window opened: release the held word in this same event, after
-	// any rewind, so the wire carries the resends and then the new word.
+	// The window opened: release the held word, after any rewind, so the
+	// wire carries the resends and then the new word.
 	if opened && lu.sm.State() == txWindow {
 		lu.pump()
 	}

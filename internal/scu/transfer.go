@@ -58,19 +58,11 @@ type Transfer struct {
 	wordsDone int
 	completed bool
 	done      *event.Gate
-	started   event.Time
 	finished  event.Time
 }
 
 func newTransfer(eng *event.Engine, l geom.Link, d DMADesc, send bool) *Transfer {
-	return &Transfer{
-		Link:    l,
-		Desc:    d,
-		Send:    send,
-		total:   d.TotalWords(),
-		done:    event.NewGate(eng),
-		started: eng.Now(),
-	}
+	return &Transfer{Link: l, Desc: d, Send: send, total: d.TotalWords(), done: event.NewGate(eng)}
 }
 
 // Done reports whether the transfer has completed: all words
@@ -83,9 +75,6 @@ func (t *Transfer) Wait(p *event.Proc) {
 		t.done.Wait(p, fmt.Sprintf("dma %v", t.Link))
 	}
 }
-
-// Started returns the simulated time the transfer was programmed.
-func (t *Transfer) Started() event.Time { return t.started }
 
 // Finished returns the completion time (valid once Done).
 func (t *Transfer) Finished() event.Time { return t.finished }
