@@ -558,18 +558,13 @@ func TestSolveValidatesBeforeLaunch(t *testing.T) {
 // are re-armed. A per-word deferral or a per-arm timer firing creeping
 // back shows here as 3 events per word or a queue tens of thousands deep.
 func TestEventsPerWord(t *testing.T) {
-	global := lattice.Shape4{8, 8, 4, 4}
-	sess, err := NewSession(geom.MakeShape(2, 2), global)
+	sess, err := NewSession(geom.MakeShape(2, 2), goldenGlobal)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer sess.Close()
-	gauge := lattice.NewGaugeField(global)
-	gauge.Randomize(1)
-	b := lattice.NewFermionField(global)
-	b.Gaussian(2)
 	events, words := sess.Eng.Executed(), sess.M.Stats().WordsSent
-	if _, _, err := sess.SolveWilson(gauge, b, 0.5, fermion.Double, 1e-4, 100); err != nil {
+	if _, err := goldenCases()[0].solve(sess); err != nil { // the golden Wilson solve
 		t.Fatal(err)
 	}
 	events, words = sess.Eng.Executed()-events, sess.M.Stats().WordsSent-words

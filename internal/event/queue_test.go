@@ -27,13 +27,13 @@ type qprog struct {
 	e      *Engine
 	rng    *rand.Rand
 	timers []*Timer
-	firing [3]uint64 // per timer, the last queued firing logged
-	pushes []qkey    // every event stored in the queue
-	got    []qkey    // every dispatched event, in dispatch order
-	budget int       // events the random steps may still schedule
-	delays []Time    // what a random step draws its delays from
-	stopAt int       // len(got) when a step called Stop, else -1
-	npay   int       // payloads accepted
+	firing []uint64 // per timer, the last queued firing logged
+	pushes []qkey   // every event stored in the queue
+	got    []qkey   // every dispatched event, in dispatch order
+	budget int      // events the random steps may still schedule
+	delays []Time   // what a random step draws its delays from
+	stopAt int      // len(got) when a step called Stop, else -1
+	npay   int      // payloads accepted
 }
 
 func newQprog(t *testing.T, seed int64, budget int, delays ...Time) *qprog {
@@ -44,6 +44,7 @@ func newQprog(t *testing.T, seed int64, budget int, delays ...Time) *qprog {
 	})
 	for i := 0; i < 3; i++ {
 		p.timers = append(p.timers, p.e.NewTimer(p.step))
+		p.firing = append(p.firing, 0)
 	}
 	return p
 }
