@@ -48,9 +48,8 @@ vet:
 	test -z "$$(gofmt -l $$(git ls-files '*.go' | grep -v /testdata/))"
 
 # qcdoclint: the project's own analyzers (simtime, detflow, crossalias,
-# hotalloc, contsafe, shardsafe, fleetsafe, obssafe) machine-check the
-# determinism, cross-shard aliasing, zero-alloc, continuation-tier,
-# shard-isolation, no-global-state, and zero-perturbation invariants,
+# fleetsafe, obssafe) machine-check the determinism, cross-shard
+# aliasing, no-global-state, and zero-perturbation invariants,
 # interprocedurally through the package call graph. -tests lints
 # in-package _test.go files too, and the waiver lifecycle fails the run
 # on any stale or unknown marker. DESIGN.md §11.
@@ -109,11 +108,15 @@ tables:
 	$(GO) run ./cmd/benchtables
 
 # Lines of Go by ROADMAP's rule — the number the "least code" north star
-# tracks. bench/ is its own module and counted apart.
+# tracks, and its budget: more non-test Go than LOC_BUDGET fails. bench/
+# is its own module and counted apart.
+LOC_BUDGET = 23500
+NONTEST_LOC = find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' | xargs cat | wc -l
 loc:
-	@printf 'non-test Go: %s lines\n' "$$(find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' | xargs cat | wc -l)"
+	@printf 'non-test Go: %s lines (budget $(LOC_BUDGET))\n' "$$($(NONTEST_LOC))"
 	@printf 'test Go:     %s lines\n' "$$(find . -name '*_test.go' -not -path './bench/*' | xargs cat | wc -l)"
 	@printf 'bench/ Go:   %s lines\n' "$$(find ./bench -name '*.go' | xargs cat | wc -l)"
+	@test "$$($(NONTEST_LOC))" -le $(LOC_BUDGET)
 
 # Chaos gate: the E16 scenario under two fixed fault seeds, each run
 # twice — qcdoc exits non-zero unless both runs of a seed produce the

@@ -12,7 +12,6 @@ import (
 	"qcdoc/internal/core"
 	"qcdoc/internal/fermion"
 	"qcdoc/internal/fleet"
-	"qcdoc/internal/geom"
 	"qcdoc/internal/lattice"
 	"qcdoc/internal/machine"
 )
@@ -47,7 +46,7 @@ func cmdFleet(args []string) {
 	fs.Parse(args)
 
 	base := fleet.Spec{
-		Machine: geom.MakeShape(parseDims(*mshape)...),
+		Machine: parseMachine(*mshape),
 		Mass:    *mass,
 		Tol:     *tol,
 		MaxIter: *maxIter,

@@ -44,7 +44,6 @@ import (
 	"qcdoc/internal/core"
 	"qcdoc/internal/cost"
 	"qcdoc/internal/event"
-	"qcdoc/internal/faultplan"
 	"qcdoc/internal/fermion"
 	"qcdoc/internal/geom"
 	"qcdoc/internal/lattice"
@@ -103,6 +102,21 @@ func parseShape4(s string) lattice.Shape4 {
 	return lattice.Shape4{d[0], d[1], d[2], d[3]}
 }
 
+// parseMachine reads a -machine shape: one to geom.MaxDim extents, each
+// at least 1.
+func parseMachine(s string) geom.Shape {
+	d := parseDims(s)
+	ok := len(d) <= geom.MaxDim
+	for _, e := range d {
+		ok = ok && e >= 1
+	}
+	if !ok {
+		fmt.Fprintf(os.Stderr, "need 1 to %d machine extents of at least 1, got %q\n", geom.MaxDim, s)
+		os.Exit(2)
+	}
+	return geom.MakeShape(d...)
+}
+
 func opKind(s string) fermion.OpKind {
 	switch s {
 	case "wilson":
@@ -157,8 +171,12 @@ func cmdSolve(args []string) {
 	workers := fs.Int("workers", 0, "simulation worker goroutines for the sharded engine (0 = unsharded serial engine)")
 	fs.Parse(args)
 
-	shape := geom.MakeShape(parseDims(*mshape)...)
+	shape := parseMachine(*mshape)
 	global := parseShape4(*lat)
+	if *ls < 1 {
+		fmt.Fprintf(os.Stderr, "need -ls of at least 1, got %d\n", *ls)
+		os.Exit(2)
+	}
 	mcfg := machine.DefaultConfig(shape)
 	if *workers > 0 {
 		mcfg.Shards = machine.ShardAuto
@@ -327,21 +345,9 @@ func cmdChaos(args []string) {
 	mass := fs.Float64("mass", def.Mass, "quark mass")
 	tol := fs.Float64("tol", def.Tol, "relative tolerance")
 	maxIter := fs.Int("maxiter", def.MaxIter, "iteration limit per attempt")
-	ckptEvery := fs.Int("ckpt-every", def.CheckpointEvery, "checkpoint the solver state every N CG iterations")
-	crashes := fs.Int("crashes", def.Spec.NodeCrashes, "node crashes to draw")
-	hangs := fs.Int("hangs", 0, "node hangs to draw")
-	bursts := fs.Int("bursts", def.Spec.LinkBursts, "link error bursts to draw")
-	drops := fs.Int("drops", def.Spec.NetDrops, "management packets to drop")
-	dups := fs.Int("dups", def.Spec.NetDups, "management packets to duplicate")
 	soak := fs.Bool("soak", false, "compound preset: +2 chunk corruptions, +1 torn write, +1 false death report, +1 recovery crash, 6 attempts")
-	chunkCorrupts := fs.Int("chunk-corrupts", 0, "checkpoint chunk bit-flips to draw (host storage plane)")
-	chunkTorns := fs.Int("chunk-torns", 0, "torn checkpoint writes to draw (host storage plane)")
-	nfsStalls := fs.Int("nfs-stalls", 0, "NFS stall windows to draw (checkpoint writes delayed)")
-	nfsErrors := fs.Int("nfs-errors", 0, "NFS error windows to draw (checkpoint writes dropped)")
-	falsePositives := fs.Int("false-positives", 0, "spurious death reports to draw (watchdog must probe)")
 	recoveryCrashes := fs.Int("recovery-crashes", 0, "second deaths to draw, scheduled relative to the recovery window")
 	maxAttempts := fs.Int("max-attempts", 0, "restart budget (0 = default; -soak raises it to 6)")
-	generations := fs.Int("generations", 0, "checkpoint generations retained on the host (0 = default 3)")
 	repeat := fs.Int("repeat", 1, "run N times and require identical digests")
 	quiet := fs.Bool("quiet", false, "suppress the per-event narrative")
 	workers := fs.Int("workers", 0, "simulation worker goroutines for the sharded engine (0 = unsharded serial engine)")
@@ -351,33 +357,13 @@ func cmdChaos(args []string) {
 	expectError := fs.String("expect-error", "", "require the run to exhaust the ladder with a typed error (partition|checkpoint)")
 	fs.Parse(args)
 
-	cfg := core.ChaosConfig{
-		Shape:           geom.MakeShape(parseDims(*mshape)...),
-		Global:          parseShape4(*lat),
-		Seed:            *seed,
-		FaultSeed:       *faultSeed,
-		Mass:            *mass,
-		Tol:             *tol,
-		MaxIter:         *maxIter,
-		CheckpointEvery: *ckptEvery,
-		MaxAttempts:     *maxAttempts,
-		Recovery:        core.RecoveryConfig{Generations: *generations},
-		Spec: faultplan.Spec{
-			From:                   def.Spec.From,
-			To:                     def.Spec.To,
-			NodeCrashes:            *crashes,
-			NodeHangs:              *hangs,
-			LinkBursts:             *bursts,
-			NetDrops:               *drops,
-			NetDups:                *dups,
-			ChunkCorrupts:          *chunkCorrupts,
-			ChunkTorns:             *chunkTorns,
-			NFSStalls:              *nfsStalls,
-			NFSErrors:              *nfsErrors,
-			WatchdogFalsePositives: *falsePositives,
-			RecoveryCrashes:        *recoveryCrashes,
-		},
-	}
+	// The fault mix is the canonical scenario's (or its -soak compound);
+	// the flags move the run, not the mix.
+	cfg := core.CanonicalChaos(*faultSeed)
+	cfg.Shape, cfg.Global, cfg.Seed = parseMachine(*mshape), parseShape4(*lat), *seed
+	cfg.Mass, cfg.Tol, cfg.MaxIter = *mass, *tol, *maxIter
+	cfg.MaxAttempts = *maxAttempts
+	cfg.Spec.RecoveryCrashes = *recoveryCrashes
 	if *soak {
 		cfg = cfg.Soak()
 	}

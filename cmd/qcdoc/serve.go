@@ -13,7 +13,6 @@ import (
 	"qcdoc/internal/event"
 	"qcdoc/internal/fermion"
 	"qcdoc/internal/fleet"
-	"qcdoc/internal/geom"
 	"qcdoc/internal/lattice"
 	"qcdoc/internal/machine"
 	"qcdoc/internal/obs"
@@ -44,7 +43,7 @@ func cmdServe(args []string) {
 	fs.Parse(args)
 
 	base := fleet.Spec{
-		Machine: geom.MakeShape(parseDims(*mshape)...),
+		Machine: parseMachine(*mshape),
 		Mass:    *mass,
 		Tol:     *tol,
 		MaxIter: *maxIter,

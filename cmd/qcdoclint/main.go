@@ -7,9 +7,6 @@
 //	detflow    — nondeterminism sources must not reach order-observable
 //	             sinks, tracked through the package call graph
 //	crossalias — values crossing shard boundaries must be deep-value
-//	hotalloc   — //qcdoc:noalloc functions contain no allocating constructs
-//	contsafe   — no blocking coroutine APIs on the continuation tier
-//	shardsafe  — no machine-wide hardware access from per-shard code
 //	fleetsafe  — no package-level mutable state in sim packages
 //	obssafe    — no telemetry registry/histogram writes in HTTP-serving packages
 //

@@ -6,11 +6,12 @@
 // analyzer API mirrors x/tools closely enough that the checkers would
 // port to a vettool driver unchanged.
 //
-// The point of the suite (DESIGN.md §11): every invariant the test
-// suite asserts dynamically — bit-identical deterministic timing, the
-// zero-alloc frame path, the no-blocking continuation tier — is also
-// enforced at lint time, so a future change cannot silently erode the
-// properties the paper's results depend on.
+// The suite (DESIGN.md §11) holds the invariants no test can: the ones
+// that must be true of code a run never executes — no wall clock or
+// unordered iteration reaching the simulation, nothing aliased across a
+// shard boundary, no package-level state shared between machines, no
+// telemetry written from a request handler. What a run does execute is
+// held where it runs, by tests and gates.
 package analysis
 
 import (
@@ -71,18 +72,9 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 // that line. Markers are deliberate, grep-able waivers: the reviewable
 // record that a human decided the invariant does not apply there.
 const (
-	// MarkerAllocOK waives hotalloc for one statement of a //qcdoc:noalloc
-	// function — the cold error/panic branch off the hot path.
-	MarkerAllocOK = "qcdoclint:alloc-ok"
-	// MarkerBlockingOK waives contsafe: the call looks blocking but is
-	// known not to run on the continuation tier.
-	MarkerBlockingOK = "qcdoclint:blocking-ok"
 	// MarkerWalltimeOK waives simtime: host wall-clock use outside the
 	// simulated machine (e.g. a CLI progress meter).
 	MarkerWalltimeOK = "qcdoclint:walltime-ok"
-	// MarkerShardOK waives shardsafe: the flagged collection access is
-	// rank-local, pre-run, or otherwise confined to the owning shard.
-	MarkerShardOK = "qcdoclint:shard-ok"
 	// MarkerGlobalOK waives fleetsafe: the package-level var is
 	// write-once read-only data (an immutable table behind a reference
 	// type) that concurrent machines may safely share.
@@ -107,20 +99,12 @@ const (
 // tree that belongs to no active analyzer, or that suppresses zero
 // diagnostics, is itself a lint finding.
 var MarkerOwners = map[string]string{
-	MarkerAllocOK:      "hotalloc",
-	MarkerBlockingOK:   "contsafe",
 	MarkerWalltimeOK:   "simtime",
-	MarkerShardOK:      "shardsafe",
 	MarkerGlobalOK:     "fleetsafe",
 	MarkerObsOK:        "obssafe",
 	MarkerDetflowOK:    "detflow",
 	MarkerCrossAliasOK: "crossalias",
 }
-
-// NoallocTag is the function annotation hotalloc enforces: a
-// "//qcdoc:noalloc" directive in a function's doc comment declares it
-// part of the steady-state hot path that must not allocate.
-const NoallocTag = "qcdoc:noalloc"
 
 // Suppressed reports whether a marker comment covers the line of pos:
 // the marker sits on that line or the line directly above. Each
@@ -161,7 +145,7 @@ func (p *Pass) Suppressed(marker string, pos token.Pos) bool {
 }
 
 // A MarkerSite is one waiver-marker comment found in a package's
-// source: the marker text (e.g. "qcdoclint:shard-ok") and the comment's
+// source: the marker text (e.g. "qcdoclint:global-ok") and the comment's
 // position. The driver inventories these for -waivers and stale-waiver
 // detection.
 type MarkerSite struct {
@@ -196,24 +180,6 @@ func (p *Pass) SuppressedAt(marker string, pos, stmtPos token.Pos) bool {
 		return true
 	}
 	return stmtPos.IsValid() && p.Suppressed(marker, stmtPos)
-}
-
-// HasAnnotation reports whether the function's doc comment carries the
-// given directive (e.g. NoallocTag). Directive comments ("//tool:verb")
-// are excluded from godoc text but remain in the comment group. Per the
-// Go directive convention the comment must start with the tag — prose
-// that merely mentions "//qcdoc:noalloc" is not an annotation.
-func HasAnnotation(fd *ast.FuncDecl, tag string) bool {
-	if fd.Doc == nil {
-		return false
-	}
-	for _, c := range fd.Doc.List {
-		rest, ok := strings.CutPrefix(c.Text, "//"+tag)
-		if ok && (rest == "" || rest[0] == ' ' || rest[0] == '\t') {
-			return true
-		}
-	}
-	return false
 }
 
 // PkgIs reports whether an import path denotes the named simulator

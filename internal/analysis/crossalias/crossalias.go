@@ -51,9 +51,8 @@ var Analyzer = &analysis.Analyzer{
 }
 
 // crossClosureArg maps cross-boundary scheduler names to the index of
-// their closure argument. These mirror shardsafe's dispatch exemptions:
-// they are exactly the calls whose closure executes on another shard
-// (or on the global sequencer).
+// their closure argument: exactly the calls whose closure executes on
+// another shard (or on the global sequencer).
 var crossClosureArg = map[string]int{
 	"CrossAt":   2,
 	"AtGlobal":  1,

@@ -28,14 +28,11 @@ import (
 	"strings"
 
 	"qcdoc/internal/analysis"
-	"qcdoc/internal/analysis/contsafe"
 	"qcdoc/internal/analysis/crossalias"
 	"qcdoc/internal/analysis/detflow"
 	"qcdoc/internal/analysis/fleetsafe"
-	"qcdoc/internal/analysis/hotalloc"
 	"qcdoc/internal/analysis/load"
 	"qcdoc/internal/analysis/obssafe"
-	"qcdoc/internal/analysis/shardsafe"
 	"qcdoc/internal/analysis/simtime"
 )
 
@@ -44,9 +41,6 @@ var Suite = []*analysis.Analyzer{
 	simtime.Analyzer,
 	detflow.Analyzer,
 	crossalias.Analyzer,
-	hotalloc.Analyzer,
-	contsafe.Analyzer,
-	shardsafe.Analyzer,
 	fleetsafe.Analyzer,
 	obssafe.Analyzer,
 }

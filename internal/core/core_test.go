@@ -188,7 +188,7 @@ func TestDistMatchesReference(t *testing.T) {
 				v.Gaussian(8)
 			}
 			checkReference(t, shape, g.L, func(b *fermion.Field5) problem[*fermion.Field5] {
-				return dwfProblem(g, b, 1.8, 0.05, ls, fermion.Double, 0, 0)
+				return dwfProblem(g, b, 1.8, 0.05, ls, fermion.Double, 1, 1)
 			}, fermion.NewDWF(g, 1.8, 0.05, ls), u, v, adjoint, 0)
 		}
 	}
@@ -198,13 +198,13 @@ func TestDistMatchesReference(t *testing.T) {
 	}{
 		{"wilson", func(t *testing.T, shape geom.Shape, g *lattice.GaugeField, adjoint, point bool) {
 			checkReference(t, shape, g.L, func(b *lattice.FermionField) problem[*lattice.FermionField] {
-				return wilsonProblem(g, nil, b, 0.3, fermion.Double, 0, 0)
+				return wilsonProblem(g, nil, b, 0.3, fermion.Double, 1, 1)
 			}, fermion.NewWilson(g, 0.3), spinors(g.L, 9, point), spinors(g.L, 8, point), adjoint, 0)
 		}},
 		{"clover", func(t *testing.T, shape geom.Shape, g *lattice.GaugeField, adjoint, point bool) {
 			ref := fermion.NewClover(g, 0.2, 1.3)
 			checkReference(t, shape, g.L, func(b *lattice.FermionField) problem[*lattice.FermionField] {
-				return wilsonProblem(g, ref, b, ref.Mass, fermion.Double, 0, 0)
+				return wilsonProblem(g, ref, b, ref.Mass, fermion.Double, 1, 1)
 			}, ref, spinors(g.L, 9, point), spinors(g.L, 8, point), adjoint, 0)
 		}},
 		{"asqtad", func(t *testing.T, shape geom.Shape, g *lattice.GaugeField, adjoint, point bool) {
@@ -217,7 +217,7 @@ func TestDistMatchesReference(t *testing.T) {
 				v.Gaussian(8)
 			}
 			checkReference(t, shape, g.L, func(b *lattice.ColorField) problem[*lattice.ColorField] {
-				return asqtadProblem(ref, b, fermion.Double, 0, 0)
+				return asqtadProblem(ref, b, fermion.Double, 1, 1)
 			}, ref, u, v, adjoint, 1e-24)
 		}},
 		{"dwf-ls1", dwf(1)},
@@ -320,7 +320,7 @@ func TestDistWilsonDagAdjoint(t *testing.T) {
 	src := lattice.NewFermionField(global)
 	src.Gaussian(10)
 	fermion.NewWilson(gauge, 0.2).ApplyDag(ref, src)
-	got := applyOnce(t, geom.MakeShape(2, 2), global, wilsonProblem(gauge, nil, src, 0.2, fermion.Double, 0, 0), true)
+	got := applyOnce(t, geom.MakeShape(2, 2), global, wilsonProblem(gauge, nil, src, 0.2, fermion.Double, 1, 1), true)
 	got.AXPY(-1, ref)
 	if got.Norm2() != 0 {
 		t.Fatal("distributed D† deviates from reference")
@@ -545,6 +545,14 @@ func TestSolveValidatesBeforeLaunch(t *testing.T) {
 	_, _, err = sess.SolveDWF(gauge, fermion.NewField5(global, 2), 1.8, 0.1, 4, fermion.Double, 1e-8, 100)
 	if !errors.Is(err, ErrShape) {
 		t.Fatalf("source of the wrong Ls: %v, want ErrShape", err)
+	}
+	_, _, err = sess.SolveWilson(gauge, b, 0.5, fermion.Double, -1, 100)
+	if !errors.Is(err, ErrSolveParams) {
+		t.Fatalf("negative tolerance: %v, want ErrSolveParams", err)
+	}
+	_, _, err = sess.SolveWilson(gauge, b, 0.5, fermion.Double, 1e-8, 0)
+	if !errors.Is(err, ErrSolveParams) {
+		t.Fatalf("iteration limit 0: %v, want ErrSolveParams", err)
 	}
 	if _, met, err := sess.SolveWilson(gauge, b, 0.5, fermion.Double, 1e-8, 1000); err != nil || met.Iterations == 0 {
 		t.Fatalf("valid solve after rejected ones: %v, %+v", err, met)

@@ -20,6 +20,9 @@ var (
 	// ErrLocalExtent: a distributed direction's local extent is below the
 	// operator's hop reach (ASQTAD's Naik term needs three sites).
 	ErrLocalExtent = errors.New("core: local extent below the operator's hop reach")
+	// ErrSolveParams: the tolerance is not positive, or the iteration
+	// limit or Ls is below one.
+	ErrSolveParams = errors.New("core: solver parameters out of range")
 )
 
 // distOperator is a Dirac operator on one node's sub-lattice.
@@ -109,6 +112,10 @@ func dwfProblem(gauge *lattice.GaugeField, b *fermion.Field5, m5, mf float64, ls
 // validate checks the problem against the layout it is about to run on.
 // Rank constructors assume it passed.
 func (pr *problem[F]) validate(dec lattice.Decomp) error {
+	if !(pr.tol > 0) || pr.maxIter < 1 || pr.ls < 1 {
+		return fmt.Errorf("%w: tolerance %g, iteration limit %d, Ls %d",
+			ErrSolveParams, pr.tol, pr.maxIter, pr.ls)
+	}
 	if pr.gaugeL != dec.Global || pr.bL != dec.Global || pr.bLs != pr.ls {
 		return fmt.Errorf("%w: gauge %v, source %v (Ls %d) on lattice %v (Ls %d)",
 			ErrShape, pr.gaugeL, pr.bL, pr.bLs, dec.Global, pr.ls)

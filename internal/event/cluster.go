@@ -513,8 +513,6 @@ func (e *Engine) CrossAt(d *Engine, t Time, fn func()) {
 // violation means the caller's modelled latency is smaller than the
 // lookahead the cluster was built with, which would be a silent
 // determinism hole if clamped.
-//
-//qcdoc:noalloc
 func (e *Engine) CrossPayload(d *Engine, t Time, h PayloadHandler, arg uint64, p Payload) {
 	if d == e || e.cluster == nil {
 		h.AcceptPayload(p)

@@ -101,6 +101,13 @@ type Engine struct {
 	stopped    bool
 	terminated bool // Shutdown has been called; parked processes unwind
 
+	// The turn guard: cur is the process holding the control token (nil
+	// while the engine itself runs), running is set for the length of a
+	// Run. A blocking call by anyone but cur, or a Run from inside an
+	// event, would deadlock the token hand-off; both panic instead.
+	cur     *Proc
+	running bool
+
 	machines []*StateMachine // registered continuation-tier processes
 	tracer   func(at Time)   // observes every dispatched event, if set
 	rec      *Recorder       // flight recorder, if attached
@@ -149,8 +156,6 @@ func (e *Engine) After(d Time, fn func()) { e.At(e.now+d, fn) }
 // AtHandler schedules h.HandleEvent(arg) at time t (clamped to now if in
 // the past). Unlike At, it allocates nothing per call: the handler and
 // argument travel inside the event item.
-//
-//qcdoc:noalloc
 func (e *Engine) AtHandler(t Time, h Handler, arg uint64) {
 	if t < e.now {
 		t = e.now
@@ -162,8 +167,6 @@ func (e *Engine) AtHandler(t Time, h Handler, arg uint64) {
 // across runs and worker counts (shard identity and a per-shard
 // counter, both deterministic). The ID does not become current until
 // SetFlow installs it.
-//
-//qcdoc:noalloc
 func (e *Engine) NewFlow() uint64 {
 	e.flowSeq++
 	return uint64(e.shard+1)<<40 | e.flowSeq
@@ -175,8 +178,6 @@ func (e *Engine) NewFlow() uint64 {
 // Flow state is pure trace metadata: it is read only by the flight
 // recorder, so the simulated event stream is identical whether or not
 // anyone ever sets a flow.
-//
-//qcdoc:noalloc
 func (e *Engine) SetFlow(f uint64) (prev uint64) {
 	prev = e.curFlow
 	e.curFlow = f
@@ -188,8 +189,6 @@ func (e *Engine) SetFlow(f uint64) (prev uint64) {
 func (e *Engine) CurrentFlow() uint64 { return e.curFlow }
 
 // AfterHandler schedules h.HandleEvent(arg) d from now, allocation-free.
-//
-//qcdoc:noalloc
 func (e *Engine) AfterHandler(d Time, h Handler, arg uint64) {
 	e.AtHandler(e.now+d, h, arg)
 }
@@ -228,6 +227,11 @@ func (e *ErrStall) Error() string {
 // On a clustered engine Run must be called on the host shard (shard 0)
 // and drives the whole cluster's window loop.
 func (e *Engine) Run(until Time) error {
+	if e.running {
+		panic("event: Run re-entered from inside an event")
+	}
+	e.running = true
+	defer func() { e.running = false }()
 	if e.cluster != nil {
 		if e.shard != 0 {
 			panic("event: Run on a clustered engine must use the host shard")
@@ -358,7 +362,7 @@ func (e *Engine) Spawn(name string, fn func(*Proc)) *Proc {
 		}()
 		fn(p)
 	}()
-	e.At(e.now, p.activate)
+	e.At(e.now, p.wake)
 	return p
 }
 
@@ -395,14 +399,26 @@ func (e *Engine) shutdownLocal() {
 	}
 }
 
-// activate transfers control to the process until it yields or exits.
-// It runs as an event on the engine goroutine.
-func (p *Proc) activate() {
+// wake transfers control to the process until it yields or exits. It
+// runs as an event on the engine goroutine.
+func (p *Proc) wake() {
 	if p.done {
 		return
 	}
+	p.eng.cur = p
 	p.resume <- struct{}{}
 	<-p.eng.park
+	p.eng.cur = nil
+}
+
+// holdsTurn panics unless p is the process the engine handed control
+// to. Every blocking call checks it before touching any state: called
+// from an At/After/Handler/Timer callback, or on behalf of another
+// process, the call would park the engine's own goroutine for good.
+func (p *Proc) holdsTurn(reason string) {
+	if p.eng.cur != p {
+		panic("event: " + p.name + " blocks (" + reason + ") outside its own turn")
+	}
 }
 
 // yield hands control back to the engine and blocks until reactivated.
@@ -457,16 +473,9 @@ func (p *Proc) Engine() *Engine { return p.eng }
 
 // Sleep suspends the process for d of simulated time.
 func (p *Proc) Sleep(d Time) {
+	p.holdsTurn("sleep")
 	p.eng.After(d, p.wake)
 	p.yield("sleep")
-}
-
-func (p *Proc) wake() {
-	if p.done {
-		return
-	}
-	p.resume <- struct{}{}
-	<-p.eng.park
 }
 
 // Gate is a broadcast condition: processes Wait on it; Fire wakes all
@@ -496,6 +505,7 @@ func (g *Gate) Wait(p *Proc, what string) {
 	if p.eng != g.eng {
 		panic("event: Gate.Wait across engines (shard boundary)")
 	}
+	p.holdsTurn(what)
 	g.waiters = append(g.waiters, gateWaiter{p: p})
 	p.yield(what)
 }
@@ -510,6 +520,7 @@ func (g *Gate) WaitUntil(p *Proc, what string, deadline Time) bool {
 	if p.eng != g.eng {
 		panic("event: Gate.WaitUntil across engines (shard boundary)")
 	}
+	p.holdsTurn(what)
 	if deadline <= g.eng.now {
 		return false
 	}

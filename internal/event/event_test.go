@@ -349,3 +349,77 @@ func TestShutdownUnwindsProcs(t *testing.T) {
 		t.Fatalf("cleaned = %d, want 10", cleaned)
 	}
 }
+
+// A blocking call made for a process that does not hold the control
+// token — from an At callback, the continuation tier — and a Run from
+// inside an event used to park the engine's own goroutine for good.
+// Each must panic at the call, change nothing, and leave the run going:
+// the worker passes its gate when the gate fires, not when a refused
+// Sleep's wake or a refused Wait's waiter entry would have let it.
+func TestBlockingOutsideOwnTurnPanics(t *testing.T) {
+	type rig struct {
+		eng  *Engine
+		p    *Proc
+		gate *Gate
+		box  *Queue[int]
+	}
+	cases := []struct {
+		name string
+		call func(r rig)
+		want string
+	}{
+		{"Sleep", func(r rig) { r.p.Sleep(Nanosecond) }, "event: worker blocks (sleep) outside its own turn"},
+		{"GateWait", func(r rig) { r.gate.Wait(r.p, "go") }, "event: worker blocks (go) outside its own turn"},
+		{"QueueGet", func(r rig) { r.box.Get(r.p) }, "event: worker blocks (recv box) outside its own turn"},
+		{"RunAll", func(r rig) { r.eng.RunAll() }, "event: Run re-entered from inside an event"},
+	}
+	check := func(t *testing.T, host, eng *Engine, call func(rig), want string) {
+		defer host.Shutdown()
+		r := rig{eng: eng, gate: NewGate(eng), box: NewQueue[int](eng, "box")}
+		start := NewGate(eng)
+		var passed, finished Time
+		r.p = eng.Spawn("worker", func(p *Proc) {
+			start.Wait(p, "start")
+			passed = p.Now()
+			p.Sleep(10 * Nanosecond)
+			finished = p.Now()
+		})
+		var got any
+		eng.At(5*Nanosecond, func() {
+			defer func() { got = recover() }()
+			call(r)
+		})
+		eng.At(20*Nanosecond, start.Fire)
+		if err := host.RunAll(); err != nil {
+			t.Fatal(err)
+		}
+		if got != want {
+			t.Errorf("panic = %v, want %q", got, want)
+		}
+		if passed != 20*Nanosecond || finished != 30*Nanosecond {
+			t.Errorf("worker passed its gate at %v and finished at %v, want 20ns and 30ns", passed, finished)
+		}
+		if n := r.gate.Waiting() + eng.Pending() + eng.LiveProcs(); n != 0 {
+			t.Errorf("%d waiters, events and processes left behind", n)
+		}
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			e := New()
+			check(t, e, e, c.call, c.want)
+		})
+	}
+	// On a cluster at two workers the guard is per shard: the refused
+	// call and the worker live on shard 1, off the host's goroutine; the
+	// nested Run is refused on the host shard, which drives the cluster.
+	sleep, runAll := cases[0], cases[3]
+	t.Run("Cluster/Sleep", func(t *testing.T) {
+		host := New()
+		check(t, host, Clusterize(host, 2, 2, 100).Shard(1), sleep.call, sleep.want)
+	})
+	t.Run("Cluster/RunAll", func(t *testing.T) {
+		host := New()
+		Clusterize(host, 2, 2, 100)
+		check(t, host, host, runAll.call, runAll.want)
+	})
+}

@@ -36,7 +36,6 @@ func (h eventHeap) less(i, j int) bool {
 	return h[i].seq < h[j].seq
 }
 
-//qcdoc:noalloc
 func (h *eventHeap) push(it item) {
 	*h = append(*h, it)
 	s := *h
@@ -51,7 +50,6 @@ func (h *eventHeap) push(it item) {
 	}
 }
 
-//qcdoc:noalloc
 func (h *eventHeap) pop() item {
 	s := *h
 	top := s[0]
@@ -142,8 +140,6 @@ func (e *Engine) QueueStats() QueueStats { return e.events.stats }
 // far event leaves the earlier tails to the near events only they can
 // take), else in the heap. It is the only function that stores into
 // either.
-//
-//qcdoc:noalloc
 func (e *Engine) enqueue(at Time, fn func(), h Handler, arg, flow uint64) {
 	e.seq++
 	q := &e.events
@@ -176,8 +172,6 @@ func (e *Engine) enqueue(at Time, fn func(), h Handler, arg, flow uint64) {
 // requeue stores an event under a sequence number it already holds (a
 // Timer's firing moving on to its deadline). The number is older than
 // the lanes' newest, so the event goes to the heap, which takes any order.
-//
-//qcdoc:noalloc
 func (e *Engine) requeue(at Time, seq uint64, h Handler) {
 	q := &e.events
 	q.n++
@@ -190,8 +184,6 @@ func (e *Engine) requeue(at Time, seq uint64, h Handler) {
 // sits: a lane head or the heap top, compared once by (at, seq). Every
 // container shares the engine's sequence counter, so the order is total.
 // The source is srcNone when nothing is queued.
-//
-//qcdoc:noalloc
 func (e *Engine) peekTime() (Time, int) {
 	src, at, seq := srcNone, Forever, ^uint64(0)
 	for m := e.events.live; m != 0; m &= m - 1 {
@@ -208,8 +200,6 @@ func (e *Engine) peekTime() (Time, int) {
 }
 
 // dispatchNext pops and executes the event peekTime found at src.
-//
-//qcdoc:noalloc
 func (e *Engine) dispatchNext(src int) {
 	var next item
 	if src == srcHeap {

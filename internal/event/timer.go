@@ -37,14 +37,10 @@ func (e *Engine) NewTimer(fn func()) *Timer {
 
 // Arm schedules the callback to run d from now, cancelling any earlier
 // arming.
-//
-//qcdoc:noalloc
 func (t *Timer) Arm(d Time) { t.ArmAt(t.eng.now + d) }
 
 // ArmAt schedules the callback to run at time at (clamped to now if in
 // the past), cancelling any earlier arming.
-//
-//qcdoc:noalloc
 func (t *Timer) ArmAt(at Time) {
 	e := t.eng
 	at = max(at, e.now)
@@ -59,16 +55,12 @@ func (t *Timer) ArmAt(at Time) {
 }
 
 // Stop cancels the pending arming, if any.
-//
-//qcdoc:noalloc
 func (t *Timer) Stop() { t.at = -1 }
 
 // HandleEvent dispatches a queued firing: the armed one runs the
 // callback, one a later Arm overtook moves on to the deadline, a stopped
 // or superseded one does nothing. It implements Handler and is not meant
 // to be called directly.
-//
-//qcdoc:noalloc
 func (t *Timer) HandleEvent(uint64) {
 	e := t.eng
 	if e.lastSeq != t.qSeq {

@@ -105,8 +105,6 @@ type shardRing struct {
 
 // record stores one dispatch into the ring. Called from the dispatch
 // loop with the item by value so nothing escapes to the heap.
-//
-//qcdoc:noalloc
 func (sr *shardRing) record(at Time, seq, flow uint64, fn func(), h Handler, arg uint64) {
 	slot := &sr.ring[sr.total%uint64(len(sr.ring))]
 	slot.At = at
@@ -127,8 +125,6 @@ func (sr *shardRing) record(at Time, seq, flow uint64, fn func(), h Handler, arg
 
 // markSpan stores one span annotation into the ring, reusing the
 // enclosing event's time and sequence number.
-//
-//qcdoc:noalloc
 func (sr *shardRing) markSpan(at Time, seq, flow uint64, name string, kind TraceKind) {
 	slot := &sr.ring[sr.total%uint64(len(sr.ring))]
 	slot.At = at
@@ -344,8 +340,6 @@ func writeChromeJSON(w io.Writer, tail []machRec) error {
 // recorder; never an event, never an allocation (name must be a static
 // string), so instrumented code behaves identically with or without a
 // recorder attached.
-//
-//qcdoc:noalloc
 func (e *Engine) MarkSpanBegin(name string) {
 	if e.ring != nil {
 		e.ring.markSpan(e.now, e.lastSeq, e.curFlow, name, TraceSpanBegin)
@@ -353,8 +347,6 @@ func (e *Engine) MarkSpanBegin(name string) {
 }
 
 // MarkSpanEnd drops the matching span-end annotation; see MarkSpanBegin.
-//
-//qcdoc:noalloc
 func (e *Engine) MarkSpanEnd(name string) {
 	if e.ring != nil {
 		e.ring.markSpan(e.now, e.lastSeq, e.curFlow, name, TraceSpanEnd)

@@ -192,11 +192,9 @@ func (w *Wire) SerializeTime(nBytes int) event.Time {
 // The frame travels by value: Send copies the bits into the in-flight
 // ring, so the caller's Wire value is dead the moment Send returns, and
 // nothing on the steady-state path touches the heap.
-//
-//qcdoc:noalloc
 func (w *Wire) Send(data scupkt.Wire) (event.Time, error) {
 	if !w.trained {
-		return 0, fmt.Errorf("%w: %s", ErrNotTrained, w.name) //qcdoclint:alloc-ok cold error path
+		return 0, fmt.Errorf("%w: %s", ErrNotTrained, w.name)
 	}
 	start := w.eng.Now()
 	if w.busyUntil > start {
@@ -238,8 +236,6 @@ func (w *Wire) Send(data scupkt.Wire) (event.Time, error) {
 // packFrame flattens a frame into a cross-shard payload value: the wire
 // sequence number, the byte count, and up to MaxFrameBytes of frame
 // bytes packed little-endian into two words.
-//
-//qcdoc:noalloc
 func packFrame(f *Frame) event.Payload {
 	var p event.Payload
 	p[0] = f.Seq
@@ -256,8 +252,6 @@ func packFrame(f *Frame) event.Payload {
 }
 
 // unpackFrame inverts packFrame on the receiving shard.
-//
-//qcdoc:noalloc
 func unpackFrame(p event.Payload) Frame {
 	n := int(p[1])
 	var buf [scupkt.MaxFrameBytes]byte
@@ -276,16 +270,12 @@ func unpackFrame(p event.Payload) Frame {
 // called directly. On a cross-shard wire the transmitter never touches
 // the in-flight ring, so the receive side owns it, and the frame's
 // arrival event finds it at the head exactly as on a same-shard wire.
-//
-//qcdoc:noalloc
 func (w *Wire) AcceptPayload(p event.Payload) { w.pushInFlight(unpackFrame(p)) }
 
 // HandleEvent is a frame's one event: its last bit has reached the
 // receiver, and the OnFrame handler takes it there and then. Arrivals
 // fire in send order (FIFO serialization), so the frame is the ring's
 // head. It implements event.Handler; do not call it directly.
-//
-//qcdoc:noalloc
 func (w *Wire) HandleEvent(uint64) {
 	f := w.popInFlight()
 	if w.handler == nil || len(w.early) > 0 {
@@ -295,7 +285,6 @@ func (w *Wire) HandleEvent(uint64) {
 	w.handler(f)
 }
 
-//qcdoc:noalloc
 func (w *Wire) pushInFlight(f Frame) {
 	if w.flyLen == len(w.fly) {
 		w.growInFlight()
@@ -304,7 +293,6 @@ func (w *Wire) pushInFlight(f Frame) {
 	w.flyLen++
 }
 
-//qcdoc:noalloc
 func (w *Wire) popInFlight() Frame {
 	f := w.fly[w.flyHead]
 	w.flyHead = (w.flyHead + 1) % len(w.fly)

@@ -310,7 +310,7 @@ func (m *Machine) windowTick() {
 	// armClock registers this tick only on single-engine builds, where
 	// every node shares the one engine; the sharded machine samples via
 	// windowTickGlobal instead.
-	for _, n := range m.Nodes { //qcdoclint:shard-ok single-engine build only
+	for _, n := range m.Nodes {
 		n.SCU.WindowTick()
 		if n.SCU.PartIRQPending() != n.SCU.PartIRQStatus() {
 			again = true

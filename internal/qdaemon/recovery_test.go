@@ -154,7 +154,7 @@ func runWatchdogScenario(t *testing.T, victim int, at event.Time, kill func(*nod
 		d.StartWatchdog(WatchdogConfig{Period: 500 * event.Microsecond, Misses: 3})
 		eng.After(at, func() {
 			res.killedAt = eng.Now()
-			//qcdoclint:shard-ok chaos harness kills the victim directly; the test machine is single-shard
+			// The harness kills the victim directly: the test machine is single-shard.
 			kill(d.M.Nodes[victim])
 		})
 		_, runErr = d.Run(p, "job", "sleeper")
@@ -325,7 +325,7 @@ func TestWatchdogSuspectConfirmsHungNode(t *testing.T) {
 		d.EnableHeartbeats(100 * event.Microsecond)
 		wd := d.StartWatchdog(WatchdogConfig{Period: 500 * event.Microsecond, Misses: 3})
 		eng.After(2*event.Millisecond, func() {
-			//qcdoclint:shard-ok harness kills the victim directly; the test machine is single-shard
+			// The harness hangs the victim directly: the test machine is single-shard.
 			d.M.Nodes[5].Hang()
 			wd.Suspect(5)
 		})

@@ -17,70 +17,133 @@ type flatMem struct{ words []uint64 }
 func (m *flatMem) ReadWord(a uint64) uint64     { return m.words[a/8] }
 func (m *flatMem) WriteWord(a uint64, w uint64) { m.words[a/8] = w }
 
-// TestSteadyStateWordPathAllocFree pins the tentpole property of the
-// value-frame refactor: once a link is trained and a long transfer is
-// streaming, moving a data word — DMA fetch, packet encode, wire
-// serialization, arrival, decode, ack, window pop, ack-timer re-arm,
-// DMA store — touches the heap zero times. Frames are values, the
-// in-flight and resend registers are reusable rings, and the pump/timer
-// callbacks are pre-bound, so after the warm-up (ring growth, event-heap
-// growth, DMA startup) the simulator behaves like the hardware: no
-// allocator anywhere on the word path.
-func TestSteadyStateWordPathAllocFree(t *testing.T) {
-	eng := event.New()
-	ab := hssl.NewWire(eng, "a->b", hssl.DefaultClock, hssl.DefaultPropagation)
-	ba := hssl.NewWire(eng, "b->a", hssl.DefaultClock, hssl.DefaultPropagation)
-	ab.TrainAsync(nil)
-	ba.TrainAsync(nil)
-	if err := eng.RunAll(); err != nil {
-		t.Fatal(err)
-	}
+const rigWords = 1 << 17
 
-	const words = 1 << 17
-	ma := &flatMem{words: make([]uint64, words)}
-	mb := &flatMem{words: make([]uint64, words)}
+// newFlatPair is the two-node harness on flat memory: on one engine
+// (workers 0), or with a and b on the two shards of a cluster run by
+// that many workers.
+func newFlatPair(t *testing.T, workers int) *pair {
+	t.Helper()
+	ea := event.New()
+	eb := ea
+	if workers > 0 {
+		look := hssl.MinLatency(hssl.DefaultClock, hssl.DefaultPropagation)
+		eb = event.Clusterize(ea, 2, workers, look).Shard(1)
+	}
+	ma := &flatMem{words: make([]uint64, rigWords)}
 	for i := range ma.words {
 		ma.words[i] = uint64(i)*0x9E3779B97F4A7C15 + 1
 	}
-	a := New(eng, "A", ma, Config{})
-	b := New(eng, "B", mb, Config{})
-	la := geom.Link{Dim: 0, Dir: geom.Fwd}
-	lb := geom.Link{Dim: 0, Dir: geom.Bwd}
-	a.AttachLink(la, ab, ba)
-	b.AttachLink(lb, ba, ab)
-	a.Start()
-	b.Start()
-	if _, err := a.StartSend(la, Contiguous(0, words)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := b.StartRecv(lb, Contiguous(0, words)); err != nil {
-		t.Fatal(err)
-	}
+	return newPairMem(t, Config{}, ea, eb, ma, &flatMem{words: make([]uint64, rigWords)})
+}
 
-	// Warm up past the DMA startup charge and all one-time growth (wire
-	// in-flight rings, the event heap's high-water mark).
-	if err := eng.Run(eng.Now() + 50*event.Microsecond); err != nil {
+// stream programs one long a-to-b transfer: the DMA word path.
+func stream(t *testing.T, pr *pair) {
+	t.Helper()
+	if _, err := pr.a.StartSend(pr.linkA, Contiguous(0, rigWords)); err != nil {
 		t.Fatal(err)
 	}
-	before := b.Stats().WordsReceived
-	if before == 0 {
-		t.Fatal("no words moved during warm-up")
+	if _, err := pr.b.StartRecv(pr.linkB, Contiguous(0, rigWords)); err != nil {
+		t.Fatal(err)
 	}
+}
 
-	// Each run advances a fixed simulated window — a few hundred words of
-	// traffic, well inside the transfer.
-	const window = 40 * event.Microsecond
-	avg := testing.AllocsPerRun(10, func() {
-		if err := eng.Run(eng.Now() + window); err != nil {
-			t.Fatal(err)
-		}
-	})
-	moved := b.Stats().WordsReceived - before
-	if moved == 0 {
-		t.Fatal("no words moved during measurement")
+// TestSteadyStateWordPathAllocFree holds the simulator to the hardware:
+// there is no allocator anywhere on the word path. Once the links are
+// trained and traffic is streaming, moving a data word — DMA fetch,
+// packet encode, wire serialization, arrival, decode, ack, window pop,
+// ack-timer re-arm, DMA store — touches the heap zero times: frames are
+// values, the in-flight and resend registers are reusable rings, and the
+// pump/timer callbacks are pre-bound. The legs take the same measurement
+// off the clean path, where no solve goes unless a fault plan sends it:
+// parity errors, naks, rewinds and lost acks with the link histograms
+// recording; the flight recorder and its span marks; frames crossing a
+// shard boundary by value through the cluster mailboxes; and global-sum
+// words injected and passed through rather than fetched by DMA.
+func TestSteadyStateWordPathAllocFree(t *testing.T) {
+	legs := []struct {
+		name    string
+		workers int
+		setup   func(t *testing.T, r *pair)
+		// each runs before every window; moved says whether the measured
+		// windows advanced the counters that make the leg mean anything
+		// (words received, always).
+		each  func(r *pair)
+		moved func(d Stats) bool
+	}{
+		{name: "clean", setup: stream},
+		{name: "faults+hists", setup: func(t *testing.T, r *pair) {
+			r.ab.SetFault(hssl.FlipBitEvery(7))  // data frames: parity, nak, rewind
+			r.ba.SetFault(hssl.FlipBitEvery(11)) // ack frames: lost acks, timeouts
+			r.a.EnableLinkHists()
+			r.b.EnableLinkHists()
+			stream(t, r)
+		}, moved: func(d Stats) bool { return d.Resends > 0 && d.NaksSent > 0 && d.ParityErrors > 0 }},
+		{name: "recorder", setup: func(t *testing.T, r *pair) {
+			r.eng.SetRecorder(event.NewRecorder(256))
+			stream(t, r)
+		}},
+		{name: "cross-shard/workers=1", workers: 1, setup: stream},
+		{name: "cross-shard/workers=2", workers: 2, setup: stream},
+		{name: "global-sum", setup: func(t *testing.T, r *pair) {
+			// A two-node ring reduction's traffic without its arithmetic: a
+			// injects, b passes every word through, a takes it back.
+			const forever = 1 << 30
+			sink := func(int, uint64) {}
+			err := r.a.ConfigureGlobal(0, GlobalConfig{In: r.linkA, HasIn: true, Outs: []geom.Link{r.linkA}, Expect: forever, OnWord: sink})
+			if err == nil {
+				err = r.b.ConfigureGlobal(0, GlobalConfig{In: r.linkB, HasIn: true, Outs: []geom.Link{r.linkB}, Expect: forever, Forward: forever, OnWord: sink})
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		}, each: func(r *pair) {
+			for w := uint64(1); w <= 64; w++ {
+				r.a.GlobalInject(0, w)
+			}
+		}},
 	}
-	if avg != 0 {
-		t.Errorf("steady-state word path allocates: %.2f allocs per %v window (%d words moved)",
-			avg, window, moved)
+	for _, leg := range legs {
+		t.Run(leg.name, func(t *testing.T) {
+			r := newFlatPair(t, leg.workers)
+			leg.setup(t, r)
+			// Each window advances a fixed stretch of simulated time — a
+			// few hundred words of traffic, well inside the transfer —
+			// between two span marks (no-ops unless a recorder is attached).
+			const span = 40 * event.Microsecond
+			window := func() {
+				if leg.each != nil {
+					leg.each(r)
+				}
+				r.eng.MarkSpanBegin("window")
+				if err := r.eng.Run(r.eng.Now() + span); err != nil {
+					t.Fatal(err)
+				}
+				r.eng.MarkSpanEnd("window")
+			}
+			// Warm up past the DMA startup charge and all one-time growth
+			// (wire in-flight rings, inject queues, mailboxes, the event
+			// queue's high-water mark).
+			window()
+			window()
+			totals := func() Stats {
+				sa, sb := r.a.Stats(), r.b.Stats()
+				sa.Add(&sb)
+				return sa
+			}
+			before := totals()
+			avg := testing.AllocsPerRun(10, window)
+			after := totals()
+			var d Stats
+			for i := 0; i < NumStats(); i++ {
+				d.SetValue(i, after.Value(i)-before.Value(i))
+			}
+			if d.WordsReceived == 0 || leg.moved != nil && !leg.moved(d) {
+				t.Fatalf("leg did not exercise its path inside the measured windows: %+v", d)
+			}
+			if avg != 0 {
+				t.Errorf("word path allocates: %.2f allocs per %v window (%+v)", avg, span, d)
+			}
+		})
 	}
 }

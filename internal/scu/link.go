@@ -148,14 +148,12 @@ func (lu *linkUnit) start() {
 // silently suppressed instead: every suppressed data word is still in
 // the unacked ring (or covered by a stop-and-wait timer), so the window
 // protocol re-issues it once the link is back — or never, if it isn't.
-//
-//qcdoc:noalloc
 func (lu *linkUnit) sendPacket(p scupkt.Packet) {
 	if lu.retraining || lu.dead {
 		return
 	}
 	if _, err := lu.out.Send(p.Wire()); err != nil {
-		panic(fmt.Sprintf("scu %s link %v: %v", lu.scu.name, lu.link, err)) //qcdoclint:alloc-ok cold assembly-error path
+		panic(fmt.Sprintf("scu %s link %v: %v", lu.scu.name, lu.link, err))
 	}
 }
 
@@ -177,8 +175,6 @@ func (lu *linkUnit) injectsLen() int { return len(lu.injects) - lu.injHead }
 
 // popInject removes the oldest queued global word. When the queue
 // drains, the backing array is kept and reused for the next burst.
-//
-//qcdoc:noalloc
 func (lu *linkUnit) popInject() uint64 {
 	w := lu.injects[lu.injHead]
 	lu.injHead++
@@ -196,8 +192,6 @@ func (lu *linkUnit) popInject() uint64 {
 // every pinned trace records; the per-word wake-up, the window-opening
 // ack, pumps inline (handleAck). An engine that is already running,
 // charging its startup pipeline, or parked elsewhere ignores the kick.
-//
-//qcdoc:noalloc
 func (lu *linkUnit) kick(state string) {
 	if lu.sm == nil || lu.pumpPending || lu.sm.State() != state {
 		return
@@ -211,8 +205,6 @@ func (lu *linkUnit) kick(state string) {
 // between the words of a bulk transfer; a word fetched from memory while
 // the ack window is full stays in hand and goes out first when the
 // window opens.
-//
-//qcdoc:noalloc
 func (lu *linkUnit) pump() {
 	if lu.sm.State() == txStartup {
 		return // the startup timer will pump when the charge elapses
@@ -258,8 +250,6 @@ func (lu *linkUnit) pump() {
 }
 
 // sendHeld transmits the word in hand (window room guaranteed by pump).
-//
-//qcdoc:noalloc
 func (lu *linkUnit) sendHeld() {
 	seq := lu.seqNext
 	lu.seqNext = (lu.seqNext + 1) % scupkt.SeqMod
@@ -282,8 +272,6 @@ func (lu *linkUnit) sendHeld() {
 // the timer, which only moves its deadline (event.Timer), so this never
 // runs for a word that was acknowledged. A streak of timeouts with no
 // progress escalates to link re-training (see beginRetrain).
-//
-//qcdoc:noalloc
 func (lu *linkUnit) ackTimeout() {
 	if lu.unackedLen == 0 || lu.retraining || lu.dead {
 		return
@@ -299,8 +287,6 @@ func (lu *linkUnit) ackTimeout() {
 
 // resend retransmits one unacknowledged word, recording the gap since
 // its last transmission (telemetry only; one nil test when disabled).
-//
-//qcdoc:noalloc
 func (lu *linkUnit) resend(pw *pendingWord) {
 	lu.sendPacket(scupkt.Packet{Kind: scupkt.DataKind(pw.seq), Payload: pw.word})
 	lu.stats.Resends++
@@ -313,8 +299,6 @@ func (lu *linkUnit) resend(pw *pendingWord) {
 
 // resendUnacked rewinds: every word still unacknowledged goes out again,
 // in order.
-//
-//qcdoc:noalloc
 func (lu *linkUnit) resendUnacked() {
 	for i := 0; i < lu.unackedLen; i++ {
 		lu.resend(&lu.unacked[(lu.unackedHead+i)%scupkt.SeqMod])
@@ -343,8 +327,6 @@ func (lu *linkUnit) transmitSup(w uint64) {
 // recovery); the supervisor ack stops the timer. Supervisor timeouts
 // feed the same escalation streak as data timeouts, so a link carrying
 // only supervisor traffic still retrains and eventually fails.
-//
-//qcdoc:noalloc
 func (lu *linkUnit) supTimeout() {
 	if !lu.supPending || lu.retraining || lu.dead {
 		return
@@ -417,8 +399,6 @@ func (lu *linkUnit) fail() {
 
 // handleFrame is the receive engine: it runs in the arrival event of
 // every inbound frame, decoding the value frame in place.
-//
-//qcdoc:noalloc
 func (lu *linkUnit) handleFrame(f hssl.Frame) {
 	pkt, _, err := f.Decode()
 	if err != nil {
@@ -440,7 +420,6 @@ func (lu *linkUnit) handleFrame(f hssl.Frame) {
 	}
 }
 
-//qcdoc:noalloc
 func (lu *linkUnit) handleCorrupt(err error) {
 	if errors.Is(err, scupkt.ErrParity) {
 		lu.stats.ParityErrors++
@@ -455,8 +434,6 @@ func (lu *linkUnit) handleCorrupt(err error) {
 // holds are accepted but not yet acknowledgeable — an ack or nak that
 // covered them would reopen the sender's window onto a full register
 // file.
-//
-//qcdoc:noalloc
 func (lu *linkUnit) lastAccepted() int {
 	return (lu.expect + 2*scupkt.SeqMod - 1 - lu.idleBufLen) % scupkt.SeqMod
 }
@@ -464,8 +441,6 @@ func (lu *linkUnit) lastAccepted() int {
 // sendNak requests a rewind-resend of everything unacknowledged. One nak
 // per stall: repeated errors before the next in-order acceptance are
 // suppressed to avoid redundant rewinds.
-//
-//qcdoc:noalloc
 func (lu *linkUnit) sendNak() {
 	if lu.nakPending {
 		return
@@ -477,15 +452,12 @@ func (lu *linkUnit) sendNak() {
 }
 
 // sendCumAck acknowledges everything stored so far.
-//
-//qcdoc:noalloc
 func (lu *linkUnit) sendCumAck() {
 	flags := uint8(lu.lastAccepted()) & scupkt.AckSeqMask
 	lu.sendPacket(scupkt.Packet{Kind: scupkt.Ack, Payload: uint64(flags)})
 	lu.stats.AcksSent++
 }
 
-//qcdoc:noalloc
 func (lu *linkUnit) handleData(seq int, w uint64) {
 	delta := (seq - lu.expect + scupkt.SeqMod) % scupkt.SeqMod
 	if delta != 0 {
@@ -522,7 +494,6 @@ func (lu *linkUnit) handleData(seq int, w uint64) {
 		// acknowledgement; the sender's window will block it after
 		// Window words (§2.2).
 		if lu.idleBufLen >= lu.scu.cfg.Window {
-			//qcdoclint:alloc-ok cold protocol-violation panic
 			panic(fmt.Sprintf("scu %s link %v: idle-receive overflow (window protocol violated)",
 				lu.scu.name, lu.link))
 		}
@@ -535,8 +506,6 @@ func (lu *linkUnit) handleData(seq int, w uint64) {
 }
 
 // popIdle removes the oldest idle-held word.
-//
-//qcdoc:noalloc
 func (lu *linkUnit) popIdle() uint64 {
 	w := lu.idleBuf[lu.idleBufHead]
 	lu.idleBufHead = (lu.idleBufHead + 1) % scupkt.SeqMod
@@ -545,8 +514,6 @@ func (lu *linkUnit) popIdle() uint64 {
 }
 
 // storeWord lands an accepted word in local memory via the receive DMA.
-//
-//qcdoc:noalloc
 func (lu *linkUnit) storeWord(w uint64) {
 	t := lu.rxT[0]
 	lu.scu.mem.WriteWord(t.Desc.Addr(lu.rxProgress), w)
@@ -573,7 +540,6 @@ func (lu *linkUnit) programRecv(t *Transfer) {
 	}
 }
 
-//qcdoc:noalloc
 func (lu *linkUnit) containsSeq(seq int) bool {
 	for i := 0; i < lu.unackedLen; i++ {
 		if lu.unacked[(lu.unackedHead+i)%scupkt.SeqMod].seq == seq {
@@ -583,7 +549,6 @@ func (lu *linkUnit) containsSeq(seq int) bool {
 	return false
 }
 
-//qcdoc:noalloc
 func (lu *linkUnit) handleAck(flags uint8) {
 	if flags&scupkt.AckSup != 0 {
 		lu.supPending = false

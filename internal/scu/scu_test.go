@@ -50,6 +50,15 @@ func newPair(t *testing.T, cfg Config) *pair {
 
 func newPairOn(t *testing.T, cfg Config, eng, engB *event.Engine) *pair {
 	t.Helper()
+	ma, mb := newTestMem(), newTestMem()
+	pr := newPairMem(t, cfg, eng, engB, ma, mb)
+	pr.ma, pr.mb = ma, mb
+	return pr
+}
+
+// newPairMem is newPairOn over the caller's memories (ma and mb stay nil).
+func newPairMem(t *testing.T, cfg Config, eng, engB *event.Engine, ma, mb Memory) *pair {
+	t.Helper()
 	ab := hssl.NewWireBetween(eng, engB, "a->b", hssl.DefaultClock, hssl.DefaultPropagation)
 	ba := hssl.NewWireBetween(engB, eng, "b->a", hssl.DefaultClock, hssl.DefaultPropagation)
 	ab.TrainAsync(nil)
@@ -57,7 +66,6 @@ func newPairOn(t *testing.T, cfg Config, eng, engB *event.Engine) *pair {
 	if err := eng.RunAll(); err != nil {
 		t.Fatal(err)
 	}
-	ma, mb := newTestMem(), newTestMem()
 	a := New(eng, "A", ma, cfg)
 	b := New(engB, "B", mb, cfg)
 	la := geom.Link{Dim: 0, Dir: geom.Fwd}
@@ -66,7 +74,7 @@ func newPairOn(t *testing.T, cfg Config, eng, engB *event.Engine) *pair {
 	b.AttachLink(lb, ba, ab)
 	a.Start()
 	b.Start()
-	pr := &pair{eng: eng, a: a, b: b, ma: ma, mb: mb, ab: ab, ba: ba, linkA: la, linkB: lb}
+	pr := &pair{eng: eng, a: a, b: b, ab: ab, ba: ba, linkA: la, linkB: lb}
 	t.Cleanup(func() { eng.Shutdown() })
 	return pr
 }

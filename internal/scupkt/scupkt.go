@@ -76,8 +76,6 @@ const SeqMod = 4
 const WindowSize = 3
 
 // DataKind returns the Data kind carrying sequence number seq mod 4.
-//
-//qcdoc:noalloc
 func DataKind(seq int) Kind { return Data0 + Kind(seq%SeqMod) }
 
 // DataSeq reports the sequence number of a Data kind, or false.
@@ -116,8 +114,6 @@ func (k Kind) String() string {
 
 // encodeKind maps a Kind (3 data bits) to its 6-bit codeword:
 // c = [d1 d2 d3 | d1^d2 d1^d3 d2^d3].
-//
-//qcdoc:noalloc
 func encodeKind(k Kind) uint8 {
 	d1 := uint8(k>>2) & 1
 	d2 := uint8(k>>1) & 1
@@ -126,8 +122,6 @@ func encodeKind(k Kind) uint8 {
 }
 
 // decodeKind inverts encodeKind, requiring an exact codeword match.
-//
-//qcdoc:noalloc
 func decodeKind(code uint8) (Kind, bool) {
 	d1 := code >> 5 & 1
 	d2 := code >> 4 & 1
@@ -141,8 +135,6 @@ func decodeKind(code uint8) (Kind, bool) {
 
 // parityBits computes the two data-parity bits for a 64-bit payload:
 // bit 1 covers the high word, bit 0 the low word.
-//
-//qcdoc:noalloc
 func parityBits(payload uint64) uint8 {
 	hi := uint8(bits.OnesCount32(uint32(payload>>32)) & 1)
 	lo := uint8(bits.OnesCount32(uint32(payload)) & 1)
@@ -221,15 +213,11 @@ func (w *Wire) FlipBit(bit int) {
 
 // Decode parses the packet held in the frame. Semantics match the
 // package-level Decode, with no intermediate buffer.
-//
-//qcdoc:noalloc
 func (w *Wire) Decode() (Packet, int, error) {
 	return Decode(w.buf[:w.n])
 }
 
 // FrameBytes returns the wire size of the packet in bytes.
-//
-//qcdoc:noalloc
 func (p Packet) FrameBytes() int {
 	switch {
 	case p.Kind >= Data0 && p.Kind <= Data3, p.Kind == Supervisor:
@@ -248,8 +236,6 @@ func (p Packet) FrameBits() int { return 8 * p.FrameBytes() }
 
 // Wire encodes the packet directly into a value frame — the per-word
 // path of the SCU transmit engines, with no heap allocation.
-//
-//qcdoc:noalloc
 func (p Packet) Wire() Wire {
 	var w Wire
 	var par uint8
@@ -295,8 +281,6 @@ var (
 // Decode parses one packet from the front of buf, returning the packet
 // and the number of bytes consumed. On a parity failure it still reports
 // the frame length so the stream can resynchronize, along with the error.
-//
-//qcdoc:noalloc
 func Decode(buf []byte) (Packet, int, error) {
 	if len(buf) < HeaderBytes {
 		return Packet{}, 0, ErrTruncated
@@ -357,8 +341,6 @@ type Checksum struct {
 }
 
 // Add folds one payload word into the checksum.
-//
-//qcdoc:noalloc
 func (c *Checksum) Add(payload uint64) {
 	c.count++
 	x := payload + c.count*0x9E3779B97F4A7C15

@@ -28,8 +28,6 @@ type Histogram struct {
 
 // Record adds one observation. Hot path: a few integer ops on fixed
 // storage, no allocation, no branching beyond the max update.
-//
-//qcdoc:noalloc
 func (h *Histogram) Record(v uint64) {
 	h.count++
 	h.sum += v

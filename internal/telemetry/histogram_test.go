@@ -120,8 +120,8 @@ func TestMergeHistogramMaps(t *testing.T) {
 	}
 }
 
-// TestHistogramRecordZeroAlloc pins the //qcdoc:noalloc contract on the
-// hot path — hotalloc checks it statically, this checks it dynamically.
+// Record sits on the per-word path of every observed run: it must not
+// allocate.
 func TestHistogramRecordZeroAlloc(t *testing.T) {
 	var h Histogram
 	if n := testing.AllocsPerRun(1000, func() { h.Record(12345) }); n != 0 {
