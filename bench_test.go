@@ -140,7 +140,7 @@ func BenchmarkE1FunctionalWilsonParallel(b *testing.B) {
 func benchRackScale(b *testing.B, workers int) {
 	shape := geom.MakeShape(8, 4, 4, 2, 2, 2)
 	var end event.Time
-	for i := -1; i < b.N; i++ { // operation -1 is a discarded warm-up: the first rack of a process pays for a cold 700 MB heap
+	for i := -1; i < b.N; i++ { // operation -1 is a discarded warm-up: the first rack of a process grows the heap and the goroutine stacks
 		if i == 0 {
 			b.ResetTimer()
 		}
@@ -543,7 +543,7 @@ func BenchmarkEngineDispatch(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			eng := event.New()
-			sm := eng.NewStateMachine("dispatch", "run")
+			sm := eng.NewStateMachine(event.Name("dispatch"), "run")
 			n := 0
 			var step func()
 			step = func() {

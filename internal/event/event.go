@@ -247,7 +247,7 @@ func (e *Engine) runLocal(until Time) error {
 	for !e.stopped {
 		t, src := e.peekTime()
 		if src == srcNone {
-			names := make([]string, 0, len(e.blocked))
+			var names []string // parked daemons are normal quiescence: nothing to build
 			for p, what := range e.blocked {
 				if !p.daemon {
 					names = append(names, p.name+" ("+what+")")
@@ -333,6 +333,7 @@ func (e *Engine) LiveProcs() int { return e.live }
 type Proc struct {
 	eng    *Engine
 	name   string
+	wakeFn func() // wake, bound once at Spawn: scheduling it allocates nothing
 	resume chan struct{}
 	done   bool
 	daemon bool
@@ -347,6 +348,7 @@ type procKilled struct{}
 // the current simulated time (after already-queued events at that time).
 func (e *Engine) Spawn(name string, fn func(*Proc)) *Proc {
 	p := &Proc{eng: e, name: name, resume: make(chan struct{})}
+	p.wakeFn = p.wake
 	e.live++
 	go func() {
 		<-p.resume // first activation comes through the event queue
@@ -362,7 +364,7 @@ func (e *Engine) Spawn(name string, fn func(*Proc)) *Proc {
 		}()
 		fn(p)
 	}()
-	e.At(e.now, p.wake)
+	e.At(e.now, p.wakeFn)
 	return p
 }
 
@@ -448,7 +450,7 @@ func (p *Proc) Kill() {
 	}
 	p.killed = true
 	if _, parked := p.eng.blocked[p]; parked {
-		p.eng.At(p.eng.now, p.wake)
+		p.eng.At(p.eng.now, p.wakeFn)
 	}
 }
 
@@ -474,15 +476,19 @@ func (p *Proc) Engine() *Engine { return p.eng }
 // Sleep suspends the process for d of simulated time.
 func (p *Proc) Sleep(d Time) {
 	p.holdsTurn("sleep")
-	p.eng.After(d, p.wake)
+	p.eng.After(d, p.wakeFn)
 	p.yield("sleep")
 }
 
 // Gate is a broadcast condition: processes Wait on it; Fire wakes all
-// current waiters (at the current simulated time).
+// current waiters (at the current simulated time). A gate may be held by
+// value but not copied once a process has waited on it: waiters starts
+// out backed by first, so a gate made per transfer parks its one waiter
+// without allocating.
 type Gate struct {
 	eng     *Engine
 	waiters []gateWaiter
+	first   [1]gateWaiter
 	gen     uint64 // stamps timed waits; see WaitUntil
 }
 
@@ -506,7 +512,7 @@ func (g *Gate) Wait(p *Proc, what string) {
 		panic("event: Gate.Wait across engines (shard boundary)")
 	}
 	p.holdsTurn(what)
-	g.waiters = append(g.waiters, gateWaiter{p: p})
+	g.park(gateWaiter{p: p})
 	p.yield(what)
 }
 
@@ -526,7 +532,7 @@ func (g *Gate) WaitUntil(p *Proc, what string, deadline Time) bool {
 	}
 	g.gen++
 	gen := g.gen
-	g.waiters = append(g.waiters, gateWaiter{p: p, gen: gen})
+	g.park(gateWaiter{p: p, gen: gen})
 	timedOut := false
 	g.eng.At(deadline, func() {
 		if g.removeWaiter(gen) {
@@ -536,6 +542,13 @@ func (g *Gate) WaitUntil(p *Proc, what string, deadline Time) bool {
 	})
 	p.yield(what)
 	return !timedOut
+}
+
+func (g *Gate) park(w gateWaiter) {
+	if g.waiters == nil {
+		g.waiters = g.first[:0]
+	}
+	g.waiters = append(g.waiters, w)
 }
 
 // removeWaiter drops the timed waiter with the given generation,
@@ -550,13 +563,15 @@ func (g *Gate) removeWaiter(gen uint64) bool {
 	return false
 }
 
-// Fire wakes every process currently waiting on the gate.
+// Fire wakes every process currently waiting on the gate. The wake-ups
+// are events, so nothing re-enters the gate before the list is emptied;
+// its storage stays for the next round of waiters.
 func (g *Gate) Fire() {
-	ws := g.waiters
-	g.waiters = nil
-	for _, w := range ws {
-		g.eng.At(g.eng.now, w.p.wake)
+	for _, w := range g.waiters {
+		g.eng.At(g.eng.now, w.p.wakeFn)
 	}
+	clear(g.waiters)
+	g.waiters = g.waiters[:0]
 }
 
 // Waiting reports the number of processes parked on the gate.

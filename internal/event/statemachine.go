@@ -35,22 +35,29 @@ import (
 // transitions.
 type StateMachine struct {
 	eng   *Engine
-	name  string
+	name  fmt.Stringer
 	state string
 	since Time // when the current state was entered
 }
 
+// Name is a state-machine name known up front. A service that exists in
+// the thousands passes itself as the Stringer instead, and its name is
+// formatted only when DumpStateMachines asks.
+type Name string
+
+func (n Name) String() string { return string(n) }
+
 // NewStateMachine registers a continuation-tier process with the engine
 // (the registry feeds DumpStateMachines; there is nothing to "start" —
 // the machine runs whenever its callbacks do).
-func (e *Engine) NewStateMachine(name, state string) *StateMachine {
+func (e *Engine) NewStateMachine(name fmt.Stringer, state string) *StateMachine {
 	sm := &StateMachine{eng: e, name: name, state: state, since: e.now}
 	e.machines = append(e.machines, sm)
 	return sm
 }
 
 // Name returns the process name.
-func (sm *StateMachine) Name() string { return sm.name }
+func (sm *StateMachine) Name() string { return sm.name.String() }
 
 // State returns the current state label.
 func (sm *StateMachine) State() string { return sm.state }
@@ -78,7 +85,7 @@ func (sm *StateMachine) StateAge() Time { return sm.eng.now - sm.since }
 func (e *Engine) DumpStateMachines() []string {
 	out := make([]string, len(e.machines))
 	for i, sm := range e.machines {
-		out[i] = fmt.Sprintf("%s: %s (age %v)", sm.name, sm.state, sm.StateAge())
+		out[i] = fmt.Sprintf("%s: %s (age %v)", sm.Name(), sm.state, sm.StateAge())
 	}
 	sort.Strings(out)
 	return out

@@ -9,8 +9,8 @@ import (
 func TestDumpStateMachines(t *testing.T) {
 	e := New()
 	// Register out of name order: the dump must sort.
-	e.NewStateMachine("b", "run")
-	sm := e.NewStateMachine("a", "idle")
+	e.NewStateMachine(Name("b"), "run")
+	sm := e.NewStateMachine(Name("a"), "idle")
 	e.After(10*Nanosecond, func() { sm.Goto("tx") })
 	e.After(25*Nanosecond, func() {}) // advance the clock past the transition
 	if err := e.RunAll(); err != nil {

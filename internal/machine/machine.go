@@ -242,6 +242,11 @@ func (m *Machine) Wire(rank int, l geom.Link) *hssl.Wire {
 	return m.wires[rank][geom.LinkIndex(l)]
 }
 
+// trainerName names rank r's link trainer, formatted only on a dump.
+type trainerName int
+
+func (r trainerName) String() string { return fmt.Sprintf("train%d", int(r)) }
+
 // TrainLinks trains every HSSL link, all nodes in parallel with each
 // node's links in sequence, as the hardware does when powered on and
 // released from reset (§2.2). Each node's trainer is a continuation
@@ -250,7 +255,7 @@ func (m *Machine) Wire(rank int, l geom.Link) *hssl.Wire {
 func (m *Machine) TrainLinks() error {
 	for r := range m.Nodes {
 		wires := m.wires[r]
-		sm := m.NodeEngine(r).NewStateMachine(fmt.Sprintf("train%d", r), "training")
+		sm := m.NodeEngine(r).NewStateMachine(trainerName(r), "training")
 		var next func(i int)
 		next = func(i int) {
 			if i == len(wires) {

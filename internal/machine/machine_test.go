@@ -1,6 +1,7 @@
 package machine
 
 import (
+	"runtime"
 	"testing"
 
 	"qcdoc/internal/event"
@@ -256,5 +257,49 @@ func TestE14Wiring(t *testing.T) {
 	}
 	if _, err := m.VerifyChecksums(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestNodeHostFootprint: what one simulated node costs the host for a
+// whole small run — build, boot, one 16-word neighbour exchange — is its
+// structures and the two pages it touches, not the address its allocator
+// starts at. Before the paged NodeMemory: 553 980 bytes per node (a
+// zeroed 512 KB slice to hold the first word at 256 KB); now 38 351, most
+// of it the twelve links' wires, timers and state machines.
+func TestNodeHostFootprint(t *testing.T) {
+	const words = 16
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	eng, m := buildBooted(t, geom.MakeShape(2, 2, 2))
+	err := m.RunSPMD("halo", func(rank int) node.Program {
+		return func(ctx *node.Ctx) {
+			n := ctx.N
+			send, recv := n.AllocWords(words), n.AllocWords(words)
+			for i := 0; i < words; i++ {
+				n.Mem.WriteWord(send+8*uint64(i), uint64(rank<<8|i))
+			}
+			rt, err := n.SCU.StartRecv(geom.Link{Dim: 0, Dir: geom.Bwd}, scu.Contiguous(recv, words))
+			if err != nil {
+				panic(err)
+			}
+			st, err := n.SCU.StartSend(geom.Link{Dim: 0, Dir: geom.Fwd}, scu.Contiguous(send, words))
+			if err != nil {
+				panic(err)
+			}
+			st.Wait(ctx.P)
+			rt.Wait(ctx.P)
+			if n.Mem.ReadWord(recv+8*(words-1))&0xff != words-1 {
+				panic("wrong halo word")
+			}
+		}
+	})
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	perNode := (after.TotalAlloc - before.TotalAlloc) / uint64(m.NumNodes())
+	t.Logf("build + boot + one %d-word exchange: %d bytes per node at %v", words, perNode, eng.Now())
+	if perNode > 64<<10 {
+		t.Fatalf("a node costs the host %d bytes, want <= 64 KB", perNode)
 	}
 }

@@ -6,9 +6,9 @@
 //
 // The package provides two things:
 //
-//   - NodeMemory: the functional store — a flat 64-bit word address space
-//     with EDRAM at low addresses and DDR above it, used by the simulated
-//     SCU DMA engines and node programs;
+//   - NodeMemory: the functional store — a sparse, paged 64-bit word
+//     address space with EDRAM at low addresses and DDR above it, used by
+//     the simulated SCU DMA engines and node programs;
 //   - Model: the timing model — sustained bandwidths per level for bulk
 //     (DMA/prefetch-friendly) and compute-kernel (load-issue-limited)
 //     access, with the prefetching controller's two-stream rule and page
@@ -58,16 +58,30 @@ const (
 
 // NodeMemory is the functional local memory of one node: EDRAM occupies
 // [0, EDRAMBytes), DDR occupies [EDRAMBytes, EDRAMBytes+ddrBytes). It
-// implements the SCU's Memory interface.
+// implements the SCU's Memory interface. The store is sparse: each region
+// is a table of fixed-size pages, a page exists once a word in it has
+// been written, and everything else reads as zero — a node costs the host
+// what it touches, not where its allocator starts. The EDRAM table is
+// resident, and an EDRAM access reads nothing else of the struct; the DDR
+// table arrives with the first DDR write.
 type NodeMemory struct {
-	edram    []uint64
-	ddr      []uint64
-	ddrBytes uint64
+	edram [EDRAMBytes / pageBytes]*page
+	ddr   []*page
+	limit uint64 // EDRAMBytes + installed DDR: one past the last byte
 }
 
-// NewNodeMemory allocates a node memory with the given DDR size (0 means
-// DefaultDDRBytes). To keep large simulated machines cheap, both regions
-// are grown lazily on first touch.
+// pageWords is the page size in 64-bit words (4 KB). Measured, not
+// configurable: DESIGN.md §9 has the numbers for this size and the two
+// rejected ones.
+const (
+	pageWords = 512
+	pageBytes = 8 * pageWords
+)
+
+type page [pageWords]uint64
+
+// NewNodeMemory returns a node memory with the given DDR size (0 means
+// DefaultDDRBytes) and no pages.
 func NewNodeMemory(ddrBytes int) *NodeMemory {
 	if ddrBytes == 0 {
 		ddrBytes = DefaultDDRBytes
@@ -75,57 +89,67 @@ func NewNodeMemory(ddrBytes int) *NodeMemory {
 	if ddrBytes < 0 || ddrBytes > MaxDDRBytes {
 		panic(fmt.Sprintf("memsys: invalid DDR size %d", ddrBytes))
 	}
-	return &NodeMemory{ddrBytes: uint64(ddrBytes)}
+	return &NodeMemory{limit: EDRAMBytes + uint64(ddrBytes)}
 }
 
 // DDRBytes returns the installed external memory size.
-func (m *NodeMemory) DDRBytes() int { return int(m.ddrBytes) }
-
-// ensure grows the backing slice to cover word index i.
-func ensure(s []uint64, i int) []uint64 {
-	if i < len(s) {
-		return s
-	}
-	n := len(s)
-	if n == 0 {
-		n = 1024
-	}
-	for n <= i {
-		n *= 2
-	}
-	grown := make([]uint64, n)
-	copy(grown, s)
-	return grown
-}
+func (m *NodeMemory) DDRBytes() int { return int(m.limit - EDRAMBytes) }
 
 // ReadWord returns the 64-bit word at byte address addr (8-aligned).
+// Untouched memory reads as zero, and reading it allocates nothing.
 func (m *NodeMemory) ReadWord(addr uint64) uint64 {
-	region, idx := m.locate(addr)
-	if idx >= len(*region) {
-		return 0 // untouched memory reads as zero
+	if p := m.locate(addr); p != nil {
+		return p[addr/8%pageWords]
 	}
-	return (*region)[idx]
+	return 0
 }
 
-// WriteWord stores a 64-bit word at byte address addr (8-aligned).
+// WriteWord stores a 64-bit word at byte address addr (8-aligned),
+// installing the page that holds it on the first write.
 func (m *NodeMemory) WriteWord(addr uint64, w uint64) {
-	region, idx := m.locate(addr)
-	*region = ensure(*region, idx)
-	(*region)[idx] = w
+	p := m.locate(addr)
+	if p == nil {
+		p = m.install(addr)
+	}
+	p[addr/8%pageWords] = w
 }
 
-func (m *NodeMemory) locate(addr uint64) (*[]uint64, int) {
+// locate returns the page holding addr, nil if nothing has been written
+// to it, and panics on an address no word lives at. The EDRAM case is
+// small enough to inline.
+func (m *NodeMemory) locate(addr uint64) *page {
+	if addr%8 == 0 && addr < EDRAMBytes {
+		return m.edram[addr/pageBytes]
+	}
+	return m.locateDDR(addr)
+}
+
+func (m *NodeMemory) locateDDR(addr uint64) *page {
 	if addr%8 != 0 {
 		panic(fmt.Sprintf("memsys: unaligned word access at %#x", addr))
 	}
+	if addr >= m.limit {
+		panic(fmt.Sprintf("memsys: address %#x beyond installed DDR (%d bytes)", addr, m.DDRBytes()))
+	}
+	if pg := (addr - EDRAMBytes) / pageBytes; pg < uint64(len(m.ddr)) {
+		return m.ddr[pg]
+	}
+	return nil
+}
+
+// install allocates the page holding addr, and the DDR table before the
+// first DDR page.
+func (m *NodeMemory) install(addr uint64) *page {
+	p := new(page)
 	if addr < EDRAMBytes {
-		return &m.edram, int(addr / 8)
+		m.edram[addr/pageBytes] = p
+		return p
 	}
-	off := addr - EDRAMBytes
-	if off >= m.ddrBytes {
-		panic(fmt.Sprintf("memsys: address %#x beyond installed DDR (%d bytes)", addr, m.ddrBytes))
+	if m.ddr == nil {
+		m.ddr = make([]*page, (m.limit-EDRAMBytes+pageBytes-1)/pageBytes)
 	}
-	return &m.ddr, int(off / 8)
+	m.ddr[(addr-EDRAMBytes)/pageBytes] = p
+	return p
 }
 
 // LevelOf reports which memory a byte address falls in.

@@ -2,6 +2,7 @@ package memsys
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -57,33 +58,123 @@ func TestReadWriteQuick(t *testing.T) {
 	}
 }
 
-func TestUnalignedPanics(t *testing.T) {
-	m := NewNodeMemory(0)
+// mustPanic runs fn and demands a panic with exactly this message: the
+// messages are what a user of a misprogrammed DMA descriptor sees.
+func mustPanic(t *testing.T, want string, fn func()) {
+	t.Helper()
 	defer func() {
-		if recover() == nil {
-			t.Fatal("unaligned access did not panic")
+		t.Helper()
+		if got := recover(); got != want {
+			t.Fatalf("panic = %v, want %q", got, want)
 		}
 	}()
-	m.ReadWord(3)
+	fn()
+}
+
+func TestUnalignedPanics(t *testing.T) {
+	m := NewNodeMemory(0)
+	mustPanic(t, "memsys: unaligned word access at 0x3", func() { m.ReadWord(3) })
+	mustPanic(t, "memsys: unaligned word access at 0x400004", func() { m.WriteWord(DDRBase+4, 1) })
 }
 
 func TestBeyondDDRPanics(t *testing.T) {
 	m := NewNodeMemory(1 << 20)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("out-of-range access did not panic")
-		}
-	}()
-	m.WriteWord(DDRBase+(1<<20), 1)
+	mustPanic(t, "memsys: address 0x500000 beyond installed DDR (1048576 bytes)", func() { m.WriteWord(DDRBase+(1<<20), 1) })
+	mustPanic(t, "memsys: address 0x500000 beyond installed DDR (1048576 bytes)", func() { m.ReadWord(DDRBase + (1 << 20)) })
 }
 
 func TestBadDDRSizePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("oversized DDR accepted")
+	mustPanic(t, "memsys: invalid DDR size 2147483649", func() { NewNodeMemory(MaxDDRBytes + 1) })
+	mustPanic(t, "memsys: invalid DDR size -8", func() { NewNodeMemory(-8) })
+}
+
+// TestNodeMemoryMatchesReference runs seeded random read/write programs
+// against a map: the paged store must be indistinguishable from a flat
+// one. Addresses are weighted toward where a page table can go wrong —
+// both sides of page boundaries, the last EDRAM word and the first DDR
+// word, the last installed DDR word (in a DDR whose size is not a whole
+// number of pages) — and toward words never written, which must read
+// zero without allocating anything.
+func TestNodeMemoryMatchesReference(t *testing.T) {
+	const ddr = 3*pageBytes + 512 // ends inside its fourth page
+	last := DDRBase + ddr - 8
+	edges := []uint64{0, EDRAMBytes - 8, DDRBase, last, 256 << 10}
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		m, ref := NewNodeMemory(ddr), map[uint64]uint64{}
+		addr := func() uint64 {
+			switch rng.Intn(4) {
+			case 0: // an edge, or its neighbour on either side
+				a := edges[rng.Intn(len(edges))] + 8*uint64(rng.Intn(3)) - 8
+				if a <= last {
+					return a
+				}
+				return last
+			case 1: // the words around a page boundary
+				pg := uint64(rng.Intn(int((DDRBase+ddr)/pageBytes))) + 1
+				return pg*pageBytes + 8*uint64(rng.Intn(4)) - 16
+			case 2: // a few hot pages, so writes land on installed pages too
+				return uint64(rng.Intn(4))*(EDRAMBytes/3)&^(pageBytes-1) + 8*uint64(rng.Intn(pageWords))
+			default: // anywhere
+				return uint64(rng.Int63n(int64(DDRBase+ddr)/8)) * 8
+			}
 		}
-	}()
-	NewNodeMemory(MaxDDRBytes + 1)
+		for step := 0; step < 4000; step++ {
+			a := addr()
+			if rng.Intn(3) == 0 {
+				w := rng.Uint64()
+				m.WriteWord(a, w)
+				ref[a] = w
+			} else if got := m.ReadWord(a); got != ref[a] {
+				t.Fatalf("seed %d step %d: word at %#x = %#x, want %#x", seed, step, a, got, ref[a])
+			}
+		}
+		for a, w := range ref {
+			if got := m.ReadWord(a); got != w {
+				t.Fatalf("seed %d: word at %#x = %#x, want %#x", seed, a, got, w)
+			}
+		}
+	}
+
+	m := NewNodeMemory(0)
+	var sum uint64
+	reads := testing.AllocsPerRun(10, func() {
+		for _, a := range []uint64{0, 256 << 10, EDRAMBytes - 8, DDRBase, DDRBase + DefaultDDRBytes - 8} {
+			sum += m.ReadWord(a)
+		}
+	})
+	if reads != 0 || sum != 0 {
+		t.Fatalf("reading never-written memory allocated %.0f objects and summed to %d, want 0 and 0", reads, sum)
+	}
+}
+
+// allocatedBytes reports the heap bytes fn allocates.
+func allocatedBytes(fn func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestFirstAppWordFootprint: a node's allocator starts above the 256 KB
+// reserved for kernels, so the first word an application writes lands
+// there. With the flat, doubling store that one write cost the host a
+// zeroed 512 KB slice (524 288 bytes + the header); paged, it costs the
+// resident EDRAM table and one page.
+func TestFirstAppWordFootprint(t *testing.T) {
+	var m *NodeMemory
+	got := allocatedBytes(func() {
+		m = NewNodeMemory(0)
+		m.WriteWord(256<<10, 1)
+	})
+	if m.ReadWord(256<<10) != 1 {
+		t.Fatal("the word did not land")
+	}
+	if got > 40<<10 {
+		t.Fatalf("a fresh node memory plus one write at 256 KB allocated %d bytes, want <= 40 KB", got)
+	}
+	t.Logf("fresh NodeMemory + one write at 256 KB: %d bytes", got)
 }
 
 func TestModelBandwidths(t *testing.T) {

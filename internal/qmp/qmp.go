@@ -33,12 +33,26 @@ type Comm struct {
 	n    *node.Node
 	fold *geom.Fold
 	lc   geom.Coord
+
+	// Global-sum scratch, owned so that a sum builds nothing per axis:
+	// the gathered words of the ring in hand (ringN nodes, this one at
+	// ringMe), the one-link Outs of the two streams, and the streams'
+	// OnWord callbacks, bound once in New. The k-th word arriving from
+	// behind left the node k+1 places back; from ahead, k+1 places on.
+	vals          []uint64
+	ringN, ringMe int
+	outs          [2][1]geom.Link
+	onBehind      func(k int, w uint64)
+	onAhead       func(k int, w uint64)
 }
 
 // New builds the communicator for the node in ctx under the given fold
 // of the physical machine.
 func New(ctx *node.Ctx, fold *geom.Fold) *Comm {
-	return &Comm{n: ctx.N, fold: fold, lc: fold.ToLogical(ctx.N.Coord)}
+	c := &Comm{n: ctx.N, fold: fold, lc: fold.ToLogical(ctx.N.Coord)}
+	c.onBehind = func(k int, w uint64) { c.vals[((c.ringMe-1-k)%c.ringN+c.ringN)%c.ringN] = w }
+	c.onAhead = func(k int, w uint64) { c.vals[(c.ringMe+1+k)%c.ringN] = w }
+	return c
 }
 
 // Shape returns the logical torus shape.
@@ -179,26 +193,25 @@ func (c *Comm) axisSum(p *event.Proc, axis int, x float64, doubled bool) float64
 }
 
 // axisGather collects every node's word along an axis ring, indexed by
-// the origin's coordinate on the axis.
+// the origin's coordinate on the axis. The result is the Comm's scratch:
+// valid until the next gather.
 func (c *Comm) axisGather(p *event.Proc, axis int, word uint64, doubled bool) []uint64 {
 	n := c.fold.Logical()[axis]
-	vals := make([]uint64, n)
-	me := c.lc[axis]
-	vals[me] = word
+	if cap(c.vals) < n {
+		c.vals = make([]uint64, n)
+	}
+	vals := c.vals[:n] // every entry is overwritten: ours here, n-1 by OnWord
+	c.vals, c.ringN, c.ringMe = vals, n, c.lc[axis]
+	vals[c.ringMe] = word
 	fwd := c.link(axis, geom.Fwd)
 	bwd := c.link(axis, geom.Bwd)
+	c.outs[0][0], c.outs[1][0] = fwd, bwd
 	if !doubled {
 		// Single ring: words travel +axis; we receive N-1 words from the
 		// -axis side, forwarding all but the last.
 		cfg := scu.GlobalConfig{
-			In: bwd, HasIn: true,
-			Outs:    []geom.Link{fwd},
-			Expect:  n - 1,
-			Forward: n - 2,
-			OnWord: func(k int, w uint64) {
-				origin := ((me-1-k)%n + n) % n
-				vals[origin] = w
-			},
+			In: bwd, HasIn: true, Outs: c.outs[0][:],
+			Expect: n - 1, Forward: n - 2, OnWord: c.onBehind,
 		}
 		must(c.n.SCU.ConfigureGlobal(0, cfg))
 		must(c.n.SCU.GlobalInject(0, word))
@@ -212,20 +225,12 @@ func (c *Comm) axisGather(p *event.Proc, axis int, word uint64, doubled bool) []
 	kf := n / 2
 	kb := n - 1 - kf
 	cfg0 := scu.GlobalConfig{
-		In: bwd, HasIn: true, Outs: []geom.Link{fwd},
-		Expect: kf, Forward: max(kf-1, 0),
-		OnWord: func(k int, w uint64) {
-			origin := ((me-1-k)%n + n) % n
-			vals[origin] = w
-		},
+		In: bwd, HasIn: true, Outs: c.outs[0][:],
+		Expect: kf, Forward: max(kf-1, 0), OnWord: c.onBehind,
 	}
 	cfg1 := scu.GlobalConfig{
-		In: fwd, HasIn: true, Outs: []geom.Link{bwd},
-		Expect: kb, Forward: max(kb-1, 0),
-		OnWord: func(k int, w uint64) {
-			origin := (me + 1 + k) % n
-			vals[origin] = w
-		},
+		In: fwd, HasIn: true, Outs: c.outs[1][:],
+		Expect: kb, Forward: max(kb-1, 0), OnWord: c.onAhead,
 	}
 	must(c.n.SCU.ConfigureGlobal(0, cfg0))
 	if kb > 0 {

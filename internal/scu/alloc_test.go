@@ -1,6 +1,8 @@
 package scu
 
 import (
+	"errors"
+	"strings"
 	"testing"
 
 	"qcdoc/internal/event"
@@ -145,5 +147,78 @@ func TestSteadyStateWordPathAllocFree(t *testing.T) {
 				t.Errorf("word path allocates: %.2f allocs per %v window (%+v)", avg, span, d)
 			}
 		})
+	}
+}
+
+// TestProgrammedTransferAllocs is the budget of one halo exchange as a
+// rank sees it: program a receive and a send, wait for both. Each
+// transfer is one object — it holds its gate by value, parks its waiter
+// in the gate's own storage, completes through itself as the event
+// handler, names its wait from a constant, and queues on FIFOs that keep
+// their storage. Before, in this harness: 23 (per transfer its gate, its
+// completion closure, a waiter list, a wake closure, a re-allocated
+// FIFO and the formatting of "dma +0"; three more for the kick gate and
+// the engine's quiescence check); now 2.
+func TestProgrammedTransferAllocs(t *testing.T) {
+	pr := newFlatPair(t, 0)
+	kick := event.NewGate(pr.eng)
+	pr.eng.SpawnDaemon("rank", func(p *event.Proc) {
+		for {
+			kick.Wait(p, "kick")
+			rt, err := pr.b.StartRecv(pr.linkB, Contiguous(0, 16))
+			if err != nil {
+				panic(err)
+			}
+			st, err := pr.a.StartSend(pr.linkA, Contiguous(0, 16))
+			if err != nil {
+				panic(err)
+			}
+			st.Wait(p)
+			rt.Wait(p)
+		}
+	})
+	exchange := func() {
+		kick.Fire()
+		pr.run(t)
+	}
+	exchange() // one-time growth: FIFOs, wire rings, the event queue
+	before := pr.b.Stats().WordsReceived
+	if avg := testing.AllocsPerRun(10, exchange); avg != 2 {
+		t.Errorf("one programmed receive + send + two waits allocate %.1f objects, want 2", avg)
+	}
+	if got := pr.b.Stats().WordsReceived - before; got != 11*16 {
+		t.Fatalf("measured exchanges moved %d words, want %d", got, 11*16)
+	}
+}
+
+// TestStallNamesTheLink: the wait reasons are constants now, and the
+// state-machine names are formatted on demand — the diagnostics they feed
+// must read as before. A rank parked forever on a receive nobody sends
+// to stalls the run with its node and "dma" + link in the report, for
+// every link the table covers.
+func TestStallNamesTheLink(t *testing.T) {
+	for _, l := range geom.AllLinks() {
+		if got, want := dmaWait(l), "dma "+l.String(); got != want {
+			t.Errorf("dmaWait(%v) = %q, want %q", l, got, want)
+		}
+	}
+	pr := newPair(t, Config{})
+	pr.eng.Spawn("B app", func(p *event.Proc) {
+		rt, err := pr.b.StartRecv(pr.linkB, Contiguous(0, 4))
+		if err != nil {
+			panic(err)
+		}
+		rt.Wait(p)
+	})
+	err := pr.eng.RunAll()
+	var stall *event.ErrStall
+	if !errors.As(err, &stall) {
+		t.Fatalf("run returned %v, want a stall", err)
+	}
+	if len(stall.Blocked) != 1 || stall.Blocked[0] != "B app (dma -0)" {
+		t.Fatalf("stall names %q, want [\"B app (dma -0)\"]", stall.Blocked)
+	}
+	if !strings.Contains(err.Error(), "B app (dma -0)") {
+		t.Fatalf("stall message %q does not name the node and link", err)
 	}
 }

@@ -37,13 +37,15 @@ type GlobalConfig struct {
 	OnWord func(idx int, w uint64)
 }
 
-// globalStream is the live state of a configured stream.
+// globalStream is the state of one of the SCU's two streams. The SCU
+// owns both (SCU.streams); configuring one resets cfg and received and
+// keeps the gate, so a run of global sums allocates no stream state.
 type globalStream struct {
 	scu      *SCU
 	id       int
 	cfg      GlobalConfig
 	received int
-	done     *event.Gate
+	done     event.Gate
 }
 
 // ConfigureGlobal programs stream id (0 or 1 — the "doubled"
@@ -84,7 +86,8 @@ func (s *SCU) ConfigureGlobal(id int, cfg GlobalConfig) error {
 	if cfg.Expect < 0 || cfg.Forward > cfg.Expect {
 		return fmt.Errorf("%w: expect %d forward %d", ErrBadStream, cfg.Expect, cfg.Forward)
 	}
-	gs := &globalStream{scu: s, id: id, cfg: cfg, done: event.NewGate(s.eng)}
+	gs := &s.streams[id]
+	gs.cfg, gs.received = cfg, 0
 	s.globals[id] = gs
 	if cfg.HasIn {
 		s.globalIn[geom.LinkIndex(cfg.In)] = id
@@ -130,7 +133,7 @@ func (s *SCU) WaitGlobal(p *event.Proc, id int) {
 		if gs == nil || gs.received >= gs.cfg.Expect {
 			return
 		}
-		gs.done.Wait(p, fmt.Sprintf("global %d", id))
+		gs.done.Wait(p, [...]string{"global 0", "global 1"}[id])
 	}
 }
 

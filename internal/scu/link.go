@@ -57,25 +57,22 @@ type linkUnit struct {
 	// calls pump, which sends words until it must park — idle, in the
 	// startup charge, or with the window full.
 	sm          *event.StateMachine
-	pumpFn      func()       // pre-bound deferred pump (see kick)
-	startupFn   func()       // pre-bound end of the DMA startup charge
-	ackTimer    *event.Timer // lost-acknowledgement recovery
-	supTimer    *event.Timer // supervisor stop-and-wait recovery
-	pumpPending bool         // a deferred pump event is queued
-	txPending   []*Transfer  // programmed send transfers, FIFO
-	cur         *Transfer    // transfer currently streaming
-	curIdx      int          // next word index within cur
-	held        bool         // a fetched word is in hand, awaiting window room
+	pumpFn      func()          // pre-bound deferred pump (see kick)
+	startupFn   func()          // pre-bound end of the DMA startup charge
+	ackTimer    *event.Timer    // lost-acknowledgement recovery
+	supTimer    *event.Timer    // supervisor stop-and-wait recovery
+	pumpPending bool            // a deferred pump event is queued
+	txPending   fifo[*Transfer] // programmed send transfers
+	cur         *Transfer       // transfer currently streaming
+	curIdx      int             // next word index within cur
+	held        bool            // a fetched word is in hand, awaiting window room
 	heldWord    uint64
 	heldT       *Transfer
 	seqNext     int
 
 	// injects holds global-operation words awaiting priority
-	// transmission: a head-indexed queue whose storage is reset (not
-	// freed) whenever it drains, so a long run of global operations
-	// reuses one backing array.
-	injects []uint64
-	injHead int
+	// transmission.
+	injects fifo[uint64]
 
 	// unacked is the hardware's resend register file: at most Window
 	// (< SeqMod) words, a fixed ring.
@@ -85,7 +82,7 @@ type linkUnit struct {
 
 	supPending bool
 	supWord    uint64
-	supQueue   []uint64
+	supQueue   fifo[uint64]
 
 	// Link-recovery escalation ladder (ack timeout → retrain → dead).
 	// timeoutStreak counts consecutive recovery timeouts since the last
@@ -101,14 +98,37 @@ type linkUnit struct {
 	// each frame's arrival event.
 	expect     int
 	nakPending bool
-	rxT        []*Transfer // programmed receive transfers, FIFO
-	rxProgress int         // words stored into rxT[0]
+	rxT        fifo[*Transfer] // programmed receive transfers
+	rxProgress int             // words stored into the head of rxT
 
 	// idleBuf is the idle-receive register file: up to Window words held
 	// without acknowledgement until a receive is programmed.
 	idleBuf     [scupkt.SeqMod]uint64
 	idleBufHead int
 	idleBufLen  int
+}
+
+// fifo is a head-indexed queue whose storage is reset, not freed, when
+// it drains, so a link that carries transfer after transfer (or a long
+// run of global operations) reuses one backing array.
+type fifo[T any] struct {
+	items []T
+	head  int
+}
+
+func (q *fifo[T]) push(v T) { q.items = append(q.items, v) }
+func (q *fifo[T]) len() int { return len(q.items) - q.head }
+func (q *fifo[T]) peek() T  { return q.items[q.head] }
+
+func (q *fifo[T]) pop() T {
+	var zero T
+	v := q.items[q.head]
+	q.items[q.head] = zero // a popped transfer is not pinned by the queue
+	q.head++
+	if q.head == len(q.items) {
+		q.items, q.head = q.items[:0], 0
+	}
+	return v
 }
 
 func newLinkUnit(s *SCU, l geom.Link, out, in *hssl.Wire) *linkUnit {
@@ -120,9 +140,12 @@ func newLinkUnit(s *SCU, l geom.Link, out, in *hssl.Wire) *linkUnit {
 	}
 }
 
+// String names the link's transmit state machine; only a
+// DumpStateMachines formats it.
+func (lu *linkUnit) String() string { return fmt.Sprintf("%s scu%v tx", lu.scu.name, lu.link) }
+
 func (lu *linkUnit) start() {
-	lu.sm = lu.scu.eng.NewStateMachine(
-		fmt.Sprintf("%s scu%v tx", lu.scu.name, lu.link), txIdle)
+	lu.sm = lu.scu.eng.NewStateMachine(lu, txIdle)
 	// The recurring per-word callbacks are bound once here; arming or
 	// deferring them afterwards allocates nothing.
 	lu.pumpFn = func() {
@@ -136,7 +159,7 @@ func (lu *linkUnit) start() {
 	lu.ackTimer = lu.scu.eng.NewTimer(lu.ackTimeout)
 	lu.supTimer = lu.scu.eng.NewTimer(lu.supTimeout)
 	lu.in.OnFrame(lu.handleFrame)
-	if lu.injectsLen() > 0 {
+	if lu.injects.len() > 0 {
 		lu.kick(txIdle) // drain anything injected before Start
 	}
 }
@@ -161,28 +184,14 @@ func (lu *linkUnit) sendPacket(p scupkt.Packet) {
 
 // queueSend programs a DMA send transfer and kicks the transmit engine.
 func (lu *linkUnit) queueSend(t *Transfer) {
-	lu.txPending = append(lu.txPending, t)
+	lu.txPending.push(t)
 	lu.kick(txIdle)
 }
 
 // inject queues a global-operation word for priority transmission.
 func (lu *linkUnit) inject(w uint64) {
-	lu.injects = append(lu.injects, w)
+	lu.injects.push(w)
 	lu.kick(txIdle)
-}
-
-func (lu *linkUnit) injectsLen() int { return len(lu.injects) - lu.injHead }
-
-// popInject removes the oldest queued global word. When the queue
-// drains, the backing array is kept and reused for the next burst.
-func (lu *linkUnit) popInject() uint64 {
-	w := lu.injects[lu.injHead]
-	lu.injHead++
-	if lu.injHead == len(lu.injects) {
-		lu.injects = lu.injects[:0]
-		lu.injHead = 0
-	}
-	return w
 }
 
 // kick wakes the transmit engine with a deferred pump if it is parked in
@@ -212,8 +221,8 @@ func (lu *linkUnit) pump() {
 	for {
 		if !lu.held {
 			switch {
-			case lu.injectsLen() > 0:
-				lu.heldWord = lu.popInject()
+			case lu.injects.len() > 0:
+				lu.heldWord = lu.injects.pop()
 				lu.heldT = nil
 				lu.held = true
 			case lu.cur != nil:
@@ -226,11 +235,10 @@ func (lu *linkUnit) pump() {
 					lu.cur = nil
 					lu.curIdx = 0
 				}
-			case len(lu.txPending) > 0:
+			case lu.txPending.len() > 0:
 				// DMA programming and the fetch pipeline to the first bit
 				// on the wire.
-				lu.cur = lu.txPending[0]
-				lu.txPending = lu.txPending[1:]
+				lu.cur = lu.txPending.pop()
 				lu.curIdx = 0
 				lu.sm.Goto(txStartup)
 				startup := lu.scu.cfg.Clock.Cycles(lu.scu.cfg.TxStartupCycles)
@@ -309,7 +317,7 @@ func (lu *linkUnit) resendUnacked() {
 // acknowledgement; further words queue behind it.
 func (lu *linkUnit) sendSupervisor(w uint64) {
 	if lu.supPending {
-		lu.supQueue = append(lu.supQueue, w)
+		lu.supQueue.push(w)
 		return
 	}
 	lu.transmitSup(w)
@@ -489,7 +497,7 @@ func (lu *linkUnit) handleData(seq int, w uint64) {
 		lu.scu.globals[gs].receive(w)
 		return
 	}
-	if len(lu.rxT) == 0 {
+	if lu.rxT.len() == 0 {
 		// Idle receive: hold the word in an SCU register and withhold the
 		// acknowledgement; the sender's window will block it after
 		// Window words (§2.2).
@@ -515,13 +523,13 @@ func (lu *linkUnit) popIdle() uint64 {
 
 // storeWord lands an accepted word in local memory via the receive DMA.
 func (lu *linkUnit) storeWord(w uint64) {
-	t := lu.rxT[0]
+	t := lu.rxT.peek()
 	lu.scu.mem.WriteWord(t.Desc.Addr(lu.rxProgress), w)
 	lu.rxProgress++
 	done := lu.rxProgress == t.total
 	t.progress(lu.scu.eng, lu.scu.eng.Now()+lu.scu.cfg.Clock.Cycles(lu.scu.cfg.RxStartupCycles))
 	if done {
-		lu.rxT = lu.rxT[1:]
+		lu.rxT.pop()
 		lu.rxProgress = 0
 	}
 }
@@ -529,9 +537,9 @@ func (lu *linkUnit) storeWord(w uint64) {
 // programRecv attaches a receive transfer; any idle-held words drain into
 // it immediately and the withheld acknowledgement is released.
 func (lu *linkUnit) programRecv(t *Transfer) {
-	lu.rxT = append(lu.rxT, t)
+	lu.rxT.push(t)
 	drained := false
-	for lu.idleBufLen > 0 && len(lu.rxT) > 0 {
+	for lu.idleBufLen > 0 && lu.rxT.len() > 0 {
 		lu.storeWord(lu.popIdle())
 		drained = true
 	}
@@ -555,10 +563,8 @@ func (lu *linkUnit) handleAck(flags uint8) {
 		lu.supTimer.Stop()
 		lu.timeoutStreak = 0
 		lu.retrainCount = 0
-		if len(lu.supQueue) > 0 {
-			next := lu.supQueue[0]
-			lu.supQueue = lu.supQueue[1:]
-			lu.transmitSup(next)
+		if lu.supQueue.len() > 0 {
+			lu.transmitSup(lu.supQueue.pop())
 		}
 		return
 	}

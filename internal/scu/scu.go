@@ -224,7 +224,10 @@ type SCU struct {
 	// machine can schedule the next global-clock sampling window.
 	WindowArm func()
 
-	part    partState
+	part partState
+	// globals[id] is &streams[id] while stream id is configured, nil
+	// otherwise.
+	streams [2]globalStream
 	globals [2]*globalStream
 	// globalIn maps a link index to the stream consuming its inbound
 	// data words, or -1.
@@ -239,6 +242,9 @@ func New(eng *event.Engine, name string, mem Memory, cfg Config) *SCU {
 	s := &SCU{eng: eng, name: name, mem: mem, cfg: cfg.withDefaults()}
 	for i := range s.globalIn {
 		s.globalIn[i] = -1
+	}
+	for id := range s.streams {
+		s.streams[id] = globalStream{scu: s, id: id, done: *event.NewGate(eng)}
 	}
 	s.part.init(s)
 	return s

@@ -48,7 +48,9 @@ func (d DMADesc) validate() error {
 	return nil
 }
 
-// Transfer is one in-flight DMA transfer (send or receive) on a link.
+// Transfer is one in-flight DMA transfer (send or receive) on a link:
+// one object per programmed transfer, holding its completion gate by
+// value and serving as its own completion event (HandleEvent).
 type Transfer struct {
 	Link geom.Link
 	Desc DMADesc
@@ -57,12 +59,23 @@ type Transfer struct {
 	total     int
 	wordsDone int
 	completed bool
-	done      *event.Gate
+	done      event.Gate
 	finished  event.Time
 }
 
 func newTransfer(eng *event.Engine, l geom.Link, d DMADesc, send bool) *Transfer {
-	return &Transfer{Link: l, Desc: d, Send: send, total: d.TotalWords(), done: event.NewGate(eng)}
+	// NewGate inlines, so the copy costs no second object.
+	return &Transfer{Link: l, Desc: d, Send: send, total: d.TotalWords(), done: *event.NewGate(eng)}
+}
+
+// dmaWait is the wait reason of a transfer on link l, "dma " +
+// l.String(), from a table of constants in LinkIndex order: a parked
+// rank's stall report names its link, and waiting formats nothing.
+func dmaWait(l geom.Link) string {
+	return [geom.NumLinks]string{
+		"dma +0", "dma +1", "dma +2", "dma +3", "dma +4", "dma +5",
+		"dma -0", "dma -1", "dma -2", "dma -3", "dma -4", "dma -5",
+	}[geom.LinkIndex(l)]
 }
 
 // Done reports whether the transfer has completed: all words
@@ -72,7 +85,7 @@ func (t *Transfer) Done() bool { return t.completed }
 // Wait blocks the process until the transfer completes.
 func (t *Transfer) Wait(p *event.Proc) {
 	for !t.completed {
-		t.done.Wait(p, fmt.Sprintf("dma %v", t.Link))
+		t.done.Wait(p, dmaWait(t.Link))
 	}
 }
 
@@ -80,14 +93,18 @@ func (t *Transfer) Wait(p *event.Proc) {
 func (t *Transfer) Finished() event.Time { return t.finished }
 
 // progress records one completed word; at the last word the transfer
-// completes at time at.
+// completes at time at (never in the past), carried as the event argument.
 func (t *Transfer) progress(eng *event.Engine, at event.Time) {
 	t.wordsDone++
 	if t.wordsDone == t.total {
-		eng.At(at, func() {
-			t.completed = true
-			t.finished = eng.Now()
-			t.done.Fire()
-		})
+		eng.AtHandler(at, t, uint64(at))
 	}
+}
+
+// HandleEvent is the completion event: it marks the transfer done at the
+// time progress scheduled it for and wakes the waiters.
+func (t *Transfer) HandleEvent(at uint64) {
+	t.completed = true
+	t.finished = event.Time(at)
+	t.done.Fire()
 }
