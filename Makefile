@@ -13,11 +13,12 @@ FUZZTIME ?= 3s
 # 128 sources each re-arming a 50 us timer on every 144 ns step), one
 # machine-wide reduction, the full functional Wilson solve, and the host
 # kernels under it (reference Wilson / clover / domain-wall application
-# in host-Mflops and ns/site, and a reference CGNE solve). `make bench`
+# in host-Mflops and ns/site, serial and with the site loops forked over
+# a team, and a reference CGNE solve). `make bench`
 # runs it with -benchmem so per-op allocation counts are part of the
 # record, and writes the parsed results to BENCH_frames.json (one JSON
 # entry per -count run).
-BENCH_SET = ^(BenchmarkEngineDispatch|BenchmarkGlobalSumMachine|BenchmarkTelemetryOverhead|BenchmarkE1FunctionalWilson|BenchmarkWilsonDslash|BenchmarkCloverApply|BenchmarkDWFApply|BenchmarkCGNEWilsonSolve)$$
+BENCH_SET = ^(BenchmarkEngineDispatch|BenchmarkGlobalSumMachine|BenchmarkTelemetryOverhead|BenchmarkE1FunctionalWilson|BenchmarkWilsonDslash|BenchmarkCloverApply|BenchmarkDWFApply|BenchmarkForkedKernels|BenchmarkCGNEWilsonSolve)$$
 
 # The parallel-engine benchmark set: the functional Wilson solve and the
 # rack-scale halo-exchange loop, each at workers=1/4/8 on the sharded

@@ -31,6 +31,7 @@ import (
 	"qcdoc/internal/qmp"
 	"qcdoc/internal/scu"
 	"qcdoc/internal/solver"
+	"qcdoc/internal/team"
 	"qcdoc/internal/telemetry"
 )
 
@@ -434,9 +435,13 @@ func reportKernel(b *testing.B, kind fermion.OpKind, sites int) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/siteApps, "ns/site")
 }
 
-func BenchmarkWilsonDslash(b *testing.B) {
+// The kernel rows run serially (tm nil) and, under
+// BenchmarkForkedKernels, with the site loops forked over a team.
+
+func benchWilson(b *testing.B, tm *team.Team) {
 	g, src, dst := benchGauge(b)
 	w := fermion.NewWilson(g, 0.1)
+	w.Team = tm
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		w.Apply(dst, src)
@@ -444,14 +449,27 @@ func BenchmarkWilsonDslash(b *testing.B) {
 	reportKernel(b, fermion.WilsonKind, g.L.Volume())
 }
 
-func BenchmarkCloverApply(b *testing.B) {
+func benchClover(b *testing.B, tm *team.Team) {
 	g, src, dst := benchGauge(b)
 	c := fermion.NewClover(g, 0.1, 1.0)
+	c.Team = tm
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		c.Apply(dst, src)
 	}
 	reportKernel(b, fermion.CloverKind, g.L.Volume())
+}
+
+func BenchmarkWilsonDslash(b *testing.B) { benchWilson(b, nil) }
+func BenchmarkCloverApply(b *testing.B)  { benchClover(b, nil) }
+func BenchmarkDWFApply(b *testing.B)     { benchDWF(b, nil) }
+
+func BenchmarkForkedKernels(b *testing.B) {
+	var tm team.Team
+	defer tm.Close()
+	b.Run("wilson", func(b *testing.B) { benchWilson(b, &tm) })
+	b.Run("clover", func(b *testing.B) { benchClover(b, &tm) })
+	b.Run("dwf", func(b *testing.B) { benchDWF(b, &tm) })
 }
 
 func BenchmarkASQTADApply(b *testing.B) {
@@ -468,11 +486,12 @@ func BenchmarkASQTADApply(b *testing.B) {
 	}
 }
 
-func BenchmarkDWFApply(b *testing.B) {
+func benchDWF(b *testing.B, tm *team.Team) {
 	l := lattice.Shape4{4, 4, 4, 8}
 	g := lattice.NewGaugeField(l)
 	g.Randomize(7)
 	d := fermion.NewDWF(g, 1.8, 0.1, 8)
+	d.Team = tm
 	src := fermion.NewField5(l, 8)
 	src.Gaussian(8)
 	dst := fermion.NewField5(l, 8)

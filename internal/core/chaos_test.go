@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"errors"
+	"runtime"
 	"testing"
 
 	"qcdoc/internal/checkpoint"
@@ -11,6 +12,7 @@ import (
 	"qcdoc/internal/geom"
 	"qcdoc/internal/lattice"
 	"qcdoc/internal/machine"
+	"qcdoc/internal/team"
 	"qcdoc/internal/telemetry"
 )
 
@@ -322,5 +324,46 @@ func TestChaosPartitionExhausted(t *testing.T) {
 	}
 	if o1.Digest == 0 || o1.Digest != o2.Digest {
 		t.Fatalf("failing runs must stay deterministic: %#x vs %#x (err2 %v)", o1.Digest, o2.Digest, err2)
+	}
+}
+
+// TestChaosKillReleasesTeams: a chaos run whose ranks fork every site
+// loop (2048 sites each) loses its victim mid-solve — the kill lands at
+// a blocking call between two forked kernels — and the survivors to the
+// attempt's shutdown. Both unwinds run the rank program's deferred
+// Close, so when the run returns no team helper is left.
+func TestChaosKillReleasesTeams(t *testing.T) {
+	if testing.Short() {
+		t.Skip("chaos run")
+	}
+	if runtime.GOMAXPROCS(0) < 2 {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	}
+	before := runtime.NumGoroutine()
+	cfg := CanonicalChaos(16)
+	cfg.Shape, cfg.Global, cfg.Tol = geom.MakeShape(2, 2), lattice.Shape4{16, 16, 8, 4}, 1e-4
+	// An iteration of this volume is ~25 ms of simulated time: let a few
+	// complete, each checkpointed, before the faults.
+	cfg.CheckpointEvery = 1
+	cfg.Spec.From, cfg.Spec.To = 200*event.Millisecond, 250*event.Millisecond
+	if v := cfg.Global.Volume() / 4; v < 2*team.Grain {
+		t.Fatalf("local volume %d does not fork", v)
+	}
+	out, err := RunChaosWilson(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A restored iterate means the victim was iterating, forked, when it
+	// died.
+	if !out.Converged || len(out.Attempts) < 2 || !out.Attempts[0].Aborted || out.Attempts[1].RestoredIter == 0 {
+		t.Fatalf("no rank was killed mid-solve: %+v", out.Attempts)
+	}
+	// Exited goroutines leave the count a beat after their last
+	// handshake; yield until the runtime has retired them.
+	for i := 0; i < 1e6 && runtime.NumGoroutine() > before; i++ {
+		runtime.Gosched()
+	}
+	if n := runtime.NumGoroutine(); n > before {
+		t.Fatalf("%d goroutines after the chaos run, %d before", n, before)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/cmplx"
+	"runtime"
 	"testing"
 
 	"qcdoc/internal/fermion"
@@ -13,6 +14,7 @@ import (
 	"qcdoc/internal/node"
 	"qcdoc/internal/qmp"
 	"qcdoc/internal/solver"
+	"qcdoc/internal/team"
 )
 
 func TestFoldTo4D(t *testing.T) {
@@ -90,9 +92,11 @@ func applyOnce[F solver.Field[F]](t *testing.T, shape geom.Shape, global lattice
 	got := pr.newField(global)
 	err = sess.M.RunSPMD("apply-once", func(rank int) node.Program {
 		return func(ctx *node.Ctx) {
+			var tm team.Team
+			defer tm.Close()
 			comm := qmp.New(ctx, sess.Lay.Fold)
 			gc := GridCoord(comm.Coord())
-			op := pr.newOperator(ctx, comm, dec)
+			op := pr.newOperator(ctx, comm, &tm, dec)
 			dst := pr.newField(dec.Local)
 			if dag {
 				op.ApplyDag(dst, pr.scatter(pr.b, dec, gc))
@@ -165,6 +169,9 @@ func TestDistMatchesReference(t *testing.T) {
 		{"2x2", geom.MakeShape(2, 2), lattice.Shape4{6, 6, 2, 2}},
 		{"2x2x2x2", geom.MakeShape(2, 2, 2, 2), lattice.Shape4{6, 6, 6, 6}},
 		{"4x2", geom.MakeShape(4, 2), lattice.Shape4{12, 6, 2, 2}},
+		// 3072 local sites: every ranged kernel forks three ways, and the
+		// serial reference must still be matched bit for bit.
+		{"2-forked", geom.MakeShape(2), lattice.Shape4{16, 8, 8, 6}},
 	}
 	// A source is Gaussian noise from seed or, with point set, exact
 	// zeros everywhere but one component of one site — the input on which
@@ -227,6 +234,9 @@ func TestDistMatchesReference(t *testing.T) {
 		t.Run(op.name, func(t *testing.T) {
 			for _, m := range machines {
 				t.Run(m.name, func(t *testing.T) {
+					if m.name == "2-forked" {
+						defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(3))
+					}
 					gauge := lattice.NewGaugeField(m.global)
 					gauge.Randomize(7)
 					// D† and hermiticity once per operator, on the mixed machine.
@@ -244,30 +254,70 @@ func TestDistMatchesReference(t *testing.T) {
 	}
 }
 
-// TestHopKernelAllocFree guards what the pointer kernel bought: after the
-// first call (D† scratch) an application of the reference Wilson and
-// domain-wall operators allocates nothing, and a distributed Wilson D
-// plus D† allocates exactly what its two halo exchanges do (the SCU
-// model's transfers and gates, a fixed count per exchange whatever the
-// volume). A by-value slip that makes a spinor escape to the heap fails
-// here.
+// TestHopKernelAllocFree guards what the pointer kernels bought: after
+// the first call (D† scratch, the team's helpers) an application of the
+// reference Wilson and domain-wall operators allocates nothing, one
+// AXPY, Scale, R γ5 or fifth-dimension pass allocates nothing, and a
+// distributed Wilson D plus D† allocates exactly what its two halo
+// exchanges do (the SCU model's transfers and gates, a fixed count per
+// exchange whatever the volume). A by-value slip that makes a spinor
+// escape to the heap fails here, and so does a fork that makes a kernel
+// or a closure per call: every leg runs serially on 4x4x2x2 and forked
+// on a local volume of two grains with a second core. Every leg reads 0
+// on both; the same fork written with a closure, a go statement and a
+// WaitGroup reads 4 per call two chunks wide.
 func TestHopKernelAllocFree(t *testing.T) {
+	t.Run("serial", func(t *testing.T) { hopKernelAllocs(t, lattice.Shape4{4, 4, 2, 2}, nil) })
+	t.Run("forked", func(t *testing.T) {
+		if runtime.GOMAXPROCS(0) < 2 {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+		}
+		global := lattice.Shape4{16, 8, 8, 4}
+		if v := global.Volume() / 2; v < 2*team.Grain {
+			t.Fatalf("local volume %d does not fork", v)
+		}
+		var tm team.Team
+		defer tm.Close()
+		hopKernelAllocs(t, global, &tm)
+	})
+}
+
+// hopKernelAllocs runs the legs of TestHopKernelAllocFree on one lattice;
+// tm is the team of the node-local legs, nil for none (each rank of the
+// distributed leg makes its own).
+func hopKernelAllocs(t *testing.T, global lattice.Shape4, tm *team.Team) {
 	const runs = 5
-	global := lattice.Shape4{4, 4, 2, 2}
+	forked := tm != nil
+	leg := func(name string, f func()) {
+		t.Helper()
+		if n := testing.AllocsPerRun(runs, f); n != 0 {
+			t.Errorf("%s: %v allocs per call", name, n)
+		}
+	}
 	gauge := lattice.NewGaugeField(global)
 	gauge.Randomize(7)
 	src, dst := lattice.NewFermionField(global), lattice.NewFermionField(global)
 	src.Gaussian(8)
 	wilson := fermion.NewWilson(gauge, 0.3)
-	if n := testing.AllocsPerRun(runs, func() { wilson.Apply(dst, src) }); n != 0 {
-		t.Errorf("fermion.Wilson.Apply: %v allocs per call", n)
-	}
+	wilson.Team = tm
+	leg("fermion.Wilson.Apply", func() { wilson.Apply(dst, src) })
 	dwf := fermion.NewDWF(gauge, 1.8, 0.05, 2)
+	dwf.Team = tm
 	src5, dst5 := fermion.NewField5(global, 2), fermion.NewField5(global, 2)
 	src5.Gaussian(9)
-	if n := testing.AllocsPerRun(runs, func() { dwf.Apply(dst5, src5) }); n != 0 {
-		t.Errorf("fermion.DWF.Apply: %v allocs per call", n)
-	}
+	leg("fermion.DWF.Apply", func() { dwf.Apply(dst5, src5) })
+	update := new(blas[*lattice.FermionField])
+	leg("AXPY", func() {
+		*update = blas[*lattice.FermionField]{y: dst, x: src, a: 0.5, axpy: true}
+		tm.Run(len(dst.S), update)
+	})
+	leg("Scale", func() {
+		*update = blas[*lattice.FermionField]{y: dst, a: 0.5}
+		tm.Run(len(dst.S), update)
+	})
+	g5, fifth := new(fermion.Gamma5Kernel), new(fermion.FifthDimKernel)
+	leg("ReflectGamma5", func() { g5.Run(tm, dst5.S, src5.S, 2) })
+	leg("AddFifthDimHops", func() { fifth.Run(tm, dst5.S, src5.S, 2, 0.05) })
 
 	sess, err := NewSession(geom.MakeShape(2), global)
 	if err != nil {
@@ -278,8 +328,13 @@ func TestHopKernelAllocFree(t *testing.T) {
 	var exchanges, applies float64
 	err = sess.M.RunSPMD("alloc-free", func(rank int) node.Program {
 		return func(ctx *node.Ctx) {
+			var tm *team.Team
+			if forked {
+				tm = new(team.Team)
+				defer tm.Close()
+			}
 			comm := qmp.New(ctx, sess.Lay.Fold)
-			op := NewDistWilson(ctx, comm, dec, gauge, nil, 0.3, fermion.Double)
+			op := NewDistWilson(ctx, comm, tm, dec, gauge, nil, 0.3, fermion.Double)
 			in := ScatterFermion(src, dec, GridCoord(comm.Coord()))
 			mid, out := lattice.NewFermionField(dec.Local), lattice.NewFermionField(dec.Local)
 			twoExchanges := func() {

@@ -6,6 +6,7 @@ import (
 	"qcdoc/internal/lattice"
 	"qcdoc/internal/node"
 	"qcdoc/internal/qmp"
+	"qcdoc/internal/team"
 )
 
 // wilsonHop is the distributed 4-D Wilson hopping term on Ls slices of
@@ -21,19 +22,19 @@ import (
 // which is the data reuse behind the DWF kernel's high efficiency (§4).
 type wilsonHop struct {
 	halo
-	local lattice.Shape4
-	G     *lattice.GaugeField // the node's sub-volume of the configuration
 	Ls    int
-
 	faces [lattice.Ndim][2][]int // face site lists: the slot order
-	// nb holds, per direction and local site, the neighbour's site index
-	// or, where the hop leaves the node, ^slot of the ghost the (mu, end)
-	// neighbour packed for that face site.
-	nb       *lattice.Neighbors
+	// sites is the post-exchange site loop on the node's sub-volume of
+	// the configuration. Its neighbour table holds, where a hop leaves
+	// the node, ^slot of the ghost the (mu, end) neighbour packed for
+	// that face site.
+	sites    fermion.HopKernel
+	team     *team.Team // the rank program's; nil runs every loop on the rank
+	g5       fermion.Gamma5Kernel
 	tmp, mid []latmath.Spinor // D† scratch, allocated on first use
 }
 
-func newWilsonHop(ctx *node.Ctx, comm *qmp.Comm, dec lattice.Decomp, gauge *lattice.GaugeField, kind fermion.OpKind, ls int, prec fermion.Precision) wilsonHop {
+func newWilsonHop(ctx *node.Ctx, comm *qmp.Comm, tm *team.Team, dec lattice.Decomp, gauge *lattice.GaugeField, kind fermion.OpKind, ls int, prec fermion.Precision) wilsonHop {
 	sites := dec.LocalVolume() * ls
 	level := fermion.WorkingSetLevel(kind, prec, sites)
 	cost := fermion.SiteCost(kind, prec, level)
@@ -42,10 +43,9 @@ func newWilsonHop(ctx *node.Ctx, comm *qmp.Comm, dec lattice.Decomp, gauge *latt
 	}
 	w := wilsonHop{
 		halo:  newHalo(ctx, comm, dec, ls*latmath.HalfSpinorWords, cost.Scale(float64(sites))),
-		local: dec.Local,
-		G:     ScatterGauge(gauge, dec, GridCoord(comm.Coord())),
 		Ls:    ls,
-		nb:    dec.Local.Neighbors(),
+		sites: fermion.HopKernel{G: ScatterGauge(gauge, dec, GridCoord(comm.Coord())), Nb: dec.Local.Neighbors()},
+		team:  tm,
 	}
 	for mu := 0; mu < lattice.Ndim; mu++ {
 		if !w.split[mu] {
@@ -54,10 +54,10 @@ func newWilsonHop(ctx *node.Ctx, comm *qmp.Comm, dec lattice.Decomp, gauge *latt
 		w.faces[mu][0] = lattice.FaceSites(dec.Local, mu, 0)
 		w.faces[mu][1] = lattice.FaceSites(dec.Local, mu, 1)
 		for slot, idx := range w.faces[mu][0] {
-			w.nb.Dn[mu][idx] = ^int32(slot)
+			w.sites.Nb.Dn[mu][idx] = ^int32(slot)
 		}
 		for slot, idx := range w.faces[mu][1] {
-			w.nb.Up[mu][idx] = ^int32(slot)
+			w.sites.Nb.Up[mu][idx] = ^int32(slot)
 		}
 	}
 	return w
@@ -67,59 +67,38 @@ func newWilsonHop(ctx *node.Ctx, comm *qmp.Comm, dec lattice.Decomp, gauge *latt
 // (1+γ_mu)U†_mu(x-mu)src(x-mu)] on every slice, with halo exchange over
 // the machine. All spin and colour arithmetic is latmath's hop kernel.
 func (w *wilsonHop) hop(dst, src []latmath.Spinor, diag complex128) {
-	v4 := w.local.Volume()
+	// The face pack stays on the rank's goroutine at any volume: it
+	// stores into node memory, whose pages install on first write.
+	g := w.sites.G
+	v4 := g.L.Volume()
 	var h latmath.HalfSpinor
 	for mu := 0; mu < lattice.Ndim; mu++ {
 		if !w.split[mu] {
 			continue
 		}
-		fv := len(w.faces[mu][0])
-		for s := 0; s < w.Ls; s++ {
-			for i, idx := range w.faces[mu][0] {
-				h.Project(mu, +1, &src[s*v4+idx])
-				w.putHalf(mu, 0, s*fv+i, &h)
-			}
-			for i, idx := range w.faces[mu][1] {
-				h.Project(mu, -1, &src[s*v4+idx])
-				h.DagMulMat(&w.G.U[lattice.Ndim*idx+mu], &h)
-				w.putHalf(mu, 1, s*fv+i, &h)
-			}
+		lo, hi := w.faces[mu][0], w.faces[mu][1]
+		for slot := 0; slot < w.Ls*len(lo); slot++ {
+			s, i := slot/len(lo), slot%len(lo)
+			h.Project(mu, +1, &src[s*v4+lo[i]])
+			w.putHalf(mu, 0, slot, &h)
+			h.Project(mu, -1, &src[s*v4+hi[i]])
+			h.DagMulMat(&g.U[lattice.Ndim*hi[i]+mu], &h)
+			w.putHalf(mu, 1, slot, &h)
 		}
 	}
 	w.exchange()
-	for s := 0; s < w.Ls; s++ {
-		w.hopSlice(dst[s*v4:(s+1)*v4], src[s*v4:(s+1)*v4], s, diag)
-	}
+	// Chunks of the site loop read the ghosts in node memory and write
+	// only their own sites.
+	w.sites.Ghosts = (*hopGhosts)(w)
+	w.sites.Run(w.team, dst, src, diag)
 }
 
-// hopSlice is hop's site loop on fifth-dimension slice s, after the
-// exchange.
-func (w *wilsonHop) hopSlice(dst, src []latmath.Spinor, s int, diag complex128) {
-	var h latmath.HalfSpinor
-	for idx := range dst {
-		var acc latmath.Spinor
-		for mu := 0; mu < lattice.Ndim; mu++ {
-			// +mu term (1-γ)U_mu(x)ψ(x+mu); off the high face ψ(x+mu) is a
-			// ghost, already projected, and the link is ours.
-			u := &w.G.U[lattice.Ndim*idx+mu]
-			if up := w.nb.Up[mu][idx]; up >= 0 {
-				acc.Hop(mu, +1, u, &src[up])
-			} else {
-				w.half(&h, mu, 1, s*len(w.faces[mu][1])+int(^up))
-				h.MulMat(u, &h)
-				acc.AddReconstruct(mu, +1, &h)
-			}
-			// -mu term (1+γ)U†_mu(x-mu)ψ(x-mu); off the low face the sender
-			// already applied its link.
-			if dn := w.nb.Dn[mu][idx]; dn >= 0 {
-				acc.Hop(mu, -1, &w.G.U[lattice.Ndim*int(dn)+mu], &src[dn])
-			} else {
-				w.half(&h, mu, 0, s*len(w.faces[mu][0])+int(^dn))
-				acc.AddReconstruct(mu, -1, &h)
-			}
-		}
-		dst[idx].HopResult(diag, &src[idx], &acc)
-	}
+// hopGhosts is a wilsonHop as the site loop's ghost reader: slice s of
+// the (mu, end) recv buffer, in face-site order.
+type hopGhosts wilsonHop
+
+func (g *hopGhosts) Half(mu, end, s, slot int) latmath.HalfSpinor {
+	return g.half(mu, end, s*len(g.faces[mu][end])+slot)
 }
 
 // applyDag computes dst = D† src = R γ5 D γ5 R src for the operator D
@@ -129,9 +108,9 @@ func (w *wilsonHop) applyDag(dst, src []latmath.Spinor, applyD func(dst, src []l
 	if w.tmp == nil {
 		w.tmp, w.mid = make([]latmath.Spinor, len(src)), make([]latmath.Spinor, len(src))
 	}
-	fermion.ReflectGamma5(w.tmp, src, w.Ls)
+	w.g5.Run(w.team, w.tmp, src, w.Ls)
 	applyD(w.mid, w.tmp)
-	fermion.ReflectGamma5(dst, w.mid, w.Ls)
+	w.g5.Run(w.team, dst, w.mid, w.Ls)
 }
 
 // DistWilson is the distributed Wilson Dirac operator running on one
@@ -149,7 +128,7 @@ type DistWilson struct {
 // NewDistWilson builds the operator on one node from the global gauge
 // field. clover, when non-nil, must be the clover operator constructed
 // on that field.
-func NewDistWilson(ctx *node.Ctx, comm *qmp.Comm, dec lattice.Decomp, gauge *lattice.GaugeField, clover *fermion.Clover, mass float64, prec fermion.Precision) *DistWilson {
+func NewDistWilson(ctx *node.Ctx, comm *qmp.Comm, tm *team.Team, dec lattice.Decomp, gauge *lattice.GaugeField, clover *fermion.Clover, mass float64, prec fermion.Precision) *DistWilson {
 	d := &DistWilson{Mass: mass}
 	kind := fermion.WilsonKind
 	if clover != nil {
@@ -158,7 +137,7 @@ func NewDistWilson(ctx *node.Ctx, comm *qmp.Comm, dec lattice.Decomp, gauge *lat
 		forEachSite(dec, GridCoord(comm.Coord()), func(l, g int) { term[l] = clover.TermAt(g) })
 		d.term = fermion.NewCloverTerm(term)
 	}
-	d.wilsonHop = newWilsonHop(ctx, comm, dec, gauge, kind, 1, prec)
+	d.wilsonHop = newWilsonHop(ctx, comm, tm, dec, gauge, kind, 1, prec)
 	return d
 }
 
@@ -168,7 +147,7 @@ func (d *DistWilson) Apply(dst, src *lattice.FermionField) { d.apply(dst.S, src.
 func (d *DistWilson) apply(dst, src []latmath.Spinor) {
 	d.hop(dst, src, complex(d.Mass+4, 0))
 	if d.term != nil {
-		d.term.AddTo(dst, src)
+		d.term.AddTo(d.team, dst, src)
 	}
 }
 
@@ -181,12 +160,13 @@ func (d *DistWilson) ApplyDag(dst, src *lattice.FermionField) { d.applyDag(dst.S
 type DistDWF struct {
 	wilsonHop
 	M5, Mf float64
+	fifth  fermion.FifthDimKernel
 }
 
 // NewDistDWF builds the operator on one node from the global gauge
 // field.
-func NewDistDWF(ctx *node.Ctx, comm *qmp.Comm, dec lattice.Decomp, gauge *lattice.GaugeField, m5, mf float64, ls int, prec fermion.Precision) *DistDWF {
-	return &DistDWF{wilsonHop: newWilsonHop(ctx, comm, dec, gauge, fermion.DWFKind, ls, prec), M5: m5, Mf: mf}
+func NewDistDWF(ctx *node.Ctx, comm *qmp.Comm, tm *team.Team, dec lattice.Decomp, gauge *lattice.GaugeField, m5, mf float64, ls int, prec fermion.Precision) *DistDWF {
+	return &DistDWF{wilsonHop: newWilsonHop(ctx, comm, tm, dec, gauge, fermion.DWFKind, ls, prec), M5: m5, Mf: mf}
 }
 
 // Apply computes dst = D src.
@@ -194,7 +174,7 @@ func (d *DistDWF) Apply(dst, src *fermion.Field5) { d.apply(dst.S, src.S) }
 
 func (d *DistDWF) apply(dst, src []latmath.Spinor) {
 	d.hop(dst, src, complex(-d.M5+4+1, 0))
-	fermion.AddFifthDimHops(dst, src, d.local.Volume(), d.Ls, d.Mf)
+	d.fifth.Run(d.team, dst, src, d.Ls, d.Mf)
 }
 
 // ApplyDag computes dst = D† src = R γ5 D γ5 R src.

@@ -103,10 +103,10 @@ func (h *halo) putHalf(mu, end, slot int, v *latmath.HalfSpinor) {
 	h.write(h.send[mu][end], slot, w[:])
 }
 
-func (h *halo) half(v *latmath.HalfSpinor, mu, end, slot int) {
+func (h *halo) half(mu, end, slot int) latmath.HalfSpinor {
 	var w [latmath.HalfSpinorWords]uint64
 	h.read(h.recv[mu][end], slot, w[:])
-	*v = latmath.UnpackHalfSpinor(w[:])
+	return latmath.UnpackHalfSpinor(w[:])
 }
 
 // putVec and vec are the color-vector slots of the staggered exchange.

@@ -2,6 +2,7 @@ package core
 
 import (
 	"hash/fnv"
+	"runtime"
 	"testing"
 
 	"qcdoc/internal/fermion"
@@ -9,15 +10,16 @@ import (
 	"qcdoc/internal/latmath"
 	"qcdoc/internal/lattice"
 	"qcdoc/internal/machine"
+	"qcdoc/internal/team"
 )
 
-// shardedSolveDigest runs the E1/E10 Wilson solve on a sharded machine
-// and fingerprints everything observable: solution bits, network word
-// count, iteration count, and the simulated finish time.
-func shardedSolveDigest(t *testing.T, workers int) uint64 {
+// shardedSolveDigest runs a Wilson solve (the E1/E10 one, on the 16-node
+// machine at 4x4x2x2) on a sharded machine and fingerprints everything
+// observable: solution bits, network word count, iteration count, and
+// the simulated finish time.
+func shardedSolveDigest(t *testing.T, shape geom.Shape, global lattice.Shape4, tol float64, workers int) uint64 {
 	t.Helper()
-	global := lattice.Shape4{4, 4, 2, 2}
-	cfg := machine.DefaultConfig(geom.MakeShape(2, 2, 2, 2))
+	cfg := machine.DefaultConfig(shape)
 	cfg.Shards = machine.ShardAuto
 	cfg.Workers = workers
 	sess, err := NewSessionConfig(cfg, global)
@@ -32,7 +34,7 @@ func shardedSolveDigest(t *testing.T, workers int) uint64 {
 	gauge.Randomize(21)
 	b := lattice.NewFermionField(global)
 	b.Gaussian(22)
-	x, met, err := sess.SolveWilson(gauge, b, 0.5, fermion.Double, 1e-10, 1000)
+	x, met, err := sess.SolveWilson(gauge, b, 0.5, fermion.Double, tol, 1000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +63,10 @@ func shardedSolveDigest(t *testing.T, workers int) uint64 {
 // same seed must produce bit-identical outcomes at workers 1, 2, 4 and
 // 8, for both a clean distributed solve (E1/E10) and a full chaos
 // recovery run (E16) with the fault plan armed on the sharded engine.
-// Workers choose OS threads, never physics. The chaos leg is fault seed
+// Workers choose OS threads, never physics — and neither does the width
+// of a rank's team: a solve whose 2048-site local volume forks every
+// site loop gives one digest at every worker count, with one core
+// (every kernel a plain call) and with eight. The chaos leg is fault seed
 // 23 because its crash victim, node 3, lives off the host shard: under
 // -race this is the run that catches an injection, or anything else,
 // reaching across a shard boundary without going through the mailboxes.
@@ -71,10 +76,28 @@ func TestShardDeterminismDigests(t *testing.T) {
 	}
 	workerCounts := []int{1, 2, 4, 8}
 
-	s0 := shardedSolveDigest(t, 1)
+	e1 := func(w int) uint64 {
+		return shardedSolveDigest(t, geom.MakeShape(2, 2, 2, 2), lattice.Shape4{4, 4, 2, 2}, 1e-10, w)
+	}
+	s0 := e1(1)
 	for _, w := range workerCounts[1:] {
-		if s := shardedSolveDigest(t, w); s != s0 {
+		if s := e1(w); s != s0 {
 			t.Fatalf("solve digest at workers=%d: %#x, want %#x", w, s, s0)
+		}
+	}
+
+	forked := func(procs, w int) uint64 {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		global := lattice.Shape4{16, 16, 8, 4}
+		if v := global.Volume() / 4; v < 2*team.Grain {
+			t.Fatalf("local volume %d does not fork", v)
+		}
+		return shardedSolveDigest(t, geom.MakeShape(2, 2), global, 1e-2, w)
+	}
+	f0 := forked(1, 1)
+	for _, w := range workerCounts {
+		if f := forked(8, w); f != f0 {
+			t.Fatalf("forked solve digest at GOMAXPROCS=8 workers=%d: %#x, want %#x at GOMAXPROCS=1", w, f, f0)
 		}
 	}
 

@@ -10,6 +10,7 @@ import (
 	"qcdoc/internal/node"
 	"qcdoc/internal/qmp"
 	"qcdoc/internal/solver"
+	"qcdoc/internal/team"
 )
 
 // Errors a solve returns before anything is launched on the machine.
@@ -48,7 +49,7 @@ type problem[F solver.Field[F]] struct {
 	newField     func(lattice.Shape4) F
 	scatter      func(global F, dec lattice.Decomp, gc lattice.Site) F
 	gather       func(global F, dec lattice.Decomp, gc lattice.Site, local F)
-	newOperator  func(ctx *node.Ctx, comm *qmp.Comm, dec lattice.Decomp) distOperator[F]
+	newOperator  func(ctx *node.Ctx, comm *qmp.Comm, tm *team.Team, dec lattice.Decomp) distOperator[F]
 	warmStart    func() F                                           // global initial iterate, read at launch; nil starts from zero
 	checkpointer func(ctx *node.Ctx, rank int) solver.Checkpoint[F] // nil disables capture
 }
@@ -62,8 +63,8 @@ func wilsonProblem(gauge *lattice.GaugeField, clover *fermion.Clover, b *lattice
 		kind: kind, prec: prec, ls: 1, tol: tol, maxIter: maxIter,
 		b: b, gaugeL: gauge.L, bL: b.L, bLs: 1,
 		newField: lattice.NewFermionField, scatter: ScatterFermion, gather: GatherFermion,
-		newOperator: func(ctx *node.Ctx, comm *qmp.Comm, dec lattice.Decomp) distOperator[*lattice.FermionField] {
-			return NewDistWilson(ctx, comm, dec, gauge, clover, mass, prec)
+		newOperator: func(ctx *node.Ctx, comm *qmp.Comm, tm *team.Team, dec lattice.Decomp) distOperator[*lattice.FermionField] {
+			return NewDistWilson(ctx, comm, tm, dec, gauge, clover, mass, prec)
 		},
 	}
 }
@@ -73,7 +74,7 @@ func asqtadProblem(ref *fermion.ASQTAD, b *lattice.ColorField, prec fermion.Prec
 		kind: fermion.AsqtadKind, prec: prec, ls: 1, reach: naikReach, tol: tol, maxIter: maxIter,
 		b: b, gaugeL: ref.G.L, bL: b.L, bLs: 1,
 		newField: lattice.NewColorField, scatter: ScatterColor, gather: GatherColor,
-		newOperator: func(ctx *node.Ctx, comm *qmp.Comm, dec lattice.Decomp) distOperator[*lattice.ColorField] {
+		newOperator: func(ctx *node.Ctx, comm *qmp.Comm, _ *team.Team, dec lattice.Decomp) distOperator[*lattice.ColorField] {
 			return NewDistASQTAD(ctx, comm, dec, ref, prec)
 		},
 	}
@@ -103,8 +104,8 @@ func dwfProblem(gauge *lattice.GaugeField, b *fermion.Field5, m5, mf float64, ls
 				}
 			})
 		},
-		newOperator: func(ctx *node.Ctx, comm *qmp.Comm, dec lattice.Decomp) distOperator[*fermion.Field5] {
-			return NewDistDWF(ctx, comm, dec, gauge, m5, mf, ls, prec)
+		newOperator: func(ctx *node.Ctx, comm *qmp.Comm, tm *team.Team, dec lattice.Decomp) distOperator[*fermion.Field5] {
+			return NewDistDWF(ctx, comm, tm, dec, gauge, m5, mf, ls, prec)
 		},
 	}
 }
@@ -150,11 +151,15 @@ func rankProgram[F solver.Field[F]](lay Layout, pr problem[F], nodes int) (func(
 	out := &solveOutput[F]{solution: pr.newField(dec.Global), errs: make([]error, nodes)}
 	return func(rank int) node.Program {
 		return func(ctx *node.Ctx) {
+			// The rank's site loops fork over this team; the deferred Close
+			// also runs when a kill or a shutdown unwinds the rank.
+			var tm team.Team
+			defer tm.Close()
 			comm := qmp.New(ctx, lay.Fold)
 			gc := GridCoord(comm.Coord())
 			b := pr.scatter(pr.b, dec, gc)
-			op := pr.newOperator(ctx, comm, dec)
-			sp := distSpace(ctx, comm, dec, pr)
+			op := pr.newOperator(ctx, comm, &tm, dec)
+			sp := distSpace(ctx, comm, &tm, dec, pr)
 			var x F
 			if pr.warmStart != nil {
 				x = pr.scatter(pr.warmStart(), dec, gc)
@@ -175,13 +180,32 @@ func rankProgram[F solver.Field[F]](lay Layout, pr problem[F], nodes int) (func(
 	}, out
 }
 
+// blas is a field's AXPY (y += a x) or, with x unset, Scale (y *= a) as
+// a team kernel over the field's sites.
+type blas[F solver.Field[F]] struct {
+	y, x F
+	a    complex128
+	axpy bool
+}
+
+func (k *blas[F]) Range(lo, hi int) {
+	if k.axpy {
+		k.y.AXPYRange(lo, hi, k.a, k.x)
+	} else {
+		k.y.ScaleRange(lo, hi, k.a)
+	}
+}
+
 // distSpace is the solver vector space of a distributed field: the
-// field's own BLAS on the node's sub-lattice, each reduction completed
-// machine-wide through the SCU global-sum hardware, each operation
-// charged to the CPU model. Linear-algebra charges scale with the Ls
-// slices a site carries.
-func distSpace[F solver.Field[F]](ctx *node.Ctx, comm *qmp.Comm, dec lattice.Decomp, pr problem[F]) solver.Space[F] {
+// field's own BLAS on the node's sub-lattice — the in-place updates
+// forked over the rank's team, the reductions one serial sum in site
+// order (forking them would change the rounding) — each reduction
+// completed machine-wide through the SCU global-sum hardware, each
+// operation charged to the CPU model. Linear-algebra charges scale with
+// the Ls slices a site carries.
+func distSpace[F solver.Field[F]](ctx *node.Ctx, comm *qmp.Comm, tm *team.Team, dec lattice.Decomp, pr problem[F]) solver.Space[F] {
 	n, p := ctx.N, ctx.P
+	sites := dec.LocalVolume() * pr.ls // a field's index range
 	vol := float64(dec.LocalVolume())
 	level := fermion.WorkingSetLevel(pr.kind, pr.prec, dec.LocalVolume())
 	axpyCharge := fermion.AXPYCost(pr.kind, pr.prec, level).Scale(vol).Scale(float64(pr.ls))
@@ -199,13 +223,16 @@ func distSpace[F solver.Field[F]](ctx *node.Ctx, comm *qmp.Comm, dec lattice.Dec
 		return complex(re, im)
 	}
 	sp.Norm2 = func(a F) float64 { return globalSum(local.Norm2(a)) }
+	update := new(blas[F])
 	sp.AXPY = func(y F, a complex128, x F) {
 		n.Compute(p, axpyCharge)
-		local.AXPY(y, a, x)
+		*update = blas[F]{y: y, x: x, a: a, axpy: true}
+		tm.Run(sites, update)
 	}
 	sp.Scale = func(x F, a complex128) {
 		n.Compute(p, axpyCharge)
-		local.Scale(x, a)
+		*update = blas[F]{y: x, a: a}
+		tm.Run(sites, update)
 	}
 	// Feed the solver's per-iteration hook into the node's telemetry
 	// counters (no-op with telemetry disabled): the iteration count, and

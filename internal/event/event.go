@@ -582,7 +582,7 @@ func (g *Gate) Waiting() int { return len(g.waiters) }
 // notifications. Items become visible to Get only at their delivery time.
 type Queue[T any] struct {
 	eng    *Engine
-	name   string
+	reason string // "recv <name>", what a process parked in Get is waiting for
 	items  []T
 	gate   Gate
 	closed bool
@@ -590,7 +590,7 @@ type Queue[T any] struct {
 
 // NewQueue creates a queue on the engine.
 func NewQueue[T any](e *Engine, name string) *Queue[T] {
-	return &Queue[T]{eng: e, name: name, gate: Gate{eng: e}}
+	return &Queue[T]{eng: e, reason: "recv " + name, gate: Gate{eng: e}}
 }
 
 // Put makes item available immediately.
@@ -617,7 +617,7 @@ func (q *Queue[T]) Get(p *Proc) T {
 		if item, ok := q.TryGet(); ok {
 			return item
 		}
-		q.gate.Wait(p, "recv "+q.name)
+		q.gate.Wait(p, q.reason)
 	}
 }
 
@@ -631,7 +631,7 @@ func (q *Queue[T]) GetTimeout(p *Proc, d Time) (T, bool) {
 		if item, ok := q.TryGet(); ok {
 			return item, true
 		}
-		if !q.gate.WaitUntil(p, "recv "+q.name, deadline) {
+		if !q.gate.WaitUntil(p, q.reason, deadline) {
 			return q.TryGet()
 		}
 	}

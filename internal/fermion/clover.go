@@ -3,6 +3,7 @@ package fermion
 import (
 	"qcdoc/internal/latmath"
 	"qcdoc/internal/lattice"
+	"qcdoc/internal/team"
 )
 
 // Clover is the clover-improved (Sheikholeslami-Wohlert) Wilson
@@ -30,6 +31,8 @@ type CloverTerm struct {
 	// chiral basis the term is block diagonal, so 8 of the 16 never are
 	// and AddTo skips them without looking.
 	live [4][4]bool
+
+	dst, src []latmath.Spinor // AddTo's arguments, for Range
 }
 
 // NewCloverTerm wraps the given sites, scanning them once for the blocks
@@ -48,11 +51,17 @@ func NewCloverTerm(site [][4][4]latmath.Mat3) *CloverTerm {
 	return t
 }
 
-// AddTo computes dst += term·src site by site, summing each row's live
-// blocks in ascending b.
-func (t *CloverTerm) AddTo(dst, src []latmath.Spinor) {
-	for idx := range t.Site {
-		blocks, psi := &t.Site[idx], &src[idx]
+// AddTo computes dst += term·src site by site on tm, summing each row's
+// live blocks in ascending b.
+func (t *CloverTerm) AddTo(tm *team.Team, dst, src []latmath.Spinor) {
+	t.dst, t.src = dst, src
+	tm.Run(len(t.Site), t)
+}
+
+// Range is AddTo's site loop: the term is its own kernel.
+func (t *CloverTerm) Range(lo, hi int) {
+	for idx := lo; idx < hi; idx++ {
+		blocks, psi := &t.Site[idx], &t.src[idx]
 		var extra latmath.Spinor
 		for a := 0; a < 4; a++ {
 			for b := 0; b < 4; b++ {
@@ -61,10 +70,10 @@ func (t *CloverTerm) AddTo(dst, src []latmath.Spinor) {
 				}
 				var v latmath.Vec3
 				v.MulMat(&blocks[a][b], &psi[b])
-				extra[a] = extra[a].Add(v)
+				extra[a].AddVec(&v)
 			}
 		}
-		dst[idx] = dst[idx].Add(extra)
+		t.dst[idx].AddSpinor(&extra)
 	}
 }
 
@@ -126,7 +135,7 @@ func (c *Clover) buildTerm() {
 // Apply computes dst = D_clover src.
 func (c *Clover) Apply(dst, src *lattice.FermionField) {
 	c.Wilson.Apply(dst, src)
-	c.term.AddTo(dst.S, src.S)
+	c.term.AddTo(c.Team, dst.S, src.S)
 }
 
 // ApplyDag computes dst = D† src via γ5-hermiticity (the clover term

@@ -5,6 +5,7 @@ import (
 
 	"qcdoc/internal/latmath"
 	"qcdoc/internal/lattice"
+	"qcdoc/internal/team"
 )
 
 // Field5 is a five-dimensional domain-wall fermion field: Ls slices of
@@ -53,19 +54,25 @@ func (f *Field5) Norm2() float64 {
 	return sum
 }
 
-// AXPY computes f += a x.
-func (f *Field5) AXPY(a complex128, x *Field5) {
-	for i := range f.S {
-		f.S[i] = f.S[i].AXPY(a, x.S[i])
+// AXPYRange computes f += a x in place on 5-D sites [lo, hi).
+func (f *Field5) AXPYRange(lo, hi int, a complex128, x *Field5) {
+	for i := lo; i < hi; i++ {
+		f.S[i].AddScaled(a, &x.S[i])
 	}
 }
 
-// Scale multiplies in place.
-func (f *Field5) Scale(a complex128) {
-	for i := range f.S {
-		f.S[i] = f.S[i].Scale(a)
+// ScaleRange multiplies 5-D sites [lo, hi) in place.
+func (f *Field5) ScaleRange(lo, hi int, a complex128) {
+	for i := lo; i < hi; i++ {
+		f.S[i].ScaleBy(a)
 	}
 }
+
+// AXPY computes f += a x.
+func (f *Field5) AXPY(a complex128, x *Field5) { f.AXPYRange(0, len(f.S), a, x) }
+
+// Scale multiplies in place.
+func (f *Field5) Scale(a complex128) { f.ScaleRange(0, len(f.S), a) }
 
 // Copy copies x into f.
 func (f *Field5) Copy(x *Field5) { copy(f.S, x.S) }
@@ -91,13 +98,17 @@ type DWF struct {
 	Mf float64 // physical quark mass coupling the walls
 	Ls int
 
-	nb       *lattice.Neighbors
+	Team *team.Team // forks the site loops over the host's cores; nil runs them on the caller
+
+	hop      HopKernel
+	fifth    FifthDimKernel
+	g5       Gamma5Kernel
 	tmp, mid *Field5 // D† scratch, allocated on first use
 }
 
 // NewDWF builds the operator.
 func NewDWF(g *lattice.GaugeField, m5, mf float64, ls int) *DWF {
-	return &DWF{G: g, M5: m5, Mf: mf, Ls: ls, nb: g.L.Neighbors()}
+	return &DWF{G: g, M5: m5, Mf: mf, Ls: ls, hop: HopKernel{G: g, Nb: g.L.Neighbors()}}
 }
 
 // Name identifies the operator.
@@ -106,51 +117,47 @@ func (d *DWF) Name() string { return "dwf" }
 // Lattice returns the 4-D lattice shape.
 func (d *DWF) Lattice() lattice.Shape4 { return d.G.L }
 
-// projPlus applies P_+ = (1+γ5)/2.
-func projPlus(s latmath.Spinor) latmath.Spinor {
-	g5 := latmath.Gamma5.ApplySpin(s)
-	return s.Add(g5).Scale(0.5)
-}
-
-// projMinus applies P_- = (1-γ5)/2.
-func projMinus(s latmath.Spinor) latmath.Spinor {
-	g5 := latmath.Gamma5.ApplySpin(s)
-	return s.Sub(g5).Scale(0.5)
-}
-
 // Apply computes dst = D src: the 4-D Wilson hop on every s-slice — the
 // gauge links are s-independent, which is the locality the DWF kernel
 // exploits for its high efficiency (the same links serve all Ls slices)
 // — then the fifth-dimension hops.
 func (d *DWF) Apply(dst, src *Field5) {
-	v := d.G.L.Volume()
-	diag := complex(-d.M5+4+1, 0) // Wilson diagonal at mass -M5, plus the +1 of D_perp
-	for s := 0; s < d.Ls; s++ {
-		hopSites(dst.S[s*v:(s+1)*v], src.S[s*v:(s+1)*v], d.G, d.nb, diag)
-	}
-	AddFifthDimHops(dst.S, src.S, v, d.Ls, d.Mf)
+	// Wilson diagonal at mass -M5, plus the +1 of D_perp.
+	d.hop.Run(d.Team, dst.S, src.S, complex(-d.M5+4+1, 0))
+	d.fifth.Run(d.Team, dst.S, src.S, d.Ls, d.Mf)
 }
 
-// AddFifthDimHops adds the site-local fifth-dimension terms of the
+// FifthDimKernel adds the site-local fifth-dimension terms of the
 // domain-wall operator, -P_- src(s+1) - P_+ src(s-1) with the -m_f
-// boundary condition, to dst; both are Ls slices of v4 spinors. Shared
-// with the distributed operator, whose fifth dimension stays node-local.
-func AddFifthDimHops(dst, src []latmath.Spinor, v4, ls int, mf float64) {
-	m := complex(mf, 0)
-	for s := 0; s < ls; s++ {
-		for idx := 0; idx < v4; idx++ {
-			out := dst[s*v4+idx]
-			if up := s + 1; up < ls {
-				out = out.Sub(projMinus(src[up*v4+idx]))
-			} else {
-				out = out.AXPY(m, projMinus(src[idx]))
-			}
-			if dn := s - 1; dn >= 0 {
-				out = out.Sub(projPlus(src[dn*v4+idx]))
-			} else {
-				out = out.AXPY(m, projPlus(src[(ls-1)*v4+idx]))
-			}
-			dst[s*v4+idx] = out
+// boundary condition, to dst; both are Ls slices of 4-D spinors and the
+// range is their Ls·V4 sites. Shared with the distributed operator,
+// whose fifth dimension stays node-local.
+type FifthDimKernel struct {
+	dst, src []latmath.Spinor
+	ls       int
+	m        complex128
+}
+
+// Run sets the arguments and runs the kernel over both fields on t.
+func (k *FifthDimKernel) Run(t *team.Team, dst, src []latmath.Spinor, ls int, mf float64) {
+	k.dst, k.src, k.ls, k.m = dst, src, ls, complex(mf, 0)
+	t.Run(len(dst), k)
+}
+
+func (k *FifthDimKernel) Range(lo, hi int) {
+	n := len(k.src)
+	v4 := n / k.ls
+	for i := lo; i < hi; i++ {
+		out := &k.dst[i]
+		if up := i + v4; up < n {
+			out.SubChiral(false, &k.src[up])
+		} else {
+			out.AddScaledChiral(k.m, false, &k.src[up-n])
+		}
+		if dn := i - v4; dn >= 0 {
+			out.SubChiral(true, &k.src[dn])
+		} else {
+			out.AddScaledChiral(k.m, true, &k.src[dn+n])
 		}
 	}
 }
@@ -162,19 +169,35 @@ func (d *DWF) ApplyDag(dst, src *Field5) {
 	if d.tmp == nil {
 		d.tmp, d.mid = NewField5(d.G.L, d.Ls), NewField5(d.G.L, d.Ls)
 	}
-	ReflectGamma5(d.tmp.S, src.S, d.Ls)
+	d.g5.Run(d.Team, d.tmp.S, src.S, d.Ls)
 	d.Apply(d.mid, d.tmp)
-	ReflectGamma5(dst.S, d.mid.S, d.Ls)
+	d.g5.Run(d.Team, dst.S, d.mid.S, d.Ls)
 }
 
-// ReflectGamma5 computes dst = R γ5 src on Ls slices: γ5 in spin,
+// Gamma5Kernel computes dst = R γ5 src on Ls slices: γ5 in spin,
 // reflection s -> Ls-1-s in the fifth dimension (plain γ5 at Ls = 1).
-func ReflectGamma5(dst, src []latmath.Spinor, ls int) {
-	v := len(src) / ls
-	for s := 0; s < ls; s++ {
-		to, from := dst[s*v:(s+1)*v], src[(ls-1-s)*v:(ls-s)*v]
-		for i := range to {
-			to[i] = latmath.Gamma5.ApplySpin(from[i])
+// Its range is the Ls·V4 sites of dst; dst and src must not overlap.
+type Gamma5Kernel struct {
+	dst, src []latmath.Spinor
+	ls       int
+}
+
+// Run sets the arguments and runs the kernel over both fields on t.
+func (k *Gamma5Kernel) Run(t *team.Team, dst, src []latmath.Spinor, ls int) {
+	k.dst, k.src, k.ls = dst, src, ls
+	t.Run(len(dst), k)
+}
+
+func (k *Gamma5Kernel) Range(lo, hi int) {
+	n := len(k.src)
+	v4 := n / k.ls
+	idx := lo % v4
+	for i := lo; i < hi; i++ {
+		// Site i is on the slice starting at i-idx; its source is at idx
+		// on the mirror slice.
+		k.dst[i].Gamma5(&k.src[n-v4-(i-idx)+idx])
+		if idx++; idx == v4 {
+			idx = 0
 		}
 	}
 }

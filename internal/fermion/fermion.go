@@ -10,6 +10,7 @@ package fermion
 import (
 	"qcdoc/internal/latmath"
 	"qcdoc/internal/lattice"
+	"qcdoc/internal/team"
 )
 
 // DiracOperator is a linear operator on Dirac spinor fields.
@@ -55,38 +56,87 @@ func pathProduct(g *lattice.GaugeField, x lattice.Site, steps []pathStep) latmat
 	return m
 }
 
-// hopSites computes dst = diag·src - ½ Σ_mu [ (1-γ_mu) U_mu(x) src(x+mu)
-// + (1+γ_mu) U†_mu(x-mu) src(x-mu) ] on one 4-D volume, through the
-// spin-projected kernel in latmath (12 instead of 24 complex numbers per
-// neighbour — exactly the quantity the SCU ships between nodes). dst and
-// src must not overlap.
-func hopSites(dst, src []latmath.Spinor, g *lattice.GaugeField, nb *lattice.Neighbors, diag complex128) {
-	for idx := range dst {
+// HopKernel computes dst = diag·src - ½ Σ_mu [ (1-γ_mu) U_mu(x) src(x+mu)
+// + (1+γ_mu) U†_mu(x-mu) src(x-mu) ] on Ls slices of one 4-D volume
+// sharing the gauge field, through the spin-projected kernel in latmath
+// (12 instead of 24 complex numbers per neighbour — exactly the quantity
+// the SCU ships between nodes). Its range is the Ls·V4 sites of dst,
+// slice-major; dst and src must not overlap. It is the site loop of the
+// reference operators and, with Ghosts, of the distributed ones.
+type HopKernel struct {
+	G  *lattice.GaugeField
+	Nb *lattice.Neighbors
+	// Ghosts serves the hops that leave a node's volume: there Nb holds
+	// ^slot in place of a site index. Nil on a periodic volume.
+	Ghosts Ghosts
+
+	dst, src []latmath.Spinor
+	diag     complex128
+}
+
+// Run sets the arguments and runs the kernel over both fields on t.
+func (k *HopKernel) Run(t *team.Team, dst, src []latmath.Spinor, diag complex128) {
+	k.dst, k.src, k.diag = dst, src, diag
+	t.Run(len(dst), k)
+}
+
+// Ghosts returns the projected half spinor the (mu, end) neighbour packed
+// for face slot slot of slice s; the low-end (end 0) sender has already
+// applied its link.
+type Ghosts interface {
+	Half(mu, end, s, slot int) latmath.HalfSpinor
+}
+
+func (k *HopKernel) Range(lo, hi int) {
+	v4 := k.G.L.Volume()
+	var h latmath.HalfSpinor
+	idx := lo % v4
+	for i := lo; i < hi; i++ {
+		src := k.src[i-idx : i-idx+v4] // the slice site i is on
 		var acc latmath.Spinor
 		for mu := 0; mu < lattice.Ndim; mu++ {
-			up, dn := nb.Up[mu][idx], nb.Dn[mu][idx]
-			acc.Hop(mu, +1, &g.U[lattice.Ndim*idx+mu], &src[up])
-			acc.Hop(mu, -1, &g.U[lattice.Ndim*int(dn)+mu], &src[dn])
+			// +mu term (1-γ)U_mu(x)ψ(x+mu); off the high face ψ(x+mu) is a
+			// ghost, already projected, and the link is ours.
+			u := &k.G.U[lattice.Ndim*idx+mu]
+			if up := k.Nb.Up[mu][idx]; up >= 0 {
+				acc.Hop(mu, +1, u, &src[up])
+			} else {
+				h = k.Ghosts.Half(mu, 1, (i-idx)/v4, int(^up))
+				h.MulMat(u, &h)
+				acc.AddReconstruct(mu, +1, &h)
+			}
+			// -mu term (1+γ)U†_mu(x-mu)ψ(x-mu).
+			if dn := k.Nb.Dn[mu][idx]; dn >= 0 {
+				acc.Hop(mu, -1, &k.G.U[lattice.Ndim*int(dn)+mu], &src[dn])
+			} else {
+				h = k.Ghosts.Half(mu, 0, (i-idx)/v4, int(^dn))
+				acc.AddReconstruct(mu, -1, &h)
+			}
 		}
-		dst[idx].HopResult(diag, &src[idx], &acc)
+		k.dst[i].HopResult(k.diag, &src[idx], &acc)
+		if idx++; idx == v4 {
+			idx = 0
+		}
 	}
 }
 
 // Wilson is the naive Wilson Dirac operator
 // D = (m + 4) - (1/2) Σ_mu [(1-γ_mu) U_mu(x) T_{+mu} + (1+γ_mu) U†_mu T_{-mu}].
-// An operator value is not safe for concurrent use: D† works in scratch
-// fields it keeps.
+// An operator value is not safe for concurrent use: its site loops run
+// as kernels it keeps, and D† works in scratch fields it keeps.
 type Wilson struct {
 	G    *lattice.GaugeField
 	Mass float64
+	Team *team.Team // forks the site loops over the host's cores; nil runs them on the caller
 
-	nb       *lattice.Neighbors
+	hop      HopKernel
+	g5       Gamma5Kernel
 	tmp, mid *lattice.FermionField // D† scratch, allocated on first use
 }
 
 // NewWilson builds the operator on gauge field g with bare mass m.
 func NewWilson(g *lattice.GaugeField, mass float64) *Wilson {
-	return &Wilson{G: g, Mass: mass, nb: g.L.Neighbors()}
+	return &Wilson{G: g, Mass: mass, hop: HopKernel{G: g, Nb: g.L.Neighbors()}}
 }
 
 // Name implements DiracOperator.
@@ -97,7 +147,7 @@ func (w *Wilson) Lattice() lattice.Shape4 { return w.G.L }
 
 // Apply computes dst = D src.
 func (w *Wilson) Apply(dst, src *lattice.FermionField) {
-	hopSites(dst.S, src.S, w.G, w.nb, complex(w.Mass+4, 0))
+	w.hop.Run(w.Team, dst.S, src.S, complex(w.Mass+4, 0))
 }
 
 // ApplyDag computes dst = D† src via γ5-hermiticity: D† = γ5 D γ5.
@@ -108,7 +158,7 @@ func (w *Wilson) applyDag(dst, src *lattice.FermionField, applyD func(dst, src *
 	if w.tmp == nil {
 		w.tmp, w.mid = lattice.NewFermionField(w.G.L), lattice.NewFermionField(w.G.L)
 	}
-	ReflectGamma5(w.tmp.S, src.S, 1)
+	w.g5.Run(w.Team, w.tmp.S, src.S, 1)
 	applyD(w.mid, w.tmp)
-	ReflectGamma5(dst.S, w.mid.S, 1)
+	w.g5.Run(w.Team, dst.S, w.mid.S, 1)
 }

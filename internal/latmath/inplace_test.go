@@ -1,0 +1,136 @@
+package latmath
+
+import (
+	"math/rand"
+	"testing"
+)
+
+// The by-value forms the in-place ones replaced in every site loop, kept
+// as the oracle: Spinor.AXPY / Scale / Add, Mat4.ApplySpin with Gamma5,
+// and the chiral projectors as fermion/dwf.go wrote them.
+
+func refProjPlus(s Spinor) Spinor  { return s.Add(Gamma5.ApplySpin(s)).Scale(0.5) }
+func refProjMinus(s Spinor) Spinor { return s.Sub(Gamma5.ApplySpin(s)).Scale(0.5) }
+
+// inPlaceImpl is the set of forms under test, so that the comparison
+// runs on the real ones and on deliberately broken ones.
+type inPlaceImpl struct {
+	gamma5 func(dst, src *Spinor)
+	chiral func(plus bool, c, x complex128) complex128
+}
+
+func realInPlace() inPlaceImpl { return inPlaceImpl{gamma5: (*Spinor).Gamma5, chiral: chiral} }
+
+func (k inPlaceImpl) subChiral(acc *Spinor, plus bool, psi *Spinor) {
+	for s := range acc {
+		for c := range acc[s] {
+			acc[s][c] = acc[s][c] - k.chiral(plus, gamma5[s], psi[s][c])
+		}
+	}
+}
+
+// inPlaceMismatches counts the forms on which k and the oracle disagree
+// for the pair (y, x) and the scalar a.
+func inPlaceMismatches(k inPlaceImpl, y, x Spinor, a complex128) int {
+	bad := 0
+	check := func(got, want Spinor) {
+		if !sameSpinor(&got, &want) {
+			bad++
+		}
+	}
+	got := y
+	got.AddScaled(a, &x)
+	check(got, y.AXPY(a, x))
+	got = y
+	got.ScaleBy(a)
+	check(got, y.Scale(a))
+	got = y
+	got.AddSpinor(&x)
+	check(got, y.Add(x))
+	v := y[1]
+	v.AddVec(&x[2])
+	if want := y[1].Add(x[2]); !sameBits(v[0], want[0]) || !sameBits(v[1], want[1]) || !sameBits(v[2], want[2]) {
+		bad++
+	}
+	got = y
+	k.gamma5(&got, &x)
+	check(got, Gamma5.ApplySpin(x))
+	for _, plus := range []bool{true, false} {
+		proj := refProjMinus(x)
+		if plus {
+			proj = refProjPlus(x)
+		}
+		got = y
+		k.subChiral(&got, plus, &x)
+		check(got, y.Sub(proj))
+		got = y
+		got.AddScaledChiral(a, plus, &x)
+		check(got, y.AXPY(a, proj))
+	}
+	// The real SubChiral, not only the shape subChiral shares with it.
+	got = y
+	got.SubChiral(true, &x)
+	check(got, y.Sub(refProjPlus(x)))
+	return bad
+}
+
+// TestInPlaceFormsBits proves the in-place forms equal to the by-value
+// code they replaced, bit for bit including the sign of zero.
+func TestInPlaceFormsBits(t *testing.T) {
+	rng := rand.New(rand.NewSource(50))
+	spinors := adversarialSpinors()
+	for n := 0; n < 16; n++ {
+		spinors = append(spinors, randSpinor(rng))
+	}
+	scalars := []complex128{0, 1, -1, 0.5, complex(0.3, -1.7), complex(-2.5e-3, 0)}
+	for i, y := range spinors {
+		for j, x := range spinors {
+			if bad := inPlaceMismatches(realInPlace(), y, x, scalars[(i+j)%len(scalars)]); bad != 0 {
+				t.Fatalf("spinors %d, %d: %d in-place forms differ from the by-value oracle", i, j, bad)
+			}
+		}
+	}
+}
+
+// TestInPlaceOracleCatchesSimplifications is the mutation check: γ5 as a
+// copy and negate, γ5 without the leading 0 +, and P_± as "keep the
+// upper (lower) pair, zero the other" are the identity algebraically and
+// must each be caught on the adversarial inputs.
+func TestInPlaceOracleCatchesSimplifications(t *testing.T) {
+	mutants := map[string]inPlaceImpl{
+		"γ5 by negation": {chiral: chiral, gamma5: func(dst, src *Spinor) {
+			for s := range dst {
+				for c := range dst[s] {
+					if real(gamma5[s]) < 0 {
+						dst[s][c] = -src[s][c]
+					} else {
+						dst[s][c] = src[s][c]
+					}
+				}
+			}
+		}},
+		"γ5 without 0 +": {chiral: chiral, gamma5: func(dst, src *Spinor) {
+			for s := range dst {
+				for c := range dst[s] {
+					dst[s][c] = gamma5[s] * src[s][c]
+				}
+			}
+		}},
+		"projector by selection": {gamma5: (*Spinor).Gamma5, chiral: func(plus bool, c, x complex128) complex128 {
+			if plus == (real(c) > 0) {
+				return x
+			}
+			return 0
+		}},
+	}
+	spinors := adversarialSpinors()
+	for name, k := range mutants {
+		caught := 0
+		for i, y := range spinors {
+			caught += inPlaceMismatches(k, y, spinors[(i+3)%len(spinors)], 1)
+		}
+		if caught == 0 {
+			t.Errorf("mutant %q passes the oracle: the adversarial inputs do not pin that expression", name)
+		}
+	}
+}

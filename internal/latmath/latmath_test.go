@@ -303,12 +303,15 @@ func TestSpinorAlgebra(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	s, u := randSpinor(rng), randSpinor(rng)
 	m := RandomSU3(rng)
-	// Color rotation preserves the norm.
-	if math.Abs(s.MulMat(m).Norm2()-s.Norm2()) > 1e-8 {
+	// Color rotation preserves the norm, and DagMulMat undoes MulMat.
+	h := HalfSpinor{s[0], s[1]}
+	r := h
+	r.MulMat(&m, &r)
+	if math.Abs(r[0].Norm2()+r[1].Norm2()-h[0].Norm2()-h[1].Norm2()) > 1e-8 {
 		t.Fatal("SU(3) rotation changed spinor norm")
 	}
-	// DagMulMat undoes MulMat.
-	if s.MulMat(m).DagMulMat(m).Sub(s).Norm2() > 1e-8 {
+	r.DagMulMat(&m, &r)
+	if r[0].Sub(h[0]).Norm2()+r[1].Sub(h[1]).Norm2() > 1e-8 {
 		t.Fatal("m† m != 1 on spinor")
 	}
 	// Dot/Norm consistency.

@@ -47,16 +47,6 @@ func (s Spinor) Norm2() float64 {
 	return sum
 }
 
-// MulMat applies a color matrix to every spin component: (m ⊗ 1) s.
-func (s Spinor) MulMat(m Mat3) Spinor {
-	return Spinor{m.MulVec(s[0]), m.MulVec(s[1]), m.MulVec(s[2]), m.MulVec(s[3])}
-}
-
-// DagMulMat applies m† to every spin component.
-func (s Spinor) DagMulMat(m Mat3) Spinor {
-	return Spinor{m.DagMulVec(s[0]), m.DagMulVec(s[1]), m.DagMulVec(s[2]), m.DagMulVec(s[3])}
-}
-
 // SpinorWords is the number of 64-bit words in a double-precision spinor
 // (24 reals), and HalfSpinorWords in a half spinor (12 reals) — the unit
 // of SCU traffic in a Wilson halo exchange.

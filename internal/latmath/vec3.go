@@ -28,9 +28,6 @@ func (v Vec3) Scale(a complex128) Vec3 {
 	return Vec3{a * v[0], a * v[1], a * v[2]}
 }
 
-// Neg returns -v.
-func (v Vec3) Neg() Vec3 { return Vec3{-v[0], -v[1], -v[2]} }
-
 // Dot returns the Hermitian inner product v† w.
 func (v Vec3) Dot(w Vec3) complex128 {
 	var s complex128

@@ -255,19 +255,25 @@ func (f *FermionField) Norm2() float64 {
 	return s
 }
 
-// AXPY computes f += a*x in place.
-func (f *FermionField) AXPY(a complex128, x *FermionField) {
-	for i := range f.S {
-		f.S[i] = f.S[i].AXPY(a, x.S[i])
+// AXPYRange computes f += a*x in place on sites [lo, hi).
+func (f *FermionField) AXPYRange(lo, hi int, a complex128, x *FermionField) {
+	for i := lo; i < hi; i++ {
+		f.S[i].AddScaled(a, &x.S[i])
 	}
 }
 
-// Scale multiplies in place.
-func (f *FermionField) Scale(a complex128) {
-	for i := range f.S {
-		f.S[i] = f.S[i].Scale(a)
+// ScaleRange multiplies sites [lo, hi) in place.
+func (f *FermionField) ScaleRange(lo, hi int, a complex128) {
+	for i := lo; i < hi; i++ {
+		f.S[i].ScaleBy(a)
 	}
 }
+
+// AXPY computes f += a*x in place.
+func (f *FermionField) AXPY(a complex128, x *FermionField) { f.AXPYRange(0, len(f.S), a, x) }
+
+// Scale multiplies in place.
+func (f *FermionField) Scale(a complex128) { f.ScaleRange(0, len(f.S), a) }
 
 // Copy copies x into f.
 func (f *FermionField) Copy(x *FermionField) { copy(f.S, x.S) }
@@ -316,19 +322,25 @@ func (f *ColorField) Norm2() float64 {
 	return s
 }
 
-// AXPY computes f += a*x in place.
-func (f *ColorField) AXPY(a complex128, x *ColorField) {
-	for i := range f.V {
-		f.V[i] = f.V[i].AXPY(a, x.V[i])
+// AXPYRange computes f += a*x in place on sites [lo, hi).
+func (f *ColorField) AXPYRange(lo, hi int, a complex128, x *ColorField) {
+	for i := lo; i < hi; i++ {
+		f.V[i].AddScaled(a, &x.V[i])
 	}
 }
 
-// Scale multiplies in place.
-func (f *ColorField) Scale(a complex128) {
-	for i := range f.V {
-		f.V[i] = f.V[i].Scale(a)
+// ScaleRange multiplies sites [lo, hi) in place.
+func (f *ColorField) ScaleRange(lo, hi int, a complex128) {
+	for i := lo; i < hi; i++ {
+		f.V[i].ScaleBy(a)
 	}
 }
+
+// AXPY computes f += a*x in place.
+func (f *ColorField) AXPY(a complex128, x *ColorField) { f.AXPYRange(0, len(f.V), a, x) }
+
+// Scale multiplies in place.
+func (f *ColorField) Scale(a complex128) { f.ScaleRange(0, len(f.V), a) }
 
 // Copy copies x into f.
 func (f *ColorField) Copy(x *ColorField) { copy(f.V, x.V) }

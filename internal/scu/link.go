@@ -57,8 +57,6 @@ type linkUnit struct {
 	// calls pump, which sends words until it must park — idle, in the
 	// startup charge, or with the window full.
 	sm          *event.StateMachine
-	pumpFn      func()          // pre-bound deferred pump (see kick)
-	startupFn   func()          // pre-bound end of the DMA startup charge
 	ackTimer    *event.Timer    // lost-acknowledgement recovery
 	supTimer    *event.Timer    // supervisor stop-and-wait recovery
 	pumpPending bool            // a deferred pump event is queued
@@ -146,16 +144,6 @@ func (lu *linkUnit) String() string { return fmt.Sprintf("%s scu%v tx", lu.scu.n
 
 func (lu *linkUnit) start() {
 	lu.sm = lu.scu.eng.NewStateMachine(lu, txIdle)
-	// The recurring per-word callbacks are bound once here; arming or
-	// deferring them afterwards allocates nothing.
-	lu.pumpFn = func() {
-		lu.pumpPending = false
-		lu.pump()
-	}
-	lu.startupFn = func() {
-		lu.sm.Goto(txRun)
-		lu.pump()
-	}
 	lu.ackTimer = lu.scu.eng.NewTimer(lu.ackTimeout)
 	lu.supTimer = lu.scu.eng.NewTimer(lu.supTimeout)
 	lu.in.OnFrame(lu.handleFrame)
@@ -206,7 +194,24 @@ func (lu *linkUnit) kick(state string) {
 		return
 	}
 	lu.pumpPending = true
-	lu.scu.eng.After(0, lu.pumpFn)
+	lu.scu.eng.AfterHandler(0, lu, evPump)
+}
+
+// The link unit is the handler of its own two transmit wake-ups, told
+// apart by the event argument.
+const (
+	evPump    = iota // the deferred pump of a kick
+	evStartup        // the end of the DMA startup charge
+)
+
+// HandleEvent runs a transmit wake-up.
+func (lu *linkUnit) HandleEvent(ev uint64) {
+	if ev == evPump {
+		lu.pumpPending = false
+	} else {
+		lu.sm.Goto(txRun)
+	}
+	lu.pump()
 }
 
 // pump advances the transmit engine until it parks. Word order matches
@@ -242,7 +247,7 @@ func (lu *linkUnit) pump() {
 				lu.curIdx = 0
 				lu.sm.Goto(txStartup)
 				startup := lu.scu.cfg.Clock.Cycles(lu.scu.cfg.TxStartupCycles)
-				lu.scu.eng.After(startup, lu.startupFn)
+				lu.scu.eng.AfterHandler(startup, lu, evStartup)
 				return
 			default:
 				lu.sm.Goto(txIdle)

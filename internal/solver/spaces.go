@@ -14,6 +14,10 @@ type Field[T any] interface {
 	AXPY(a complex128, x T)
 	Scale(a complex128)
 	Copy(T)
+	// The in-place updates on sites [lo, hi), for a caller that splits
+	// the field over several cores.
+	AXPYRange(lo, hi int, a complex128, x T)
+	ScaleRange(lo, hi int, a complex128)
 }
 
 // SpaceOf is the vector space of a field type, built from the field's
