@@ -104,9 +104,9 @@ func cmdFleet(args []string) {
 	}
 	fmt.Printf("fleet: %d runs (machine %v), %d campaign workers\n",
 		len(specs), base.Machine, *workers)
-	start := time.Now() //qcdoclint:walltime-ok host-side throughput meter
+	start := time.Now()
 	results := fleet.Run(cfg, specs)
-	wall := time.Since(start) //qcdoclint:walltime-ok host-side throughput meter
+	wall := time.Since(start)
 
 	// Under -storm, exhausting the recovery ladder with a typed error is
 	// a legitimate deterministic outcome — the machine degraded exactly

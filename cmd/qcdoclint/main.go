@@ -3,24 +3,20 @@
 // matched by its arguments with the stdlib type checker and applies
 // every registered analyzer:
 //
-//	simtime    — no wall-clock or global math/rand in simulator code
 //	detflow    — nondeterminism sources must not reach order-observable
 //	             sinks, tracked through the package call graph
 //	crossalias — values crossing shard boundaries must be deep-value
-//	fleetsafe  — no package-level mutable state in sim packages
-//	obssafe    — no telemetry registry/histogram writes in HTTP-serving packages
 //
 // Usage:
 //
 //	qcdoclint [packages]         # default ./...
 //	qcdoclint -tests [packages]  # also lint in-package _test.go files
-//	qcdoclint -json [packages]   # findings as a JSON array
-//	qcdoclint -waivers [packages]# waiver inventory (stale markers fail)
 //	qcdoclint -list              # print the analyzers and exit
 //
-// Exit status: 0 clean, 1 diagnostics reported (including stale
-// waivers), 2 operational error. `make lint` runs it over ./... with
-// -tests as part of the standard gate.
+// Findings print one per line as file:line:col: message (analyzer).
+// Exit status: 0 clean, 1 diagnostics reported (including stale or
+// unknown waivers), 2 operational error. `make lint` runs it over ./...
+// with -tests as part of the standard gate.
 package main
 
 import (
@@ -34,10 +30,8 @@ import (
 func main() {
 	listFlag := flag.Bool("list", false, "print the analyzers and exit")
 	testsFlag := flag.Bool("tests", false, "also lint in-package _test.go files")
-	jsonFlag := flag.Bool("json", false, "emit findings (or the waiver inventory) as JSON")
-	waiversFlag := flag.Bool("waivers", false, "print the waiver inventory; stale/unknown markers fail")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: qcdoclint [-list] [-tests] [-json] [-waivers] [packages]\n")
+		fmt.Fprintf(os.Stderr, "usage: qcdoclint [-list] [-tests] [packages]\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -56,9 +50,5 @@ func main() {
 		fmt.Fprintf(os.Stderr, "qcdoclint: %v\n", err)
 		os.Exit(2)
 	}
-	os.Exit(driver.Lint(pkgs, driver.Options{
-		Tests:   *testsFlag,
-		JSON:    *jsonFlag,
-		Waivers: *waiversFlag,
-	}))
+	os.Exit(driver.Lint(pkgs, driver.Options{Tests: *testsFlag}))
 }

@@ -6,12 +6,12 @@
 // analyzer API mirrors x/tools closely enough that the checkers would
 // port to a vettool driver unchanged.
 //
-// The suite (DESIGN.md §11) holds the invariants no test can: the ones
-// that must be true of code a run never executes — no wall clock or
-// unordered iteration reaching the simulation, nothing aliased across a
-// shard boundary, no package-level state shared between machines, no
-// telemetry written from a request handler. What a run does execute is
-// held where it runs, by tests and gates.
+// The suite (DESIGN.md §11) keeps only what no run catches: a
+// nondeterministic order or value reaching a sink that no digest
+// compares (detflow), and a shard-local reference crossing a shard
+// boundary in a way the window barrier hides from the race detector
+// (crossalias). Everything a run does catch is held where it runs, by
+// tests and gates.
 package analysis
 
 import (
@@ -72,17 +72,6 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 // that line. Markers are deliberate, grep-able waivers: the reviewable
 // record that a human decided the invariant does not apply there.
 const (
-	// MarkerWalltimeOK waives simtime: host wall-clock use outside the
-	// simulated machine (e.g. a CLI progress meter).
-	MarkerWalltimeOK = "qcdoclint:walltime-ok"
-	// MarkerGlobalOK waives fleetsafe: the package-level var is
-	// write-once read-only data (an immutable table behind a reference
-	// type) that concurrent machines may safely share.
-	MarkerGlobalOK = "qcdoclint:global-ok"
-	// MarkerObsOK waives obssafe: the flagged telemetry mutation in an
-	// HTTP-serving package is known to run on the simulation side (e.g.
-	// test setup), never from a request handler.
-	MarkerObsOK = "qcdoclint:obs-ok"
 	// MarkerDetflowOK waives detflow: the nondeterministic-order flow is
 	// known not to be order-observable (the sink commutes, or the order
 	// is re-established before anything hashes or schedules off it).
@@ -94,14 +83,10 @@ const (
 )
 
 // MarkerOwners maps each waiver marker to the analyzer whose
-// diagnostics it suppresses. The driver uses it for the waiver
-// inventory (-waivers) and for stale-waiver detection: a marker in the
-// tree that belongs to no active analyzer, or that suppresses zero
-// diagnostics, is itself a lint finding.
+// diagnostics it suppresses. The driver uses it for stale-waiver
+// detection: a marker in the tree that belongs to no active analyzer,
+// or that suppresses zero diagnostics, is itself a lint finding.
 var MarkerOwners = map[string]string{
-	MarkerWalltimeOK:   "simtime",
-	MarkerGlobalOK:     "fleetsafe",
-	MarkerObsOK:        "obssafe",
 	MarkerDetflowOK:    "detflow",
 	MarkerCrossAliasOK: "crossalias",
 }
@@ -145,9 +130,8 @@ func (p *Pass) Suppressed(marker string, pos token.Pos) bool {
 }
 
 // A MarkerSite is one waiver-marker comment found in a package's
-// source: the marker text (e.g. "qcdoclint:global-ok") and the comment's
-// position. The driver inventories these for -waivers and stale-waiver
-// detection.
+// source: the marker text (e.g. "qcdoclint:detflow-ok") and the
+// comment's position. The driver checks each for staleness.
 type MarkerSite struct {
 	Marker string
 	Pos    token.Pos

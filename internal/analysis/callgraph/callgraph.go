@@ -2,12 +2,10 @@
 // a conservative static call graph over one type-checked package plus
 // per-function summaries computed by fixpoint propagation.
 //
-// The seven analyzers of PRs 4-8 are intra-procedural, so a
-// nondeterminism source laundered through one helper call — a map-range
-// body that calls a function which schedules an event, a cross-shard
-// closure that captures a pointer via a constructor — escapes every
-// checker and is only caught probabilistically by the digest tests.
-// This package closes that hole for the interprocedural analyzers
+// A lexical checker misses a nondeterminism source laundered through one
+// helper call — a map-range body that calls a function which schedules
+// an event, a cross-shard closure that captures a pointer via a
+// constructor. This package closes that hole for the two analyzers
 // (detflow, crossalias): it records, for every function declared in the
 // package, whether the function directly or transitively
 //
@@ -594,16 +592,15 @@ func uintptrOfPointer(info *types.Info, call *ast.CallExpr) bool {
 	return false
 }
 
-// wallFuncs mirrors simtime's list: time-package calls that observe the
-// host clock.
+// wallFuncs are the time-package calls that observe the host clock.
 var wallFuncs = map[string]bool{
 	"Now": true, "Since": true, "Until": true,
 	"Sleep": true, "After": true, "AfterFunc": true,
 	"Tick": true, "NewTimer": true, "NewTicker": true,
 }
 
-// globalRandOK mirrors simtime's allowlist: math/rand identifiers that
-// do not touch the process-global generator.
+// globalRandOK are the math/rand identifiers that do not touch the
+// process-global generator.
 var globalRandOK = map[string]bool{
 	"New": true, "NewSource": true, "NewZipf": true,
 	"Source": true, "Rand": true, "Zipf": true,

@@ -399,7 +399,7 @@ func checkClosureCrossing(pass *analysis.Pass, g *callgraph.Graph, fd *ast.FuncD
 			return true
 		}
 		// A capture is a variable declared in the enclosing function but
-		// outside the literal. Package-level state is fleetsafe's beat.
+		// outside the literal; package-level state is left to the -race legs.
 		if declaredWithin(obj, lit) || !declaredWithin(obj, fd) {
 			return true
 		}

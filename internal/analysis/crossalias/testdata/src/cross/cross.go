@@ -18,6 +18,8 @@ type buffers struct{ data []byte }
 func use(b []byte) {}
 
 // ---- escape class: direct pointer ----
+// The window barrier orders the two shards' accesses to st, so -race
+// passes over this shape (ethjtag.Port.Send's packet counter).
 
 func directPointer(eng, dst *event.Engine, st *counters) {
 	eng.CrossAt(dst, 1, func() { st.n++ }) // want `captures st \(\*cross\.counters\), a pointer into this shard's heap`

@@ -1,10 +1,10 @@
 // Package driver runs the qcdoclint analyzer suite over go-list-resolved
 // packages and owns everything around the analyzers themselves: file
 // selection (including in-package _test.go variants), finding
-// collection and ordering, JSON rendering, and the waiver lifecycle.
+// collection and ordering, and the waiver lifecycle.
 //
 // The waiver lifecycle is the part that keeps marker comments honest.
-// Every //qcdoclint:<kind> marker in linted source is inventoried with
+// Every //qcdoclint:<kind> marker in linted source is checked against
 // the analyzer it belongs to and the number of diagnostics it actually
 // suppressed in this run (suppression hits are counted by
 // analysis.Pass at report-decision time, so the count reflects real
@@ -30,19 +30,13 @@ import (
 	"qcdoc/internal/analysis"
 	"qcdoc/internal/analysis/crossalias"
 	"qcdoc/internal/analysis/detflow"
-	"qcdoc/internal/analysis/fleetsafe"
 	"qcdoc/internal/analysis/load"
-	"qcdoc/internal/analysis/obssafe"
-	"qcdoc/internal/analysis/simtime"
 )
 
 // Suite is the analyzer suite in reporting order.
 var Suite = []*analysis.Analyzer{
-	simtime.Analyzer,
 	detflow.Analyzer,
 	crossalias.Analyzer,
-	fleetsafe.Analyzer,
-	obssafe.Analyzer,
 }
 
 // Package is the subset of `go list -json` the driver needs: where a
@@ -56,33 +50,19 @@ type Package struct {
 	TestGoFiles []string
 }
 
-// Options select what Lint runs and how it reports.
+// Options select what Lint runs and where it reports.
 type Options struct {
-	Tests   bool // also load in-package _test.go files
-	JSON    bool // machine-readable output
-	Waivers bool // print the waiver inventory instead of findings
+	Tests bool // also load in-package _test.go files
 
-	Out io.Writer // findings / inventory (default os.Stdout)
+	Out io.Writer // findings (default os.Stdout)
 	Err io.Writer // operational errors (default os.Stderr)
 }
 
-// Finding is one diagnostic, positioned and attributed.
-type Finding struct {
-	Pos      string `json:"pos"` // file:line:col, the problem-matcher key
-	File     string `json:"file"`
-	Line     int    `json:"line"`
-	Col      int    `json:"col"`
-	Message  string `json:"message"`
-	Analyzer string `json:"analyzer"`
-}
-
-// Waiver is one marker comment's lifecycle record for a run.
-type Waiver struct {
-	Pos      string `json:"pos"` // file:line
-	Marker   string `json:"marker"`
-	Analyzer string `json:"analyzer,omitempty"` // empty: no analyzer owns the marker
-	Hits     int    `json:"hits"`               // diagnostics suppressed this run
-	Stale    bool   `json:"stale"`
+// finding is one diagnostic, positioned and attributed.
+type finding struct {
+	Pos      string // file:line:col, the problem-matcher key
+	Message  string
+	Analyzer string
 }
 
 // List resolves package patterns through the go tool, so qcdoclint
@@ -130,8 +110,7 @@ func Lint(pkgs []Package, opts Options) int {
 
 	ctx := load.NewContext()
 	exit := 0
-	var findings []Finding
-	var waivers []Waiver
+	var findings []finding
 	for _, lp := range pkgs {
 		files := append([]string{}, lp.GoFiles...)
 		if opts.Tests {
@@ -157,12 +136,8 @@ func Lint(pkgs []Package, opts Options) int {
 			}
 			name := a.Name
 			pass.Report = func(d analysis.Diagnostic) {
-				pos := p.Fset.Position(d.Pos)
-				findings = append(findings, Finding{
-					Pos:      pos.String(),
-					File:     pos.Filename,
-					Line:     pos.Line,
-					Col:      pos.Column,
+				findings = append(findings, finding{
+					Pos:      p.Fset.Position(d.Pos).String(),
 					Message:  d.Message,
 					Analyzer: name,
 				})
@@ -179,31 +154,21 @@ func Lint(pkgs []Package, opts Options) int {
 			continue
 		}
 		for _, site := range analysis.ScanMarkers(p.Files) {
-			pos := p.Fset.Position(site.Pos)
-			w := Waiver{
-				Pos:      fmt.Sprintf("%s:%d", pos.Filename, pos.Line),
-				Marker:   site.Marker,
-				Analyzer: analysis.MarkerOwners[site.Marker],
-				Hits:     hits[site.Pos],
-			}
-			w.Stale = w.Hits == 0
-			waivers = append(waivers, w)
+			owner := analysis.MarkerOwners[site.Marker]
+			var msg string
 			switch {
-			case w.Analyzer == "":
-				findings = append(findings, Finding{
-					Pos:  fmt.Sprintf("%s:%d:%d", pos.Filename, pos.Line, pos.Column),
-					File: pos.Filename, Line: pos.Line, Col: pos.Column,
-					Message:  fmt.Sprintf("unknown marker //%s: no analyzer owns it; fix the marker name or delete it", site.Marker),
-					Analyzer: "waiver",
-				})
-			case w.Stale:
-				findings = append(findings, Finding{
-					Pos:  fmt.Sprintf("%s:%d:%d", pos.Filename, pos.Line, pos.Column),
-					File: pos.Filename, Line: pos.Line, Col: pos.Column,
-					Message:  fmt.Sprintf("stale waiver: //%s suppresses no %s diagnostic; the code it excused is gone, so delete the marker", site.Marker, w.Analyzer),
-					Analyzer: "waiver",
-				})
+			case owner == "":
+				msg = fmt.Sprintf("unknown marker //%s: no analyzer owns it; fix the marker name or delete it", site.Marker)
+			case hits[site.Pos] == 0:
+				msg = fmt.Sprintf("stale waiver: //%s suppresses no %s diagnostic; the code it excused is gone, so delete the marker", site.Marker, owner)
+			default:
+				continue
 			}
+			findings = append(findings, finding{
+				Pos:      p.Fset.Position(site.Pos).String(),
+				Message:  msg,
+				Analyzer: "waiver",
+			})
 		}
 	}
 
@@ -213,65 +178,10 @@ func Lint(pkgs []Package, opts Options) int {
 		}
 		return findings[i].Analyzer < findings[j].Analyzer
 	})
-	sort.Slice(waivers, func(i, j int) bool { return waivers[i].Pos < waivers[j].Pos })
-
-	if opts.Waivers {
-		return reportWaivers(out, waivers, opts.JSON, exit)
-	}
-	if opts.JSON {
-		enc := json.NewEncoder(out)
-		enc.SetIndent("", "  ")
-		if findings == nil {
-			findings = []Finding{}
-		}
-		if err := enc.Encode(findings); err != nil {
-			fmt.Fprintf(errw, "qcdoclint: encoding findings: %v\n", err)
-			return 2
-		}
-	} else {
-		for _, f := range findings {
-			fmt.Fprintf(out, "%s: %s (%s)\n", f.Pos, f.Message, f.Analyzer)
-		}
+	for _, f := range findings {
+		fmt.Fprintf(out, "%s: %s (%s)\n", f.Pos, f.Message, f.Analyzer)
 	}
 	if len(findings) > 0 && exit == 0 {
-		exit = 1
-	}
-	return exit
-}
-
-// reportWaivers prints the inventory. Stale and unknown markers fail
-// the run exactly as they do in lint mode, so `-waivers` is safe to
-// use as a gate on its own.
-func reportWaivers(out io.Writer, waivers []Waiver, asJSON bool, exit int) int {
-	bad := 0
-	for _, w := range waivers {
-		if w.Stale || w.Analyzer == "" {
-			bad++
-		}
-	}
-	if asJSON {
-		enc := json.NewEncoder(out)
-		enc.SetIndent("", "  ")
-		if waivers == nil {
-			waivers = []Waiver{}
-		}
-		if err := enc.Encode(waivers); err != nil {
-			return 2
-		}
-	} else {
-		for _, w := range waivers {
-			state := fmt.Sprintf("suppresses %d diagnostic(s)", w.Hits)
-			owner := w.Analyzer
-			if owner == "" {
-				owner, state = "?", "UNKNOWN marker"
-			} else if w.Stale {
-				state = "STALE: suppresses nothing"
-			}
-			fmt.Fprintf(out, "%s: //%s (%s) %s\n", w.Pos, w.Marker, owner, state)
-		}
-		fmt.Fprintf(out, "%d waiver(s), %d stale/unknown\n", len(waivers), bad)
-	}
-	if bad > 0 && exit == 0 {
 		exit = 1
 	}
 	return exit

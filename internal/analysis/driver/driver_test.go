@@ -2,7 +2,6 @@ package driver
 
 import (
 	"bytes"
-	"encoding/json"
 	"strings"
 	"testing"
 )
@@ -60,65 +59,6 @@ func TestUnknownMarkerFails(t *testing.T) {
 	}
 	if !strings.Contains(out, "unknown marker") {
 		t.Fatalf("unknown fixture: missing unknown-marker finding:\n%s", out)
-	}
-}
-
-func TestWaiverInventory(t *testing.T) {
-	exit, out := lintDir(t, Package{
-		ImportPath: "waived",
-		Dir:        "testdata/waived",
-		GoFiles:    []string{"waived.go"},
-	}, Options{Waivers: true})
-	if exit != 0 {
-		t.Fatalf("inventory on waived: exit %d, output:\n%s", exit, out)
-	}
-	if !strings.Contains(out, "suppresses 1 diagnostic(s)") {
-		t.Fatalf("inventory should count the suppression hit:\n%s", out)
-	}
-
-	exit, out = lintDir(t, Package{
-		ImportPath: "stale",
-		Dir:        "testdata/stale",
-		GoFiles:    []string{"stale.go"},
-	}, Options{Waivers: true})
-	if exit != 1 || !strings.Contains(out, "STALE") {
-		t.Fatalf("inventory on stale: exit %d, output:\n%s", exit, out)
-	}
-}
-
-func TestJSONFindings(t *testing.T) {
-	exit, out := lintDir(t, Package{
-		ImportPath: "stale",
-		Dir:        "testdata/stale",
-		GoFiles:    []string{"stale.go"},
-	}, Options{JSON: true})
-	if exit != 1 {
-		t.Fatalf("json lint on stale: exit %d, output:\n%s", exit, out)
-	}
-	var findings []Finding
-	if err := json.Unmarshal([]byte(out), &findings); err != nil {
-		t.Fatalf("output is not a JSON findings array: %v\n%s", err, out)
-	}
-	if len(findings) != 1 || findings[0].Analyzer != "waiver" || findings[0].Line == 0 {
-		t.Fatalf("unexpected findings: %+v", findings)
-	}
-}
-
-func TestJSONWaiverInventory(t *testing.T) {
-	exit, out := lintDir(t, Package{
-		ImportPath: "waived",
-		Dir:        "testdata/waived",
-		GoFiles:    []string{"waived.go"},
-	}, Options{JSON: true, Waivers: true})
-	if exit != 0 {
-		t.Fatalf("json inventory: exit %d, output:\n%s", exit, out)
-	}
-	var waivers []Waiver
-	if err := json.Unmarshal([]byte(out), &waivers); err != nil {
-		t.Fatalf("output is not a JSON waiver array: %v\n%s", err, out)
-	}
-	if len(waivers) != 1 || waivers[0].Analyzer != "detflow" || waivers[0].Hits != 1 || waivers[0].Stale {
-		t.Fatalf("unexpected inventory: %+v", waivers)
 	}
 }
 

@@ -44,8 +44,6 @@ const (
 
 // castagnoli is the CRC-32C polynomial table; crc32.MakeTable returns
 // a shared read-only pointer the stdlib itself caches process-wide.
-//
-//qcdoclint:global-ok stdlib-cached read-only CRC table
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // Errors.

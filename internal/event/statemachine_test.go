@@ -92,10 +92,10 @@ func TestShutdownLeaksNoGoroutines(t *testing.T) {
 	}
 	// Exited goroutines disappear from the count a beat after their final
 	// park handshake; poll briefly rather than flake.
-	deadline := time.Now().Add(2 * time.Second)                          //qcdoclint:walltime-ok leak poll bounds host runtime, not simulated time
-	for runtime.NumGoroutine() > before && time.Now().Before(deadline) { //qcdoclint:walltime-ok leak poll bounds host runtime, not simulated time
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
 		runtime.Gosched()
-		time.Sleep(time.Millisecond) //qcdoclint:walltime-ok host-clock backoff between goroutine-count polls
+		time.Sleep(time.Millisecond)
 	}
 	if got := runtime.NumGoroutine(); got > before {
 		t.Fatalf("goroutines: %d before, %d after 8 engine lifecycles", before, got)

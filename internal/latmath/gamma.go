@@ -16,8 +16,7 @@ type Mat4 [4][4]complex128
 // by direction 0..3 = x, y, z, t. In this basis γ5 = diag(+1,+1,-1,-1),
 // which makes domain-wall chirality projectors trivial. All four tables
 // here are pure-value arrays computed at declaration and never written
-// afterwards (fleetsafe): every machine in a fleet reads the same
-// immutable copies.
+// afterwards: every machine in a fleet reads the same immutable copies.
 var Gamma = buildGamma()
 
 // Gamma5 is the chirality matrix, γ5 = γ_x γ_y γ_z γ_t.

@@ -41,10 +41,10 @@ func TestMachineGoroutineHygiene(t *testing.T) {
 		t.Fatalf("%d process goroutines alive after job, want 0", got)
 	}
 	eng.Shutdown()
-	deadline := time.Now().Add(2 * time.Second)                          //qcdoclint:walltime-ok leak poll bounds host runtime, not simulated time
-	for runtime.NumGoroutine() > before && time.Now().Before(deadline) { //qcdoclint:walltime-ok leak poll bounds host runtime, not simulated time
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
 		runtime.Gosched()
-		time.Sleep(time.Millisecond) //qcdoclint:walltime-ok host-clock backoff between goroutine-count polls
+		time.Sleep(time.Millisecond)
 	}
 	if got := runtime.NumGoroutine(); got > before {
 		t.Fatalf("goroutines: %d before build, %d after shutdown", before, got)

@@ -2,6 +2,8 @@ package qdaemon
 
 import (
 	"errors"
+	"slices"
+	"strings"
 	"testing"
 
 	"qcdoc/internal/ethjtag"
@@ -92,35 +94,81 @@ func TestBootSurvivesDroppedStartAck(t *testing.T) {
 // kernel refuses the duplicate ("already running"), and Run counts the
 // node as launched.
 func TestRunSurvivesDroppedLaunchAck(t *testing.T) {
-	_, d, run := harness(t, geom.MakeShape(2, 2))
-	d.LoadProgram("napper", func(rank int) node.Program {
-		return func(ctx *node.Ctx) { ctx.P.Sleep(5 * event.Millisecond) }
-	})
-	var reports []string
-	var runErr error
-	run(func(p *event.Proc) {
-		if err := d.BootAll(p); err != nil {
-			t.Error(err)
-			return
-		}
-		// Drop the first "ok <job>" launch ack (an RPC-port reply from a
-		// node Ethernet address to the host).
-		d.Net.Fault = dropNth(1, func(pkt *ethjtag.Packet) bool {
-			return pkt.Port == ethjtag.PortRPC && pkt.Src >= ethjtag.NodeAddrBase
+	// An "ok <job>" launch ack is an RPC-port reply from a node Ethernet
+	// address to the host.
+	isAck := func(pkt *ethjtag.Packet) bool {
+		return pkt.Port == ethjtag.PortRPC && pkt.Src >= ethjtag.NodeAddrBase
+	}
+	// launch boots the machine, drops launch acks by drop, runs the job,
+	// and returns every launch request in the order it entered the switch.
+	launch := func(t *testing.T, shape geom.Shape, drop ethjtag.FaultFunc) []ethjtag.Addr {
+		_, d, run := harness(t, shape)
+		d.LoadProgram("napper", func(rank int) node.Program {
+			return func(ctx *node.Ctx) { ctx.P.Sleep(5 * event.Millisecond) }
 		})
-		reports, runErr = d.Run(p, "j", "napper")
-	})
-	if runErr != nil {
-		t.Fatal(runErr)
+		var reports []string
+		var launches []ethjtag.Addr
+		var runErr error
+		run(func(p *event.Proc) {
+			if err := d.BootAll(p); err != nil {
+				t.Error(err)
+				return
+			}
+			d.Net.Fault = func(pkt *ethjtag.Packet) ethjtag.FaultVerdict {
+				if pkt.Port == ethjtag.PortRPC && strings.HasPrefix(string(pkt.Payload), "run ") {
+					launches = append(launches, pkt.Dst)
+				}
+				return drop(pkt)
+			}
+			reports, runErr = d.Run(p, "j", "napper")
+		})
+		if runErr != nil {
+			t.Fatal(runErr)
+		}
+		if len(reports) != shape.Volume() {
+			t.Fatalf("%d completion reports, want %d", len(reports), shape.Volume())
+		}
+		if st := d.RPCStats(); st.Timeouts != 1 || st.Retries != uint64(len(launches)-shape.Volume()) {
+			t.Fatalf("rpc stats %+v after %d launch requests: want one timeout and a retry per repeat",
+				st, len(launches))
+		}
+		return launches
 	}
-	if len(reports) != 4 {
-		t.Fatalf("%d completion reports, want 4", len(reports))
-	}
+
 	// Exactly one ack was dropped, so the timeout retransmits to exactly
 	// one straggler.
-	if st := d.RPCStats(); st.Timeouts == 0 || st.Retries == 0 {
-		t.Fatalf("rpc stats %+v: launch retry path not exercised", st)
-	}
+	t.Run("first ack", func(t *testing.T) {
+		if launches := launch(t, geom.MakeShape(2, 2), dropNth(1, isAck)); len(launches) != 5 {
+			t.Fatalf("%d launch requests, want 4 + 1 retry", len(launches))
+		}
+	})
+
+	// Every rank's first ack is lost, so every rank is retried, and the
+	// retries leave in rank order: the launch traffic, and with it the
+	// event stream, must not depend on the pending map's iteration order.
+	// At 16 ranks a map-ordered retransmit is out of rank order on
+	// essentially every run.
+	t.Run("every rank's first ack", func(t *testing.T) {
+		shape := geom.MakeShape(2, 2, 2, 2)
+		dropped := map[ethjtag.Addr]bool{}
+		launches := launch(t, shape, func(pkt *ethjtag.Packet) ethjtag.FaultVerdict {
+			if !isAck(pkt) || dropped[pkt.Src] {
+				return ethjtag.FaultNone
+			}
+			dropped[pkt.Src] = true
+			return ethjtag.FaultDrop
+		})
+		var want []ethjtag.Addr
+		for pass := 0; pass < 2; pass++ {
+			for r := 0; r < shape.Volume(); r++ {
+				want = append(want, ethjtag.NodeEthAddr(r))
+			}
+		}
+		if !slices.Equal(launches, want) {
+			t.Fatalf("launch requests by destination:\n got %#x\nwant %#x (launch, then retries in rank order)",
+				launches, want)
+		}
+	})
 }
 
 // chaosResult captures the observable outcome of one watchdog scenario

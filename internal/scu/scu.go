@@ -149,8 +149,6 @@ type Stats struct {
 // the whole job — aggregation, registry export and the host-side fetch
 // path pick it up at once. Write-once at declaration, read-only after:
 // every machine in a fleet walks the same table.
-//
-//qcdoclint:global-ok read-only counter descriptor table
 var statsFields = []struct {
 	name string
 	get  func(*Stats) *uint64
