@@ -210,12 +210,13 @@ func (l Link) Opposite() Link {
 	return Link{Dim: l.Dim, Dir: -l.Dir}
 }
 
+// String names the link "+d" or "-d" from a table of constants in
+// LinkIndex order, so naming one formats nothing.
 func (l Link) String() string {
-	sign := "+"
-	if l.Dir == Bwd {
-		sign = "-"
-	}
-	return fmt.Sprintf("%s%d", sign, l.Dim)
+	return [NumLinks]string{
+		"+0", "+1", "+2", "+3", "+4", "+5",
+		"-0", "-1", "-2", "-3", "-4", "-5",
+	}[LinkIndex(l)]
 }
 
 // AllLinks enumerates the twelve links in LinkIndex order.

@@ -1,6 +1,7 @@
 package geom
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -160,6 +161,20 @@ func TestLinkOpposite(t *testing.T) {
 		}
 		if o.Opposite() != l {
 			t.Fatalf("double opposite of %v", l)
+		}
+	}
+}
+
+// TestLinkStringMatchesFmt: the table behind Link.String names every
+// link exactly as the fmt form it replaced.
+func TestLinkStringMatchesFmt(t *testing.T) {
+	for _, l := range AllLinks() {
+		sign := "+"
+		if l.Dir == Bwd {
+			sign = "-"
+		}
+		if got, want := l.String(), fmt.Sprintf("%s%d", sign, l.Dim); got != want {
+			t.Errorf("Link%+v.String() = %q, want %q", l, got, want)
 		}
 	}
 }

@@ -234,35 +234,15 @@ func (w *Wire) Send(data scupkt.Wire) (event.Time, error) {
 }
 
 // packFrame flattens a frame into a cross-shard payload value: the wire
-// sequence number, the byte count, and up to MaxFrameBytes of frame
-// bytes packed little-endian into two words.
+// sequence number, the byte count and the frame's two words.
 func packFrame(f *Frame) event.Payload {
-	var p event.Payload
-	p[0] = f.Seq
-	b := f.Bytes()
-	p[1] = uint64(len(b))
-	for i, x := range b {
-		if i < 8 {
-			p[2] |= uint64(x) << (8 * i)
-		} else {
-			p[3] |= uint64(x) << (8 * (i - 8))
-		}
-	}
-	return p
+	lo, hi := f.Words()
+	return event.Payload{f.Seq, uint64(f.Len()), lo, hi}
 }
 
 // unpackFrame inverts packFrame on the receiving shard.
 func unpackFrame(p event.Payload) Frame {
-	n := int(p[1])
-	var buf [scupkt.MaxFrameBytes]byte
-	for i := 0; i < n; i++ {
-		if i < 8 {
-			buf[i] = byte(p[2] >> (8 * i))
-		} else {
-			buf[i] = byte(p[3] >> (8 * (i - 8)))
-		}
-	}
-	return Frame{Wire: scupkt.WireOf(buf[:n]), Seq: p[0]}
+	return Frame{Wire: scupkt.WireOfWords(p[2], p[3], int(p[1])), Seq: p[0]}
 }
 
 // AcceptPayload takes one cross-shard frame off the cluster mailbox at

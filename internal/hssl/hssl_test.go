@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"testing"
+	"unsafe"
 
 	"qcdoc/internal/event"
 	"qcdoc/internal/scupkt"
@@ -197,5 +198,13 @@ func TestReset(t *testing.T) {
 	}
 	if _, err := w.Send(scupkt.WireOf([]byte{1})); !errors.Is(err, ErrNotTrained) {
 		t.Fatalf("err = %v", err)
+	}
+}
+
+// TestFrameIsThreeWords pins a frame in flight to the two words of its
+// scupkt.Wire plus its frame number.
+func TestFrameIsThreeWords(t *testing.T) {
+	if got := unsafe.Sizeof(Frame{}); got != 24 {
+		t.Fatalf("unsafe.Sizeof(Frame{}) = %d, want 24", got)
 	}
 }

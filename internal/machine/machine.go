@@ -10,6 +10,7 @@ package machine
 import (
 	"fmt"
 	"runtime"
+	"strconv"
 
 	"qcdoc/internal/event"
 	"qcdoc/internal/geom"
@@ -124,7 +125,7 @@ func Build(eng *event.Engine, cfg Config) *Machine {
 		c := cfg.Shape.CoordOf(r)
 		for _, l := range geom.AllLinks() {
 			nb := cfg.Shape.Rank(cfg.Shape.Neighbor(c, l.Dim, l.Dir))
-			name := fmt.Sprintf("w%d%v", r, l)
+			name := "w" + strconv.Itoa(r) + l.String()
 			w := hssl.NewWireBetween(
 				m.NodeEngine(r), m.NodeEngine(nb), name, cfg.Clock, cfg.WireProp)
 			w.AdoptRing(cfg.Pool.ring())

@@ -1,6 +1,7 @@
 package machine
 
 import (
+	"fmt"
 	"runtime"
 	"testing"
 
@@ -32,6 +33,19 @@ func TestBuildAndBoot(t *testing.T) {
 		}
 		if n.BootWords() == 0 {
 			t.Fatal("node booted without loading code (no PROMs!)")
+		}
+	}
+}
+
+// TestWireNamesMatchFmt: Build names every wire without fmt, and each
+// name is byte-identical to the fmt.Sprintf("w%d%v") form it replaced.
+func TestWireNamesMatchFmt(t *testing.T) {
+	m := Build(event.New(), DefaultConfig(geom.MakeShape(2, 2, 2)))
+	for r := range m.Nodes {
+		for _, l := range geom.AllLinks() {
+			if got, want := m.Wire(r, l).Name(), fmt.Sprintf("w%d%v", r, l); got != want {
+				t.Errorf("wire name %q, want %q", got, want)
+			}
 		}
 	}
 }

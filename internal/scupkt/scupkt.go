@@ -13,6 +13,7 @@
 package scupkt
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/bits"
@@ -167,27 +168,38 @@ const (
 // without dynamic allocation, matching hardware that has none.
 const MaxFrameBytes = 10
 
-// Wire is one frame as it exists on the bit-serial link: a fixed-size
-// byte array plus a length, passed **by value** through the transmit
-// and receive pipelines. Value semantics are the memory model of the
-// hardware registers it stands in for — handing a Wire to another layer
-// copies the bits, so no layer can alias or retain another's buffer,
-// and the steady-state frame path allocates nothing.
+// Wire is one frame as it exists on the bit-serial link, held in two
+// machine words: frame byte i is bits 8i..8i+7 of lo (bytes 0-7) or of
+// hi (bytes 8-9), and every bit past the frame's length is zero. A Wire
+// is passed **by value** through the transmit and receive pipelines.
+// Value semantics are the memory model of the hardware registers it
+// stands in for — handing a Wire to another layer copies the bits, so
+// no layer can alias or retain another's buffer, and the steady-state
+// frame path allocates nothing.
 type Wire struct {
-	n   uint8
-	buf [MaxFrameBytes]byte
+	lo uint64
+	hi uint16
+	n  uint8
 }
 
 // WireOf builds a frame from raw bytes (tests and fault rigs). It
 // panics if b exceeds MaxFrameBytes, which no legal frame does.
 func WireOf(b []byte) Wire {
-	var w Wire
 	if len(b) > MaxFrameBytes {
 		panic("scupkt: frame larger than MaxFrameBytes")
 	}
-	w.n = uint8(copy(w.buf[:], b))
-	return w
+	var buf [16]byte
+	copy(buf[:], b)
+	return Wire{lo: binary.LittleEndian.Uint64(buf[:]), hi: binary.LittleEndian.Uint16(buf[8:]), n: uint8(len(b))}
 }
+
+// WireOfWords rebuilds a frame of n bytes from the two words Words
+// returned — how a frame crosses a shard boundary inside an
+// event.Payload.
+func WireOfWords(lo, hi uint64, n int) Wire { return Wire{lo: lo, hi: uint16(hi), n: uint8(n)} }
+
+// Words returns the frame's two machine words (see Wire).
+func (w *Wire) Words() (lo, hi uint64) { return w.lo, uint64(w.hi) }
 
 // Len returns the frame's size in bytes.
 func (w *Wire) Len() int { return int(w.n) }
@@ -195,10 +207,14 @@ func (w *Wire) Len() int { return int(w.n) }
 // Bits returns the frame's size on the bit-serial link.
 func (w *Wire) Bits() int { return 8 * int(w.n) }
 
-// Bytes returns the frame's contents as a slice of the receiver's
-// backing array. The slice aliases the Wire it was taken from — use it
-// for inspection in place, not for retention.
-func (w *Wire) Bytes() []byte { return w.buf[:w.n] }
+// Bytes returns a copy of the frame's contents, for fault rigs and
+// tests; the word path never reads a frame as bytes.
+func (w *Wire) Bytes() []byte {
+	var buf [16]byte
+	binary.LittleEndian.PutUint64(buf[:], w.lo)
+	binary.LittleEndian.PutUint16(buf[8:], w.hi)
+	return append([]byte(nil), buf[:w.n]...)
+}
 
 // FlipBit inverts one bit of the frame, indexed little-endian within
 // each byte and taken modulo the frame's bit length — the single-bit
@@ -208,13 +224,53 @@ func (w *Wire) FlipBit(bit int) {
 		return
 	}
 	bit %= int(w.n) * 8
-	w.buf[bit/8] ^= 1 << (bit % 8)
+	if bit < 64 {
+		w.lo ^= 1 << bit
+	} else {
+		w.hi ^= 1 << (bit - 64)
+	}
 }
 
-// Decode parses the packet held in the frame. Semantics match the
-// package-level Decode, with no intermediate buffer.
+// Decode parses the packet at the front of the frame, returning the
+// packet and the number of bytes it spans. On a parity failure it still
+// reports the frame length so the stream can resynchronize, along with
+// the error; a corrupt type code spans one byte.
 func (w *Wire) Decode() (Packet, int, error) {
-	return Decode(w.buf[:w.n])
+	if w.n < HeaderBytes {
+		return Packet{}, 0, ErrTruncated
+	}
+	hdr := uint8(w.lo)
+	kind, ok := decodeKind(hdr >> 2)
+	if !ok {
+		// The type field is corrupt; the frame length is unknowable, so the
+		// link layer must resynchronize. We consume a single byte.
+		return Packet{}, 1, ErrHeaderCorrupt
+	}
+	p := Packet{Kind: kind}
+	n := IdleFrame
+	switch kind {
+	case Idle:
+		// Header only. The parity bits cover no payload and are sent as
+		// zero, so a nonzero pair is a corrupted header — caught by the
+		// parity check below rather than ignored (found by FuzzWireDecode:
+		// without it, a flipped parity bit on an idle frame decoded cleanly).
+	case PartIRQ, Ack:
+		if w.n < AckFrame {
+			return Packet{}, 0, ErrTruncated
+		}
+		p.Payload = w.lo >> 8 & 0xFF
+		n = AckFrame
+	default: // Data0..3, Supervisor
+		if w.n < DataFrame {
+			return Packet{}, 0, ErrTruncated
+		}
+		p.Payload = bits.ReverseBytes64(w.lo>>8 | uint64(w.hi)<<56)
+		n = DataFrame
+	}
+	if parityBits(p.Payload) != hdr&3 {
+		return p, n, ErrParity
+	}
+	return p, n, nil
 }
 
 // FrameBytes returns the wire size of the packet in bytes.
@@ -235,41 +291,24 @@ func (p Packet) FrameBytes() int {
 func (p Packet) FrameBits() int { return 8 * p.FrameBytes() }
 
 // Wire encodes the packet directly into a value frame — the per-word
-// path of the SCU transmit engines, with no heap allocation.
+// path of the SCU transmit engines, with no heap allocation. The header
+// is byte 0 and a data word follows most significant byte first, so the
+// payload bytes are the byte-reversed word shifted up by one byte.
 func (p Packet) Wire() Wire {
-	var w Wire
-	var par uint8
+	hdr := uint64(encodeKind(p.Kind) << 2)
 	switch p.Kind {
 	case Idle:
-		// No payload, no parity.
+		return Wire{lo: hdr, n: IdleFrame} // no payload, no parity
 	case PartIRQ, Ack:
-		par = parityBits(p.Payload & 0xFF)
+		b := p.Payload & 0xFF
+		return Wire{lo: hdr | uint64(parityBits(b)) | b<<8, n: AckFrame}
 	default: // Data0..3, Supervisor
-		par = parityBits(p.Payload)
+		r := bits.ReverseBytes64(p.Payload)
+		return Wire{lo: hdr | uint64(parityBits(p.Payload)) | r<<8, hi: uint16(r >> 56), n: DataFrame}
 	}
-	w.buf[0] = encodeKind(p.Kind)<<2 | par
-	w.n = HeaderBytes
-	switch p.Kind {
-	case Idle:
-	case PartIRQ, Ack:
-		w.buf[HeaderBytes] = byte(p.Payload)
-		w.n = HeaderBytes + 1
-	default:
-		for i, shift := 0, 56; shift >= 0; i, shift = i+1, shift-8 {
-			w.buf[HeaderBytes+i] = byte(p.Payload >> shift)
-		}
-		w.n = DataFrame
-	}
-	return w
 }
 
-// Encode serializes the packet, appending to dst and returning the result.
-func (p Packet) Encode(dst []byte) []byte {
-	w := p.Wire()
-	return append(dst, w.buf[:w.n]...)
-}
-
-// Errors returned by Decode. Header and parity failures cause the
+// Errors returned by Wire.Decode. Header and parity failures cause the
 // receiver to respond with a Nak, triggering the automatic hardware
 // resend.
 var (
@@ -277,58 +316,6 @@ var (
 	ErrParity        = errors.New("scupkt: data parity mismatch")
 	ErrTruncated     = errors.New("scupkt: truncated frame")
 )
-
-// Decode parses one packet from the front of buf, returning the packet
-// and the number of bytes consumed. On a parity failure it still reports
-// the frame length so the stream can resynchronize, along with the error.
-func Decode(buf []byte) (Packet, int, error) {
-	if len(buf) < HeaderBytes {
-		return Packet{}, 0, ErrTruncated
-	}
-	hdr := buf[0]
-	kind, ok := decodeKind(hdr >> 2)
-	if !ok {
-		// The type field is corrupt; the frame length is unknowable, so the
-		// link layer must resynchronize. We consume a single byte.
-		return Packet{}, 1, ErrHeaderCorrupt
-	}
-	par := hdr & 3
-	p := Packet{Kind: kind}
-	n := HeaderBytes
-	switch kind {
-	case Idle:
-		// Header only. The parity bits cover no payload and are sent as
-		// zero, so a nonzero pair is a corrupted header — caught here
-		// rather than ignored (found by FuzzWireDecode: without this, a
-		// flipped parity bit on an idle frame decoded cleanly).
-		if par != 0 {
-			return p, n, ErrParity
-		}
-	case PartIRQ, Ack:
-		if len(buf) < HeaderBytes+1 {
-			return Packet{}, 0, ErrTruncated
-		}
-		p.Payload = uint64(buf[HeaderBytes])
-		n = HeaderBytes + 1
-		if parityBits(p.Payload) != par {
-			return p, n, ErrParity
-		}
-	default: // Data0..3, Supervisor
-		if len(buf) < DataFrame {
-			return Packet{}, 0, ErrTruncated
-		}
-		var w uint64
-		for i := 0; i < WordBytes; i++ {
-			w = w<<8 | uint64(buf[HeaderBytes+i])
-		}
-		p.Payload = w
-		n = DataFrame
-		if parityBits(w) != par {
-			return p, n, ErrParity
-		}
-	}
-	return p, n, nil
-}
 
 // Checksum accumulates the running end-of-link checksum the paper
 // describes: "checksums at each end of the link are kept, so at the

@@ -1,14 +1,80 @@
 package scupkt
 
 import (
+	"bytes"
 	"errors"
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func allKinds() []Kind {
 	return []Kind{Idle, Data0, Data1, Data2, Data3, Supervisor, PartIRQ, Ack}
+}
+
+// refEncode is the byte-at-a-time encoder the two-word codec replaced,
+// kept as its oracle: the header byte, then the payload most
+// significant byte first, appended to dst.
+func refEncode(p Packet, dst []byte) []byte {
+	switch p.Kind {
+	case Idle:
+		return append(dst, encodeKind(p.Kind)<<2)
+	case PartIRQ, Ack:
+		return append(dst, encodeKind(p.Kind)<<2|parityBits(p.Payload&0xFF), byte(p.Payload))
+	default: // Data0..3, Supervisor
+		dst = append(dst, encodeKind(p.Kind)<<2|parityBits(p.Payload))
+		for shift := 56; shift >= 0; shift -= 8 {
+			dst = append(dst, byte(p.Payload>>shift))
+		}
+		return dst
+	}
+}
+
+// refDecode is the byte-slice decoder the two-word codec replaced, kept
+// as its oracle: one packet from the front of buf, the bytes it spans,
+// and the error, with Wire.Decode's contract.
+func refDecode(buf []byte) (Packet, int, error) {
+	if len(buf) < HeaderBytes {
+		return Packet{}, 0, ErrTruncated
+	}
+	hdr := buf[0]
+	kind, ok := decodeKind(hdr >> 2)
+	if !ok {
+		return Packet{}, 1, ErrHeaderCorrupt
+	}
+	par := hdr & 3
+	p := Packet{Kind: kind}
+	n := HeaderBytes
+	switch kind {
+	case Idle:
+		if par != 0 {
+			return p, n, ErrParity
+		}
+	case PartIRQ, Ack:
+		if len(buf) < HeaderBytes+1 {
+			return Packet{}, 0, ErrTruncated
+		}
+		p.Payload = uint64(buf[HeaderBytes])
+		n = HeaderBytes + 1
+		if parityBits(p.Payload) != par {
+			return p, n, ErrParity
+		}
+	default: // Data0..3, Supervisor
+		if len(buf) < DataFrame {
+			return Packet{}, 0, ErrTruncated
+		}
+		var w uint64
+		for i := 0; i < WordBytes; i++ {
+			w = w<<8 | uint64(buf[HeaderBytes+i])
+		}
+		p.Payload = w
+		n = DataFrame
+		if parityBits(w) != par {
+			return p, n, ErrParity
+		}
+	}
+	return p, n, nil
 }
 
 func TestKindCodewordsDistance(t *testing.T) {
@@ -80,6 +146,30 @@ func TestSingleBitHeaderFlipDetected(t *testing.T) {
 	}
 }
 
+// TestWireMatchesReferenceEncode holds the two-word encoder to the byte
+// loop: every Kind value (the eight kinds and the out-of-range ones,
+// which encode as data), payloads 0, all ones and seeded random words.
+func TestWireMatchesReferenceEncode(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	payloads := []uint64{0, ^uint64(0), 0x0123456789ABCDEF}
+	for i := 0; i < 64; i++ {
+		payloads = append(payloads, rng.Uint64())
+	}
+	for k := 0; k < 256; k++ {
+		for _, pl := range payloads {
+			p := Packet{Kind: Kind(k), Payload: pl}
+			w := p.Wire()
+			want := refEncode(p, nil)
+			if got := w.Bytes(); !bytes.Equal(got, want) {
+				t.Fatalf("%+v: Wire() = %x, reference %x", p, got, want)
+			}
+			if p.Kind < numKinds && (w.Len() != p.FrameBytes() || w.Bits() != p.FrameBits()) {
+				t.Fatalf("%+v: %d bytes / %d bits, FrameBytes says %d", p, w.Len(), w.Bits(), p.FrameBytes())
+			}
+		}
+	}
+}
+
 func TestEncodeDecodePackets(t *testing.T) {
 	cases := []Packet{
 		{Kind: Idle},
@@ -94,17 +184,14 @@ func TestEncodeDecodePackets(t *testing.T) {
 		{Kind: Ack, Payload: uint64(AckSup)},
 	}
 	for _, want := range cases {
-		buf := want.Encode(nil)
-		if len(buf) != want.FrameBytes() {
-			t.Errorf("%v: encoded %d bytes, FrameBytes says %d", want, len(buf), want.FrameBytes())
-		}
-		got, n, err := Decode(buf)
+		w := want.Wire()
+		got, n, err := w.Decode()
 		if err != nil {
 			t.Errorf("%v: decode error %v", want, err)
 			continue
 		}
-		if n != len(buf) {
-			t.Errorf("%v: consumed %d of %d", want, n, len(buf))
+		if n != w.Len() {
+			t.Errorf("%v: consumed %d of %d", want, n, w.Len())
 		}
 		if got != want {
 			t.Errorf("decode = %+v, want %+v", got, want)
@@ -113,7 +200,8 @@ func TestEncodeDecodePackets(t *testing.T) {
 }
 
 func TestDecodeStream(t *testing.T) {
-	// Several packets back to back decode in order.
+	// Packets back to back decode in order: a frame reads only its own
+	// bytes off the front of whatever follows it.
 	packets := []Packet{
 		{Kind: Data0, Payload: 1},
 		{Kind: Ack, Payload: 0},
@@ -124,10 +212,11 @@ func TestDecodeStream(t *testing.T) {
 	}
 	var buf []byte
 	for _, p := range packets {
-		buf = p.Encode(buf)
+		buf = refEncode(p, buf)
 	}
 	for i, want := range packets {
-		got, n, err := Decode(buf)
+		w := WireOf(buf[:min(len(buf), MaxFrameBytes)])
+		got, n, err := w.Decode()
 		if err != nil {
 			t.Fatalf("packet %d: %v", i, err)
 		}
@@ -144,36 +233,27 @@ func TestDecodeStream(t *testing.T) {
 func TestDataPayloadBitFlipCaught(t *testing.T) {
 	// A single bit flip anywhere in the payload trips one of the two
 	// parity bits.
-	p := Packet{Kind: Data0, Payload: 0x0123456789ABCDEF}
-	base := p.Encode(nil)
-	for bit := 0; bit < 64; bit++ {
-		buf := append([]byte(nil), base...)
-		byteIdx := HeaderBytes + (63-bit)/8
-		buf[byteIdx] ^= 1 << (bit % 8)
-		_, _, err := Decode(buf)
-		if !errors.Is(err, ErrParity) {
-			t.Fatalf("payload bit %d flip: err = %v, want ErrParity", bit, err)
+	base := Packet{Kind: Data0, Payload: 0x0123456789ABCDEF}.Wire()
+	for bit := 8; bit < 8*DataFrame; bit++ {
+		w := base
+		w.FlipBit(bit)
+		if _, _, err := w.Decode(); !errors.Is(err, ErrParity) {
+			t.Fatalf("frame bit %d flip: err = %v, want ErrParity", bit, err)
 		}
 	}
 }
 
 func TestHeaderBitFlipCaught(t *testing.T) {
-	p := Packet{Kind: Data2, Payload: 123456}
-	base := p.Encode(nil)
-	for bit := 2; bit < 8; bit++ { // type-code bits
-		buf := append([]byte(nil), base...)
-		buf[0] ^= 1 << bit
-		_, _, err := Decode(buf)
-		if !errors.Is(err, ErrHeaderCorrupt) {
-			t.Fatalf("header bit %d flip: err = %v, want ErrHeaderCorrupt", bit, err)
+	base := Packet{Kind: Data2, Payload: 123456}.Wire()
+	for bit := 0; bit < 8; bit++ {
+		want := ErrHeaderCorrupt // type-code bits 7..2
+		if bit < 2 {
+			want = ErrParity // parity bits
 		}
-	}
-	for bit := 0; bit < 2; bit++ { // parity bits
-		buf := append([]byte(nil), base...)
-		buf[0] ^= 1 << bit
-		_, _, err := Decode(buf)
-		if !errors.Is(err, ErrParity) {
-			t.Fatalf("parity bit %d flip: err = %v, want ErrParity", bit, err)
+		w := base
+		w.FlipBit(bit)
+		if _, _, err := w.Decode(); !errors.Is(err, want) {
+			t.Fatalf("header bit %d flip: err = %v, want %v", bit, err, want)
 		}
 	}
 }
@@ -182,11 +262,9 @@ func TestAnySingleBitFlipDetectedQuick(t *testing.T) {
 	// Property: for random data packets and any single-bit flip of the
 	// frame, Decode returns an error (never a silently wrong packet).
 	f := func(payload uint64, seq uint8, bitSel uint16) bool {
-		p := Packet{Kind: DataKind(int(seq)), Payload: payload}
-		buf := p.Encode(nil)
-		bit := int(bitSel) % (len(buf) * 8)
-		buf[bit/8] ^= 1 << (bit % 8)
-		_, _, err := Decode(buf)
+		w := Packet{Kind: DataKind(int(seq)), Payload: payload}.Wire()
+		w.FlipBit(int(bitSel))
+		_, _, err := w.Decode()
 		return err != nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
@@ -195,15 +273,32 @@ func TestAnySingleBitFlipDetectedQuick(t *testing.T) {
 }
 
 func TestDecodeTruncated(t *testing.T) {
-	p := Packet{Kind: Data1, Payload: 77}
-	buf := p.Encode(nil)
-	for n := 1; n < len(buf); n++ {
-		if _, _, err := Decode(buf[:n]); !errors.Is(err, ErrTruncated) {
+	buf := refEncode(Packet{Kind: Data1, Payload: 77}, nil)
+	for n := 0; n < len(buf); n++ {
+		w := WireOf(buf[:n])
+		if _, _, err := w.Decode(); !errors.Is(err, ErrTruncated) {
 			t.Fatalf("truncated to %d: err = %v", n, err)
 		}
 	}
-	if _, _, err := Decode(nil); !errors.Is(err, ErrTruncated) {
-		t.Fatalf("empty: err = %v", err)
+}
+
+// TestWireIsTwoWords pins the frame's size: two machine words, so a
+// frame is copied by a pair of word moves.
+func TestWireIsTwoWords(t *testing.T) {
+	if got := unsafe.Sizeof(Wire{}); got != 16 {
+		t.Fatalf("unsafe.Sizeof(Wire{}) = %d, want 16", got)
+	}
+}
+
+func TestCodecAllocFree(t *testing.T) {
+	var sink uint64
+	allocs := testing.AllocsPerRun(1000, func() {
+		w := Packet{Kind: Data2, Payload: sink + 0x9E3779B97F4A7C15}.Wire()
+		p, n, _ := w.Decode()
+		sink += p.Payload + uint64(n)
+	})
+	if allocs != 0 {
+		t.Fatalf("encode + decode allocates %v times", allocs)
 	}
 }
 
