@@ -40,7 +40,7 @@ BENCH_OBS_SET = ^(BenchmarkHistogramRecord|BenchmarkTelemetryOverhead|BenchmarkM
 # Pinned in BENCH_chaos.json.
 BENCH_CHAOS_SET = ^BenchmarkChaosRecovery$$
 
-.PHONY: check vet lint fuzz build test race bench bench-smoke benchall tables chaos chaos-storm fleet obs loc
+.PHONY: check vet lint fuzz build test race bench bench-smoke bench-micro-smoke benchall tables chaos chaos-storm fleet obs loc
 
 check: vet lint build race fuzz
 
@@ -105,6 +105,12 @@ bench-smoke:
 	$(GO) -C bench vet ./...
 	$(GO) -C bench test ./...
 	$(GO) -C bench run . -smoke
+
+# One iteration of each pinned microbenchmark ($(BENCH_SET)), so the
+# code the BENCH_frames.json records time runs on every push, not only
+# when `make bench` re-records them.
+bench-micro-smoke:
+	$(GO) test -run '^$$' -bench '$(BENCH_SET)' -benchtime 1x .
 
 tables:
 	$(GO) run ./cmd/benchtables

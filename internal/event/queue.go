@@ -145,13 +145,11 @@ func (e *Engine) enqueue(at Time, fn func(), h Handler, arg, flow uint64) {
 	q := &e.events
 	q.n++
 	q.stats.HighWater = max(q.stats.HighWater, uint64(q.n))
-	// at - tail as unsigned is the gap to a lane that fits and at least
-	// 1<<63 for one that does not (times are never negative).
-	best, gap := srcNone, uint64(1)<<63
-	for i := range q.tails {
-		if g := uint64(at - q.tails[i]); g < gap {
-			best, gap = i, g
-		}
+	// A live lane's tail is at least now and a drained lane's at most now,
+	// so the drained lanes are scanned only when no live lane fits.
+	best := q.bestFit(at, q.live)
+	if best == srcNone {
+		best = q.bestFit(at, ^q.live&(1<<numLanes-1))
 	}
 	if best == srcNone {
 		q.stats.HeapFallbacks++
@@ -164,9 +162,25 @@ func (e *Engine) enqueue(at Time, fn func(), h Handler, arg, flow uint64) {
 	if l.n == len(l.buf) {
 		l.grow()
 	}
-	l.buf[(l.head+l.n)&(len(l.buf)-1)] = item{at: at, seq: e.seq, fn: fn, h: h, arg: arg, flow: flow}
+	s := &l.buf[(l.head+l.n)&(len(l.buf)-1)]
+	s.at, s.seq, s.fn, s.h, s.arg, s.flow = at, e.seq, fn, h, arg, flow
 	l.n++
 	q.live |= 1 << best
+}
+
+// bestFit returns the lane of mask whose tail is latest among those not
+// after at, the lowest index on a tie, or srcNone.
+func (q *eventQueue) bestFit(at Time, mask uint) int {
+	// at - tail as unsigned is the gap to a lane that fits and at least
+	// 1<<63 for one that does not (times are never negative).
+	best, gap := srcNone, uint64(1)<<63
+	for ; mask != 0; mask &= mask - 1 {
+		i := bits.TrailingZeros(mask) & (numLanes - 1)
+		if g := uint64(at - q.tails[i]); g < gap {
+			best, gap = i, g
+		}
+	}
+	return best
 }
 
 // requeue stores an event under a sequence number it already holds (a
@@ -199,34 +213,39 @@ func (e *Engine) peekTime() (Time, int) {
 	return at, src
 }
 
-// dispatchNext pops and executes the event peekTime found at src.
+// dispatchNext pops and executes the event peekTime found at src. A lane
+// head is read in place and only its references are cleared; its fields
+// are loaded first, as the freed slot may take an event the tracer or
+// the event itself schedules.
 func (e *Engine) dispatchNext(src int) {
-	var next item
+	var next *item
 	if src == srcHeap {
-		next = e.events.heap.pop()
+		top := e.events.heap.pop()
+		next = &top
 	} else {
 		l := &e.events.lanes[src]
-		next = l.buf[l.head]
-		l.buf[l.head] = item{} // release fn/handler references
+		next = &l.buf[l.head]
 		l.head = (l.head + 1) & (len(l.buf) - 1)
 		if l.n--; l.n == 0 {
 			e.events.live &^= 1 << src
 		}
 	}
+	at, seq, fn, h, arg, flow := next.at, next.seq, next.fn, next.h, next.arg, next.flow
+	next.fn, next.h = nil, nil // release fn/handler references
 	e.events.n--
-	e.now = next.at
+	e.now = at
 	e.executed++
-	e.curFlow = next.flow
-	e.lastSeq = next.seq
+	e.curFlow = flow
+	e.lastSeq = seq
 	if e.tracer != nil {
-		e.tracer(next.at)
+		e.tracer(at)
 	}
 	if e.ring != nil {
-		e.ring.record(next.at, next.seq, next.flow, next.fn, next.h, next.arg)
+		e.ring.record(at, seq, flow, fn, h, arg)
 	}
-	if next.fn != nil {
-		next.fn()
+	if fn != nil {
+		fn()
 	} else {
-		next.h.HandleEvent(next.arg)
+		h.HandleEvent(arg)
 	}
 }

@@ -34,6 +34,7 @@ type qprog struct {
 	delays []Time   // what a random step draws its delays from
 	stopAt int      // len(got) when a step called Stop, else -1
 	npay   int      // payloads accepted
+	lane   int      // where the full scan puts the push note logged
 }
 
 func newQprog(t *testing.T, seed int64, budget int, delays ...Time) *qprog {
@@ -55,10 +56,38 @@ func (p *qprog) note(at Time) {
 		at = p.e.now
 	}
 	p.pushes = append(p.pushes, qkey{at, p.e.seq + 1})
+	p.lane = fullScanFit(&p.e.events, at)
 }
 
-func (p *qprog) at(at Time)      { p.note(at); p.e.At(at, p.step) }
-func (p *qprog) handler(at Time) { p.note(at); p.e.AtHandler(at, p, 0) }
+// fullScanFit is the lane best fit over all lanes at once, the lowest
+// index on a tie, or srcNone. enqueue scans the live lanes before the
+// drained ones; a live lane's tail is at least now and a drained lane's
+// at most now, so the two must pick the same lane.
+func fullScanFit(q *eventQueue, at Time) int {
+	best, gap := srcNone, uint64(1)<<63
+	for i, tail := range q.tails {
+		if g := uint64(at - tail); g < gap {
+			best, gap = i, g
+		}
+	}
+	return best
+}
+
+// placed checks that the push note logged went where fullScanFit said.
+func (p *qprog) placed() {
+	got := srcNone
+	for i := range p.e.events.lanes {
+		if l := &p.e.events.lanes[i]; l.n > 0 && l.buf[(l.head+l.n-1)&(len(l.buf)-1)].seq == p.e.seq {
+			got = i
+		}
+	}
+	if got != p.lane {
+		p.t.Fatalf("event (%d, %d) went to lane %d, the full scan picks %d", p.e.now, p.e.seq, got, p.lane)
+	}
+}
+
+func (p *qprog) at(at Time)      { p.note(at); p.e.At(at, p.step); p.placed() }
+func (p *qprog) handler(at Time) { p.note(at); p.e.AtHandler(at, p, 0); p.placed() }
 func (p *qprog) payload(at Time) {
 	p.note(at)
 	had := p.npay
@@ -66,6 +95,7 @@ func (p *qprog) payload(at Time) {
 	if p.npay != had+1 {
 		p.t.Fatal("CrossPayload on one engine did not hand over the payload")
 	}
+	p.placed()
 }
 func (p *qprog) arm(i int, d Time) {
 	p.timers[i].Arm(d)
@@ -256,6 +286,19 @@ func TestQueueOrderAdversarial(t *testing.T) {
 		p.run(1100)
 		p.run(Forever)
 	})
+	t.Run("a live and a drained lane tie on tail", func(t *testing.T) {
+		// Unused lanes keep tail 0, so lane 1, live at tail 0, ties with
+		// lanes 2.. on the push at 300: both scans pick lane 1.
+		p := newQprog(t, 6, 0, 0)
+		p.at(500) // lane 0
+		p.at(0)   // lane 1
+		p.at(300) // lane 1, tying with the drained lanes
+		p.at(100) // fits no live lane: lane 2
+		if l := &p.e.events.lanes; l[0].n != 1 || l[1].n != 2 || l[2].n != 1 {
+			t.Fatalf("lanes hold %d, %d, %d events, want 1, 2, 1", l[0].n, l[1].n, l[2].n)
+		}
+		p.run(Forever)
+	})
 	t.Run("horizon between two lanes' heads", func(t *testing.T) {
 		p := newQprog(t, 5, 0, 0)
 		p.at(300) // lane 0
@@ -273,8 +316,9 @@ func TestQueueOrderAdversarial(t *testing.T) {
 // and which delays it draws from.
 func FuzzQueueOrder(f *testing.F) {
 	f.Add(int64(1), uint16(500), uint8(0xff))
-	f.Add(int64(2), uint16(3000), uint8(0x01)) // zero delays only
-	f.Add(int64(3), uint16(100), uint8(0xc0))  // far timers only
+	f.Add(int64(2), uint16(3000), uint8(0x01))  // zero delays only
+	f.Add(int64(3), uint16(100), uint8(0xc0))   // far timers only
+	f.Add(int64(583), uint16(800), uint8(0xff)) // a lane at time 0 ties the unused lanes
 	f.Fuzz(func(t *testing.T, seed int64, budget uint16, mask uint8) {
 		var delays []Time
 		for i, d := range mixed() {

@@ -70,7 +70,7 @@ type Wire struct {
 	eng     *event.Engine // transmitter's engine: Send, training, fault state
 	rxEng   *event.Engine // receiver's engine: delivery, OnFrame
 	name    string
-	clock   event.Hz
+	bit     event.Time // one bit on the wire: the link clock's cycle
 	prop    event.Time
 	handler func(Frame) // the receiver; see OnFrame
 	trained bool
@@ -110,7 +110,7 @@ func NewWire(eng *event.Engine, name string, clock event.Hz, prop event.Time) *W
 // modelled arrival — which the conservative lookahead (MinLatency)
 // guarantees is always at least one window away.
 func NewWireBetween(tx, rx *event.Engine, name string, clock event.Hz, prop event.Time) *Wire {
-	return &Wire{eng: tx, rxEng: rx, name: name, clock: clock, prop: prop}
+	return &Wire{eng: tx, rxEng: rx, name: name, bit: clock.Cycle(), prop: prop}
 }
 
 // MinTransmittedFrameBytes is the smallest frame the SCU ever puts on a
@@ -144,7 +144,7 @@ var ErrNotTrained = errors.New("hssl: link not trained")
 // TrainTime is the duration of the power-on training handshake: the
 // serialization time of the training pattern plus one propagation delay.
 func (w *Wire) TrainTime() event.Time {
-	return w.clock.Cycles(int64(TrainingBytes*8)) + w.prop
+	return TrainingBytes*8*w.bit + w.prop
 }
 
 // TrainAsync performs the power-on training handshake: the transmitter
@@ -180,7 +180,7 @@ func (w *Wire) Kill() { w.dead = true }
 
 // SerializeTime returns how long the given frame occupies the transmitter.
 func (w *Wire) SerializeTime(nBytes int) event.Time {
-	return w.clock.Cycles(int64(nBytes) * 8)
+	return event.Time(nBytes) * 8 * w.bit
 }
 
 // Send launches a frame onto the wire. It returns the time at which the
@@ -216,18 +216,23 @@ func (w *Wire) Send(data scupkt.Wire) (event.Time, error) {
 		return arrive, nil
 	}
 
-	// The fault injector mutates the wire's transmit slot, not a stack
-	// frame whose address would put one Frame on the heap per send. The
-	// frame then goes by value into the in-flight ring or, to a receiver
-	// on another shard, the cluster mailbox, timed at its modelled arrival.
-	w.xmit = Frame{Wire: data, Seq: w.seq}
-	if w.fault != nil && w.fault(&w.xmit) {
-		w.stats.Corrupted++
+	// A fault injector mutates the wire's transmit slot, not a stack frame
+	// whose address would put one Frame on the heap per send; a clean wire
+	// never touches the slot. The frame then goes by value into the
+	// in-flight ring or, to a receiver on another shard, the cluster
+	// mailbox, timed at its modelled arrival.
+	f := Frame{Wire: data, Seq: w.seq}
+	if w.fault != nil {
+		w.xmit = f
+		if w.fault(&w.xmit) {
+			w.stats.Corrupted++
+		}
+		f = w.xmit
 	}
 	if w.rxEng != w.eng {
-		w.eng.CrossPayload(w.rxEng, arrive, w, 0, packFrame(&w.xmit))
+		w.eng.CrossPayload(w.rxEng, arrive, w, 0, packFrame(f))
 	} else {
-		w.pushInFlight(w.xmit)
+		w.pushInFlight(f)
 		w.eng.AtHandler(arrive, w, 0)
 	}
 	return arrive, nil
@@ -235,7 +240,7 @@ func (w *Wire) Send(data scupkt.Wire) (event.Time, error) {
 
 // packFrame flattens a frame into a cross-shard payload value: the wire
 // sequence number, the byte count and the frame's two words.
-func packFrame(f *Frame) event.Payload {
+func packFrame(f Frame) event.Payload {
 	lo, hi := f.Words()
 	return event.Payload{f.Seq, uint64(f.Len()), lo, hi}
 }
@@ -269,21 +274,23 @@ func (w *Wire) pushInFlight(f Frame) {
 	if w.flyLen == len(w.fly) {
 		w.growInFlight()
 	}
-	w.fly[(w.flyHead+w.flyLen)%len(w.fly)] = f
+	w.fly[(w.flyHead+w.flyLen)&(len(w.fly)-1)] = f
 	w.flyLen++
 }
 
 func (w *Wire) popInFlight() Frame {
 	f := w.fly[w.flyHead]
-	w.flyHead = (w.flyHead + 1) % len(w.fly)
+	w.flyHead = (w.flyHead + 1) & (len(w.fly) - 1)
 	w.flyLen--
 	return f
 }
 
+// growInFlight doubles the ring; its length is zero or a power of two,
+// so an index wraps with a mask.
 func (w *Wire) growInFlight() {
 	grown := make([]Frame, max(4, 2*len(w.fly)))
 	for i := 0; i < w.flyLen; i++ {
-		grown[i] = w.fly[(w.flyHead+i)%len(w.fly)]
+		grown[i] = w.fly[(w.flyHead+i)&(len(w.fly)-1)]
 	}
 	w.fly = grown
 	w.flyHead = 0
@@ -293,10 +300,10 @@ func (w *Wire) growInFlight() {
 // backing array (machine.Pool recycles rings across machine builds so a
 // fleet doesn't re-grow every wire's ring from nothing). Frames are
 // pure values — a ring carries no references — so a previous machine's
-// ring is safe to adopt as-is. No-op once frames are in flight or on an
-// empty ring.
+// ring is safe to adopt as-is. No-op once frames are in flight, or on a
+// ring whose length is not a power of two (the ring wraps with a mask).
 func (w *Wire) AdoptRing(ring []Frame) {
-	if len(ring) > 0 && w.flyLen == 0 {
+	if n := len(ring); n > 0 && n&(n-1) == 0 && w.flyLen == 0 {
 		w.fly = ring
 		w.flyHead = 0
 	}

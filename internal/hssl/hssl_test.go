@@ -3,6 +3,7 @@ package hssl
 import (
 	"bytes"
 	"errors"
+	"math/rand"
 	"testing"
 	"unsafe"
 
@@ -206,5 +207,62 @@ func TestReset(t *testing.T) {
 func TestFrameIsThreeWords(t *testing.T) {
 	if got := unsafe.Sizeof(Frame{}); got != 24 {
 		t.Fatalf("unsafe.Sizeof(Frame{}) = %d, want 24", got)
+	}
+}
+
+// TestBitTimeMatchesClockCycles holds the stored bit time to the clock
+// arithmetic it replaced, at the target clock and the 360, 420 and
+// 450 MHz of the paper's §4 machines.
+func TestBitTimeMatchesClockCycles(t *testing.T) {
+	for _, clock := range []event.Hz{DefaultClock, 360 * event.MHz, 420 * event.MHz, 450 * event.MHz} {
+		w := NewWire(event.New(), "w", clock, DefaultPropagation)
+		for _, n := range []int{1, 2, 9, 10} {
+			if got, want := w.SerializeTime(n), clock.Cycles(int64(n)*8); got != want {
+				t.Errorf("%v: SerializeTime(%d) = %v, want %v", clock, n, got, want)
+			}
+		}
+		if got, want := w.TrainTime(), clock.Cycles(TrainingBytes*8)+DefaultPropagation; got != want {
+			t.Errorf("%v: TrainTime = %v, want %v", clock, got, want)
+		}
+	}
+}
+
+// TestInFlightRingWraps runs a seeded FIFO through the masked ring at
+// every power-of-two size from 4 to 64, at most size-1 frames deep so it
+// wraps without growing, for at least three wraps, against a slice FIFO.
+func TestInFlightRingWraps(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for size := 4; size <= 64; size *= 2 {
+		w := NewWire(event.New(), "w", DefaultClock, DefaultPropagation)
+		ring := make([]Frame, size)
+		w.AdoptRing(ring)
+		var want []Frame
+		for seq := uint64(0); seq < uint64(4*size) || len(want) > 0; {
+			if len(want) < size-1 && seq < uint64(4*size) && (len(want) == 0 || rng.Intn(2) == 0) {
+				seq++
+				f := Frame{Wire: scupkt.Packet{Kind: scupkt.DataKind(int(seq)), Payload: rng.Uint64()}.Wire(), Seq: seq}
+				w.pushInFlight(f)
+				want = append(want, f)
+				continue
+			}
+			if got := w.popInFlight(); got != want[0] {
+				t.Fatalf("size %d: popped %+v, want %+v", size, got, want[0])
+			}
+			want = want[1:]
+		}
+		if len(w.fly) != size || &w.fly[0] != &ring[0] {
+			t.Fatalf("size %d: the adopted ring was replaced (now %d frames)", size, len(w.fly))
+		}
+	}
+	// A ring whose length is no power of two is refused: the wire grows
+	// its own.
+	w := NewWire(event.New(), "w", DefaultClock, DefaultPropagation)
+	w.AdoptRing(make([]Frame, 6))
+	if w.fly != nil {
+		t.Fatalf("AdoptRing took a %d-frame ring", len(w.fly))
+	}
+	w.pushInFlight(Frame{Seq: 1})
+	if len(w.fly) != 4 || w.popInFlight().Seq != 1 {
+		t.Fatalf("grew a %d-frame ring, want 4", len(w.fly))
 	}
 }

@@ -532,7 +532,7 @@ func (lu *linkUnit) storeWord(w uint64) {
 	lu.scu.mem.WriteWord(t.Desc.Addr(lu.rxProgress), w)
 	lu.rxProgress++
 	done := lu.rxProgress == t.total
-	t.progress(lu.scu.eng, lu.scu.eng.Now()+lu.scu.cfg.Clock.Cycles(lu.scu.cfg.RxStartupCycles))
+	t.progress(lu.scu.eng, lu.scu.eng.Now()+lu.scu.rxStartup)
 	if done {
 		lu.rxT.pop()
 		lu.rxProgress = 0

@@ -210,6 +210,8 @@ type SCU struct {
 	mem  Memory
 	cfg  Config
 
+	rxStartup event.Time // cfg.RxStartupCycles at cfg.Clock, for storeWord
+
 	links [geom.NumLinks]*linkUnit
 
 	onSupervisor  func(l geom.Link, word uint64)
@@ -238,6 +240,7 @@ type SCU struct {
 // by the DMA engines.
 func New(eng *event.Engine, name string, mem Memory, cfg Config) *SCU {
 	s := &SCU{eng: eng, name: name, mem: mem, cfg: cfg.withDefaults()}
+	s.rxStartup = s.cfg.Clock.Cycles(s.cfg.RxStartupCycles)
 	for i := range s.globalIn {
 		s.globalIn[i] = -1
 	}

@@ -241,6 +241,27 @@ func TestDMADescValidation(t *testing.T) {
 	}
 }
 
+// TestDMAAddrMatchesBlockFormula holds Addr's one-block path to the
+// block-strided formula on seeded random one-block and strided
+// descriptors.
+func TestDMAAddrMatchesBlockFormula(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for k := 0; k < 2000; k++ {
+		d := DMADesc{Base: 8 * uint64(rng.Intn(1<<20)), BlockWords: 1 + rng.Intn(64), NumBlocks: 1}
+		d.StrideWords = d.BlockWords + rng.Intn(16)
+		if k%2 == 1 {
+			d.BlockWords, d.NumBlocks = 1+rng.Intn(8), 2+rng.Intn(8)
+			d.StrideWords = d.BlockWords + rng.Intn(16)
+		}
+		for i := 0; i < d.TotalWords(); i++ {
+			want := d.Base + 8*uint64(i/d.BlockWords*d.StrideWords+i%d.BlockWords)
+			if got := d.Addr(i); got != want {
+				t.Fatalf("%+v: Addr(%d) = %#x, block formula %#x", d, i, got, want)
+			}
+		}
+	}
+}
+
 func TestSingleBitErrorAutoResend(t *testing.T) {
 	// E12: a single bit error is detected by parity and repaired by the
 	// automatic hardware resend; the delivered data is correct and the

@@ -29,8 +29,12 @@ func Contiguous(base uint64, n int) DMADesc {
 // TotalWords is the number of words the descriptor covers.
 func (d DMADesc) TotalWords() int { return d.BlockWords * d.NumBlocks }
 
-// Addr returns the byte address of the i-th word in pattern order.
+// Addr returns the byte address of the i-th word in pattern order. A
+// one-block descriptor (every halo face, Contiguous) needs no division.
 func (d DMADesc) Addr(i int) uint64 {
+	if d.NumBlocks == 1 {
+		return d.Base + 8*uint64(i)
+	}
 	block, off := i/d.BlockWords, i%d.BlockWords
 	return d.Base + 8*uint64(block*d.StrideWords+off)
 }

@@ -113,14 +113,12 @@ func (k Kind) String() string {
 // Layout: bit 7..2 = type codeword, bit 1 = parity of payload bits 63..32,
 // bit 0 = parity of payload bits 31..0.
 
-// encodeKind maps a Kind (3 data bits) to its 6-bit codeword:
+// kindCodes[k] is the 6-bit codeword of Kind k (3 data bits):
 // c = [d1 d2 d3 | d1^d2 d1^d3 d2^d3].
-func encodeKind(k Kind) uint8 {
-	d1 := uint8(k>>2) & 1
-	d2 := uint8(k>>1) & 1
-	d3 := uint8(k) & 1
-	return d1<<5 | d2<<4 | d3<<3 | (d1^d2)<<2 | (d1^d3)<<1 | (d2 ^ d3)
-}
+var kindCodes = [8]uint8{0x00, 0x0B, 0x15, 0x1E, 0x26, 0x2D, 0x33, 0x38}
+
+// encodeKind maps a Kind to its codeword; only its low 3 bits count.
+func encodeKind(k Kind) uint8 { return kindCodes[k&7] }
 
 // decodeKind inverts encodeKind, requiring an exact codeword match.
 func decodeKind(code uint8) (Kind, bool) {

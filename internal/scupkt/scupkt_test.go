@@ -13,17 +13,34 @@ func allKinds() []Kind {
 	return []Kind{Idle, Data0, Data1, Data2, Data3, Supervisor, PartIRQ, Ack}
 }
 
+// refEncodeKind is the bit formula the codeword table replaced, kept as
+// its oracle: c = [d1 d2 d3 | d1^d2 d1^d3 d2^d3].
+func refEncodeKind(k Kind) uint8 {
+	d1 := uint8(k>>2) & 1
+	d2 := uint8(k>>1) & 1
+	d3 := uint8(k) & 1
+	return d1<<5 | d2<<4 | d3<<3 | (d1^d2)<<2 | (d1^d3)<<1 | (d2 ^ d3)
+}
+
+func TestKindTableMatchesFormula(t *testing.T) {
+	for k := 0; k < 256; k++ {
+		if got, want := encodeKind(Kind(k)), refEncodeKind(Kind(k)); got != want {
+			t.Fatalf("encodeKind(%d) = %#x, formula %#x", k, got, want)
+		}
+	}
+}
+
 // refEncode is the byte-at-a-time encoder the two-word codec replaced,
 // kept as its oracle: the header byte, then the payload most
 // significant byte first, appended to dst.
 func refEncode(p Packet, dst []byte) []byte {
 	switch p.Kind {
 	case Idle:
-		return append(dst, encodeKind(p.Kind)<<2)
+		return append(dst, refEncodeKind(p.Kind)<<2)
 	case PartIRQ, Ack:
-		return append(dst, encodeKind(p.Kind)<<2|parityBits(p.Payload&0xFF), byte(p.Payload))
+		return append(dst, refEncodeKind(p.Kind)<<2|parityBits(p.Payload&0xFF), byte(p.Payload))
 	default: // Data0..3, Supervisor
-		dst = append(dst, encodeKind(p.Kind)<<2|parityBits(p.Payload))
+		dst = append(dst, refEncodeKind(p.Kind)<<2|parityBits(p.Payload))
 		for shift := 56; shift >= 0; shift -= 8 {
 			dst = append(dst, byte(p.Payload>>shift))
 		}
