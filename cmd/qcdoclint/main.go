@@ -3,9 +3,8 @@
 // matched by its arguments with the stdlib type checker and applies
 // every registered analyzer:
 //
-//	detflow    — nondeterminism sources must not reach order-observable
-//	             sinks, tracked through the package call graph
-//	crossalias — values crossing shard boundaries must be deep-value
+//	crossalias — values crossing shard boundaries must be deep-value,
+//	             tracked through the package call graph
 //
 // Usage:
 //

@@ -7,11 +7,9 @@
 // port to a vettool driver unchanged.
 //
 // The suite (DESIGN.md §11) keeps only what no run catches: a
-// nondeterministic order or value reaching a sink that no digest
-// compares (detflow), and a shard-local reference crossing a shard
-// boundary in a way the window barrier hides from the race detector
-// (crossalias). Everything a run does catch is held where it runs, by
-// tests and gates.
+// shard-local reference crossing a shard boundary in a way the window
+// barrier hides from the race detector (crossalias). Everything a run
+// does catch is held where it runs, by tests and gates.
 package analysis
 
 import (
@@ -71,23 +69,17 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 // the line directly above it, silences the corresponding analyzer for
 // that line. Markers are deliberate, grep-able waivers: the reviewable
 // record that a human decided the invariant does not apply there.
-const (
-	// MarkerDetflowOK waives detflow: the nondeterministic-order flow is
-	// known not to be order-observable (the sink commutes, or the order
-	// is re-established before anything hashes or schedules off it).
-	MarkerDetflowOK = "qcdoclint:detflow-ok"
-	// MarkerCrossAliasOK waives crossalias: the reference crossing the
-	// shard boundary is, by protocol, owned or serialized on the far
-	// side (e.g. faultplan's barrier-serialized injection closures).
-	MarkerCrossAliasOK = "qcdoclint:crossalias-ok"
-)
+//
+// MarkerCrossAliasOK waives crossalias: the reference crossing the
+// shard boundary is, by protocol, owned or serialized on the far side
+// (e.g. faultplan's barrier-serialized injection closures).
+const MarkerCrossAliasOK = "qcdoclint:crossalias-ok"
 
 // MarkerOwners maps each waiver marker to the analyzer whose
 // diagnostics it suppresses. The driver uses it for stale-waiver
 // detection: a marker in the tree that belongs to no active analyzer,
 // or that suppresses zero diagnostics, is itself a lint finding.
 var MarkerOwners = map[string]string{
-	MarkerDetflowOK:    "detflow",
 	MarkerCrossAliasOK: "crossalias",
 }
 
@@ -130,7 +122,7 @@ func (p *Pass) Suppressed(marker string, pos token.Pos) bool {
 }
 
 // A MarkerSite is one waiver-marker comment found in a package's
-// source: the marker text (e.g. "qcdoclint:detflow-ok") and the
+// source: the marker text (e.g. "qcdoclint:crossalias-ok") and the
 // comment's position. The driver checks each for staleness.
 type MarkerSite struct {
 	Marker string
@@ -168,8 +160,8 @@ func (p *Pass) SuppressedAt(marker string, pos, stmtPos token.Pos) bool {
 
 // PkgIs reports whether an import path denotes the named simulator
 // package: the path is exactly name or ends in "/name". Matching by
-// tail lets analyzer fixtures stand in a fake "event" or "telemetry"
-// package for the real qcdoc/internal one.
+// tail lets analyzer fixtures stand in a fake "event" package for the
+// real qcdoc/internal one.
 func PkgIs(path, name string) bool {
 	return path == name || strings.HasSuffix(path, "/"+name)
 }

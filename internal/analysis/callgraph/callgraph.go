@@ -1,37 +1,26 @@
-// Package callgraph gives the analysis suite whole-package reasoning:
-// a conservative static call graph over one type-checked package plus
+// Package callgraph gives crossalias whole-package reasoning: a
+// conservative static call graph over one type-checked package plus
 // per-function summaries computed by fixpoint propagation.
 //
-// A lexical checker misses a nondeterminism source laundered through one
-// helper call — a map-range body that calls a function which schedules
-// an event, a cross-shard closure that captures a pointer via a
-// constructor. This package closes that hole for the two analyzers
-// (detflow, crossalias): it records, for every function declared in the
-// package, whether the function directly or transitively
+// A lexical checker misses a shard-local reference laundered through
+// one helper call — a cross-shard closure that captures a pointer via a
+// constructor, or a payload word computed by a helper that converts a
+// pointer to an integer. This package closes that hole: it records, for
+// every function declared in the package, whether the function
+// converts a pointer to an integer, directly or by returning a
+// same-package callee's result (LaundersPointer), plus a per-parameter
+// bitmask of which parameters the function retains beyond the call
+// (RetainsArgs — stored into a field, a global, a returned composite,
+// or a non-invoked closure).
 //
-//   - schedules simulated activity (Schedules),
-//   - mutates telemetry (EmitsTelemetry),
-//   - feeds a hash/digest (WritesDigest),
-//   - appends to order-observable non-local output (OrderedAppend),
-//   - returns a value derived from a nondeterminism source
-//     (ReturnsNondet),
-//   - converts a pointer into an integer (LaundersPointer),
-//
-// plus two per-parameter bitmasks: which parameters the function
-// retains beyond the call (RetainsArgs — stored into a field, a global,
-// a returned composite, or a non-invoked closure) and which parameters
-// reach an order-observable sink (ParamSinks).
-//
-// Conservatism runs the same direction as the rest of the suite:
-// resolution is static and same-package (cross-package callees are
-// matched against the known event/telemetry/hash intrinsics and
-// otherwise assumed effect-free), and func literals are folded into
-// their enclosing function only when immediately invoked — a literal
-// handed to a registrar executes in that registrar's context, which the
-// context-sensitive analyzers judge at the registration site instead.
-// The fixpoint is a monotone ascent over finite bitsets, so it
-// terminates on any call graph, mutual recursion included
-// (TestFixpointTerminatesOnMutualRecursion).
+// Conservatism runs the same direction as crossalias: resolution is
+// static and same-package (cross-package callees are assumed
+// effect-free), and func literals are folded into their enclosing
+// function only when immediately invoked — a literal handed to a
+// registrar executes in that registrar's context, which crossalias
+// judges at the registration site instead. The fixpoint is a monotone
+// ascent over finite bitsets, so it terminates on any call graph,
+// mutual recursion included (TestFixpointTerminatesOnMutualRecursion).
 package callgraph
 
 import (
@@ -41,80 +30,18 @@ import (
 	"qcdoc/internal/analysis"
 )
 
-// Flags are the transitive effect bits of one function summary.
-type Flags uint32
-
-const (
-	// Schedules: the function enqueues simulated activity (an event-
-	// package scheduler: At/After/Spawn/Put/Arm/..., or the cross-shard
-	// CrossAt/CrossPayload/AtGlobal).
-	Schedules Flags = 1 << iota
-	// EmitsTelemetry: the function writes a telemetry row (EmitFunc /
-	// HistEmitFunc call, Histogram.Record, counter Add/Set).
-	EmitsTelemetry
-	// WritesDigest: the function feeds a hash (stdlib hash packages or
-	// an in-repo digest accumulator).
-	WritesDigest
-	// OrderedAppend: the function appends to a slice that outlives it
-	// (a field, a package-level var, a dereferenced pointer) — output
-	// whose order readers can observe.
-	OrderedAppend
-	// ReturnsNondet: the function's return value derives from a
-	// nondeterminism source (wall clock, global rand, pointer
-	// formatting) directly or through a same-package callee.
-	ReturnsNondet
-	// LaundersPointer: the function converts a pointer to an integer
-	// (uintptr/unsafe), the primitive that smuggles an address through
-	// a by-value payload.
-	LaundersPointer
-)
-
-// sinkFlags are the bits that make a function an order-observable sink
-// when called from a nondeterministically-ordered context.
-const sinkFlags = Schedules | EmitsTelemetry | WritesDigest | OrderedAppend
-
-// SinkFlags returns the subset of f that denotes order-observable
-// sinks.
-func SinkFlags(f Flags) Flags { return f & sinkFlags }
-
-// String names the set bits, for diagnostics.
-func (f Flags) String() string {
-	names := []struct {
-		bit  Flags
-		name string
-	}{
-		{Schedules, "schedules events"},
-		{EmitsTelemetry, "emits telemetry"},
-		{WritesDigest, "writes a digest"},
-		{OrderedAppend, "appends to ordered output"},
-		{ReturnsNondet, "returns a nondeterministic value"},
-		{LaundersPointer, "launders a pointer"},
-	}
-	s := ""
-	for _, n := range names {
-		if f&n.bit == 0 {
-			continue
-		}
-		if s != "" {
-			s += ", "
-		}
-		s += n.name
-	}
-	return s
-}
-
 // Summary is one function's interprocedural facts.
 type Summary struct {
-	Flags Flags
+	// LaundersPointer: the function converts a pointer to an integer
+	// (uintptr/unsafe), the primitive that smuggles an address through
+	// a by-value payload. It propagates to callers that return the
+	// callee's result.
+	LaundersPointer bool
 	// RetainsArgs bit i: parameter i is stored somewhere that outlives
 	// the call (receiver/struct field, package var, returned composite
 	// literal, non-invoked closure, or a retaining position of a
 	// same-package callee).
 	RetainsArgs uint32
-	// ParamSinks bit i: parameter i is passed to an order-observable
-	// sink (scheduler, telemetry emit, digest write), directly or
-	// through a same-package callee.
-	ParamSinks uint32
 }
 
 // Graph is the call graph and summary table of one package.
@@ -122,18 +49,16 @@ type Graph struct {
 	Pkg   *types.Package
 	Decls map[*types.Func]*ast.FuncDecl
 	sums  map[*types.Func]*Summary
-	// calls: same-package static call edges, for flag propagation.
-	calls map[*types.Func][]*types.Func
 	// retCalls: same-package callees whose result appears in a return
-	// expression, for ReturnsNondet/LaundersPointer propagation.
+	// expression, for LaundersPointer propagation.
 	retCalls map[*types.Func][]*types.Func
 	// argEdges: (caller, caller-param i) forwarded to (callee, callee
-	// param k) — the lattice edges for RetainsArgs/ParamSinks.
+	// param k) — the lattice edges for RetainsArgs.
 	argEdges map[*types.Func][]argEdge
-	// via records, per function and flag, the callee the flag arrived
-	// through (nil for direct seeds) so Why can print the chain.
-	via    map[*types.Func]map[Flags]*types.Func
-	direct map[*types.Func]map[Flags]string
+	// via records the callee LaundersPointer arrived through, and
+	// direct the conversion that seeded it, so Why can print the chain.
+	via    map[*types.Func]*types.Func
+	direct map[*types.Func]string
 }
 
 type argEdge struct {
@@ -151,114 +76,29 @@ func (g *Graph) Summary(fn *types.Func) Summary {
 	return Summary{}
 }
 
-// Why returns the call chain that gave fn the flag, rendered like
-// "helper -> schedule -> event.At", or "" when the flag is unset. The
-// chain is a witness, not an enumeration: one shortest-discovered path.
-func (g *Graph) Why(fn *types.Func, flag Flags) string {
+// Why returns the call chain that made fn launder a pointer, rendered
+// like "helper -> addrOf -> uintptr conversion", or "" when it does
+// not. The chain is a witness, not an enumeration: one
+// shortest-discovered path.
+func (g *Graph) Why(fn *types.Func) string {
 	s, ok := g.sums[fn]
-	if !ok || s.Flags&flag == 0 {
+	if !ok || !s.LaundersPointer {
 		return ""
 	}
 	out := fn.Name()
 	for seen := map[*types.Func]bool{}; !seen[fn]; {
 		seen[fn] = true
-		if next := g.via[fn][flag]; next != nil {
+		if next := g.via[fn]; next != nil {
 			out += " -> " + next.Name()
 			fn = next
 			continue
 		}
-		if d := g.direct[fn][flag]; d != "" {
+		if d := g.direct[fn]; d != "" {
 			out += " -> " + d
 		}
 		break
 	}
 	return out
-}
-
-// Schedulers are the event-package methods that enqueue or reorder
-// simulated activity, including the cross-shard surface. Calling one in
-// map-iteration order stamps that order onto event sequence numbers.
-var Schedulers = map[string]bool{
-	"At": true, "After": true, "AtHandler": true, "AfterHandler": true,
-	"Spawn": true, "SpawnDaemon": true,
-	"Put": true, "Fire": true,
-	"Arm": true, "ArmAt": true, "Goto": true,
-	"CrossAt": true, "CrossPayload": true, "AtGlobal": true,
-}
-
-// telemetryMutators are method names on telemetry-package receivers
-// that write a row or a sample.
-var telemetryMutators = map[string]bool{
-	"Record": true, "Add": true, "Set": true, "Observe": true,
-}
-
-// IsSchedulerCall reports whether the call invokes an event-package
-// scheduler, returning its method name.
-func IsSchedulerCall(info *types.Info, call *ast.CallExpr) (string, bool) {
-	pkg, _, name, ok := analysis.ReceiverOf(info, call)
-	if !ok || !Schedulers[name] || !analysis.PkgIs(pkg, "event") {
-		return "", false
-	}
-	return name, true
-}
-
-// IsTelemetryEmit reports whether the call writes telemetry: invoking a
-// telemetry.EmitFunc / HistEmitFunc value, or a mutating method
-// (Record/Add/Set/Observe) on a telemetry-package receiver.
-func IsTelemetryEmit(info *types.Info, call *ast.CallExpr) bool {
-	if tv, ok := info.Types[call.Fun]; ok {
-		if named, ok := tv.Type.(*types.Named); ok && named.Obj().Pkg() != nil {
-			name := named.Obj().Name()
-			if (name == "EmitFunc" || name == "HistEmitFunc") &&
-				analysis.PkgIs(named.Obj().Pkg().Path(), "telemetry") {
-				return true
-			}
-		}
-	}
-	pkg, _, name, ok := analysis.ReceiverOf(info, call)
-	return ok && telemetryMutators[name] && analysis.PkgIs(pkg, "telemetry")
-}
-
-// IsDigestWrite reports whether the call feeds a hash: a Write/Sum-ish
-// method on a stdlib hash receiver, a hash/crc32-style package
-// function, or an in-repo digest accumulator (a method named
-// Digest/Fold on a simulator type is deliberately NOT matched — only
-// writes into an accumulator are order-observable, finished digests are
-// values).
-func IsDigestWrite(info *types.Info, call *ast.CallExpr) bool {
-	if pkg, _, name, ok := analysis.ReceiverOf(info, call); ok && isHashPath(pkg) && digestMethods[name] {
-		return true
-	}
-	// hash.Hash's Write is inherited from io.Writer, so the method's own
-	// package is "io"; judge by the receiver expression's type instead.
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok || !digestMethods[sel.Sel.Name] {
-		return false
-	}
-	tv, ok := info.Types[sel.X]
-	if !ok || tv.Type == nil {
-		return false
-	}
-	t := tv.Type
-	if p, isPtr := t.(*types.Pointer); isPtr {
-		t = p.Elem()
-	}
-	named, ok := t.(*types.Named)
-	return ok && named.Obj().Pkg() != nil && isHashPath(named.Obj().Pkg().Path())
-}
-
-var digestMethods = map[string]bool{
-	"Write": true, "WriteString": true, "WriteByte": true,
-	"Sum": true, "Sum32": true, "Sum64": true,
-	"Update": true, "Checksum": true,
-}
-
-func isHashPath(path string) bool {
-	switch path {
-	case "hash", "hash/fnv", "hash/crc32", "hash/crc64", "hash/adler32", "hash/maphash":
-		return true
-	}
-	return false
 }
 
 // Build constructs the call graph and runs the summary fixpoint for the
@@ -268,11 +108,10 @@ func Build(pass *analysis.Pass) *Graph {
 		Pkg:      pass.Pkg,
 		Decls:    map[*types.Func]*ast.FuncDecl{},
 		sums:     map[*types.Func]*Summary{},
-		calls:    map[*types.Func][]*types.Func{},
 		retCalls: map[*types.Func][]*types.Func{},
 		argEdges: map[*types.Func][]argEdge{},
-		via:      map[*types.Func]map[Flags]*types.Func{},
-		direct:   map[*types.Func]map[Flags]string{},
+		via:      map[*types.Func]*types.Func{},
+		direct:   map[*types.Func]string{},
 	}
 	for _, f := range pass.Files {
 		for _, d := range f.Decls {
@@ -330,16 +169,6 @@ func (g *Graph) seed(pass *analysis.Pass, fn *types.Func, fd *ast.FuncDecl) {
 	sum := g.sums[fn]
 	params := paramIndex(fn)
 	info := pass.TypesInfo
-
-	setDirect := func(flag Flags, why string) {
-		if sum.Flags&flag == 0 {
-			sum.Flags |= flag
-			if g.direct[fn] == nil {
-				g.direct[fn] = map[Flags]string{}
-			}
-			g.direct[fn][flag] = why
-		}
-	}
 
 	// paramRoots returns the parameter bits mentioned in the node (the
 	// param itself, &param, param.field, param[i]).
@@ -399,24 +228,11 @@ func (g *Graph) seed(pass *analysis.Pass, fn *types.Func, fd *ast.FuncDecl) {
 				ast.Inspect(lit.Body, walk)
 				return false
 			}
-			if name, ok := IsSchedulerCall(info, nn); ok {
-				setDirect(Schedules, "event."+name)
-				sum.ParamSinks |= argParamBits(nn, paramRoots)
-			}
-			if IsTelemetryEmit(info, nn) {
-				setDirect(EmitsTelemetry, "telemetry emit")
-				sum.ParamSinks |= argParamBits(nn, paramRoots)
-			}
-			if IsDigestWrite(info, nn) {
-				setDirect(WritesDigest, "hash write")
-				sum.ParamSinks |= argParamBits(nn, paramRoots)
-			}
 			if callee := CalleeFunc(info, nn); callee != nil && callee.Pkg() == g.Pkg {
 				// Only calls to declared functions get edges: an
 				// interface method of this package resolves here too,
 				// but has no body and no summary to propagate from.
 				if _, known := g.sums[callee]; known && callee != fn {
-					g.calls[fn] = append(g.calls[fn], callee)
 					if inReturn > 0 {
 						g.retCalls[fn] = append(g.retCalls[fn], callee)
 					}
@@ -437,13 +253,9 @@ func (g *Graph) seed(pass *analysis.Pass, fn *types.Func, fd *ast.FuncDecl) {
 					}
 				}
 			}
-			if uintptrOfPointer(info, nn) {
-				setDirect(LaundersPointer, "uintptr conversion")
-			}
-			if inReturn > 0 {
-				if why, ok := valueSourceCall(info, nn); ok {
-					setDirect(ReturnsNondet, why)
-				}
+			if !sum.LaundersPointer && UintptrOfPointer(info, nn) {
+				sum.LaundersPointer = true
+				g.direct[fn] = "uintptr conversion"
 			}
 			return true
 
@@ -454,16 +266,6 @@ func (g *Graph) seed(pass *analysis.Pass, fn *types.Func, fd *ast.FuncDecl) {
 					lhs = nn.Lhs[i]
 				} else if len(nn.Lhs) > 0 {
 					lhs = nn.Lhs[0]
-				}
-				if call, ok := rhs.(*ast.CallExpr); ok && isBuiltinAppend(info, call) && lhs != nil {
-					if nonLocalLValue(lhs) {
-						setDirect(OrderedAppend, "append to "+types.ExprString(lhs))
-					}
-					for _, arg := range call.Args[1:] {
-						if nonLocalLValue(lhs) {
-							sum.RetainsArgs |= paramRoots(arg)
-						}
-					}
 				}
 				if lhs != nil && nonLocalLValue(lhs) {
 					sum.RetainsArgs |= paramRoots(rhs)
@@ -490,15 +292,6 @@ func (g *Graph) seed(pass *analysis.Pass, fn *types.Func, fd *ast.FuncDecl) {
 	ast.Inspect(fd.Body, walk)
 }
 
-// argParamBits folds paramRoots over a call's arguments.
-func argParamBits(call *ast.CallExpr, paramRoots func(ast.Node) uint32) uint32 {
-	var bits uint32
-	for _, arg := range call.Args {
-		bits |= paramRoots(arg)
-	}
-	return bits
-}
-
 // fixpoint propagates summaries along call edges until nothing changes.
 // Every step only sets bits in finite bitsets, so the ascent terminates
 // on any graph, cycles and mutual recursion included.
@@ -506,35 +299,10 @@ func (g *Graph) fixpoint() {
 	for changed := true; changed; {
 		changed = false
 		for fn, sum := range g.sums {
-			for _, callee := range g.calls[fn] {
-				cs := g.sums[callee]
-				add := cs.Flags & sinkFlags &^ sum.Flags
-				if add != 0 {
-					sum.Flags |= add
-					if g.via[fn] == nil {
-						g.via[fn] = map[Flags]*types.Func{}
-					}
-					for bit := Flags(1); bit <= add; bit <<= 1 {
-						if add&bit != 0 {
-							g.via[fn][bit] = callee
-						}
-					}
-					changed = true
-				}
-			}
 			for _, callee := range g.retCalls[fn] {
-				cs := g.sums[callee]
-				add := cs.Flags & (ReturnsNondet | LaundersPointer) &^ sum.Flags
-				if add != 0 {
-					sum.Flags |= add
-					if g.via[fn] == nil {
-						g.via[fn] = map[Flags]*types.Func{}
-					}
-					for bit := Flags(1); bit <= add; bit <<= 1 {
-						if add&bit != 0 {
-							g.via[fn][bit] = callee
-						}
-					}
+				if g.sums[callee].LaundersPointer && !sum.LaundersPointer {
+					sum.LaundersPointer = true
+					g.via[fn] = callee
 					changed = true
 				}
 			}
@@ -547,16 +315,13 @@ func (g *Graph) fixpoint() {
 					sum.RetainsArgs |= 1 << e.fromParam
 					changed = true
 				}
-				if cs.ParamSinks&(1<<e.toParam) != 0 && sum.ParamSinks&(1<<e.fromParam) == 0 {
-					sum.ParamSinks |= 1 << e.fromParam
-					changed = true
-				}
 			}
 		}
 	}
 }
 
-func isBuiltinAppend(info *types.Info, call *ast.CallExpr) bool {
+// IsBuiltinAppend reports whether the call is the builtin append.
+func IsBuiltinAppend(info *types.Info, call *ast.CallExpr) bool {
 	id, ok := call.Fun.(*ast.Ident)
 	if !ok || id.Name != "append" {
 		return false
@@ -565,9 +330,9 @@ func isBuiltinAppend(info *types.Info, call *ast.CallExpr) bool {
 	return isBuiltin
 }
 
-// uintptrOfPointer reports whether the call is a uintptr(p) conversion
+// UintptrOfPointer reports whether the call is a uintptr(p) conversion
 // of a pointer or unsafe.Pointer — address laundering.
-func uintptrOfPointer(info *types.Info, call *ast.CallExpr) bool {
+func UintptrOfPointer(info *types.Info, call *ast.CallExpr) bool {
 	tv, ok := info.Types[call.Fun]
 	if !ok || !tv.IsType() {
 		return false
@@ -590,103 +355,4 @@ func uintptrOfPointer(info *types.Info, call *ast.CallExpr) bool {
 		return u.Kind() == types.UnsafePointer
 	}
 	return false
-}
-
-// wallFuncs are the time-package calls that observe the host clock.
-var wallFuncs = map[string]bool{
-	"Now": true, "Since": true, "Until": true,
-	"Sleep": true, "After": true, "AfterFunc": true,
-	"Tick": true, "NewTimer": true, "NewTicker": true,
-}
-
-// globalRandOK are the math/rand identifiers that do not touch the
-// process-global generator.
-var globalRandOK = map[string]bool{
-	"New": true, "NewSource": true, "NewZipf": true,
-	"Source": true, "Rand": true, "Zipf": true,
-}
-
-// valueSourceCall reports whether the call produces a host-
-// nondeterministic value: wall clock, global math/rand, or pointer
-// formatting (%p).
-func valueSourceCall(info *types.Info, call *ast.CallExpr) (string, bool) {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
-		return "", false
-	}
-	if id, ok := sel.X.(*ast.Ident); ok {
-		if pn, ok := info.Uses[id].(*types.PkgName); ok {
-			switch path := pn.Imported().Path(); path {
-			case "time":
-				if wallFuncs[sel.Sel.Name] {
-					return "time." + sel.Sel.Name, true
-				}
-			case "math/rand", "math/rand/v2":
-				if !globalRandOK[sel.Sel.Name] {
-					return "rand." + sel.Sel.Name, true
-				}
-			case "fmt":
-				if formatsPointer(info, call) {
-					return "fmt." + sel.Sel.Name + "(%p)", true
-				}
-			}
-		}
-	}
-	return "", false
-}
-
-// formatsPointer reports whether a fmt call's format string contains a
-// %p verb — the canonical way a heap address leaks into observable
-// output.
-func formatsPointer(info *types.Info, call *ast.CallExpr) bool {
-	for _, arg := range call.Args {
-		tv, ok := info.Types[arg]
-		if !ok || tv.Value == nil {
-			continue
-		}
-		if s := tv.Value.String(); len(s) >= 2 && containsPverb(s) {
-			return true
-		}
-	}
-	return false
-}
-
-// containsPverb scans a (quoted) constant format string for %p,
-// skipping %%.
-func containsPverb(s string) bool {
-	for i := 0; i+1 < len(s); i++ {
-		if s[i] != '%' {
-			continue
-		}
-		if s[i+1] == '%' {
-			i++
-			continue
-		}
-		// Skip flags/width between % and the verb.
-		j := i + 1
-		for j < len(s) && (s[j] == '+' || s[j] == '-' || s[j] == '#' || s[j] == ' ' ||
-			s[j] == '0' || (s[j] >= '1' && s[j] <= '9') || s[j] == '.') {
-			j++
-		}
-		if j < len(s) && s[j] == 'p' {
-			return true
-		}
-	}
-	return false
-}
-
-// ValueSourceCall is valueSourceCall exported for detflow's lexical
-// source detection.
-func ValueSourceCall(info *types.Info, call *ast.CallExpr) (string, bool) {
-	return valueSourceCall(info, call)
-}
-
-// UintptrOfPointer is uintptrOfPointer exported for crossalias.
-func UintptrOfPointer(info *types.Info, call *ast.CallExpr) bool {
-	return uintptrOfPointer(info, call)
-}
-
-// IsBuiltinAppend is isBuiltinAppend exported for detflow.
-func IsBuiltinAppend(info *types.Info, call *ast.CallExpr) bool {
-	return isBuiltinAppend(info, call)
 }

@@ -43,27 +43,16 @@ func TestSummaryFlags(t *testing.T) {
 
 	cases := []struct {
 		fn   string
-		want Flags
+		want bool
 	}{
-		{"schedulesDirect", Schedules},
-		{"emitsDirect", EmitsTelemetry},
-		{"digestsDirect", WritesDigest},
-		{"appendsDirect", OrderedAppend},
-		{"returnsNondetDirect", ReturnsNondet},
-		{"laundersDirect", LaundersPointer},
-		{"schedulesViaHelper", Schedules},
-		{"emitsViaHelper", EmitsTelemetry},
-		{"returnsNondetViaHelper", ReturnsNondet},
-		{"cleanHelper", 0},
+		{"laundersDirect", true},
+		{"laundersViaHelper", true},
+		{"cleanHelper", false},
 	}
 	for _, c := range cases {
 		fn := fnByName(t, g, c.fn)
-		got := g.Summary(fn).Flags
-		if got&c.want != c.want {
-			t.Errorf("%s: flags %v missing %v", c.fn, got, c.want)
-		}
-		if c.want == 0 && SinkFlags(got) != 0 {
-			t.Errorf("%s: expected no sink flags, got %v", c.fn, got)
+		if got := g.Summary(fn).LaundersPointer; got != c.want {
+			t.Errorf("%s: LaundersPointer %v, want %v", c.fn, got, c.want)
 		}
 	}
 }
@@ -88,30 +77,16 @@ func TestParamMasks(t *testing.T) {
 		}
 	}
 
-	sinks := []struct {
-		fn  string
-		bit int
-	}{
-		{"paramToSink", 0},
-		{"paramToSinkViaCallee", 0},
-	}
-	for _, c := range sinks {
-		fn := fnByName(t, g, c.fn)
-		if got := g.Summary(fn).ParamSinks; got&(1<<c.bit) == 0 {
-			t.Errorf("%s: ParamSinks %b missing bit %d", c.fn, got, c.bit)
-		}
-	}
-
 	clean := fnByName(t, g, "cleanHelper")
-	if s := g.Summary(clean); s.RetainsArgs != 0 || s.ParamSinks != 0 {
-		t.Errorf("cleanHelper: expected empty masks, got %+v", s)
+	if s := g.Summary(clean); s.RetainsArgs != 0 {
+		t.Errorf("cleanHelper: expected an empty mask, got %+v", s)
 	}
 }
 
 // TestFixpointTerminatesOnMutualRecursion pins the termination
 // guarantee: Build must return (the fixpoint is a monotone ascent over
 // finite bitsets) and both ends of a mutually recursive pair inherit
-// the scheduling bit discovered in one of them.
+// the laundering bit discovered in one of them.
 func TestFixpointTerminatesOnMutualRecursion(t *testing.T) {
 	pass, _ := loadFixture(t)
 	done := make(chan *Graph, 1)
@@ -120,8 +95,8 @@ func TestFixpointTerminatesOnMutualRecursion(t *testing.T) {
 
 	for _, name := range []string{"mutualA", "mutualB"} {
 		fn := fnByName(t, g, name)
-		if g.Summary(fn).Flags&Schedules == 0 {
-			t.Errorf("%s: mutual recursion did not propagate Schedules", name)
+		if !g.Summary(fn).LaundersPointer {
+			t.Errorf("%s: mutual recursion did not propagate LaundersPointer", name)
 		}
 	}
 }
@@ -130,13 +105,13 @@ func TestWhyChains(t *testing.T) {
 	pass, _ := loadFixture(t)
 	g := Build(pass)
 
-	fn := fnByName(t, g, "schedulesViaHelper")
-	why := g.Why(fn, Schedules)
-	want := "schedulesViaHelper -> schedulesDirect -> event.At"
+	fn := fnByName(t, g, "laundersViaHelper")
+	why := g.Why(fn)
+	want := "laundersViaHelper -> laundersDirect -> uintptr conversion"
 	if why != want {
-		t.Errorf("Why(schedulesViaHelper, Schedules) = %q, want %q", why, want)
+		t.Errorf("Why(laundersViaHelper) = %q, want %q", why, want)
 	}
-	if why := g.Why(fnByName(t, g, "cleanHelper"), Schedules); why != "" {
+	if why := g.Why(fnByName(t, g, "cleanHelper")); why != "" {
 		t.Errorf("Why(cleanHelper) = %q, want empty", why)
 	}
 }

@@ -1,59 +1,22 @@
-// Fixture for the callgraph summaries: one function per summary bit,
-// laundering chains, and the mutual-recursion pair that pins fixpoint
-// termination.
+// Fixture for the callgraph summaries: pointer laundering, direct and
+// through a helper, parameter retention, and the mutual-recursion pair
+// that pins fixpoint termination.
 package cg
 
 import (
-	"hash/fnv"
-	"math/rand"
 	"unsafe"
 
 	"event"
-	"telemetry"
 )
 
-// --- direct seeds ---
-
-func schedulesDirect(eng *event.Engine) {
-	eng.At(0, func() {})
-}
-
-func emitsDirect(emit telemetry.EmitFunc) {
-	emit("rows", 1)
-}
-
-func digestsDirect(data []byte) uint64 {
-	h := fnv.New64a()
-	h.Write(data)
-	return h.Sum64()
-}
-
-type sink struct{ out []int }
-
-func (s *sink) appendsDirect(v int) {
-	s.out = append(s.out, v)
-}
-
-func returnsNondetDirect() int {
-	return rand.Int()
-}
+// --- LaundersPointer: direct seed and one-hop laundering ---
 
 func laundersDirect(p *int) uintptr {
 	return uintptr(unsafe.Pointer(p))
 }
 
-// --- one-hop laundering: the helper carries the effect ---
-
-func schedulesViaHelper(eng *event.Engine) {
-	schedulesDirect(eng)
-}
-
-func emitsViaHelper(emit telemetry.EmitFunc) {
-	emitsDirect(emit)
-}
-
-func returnsNondetViaHelper() int {
-	return returnsNondetDirect()
+func laundersViaHelper(p *int) uintptr {
+	return laundersDirect(p)
 }
 
 // --- parameter flow ---
@@ -75,36 +38,24 @@ func retainsViaCallee(h *holder, p *int) {
 	h.retainsByField(p)
 }
 
-// paramToSink passes its argument into a digest.
-func paramToSink(data []byte) {
-	h := fnv.New64a()
-	h.Write(data)
-}
-
-// paramToSinkViaCallee forwards its argument to a sinking callee.
-func paramToSinkViaCallee(data []byte) {
-	paramToSink(data)
-}
-
 // cleanHelper has no effects at all.
 func cleanHelper(x int) int { return x + 1 }
 
 // --- mutual recursion: the fixpoint must terminate and both ends must
-// inherit the scheduling bit ---
+// inherit the laundering bit ---
 
-func mutualA(eng *event.Engine, n int) {
+func mutualA(p *int, n int) uintptr {
 	if n == 0 {
-		eng.At(0, func() {})
-		return
+		return uintptr(unsafe.Pointer(p))
 	}
-	mutualB(eng, n-1)
+	return mutualB(p, n-1)
 }
 
-func mutualB(eng *event.Engine, n int) {
+func mutualB(p *int, n int) uintptr {
 	if n == 0 {
-		return
+		return 0
 	}
-	mutualA(eng, n-1)
+	return mutualA(p, n-1)
 }
 
 // storedLit retains its parameter by capturing it in a closure that is

@@ -202,7 +202,7 @@ func gatherFacts(pass *analysis.Pass, g *callgraph.Graph, fd *ast.FuncDecl) *fun
 				continue
 			}
 			sum := g.Summary(callee)
-			if sum.Flags&callgraph.LaundersPointer != 0 {
+			if sum.LaundersPointer {
 				facts.ptrWord[obj] = true
 			}
 			if sum.RetainsArgs != 0 {
@@ -327,7 +327,7 @@ func laundersAnywhere(info *types.Info, g *callgraph.Graph, pass *analysis.Pass,
 			return false
 		}
 		if callee := callgraph.CalleeFunc(info, call); callee != nil && callee.Pkg() == pass.Pkg {
-			if g.Summary(callee).Flags&callgraph.LaundersPointer != 0 {
+			if g.Summary(callee).LaundersPointer {
 				found = true
 				return false
 			}
@@ -490,8 +490,8 @@ func checkPayloadCrossing(pass *analysis.Pass, g *callgraph.Graph, facts *funcFa
 					return false
 				}
 				if callee := callgraph.CalleeFunc(info, nn); callee != nil && callee.Pkg() == pass.Pkg {
-					if g.Summary(callee).Flags&callgraph.LaundersPointer != 0 {
-						bad = callee.Name() + " (" + g.Why(callee, callgraph.LaundersPointer) + ")"
+					if g.Summary(callee).LaundersPointer {
+						bad = callee.Name() + " (" + g.Why(callee) + ")"
 						return false
 					}
 				}

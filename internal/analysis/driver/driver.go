@@ -29,13 +29,11 @@ import (
 
 	"qcdoc/internal/analysis"
 	"qcdoc/internal/analysis/crossalias"
-	"qcdoc/internal/analysis/detflow"
 	"qcdoc/internal/analysis/load"
 )
 
 // Suite is the analyzer suite in reporting order.
 var Suite = []*analysis.Analyzer{
-	detflow.Analyzer,
 	crossalias.Analyzer,
 }
 

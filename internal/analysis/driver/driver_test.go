@@ -43,7 +43,7 @@ func TestStaleMarkerFails(t *testing.T) {
 	if exit != 1 {
 		t.Fatalf("stale fixture: exit %d (want 1), output:\n%s", exit, out)
 	}
-	if !strings.Contains(out, "stale waiver") || !strings.Contains(out, "detflow-ok") {
+	if !strings.Contains(out, "stale waiver") || !strings.Contains(out, "crossalias-ok") {
 		t.Fatalf("stale fixture: missing stale-waiver finding:\n%s", out)
 	}
 }
@@ -75,7 +75,7 @@ func TestTestsFlag(t *testing.T) {
 		t.Fatalf("without Tests: exit %d, output:\n%s", exit, out)
 	}
 	exit, out := lintDir(t, pkg, Options{Tests: true})
-	if exit != 1 || !strings.Contains(out, "writes a digest") {
+	if exit != 1 || !strings.Contains(out, "cross-shard closure captures t") {
 		t.Fatalf("with Tests: exit %d, output:\n%s", exit, out)
 	}
 }

@@ -2,5 +2,5 @@
 // must fail the run with a stale-waiver finding.
 package stale
 
-//qcdoclint:detflow-ok deliberately stale: nothing below ever reports
+//qcdoclint:crossalias-ok deliberately stale: nothing below ever reports
 func clean() int { return 42 }

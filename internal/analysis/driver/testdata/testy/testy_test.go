@@ -1,11 +1,9 @@
 package testy
 
-import "hash/fnv"
+import "qcdoc/internal/event"
 
-func digestHelper(m map[string]int) uint64 {
-	h := fnv.New64a()
-	for k := range m {
-		h.Write([]byte(k))
-	}
-	return h.Sum64()
+type tally struct{ n int }
+
+func bumpRemote(src, dst *event.Engine, t *tally) {
+	src.CrossAt(dst, src.Now(), func() { t.n++ })
 }

@@ -2,5 +2,5 @@
 // marker must fail the run rather than silently waive nothing.
 package unknown
 
-//qcdoclint:detrflow-ok misspelled analyzer name
+//qcdoclint:crossalais-ok misspelled analyzer name
 func alsoClean() int { return 7 }

@@ -1,15 +1,13 @@
-// Package waived carries one real detflow finding under a justified
+// Package waived carries one real crossalias finding under a justified
 // waiver: the marker must accrue a suppression hit and the package
 // must lint clean.
 package waived
 
-import "hash/fnv"
+import "qcdoc/internal/event"
 
-func digestAll(m map[string]int) uint64 {
-	h := fnv.New64a()
-	//qcdoclint:detflow-ok fixture: order-insensitive in the scenario this models
-	for k := range m {
-		h.Write([]byte(k))
-	}
-	return h.Sum64()
+type tally struct{ n int }
+
+func bumpRemote(src, dst *event.Engine, t *tally) {
+	//qcdoclint:crossalias-ok fixture: dst owns t in the scenario this models
+	src.CrossAt(dst, src.Now(), func() { t.n++ })
 }

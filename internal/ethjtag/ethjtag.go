@@ -264,7 +264,7 @@ func (n *Network) route(pkt Packet) {
 		// Fan out in address order, not map order: delivery events at
 		// equal times dispatch in scheduling order, so a map-ordered
 		// broadcast would reorder the downstream event stream from run
-		// to run (detflow enforces this; DESIGN.md §11).
+		// to run (TestBroadcast holds this).
 		for _, addr := range n.addrs {
 			if addr == pkt.Src {
 				continue

@@ -1,6 +1,7 @@
 package ethjtag
 
 import (
+	"bytes"
 	"errors"
 	"testing"
 
@@ -74,27 +75,34 @@ func TestSerializationAtLineRate(t *testing.T) {
 	}
 }
 
+// TestBroadcast also pins the fan-out order: deliveries land at one
+// picosecond and dispatch in scheduling order, so the switch must
+// schedule them in address order whatever order the ports attached in.
+// A map-ordered fan-out fails here.
 func TestBroadcast(t *testing.T) {
 	eng := event.New()
 	defer eng.Shutdown()
 	nw := NewNetwork(eng)
 	h := nw.Attach(HostAddr, HostEthernetBps)
-	count := 0
-	for i := 0; i < 4; i++ {
-		port := nw.Attach(NodeEthAddr(i), NodeEthernetBps)
-		eng.SpawnDaemon("rx", func(p *event.Proc) {
-			for {
-				port.Recv(p)
-				count++
-			}
+	const ports = 16
+	var order []Addr
+	for i := 0; i < ports; i++ {
+		addr := NodeEthAddr((7 * i) % ports) // 0, 7, 14, 5, ...: scrambled
+		nw.Attach(addr, NodeEthernetBps).OnPacket(func(Packet) {
+			order = append(order, addr)
 		})
 	}
 	h.Send(Packet{Dst: Broadcast, Payload: []byte("boot?")})
 	if err := eng.RunAll(); err != nil {
 		t.Fatal(err)
 	}
-	if count != 4 {
-		t.Fatalf("broadcast reached %d of 4", count)
+	if len(order) != ports {
+		t.Fatalf("broadcast reached %d of %d", len(order), ports)
+	}
+	for i := range order {
+		if order[i] != NodeEthAddr(i) {
+			t.Fatalf("delivery order %#x, want ascending addresses", order)
+		}
 	}
 }
 
@@ -117,15 +125,47 @@ func TestNoRoute(t *testing.T) {
 	nw.Attach(1, HostEthernetBps)
 }
 
-func TestJTAGEncodeDecode(t *testing.T) {
+// jtagSeeds are TestJTAGEncodeDecode's inputs: a full command and a
+// truncated one.
+func jtagSeeds() [][]byte {
 	b := EncodeJTAG(OpReadWord, 0x1234, 0xBEEF)
-	op, addr, data, err := DecodeJTAG(b)
+	return [][]byte{b, b[:10]}
+}
+
+func TestJTAGEncodeDecode(t *testing.T) {
+	seeds := jtagSeeds()
+	op, addr, data, err := DecodeJTAG(seeds[0])
 	if err != nil || op != OpReadWord || addr != 0x1234 || data != 0xBEEF {
 		t.Fatalf("round trip: %v %v %v %v", op, addr, data, err)
 	}
-	if _, _, _, err := DecodeJTAG(b[:10]); err == nil {
+	if _, _, _, err := DecodeJTAG(seeds[1]); err == nil {
 		t.Fatal("short command accepted")
 	}
+}
+
+// FuzzJTAGDecode feeds DecodeJTAG arbitrary payloads, as a JTAG port
+// receives them off the wire: it must never panic, a short payload
+// must be an error, and a decoded command must re-encode to exactly
+// the bytes it consumed.
+func FuzzJTAGDecode(f *testing.F) {
+	for _, b := range jtagSeeds() {
+		f.Add(b)
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		op, addr, data, err := DecodeJTAG(b)
+		if len(b) < jtagCmdLen {
+			if err == nil {
+				t.Fatalf("%d-byte command accepted", len(b))
+			}
+			return
+		}
+		if err != nil {
+			t.Fatalf("%d-byte command: %v", len(b), err)
+		}
+		if re := EncodeJTAG(op, addr, data); !bytes.Equal(re, b[:jtagCmdLen]) {
+			t.Fatalf("re-encoded %x, consumed %x", re, b[:jtagCmdLen])
+		}
+	})
 }
 
 // fakeTarget is a minimal chip for controller tests.

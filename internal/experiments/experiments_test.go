@@ -104,12 +104,18 @@ func TestE9MatchesPaper(t *testing.T) {
 	}
 }
 
+// TestFunctionalSmall runs the cheap functional experiments end to end
+// and pins the E4f and E5f cells EXPERIMENTS.md quotes: simulated times
+// that stay bit-identical across host-side changes.
 func TestFunctionalSmall(t *testing.T) {
-	// The cheap functional experiments run end to end in tests; the
-	// expensive solver sweep (E1f) runs under cmd/benchtables and the
-	// root benchmarks.
+	// The expensive solver sweep (E1f) runs under cmd/benchtables and
+	// the root benchmarks.
 	if testing.Short() {
 		t.Skip("functional experiments")
+	}
+	anchors := map[string]map[string]string{
+		"E4f": {"1 word": "599ns", "24 words": "3.911us"},
+		"E5f": {"single ring": "1.043us", "doubled": "692ns"},
 	}
 	for _, f := range []struct {
 		name string
@@ -126,6 +132,11 @@ func TestFunctionalSmall(t *testing.T) {
 		}
 		if len(tab.Rows) == 0 {
 			t.Fatalf("%s: empty", f.name)
+		}
+		for row, want := range anchors[f.name] {
+			if got := rowByFirstCell(t, tab, row)[1]; got != want {
+				t.Errorf("%s %s: measured %s, want %s", f.name, row, got, want)
+			}
 		}
 	}
 }

@@ -3,6 +3,7 @@ package faultplan
 import (
 	"testing"
 
+	"qcdoc/internal/ethjtag"
 	"qcdoc/internal/event"
 	"qcdoc/internal/geom"
 	"qcdoc/internal/machine"
@@ -274,5 +275,42 @@ func TestArmHostSpentAudit(t *testing.T) {
 	}
 	if plan.Remaining() != 0 {
 		t.Fatalf("%d faults unspent after chunk faults landed", plan.Remaining())
+	}
+}
+
+// Every engine-scheduled fault fires at exactly its plan time: OnFire
+// runs at base+At to the picosecond, for the node and link faults Arm
+// sends to the victim's engine, the NFS windows it opens on the arming
+// engine, and the host-plane faults of ArmHost. Any jitter on an
+// injection time, wall clock or random, fails here.
+func TestArmFiresAtPlanTime(t *testing.T) {
+	spec := Spec{
+		From: event.Millisecond, To: 3 * event.Millisecond,
+		NodeCrashes: 2, NodeHangs: 2, LinkDeaths: 2, LinkBursts: 2,
+		NFSStalls: 1, NFSErrors: 1,
+		ChunkCorrupts: 1, ChunkTorns: 1, WatchdogFalsePositives: 1,
+	}
+	plan := Generate(5, spec, 4)
+	eng := event.New()
+	defer eng.Shutdown()
+	m := machine.Build(eng, machine.DefaultConfig(geom.MakeShape(2, 2)))
+	if err := m.Boot(); err != nil {
+		t.Fatal(err)
+	}
+	base := eng.Now()
+	fired := 0
+	plan.OnFire = func(f Fault) {
+		fired++
+		if now := eng.Now(); now != base+f.At {
+			t.Errorf("%v fired at %d ps, want base+At = %d ps", f, now, base+f.At)
+		}
+	}
+	plan.Arm(eng, m, ethjtag.NewNetwork(eng))
+	plan.ArmHost(eng, 4, &recordingHost{haveChunk: true})
+	if err := eng.RunAll(); err != nil {
+		t.Fatal(err)
+	}
+	if fired != len(plan.Faults) {
+		t.Fatalf("%d of %d faults fired", fired, len(plan.Faults))
 	}
 }

@@ -215,6 +215,25 @@ func TestFleetObserveZeroPerturbation(t *testing.T) {
 		t.Fatalf("OnResult fired %d times, want %d", seen, len(specs))
 	}
 
+	// The telemetry snapshot is an output too: a second observed
+	// campaign on other workers and a fresh pool must render every
+	// run's snapshot byte for byte as the first did. Nothing is left out.
+	again := fleet.Run(fleet.Config{
+		Workers: 3, Pool: machine.NewPool(),
+		Observe: true, TraceEvents: 512,
+	}, specs)
+	requireSameDigests(t, observed, again)
+	format := func(r fleet.Result) string {
+		s := r.Snap
+		s.Histograms = r.Hists // a chaos run carries its histograms only
+		return s.Format()
+	}
+	for i := range observed {
+		if a, b := format(observed[i]), format(again[i]); a != b {
+			t.Errorf("run %q: telemetry snapshot differs between campaigns:\n%s", observed[i].Name, lineDiff(a, b))
+		}
+	}
+
 	for i, r := range observed {
 		if len(r.Hists) == 0 {
 			t.Fatalf("observed run %q collected no histograms", r.Name)
@@ -322,4 +341,28 @@ func TestSweepCrossProduct(t *testing.T) {
 			t.Errorf("spec %d name %q, want %q", i, s.Name, want[i])
 		}
 	}
+}
+
+// lineDiff lists the lines of a and b that the other lacks.
+func lineDiff(a, b string) string {
+	in := func(s string) map[string]bool {
+		m := map[string]bool{}
+		for _, l := range strings.Split(s, "\n") {
+			m[l] = true
+		}
+		return m
+	}
+	ina, inb := in(a), in(b)
+	var out strings.Builder
+	for _, l := range strings.Split(a, "\n") {
+		if !inb[l] {
+			out.WriteString("- " + l + "\n")
+		}
+	}
+	for _, l := range strings.Split(b, "\n") {
+		if !ina[l] {
+			out.WriteString("+ " + l + "\n")
+		}
+	}
+	return out.String()
 }
