@@ -104,23 +104,31 @@ func TestE9MatchesPaper(t *testing.T) {
 	}
 }
 
-// TestFunctionalSmall runs the cheap functional experiments end to end
-// and pins the E4f and E5f cells EXPERIMENTS.md quotes: simulated times
-// that stay bit-identical across host-side changes.
+// TestFunctionalSmall runs the functional experiments end to end and
+// pins the E1f, E4f and E5f cells EXPERIMENTS.md quotes: simulated
+// times, iteration counts and efficiencies that stay bit-identical
+// across host-side changes. A pinned row lists its cells from column 1
+// on; "" leaves a cell unpinned.
 func TestFunctionalSmall(t *testing.T) {
-	// The expensive solver sweep (E1f) runs under cmd/benchtables and
-	// the root benchmarks.
 	if testing.Short() {
 		t.Skip("functional experiments")
 	}
-	anchors := map[string]map[string]string{
-		"E4f": {"1 word": "599ns", "24 words": "3.911us"},
-		"E5f": {"single ring": "1.043us", "doubled": "692ns"},
+	anchors := map[string]map[string][]string{
+		// iterations, sim time, Mflops/node, efficiency
+		"E1f": {
+			"wilson":     {"16", "33.1665ms", "", "39.6%"},
+			"clover":     {"17", "42.1475ms", "", "45.7%"},
+			"asqtad":     {"15", "26.9452ms", "", "37.9%"},
+			"dwf (Ls=4)": {"42", "294.042ms", "", "46.9%"},
+		},
+		"E4f": {"1 word": {"599ns"}, "24 words": {"3.911us"}},
+		"E5f": {"single ring": {"1.043us"}, "doubled": {"692ns"}},
 	}
 	for _, f := range []struct {
 		name string
 		run  func() (Table, error)
 	}{
+		{"E1f", E1Functional},
 		{"E4f", E4Functional},
 		{"E5f", E5Functional},
 		{"E13", E13},
@@ -134,8 +142,11 @@ func TestFunctionalSmall(t *testing.T) {
 			t.Fatalf("%s: empty", f.name)
 		}
 		for row, want := range anchors[f.name] {
-			if got := rowByFirstCell(t, tab, row)[1]; got != want {
-				t.Errorf("%s %s: measured %s, want %s", f.name, row, got, want)
+			got := rowByFirstCell(t, tab, row)
+			for i, w := range want {
+				if w != "" && got[1+i] != w {
+					t.Errorf("%s %s %s: measured %s, want %s", f.name, row, tab.Header[1+i], got[1+i], w)
+				}
 			}
 		}
 	}
