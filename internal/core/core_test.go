@@ -116,16 +116,13 @@ func applyOnce[F solver.Field[F]](t *testing.T, shape geom.Shape, global lattice
 }
 
 // checkReference compares the distributed operator mk builds against the
-// single-node reference ref: D v to a relative |diff|² of at most tol,
-// and, with adjoint set, D† u likewise plus γ5-hermiticity
-// <u,Dv> = <D†u,v> through the shared applyDag. Wilson, clover and
-// domain wall run the reference's own hop kernel on every site, ghost or
-// not, so they pass tol = 0: the paper's bit-identical reproducibility
-// (§4, E10) across decompositions. ASQTAD keeps a rounding tolerance: its
-// distributed site loop sums the fat and Naik terms in a different order
-// from the reference.
+// single-node reference ref: D v and D† u exactly, plus γ5-hermiticity
+// <u,Dv> = <D†u,v> through the shared applyDag. Every operator runs the
+// reference's own site kernel on every site, ghost or not, so the
+// relative |diff|² must be 0: the paper's bit-identical reproducibility
+// (§4, E10) across decompositions.
 func checkReference[F solver.Field[F]](t *testing.T, shape geom.Shape, global lattice.Shape4,
-	mk func(b F) problem[F], ref distOperator[F], u, v F, adjoint bool, tol float64) {
+	mk func(b F) problem[F], ref distOperator[F], u, v F) {
 	t.Helper()
 	pr := mk(v)
 	deviation := func(got F, refApply solver.Op[F], src F) float64 {
@@ -136,15 +133,12 @@ func checkReference[F solver.Field[F]](t *testing.T, shape geom.Shape, global la
 	}
 	dv := applyOnce(t, shape, global, pr, false)
 	uDv := u.Dot(dv)
-	if rel := deviation(dv, ref.Apply, v); rel > tol {
+	if rel := deviation(dv, ref.Apply, v); rel != 0 {
 		t.Fatalf("distributed D deviates from reference: relative |diff|^2 = %g", rel)
-	}
-	if !adjoint {
-		return
 	}
 	du := applyOnce(t, shape, global, mk(u), true)
 	duV := du.Dot(v)
-	if rel := deviation(du, ref.ApplyDag, u); rel > tol {
+	if rel := deviation(du, ref.ApplyDag, u); rel != 0 {
 		t.Fatalf("distributed D† deviates from reference: relative |diff|^2 = %g", rel)
 	}
 	if d := cmplx.Abs(uDv - duV); d > 1e-10*cmplx.Abs(uDv) {
@@ -185,8 +179,8 @@ func TestDistMatchesReference(t *testing.T) {
 		}
 		return f
 	}
-	dwf := func(ls int) func(*testing.T, geom.Shape, *lattice.GaugeField, bool, bool) {
-		return func(t *testing.T, shape geom.Shape, g *lattice.GaugeField, adjoint, point bool) {
+	dwf := func(ls int) func(*testing.T, geom.Shape, *lattice.GaugeField, bool) {
+		return func(t *testing.T, shape geom.Shape, g *lattice.GaugeField, point bool) {
 			u, v := fermion.NewField5(g.L, ls), fermion.NewField5(g.L, ls)
 			if point {
 				u.S[len(u.S)/3][1][0], v.S[len(v.S)/3][2][1] = 1i, 1
@@ -196,25 +190,25 @@ func TestDistMatchesReference(t *testing.T) {
 			}
 			checkReference(t, shape, g.L, func(b *fermion.Field5) problem[*fermion.Field5] {
 				return dwfProblem(g, b, 1.8, 0.05, ls, fermion.Double, 1, 1)
-			}, fermion.NewDWF(g, 1.8, 0.05, ls), u, v, adjoint, 0)
+			}, fermion.NewDWF(g, 1.8, 0.05, ls), u, v)
 		}
 	}
 	operators := []struct {
 		name string
-		run  func(t *testing.T, shape geom.Shape, g *lattice.GaugeField, adjoint, point bool)
+		run  func(t *testing.T, shape geom.Shape, g *lattice.GaugeField, point bool)
 	}{
-		{"wilson", func(t *testing.T, shape geom.Shape, g *lattice.GaugeField, adjoint, point bool) {
+		{"wilson", func(t *testing.T, shape geom.Shape, g *lattice.GaugeField, point bool) {
 			checkReference(t, shape, g.L, func(b *lattice.FermionField) problem[*lattice.FermionField] {
 				return wilsonProblem(g, nil, b, 0.3, fermion.Double, 1, 1)
-			}, fermion.NewWilson(g, 0.3), spinors(g.L, 9, point), spinors(g.L, 8, point), adjoint, 0)
+			}, fermion.NewWilson(g, 0.3), spinors(g.L, 9, point), spinors(g.L, 8, point))
 		}},
-		{"clover", func(t *testing.T, shape geom.Shape, g *lattice.GaugeField, adjoint, point bool) {
+		{"clover", func(t *testing.T, shape geom.Shape, g *lattice.GaugeField, point bool) {
 			ref := fermion.NewClover(g, 0.2, 1.3)
 			checkReference(t, shape, g.L, func(b *lattice.FermionField) problem[*lattice.FermionField] {
 				return wilsonProblem(g, ref, b, ref.Mass, fermion.Double, 1, 1)
-			}, ref, spinors(g.L, 9, point), spinors(g.L, 8, point), adjoint, 0)
+			}, ref, spinors(g.L, 9, point), spinors(g.L, 8, point))
 		}},
-		{"asqtad", func(t *testing.T, shape geom.Shape, g *lattice.GaugeField, adjoint, point bool) {
+		{"asqtad", func(t *testing.T, shape geom.Shape, g *lattice.GaugeField, point bool) {
 			ref := fermion.NewASQTAD(g, 0.25)
 			u, v := lattice.NewColorField(g.L), lattice.NewColorField(g.L)
 			if point {
@@ -225,30 +219,30 @@ func TestDistMatchesReference(t *testing.T) {
 			}
 			checkReference(t, shape, g.L, func(b *lattice.ColorField) problem[*lattice.ColorField] {
 				return asqtadProblem(ref, b, fermion.Double, 1, 1)
-			}, ref, u, v, adjoint, 1e-24)
+			}, ref, u, v)
 		}},
 		{"dwf-ls1", dwf(1)},
 		{"dwf-ls4", dwf(4)},
 	}
+	// D, D† and hermiticity on every machine, of a Gaussian source and of
+	// a point source on a configuration no other test uses.
+	run := func(t *testing.T, op func(*testing.T, geom.Shape, *lattice.GaugeField, bool), m int, seed uint64, point bool) {
+		if machines[m].name == "2-forked" {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(3))
+		}
+		gauge := lattice.NewGaugeField(machines[m].global)
+		gauge.Randomize(seed)
+		op(t, machines[m].shape, gauge, point)
+	}
 	for _, op := range operators {
 		t.Run(op.name, func(t *testing.T) {
-			for _, m := range machines {
-				t.Run(m.name, func(t *testing.T) {
-					if m.name == "2-forked" {
-						defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(3))
-					}
-					gauge := lattice.NewGaugeField(m.global)
-					gauge.Randomize(7)
-					// D† and hermiticity once per operator, on the mixed machine.
-					op.run(t, m.shape, gauge, m.name == "4x2", false)
-				})
+			for i, m := range machines {
+				t.Run(m.name, func(t *testing.T) { run(t, op.run, i, 7, false) })
 			}
-			// D and D† of a point source, on a configuration no other test uses.
 			t.Run("point-source", func(t *testing.T) {
-				m := machines[1]
-				gauge := lattice.NewGaugeField(m.global)
-				gauge.Randomize(40961)
-				op.run(t, m.shape, gauge, true, true)
+				for i := range machines {
+					run(t, op.run, i, 40961, true)
+				}
 			})
 		})
 	}
@@ -256,18 +250,19 @@ func TestDistMatchesReference(t *testing.T) {
 
 // TestHopKernelAllocFree guards what the pointer kernels bought: after
 // the first call (D† scratch, the team's helpers) an application of the
-// reference Wilson and domain-wall operators allocates nothing, one
-// AXPY, Scale, R γ5 or fifth-dimension pass allocates nothing, and a
+// reference Wilson, domain-wall and ASQTAD operators allocates nothing,
+// one AXPY, Scale, R γ5 or fifth-dimension pass allocates nothing, a
 // distributed Wilson D plus D† allocates exactly what its two halo
-// exchanges do (the SCU model's transfers and gates, a fixed count per
-// exchange whatever the volume). A by-value slip that makes a spinor
-// escape to the heap fails here, and so does a fork that makes a kernel
-// or a closure per call: every leg runs serially on 4x4x2x2 and forked
-// on a local volume of two grains with a second core. Every leg reads 0
-// on both; the same fork written with a closure, a go statement and a
-// WaitGroup reads 4 per call two chunks wide.
+// exchanges do and a distributed ASQTAD D what its one does (the SCU
+// model's transfers and gates, a fixed count per exchange whatever the
+// volume). A by-value slip that makes a spinor escape to the heap fails
+// here, and so does a fork that makes a kernel or a closure per call:
+// every leg runs serially on 6x4x2x2 and forked on a local volume of two
+// grains with a second core. Every leg reads 0 on both; the same fork
+// written with a closure, a go statement and a WaitGroup reads 4 per
+// call two chunks wide.
 func TestHopKernelAllocFree(t *testing.T) {
-	t.Run("serial", func(t *testing.T) { hopKernelAllocs(t, lattice.Shape4{4, 4, 2, 2}, nil) })
+	t.Run("serial", func(t *testing.T) { hopKernelAllocs(t, lattice.Shape4{6, 4, 2, 2}, nil) })
 	t.Run("forked", func(t *testing.T) {
 		if runtime.GOMAXPROCS(0) < 2 {
 			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
@@ -318,6 +313,10 @@ func hopKernelAllocs(t *testing.T, global lattice.Shape4, tm *team.Team) {
 	g5, fifth := new(fermion.Gamma5Kernel), new(fermion.FifthDimKernel)
 	leg("ReflectGamma5", func() { g5.Run(tm, dst5.S, src5.S, 2) })
 	leg("AddFifthDimHops", func() { fifth.Run(tm, dst5.S, src5.S, 2, 0.05) })
+	asqtad := fermion.NewASQTAD(gauge, 0.3)
+	csrc, cdst := lattice.NewColorField(global), lattice.NewColorField(global)
+	csrc.Gaussian(10)
+	leg("fermion.ASQTAD.Apply", func() { asqtad.Apply(cdst, csrc) })
 
 	sess, err := NewSession(geom.MakeShape(2), global)
 	if err != nil {
@@ -325,7 +324,7 @@ func hopKernelAllocs(t *testing.T, global lattice.Shape4, tm *team.Team) {
 	}
 	defer sess.Close()
 	dec := sess.Lay.Dec
-	var exchanges, applies float64
+	var exchanges, applies, stagExchange, stagApply float64
 	err = sess.M.RunSPMD("alloc-free", func(rank int) node.Program {
 		return func(ctx *node.Ctx) {
 			var tm *team.Team
@@ -336,6 +335,8 @@ func hopKernelAllocs(t *testing.T, global lattice.Shape4, tm *team.Team) {
 			comm := qmp.New(ctx, sess.Lay.Fold)
 			op := NewDistWilson(ctx, comm, tm, dec, gauge, nil, 0.3, fermion.Double)
 			in := ScatterFermion(src, dec, GridCoord(comm.Coord()))
+			stag := NewDistASQTAD(ctx, comm, tm, dec, asqtad, fermion.Double)
+			cin, cout := ScatterColor(csrc, dec, GridCoord(comm.Coord())), lattice.NewColorField(dec.Local)
 			mid, out := lattice.NewFermionField(dec.Local), lattice.NewFermionField(dec.Local)
 			twoExchanges := func() {
 				op.exchange()
@@ -347,12 +348,16 @@ func hopKernelAllocs(t *testing.T, global lattice.Shape4, tm *team.Team) {
 			}
 			// An exchange needs both ranks in step: rank 0 measures (one
 			// warm-up call, then runs), rank 1 keeps it company.
+			stagExchanges := func() { stag.exchange() }
+			stagD := func() { stag.Apply(cout, cin) }
 			if rank == 0 {
 				exchanges = testing.AllocsPerRun(runs, twoExchanges)
 				applies = testing.AllocsPerRun(runs, dAndDdag)
+				stagExchange = testing.AllocsPerRun(runs, stagExchanges)
+				stagApply = testing.AllocsPerRun(runs, stagD)
 				return
 			}
-			for _, f := range []func(){twoExchanges, dAndDdag} {
+			for _, f := range []func(){twoExchanges, dAndDdag, stagExchanges, stagD} {
 				for i := 0; i <= runs; i++ {
 					f()
 				}
@@ -364,6 +369,9 @@ func hopKernelAllocs(t *testing.T, global lattice.Shape4, tm *team.Team) {
 	}
 	if applies != exchanges {
 		t.Errorf("DistWilson.Apply + ApplyDag: %v allocs per pair, its two halo exchanges alone %v", applies, exchanges)
+	}
+	if stagApply != stagExchange {
+		t.Errorf("DistASQTAD.Apply: %v allocs per call, its halo exchange alone %v", stagApply, stagExchange)
 	}
 }
 

@@ -44,15 +44,15 @@ func newWilsonHop(ctx *node.Ctx, comm *qmp.Comm, tm *team.Team, dec lattice.Deco
 	w := wilsonHop{
 		halo:  newHalo(ctx, comm, dec, ls*latmath.HalfSpinorWords, cost.Scale(float64(sites))),
 		Ls:    ls,
-		sites: fermion.HopKernel{G: ScatterGauge(gauge, dec, GridCoord(comm.Coord())), Nb: dec.Local.Neighbors()},
+		sites: fermion.HopKernel{G: ScatterGauge(gauge, dec, GridCoord(comm.Coord())), Nb: dec.Local.Neighbors(1)},
 		team:  tm,
 	}
 	for mu := 0; mu < lattice.Ndim; mu++ {
 		if !w.split[mu] {
 			continue
 		}
-		w.faces[mu][0] = lattice.FaceSites(dec.Local, mu, 0)
-		w.faces[mu][1] = lattice.FaceSites(dec.Local, mu, 1)
+		w.faces[mu][0] = lattice.LayerSites(dec.Local, mu, 0)
+		w.faces[mu][1] = lattice.LayerSites(dec.Local, mu, dec.Local[mu]-1)
 		for slot, idx := range w.faces[mu][0] {
 			w.sites.Nb.Dn[mu][idx] = ^int32(slot)
 		}

@@ -79,7 +79,7 @@ func goldenCases() []goldenCase {
 			x, met, err := s.SolveClover(fermion.NewClover(gauge, 0.5, 1.0), b, fermion.Double, 1e-4, maxIter)
 			return golden(met, spinorsCRC(x.S)), err
 		}},
-		{"asqtad", solveGolden{15, 34, 0x3f137272e0ed48ac, 0xd2cb631b, 26930596945, 0x99188, 0}, 0x4a8ed9f0a30d7e80, func(s *Session) (solveGolden, error) {
+		{"asqtad", solveGolden{15, 34, 0x3f137272e0ed4764, 0xc374d5db, 26930596945, 0x99188, 0}, 0x7b89828e6be81284, func(s *Session) (solveGolden, error) {
 			b := lattice.NewColorField(global)
 			b.Gaussian(2)
 			x, met, err := s.SolveASQTAD(fermion.NewASQTAD(gauge, 0.5), b, fermion.Double, 1e-4, maxIter)

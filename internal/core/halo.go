@@ -17,7 +17,7 @@ import (
 // operator writes its boundary payload into the send buffers with the
 // put methods, calls exchange, and reads its neighbours' payloads back
 // from the recv buffers; a slot is one face site's payload, and sender
-// and receiver agree on slot numbering through lattice.FaceSites order.
+// and receiver agree on slot numbering through lattice.LayerSites order.
 //
 // While the DMA engines move the faces the node's CPU model is charged
 // the operator's whole-volume kernel cost, so simulated time reflects
@@ -120,19 +120,6 @@ func (h *halo) vec(mu, end, slot int) latmath.Vec3 {
 	var w [latmath.Vec3Words]uint64
 	h.read(h.recv[mu][end], slot, w[:])
 	return latmath.UnpackVec3(w[:])
-}
-
-// faceSlot is the rank of site x among the sites sharing its x_mu, in
-// ascending index order: its position in lattice.FaceSites or LayerSites
-// of any layer transverse to mu, hence its slot in the packing order.
-func faceSlot(l lattice.Shape4, x lattice.Site, mu int) int {
-	slot := 0
-	for nu := lattice.Ndim - 1; nu >= 0; nu-- {
-		if nu != mu {
-			slot = slot*l[nu] + x[nu]
-		}
-	}
-	return slot
 }
 
 func check(err error) {

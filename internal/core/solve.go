@@ -74,8 +74,8 @@ func asqtadProblem(ref *fermion.ASQTAD, b *lattice.ColorField, prec fermion.Prec
 		kind: fermion.AsqtadKind, prec: prec, ls: 1, reach: naikReach, tol: tol, maxIter: maxIter,
 		b: b, gaugeL: ref.G.L, bL: b.L, bLs: 1,
 		newField: lattice.NewColorField, scatter: ScatterColor, gather: GatherColor,
-		newOperator: func(ctx *node.Ctx, comm *qmp.Comm, _ *team.Team, dec lattice.Decomp) distOperator[*lattice.ColorField] {
-			return NewDistASQTAD(ctx, comm, dec, ref, prec)
+		newOperator: func(ctx *node.Ctx, comm *qmp.Comm, tm *team.Team, dec lattice.Decomp) distOperator[*lattice.ColorField] {
+			return NewDistASQTAD(ctx, comm, tm, dec, ref, prec)
 		},
 	}
 }

@@ -108,7 +108,7 @@ type DWF struct {
 
 // NewDWF builds the operator.
 func NewDWF(g *lattice.GaugeField, m5, mf float64, ls int) *DWF {
-	return &DWF{G: g, M5: m5, Mf: mf, Ls: ls, hop: HopKernel{G: g, Nb: g.L.Neighbors()}}
+	return &DWF{G: g, M5: m5, Mf: mf, Ls: ls, hop: HopKernel{G: g, Nb: g.L.Neighbors(1)}}
 }
 
 // Name identifies the operator.

@@ -47,9 +47,9 @@ func pathProduct(g *lattice.GaugeField, x lattice.Site, steps []pathStep) latmat
 	for _, s := range steps {
 		if s.dir > 0 {
 			m = m.Mul(g.Link(y, s.mu))
-			y = g.L.Neighbor(y, s.mu, +1)
+			y = g.L.Hop(y, s.mu, +1)
 		} else {
-			y = g.L.Neighbor(y, s.mu, -1)
+			y = g.L.Hop(y, s.mu, -1)
 			m = m.Mul(g.Link(y, s.mu).Dagger())
 		}
 	}
@@ -136,7 +136,7 @@ type Wilson struct {
 
 // NewWilson builds the operator on gauge field g with bare mass m.
 func NewWilson(g *lattice.GaugeField, mass float64) *Wilson {
-	return &Wilson{G: g, Mass: mass, hop: HopKernel{G: g, Nb: g.L.Neighbors()}}
+	return &Wilson{G: g, Mass: mass, hop: HopKernel{G: g, Nb: g.L.Neighbors(1)}}
 }
 
 // Name implements DiracOperator.

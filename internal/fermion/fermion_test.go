@@ -194,11 +194,19 @@ func TestCloverSpinBlockDiagonal(t *testing.T) {
 	}
 }
 
+// oneHopStaggered is the ASQTAD operator without its Naik term: the
+// one-hop staggered operator on fat links.
+func oneHopStaggered(g *lattice.GaugeField, mass float64) *ASQTAD {
+	a := NewASQTAD(g, mass)
+	a.Naik = 0
+	return a
+}
+
 func TestStaggeredMassTerm(t *testing.T) {
 	// Free field, constant vector: hopping cancels, eigenvalue m.
 	l := testLattice()
 	g := lattice.NewGaugeField(l)
-	s := NewStaggered(g, 0.4)
+	s := oneHopStaggered(g, 0.4)
 	src := lattice.NewColorField(l)
 	for i := range src.V {
 		src.V[i] = latmath.Vec3{1, complex(0, 1), complex(2, -1)}
@@ -234,23 +242,24 @@ func adjointnessStaggered(t *testing.T, op StaggeredOperator) {
 
 func TestStaggeredAntiHermiticity(t *testing.T) {
 	// The hopping part is anti-Hermitian: for m=0, <u,Dv> = -<Dv... i.e.
-	// <u,Dv> = -conj(<v,Du>).
+	// <u,Dv> = -conj(<v,Du>), with and without the Naik term.
 	g := hotGauge(10)
-	s := NewStaggered(g, 0)
-	u := lattice.NewColorField(g.L)
-	v := lattice.NewColorField(g.L)
-	u.Gaussian(33)
-	v.Gaussian(34)
-	Dv := lattice.NewColorField(g.L)
-	Du := lattice.NewColorField(g.L)
-	s.Apply(Dv, v)
-	s.Apply(Du, u)
-	lhs := u.Dot(Dv)
-	rhs := -cmplx.Conj(v.Dot(Du))
-	if cmplx.Abs(lhs-rhs) > 1e-8*(1+cmplx.Abs(lhs)) {
-		t.Fatalf("hopping not anti-Hermitian: %v vs %v", lhs, rhs)
+	for _, s := range []*ASQTAD{oneHopStaggered(g, 0), NewASQTAD(g, 0)} {
+		u := lattice.NewColorField(g.L)
+		v := lattice.NewColorField(g.L)
+		u.Gaussian(33)
+		v.Gaussian(34)
+		Dv := lattice.NewColorField(g.L)
+		Du := lattice.NewColorField(g.L)
+		s.Apply(Dv, v)
+		s.Apply(Du, u)
+		lhs := u.Dot(Dv)
+		rhs := -cmplx.Conj(v.Dot(Du))
+		if cmplx.Abs(lhs-rhs) > 1e-8*(1+cmplx.Abs(lhs)) {
+			t.Fatalf("hopping not anti-Hermitian (Naik %g): %v vs %v", s.Naik, lhs, rhs)
+		}
 	}
-	adjointnessStaggered(t, NewStaggered(g, 0.17))
+	adjointnessStaggered(t, oneHopStaggered(g, 0.17))
 }
 
 func TestASQTADColdReducesToMass(t *testing.T) {
@@ -288,8 +297,7 @@ func TestASQTADNaikTermActive(t *testing.T) {
 	// On a hot field the Naik term must contribute: compare against a
 	// fat-only operator.
 	g := hotGauge(13)
-	a := NewASQTAD(g, 0.1)
-	noNaik := &ASQTAD{G: g, Fat: a.Fat, Long: a.Long, Mass: 0.1, Naik: 0}
+	a, noNaik := NewASQTAD(g, 0.1), oneHopStaggered(g, 0.1)
 	src := lattice.NewColorField(g.L)
 	src.Gaussian(35)
 	d1 := lattice.NewColorField(g.L)

@@ -93,6 +93,31 @@ func refHopSlices(dst, src []latmath.Spinor, g *lattice.GaugeField, nb *lattice.
 	}
 }
 
+// refStaggered is the ASQTAD site loop by value on coordinates, in the
+// summation order StaggeredKernel states.
+func refStaggered(dst, src []latmath.Vec3, a *ASQTAD) {
+	l := a.G.L
+	cn := complex(a.Naik, 0)
+	for idx := range dst {
+		x := l.SiteOf(idx)
+		acc := src[idx].Scale(complex(a.Mass, 0))
+		for mu := 0; mu < lattice.Ndim; mu++ {
+			at := func(k int) latmath.Vec3 { return src[l.Index(l.Hop(x, mu, k))] }
+			hop := a.Fat.Link(x, mu).MulVec(at(1)).Add(a.Long.Link(x, mu).MulVec(at(3)).Scale(cn))
+			bwd := a.Fat.Link(l.Hop(x, mu, -1), mu).DagMulVec(at(-1)).
+				Add(a.Long.Link(l.Hop(x, mu, -3), mu).DagMulVec(at(-3)).Scale(cn))
+			eta := 0.5
+			for nu := 0; nu < mu; nu++ {
+				if x[nu]%2 == 1 {
+					eta = -eta
+				}
+			}
+			acc = acc.Add(hop.Sub(bwd).Scale(complex(eta, 0)))
+		}
+		dst[idx] = acc
+	}
+}
+
 // testSpinors returns n+2 spinors, the first and last a NaN sentinel no
 // kernel may touch, the n between them per kind: Gaussian noise, or the
 // inputs on which an algebraic shortcut shows — zeros of both signs,
@@ -143,6 +168,45 @@ func sameSpinors(a, b []latmath.Spinor) bool {
 		}
 	}
 	return len(a) == len(b)
+}
+
+// testVecs and sameVecs are testSpinors and sameSpinors for colour
+// vectors: spin component 1 of the test spinors.
+func testVecs(n int, seed uint64, adversarial bool) []latmath.Vec3 {
+	var v []latmath.Vec3
+	for _, s := range testSpinors(n, seed, adversarial) {
+		v = append(v, s[1])
+	}
+	return v
+}
+
+func sameVecs(a, b []latmath.Vec3) bool {
+	as, bs := make([]latmath.Spinor, len(a)), make([]latmath.Spinor, len(b))
+	for i := range a {
+		as[i][1] = a[i]
+	}
+	for i := range b {
+		bs[i][1] = b[i]
+	}
+	return sameSpinors(as, bs)
+}
+
+// vecCase runs a colour-vector kernel and its oracle as a rangedCase, on
+// spin component 1 of the spinors; the other components stay as they are.
+func vecCase(name string, run, ref func(tm *team.Team, dst, src []latmath.Vec3)) rangedCase {
+	onVecs := func(f func(tm *team.Team, dst, src []latmath.Vec3)) func(tm *team.Team, dst, src []latmath.Spinor) {
+		return func(tm *team.Team, dst, src []latmath.Spinor) {
+			d, s := make([]latmath.Vec3, len(dst)), make([]latmath.Vec3, len(src))
+			for i := range dst {
+				d[i], s[i] = dst[i][1], src[i][1]
+			}
+			f(tm, d, s)
+			for i := range dst {
+				dst[i][1] = d[i]
+			}
+		}
+	}
+	return rangedCase{name, onVecs(run), onVecs(ref)}
 }
 
 func clone(s []latmath.Spinor) []latmath.Spinor { return append([]latmath.Spinor(nil), s...) }
@@ -211,24 +275,15 @@ func checkColorBLAS(t *testing.T, width, n int, adversarial bool) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(width))
 	var tm team.Team
 	defer tm.Close()
-	vecs := func(seed uint64) []latmath.Vec3 {
-		var v []latmath.Vec3
-		for _, s := range testSpinors(n, seed, adversarial) {
-			v = append(v, s[1])
-		}
-		return v
-	}
 	a := complex(0.37, -1.2)
-	src, got, want := vecs(71), vecs(72), vecs(72)
+	src, got, want := testVecs(n, 71, adversarial), testVecs(n, 72, adversarial), testVecs(n, 72, adversarial)
 	y, x := &lattice.ColorField{V: got[1 : n+1]}, &lattice.ColorField{V: src[1 : n+1]}
 	tm.Run(n, &colorKernel{y, x, a})
 	for i := 1; i <= n; i++ {
 		want[i] = want[i].AXPY(a, src[i]).Scale(a)
 	}
-	for i := range want {
-		if !sameSpinors([]latmath.Spinor{{got[i]}}, []latmath.Spinor{{want[i]}}) {
-			t.Fatalf("ColorField AXPY then Scale, width %d, n %d, adversarial %v: site %d differs from the by-value loop", width, n, adversarial, i-1)
-		}
+	if !sameVecs(got, want) {
+		t.Fatalf("ColorField AXPY then Scale, width %d, n %d, adversarial %v: differs from the by-value loop", width, n, adversarial)
 	}
 }
 
@@ -303,12 +358,14 @@ func TestRangedKernelsMatchByValue(t *testing.T) {
 		}
 	}
 
-	// The hop and the clover term need a real lattice: 7744 sites, which
-	// 3 and 7 do not divide; the domain-wall hop runs 2 slices of it.
+	// The hop, the clover term and the staggered kernel need a real
+	// lattice: 7744 sites, which 3 and 7 do not divide; the domain-wall
+	// hop runs 2 slices of it.
 	l := lattice.Shape4{8, 8, 11, 11}
 	gauge := lattice.NewGaugeField(l)
 	gauge.Randomize(73)
 	clover := NewClover(gauge, 0.2, 1.3)
+	asqtad := NewASQTAD(gauge, 0.3)
 	v4, diag := l.Volume(), complex(4.3, 0)
 	hop := func(ls int) rangedCase {
 		return rangedCase{"HopKernel", func(tm *team.Team, dst, src []latmath.Spinor) {
@@ -318,19 +375,23 @@ func TestRangedKernelsMatchByValue(t *testing.T) {
 	term := rangedCase{"CloverTerm.AddTo", func(tm *team.Team, dst, src []latmath.Spinor) {
 		clover.term.AddTo(tm, dst, src)
 	}, func(_ *team.Team, dst, src []latmath.Spinor) { refCloverAddTo(clover.term, dst, src) }}
+	staggered := vecCase("StaggeredKernel", func(tm *team.Team, dst, src []latmath.Vec3) {
+		asqtad.sites.Run(tm, dst, src, asqtad.Mass, asqtad.Naik)
+	}, func(_ *team.Team, dst, src []latmath.Vec3) { refStaggered(dst, src, asqtad) })
 	for _, width := range []int{1, 2, 3, 7} {
 		for _, adversarial := range []bool{false, true} {
 			checkCase(t, hop(1), width, v4, adversarial)
 			checkCase(t, hop(2), width, 2*v4, adversarial)
 			checkCase(t, term, width, v4, adversarial)
+			checkCase(t, staggered, width, v4, adversarial)
 		}
 	}
 }
 
 // TestRangedOracleCatchesChunkSlips is the mutation check on the test
-// itself: a kernel that stops each chunk a site short, and one that
-// reads its reflected source from its own slice, must fail the
-// comparison once the loop forks. (That chunks never overlap is the
+// itself: a kernel that stops each chunk a site short (γ5 and the
+// staggered kernel), and one that reads its reflected source from its
+// own slice, must fail the comparison once the loop forks. (That chunks never overlap is the
 // team's own visit-count test; an overlapping mutant here would race.)
 func TestRangedOracleCatchesChunkSlips(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(3))
@@ -352,7 +413,28 @@ func TestRangedOracleCatchesChunkSlips(t *testing.T) {
 			t.Errorf("mutant %q passes the oracle", name)
 		}
 	}
+
+	l := lattice.Shape4{8, 8, 8, 6}
+	gauge := lattice.NewGaugeField(l)
+	gauge.Randomize(74)
+	a := NewASQTAD(gauge, 0.3)
+	v := l.Volume()
+	src, got := testVecs(v, 71, true), testVecs(v, 72, true)
+	want := append([]latmath.Vec3(nil), got...)
+	k := a.sites
+	k.dst, k.src, k.mass, k.naik = got[1:v+1], src[1:v+1], complex(a.Mass, 0), complex(a.Naik, 0)
+	var tm team.Team
+	tm.Run(v, shortStaggered{&k})
+	tm.Close()
+	refStaggered(want[1:v+1], src[1:v+1], a)
+	if sameVecs(got, want) {
+		t.Error(`staggered mutant "one short" passes the oracle`)
+	}
 }
+
+type shortStaggered struct{ *StaggeredKernel }
+
+func (k shortStaggered) Range(lo, hi int) { k.StaggeredKernel.Range(lo, hi-1) }
 
 type mutantKernel struct {
 	Gamma5Kernel

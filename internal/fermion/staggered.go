@@ -3,90 +3,107 @@ package fermion
 import (
 	"qcdoc/internal/latmath"
 	"qcdoc/internal/lattice"
+	"qcdoc/internal/team"
 )
 
-// eta returns the Kogut-Susskind phase η_mu(x) = (-1)^(x_0+...+x_{mu-1}).
-func eta(x lattice.Site, mu int) float64 {
-	s := 0
-	for nu := 0; nu < mu; nu++ {
-		s += x[nu]
-	}
-	if s%2 == 1 {
-		return -1
-	}
-	return 1
+// StaggeredKernel is the site loop of every ASQTAD operator, reference
+// and distributed:
+//
+//	dst(x) = m src(x) + Σ_mu ½η_mu(x) (hop - bwd),
+//	hop = F_mu(x) src(x+mu) + c_N L_mu(x) src(x+3mu),
+//	bwd = F†_mu(x-mu) src(x-mu) + c_N L†_mu(x-3mu) src(x-3mu),
+//
+// summed in that order at every site, with c_N applied to the product
+// (L v)·c_N. That is the order the distributed exchange ships at a face,
+// so a site next to a node boundary rounds as it does in the interior,
+// and distributed equals reference bit for bit. dst and src must not
+// overlap.
+type StaggeredKernel struct {
+	Fat, Long *lattice.GaugeField
+	// Nb1 and Nb3 are the neighbour tables at distances 1 and 3. Where a
+	// hop leaves a node's volume they hold ^slot of the ghost Ghosts
+	// serves.
+	Nb1, Nb3 *lattice.Neighbors
+	// Eta holds η per site: bit mu is set where η_mu(x) = -1.
+	Eta []uint8
+	// Ghosts serves the hops that leave a node's volume; nil on a
+	// periodic volume.
+	Ghosts StaggeredGhosts
+
+	dst, src   []latmath.Vec3
+	mass, naik complex128
 }
 
-// Staggered is the naive one-link Kogut-Susskind operator
-// D χ(x) = m χ(x) + (1/2) Σ_mu η_mu(x) [U_mu(x) χ(x+mu) - U†_mu(x-mu) χ(x-mu)].
-// Its hopping part is anti-Hermitian, so D† = 2m - D.
-type Staggered struct {
-	G    *lattice.GaugeField
-	Mass float64
+// StaggeredGhosts returns the colour vector the (mu, end) neighbour
+// packed for ghost slot slot. A forward (end 1) ghost is the plain
+// source vector; a backward (end 0) one has the sender's links and c_N
+// applied: for a site on the low face it is the whole of bwd, else its
+// Naik term.
+type StaggeredGhosts interface {
+	Vec(mu, end, slot int) latmath.Vec3
 }
 
-// NewStaggered builds the naive staggered operator.
-func NewStaggered(g *lattice.GaugeField, mass float64) *Staggered {
-	return &Staggered{G: g, Mass: mass}
-}
-
-// Name implements StaggeredOperator.
-func (s *Staggered) Name() string { return "staggered" }
-
-// Lattice implements StaggeredOperator.
-func (s *Staggered) Lattice() lattice.Shape4 { return s.G.L }
-
-// Apply computes dst = D src.
-func (s *Staggered) Apply(dst, src *lattice.ColorField) {
-	applyOneLink(s.G, src, dst, s.Mass, 0.5, 1)
-}
-
-// ApplyDag computes dst = D† src = (2m - D) src.
-func (s *Staggered) ApplyDag(dst, src *lattice.ColorField) {
-	s.Apply(dst, src)
-	for i := range dst.V {
-		dst.V[i] = src.V[i].Scale(complex(2*s.Mass, 0)).Sub(dst.V[i])
-	}
-}
-
-// applyOneLink accumulates dst = mass*src + coeff Σ_mu η_mu(x)
-// [W_mu(x) src(x+hop*mu) - W†_mu(x-hop*mu) src(x-hop*mu)] for link field
-// w and hop distance hop (1 for ordinary and fat links, 3 for Naik).
-// When mass is NaN-free zero and dst already holds a partial result the
-// caller uses accumulateOneLink instead.
-func applyOneLink(w *lattice.GaugeField, src, dst *lattice.ColorField, mass, coeff float64, hop int) {
-	l := w.L
-	v := l.Volume()
-	for idx := 0; idx < v; idx++ {
+// StaggeredPhases builds the Kogut-Susskind phases η_mu(x) =
+// (-1)^(x_0+...+x_{mu-1}) of the sites of l, in Eta's bit layout, for a
+// volume whose site 0 sits at global coordinate origin: a node's phases
+// follow its global position, or they break at node boundaries.
+func StaggeredPhases(l lattice.Shape4, origin lattice.Site) []uint8 {
+	eta := make([]uint8, l.Volume())
+	for idx := range eta {
 		x := l.SiteOf(idx)
-		acc := src.V[idx].Scale(complex(mass, 0))
-		acc = acc.Add(oneLinkAt(w, src, x, coeff, hop))
-		dst.V[idx] = acc
+		s := 0
+		for mu := 1; mu < lattice.Ndim; mu++ {
+			s += origin[mu-1] + x[mu-1]
+			eta[idx] |= uint8(s&1) << mu
+		}
 	}
+	return eta
 }
 
-// accumulateOneLink adds the hopping term into dst without the mass term.
-func accumulateOneLink(w *lattice.GaugeField, src, dst *lattice.ColorField, coeff float64, hop int) {
-	l := w.L
-	v := l.Volume()
-	for idx := 0; idx < v; idx++ {
-		x := l.SiteOf(idx)
-		dst.V[idx] = dst.V[idx].Add(oneLinkAt(w, src, x, coeff, hop))
-	}
+// Run sets the arguments and runs the kernel over both fields on t.
+func (k *StaggeredKernel) Run(t *team.Team, dst, src []latmath.Vec3, mass, naik float64) {
+	k.dst, k.src, k.mass, k.naik = dst, src, complex(mass, 0), complex(naik, 0)
+	t.Run(len(dst), k)
 }
 
-func oneLinkAt(w *lattice.GaugeField, src *lattice.ColorField, x lattice.Site, coeff float64, hop int) latmath.Vec3 {
-	l := w.L
-	var acc latmath.Vec3
-	for mu := 0; mu < lattice.Ndim; mu++ {
-		e := complex(coeff*eta(x, mu), 0)
-		xp := l.Hop(x, mu, hop)
-		xm := l.Hop(x, mu, -hop)
-		fwd := w.Link(x, mu).MulVec(src.V[l.Index(xp)])
-		bwd := w.Link(xm, mu).DagMulVec(src.V[l.Index(xm)])
-		acc = acc.Add(fwd.Sub(bwd).Scale(e))
+// at is src at table entry i, or the (mu, end) ghost it names.
+func (k *StaggeredKernel) at(i int32, mu, end int) latmath.Vec3 {
+	if i >= 0 {
+		return k.src[i]
 	}
-	return acc
+	return k.Ghosts.Vec(mu, end, int(^i))
+}
+
+func (k *StaggeredKernel) Range(lo, hi int) {
+	var hop, bwd, t, x latmath.Vec3
+	for idx := lo; idx < hi; idx++ {
+		acc := k.src[idx].Scale(k.mass)
+		for mu := 0; mu < lattice.Ndim; mu++ {
+			x = k.at(k.Nb1.Up[mu][idx], mu, 1)
+			hop.MulMat(&k.Fat.U[lattice.Ndim*idx+mu], &x)
+			x = k.at(k.Nb3.Up[mu][idx], mu, 1)
+			t.MulMat(&k.Long.U[lattice.Ndim*idx+mu], &x)
+			hop = hop.Add(t.Scale(k.naik))
+			if dn := k.Nb1.Dn[mu][idx]; dn < 0 {
+				bwd = k.Ghosts.Vec(mu, 0, int(^dn))
+			} else {
+				bwd.DagMulMat(&k.Fat.U[lattice.Ndim*int(dn)+mu], &k.src[dn])
+				if dn3 := k.Nb3.Dn[mu][idx]; dn3 < 0 {
+					t = k.Ghosts.Vec(mu, 0, int(^dn3))
+				} else {
+					t.DagMulMat(&k.Long.U[lattice.Ndim*int(dn3)+mu], &k.src[dn3])
+					t = t.Scale(k.naik)
+				}
+				bwd = bwd.Add(t)
+			}
+			e := 0.5
+			if k.Eta[idx]>>mu&1 != 0 {
+				e = -0.5
+			}
+			acc = acc.Add(hop.Sub(bwd).Scale(complex(e, 0)))
+		}
+		k.dst[idx] = acc
+	}
 }
 
 // ASQTAD is the a²-tadpole-improved staggered operator the paper
@@ -105,12 +122,17 @@ func oneLinkAt(w *lattice.GaugeField, src *lattice.ColorField, x lattice.Site, c
 // two link fields, sixteen matrix-vector products per site, first- and
 // third-neighbour communication — is identical; only the physics
 // improvement coefficients differ. See DESIGN.md.
+//
+// An operator value is not safe for concurrent use: its site loop runs
+// as a kernel it keeps.
 type ASQTAD struct {
 	G    *lattice.GaugeField
 	Fat  *lattice.GaugeField
 	Long *lattice.GaugeField
 	Mass float64
 	Naik float64
+
+	sites StaggeredKernel
 }
 
 // Standard-ish coefficients: fat = c1 U + c3 Σ_staples with c1+6*c3 = 1
@@ -125,7 +147,9 @@ const (
 // NewASQTAD builds the operator, constructing fat and long links from g.
 func NewASQTAD(g *lattice.GaugeField, mass float64) *ASQTAD {
 	fat, long := BuildASQTADLinks(g)
-	return &ASQTAD{G: g, Fat: fat, Long: long, Mass: mass, Naik: asqtadNaikCoeff}
+	return &ASQTAD{G: g, Fat: fat, Long: long, Mass: mass, Naik: asqtadNaikCoeff,
+		sites: StaggeredKernel{Fat: fat, Long: long, Nb1: g.L.Neighbors(1), Nb3: g.L.Neighbors(3),
+			Eta: StaggeredPhases(g.L, lattice.Site{})}}
 }
 
 // BuildASQTADLinks constructs the fattened one-hop links and the
@@ -164,8 +188,7 @@ func (a *ASQTAD) Lattice() lattice.Shape4 { return a.G.L }
 
 // Apply computes dst = D src.
 func (a *ASQTAD) Apply(dst, src *lattice.ColorField) {
-	applyOneLink(a.Fat, src, dst, a.Mass, 0.5, 1)
-	accumulateOneLink(a.Long, src, dst, 0.5*a.Naik, 3)
+	a.sites.Run(nil, dst.V, src.V, a.Mass, a.Naik)
 }
 
 // ApplyDag computes dst = D† src = (2m - D) src: both hopping terms are

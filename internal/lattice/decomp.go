@@ -53,36 +53,17 @@ func (d Decomp) GlobalOf(node, local Site) Site {
 	return g
 }
 
-// FaceSites lists the local lexicographic indices of the boundary face
-// in direction mu at the given end (0 = low boundary x_mu==0, 1 = high
-// boundary x_mu==L-1), in ascending index order. These are the sites
-// whose projected spinors a Dslash halo exchange ships to the
-// neighbouring node; the ordering is the contract between the packing
-// code and the SCU DMA descriptors.
-func FaceSites(l Shape4, mu, end int) []int {
-	fixed := 0
-	if end == 1 {
-		fixed = l[mu] - 1
-	}
-	var out []int
-	v := l.Volume()
-	for idx := 0; idx < v; idx++ {
-		if l.SiteOf(idx)[mu] == fixed {
-			out = append(out, idx)
-		}
-	}
-	return out
-}
-
 // FaceVolume is the number of sites on a face transverse to mu.
 func FaceVolume(l Shape4, mu int) int { return l.Volume() / l[mu] }
 
 // LayerSites lists the local lexicographic indices of the sites with
-// x_mu == k, in ascending index order — the generalization of FaceSites
-// to interior layers, needed by operators with third-nearest-neighbour
-// terms (ASQTAD's Naik term ships three boundary layers).
+// x_mu == k, in ascending index order. Layers 0 and l[mu]-1 are the
+// boundary faces whose payloads a halo exchange ships to the
+// neighbouring node (ASQTAD's Naik term ships three layers per face);
+// the order is the contract between the packing code and the receiver's
+// ghost slots: the i-th site of a layer is slot i.
 func LayerSites(l Shape4, mu, k int) []int {
-	var out []int
+	out := make([]int, 0, FaceVolume(l, mu))
 	v := l.Volume()
 	for idx := 0; idx < v; idx++ {
 		if l.SiteOf(idx)[mu] == k {

@@ -56,14 +56,6 @@ func (s Shape4) SiteOf(idx int) Site {
 	return c
 }
 
-// Neighbor returns the site one step along mu (0..3) in direction
-// dir (+1/-1), with periodic wrap.
-func (s Shape4) Neighbor(c Site, mu, dir int) Site {
-	n := c
-	n[mu] = (c[mu] + dir + s[mu]) % s[mu]
-	return n
-}
-
 // Hop returns the site displaced by k steps along mu (periodic).
 func (s Shape4) Hop(c Site, mu, k int) Site {
 	n := c
@@ -71,16 +63,16 @@ func (s Shape4) Hop(c Site, mu, k int) Site {
 	return n
 }
 
-// Neighbors tabulates the periodic nearest neighbours of every site by
-// lexicographic index — Up[mu][idx] one step forward along mu, Dn one
-// step back — so an operator's site loop pays the SiteOf/Neighbor/Index
+// Neighbors tabulates the periodic neighbours at distance k of every
+// site by lexicographic index — Up[mu][idx] k steps forward along mu,
+// Dn k steps back — so an operator's site loop pays the SiteOf/Hop/Index
 // div-mod chain once per operator instead of per site per direction.
 type Neighbors struct {
 	Up, Dn [Ndim][]int32
 }
 
-// Neighbors builds the table for this shape.
-func (s Shape4) Neighbors() *Neighbors {
+// Neighbors builds the distance-k table for this shape.
+func (s Shape4) Neighbors(k int) *Neighbors {
 	v := s.Volume()
 	var n Neighbors
 	for mu := 0; mu < Ndim; mu++ {
@@ -89,8 +81,8 @@ func (s Shape4) Neighbors() *Neighbors {
 	for idx := 0; idx < v; idx++ {
 		x := s.SiteOf(idx)
 		for mu := 0; mu < Ndim; mu++ {
-			n.Up[mu][idx] = int32(s.Index(s.Neighbor(x, mu, +1)))
-			n.Dn[mu][idx] = int32(s.Index(s.Neighbor(x, mu, -1)))
+			n.Up[mu][idx] = int32(s.Index(s.Hop(x, mu, k)))
+			n.Dn[mu][idx] = int32(s.Index(s.Hop(x, mu, -k)))
 		}
 	}
 	return &n
@@ -163,8 +155,8 @@ func (g *GaugeField) Plaquette() float64 {
 // PlaquetteAt returns Re tr of the (mu,nu) plaquette at x (un-normalized
 // by color).
 func (g *GaugeField) PlaquetteAt(x Site, mu, nu int) float64 {
-	xmu := g.L.Neighbor(x, mu, +1)
-	xnu := g.L.Neighbor(x, nu, +1)
+	xmu := g.L.Hop(x, mu, +1)
+	xnu := g.L.Hop(x, nu, +1)
 	p := g.Link(x, mu).
 		Mul(g.Link(xmu, nu)).
 		Mul(g.Link(xnu, mu).Dagger()).
@@ -183,10 +175,10 @@ func (g *GaugeField) Staple(x Site, mu int) latmath.Mat3 {
 		if nu == mu {
 			continue
 		}
-		xmu := g.L.Neighbor(x, mu, +1)
-		xnu := g.L.Neighbor(x, nu, +1)
-		xmnu := g.L.Neighbor(x, nu, -1)
-		xmu_mnu := g.L.Neighbor(xmu, nu, -1)
+		xmu := g.L.Hop(x, mu, +1)
+		xnu := g.L.Hop(x, nu, +1)
+		xmnu := g.L.Hop(x, nu, -1)
+		xmu_mnu := g.L.Hop(xmu, nu, -1)
 		// Upper staple: U_nu(x+mu) U_mu†(x+nu) U_nu†(x).
 		up := g.Link(xmu, nu).Mul(g.Link(xnu, mu).Dagger()).Mul(g.Link(x, nu).Dagger())
 		// Lower staple: U_nu†(x+mu-nu) U_mu†(x-nu) U_nu(x-nu).

@@ -22,13 +22,13 @@ func TestIndexRoundTrip(t *testing.T) {
 func TestNeighborWrap(t *testing.T) {
 	l := Shape4{4, 4, 4, 4}
 	s := Site{3, 0, 2, 3}
-	if n := l.Neighbor(s, 0, +1); n[0] != 0 {
+	if n := l.Hop(s, 0, +1); n[0] != 0 {
 		t.Fatalf("wrap fwd: %v", n)
 	}
-	if n := l.Neighbor(s, 1, -1); n[1] != 3 {
+	if n := l.Hop(s, 1, -1); n[1] != 3 {
 		t.Fatalf("wrap bwd: %v", n)
 	}
-	if n := l.Neighbor(l.Neighbor(s, 2, +1), 2, -1); n != s {
+	if n := l.Hop(l.Hop(s, 2, +1), 2, -1); n != s {
 		t.Fatal("neighbor not invertible")
 	}
 	if n := l.Hop(s, 3, 5); n[3] != (3+5)%4 {
@@ -39,20 +39,31 @@ func TestNeighborWrap(t *testing.T) {
 	}
 }
 
-// TestNeighborsTable checks the per-operator site table against the
-// coordinate arithmetic it replaces, on unequal extents (including 1 and
-// 2, where forward and backward neighbours coincide).
+// TestNeighborsTable checks the per-operator site tables at distances 1
+// and 3 against the coordinate arithmetic they replace, on unequal
+// extents: 1 and 2, where forward and backward neighbours coincide, and
+// 3, where a third neighbour is the site itself.
 func TestNeighborsTable(t *testing.T) {
 	l := Shape4{3, 1, 2, 5}
-	nb := l.Neighbors()
-	for idx := 0; idx < l.Volume(); idx++ {
-		x := l.SiteOf(idx)
-		for mu := 0; mu < Ndim; mu++ {
-			if up, want := int(nb.Up[mu][idx]), l.Index(l.Neighbor(x, mu, +1)); up != want {
-				t.Fatalf("Up[%d][%d] = %d, want %d", mu, idx, up, want)
-			}
-			if dn, want := int(nb.Dn[mu][idx]), l.Index(l.Neighbor(x, mu, -1)); dn != want {
-				t.Fatalf("Dn[%d][%d] = %d, want %d", mu, idx, dn, want)
+	for _, k := range []int{1, 3} {
+		nb := l.Neighbors(k)
+		for idx := 0; idx < l.Volume(); idx++ {
+			x := l.SiteOf(idx)
+			for mu := 0; mu < Ndim; mu++ {
+				fwd, bwd := x, x
+				for i := 0; i < k; i++ {
+					fwd[mu] = (fwd[mu] + 1) % l[mu]
+					bwd[mu] = (bwd[mu] + l[mu] - 1) % l[mu]
+				}
+				if up, want := int(nb.Up[mu][idx]), l.Index(fwd); up != want {
+					t.Fatalf("k=%d: Up[%d][%d] = %d, want %d", k, mu, idx, up, want)
+				}
+				if dn, want := int(nb.Dn[mu][idx]), l.Index(bwd); dn != want {
+					t.Fatalf("k=%d: Dn[%d][%d] = %d, want %d", k, mu, idx, dn, want)
+				}
+				if k == 3 && mu == 0 && (nb.Up[mu][idx] != int32(idx) || nb.Dn[mu][idx] != int32(idx)) {
+					t.Fatalf("k=3 on extent 3: site %d's third neighbours are not itself", idx)
+				}
 			}
 		}
 	}
@@ -71,7 +82,7 @@ func TestParityCheckerboard(t *testing.T) {
 		}
 		// Every neighbour has opposite parity.
 		for mu := 0; mu < Ndim; mu++ {
-			if Parity(l.Neighbor(s, mu, +1)) == p {
+			if Parity(l.Hop(s, mu, +1)) == p {
 				t.Fatalf("neighbour of %v has same parity", s)
 			}
 		}
@@ -133,7 +144,7 @@ func TestGaugeInvarianceOfPlaquette(t *testing.T) {
 	for idx := 0; idx < l.Volume(); idx++ {
 		x := l.SiteOf(idx)
 		for mu := 0; mu < Ndim; mu++ {
-			xn := l.Neighbor(x, mu, +1)
+			xn := l.Hop(x, mu, +1)
 			tr.SetLink(x, mu, rot[idx].Mul(g.Link(x, mu)).Mul(rot[l.Index(xn)].Dagger()))
 		}
 	}
@@ -275,11 +286,13 @@ func TestDecompQuick(t *testing.T) {
 	}
 }
 
+// TestFaceSites checks the boundary layers a halo exchange ships: the
+// right size, allocated once, on the boundary, in ascending order.
 func TestFaceSites(t *testing.T) {
 	l := Shape4{4, 4, 4, 4}
 	for mu := 0; mu < Ndim; mu++ {
-		lo := FaceSites(l, mu, 0)
-		hi := FaceSites(l, mu, 1)
+		lo := LayerSites(l, mu, 0)
+		hi := LayerSites(l, mu, l[mu]-1)
 		if len(lo) != FaceVolume(l, mu) || len(hi) != FaceVolume(l, mu) {
 			t.Fatalf("face sizes %d/%d, want %d", len(lo), len(hi), FaceVolume(l, mu))
 		}
@@ -293,11 +306,14 @@ func TestFaceSites(t *testing.T) {
 				t.Fatal("high face site not on boundary")
 			}
 		}
-		// Ascending order (the DMA descriptor contract).
+		// Ascending order (the slot contract).
 		for i := 1; i < len(lo); i++ {
 			if lo[i] <= lo[i-1] {
 				t.Fatal("face sites not ascending")
 			}
+		}
+		if n := testing.AllocsPerRun(3, func() { LayerSites(l, mu, 1) }); n != 1 {
+			t.Fatalf("LayerSites: %v allocs, want 1", n)
 		}
 	}
 	if FaceVolume(l, 0) != 64 {
