@@ -105,7 +105,7 @@ func TestE9MatchesPaper(t *testing.T) {
 }
 
 // TestFunctionalSmall runs the functional experiments end to end and
-// pins the E1f, E4f and E5f cells EXPERIMENTS.md quotes: simulated
+// pins the E1f, E4f, E5f and E12 cells EXPERIMENTS.md quotes: simulated
 // times, iteration counts and efficiencies that stay bit-identical
 // across host-side changes. A pinned row lists its cells from column 1
 // on; "" leaves a cell unpinned.
@@ -123,6 +123,12 @@ func TestFunctionalSmall(t *testing.T) {
 		},
 		"E4f": {"1 word": {"599ns"}, "24 words": {"3.911us"}},
 		"E5f": {"single ring": {"1.043us"}, "doubled": {"692ns"}},
+		// clean run, faulty run
+		"E12": {
+			"parity/header errors detected": {"0", "2816"},
+			"hardware resends":              {"0", "45600"},
+			"answers identical":             {"", "true"},
+		},
 	}
 	for _, f := range []struct {
 		name string
@@ -131,6 +137,7 @@ func TestFunctionalSmall(t *testing.T) {
 		{"E1f", E1Functional},
 		{"E4f", E4Functional},
 		{"E5f", E5Functional},
+		{"E12", E12},
 		{"E13", E13},
 		{"E16", E16},
 	} {
