@@ -530,7 +530,7 @@ func BenchmarkHeatbathSweep(b *testing.B) {
 // BenchmarkEngineDispatch compares the engine's two process tiers moving
 // the same event stream: a producer/consumer coroutine pair handing
 // words through a Queue (tier 1: goroutine parks and channel wakes per
-// event) versus a flat StateMachine timer chain (tier 2: plain function
+// event) versus a flat timer chain (tier 2: plain function
 // calls from the dispatch loop). The gap is the per-event context-switch
 // cost the SCU refactor removed from the simulator's hot paths.
 func BenchmarkEngineDispatch(b *testing.B) {
@@ -562,16 +562,13 @@ func BenchmarkEngineDispatch(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			eng := event.New()
-			sm := eng.NewStateMachine(event.Name("dispatch"), "run")
 			n := 0
 			var step func()
 			step = func() {
 				n++
 				if n < events {
 					eng.After(event.Nanosecond, step)
-					return
 				}
-				sm.Goto("done")
 			}
 			eng.After(event.Nanosecond, step)
 			if err := eng.RunAll(); err != nil {

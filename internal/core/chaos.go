@@ -64,16 +64,6 @@ type ChaosConfig struct {
 	// MaxAttempts bounds restarts (a plan can kill more than one node).
 	MaxAttempts int
 
-	// Heartbeat is the node liveness tick period; Watchdog the host
-	// detection policy.
-	Heartbeat event.Time
-	Watchdog  qdaemon.WatchdogConfig
-
-	// Recovery parameterizes the escalation ladder the supervisor climbs
-	// between attempts: checkpoint generations retained, chunk-read retry
-	// policy, RAID read cost (see RecoveryConfig).
-	Recovery RecoveryConfig
-
 	// Spec describes the faults to draw from FaultSeed.
 	Spec faultplan.Spec
 
@@ -114,10 +104,6 @@ func (c ChaosConfig) withDefaults() ChaosConfig {
 	if c.MaxAttempts == 0 {
 		c.MaxAttempts = 4
 	}
-	if c.Heartbeat == 0 {
-		c.Heartbeat = 100 * event.Microsecond
-	}
-	c.Recovery = c.Recovery.withDefaults()
 	return c
 }
 
@@ -126,7 +112,7 @@ func (c ChaosConfig) withDefaults() ChaosConfig {
 // plan kills a node mid-solve, drops and duplicates management packets
 // during boot, and corrupts one link in a burst. Everything — victim,
 // picosecond, detection, restart — derives from faultSeed; heartbeat and
-// watchdog policy are the defaults. `qcdoc chaos`, `qcdoc fleet -chaos`,
+// watchdog policy are the qdaemon's constants. `qcdoc chaos`, `qcdoc fleet -chaos`,
 // experiment E16 and the tests all start from this one value, which is
 // what makes their digests comparable.
 func CanonicalChaos(faultSeed uint64) ChaosConfig {
@@ -247,7 +233,7 @@ func RunChaosWilson(cfg ChaosConfig) (*ChaosOutcome, error) {
 	// shim assembles a file only when every chunk arrived); the
 	// supervisor owns it across attempts.
 	fs := map[string][]byte{}
-	sup := newSupervisor(cfg.Recovery, fs, cfg.Global, logf)
+	sup := newSupervisor(fs, cfg.Global, logf)
 	nodes := cfg.Shape.Volume()
 	var past []attemptLayout
 	// Every exit path — success or typed ladder exhaustion — reports the
@@ -383,8 +369,8 @@ func runChaosAttempt(cfg ChaosConfig, sup *supervisor, attempt int, shape geom.S
 			runErr = err
 			return
 		}
-		d.EnableHeartbeats(cfg.Heartbeat)
-		wd := d.StartWatchdog(cfg.Watchdog)
+		d.EnableHeartbeats()
+		wd := d.StartWatchdog()
 		wd.OnFailure = func(rec qdaemon.FailureRecord) { logf("attempt %d: watchdog: %s", attempt, rec) }
 		wd.OnFalsePositive = func(rec qdaemon.FalsePositiveRecord) {
 			logf("attempt %d: watchdog: rejected death report on live rank %d at %v", attempt, rec.Rank, rec.At)

@@ -50,47 +50,25 @@ var (
 	ErrCheckpointUnrecoverable = errors.New("core: no retained checkpoint generation is restorable")
 )
 
-// RecoveryConfig parameterizes the supervisor's ladder.
-type RecoveryConfig struct {
-	// Generations is K, the number of complete checkpoint generations
+// The supervisor's ladder policy.
+const (
+	// generations is K, the number of complete checkpoint generations
 	// retained on the host (older ones are pruned at seal time).
-	Generations int
-	// ChunkRetries bounds re-reads of one invalid chunk beyond the
-	// first attempt.
-	ChunkRetries int
-	// Backoff is the first retry's sim-time backoff; it doubles per
+	generations = 3
+	// chunkRetries bounds re-reads of one invalid chunk beyond the first
+	// attempt.
+	chunkRetries = 2
+	// chunkBackoff is the first retry's sim-time backoff; it doubles per
 	// retry, exchange()-style.
-	Backoff event.Time
-	// BackoffBudget caps the total backoff slept per restore; once
-	// spent, invalid chunks fail straight to generation fallback.
-	BackoffBudget event.Time
-	// ReadLatency and ReadBps model the host RAID: each chunk read
-	// costs ReadLatency plus size/ReadBps of sim time.
-	ReadLatency event.Time
-	ReadBps     int64
-}
-
-func (c RecoveryConfig) withDefaults() RecoveryConfig {
-	if c.Generations == 0 {
-		c.Generations = 3
-	}
-	if c.ChunkRetries == 0 {
-		c.ChunkRetries = 2
-	}
-	if c.Backoff == 0 {
-		c.Backoff = 50 * event.Microsecond
-	}
-	if c.BackoffBudget == 0 {
-		c.BackoffBudget = 2 * event.Millisecond
-	}
-	if c.ReadLatency == 0 {
-		c.ReadLatency = 5 * event.Microsecond
-	}
-	if c.ReadBps == 0 {
-		c.ReadBps = 2_000_000_000
-	}
-	return c
-}
+	chunkBackoff = 50 * event.Microsecond
+	// backoffBudget caps the total backoff slept per restore; once spent,
+	// invalid chunks fail straight to generation fallback.
+	backoffBudget = 2 * event.Millisecond
+	// raidReadLatency and raidReadBps model the host RAID: each chunk
+	// read costs raidReadLatency plus size/raidReadBps of sim time.
+	raidReadLatency = 5 * event.Microsecond
+	raidReadBps     = 2_000_000_000
+)
 
 // RungKind identifies one kind of ladder action.
 type RungKind uint8
@@ -186,7 +164,6 @@ const manifestName = "ckpt/chaos/MANIFEST"
 // It owns the one artifact that outlives an attempt — the host FS —
 // plus the ladder's record and statistics.
 type supervisor struct {
-	cfg    RecoveryConfig
 	fs     map[string][]byte
 	global lattice.Shape4
 	logf   func(string, ...any)
@@ -201,9 +178,8 @@ type supervisor struct {
 	fallbackDepth *telemetry.Histogram
 }
 
-func newSupervisor(cfg RecoveryConfig, fs map[string][]byte, global lattice.Shape4,
-	logf func(string, ...any)) *supervisor {
-	return &supervisor{cfg: cfg.withDefaults(), fs: fs, global: global, logf: logf}
+func newSupervisor(fs map[string][]byte, global lattice.Shape4, logf func(string, ...any)) *supervisor {
+	return &supervisor{fs: fs, global: global, logf: logf}
 }
 
 // beginAttempt resets the per-attempt histograms and registers the
@@ -248,7 +224,7 @@ func (sup *supervisor) restore(p *event.Proc, attempt int, past []attemptLayout)
 	sup.stats.Restores++
 	man := sup.sealGenerations(attempt, past, p.Now())
 	gens := man.Generations
-	budget := sup.cfg.BackoffBudget
+	budget := backoffBudget
 	for gi := len(gens) - 1; gi >= 0; gi-- {
 		g := gens[gi]
 		al := past[g.Attempt]
@@ -301,7 +277,7 @@ func (sup *supervisor) restoreGeneration(p *event.Proc, attempt int, g checkpoin
 func (sup *supervisor) readChunk(p *event.Proc, attempt int, g checkpoint.Generation,
 	rank int, al attemptLayout, budget *event.Time) (*lattice.FermionField, bool) {
 	name := chunkName(g.Attempt, g.Iter, rank)
-	backoff := sup.cfg.Backoff
+	backoff := chunkBackoff
 	for try := 0; ; try++ {
 		if blob, ok := sup.fs[name]; ok {
 			p.Sleep(sup.readLatency(len(blob)))
@@ -312,7 +288,7 @@ func (sup *supervisor) readChunk(p *event.Proc, attempt int, g checkpoint.Genera
 				}
 			}
 		}
-		if try >= sup.cfg.ChunkRetries || *budget < backoff {
+		if try >= chunkRetries || *budget < backoff {
 			return nil, false
 		}
 		sup.stats.ChunkRetries++
@@ -326,7 +302,7 @@ func (sup *supervisor) readChunk(p *event.Proc, attempt int, g checkpoint.Genera
 
 // readLatency is the sim-time cost of one RAID chunk read.
 func (sup *supervisor) readLatency(n int) event.Time {
-	return sup.cfg.ReadLatency + event.Time(float64(n)*1e12/float64(sup.cfg.ReadBps))
+	return raidReadLatency + event.Time(float64(n)*1e12/float64(raidReadBps))
 }
 
 // sealGenerations brings the manifest up to date and enforces the
@@ -377,13 +353,13 @@ func (sup *supervisor) sealGenerations(attempt int, past []attemptLayout, now ev
 		}
 		return gi.Iter < gj.Iter
 	})
-	if k := sup.cfg.Generations; len(man.Generations) > k {
-		for _, g := range man.Generations[:len(man.Generations)-k] {
+	if pruned := len(man.Generations) - generations; pruned > 0 {
+		for _, g := range man.Generations[:pruned] {
 			for rank := range g.CRCs {
 				delete(sup.fs, chunkName(g.Attempt, g.Iter, rank))
 			}
 		}
-		man.Generations = append([]checkpoint.Generation(nil), man.Generations[len(man.Generations)-k:]...)
+		man.Generations = append([]checkpoint.Generation(nil), man.Generations[pruned:]...)
 	}
 	var buf bytes.Buffer
 	if err := checkpoint.WriteManifest(&buf, man); err != nil {

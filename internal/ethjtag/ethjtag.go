@@ -336,9 +336,6 @@ func (p *Port) RecvTimeout(proc *event.Proc, d event.Time) (Packet, bool) {
 	return p.rx.GetTimeout(proc, d)
 }
 
-// TryRecv returns a packet if one is queued.
-func (p *Port) TryRecv() (Packet, bool) { return p.rx.TryGet() }
-
 // Addr returns the port's address.
 func (p *Port) Addr() Addr { return p.addr }
 

@@ -4,7 +4,11 @@
 // — coroutine processes (Spawn/Proc, goroutines with a single token of
 // control) for programs, and zero-goroutine continuations (At/After
 // callbacks, Handler, Timer) for the per-link and per-node hardware
-// services; see statemachine.go for the tier model. Everything on an
+// services, which exist in the tens of thousands on a big machine: a
+// continuation step costs one function call and holds no goroutine,
+// while a coroutine suspension costs a goroutine park and two channel
+// handoffs. Both tiers share one event queue, so simulated-time results
+// do not depend on which tier a process runs on. Everything on an
 // engine runs on one goroutine, one event at a time, so no locking is
 // needed anywhere in the simulator's guts.
 //
@@ -108,11 +112,10 @@ type Engine struct {
 	cur     *Proc
 	running bool
 
-	machines []*StateMachine // registered continuation-tier processes
-	tracer   func(at Time)   // observes every dispatched event, if set
-	rec      *Recorder       // flight recorder, if attached
-	ring     *shardRing      // this shard's ring within rec
-	executed uint64          // events dispatched since New
+	tracer   func(at Time) // observes every dispatched event, if set
+	rec      *Recorder     // flight recorder, if attached
+	ring     *shardRing    // this shard's ring within rec
+	executed uint64        // events dispatched since New
 
 	// Causal-flow state (trace.go): curFlow is the trace ID of the event
 	// being dispatched (inherited by everything it schedules), flowSeq

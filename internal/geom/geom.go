@@ -6,7 +6,6 @@
 package geom
 
 import (
-	"errors"
 	"fmt"
 )
 
@@ -226,94 +225,4 @@ func AllLinks() []Link {
 		ls[i] = LinkAt(i)
 	}
 	return ls
-}
-
-// ErrNotSubShape is returned when a partition request does not fit in the
-// parent machine.
-var ErrNotSubShape = errors.New("geom: partition does not fit inside machine shape")
-
-// Partition is a rectangular region of a parent torus, carved out in
-// software by the qdaemon (§3.1). In each dimension the partition either
-// spans the full machine extent (and then inherits the torus wrap from
-// the physical cabling) or is a strict sub-range (and is then an open
-// mesh in that dimension: the boundary links exist physically but are
-// fenced off from the partition's traffic).
-type Partition struct {
-	Machine Shape // shape of the parent machine
-	Origin  Coord // lowest corner of the partition in machine coordinates
-	Extent  Shape // extent of the partition in each dimension
-}
-
-// NewPartition validates and builds a partition of machine at origin with
-// the given extent.
-func NewPartition(machine Shape, origin Coord, extent Shape) (Partition, error) {
-	if !extent.Valid() {
-		return Partition{}, fmt.Errorf("%w: invalid extent %v", ErrNotSubShape, extent)
-	}
-	for d := 0; d < MaxDim; d++ {
-		if origin[d] < 0 || origin[d]+extent[d] > machine[d] {
-			return Partition{}, fmt.Errorf("%w: dim %d origin %d extent %d machine %d",
-				ErrNotSubShape, d, origin[d], extent[d], machine[d])
-		}
-	}
-	return Partition{Machine: machine, Origin: origin, Extent: extent}, nil
-}
-
-// WholeMachine returns the trivial partition covering the full torus.
-func WholeMachine(machine Shape) Partition {
-	return Partition{Machine: machine, Origin: Coord{}, Extent: machine}
-}
-
-// Volume is the number of nodes in the partition.
-func (p Partition) Volume() int { return p.Extent.Volume() }
-
-// Wraps reports whether the partition is periodic in dimension d, which
-// holds exactly when it spans the machine's full extent there.
-func (p Partition) Wraps(d int) bool { return p.Extent[d] == p.Machine[d] }
-
-// Contains reports whether the machine coordinate mc lies in the partition.
-func (p Partition) Contains(mc Coord) bool {
-	for d := 0; d < MaxDim; d++ {
-		if mc[d] < p.Origin[d] || mc[d] >= p.Origin[d]+p.Extent[d] {
-			return false
-		}
-	}
-	return true
-}
-
-// ToMachine converts a partition-local coordinate to a machine coordinate.
-func (p Partition) ToMachine(local Coord) Coord {
-	var mc Coord
-	for d := 0; d < MaxDim; d++ {
-		mc[d] = p.Origin[d] + local[d]
-	}
-	return mc
-}
-
-// ToLocal converts a machine coordinate inside the partition to a
-// partition-local coordinate.
-func (p Partition) ToLocal(mc Coord) Coord {
-	var c Coord
-	for d := 0; d < MaxDim; d++ {
-		c[d] = mc[d] - p.Origin[d]
-	}
-	return c
-}
-
-// Neighbor returns the partition-local neighbour of local along (dim,
-// dir) and whether that neighbour exists: in wrapped dimensions it always
-// does; in mesh (sub-range) dimensions boundary nodes have no neighbour
-// beyond the edge.
-func (p Partition) Neighbor(local Coord, dim int, dir Dir) (Coord, bool) {
-	n := local
-	x := local[dim] + int(dir)
-	if p.Wraps(dim) {
-		n[dim] = wrap(x, p.Extent[dim])
-		return n, true
-	}
-	if x < 0 || x >= p.Extent[dim] {
-		return Coord{}, false
-	}
-	n[dim] = x
-	return n, true
 }

@@ -179,67 +179,6 @@ func TestLinkStringMatchesFmt(t *testing.T) {
 	}
 }
 
-func TestPartitionValidation(t *testing.T) {
-	m := MakeShape(8, 4, 4, 2, 2, 2)
-	if _, err := NewPartition(m, Coord{4, 0, 0, 0, 0, 0}, MakeShape(4, 4, 4, 2, 2, 2)); err != nil {
-		t.Fatalf("valid partition rejected: %v", err)
-	}
-	if _, err := NewPartition(m, Coord{6, 0, 0, 0, 0, 0}, MakeShape(4, 4, 4, 2, 2, 2)); err == nil {
-		t.Fatal("overflowing partition accepted")
-	}
-	if _, err := NewPartition(m, Coord{}, Shape{}); err == nil {
-		t.Fatal("zero extent accepted")
-	}
-}
-
-func TestPartitionCoordinates(t *testing.T) {
-	m := MakeShape(8, 4, 4, 2, 2, 2)
-	p, err := NewPartition(m, Coord{4, 0, 0, 0, 0, 0}, MakeShape(4, 4, 4, 2, 2, 2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.Volume() != 512 {
-		t.Fatalf("volume = %d", p.Volume())
-	}
-	local := Coord{1, 2, 3, 0, 1, 0}
-	mc := p.ToMachine(local)
-	if mc != (Coord{5, 2, 3, 0, 1, 0}) {
-		t.Fatalf("ToMachine = %v", mc)
-	}
-	if !p.Contains(mc) {
-		t.Fatal("machine coord not contained")
-	}
-	if got := p.ToLocal(mc); got != local {
-		t.Fatalf("round trip = %v", got)
-	}
-}
-
-func TestPartitionWrapAndMeshEdges(t *testing.T) {
-	m := MakeShape(8, 4)
-	p, err := NewPartition(m, Coord{2, 0, 0, 0, 0, 0}, MakeShape(4, 4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.Wraps(0) {
-		t.Fatal("sub-range dim reported as wrapping")
-	}
-	if !p.Wraps(1) {
-		t.Fatal("full-extent dim not wrapping")
-	}
-	// Mesh dimension: edge node has no neighbour beyond the boundary.
-	if _, ok := p.Neighbor(Coord{3, 0, 0, 0, 0, 0}, 0, Fwd); ok {
-		t.Fatal("mesh edge wrapped")
-	}
-	if _, ok := p.Neighbor(Coord{0, 0, 0, 0, 0, 0}, 0, Bwd); ok {
-		t.Fatal("mesh edge wrapped backward")
-	}
-	// Torus dimension wraps.
-	n, ok := p.Neighbor(Coord{0, 3, 0, 0, 0, 0}, 1, Fwd)
-	if !ok || n[1] != 0 {
-		t.Fatalf("torus wrap: %v %v", n, ok)
-	}
-}
-
 func TestFoldValidation(t *testing.T) {
 	m := MakeShape(8, 4, 4, 2, 2, 2)
 	if _, err := NewFold(m, [][]int{{0}, {1}, {2}, {3}, {4}, {5}}); err != nil {

@@ -28,12 +28,6 @@ type Config struct {
 	// Clock is the processor/link clock (§4 ran 360, 420, 450 MHz
 	// machines against a 500 MHz target).
 	Clock event.Hz
-	// SCU carries the serial-communications-unit parameters.
-	SCU scu.Config
-	// DDRBytes per node (0 = default 128 MB).
-	DDRBytes int
-	// WireProp is the node-to-node time of flight.
-	WireProp event.Time
 	// Shards selects event-engine sharding for conservative parallel
 	// simulation (DESIGN.md §13): 0 builds the classic single-engine
 	// machine; ShardAuto partitions along the packaging hierarchy
@@ -60,10 +54,8 @@ const ShardAuto = -1
 // shape.
 func DefaultConfig(shape geom.Shape) Config {
 	return Config{
-		Shape:    shape,
-		Clock:    500 * event.MHz,
-		SCU:      scu.DefaultConfig(),
-		WireProp: hssl.DefaultPropagation,
+		Shape: shape,
+		Clock: 500 * event.MHz,
 	}
 }
 
@@ -105,16 +97,13 @@ func Build(eng *event.Engine, cfg Config) *Machine {
 	if cfg.Clock == 0 {
 		cfg.Clock = 500 * event.MHz
 	}
-	if cfg.WireProp == 0 {
-		cfg.WireProp = hssl.DefaultPropagation
-	}
 	m := &Machine{Eng: eng, Cfg: cfg}
 	v := cfg.Shape.Volume()
 	m.buildCluster(eng, cfg, v)
 	m.Nodes = make([]*node.Node, v)
 	m.wires = make([][]*hssl.Wire, v)
 	for r := 0; r < v; r++ {
-		m.Nodes[r] = node.New(m.NodeEngine(r), r, cfg.Shape.CoordOf(r), cfg.Clock, cfg.SCU, cfg.DDRBytes)
+		m.Nodes[r] = node.New(m.NodeEngine(r), r, cfg.Shape.CoordOf(r), cfg.Clock, 0)
 		m.wires[r] = make([]*hssl.Wire, geom.NumLinks)
 	}
 	// One outbound wire per (node, link); the inbound wire of link l on
@@ -127,7 +116,7 @@ func Build(eng *event.Engine, cfg Config) *Machine {
 			nb := cfg.Shape.Rank(cfg.Shape.Neighbor(c, l.Dim, l.Dir))
 			name := "w" + strconv.Itoa(r) + l.String()
 			w := hssl.NewWireBetween(
-				m.NodeEngine(r), m.NodeEngine(nb), name, cfg.Clock, cfg.WireProp)
+				m.NodeEngine(r), m.NodeEngine(nb), name, cfg.Clock, hssl.DefaultPropagation)
 			w.AdoptRing(cfg.Pool.ring())
 			m.wires[r][geom.LinkIndex(l)] = w
 		}
@@ -144,7 +133,7 @@ func Build(eng *event.Engine, cfg Config) *Machine {
 	// Window period: long enough for a partition interrupt to flood the
 	// whole machine before sampling (§2.2) — diameter hops of a 2-byte
 	// frame plus dispatch, with a 2x guard.
-	hop := cfg.Clock.Cycles(16) + cfg.WireProp
+	hop := cfg.Clock.Cycles(16) + hssl.DefaultPropagation
 	m.windowPeriod = 2 * event.Time(cfg.Shape.Diameter()+1) * hop
 	if min := 25 * event.Nanosecond; m.windowPeriod < min {
 		m.windowPeriod = min
@@ -187,7 +176,7 @@ func (m *Machine) buildCluster(eng *event.Engine, cfg Config, v int) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	look := hssl.MinLatency(cfg.Clock, cfg.WireProp)
+	look := hssl.MinLatency(cfg.Clock, hssl.DefaultPropagation)
 	m.cluster = event.Clusterize(eng, n, workers, look)
 	// The plan is a pure function of (Shape, Shards); a pooled build
 	// shares one immutable copy across all machines of that topology.
@@ -243,11 +232,6 @@ func (m *Machine) Wire(rank int, l geom.Link) *hssl.Wire {
 	return m.wires[rank][geom.LinkIndex(l)]
 }
 
-// trainerName names rank r's link trainer, formatted only on a dump.
-type trainerName int
-
-func (r trainerName) String() string { return fmt.Sprintf("train%d", int(r)) }
-
 // TrainLinks trains every HSSL link, all nodes in parallel with each
 // node's links in sequence, as the hardware does when powered on and
 // released from reset (§2.2). Each node's trainer is a continuation
@@ -256,11 +240,9 @@ func (r trainerName) String() string { return fmt.Sprintf("train%d", int(r)) }
 func (m *Machine) TrainLinks() error {
 	for r := range m.Nodes {
 		wires := m.wires[r]
-		sm := m.NodeEngine(r).NewStateMachine(trainerName(r), "training")
 		var next func(i int)
 		next = func(i int) {
 			if i == len(wires) {
-				sm.Goto("trained")
 				return
 			}
 			wires[i].TrainAsync(func() { next(i + 1) })

@@ -106,8 +106,9 @@ type Node struct {
 // EDRAM.
 const bootReserved = 256 << 10
 
-// New builds a node. ddrBytes of 0 selects the default DIMM size.
-func New(eng *event.Engine, rank int, coord geom.Coord, clock event.Hz, scuCfg scu.Config, ddrBytes int) *Node {
+// New builds a node whose SCU runs the default protocol parameters at
+// the node's clock. ddrBytes of 0 selects the default DIMM size.
+func New(eng *event.Engine, rank int, coord geom.Coord, clock event.Hz, ddrBytes int) *Node {
 	mem := memsys.NewNodeMemory(ddrBytes)
 	model := memsys.DefaultModel()
 	model.Clock = clock
@@ -122,6 +123,7 @@ func New(eng *event.Engine, rank int, coord geom.Coord, clock event.Hz, scuCfg s
 		state:    Reset,
 		brk:      bootReserved,
 	}
+	scuCfg := scu.DefaultConfig()
 	scuCfg.Clock = clock
 	n.SCU = scu.New(eng, n.Name, mem, scuCfg)
 	return n

@@ -7,14 +7,13 @@ import (
 	"qcdoc/internal/geom"
 	"qcdoc/internal/memsys"
 	"qcdoc/internal/ppc440"
-	"qcdoc/internal/scu"
 )
 
 func testNode(t *testing.T) (*event.Engine, *Node) {
 	t.Helper()
 	eng := event.New()
 	t.Cleanup(eng.Shutdown)
-	n := New(eng, 3, geom.Coord{1, 0, 1, 0, 0, 0}, 500*event.MHz, scu.DefaultConfig(), 1<<20)
+	n := New(eng, 3, geom.Coord{1, 0, 1, 0, 0, 0}, 500*event.MHz, 1<<20)
 	return eng, n
 }
 

@@ -44,17 +44,6 @@ func (pm *PartitionMap) MarkFailed(rank int) (board int, changed bool) {
 // failed.
 func (pm *PartitionMap) Isolated(rank int) bool { return pm.failed[BoardOf(rank)] }
 
-// FailedBoards returns the failed daughterboard indices, ascending.
-func (pm *PartitionMap) FailedBoards() []int {
-	var out []int
-	for b, f := range pm.failed {
-		if f {
-			out = append(out, b)
-		}
-	}
-	return out
-}
-
 // HealthyRanks returns the non-isolated ranks, ascending.
 func (pm *PartitionMap) HealthyRanks() []int {
 	out := make([]int, 0, pm.nodes)

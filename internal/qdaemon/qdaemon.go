@@ -62,10 +62,7 @@ type Daemon struct {
 	NFS  *ethjtag.Port
 	Mon  *ethjtag.Port
 
-	// RPC is the request/reply retry policy (see retry.go); zero fields
-	// take defaults.
-	RPC      RPCConfig
-	rpcStats RPCStats
+	rpcStats RPCStats // the request/reply retry counters (see retry.go)
 
 	// Part tracks daughterboard health: jobs launch only on
 	// non-isolated ranks (see partition.go).
@@ -108,7 +105,6 @@ func New(eng *event.Engine, m *machine.Machine) *Daemon {
 		doneCount: map[string]int{},
 		hwReports: map[string][]string{},
 		fold:      geom.IdentityFold(m.Cfg.Shape),
-		RPC:       DefaultRPCConfig(),
 		Part:      NewPartitionMap(len(m.Nodes)),
 	}
 	d.doneGate = event.NewGate(eng)
@@ -293,9 +289,6 @@ func (d *Daemon) bootNode(p *event.Proc, r int) error {
 	return nil
 }
 
-// Booted reports whether BootAll completed.
-func (d *Daemon) Booted() bool { return d.booted }
-
 // LoadProgram registers an application on every node's kernel — the
 // moral equivalent of copying a binary onto the host disks (the factory
 // receives the node rank, since SPMD programs are rank-parameterized).
@@ -404,14 +397,13 @@ func (d *Daemon) Run(p *event.Proc, job, program string) ([]string, error) {
 		}
 		pending[ethjtag.NodeEthAddr(r)] = r
 	}
-	cfg := d.RPC.withDefaults()
-	timeout := cfg.Timeout
+	timeout := rpcTimeout
 	for attempt := 1; len(pending) > 0; {
 		ack, ok := d.Ctl.RecvTimeout(p, timeout)
 		if !ok {
 			d.rpcStats.Timeouts++
 			attempt++
-			if attempt > cfg.Retries {
+			if attempt > rpcAttempts {
 				d.rpcStats.Failures++
 				return nil, fmt.Errorf("qdaemon: launch %s: %d nodes never acknowledged", job, len(pending))
 			}
@@ -424,8 +416,8 @@ func (d *Daemon) Run(p *event.Proc, job, program string) ([]string, error) {
 					}
 				}
 			}
-			if timeout *= 2; timeout > cfg.MaxTimeout {
-				timeout = cfg.MaxTimeout
+			if timeout *= 2; timeout > rpcMaxTimeout {
+				timeout = rpcMaxTimeout
 			}
 			continue
 		}

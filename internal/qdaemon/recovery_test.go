@@ -198,8 +198,8 @@ func runWatchdogScenario(t *testing.T, victim int, at event.Time, kill func(*nod
 			t.Error(err)
 			return
 		}
-		d.EnableHeartbeats(100 * event.Microsecond)
-		d.StartWatchdog(WatchdogConfig{Period: 500 * event.Microsecond, Misses: 3})
+		d.EnableHeartbeats()
+		d.StartWatchdog()
 		eng.After(at, func() {
 			res.killedAt = eng.Now()
 			// The harness kills the victim directly: the test machine is single-shard.
@@ -257,7 +257,8 @@ func TestWatchdogDetectsCrash(t *testing.T) {
 }
 
 // A hung node still reports app-running over JTAG; only the frozen
-// heartbeat betrays it. Detection therefore takes Misses poll periods.
+// heartbeat betrays it. Detection therefore takes watchdogMisses poll
+// periods.
 func TestWatchdogDetectsHang(t *testing.T) {
 	run := func() chaosResult {
 		return runWatchdogScenario(t, 5, 2*event.Millisecond, (*node.Node).Hang)
@@ -311,8 +312,8 @@ func TestWatchdogRejectsFalsePositive(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			d.EnableHeartbeats(100 * event.Microsecond)
-			wd := d.StartWatchdog(WatchdogConfig{Period: 500 * event.Microsecond, Misses: 3})
+			d.EnableHeartbeats()
+			wd := d.StartWatchdog()
 			eng.After(2*event.Millisecond, func() { wd.Suspect(3) })
 			_, runErr = d.Run(p, "job", "sleeper")
 			eng.Stop()
@@ -370,8 +371,8 @@ func TestWatchdogSuspectConfirmsHungNode(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		d.EnableHeartbeats(100 * event.Microsecond)
-		wd := d.StartWatchdog(WatchdogConfig{Period: 500 * event.Microsecond, Misses: 3})
+		d.EnableHeartbeats()
+		wd := d.StartWatchdog()
 		eng.After(2*event.Millisecond, func() {
 			// The harness hangs the victim directly: the test machine is single-shard.
 			d.M.Nodes[5].Hang()

@@ -17,41 +17,19 @@ import (
 	"qcdoc/internal/event"
 )
 
-// RPCConfig parameterizes the daemon's request/reply retry policy.
-type RPCConfig struct {
-	// Timeout is the initial per-attempt reply timeout. It must cover a
-	// worst-case benign round trip — including the ~450 us serialization
-	// backlog the run-kernel image download leaves on the host port —
-	// so the no-fault packet stream carries no retransmissions.
-	Timeout event.Time
-	// MaxTimeout caps the exponential backoff.
-	MaxTimeout event.Time
-	// Retries is the total number of attempts before giving up.
-	Retries int
-}
-
-// DefaultRPCConfig returns the daemon's standard retry policy.
-func DefaultRPCConfig() RPCConfig {
-	return RPCConfig{
-		Timeout:    event.Millisecond,
-		MaxTimeout: 8 * event.Millisecond,
-		Retries:    6,
-	}
-}
-
-func (c RPCConfig) withDefaults() RPCConfig {
-	d := DefaultRPCConfig()
-	if c.Timeout <= 0 {
-		c.Timeout = d.Timeout
-	}
-	if c.MaxTimeout < c.Timeout {
-		c.MaxTimeout = c.Timeout
-	}
-	if c.Retries <= 0 {
-		c.Retries = d.Retries
-	}
-	return c
-}
+// The daemon's request/reply retry policy.
+const (
+	// rpcTimeout is the initial per-attempt reply timeout. It must cover
+	// a worst-case benign round trip — including the ~450 us
+	// serialization backlog the run-kernel image download leaves on the
+	// host port — so the no-fault packet stream carries no
+	// retransmissions.
+	rpcTimeout = event.Millisecond
+	// rpcMaxTimeout caps the exponential backoff.
+	rpcMaxTimeout = 8 * event.Millisecond
+	// rpcAttempts is the total number of attempts before giving up.
+	rpcAttempts = 6
+)
 
 // RPCStats counts the retry machinery's work — the recovery audit trail
 // the telemetry registry exports (qdaemon/rpc).
@@ -75,15 +53,14 @@ func (d *Daemon) RPCStats() RPCStats { return d.rpcStats }
 
 // exchange performs one reliable request/reply transaction on a host
 // port: send req, wait for a reply match accepts, retransmit on timeout
-// with doubling backoff, and give up after cfg.Retries attempts.
+// with doubling backoff, and give up after rpcAttempts attempts.
 // Non-matching datagrams (stale replies from abandoned attempts) are
 // counted and discarded, restarting the wait. The caller owns the port:
 // each host port has exactly one process doing synchronous exchanges on
 // it (the control program on Ctl, the watchdog on Mon), so a matched
 // reply always belongs to the request just sent.
 func (d *Daemon) exchange(p *event.Proc, port *ethjtag.Port, req ethjtag.Packet, what string, match func(ethjtag.Packet) bool) (ethjtag.Packet, error) {
-	cfg := d.RPC.withDefaults()
-	timeout := cfg.Timeout
+	timeout := rpcTimeout
 	for attempt := 1; ; attempt++ {
 		if err := port.Send(req); err != nil {
 			return ethjtag.Packet{}, err
@@ -100,14 +77,14 @@ func (d *Daemon) exchange(p *event.Proc, port *ethjtag.Port, req ethjtag.Packet,
 			d.rpcStats.Stale++
 		}
 		d.rpcStats.Timeouts++
-		if attempt >= cfg.Retries {
+		if attempt >= rpcAttempts {
 			d.rpcStats.Failures++
 			return ethjtag.Packet{}, fmt.Errorf("qdaemon: %s: no reply after %d attempts", what, attempt)
 		}
 		d.rpcStats.Retries++
 		timeout *= 2
-		if timeout > cfg.MaxTimeout {
-			timeout = cfg.MaxTimeout
+		if timeout > rpcMaxTimeout {
+			timeout = rpcMaxTimeout
 		}
 	}
 }

@@ -5,11 +5,11 @@ package qdaemon
 // watchdog polls each node's telemetry window over the Ethernet/JTAG
 // side network — the RISCWatch path, which needs no software on the
 // node — and declares a node dead when its lifecycle state reads
-// Crashed or its heartbeat freezes for Misses consecutive polls (the
-// hung case, where state still claims app-running). A death marks the
-// owning daughterboard failed in the partition map and aborts the
-// active job so the recovery flow (repartition, restore checkpoint,
-// restart) can take over.
+// Crashed or its heartbeat freezes for watchdogMisses consecutive
+// polls (the hung case, where state still claims app-running). A death
+// marks the owning daughterboard failed in the partition map and
+// aborts the active job so the recovery flow (repartition, restore
+// checkpoint, restart) can take over.
 //
 // The watchdog runs on its own host port (Daemon.Mon) so its peeks
 // never interleave with the control program's synchronous exchanges on
@@ -25,30 +25,17 @@ import (
 	"qcdoc/internal/telemetry"
 )
 
-// WatchdogConfig parameterizes failure detection.
-type WatchdogConfig struct {
-	// Period is the polling interval.
-	Period event.Time
-	// Misses is how many consecutive polls may observe a frozen
+// The host's detection policy.
+const (
+	// watchdogPeriod is the polling interval.
+	watchdogPeriod = 500 * event.Microsecond
+	// watchdogMisses is how many consecutive polls may observe a frozen
 	// heartbeat (or fail outright) before the node is declared dead.
-	Misses int
-}
-
-// DefaultWatchdogConfig returns the standard detection policy.
-func DefaultWatchdogConfig() WatchdogConfig {
-	return WatchdogConfig{Period: 500 * event.Microsecond, Misses: 3}
-}
-
-func (c WatchdogConfig) withDefaults() WatchdogConfig {
-	d := DefaultWatchdogConfig()
-	if c.Period <= 0 {
-		c.Period = d.Period
-	}
-	if c.Misses <= 0 {
-		c.Misses = d.Misses
-	}
-	return c
-}
+	watchdogMisses = 3
+	// heartbeatPeriod is the run kernels' liveness tick, five ticks to a
+	// poll.
+	heartbeatPeriod = 100 * event.Microsecond
+)
 
 // FailureRecord describes one detected node death.
 type FailureRecord struct {
@@ -96,8 +83,7 @@ type FalsePositiveRecord struct {
 
 // Watchdog is the host's failure detector.
 type Watchdog struct {
-	d   *Daemon
-	cfg WatchdogConfig
+	d *Daemon
 
 	lastBeat []uint64
 	lastLive []event.Time // last poll that observed progress
@@ -125,14 +111,14 @@ type Watchdog struct {
 }
 
 // StartWatchdog arms the heartbeat watchdog. Heartbeats must be ticking
-// (Daemon.EnableHeartbeats) or every node will look hung after Misses
-// polls. The watchdog polls forever; it is a daemon process and does
-// not keep the engine alive by itself.
-func (d *Daemon) StartWatchdog(cfg WatchdogConfig) *Watchdog {
+// (Daemon.EnableHeartbeats) or every node will look hung after
+// watchdogMisses polls. The watchdog polls forever; it is a daemon
+// process and does not keep the engine alive by itself.
+func (d *Daemon) StartWatchdog() *Watchdog {
 	if d.wd != nil {
 		return d.wd
 	}
-	w := &Watchdog{d: d, cfg: cfg.withDefaults()}
+	w := &Watchdog{d: d}
 	n := len(d.M.Nodes)
 	w.lastBeat = make([]uint64, n)
 	w.lastLive = make([]event.Time, n)
@@ -163,13 +149,13 @@ func (d *Daemon) Watchdog() *Watchdog { return d.wd }
 // EnableHeartbeats starts every node kernel's liveness tick; see
 // qos.Kernel.StartHeartbeat. Chaos/recovery runs call this after boot;
 // the default event stream never carries heartbeats.
-func (d *Daemon) EnableHeartbeats(period event.Time) {
+func (d *Daemon) EnableHeartbeats() {
 	for r, k := range d.Kernels {
 		// The tick mutates node state, so the timer must live on the
 		// node's shard engine — and must be armed from there too.
 		k := k
 		neng := d.M.NodeEngine(r)
-		d.Eng.CrossAt(neng, d.Eng.Now(), func() { k.StartHeartbeat(neng, period) })
+		d.Eng.CrossAt(neng, d.Eng.Now(), func() { k.StartHeartbeat(neng, heartbeatPeriod) })
 	}
 }
 
@@ -179,7 +165,7 @@ func (w *Watchdog) loop(p *event.Proc) {
 		w.lastLive[r] = now
 	}
 	for {
-		p.Sleep(w.cfg.Period)
+		p.Sleep(watchdogPeriod)
 		w.Polls++
 		for r := range w.d.M.Nodes {
 			if w.dead[r] || w.d.Part.Isolated(r) {
@@ -229,7 +215,7 @@ func (w *Watchdog) poll(p *event.Proc, r int) {
 	default:
 		w.stale[r]++
 	}
-	if !suspect && w.stale[r] < w.cfg.Misses {
+	if !suspect && w.stale[r] < watchdogMisses {
 		return
 	}
 	// Isolation gate: frozen-heartbeat convictions and external death
@@ -261,7 +247,7 @@ func (w *Watchdog) probe(p *event.Proc, r int) (dead, crashed bool) {
 		return true, true
 	}
 	beat0, b0err := w.d.peekWordOn(p, w.d.Mon, r, node.TelemetryAddr(node.TelemHeartbeatWord))
-	p.Sleep(w.cfg.Period)
+	p.Sleep(watchdogPeriod)
 	beat1, b1err := w.d.peekWordOn(p, w.d.Mon, r, node.TelemetryAddr(node.TelemHeartbeatWord))
 	if b0err == nil && b1err == nil && beat1 != beat0 {
 		w.lastBeat[r] = beat1

@@ -21,12 +21,16 @@ type pendingWord struct {
 	t      *Transfer // owning send transfer; nil for injected global words
 }
 
-// Transmit-engine state labels (continuation tier).
+// txState is the transmit engine's state. The zero value is an engine
+// not yet started, which no kick wakes.
+type txState uint8
+
 const (
-	txIdle    = "idle"        // nothing to send
-	txStartup = "dma startup" // charging the DMA programming/fetch pipeline
-	txRun     = "run"         // streaming words
-	txWindow  = "window full" // a word is held, waiting for an ack
+	txOff     txState = iota // not started
+	txIdle                   // nothing to send
+	txStartup                // charging the DMA programming/fetch pipeline
+	txRun                    // streaming words
+	txWindow                 // a word is held, waiting for an ack
 )
 
 // linkUnit is the per-link hardware: a transmit engine feeding the
@@ -56,7 +60,7 @@ type linkUnit struct {
 	// word, a window-opening ack, the end of the DMA startup charge)
 	// calls pump, which sends words until it must park — idle, in the
 	// startup charge, or with the window full.
-	sm          *event.StateMachine
+	tx          txState
 	ackTimer    *event.Timer    // lost-acknowledgement recovery
 	supTimer    *event.Timer    // supervisor stop-and-wait recovery
 	pumpPending bool            // a deferred pump event is queued
@@ -138,12 +142,8 @@ func newLinkUnit(s *SCU, l geom.Link, out, in *hssl.Wire) *linkUnit {
 	}
 }
 
-// String names the link's transmit state machine; only a
-// DumpStateMachines formats it.
-func (lu *linkUnit) String() string { return fmt.Sprintf("%s scu%v tx", lu.scu.name, lu.link) }
-
 func (lu *linkUnit) start() {
-	lu.sm = lu.scu.eng.NewStateMachine(lu, txIdle)
+	lu.tx = txIdle
 	lu.ackTimer = lu.scu.eng.NewTimer(lu.ackTimeout)
 	lu.supTimer = lu.scu.eng.NewTimer(lu.supTimeout)
 	lu.in.OnFrame(lu.handleFrame)
@@ -189,8 +189,8 @@ func (lu *linkUnit) inject(w uint64) {
 // every pinned trace records; the per-word wake-up, the window-opening
 // ack, pumps inline (handleAck). An engine that is already running,
 // charging its startup pipeline, or parked elsewhere ignores the kick.
-func (lu *linkUnit) kick(state string) {
-	if lu.sm == nil || lu.pumpPending || lu.sm.State() != state {
+func (lu *linkUnit) kick(state txState) {
+	if lu.pumpPending || lu.tx != state {
 		return
 	}
 	lu.pumpPending = true
@@ -209,7 +209,7 @@ func (lu *linkUnit) HandleEvent(ev uint64) {
 	if ev == evPump {
 		lu.pumpPending = false
 	} else {
-		lu.sm.Goto(txRun)
+		lu.tx = txRun
 	}
 	lu.pump()
 }
@@ -220,7 +220,7 @@ func (lu *linkUnit) HandleEvent(ev uint64) {
 // the ack window is full stays in hand and goes out first when the
 // window opens.
 func (lu *linkUnit) pump() {
-	if lu.sm.State() == txStartup {
+	if lu.tx == txStartup {
 		return // the startup timer will pump when the charge elapses
 	}
 	for {
@@ -245,17 +245,17 @@ func (lu *linkUnit) pump() {
 				// on the wire.
 				lu.cur = lu.txPending.pop()
 				lu.curIdx = 0
-				lu.sm.Goto(txStartup)
-				startup := lu.scu.cfg.Clock.Cycles(lu.scu.cfg.TxStartupCycles)
+				lu.tx = txStartup
+				startup := lu.scu.cfg.Clock.Cycles(txStartupCycles)
 				lu.scu.eng.AfterHandler(startup, lu, evStartup)
 				return
 			default:
-				lu.sm.Goto(txIdle)
+				lu.tx = txIdle
 				return
 			}
 		}
 		if lu.unackedLen >= lu.scu.cfg.Window {
-			lu.sm.Goto(txWindow)
+			lu.tx = txWindow
 			return // an ack will pump
 		}
 		lu.sendHeld()
@@ -290,7 +290,7 @@ func (lu *linkUnit) ackTimeout() {
 		return
 	}
 	lu.timeoutStreak++
-	if lu.scu.cfg.RetrainAfter > 0 && lu.timeoutStreak >= lu.scu.cfg.RetrainAfter {
+	if lu.timeoutStreak >= lu.scu.cfg.RetrainAfter {
 		lu.beginRetrain()
 		return
 	}
@@ -345,7 +345,7 @@ func (lu *linkUnit) supTimeout() {
 		return
 	}
 	lu.timeoutStreak++
-	if lu.scu.cfg.RetrainAfter > 0 && lu.timeoutStreak >= lu.scu.cfg.RetrainAfter {
+	if lu.timeoutStreak >= lu.scu.cfg.RetrainAfter {
 		lu.beginRetrain()
 		return
 	}
@@ -361,7 +361,7 @@ func (lu *linkUnit) supTimeout() {
 // that keep producing no acknowledgement progress escalate to fail.
 func (lu *linkUnit) beginRetrain() {
 	lu.retrainCount++
-	if lu.scu.cfg.MaxRetrains > 0 && lu.retrainCount > lu.scu.cfg.MaxRetrains {
+	if lu.retrainCount > lu.scu.cfg.MaxRetrains {
 		lu.fail()
 		return
 	}
@@ -607,7 +607,7 @@ func (lu *linkUnit) handleAck(flags uint8) {
 	}
 	// The window opened: release the held word, after any rewind, so the
 	// wire carries the resends and then the new word.
-	if opened && lu.sm.State() == txWindow {
+	if opened && lu.tx == txWindow {
 		lu.pump()
 	}
 }

@@ -43,21 +43,24 @@ type Memory interface {
 	WriteWord(addr uint64, w uint64)
 }
 
+// The SCU's start-up pipelines, in link clock cycles. Together with 72
+// bits of serialization and the wire flight time they calibrate the
+// paper's ~600 ns nearest-neighbour memory-to-memory latency (§2.2).
+const (
+	// txStartupCycles is charged once per send transfer: DMA programming
+	// plus the pipeline from local memory through the SCU to the first
+	// bit on the wire (250 ns at 500 MHz).
+	txStartupCycles = 125
+	// rxStartupCycles is the receive-side pipeline from last bit on the
+	// wire to the word landing in local memory (200 ns at 500 MHz).
+	rxStartupCycles = 100
+)
+
 // Config holds the SCU timing and protocol parameters.
 type Config struct {
 	// Clock is the link/processor clock (the HSSL links run at the same
 	// clock as the processor; target 500 MHz).
 	Clock event.Hz
-	// TxStartupCycles is charged once per send transfer: DMA programming
-	// plus the pipeline from local memory through the SCU to the first
-	// bit on the wire. Default 125 cycles (250 ns at 500 MHz).
-	TxStartupCycles int64
-	// RxStartupCycles is the receive-side pipeline from last bit on the
-	// wire to the word landing in local memory. Default 100 cycles
-	// (200 ns at 500 MHz). Together with 72 bits of serialization and the
-	// wire flight time this calibrates the paper's ~600 ns nearest-
-	// neighbour memory-to-memory latency.
-	RxStartupCycles int64
 	// Window is the number of unacknowledged data words allowed in
 	// flight. Default (and hardware value) 3; must be < scupkt.SeqMod.
 	Window int
@@ -70,25 +73,23 @@ type Config struct {
 	// (with no ack progress in between) after which the SCU resets and
 	// re-trains the outbound wire instead of resending again — the
 	// recovery for a link whose sampling phase has drifted or that is
-	// suffering a burst error. Default 4; negative disables retraining.
+	// suffering a burst error. Default 4.
 	RetrainAfter int
 	// MaxRetrains is the number of consecutive re-trainings (with no ack
 	// progress in between) after which the SCU gives up, declares the
 	// link dead, and escalates via the supervisor interrupt path.
-	// Default 3; negative disables the give-up.
+	// Default 3.
 	MaxRetrains int
 }
 
 // DefaultConfig returns the paper's nominal 500 MHz configuration.
 func DefaultConfig() Config {
 	return Config{
-		Clock:           500 * event.MHz,
-		TxStartupCycles: 125,
-		RxStartupCycles: 100,
-		Window:          scupkt.WindowSize,
-		AckTimeout:      50 * event.Microsecond,
-		RetrainAfter:    4,
-		MaxRetrains:     3,
+		Clock:        500 * event.MHz,
+		Window:       scupkt.WindowSize,
+		AckTimeout:   50 * event.Microsecond,
+		RetrainAfter: 4,
+		MaxRetrains:  3,
 	}
 }
 
@@ -96,12 +97,6 @@ func (c Config) withDefaults() Config {
 	d := DefaultConfig()
 	if c.Clock == 0 {
 		c.Clock = d.Clock
-	}
-	if c.TxStartupCycles == 0 {
-		c.TxStartupCycles = d.TxStartupCycles
-	}
-	if c.RxStartupCycles == 0 {
-		c.RxStartupCycles = d.RxStartupCycles
 	}
 	if c.Window == 0 {
 		c.Window = d.Window
@@ -210,7 +205,7 @@ type SCU struct {
 	mem  Memory
 	cfg  Config
 
-	rxStartup event.Time // cfg.RxStartupCycles at cfg.Clock, for storeWord
+	rxStartup event.Time // rxStartupCycles at cfg.Clock, for storeWord
 
 	links [geom.NumLinks]*linkUnit
 
@@ -240,7 +235,7 @@ type SCU struct {
 // by the DMA engines.
 func New(eng *event.Engine, name string, mem Memory, cfg Config) *SCU {
 	s := &SCU{eng: eng, name: name, mem: mem, cfg: cfg.withDefaults()}
-	s.rxStartup = s.cfg.Clock.Cycles(s.cfg.RxStartupCycles)
+	s.rxStartup = s.cfg.Clock.Cycles(rxStartupCycles)
 	for i := range s.globalIn {
 		s.globalIn[i] = -1
 	}

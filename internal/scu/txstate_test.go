@@ -1,0 +1,33 @@
+package scu
+
+import (
+	"testing"
+
+	"qcdoc/internal/geom"
+)
+
+// TestLinkUnitsIdleAfterRun: after Start, and again once a 24-word
+// transfer with its window stalls has drained, both ends' transmit
+// engines are parked idle.
+func TestLinkUnitsIdleAfterRun(t *testing.T) {
+	pr := newPair(t, Config{})
+	units := []*linkUnit{pr.a.links[geom.LinkIndex(pr.linkA)], pr.b.links[geom.LinkIndex(pr.linkB)]}
+	check := func(when string) {
+		t.Helper()
+		for _, lu := range units {
+			if lu.tx != txIdle {
+				t.Fatalf("%s: %s link %v transmit state %d, want idle (%d)", when, lu.scu.name, lu.link, lu.tx, txIdle)
+			}
+		}
+	}
+	pr.run(t)
+	check("after Start")
+	fillWords(pr.ma, 0, 24, 7)
+	rt, _ := pr.b.StartRecv(pr.linkB, Contiguous(0x2000, 24))
+	st, _ := pr.a.StartSend(pr.linkA, Contiguous(0, 24))
+	pr.run(t)
+	if !st.Done() || !rt.Done() {
+		t.Fatal("transfers not complete")
+	}
+	check("after the transfer")
+}

@@ -130,14 +130,6 @@ func (s *HistogramSnapshot) fillPercentiles() {
 	s.P99 = quantile(s.Buckets, s.Count, s.Max, 99, 100)
 }
 
-// Mean returns the arithmetic mean of the observations, 0 when empty.
-func (s HistogramSnapshot) Mean() float64 {
-	if s.Count == 0 {
-		return 0
-	}
-	return float64(s.Sum) / float64(s.Count)
-}
-
 // Merge combines two snapshots (e.g. the same latency across two fleet
 // runs) into one, recomputing the percentiles from the merged buckets.
 func (s HistogramSnapshot) Merge(o HistogramSnapshot) HistogramSnapshot {
