@@ -327,6 +327,7 @@ func runChaosAttempt(cfg ChaosConfig, sup *supervisor, attempt int, shape geom.S
 	}
 	d := qdaemon.New(eng, m)
 	d.FS = fs
+	plan.Bind(m) // the victim inboxes: Arm runs inside the attempt
 
 	pr := wilsonProblem(gauge, nil, b, cfg.Mass, fermion.Double, cfg.Tol, cfg.MaxIter)
 	pr.warmStart = func() *lattice.FermionField { return rst.x0 } // the restored iterate

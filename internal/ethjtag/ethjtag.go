@@ -45,11 +45,14 @@ const (
 	PortNFS  uint16 = 2049   // kernel NFS shim (§3.2)
 )
 
-// Packet is one UDP datagram on the management network.
+// Packet is one UDP datagram on the management network. It is a plain
+// value — the payload is an immutable string — so a packet crosses
+// shards, fans out to every broadcast receiver and duplicates without a
+// copy.
 type Packet struct {
 	Src, Dst Addr
 	Port     uint16
-	Payload  []byte
+	Payload  string
 }
 
 // Link speeds (§2.3, §3.1).
@@ -94,11 +97,13 @@ type FaultFunc func(pkt *Packet) FaultVerdict
 // shard, hops to the switch at the end of serialization, passes the
 // fault injector there — serially, so the counted fault stream stays
 // deterministic — and hops again to its destination port's shard at
-// the arrival time. Both hops ride the cluster mailboxes; both exceed
-// the lookahead by construction (the smallest frame's line time is
-// 432 ns at 1 Gbit, and the switch latency is 10 us).
+// the arrival time. Both hops are inbox sends (the switch's and the
+// port's, bound at setup); both exceed the lookahead by construction
+// (the smallest frame's line time is 432 ns at 1 Gbit, and the switch
+// latency is 10 us).
 type Network struct {
 	eng     *event.Engine
+	in      *event.Inbox[Packet] // route, on the switch's engine
 	ports   map[Addr]*Port
 	addrs   []Addr // attached addresses in ascending order, for deterministic broadcast
 	Latency event.Time
@@ -119,7 +124,9 @@ type Network struct {
 
 // NewNetwork creates the management network.
 func NewNetwork(eng *event.Engine) *Network {
-	return &Network{eng: eng, ports: map[Addr]*Port{}, Latency: 10 * event.Microsecond}
+	n := &Network{eng: eng, ports: map[Addr]*Port{}, Latency: 10 * event.Microsecond}
+	n.in = event.NewInbox(eng, n.route)
+	return n
 }
 
 // Now is the switch's simulation clock — fault injectors windowing on
@@ -132,6 +139,7 @@ func (n *Network) Now() event.Time { return n.eng.Now() }
 type Port struct {
 	net       *Network
 	eng       *event.Engine
+	in        *event.Inbox[Packet] // deliver, on the port's engine
 	addr      Addr
 	bps       int64
 	rx        *event.Queue[Packet]
@@ -194,6 +202,7 @@ func (n *Network) AttachOn(eng *event.Engine, addr Addr, bps int64) *Port {
 		bps:  bps,
 		rx:   event.NewQueue[Packet](eng, fmt.Sprintf("eth %#x", addr)),
 	}
+	p.in = event.NewInbox(eng, p.deliver)
 	n.ports[addr] = p
 	i := sort.Search(len(n.addrs), func(i int) bool { return n.addrs[i] >= addr })
 	n.addrs = append(n.addrs, 0)
@@ -224,14 +233,11 @@ func (p *Port) Send(pkt Packet) error {
 		start = p.busyUntil
 	}
 	p.busyUntil = start + ser
-	payload := append([]byte(nil), pkt.Payload...)
-	pkt.Payload = payload
 	p.TxPackets++
 	// The frame enters the switch when its last bit leaves the port —
 	// at least one full serialization after now, which comfortably
 	// exceeds the cluster lookahead, so the cross-shard hop never clamps.
-	net := p.net
-	p.eng.CrossAt(net.eng, p.busyUntil, func() { net.route(pkt) })
+	p.net.in.Send(p.eng, p.busyUntil, pkt)
 	return nil
 }
 
@@ -269,26 +275,14 @@ func (n *Network) route(pkt Packet) {
 			if addr == pkt.Src {
 				continue
 			}
-			dst := n.ports[addr]
-			// Clone per destination: every receiver's shard owns its copy
-			// outright. A single shared backing array would let one
-			// receiver's mutation bleed into the others' payloads.
-			cp := pkt
-			cp.Payload = append([]byte(nil), pkt.Payload...)
-			n.eng.CrossAt(dst.eng, arrive, func() { dst.deliver(cp) })
+			n.ports[addr].in.Send(n.eng, arrive, pkt)
 		}
 		return
 	}
 	dst := n.ports[pkt.Dst]
-	//qcdoclint:crossalias-ok ownership transfer: Send cloned the payload and the duplicate below gets its own clone, so this closure is the packet's sole owner
-	n.eng.CrossAt(dst.eng, arrive, func() { dst.deliver(pkt) })
+	dst.in.Send(n.eng, arrive, pkt)
 	if verdict == FaultDup {
-		// The duplicate needs its own backing array — both deliveries
-		// land on the same port, and a handler mutating the first
-		// arrival's payload must not corrupt the second.
-		dup := pkt
-		dup.Payload = append([]byte(nil), pkt.Payload...)
-		n.eng.CrossAt(dst.eng, arrive, func() { dst.deliver(dup) })
+		dst.in.Send(n.eng, arrive, pkt)
 	}
 }
 
@@ -363,20 +357,20 @@ const (
 const jtagCmdLen = 17
 
 // EncodeJTAG builds a command payload.
-func EncodeJTAG(op JTAGOp, addr, data uint64) []byte {
-	buf := make([]byte, jtagCmdLen)
+func EncodeJTAG(op JTAGOp, addr, data uint64) string {
+	var buf [jtagCmdLen]byte
 	buf[0] = byte(op)
 	binary.BigEndian.PutUint64(buf[1:9], addr)
 	binary.BigEndian.PutUint64(buf[9:17], data)
-	return buf
+	return string(buf[:])
 }
 
 // DecodeJTAG parses a command payload.
-func DecodeJTAG(b []byte) (op JTAGOp, addr, data uint64, err error) {
+func DecodeJTAG(b string) (op JTAGOp, addr, data uint64, err error) {
 	if len(b) < jtagCmdLen {
 		return 0, 0, 0, errors.New("ethjtag: short JTAG command")
 	}
-	return JTAGOp(b[0]), binary.BigEndian.Uint64(b[1:9]), binary.BigEndian.Uint64(b[9:17]), nil
+	return JTAGOp(b[0]), binary.BigEndian.Uint64([]byte(b[1:9])), binary.BigEndian.Uint64([]byte(b[9:17])), nil
 }
 
 // JTAGTarget is the chip-side surface the controller drives: raw memory,

@@ -1,7 +1,6 @@
 package ethjtag
 
 import (
-	"bytes"
 	"errors"
 	"testing"
 
@@ -31,13 +30,13 @@ func TestPointToPoint(t *testing.T) {
 			at = p.Now()
 		}
 	})
-	if err := a.Send(Packet{Dst: 20, Port: PortRPC, Payload: []byte("hello")}); err != nil {
+	if err := a.Send(Packet{Dst: 20, Port: PortRPC, Payload: "hello"}); err != nil {
 		t.Fatal(err)
 	}
 	if err := eng.RunAll(); err != nil {
 		t.Fatal(err)
 	}
-	if string(got.Payload) != "hello" || got.Src != 10 || got.Port != PortRPC {
+	if got.Payload != "hello" || got.Src != 10 || got.Port != PortRPC {
 		t.Fatalf("got %+v", got)
 	}
 	// (5+54) bytes at 1 Gbit/s = 472 ns serialization + 10 us latency.
@@ -61,7 +60,7 @@ func TestSerializationAtLineRate(t *testing.T) {
 			times = append(times, p.Now())
 		}
 	})
-	payload := make([]byte, 446) // 500 bytes framed = 40 us at 100 Mbit
+	payload := string(make([]byte, 446)) // 500 bytes framed = 40 us at 100 Mbit
 	a.Send(Packet{Dst: 2, Payload: payload})
 	a.Send(Packet{Dst: 2, Payload: payload})
 	if err := eng.RunAll(); err != nil {
@@ -92,7 +91,7 @@ func TestBroadcast(t *testing.T) {
 			order = append(order, addr)
 		})
 	}
-	h.Send(Packet{Dst: Broadcast, Payload: []byte("boot?")})
+	h.Send(Packet{Dst: Broadcast, Payload: "boot?"})
 	if err := eng.RunAll(); err != nil {
 		t.Fatal(err)
 	}
@@ -127,9 +126,9 @@ func TestNoRoute(t *testing.T) {
 
 // jtagSeeds are TestJTAGEncodeDecode's inputs: a full command and a
 // truncated one.
-func jtagSeeds() [][]byte {
+func jtagSeeds() []string {
 	b := EncodeJTAG(OpReadWord, 0x1234, 0xBEEF)
-	return [][]byte{b, b[:10]}
+	return []string{b, b[:10]}
 }
 
 func TestJTAGEncodeDecode(t *testing.T) {
@@ -151,7 +150,7 @@ func FuzzJTAGDecode(f *testing.F) {
 	for _, b := range jtagSeeds() {
 		f.Add(b)
 	}
-	f.Fuzz(func(t *testing.T, b []byte) {
+	f.Fuzz(func(t *testing.T, b string) {
 		op, addr, data, err := DecodeJTAG(b)
 		if len(b) < jtagCmdLen {
 			if err == nil {
@@ -162,7 +161,7 @@ func FuzzJTAGDecode(f *testing.F) {
 		if err != nil {
 			t.Fatalf("%d-byte command: %v", len(b), err)
 		}
-		if re := EncodeJTAG(op, addr, data); !bytes.Equal(re, b[:jtagCmdLen]) {
+		if re := EncodeJTAG(op, addr, data); re != b[:jtagCmdLen] {
 			t.Fatalf("re-encoded %x, consumed %x", re, b[:jtagCmdLen])
 		}
 	})
@@ -225,7 +224,7 @@ func TestJTAGControllerProtocol(t *testing.T) {
 		replies = append(replies, send(OpStatus, 0, 0))
 		// Non-JTAG packets to the JTAG port are ignored (it answers only
 		// JTAG UDP).
-		host.Send(Packet{Dst: NodeJTAGAddr(0), Port: PortRPC, Payload: []byte("ping")})
+		host.Send(Packet{Dst: NodeJTAGAddr(0), Port: PortRPC, Payload: "ping"})
 	})
 	if err := eng.RunAll(); err != nil {
 		t.Fatal(err)

@@ -36,6 +36,8 @@ package event
 // per shard, hence identical digests.
 
 import (
+	"fmt"
+	"reflect"
 	"runtime"
 	"sort"
 	"sync/atomic"
@@ -63,7 +65,7 @@ type PayloadHandler interface {
 
 // xmsg is one cross-shard message parked in a mailbox between the
 // producing window and the barrier drain: either a payload delivery
-// (h != nil, the hot path) or a closure (the cold control path).
+// (h != nil, the hot path) or an Inbox message (the cold control path).
 type xmsg struct {
 	at   Time
 	fn   func()
@@ -485,24 +487,77 @@ func (e *Engine) runWindow(wend, until Time) {
 	}
 }
 
-// CrossAt schedules fn at time t on d's shard — the cold control
-// path for cross-shard actions (fault injection, management hops). On
-// the same engine, or without a cluster, it is Engine.At. Across
-// shards, t is clamped up to now + lookahead: the earliest instant the
-// conservative window protocol can still deliver.
-func (e *Engine) CrossAt(d *Engine, t Time, fn func()) {
-	if d == e || e.cluster == nil {
-		e.At(t, fn)
+// Inbox is a callback bound at setup to one engine, reachable from any
+// shard of its cluster with a value — the cold control path for
+// cross-shard actions (fault injection, management hops, heartbeat
+// starts). Only values cross: NewInbox refuses a message type that can
+// reach memory, so a sender never hands the receiving shard a
+// reference into its own state.
+type Inbox[T any] struct {
+	eng *Engine
+	fn  func(T)
+}
+
+// NewInbox binds fn to e. It panics if T can reach a pointer, slice,
+// map, chan, func, interface, uintptr or unsafe.Pointer (one walk of the
+// type, here, never per message), and if e's run — on a cluster, the
+// host shard's — is in progress: inboxes are bound at setup, like
+// Timers and Handlers.
+func NewInbox[T any](e *Engine, fn func(T)) *Inbox[T] {
+	t := reflect.TypeFor[T]()
+	if k := refKind(t); k != "" {
+		panic(fmt.Sprintf("event: NewInbox: %v reaches a %s", t, k))
+	}
+	host := e
+	if e.cluster != nil {
+		host = e.cluster.shards[0]
+	}
+	if host.running {
+		panic("event: NewInbox during a run")
+	}
+	return &Inbox[T]{eng: e, fn: fn}
+}
+
+// refKind names the first kind inside t that can reference memory, or
+// returns "" for a plain value: scalars, strings (immutable), and
+// arrays and structs of plain values.
+func refKind(t reflect.Type) string {
+	switch t.Kind() {
+	case reflect.Array:
+		return refKind(t.Elem())
+	case reflect.Struct:
+		for i := 0; i < t.NumField(); i++ {
+			if k := refKind(t.Field(i).Type); k != "" {
+				return k
+			}
+		}
+	case reflect.Pointer, reflect.Slice, reflect.Map, reflect.Chan, reflect.Func,
+		reflect.Interface, reflect.Uintptr, reflect.UnsafePointer:
+		return t.Kind().String()
+	}
+	return ""
+}
+
+// Send delivers v to the inbox's callback at time t. From the inbox's
+// own engine, or without a cluster, it is from.At. Across shards, t is
+// clamped up to from.Now() + lookahead — the earliest instant the
+// conservative window protocol can still deliver — and the message
+// waits in the mailbox for the next barrier, carrying from's flow.
+func (b *Inbox[T]) Send(from *Engine, t Time, v T) {
+	fn := func() { b.fn(v) }
+	d := b.eng
+	if d == from || from.cluster == nil {
+		from.At(t, fn)
 		return
 	}
-	if d.cluster != e.cluster {
-		panic("event: CrossAt across unrelated clusters")
+	if d.cluster != from.cluster {
+		panic("event: Inbox.Send across unrelated clusters")
 	}
-	if min := e.now + e.cluster.look; t < min {
+	if min := from.now + from.cluster.look; t < min {
 		t = min
 	}
-	mb := &e.cluster.mail[e.shard][d.shard]
-	mb.msgs = append(mb.msgs, xmsg{at: t, fn: fn, flow: e.curFlow})
+	mb := &from.cluster.mail[from.shard][d.shard]
+	mb.msgs = append(mb.msgs, xmsg{at: t, fn: fn, flow: from.curFlow})
 }
 
 // CrossPayload hands p to h (AcceptPayload) and schedules

@@ -123,6 +123,8 @@ func TestFunctionalSmall(t *testing.T) {
 		},
 		"E4f": {"1 word": {"599ns"}, "24 words": {"3.911us"}},
 		"E5f": {"single ring": {"1.043us"}, "doubled": {"692ns"}},
+		// run 1 CRC, run 2 CRC, identical, link errors, checksums
+		"E10": {"distributed Wilson CG (4 nodes)": {"", "", "true", "0", "true"}},
 		// clean run, faulty run
 		"E12": {
 			"parity/header errors detected": {"0", "2816"},
@@ -137,6 +139,7 @@ func TestFunctionalSmall(t *testing.T) {
 		{"E1f", E1Functional},
 		{"E4f", E4Functional},
 		{"E5f", E5Functional},
+		{"E10", E10},
 		{"E12", E12},
 		{"E13", E13},
 		{"E16", E16},

@@ -221,8 +221,7 @@ func E10() (Table, error) {
 		}
 		st := sess.M.Stats()
 		_, csErr := sess.M.VerifyChecksums()
-		crc := fermionCRC(x)
-		return crc, st.ParityErrors + st.HeaderErrors, csErr == nil, nil
+		return checkpoint.FermionCRC(x), st.ParityErrors + st.HeaderErrors, csErr == nil, nil
 	}
 	c1, e1, ok1, err := solveCRC()
 	if err != nil {
@@ -233,7 +232,7 @@ func E10() (Table, error) {
 		return t, err
 	}
 	t.Rows = append(t.Rows, []string{
-		"distributed Wilson CG (16 nodes)",
+		"distributed Wilson CG (4 nodes)",
 		fmt.Sprintf("%#x", c1), fmt.Sprintf("%#x", c2),
 		fmt.Sprint(c1 == c2), fmt.Sprint(e1 + e2), fmt.Sprint(ok1 && ok2),
 	})
@@ -287,7 +286,7 @@ func E12() (Table, error) {
 		}
 		st := sess.M.Stats()
 		_, csErr := sess.M.VerifyChecksums()
-		return fermionCRC(x), st.ParityErrors + st.HeaderErrors, st.Resends, csErr == nil, nil
+		return checkpoint.FermionCRC(x), st.ParityErrors + st.HeaderErrors, st.Resends, csErr == nil, nil
 	}
 	cleanCRC, cleanErrs, cleanResends, cleanOK, err := run(false)
 	if err != nil {
@@ -397,23 +396,6 @@ func E14() (Table, error) {
 		[]string{"checksum audit", fmt.Sprint(csErr == nil)},
 	)
 	return t, nil
-}
-
-// fermionCRC fingerprints a spinor field via the checkpoint format.
-func fermionCRC(f *lattice.FermionField) uint32 {
-	var c crcCounter
-	_ = checkpoint.WriteFermion(&c, f)
-	return c.crc
-}
-
-// crcCounter is an io.Writer accumulating the checkpoint CRC.
-type crcCounter struct{ crc uint32 }
-
-func (c *crcCounter) Write(p []byte) (int, error) {
-	for _, b := range p {
-		c.crc = c.crc*16777619 ^ uint32(b)
-	}
-	return len(p), nil
 }
 
 // contiguous is a local shorthand for a contiguous DMA descriptor.

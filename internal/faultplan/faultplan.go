@@ -237,6 +237,11 @@ type Plan struct {
 	// arms counts distinct Arm calls (attempts). RecoveryCrash faults
 	// arm only from the second attempt onward.
 	arms int
+
+	// bound is the machine Bind readied, and victims its per-rank
+	// inboxes: each applies a fault on the victim's own shard engine.
+	bound   *machine.Machine
+	victims []*event.Inbox[Fault]
 }
 
 // Generate derives the fault schedule for the given seed: same seed,
@@ -298,8 +303,22 @@ func Generate(seed uint64, spec Spec, nodes int) *Plan {
 	return p
 }
 
+// Bind readies the plan to strike m: one inbox per rank, on the rank's
+// shard engine, that applies a node or link fault there. Call it at
+// setup, before m's engine runs (beside qdaemon.New); Arm, which may run
+// inside the attempt, only sends to these inboxes.
+func (p *Plan) Bind(m *machine.Machine) {
+	p.bound = m
+	p.victims = make([]*event.Inbox[Fault], len(m.Nodes))
+	for r := range m.Nodes {
+		eng := m.NodeEngine(r)
+		p.victims[r] = event.NewInbox(eng, func(f Fault) { inject(eng, m, f) })
+	}
+}
+
 // Arm schedules every unspent fault on the engine against the given
-// machine and management network. Call it once per attempt, after boot:
+// machine (readied by Bind) and management network. Call it once per
+// attempt, after boot:
 // the node and link faults fire at their At offsets; the net faults
 // install a packet-fault hook counting management requests from this
 // moment. Faults mark themselves Spent when they fire, so re-arming the
@@ -313,10 +332,11 @@ func Generate(seed uint64, spec Spec, nodes int) *Plan {
 // recoverable fault, and injecting it would just wedge the run.
 //
 // On a sharded machine the victim's lifecycle state and outbound wires
-// belong to its shard engine, so each injection crosses to that shard
-// (CrossAt degrades to a plain At on an unsharded build); the OnFire
-// observation crosses back so every observer callback runs serially on
-// the arming engine, whatever shard the fault struck.
+// belong to its shard engine, so each injection is a Fault value sent to
+// that shard's inbox (a plain At on an unsharded build). The plan's own
+// bookkeeping — Spent and OnFire — is an event on the arming engine at
+// the same plan time, so every observer callback runs serially there,
+// whatever shard the fault struck.
 //
 // Arm is idempotent per attempt: a second call with the same engine —
 // a recovery that was itself interrupted and re-entered — is a no-op,
@@ -325,6 +345,9 @@ func Generate(seed uint64, spec Spec, nodes int) *Plan {
 func (p *Plan) Arm(eng *event.Engine, m *machine.Machine, net *ethjtag.Network) {
 	if p.armedOn == eng {
 		return
+	}
+	if p.bound != m {
+		panic("faultplan: Arm on a machine the plan was not bound to")
 	}
 	p.armedOn = eng
 	p.arms++
@@ -350,20 +373,12 @@ func (p *Plan) Arm(eng *event.Engine, m *machine.Machine, net *ethjtag.Network) 
 		// Clamp the victim rank to the (possibly smaller, repartitioned)
 		// machine before picking its shard.
 		fault := *f
-		rank := f.Rank % len(m.Nodes)
-		tgt := m.NodeEngine(rank)
-		//qcdoclint:crossalias-ok fault injection IS cross-shard mutation: the plan, fault record, and machine are owned by the arming engine, which only reads them back after the run drains
-		eng.CrossAt(tgt, base+f.At, func() {
-			if f.Spent {
-				return
-			}
+		fault.Rank = f.Rank % len(m.Nodes)
+		p.victims[fault.Rank].Send(eng, base+f.At, fault)
+		eng.At(base+f.At, func() {
 			f.Spent = true
-			p.inject(tgt, m, rank, fault)
 			if p.OnFire != nil {
-				ff := fault
-				ff.Rank = rank
-				//qcdoclint:crossalias-ok OnFire crosses back to the arming engine so observer callbacks serialize there; p is handed back to its owner
-				tgt.CrossAt(eng, tgt.Now(), func() { p.OnFire(ff) })
+				p.OnFire(fault)
 			}
 		})
 	}
@@ -437,19 +452,19 @@ func (p *Plan) ArmHost(eng *event.Engine, nodes int, h Host) {
 	}
 }
 
-// inject applies one node/link fault to the machine. eng is the
-// victim's shard engine: the LinkBurst end timer must live where the
-// wire's transmit state does.
-func (p *Plan) inject(eng *event.Engine, m *machine.Machine, rank int, f Fault) {
+// inject applies one node/link fault to rank f.Rank of the machine.
+// eng is the victim's shard engine: the LinkBurst end timer must live
+// where the wire's transmit state does.
+func inject(eng *event.Engine, m *machine.Machine, f Fault) {
 	switch f.Kind {
 	case NodeCrash, RecoveryCrash:
-		m.Nodes[rank].Crash()
+		m.Nodes[f.Rank].Crash()
 	case NodeHang:
-		m.Nodes[rank].Hang()
+		m.Nodes[f.Rank].Hang()
 	case LinkDeath:
-		m.Wire(rank, f.Link).Kill()
+		m.Wire(f.Rank, f.Link).Kill()
 	case LinkBurst:
-		w := m.Wire(rank, f.Link)
+		w := m.Wire(f.Rank, f.Link)
 		w.SetFault(hssl.FlipBitEvery(f.Every))
 		eng.After(f.Dur, func() { w.SetFault(nil) })
 	}

@@ -82,6 +82,7 @@ func TestArmSpentMarking(t *testing.T) {
 	}
 
 	eng1, m1 := boot()
+	plan.Bind(m1)
 	plan.Arm(eng1, m1, nil)
 	if err := eng1.RunAll(); err != nil {
 		t.Fatal(err)
@@ -97,6 +98,7 @@ func TestArmSpentMarking(t *testing.T) {
 	// The restarted machine re-arms the same plan: the crash is spent
 	// and must not repeat.
 	eng2, m2 := boot()
+	plan.Bind(m2)
 	plan.Arm(eng2, m2, nil)
 	if err := eng2.RunAll(); err != nil {
 		t.Fatal(err)
@@ -188,6 +190,7 @@ func TestArmIdempotentAndRecoveryCrashGating(t *testing.T) {
 	// Attempt 1, armed twice (interrupted recovery re-entering): the
 	// recovery crash is second-order and must stay down.
 	eng1, m1 := boot()
+	plan.Bind(m1)
 	plan.Arm(eng1, m1, nil)
 	plan.Arm(eng1, m1, nil) // nested re-arm: must be a no-op
 	if err := eng1.RunAll(); err != nil {
@@ -203,6 +206,7 @@ func TestArmIdempotentAndRecoveryCrashGating(t *testing.T) {
 
 	// Attempt 2 (fresh engine): the recovery crash arms and fires.
 	eng2, m2 := boot()
+	plan.Bind(m2)
 	plan.Arm(eng2, m2, nil)
 	if err := eng2.RunAll(); err != nil {
 		t.Fatal(err)
@@ -217,6 +221,7 @@ func TestArmIdempotentAndRecoveryCrashGating(t *testing.T) {
 
 	// Attempt 3: spent stays spent.
 	eng3, m3 := boot()
+	plan.Bind(m3)
 	plan.Arm(eng3, m3, nil)
 	if err := eng3.RunAll(); err != nil {
 		t.Fatal(err)
@@ -305,6 +310,7 @@ func TestArmFiresAtPlanTime(t *testing.T) {
 			t.Errorf("%v fired at %d ps, want base+At = %d ps", f, now, base+f.At)
 		}
 	}
+	plan.Bind(m)
 	plan.Arm(eng, m, ethjtag.NewNetwork(eng))
 	plan.ArmHost(eng, 4, &recordingHost{haveChunk: true})
 	if err := eng.RunAll(); err != nil {

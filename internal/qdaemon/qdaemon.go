@@ -146,7 +146,7 @@ func (d *Daemon) hostLoop(p *event.Proc) {
 		if pkt.Port != ethjtag.PortRPC {
 			continue
 		}
-		fields := strings.Fields(string(pkt.Payload))
+		fields := strings.Fields(pkt.Payload)
 		if len(fields) == 0 {
 			continue
 		}
@@ -171,7 +171,7 @@ func (d *Daemon) hostLoop(p *event.Proc) {
 // nfsLoop serves the NFS shim: chunked writes land in the host FS.
 func (d *Daemon) nfsLoop(p *event.Proc) {
 	type pending struct {
-		chunks map[int][]byte
+		chunks map[int]string
 		total  int
 	}
 	open := map[string]*pending{}
@@ -181,7 +181,7 @@ func (d *Daemon) nfsLoop(p *event.Proc) {
 			continue
 		}
 		// "write <name> <i> <total> <data...>"
-		s := string(pkt.Payload)
+		s := pkt.Payload
 		var name string
 		var i, total int
 		idx := strings.Index(s, " ")
@@ -199,10 +199,10 @@ func (d *Daemon) nfsLoop(p *event.Proc) {
 		key := fmt.Sprintf("%s|%d", name, pkt.Src)
 		pd := open[key]
 		if pd == nil {
-			pd = &pending{chunks: map[int][]byte{}, total: total}
+			pd = &pending{chunks: map[int]string{}, total: total}
 			open[key] = pd
 		}
-		pd.chunks[i] = []byte(sp[3])
+		pd.chunks[i] = sp[3]
 		if len(pd.chunks) == pd.total {
 			var data []byte
 			for c := 0; c < pd.total; c++ {
@@ -265,19 +265,19 @@ func (d *Daemon) bootNode(p *event.Proc, r int) error {
 	// Run kernel over the standard Ethernet: the image packets are
 	// fire-and-forget UDP; only the final START is a handshake.
 	eaddr := ethjtag.NodeEthAddr(r)
-	img := make([]byte, qos.RunKernelPacketBytes)
+	img := string(make([]byte, qos.RunKernelPacketBytes))
 	for i := 0; i < qos.RunKernelPackets; i++ {
 		if err := d.Ctl.Send(ethjtag.Packet{Dst: eaddr, Port: ethjtag.PortBoot, Payload: img}); err != nil {
 			return err
 		}
 	}
-	rep, err := d.exchange(p, d.Ctl, ethjtag.Packet{Dst: eaddr, Port: ethjtag.PortBoot, Payload: []byte("START")},
+	rep, err := d.exchange(p, d.Ctl, ethjtag.Packet{Dst: eaddr, Port: ethjtag.PortBoot, Payload: "START"},
 		fmt.Sprintf("node %d run-kernel start", r),
 		func(rep ethjtag.Packet) bool { return rep.Src == eaddr && rep.Port == ethjtag.PortBoot })
 	if err != nil {
 		return err
 	}
-	if string(rep.Payload) != "ok" {
+	if rep.Payload != "ok" {
 		// A START retransmitted after a lost "ok" is refused ("run
 		// kernel start in state run-kernel"); the status RPC confirms
 		// whether the kernel actually installed.
@@ -387,7 +387,7 @@ func (d *Daemon) Run(p *event.Proc, job, program string) ([]string, error) {
 	launch := func(r int) error {
 		return d.Ctl.Send(ethjtag.Packet{
 			Dst: ethjtag.NodeEthAddr(r), Port: ethjtag.PortRPC,
-			Payload: []byte(fmt.Sprintf("run %s %s", job, program)),
+			Payload: fmt.Sprintf("run %s %s", job, program),
 		})
 	}
 	pending := map[ethjtag.Addr]int{}
@@ -426,7 +426,7 @@ func (d *Daemon) Run(p *event.Proc, job, program string) ([]string, error) {
 			d.rpcStats.Stale++
 			continue
 		}
-		pl := string(ack.Payload)
+		pl := ack.Payload
 		switch {
 		case strings.HasPrefix(pl, "ok"):
 			d.rpcStats.Exchanges++
@@ -491,12 +491,12 @@ func (d *Daemon) Status(p *event.Proc, rank int) (string, error) {
 func (d *Daemon) statusExchange(p *event.Proc, rank int) (string, error) {
 	eaddr := ethjtag.NodeEthAddr(rank)
 	rep, err := d.exchange(p, d.Ctl, ethjtag.Packet{
-		Dst: eaddr, Port: ethjtag.PortRPC, Payload: []byte("status"),
+		Dst: eaddr, Port: ethjtag.PortRPC, Payload: "status",
 	}, fmt.Sprintf("node %d status", rank), func(rep ethjtag.Packet) bool {
-		return rep.Src == eaddr && rep.Port == ethjtag.PortRPC && strings.HasPrefix(string(rep.Payload), "state=")
+		return rep.Src == eaddr && rep.Port == ethjtag.PortRPC && strings.HasPrefix(rep.Payload, "state=")
 	})
 	if err != nil {
 		return "", err
 	}
-	return string(rep.Payload), nil
+	return rep.Payload, nil
 }

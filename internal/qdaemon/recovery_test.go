@@ -115,7 +115,7 @@ func TestRunSurvivesDroppedLaunchAck(t *testing.T) {
 				return
 			}
 			d.Net.Fault = func(pkt *ethjtag.Packet) ethjtag.FaultVerdict {
-				if pkt.Port == ethjtag.PortRPC && strings.HasPrefix(string(pkt.Payload), "run ") {
+				if pkt.Port == ethjtag.PortRPC && strings.HasPrefix(pkt.Payload, "run ") {
 					launches = append(launches, pkt.Dst)
 				}
 				return drop(pkt)

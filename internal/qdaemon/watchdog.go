@@ -150,12 +150,8 @@ func (d *Daemon) Watchdog() *Watchdog { return d.wd }
 // qos.Kernel.StartHeartbeat. Chaos/recovery runs call this after boot;
 // the default event stream never carries heartbeats.
 func (d *Daemon) EnableHeartbeats() {
-	for r, k := range d.Kernels {
-		// The tick mutates node state, so the timer must live on the
-		// node's shard engine — and must be armed from there too.
-		k := k
-		neng := d.M.NodeEngine(r)
-		d.Eng.CrossAt(neng, d.Eng.Now(), func() { k.StartHeartbeat(neng, heartbeatPeriod) })
+	for _, k := range d.Kernels {
+		k.StartHeartbeat(d.Eng, heartbeatPeriod)
 	}
 }
 

@@ -47,6 +47,7 @@ type Kernel struct {
 	kernelLoaded  bool
 	stdoutSeq     int
 
+	hbStart  *event.Inbox[event.Time] // armHeartbeat, on the node's engine
 	hbTimer  *event.Timer
 	hbPeriod event.Time
 }
@@ -71,12 +72,16 @@ func FromCtx(ctx *node.Ctx) *Kernel {
 // Start attaches the kernel thread to its Ethernet port. It runs from
 // boot-kernel state onward; in the real machine the boot kernel
 // initializes this Ethernet controller (§3.1). The service loop is a
-// continuation on the event engine — one per node, no goroutines.
+// continuation on the event engine — one per node, no goroutines. eng
+// is the node's engine; Start runs at setup, outside any run.
 func (k *Kernel) Start(eng *event.Engine) {
 	k.Eth.OnPacket(k.serve)
+	k.hbStart = event.NewInbox(eng, func(period event.Time) { k.armHeartbeat(eng, period) })
 }
 
-// StartHeartbeat arms the kernel's liveness tick: every period, the
+// StartHeartbeat arms the kernel's liveness tick from engine from (the
+// host's, typically): the tick starts on the node's own engine at from's
+// current time, or a lookahead later across shards. Every period, the
 // kernel thread bumps the node's heartbeat counter, which the host
 // watchdog reads through the telemetry MMIO window. Heartbeats are
 // opt-in (chaos/recovery runs enable them) so the default event stream
@@ -84,7 +89,11 @@ func (k *Kernel) Start(eng *event.Engine) {
 // crashed or hung node's timer keeps firing (it is engine machinery,
 // not node software) but ticks nothing: the counter freezes, which is
 // precisely the watchdog's detection signal.
-func (k *Kernel) StartHeartbeat(eng *event.Engine, period event.Time) {
+func (k *Kernel) StartHeartbeat(from *event.Engine, period event.Time) {
+	k.hbStart.Send(from, from.Now(), period)
+}
+
+func (k *Kernel) armHeartbeat(eng *event.Engine, period event.Time) {
 	if k.hbTimer != nil || period <= 0 {
 		return
 	}
@@ -121,7 +130,7 @@ func (k *Kernel) serve(pkt ethjtag.Packet) {
 // packet installs the run kernel and initializes the SCU and mesh
 // network (§3.1).
 func (k *Kernel) handleBoot(pkt ethjtag.Packet) {
-	if string(pkt.Payload) == "START" {
+	if pkt.Payload == "START" {
 		status := "ok"
 		if k.kernelPackets == 0 {
 			status = "err: no kernel image"
@@ -142,7 +151,7 @@ func (k *Kernel) KernelPackets() int { return k.kernelPackets }
 // handleRPC serves the qdaemon's RPC channel: job launch, status and
 // debugging pokes. Messages are simple space-separated text.
 func (k *Kernel) handleRPC(pkt ethjtag.Packet) {
-	fields := strings.Fields(string(pkt.Payload))
+	fields := strings.Fields(pkt.Payload)
 	if len(fields) == 0 {
 		k.reply(pkt, ethjtag.PortRPC, "err: empty rpc")
 		return
@@ -185,11 +194,11 @@ func (k *Kernel) handleRPC(pkt ethjtag.Packet) {
 }
 
 func (k *Kernel) reply(req ethjtag.Packet, port uint16, msg string) {
-	_ = k.Eth.Send(ethjtag.Packet{Dst: req.Src, Port: port, Payload: []byte(msg)})
+	_ = k.Eth.Send(ethjtag.Packet{Dst: req.Src, Port: port, Payload: msg})
 }
 
 func (k *Kernel) send(port uint16, msg string) {
-	_ = k.Eth.Send(ethjtag.Packet{Dst: k.Host, Port: port, Payload: []byte(msg)})
+	_ = k.Eth.Send(ethjtag.Packet{Dst: k.Host, Port: port, Payload: msg})
 }
 
 // --- System calls available to applications ------------------------------
@@ -219,7 +228,6 @@ func (k *Kernel) WriteFile(p *event.Proc, name string, data []byte) {
 			hi = len(data)
 		}
 		hdr := fmt.Sprintf("write %s %d %d ", name, i, total)
-		payload := append([]byte(hdr), data[lo:hi]...)
-		_ = k.Eth.Send(ethjtag.Packet{Dst: k.NFS, Port: ethjtag.PortNFS, Payload: payload})
+		_ = k.Eth.Send(ethjtag.Packet{Dst: k.NFS, Port: ethjtag.PortNFS, Payload: hdr + string(data[lo:hi])})
 	}
 }

@@ -34,8 +34,8 @@ func rpc(t *testing.T, eng *event.Engine, host *ethjtag.Port, msg string) string
 	t.Helper()
 	var reply string
 	eng.Spawn("host", func(p *event.Proc) {
-		host.Send(ethjtag.Packet{Dst: ethjtag.NodeEthAddr(0), Port: ethjtag.PortRPC, Payload: []byte(msg)})
-		reply = string(host.Recv(p).Payload)
+		host.Send(ethjtag.Packet{Dst: ethjtag.NodeEthAddr(0), Port: ethjtag.PortRPC, Payload: msg})
+		reply = host.Recv(p).Payload
 	})
 	if err := eng.RunAll(); err != nil {
 		t.Fatal(err)
@@ -56,8 +56,8 @@ func TestRunKernelLoadProtocol(t *testing.T) {
 	// START before any image packets must fail.
 	var rep string
 	eng.Spawn("host", func(p *event.Proc) {
-		host.Send(ethjtag.Packet{Dst: ethjtag.NodeEthAddr(0), Port: ethjtag.PortBoot, Payload: []byte("START")})
-		rep = string(host.Recv(p).Payload)
+		host.Send(ethjtag.Packet{Dst: ethjtag.NodeEthAddr(0), Port: ethjtag.PortBoot, Payload: "START"})
+		rep = host.Recv(p).Payload
 	})
 	if err := eng.RunAll(); err != nil {
 		t.Fatal(err)
@@ -67,12 +67,12 @@ func TestRunKernelLoadProtocol(t *testing.T) {
 	}
 	// Load image packets then START.
 	eng.Spawn("host", func(p *event.Proc) {
-		img := make([]byte, RunKernelPacketBytes)
+		img := string(make([]byte, RunKernelPacketBytes))
 		for i := 0; i < 10; i++ {
 			host.Send(ethjtag.Packet{Dst: ethjtag.NodeEthAddr(0), Port: ethjtag.PortBoot, Payload: img})
 		}
-		host.Send(ethjtag.Packet{Dst: ethjtag.NodeEthAddr(0), Port: ethjtag.PortBoot, Payload: []byte("START")})
-		rep = string(host.Recv(p).Payload)
+		host.Send(ethjtag.Packet{Dst: ethjtag.NodeEthAddr(0), Port: ethjtag.PortBoot, Payload: "START"})
+		rep = host.Recv(p).Payload
 	})
 	if err := eng.RunAll(); err != nil {
 		t.Fatal(err)
@@ -95,9 +95,9 @@ func TestRunRPCAndCompletion(t *testing.T) {
 	k.Programs["hello"] = func(ctx *node.Ctx) { executed = true }
 	var msgs []string
 	eng.Spawn("host", func(p *event.Proc) {
-		host.Send(ethjtag.Packet{Dst: ethjtag.NodeEthAddr(0), Port: ethjtag.PortRPC, Payload: []byte("run j1 hello")})
+		host.Send(ethjtag.Packet{Dst: ethjtag.NodeEthAddr(0), Port: ethjtag.PortRPC, Payload: "run j1 hello"})
 		for i := 0; i < 2; i++ { // launch ack + done report
-			msgs = append(msgs, string(host.Recv(p).Payload))
+			msgs = append(msgs, host.Recv(p).Payload)
 		}
 	})
 	if err := eng.RunAll(); err != nil {
