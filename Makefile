@@ -27,7 +27,7 @@ BENCH_SET = ^(BenchmarkEngineDispatch|BenchmarkGlobalSumMachine|BenchmarkTelemet
 # the window-barrier overhead instead (README "Parallel engine").
 BENCH_PARALLEL_SET = ^(BenchmarkE1FunctionalWilsonParallel|BenchmarkE11RackScale)$$
 
-# The observability benchmark set (DESIGN.md §15): the zero-alloc
+# The observability benchmark set (DESIGN.md §10): the zero-alloc
 # histogram record, the telemetry on/off word-path comparison (link
 # histograms enabled), and the full /metrics scrape path. Pinned in
 # BENCH_obs.json.
@@ -112,7 +112,7 @@ tables:
 # Lines of Go by ROADMAP's rule — the number the "least code" north star
 # tracks, and its budget: more non-test Go than LOC_BUDGET fails. bench/
 # is its own module and counted apart.
-LOC_BUDGET = 19070
+LOC_BUDGET = 18723
 NONTEST_LOC = find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' | xargs cat | wc -l
 loc:
 	@printf 'non-test Go: %s lines (budget $(LOC_BUDGET))\n' "$$($(NONTEST_LOC))"
@@ -171,9 +171,10 @@ fleet:
 
 # Observability gate: run an observed solve campaign behind the live
 # /metrics /trace /fleet service, scrape our own endpoints, then re-run
-# the identical campaign with observability fully off — `qcdoc serve
-# -selfcheck` exits non-zero unless every digest is bit-identical (the
-# zero-perturbation contract, DESIGN.md §15, proven through HTTP).
+# the identical campaign serially with observability fully off — `qcdoc
+# fleet -addr -verify` exits non-zero unless every digest is
+# bit-identical (the zero-perturbation contract, DESIGN.md §10, proven
+# through HTTP).
 obs:
-	$(GO) run ./cmd/qcdoc serve -selfcheck -quiet \
+	$(GO) run ./cmd/qcdoc fleet -addr 127.0.0.1:0 -verify -quiet \
 		-machine 2,2 -lattices '4,4,4,4;4,4,4,8' -ops wilson,clover -workers 4

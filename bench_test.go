@@ -707,7 +707,7 @@ func BenchmarkTelemetryOverhead(b *testing.B) {
 // BenchmarkHistogramRecord pins the observability plane's hot path: one
 // log2-bucket histogram record must cost a few nanoseconds and zero
 // allocations — it runs inside collective completion, link ack, and
-// checkpoint paths (DESIGN.md §15). What it records is a fixed cycle of
+// checkpoint paths (DESIGN.md §10). What it records is a fixed cycle of
 // 256 latencies, 4 ns to 1024 ns in 4 ns steps (in ps, as the simulator
 // records them), so the percentiles reported as custom metrics
 // (benchtables renders them as columns) are those of that distribution —

@@ -25,11 +25,9 @@
 //
 //	qcdoc fleet -machine 2,2 -lattices "4,4,4,4;4,4,4,8" -ops wilson,clover -workers 8
 //	    run a campaign: many independent machines in one process,
-//	    sweeping (lattice × operator × fault seed) over a worker pool
-//
-//	qcdoc serve -addr 127.0.0.1:9100 -lattices "4,4,4,4;4,4,4,8"
-//	    run an observed campaign and serve /metrics (Prometheus text),
-//	    /trace (Chrome trace) and /fleet (live progress) over HTTP
+//	    sweeping (lattice × operator × fault seed) over a worker pool;
+//	    -addr 127.0.0.1:9100 observes it and serves /metrics (Prometheus
+//	    text), /trace (Chrome trace) and /fleet (live progress) over HTTP
 package main
 
 import (
@@ -45,10 +43,12 @@ import (
 	"qcdoc/internal/cost"
 	"qcdoc/internal/event"
 	"qcdoc/internal/fermion"
+	"qcdoc/internal/fleet"
 	"qcdoc/internal/geom"
 	"qcdoc/internal/lattice"
 	"qcdoc/internal/machine"
 	"qcdoc/internal/perf"
+	"qcdoc/internal/telemetry"
 )
 
 func main() {
@@ -68,15 +68,13 @@ func main() {
 		cmdChaos(os.Args[2:])
 	case "fleet":
 		cmdFleet(os.Args[2:])
-	case "serve":
-		cmdServe(os.Args[2:])
 	default:
 		usage()
 	}
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, "usage: qcdoc {info|solve|scaling|estimate|chaos|fleet|serve} [flags]")
+	fmt.Fprintln(os.Stderr, "usage: qcdoc {info|solve|scaling|estimate|chaos|fleet} [flags]")
 	os.Exit(2)
 }
 
@@ -102,19 +100,16 @@ func parseShape4(s string) lattice.Shape4 {
 	return lattice.Shape4{d[0], d[1], d[2], d[3]}
 }
 
-// parseMachine reads a -machine shape: one to geom.MaxDim extents, each
-// at least 1.
-func parseMachine(s string) geom.Shape {
-	d := parseDims(s)
-	ok := len(d) <= geom.MaxDim
-	for _, e := range d {
-		ok = ok && e >= 1
-	}
-	if !ok {
-		fmt.Fprintf(os.Stderr, "need 1 to %d machine extents of at least 1, got %q\n", geom.MaxDim, s)
+// parseMachine reads a command's -machine shape, exiting 2 with the
+// command's usage when geom.ParseShape refuses it.
+func parseMachine(fs *flag.FlagSet, s string) geom.Shape {
+	shape, err := geom.ParseShape(s)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "qcdoc %s: -machine: %v\n", fs.Name(), err)
+		fs.Usage()
 		os.Exit(2)
 	}
-	return geom.MakeShape(d...)
+	return shape
 }
 
 func opKind(s string) fermion.OpKind {
@@ -165,84 +160,55 @@ func cmdSolve(args []string) {
 	maxIter := fs.Int("maxiter", 500, "iteration limit")
 	ls := fs.Int("ls", 8, "fifth dimension (dwf)")
 	seed := fs.Uint64("seed", 1, "configuration seed")
-	telemetryOut := fs.String("telemetry", "", "write a machine-wide telemetry snapshot (JSON) to this file after the run")
+	telemetryOut := fs.String("telemetry", "", "write the machine's telemetry registry snapshot (JSON) to this file after the run")
 	traceN := fs.Int("trace", 0, "attach a flight recorder holding the last N events (0 = off)")
 	chromeOut := fs.String("chrometrace", "", "write the flight-recorder tail as Chrome trace-event JSON to this file")
 	workers := fs.Int("workers", 0, "simulation worker goroutines for the sharded engine (0 = unsharded serial engine)")
 	fs.Parse(args)
 
-	shape := parseMachine(*mshape)
-	global := parseShape4(*lat)
 	if *ls < 1 {
 		fmt.Fprintf(os.Stderr, "need -ls of at least 1, got %d\n", *ls)
 		os.Exit(2)
 	}
-	mcfg := machine.DefaultConfig(shape)
+	spec := fleet.Spec{
+		Machine: parseMachine(fs, *mshape),
+		Global:  parseShape4(*lat),
+		Op:      opKind(*op),
+		Mass:    *mass,
+		Tol:     *tol,
+		MaxIter: *maxIter,
+		Ls:      *ls,
+		Seed:    *seed,
+	}
 	if *workers > 0 {
-		mcfg.Shards = machine.ShardAuto
-		mcfg.Workers = *workers
+		spec.Shards = machine.ShardAuto
+		spec.Workers = *workers
 	}
-	sess, err := core.NewSessionConfig(mcfg, global)
+	lay, err := core.NewLayout(spec.Machine, spec.Global)
 	fatal(err)
-	defer sess.Close()
-	if *telemetryOut != "" {
-		sess.M.EnableTelemetry()
-	}
-	var rec *event.Recorder
-	if *traceN > 0 || *chromeOut != "" {
-		rec = event.NewRecorder(*traceN)
-		sess.M.Eng.SetRecorder(rec)
-		// On a panic anywhere in the run, dump the last events: the
-		// flight recorder's reason for existing.
-		defer func() {
-			if r := recover(); r != nil {
-				rec.Dump(os.Stderr, 64)
-				panic(r)
-			}
-		}()
-	}
 	fmt.Printf("machine %v (%d nodes) folded to grid %v, local volume %v\n",
-		shape, sess.M.NumNodes(), sess.Lay.Dec.Grid, sess.Lay.Dec.Local)
+		spec.Machine, spec.Machine.Volume(), lay.Dec.Grid, lay.Dec.Local)
 
-	gauge := lattice.NewGaugeField(global)
-	gauge.Randomize(*seed)
-	var met core.SolveMetrics
-	switch opKind(*op) {
-	case fermion.WilsonKind:
-		b := lattice.NewFermionField(global)
-		b.Gaussian(*seed + 1)
-		_, met, err = sess.SolveWilson(gauge, b, *mass, fermion.Double, *tol, *maxIter)
-	case fermion.CloverKind:
-		ref := fermion.NewClover(gauge, *mass, 1.0)
-		b := lattice.NewFermionField(global)
-		b.Gaussian(*seed + 1)
-		_, met, err = sess.SolveClover(ref, b, fermion.Double, *tol, *maxIter)
-	case fermion.AsqtadKind:
-		ref := fermion.NewASQTAD(gauge, *mass)
-		b := lattice.NewColorField(global)
-		b.Gaussian(*seed + 1)
-		_, met, err = sess.SolveASQTAD(ref, b, fermion.Double, *tol, *maxIter)
-	case fermion.DWFKind:
-		b := fermion.NewField5(global, *ls)
-		b.Gaussian(*seed + 1)
-		_, met, err = sess.SolveDWF(gauge, b, 1.8, *mass, *ls, fermion.Double, *tol, *maxIter)
+	cfg := fleet.Config{Observe: *telemetryOut != "", TraceEvents: *traceN}
+	if *chromeOut != "" && cfg.TraceEvents <= 0 {
+		cfg.TraceEvents = event.DefaultRecorderSize
 	}
-	fatal(err)
+	r := fleet.Run(cfg, []fleet.Spec{spec})[0]
+	fatal(r.Err)
+	met := r.Metrics
 	fmt.Printf("converged in %d iterations (residual %.2g)\n", met.Iterations, met.RelResidual)
 	fmt.Printf("simulated time %v, %.1f Mflops/node sustained = %.1f%% of peak\n",
 		met.SimTime, met.SustainedPerNode/1e6, 100*met.Efficiency)
 	fmt.Printf("network: %d data words moved, %d resends\n", met.WordsSent, met.Resends)
-	if _, err := sess.M.VerifyChecksums(); err != nil {
-		fatal(err)
-	}
 	fmt.Println("end-of-run link checksum audit: passed")
+	fmt.Printf("run digest %#x\n", r.Digest)
 	if *telemetryOut != "" {
-		fatal(writeTelemetry(*telemetryOut, sess.M, rec))
+		fatal(writeTelemetry(*telemetryOut, r))
 	}
 	if *chromeOut != "" {
 		f, err := os.Create(*chromeOut)
 		fatal(err)
-		err = rec.WriteChromeTrace(f, 0)
+		err = r.Trace.WriteChromeTrace(f, 0)
 		if cerr := f.Close(); err == nil {
 			err = cerr
 		}
@@ -260,18 +226,19 @@ type traceJSON struct {
 	Arg   uint64     `json:"arg"`
 }
 
-// writeTelemetry exports the machine-wide snapshot — per-link error
-// counters, registry counters and gauges, packaging — plus the flight
-// recorder's tail when one is attached.
-func writeTelemetry(path string, m *machine.Machine, rec *event.Recorder) error {
+// writeTelemetry exports a solve run's registry snapshot — every node's
+// SCU, link and CPU counters, the machine-wide counters, gauges and
+// latency histograms, the host event queues — plus the flight
+// recorder's tail when one was attached.
+func writeTelemetry(path string, r fleet.Result) error {
 	out := struct {
-		machine.Telemetry
+		telemetry.Snapshot
 		Trace []traceJSON `json:"trace,omitempty"`
-	}{Telemetry: m.Telemetry()}
-	if rec != nil {
-		for _, r := range rec.Tail(0) {
+	}{Snapshot: r.Snap}
+	if r.Trace != nil {
+		for _, tr := range r.Trace.Tail(0) {
 			out.Trace = append(out.Trace, traceJSON{
-				At: r.At, Seq: r.Seq, Kind: r.Kind.String(), Actor: r.Actor(), Arg: r.Arg,
+				At: tr.At, Seq: tr.Seq, Kind: tr.Kind.String(), Actor: tr.Actor(), Arg: tr.Arg,
 			})
 		}
 	}
@@ -356,11 +323,21 @@ func cmdChaos(args []string) {
 	requireShrink := fs.Bool("require-shrink", false, "fail unless the run climbed a repartition rung")
 	expectError := fs.String("expect-error", "", "require the run to exhaust the ladder with a typed error (partition|checkpoint)")
 	fs.Parse(args)
+	wantErr, ok := map[string]error{
+		"":           nil,
+		"partition":  core.ErrPartitionExhausted,
+		"checkpoint": core.ErrCheckpointUnrecoverable,
+	}[*expectError]
+	if !ok {
+		fmt.Fprintf(os.Stderr, "qcdoc chaos: unknown -expect-error %q (want partition|checkpoint)\n", *expectError)
+		fs.Usage()
+		os.Exit(2)
+	}
 
 	// The fault mix is the canonical scenario's (or its -soak compound);
 	// the flags move the run, not the mix.
 	cfg := core.CanonicalChaos(*faultSeed)
-	cfg.Shape, cfg.Global, cfg.Seed = parseMachine(*mshape), parseShape4(*lat), *seed
+	cfg.Shape, cfg.Global, cfg.Seed = parseMachine(fs, *mshape), parseShape4(*lat), *seed
 	cfg.Mass, cfg.Tol, cfg.MaxIter = *mass, *tol, *maxIter
 	cfg.MaxAttempts = *maxAttempts
 	cfg.Spec.RecoveryCrashes = *recoveryCrashes
@@ -376,22 +353,13 @@ func cmdChaos(args []string) {
 	}
 	runOnce := func(cfg core.ChaosConfig) *core.ChaosOutcome {
 		out, err := core.RunChaosWilson(cfg)
-		switch *expectError {
-		case "":
+		switch {
+		case wantErr == nil:
 			fatal(err)
-		case "partition":
-			if !errors.Is(err, core.ErrPartitionExhausted) {
-				fatal(fmt.Errorf("expected ErrPartitionExhausted, got: %w", err))
-			}
-			fmt.Printf("ladder exhausted as required: %v\n", err)
-		case "checkpoint":
-			if !errors.Is(err, core.ErrCheckpointUnrecoverable) {
-				fatal(fmt.Errorf("expected ErrCheckpointUnrecoverable, got: %w", err))
-			}
-			fmt.Printf("ladder exhausted as required: %v\n", err)
+		case !errors.Is(err, wantErr):
+			fatal(fmt.Errorf("expected %q, got: %w", wantErr, err))
 		default:
-			fmt.Fprintf(os.Stderr, "qcdoc chaos: unknown -expect-error %q (want partition|checkpoint)\n", *expectError)
-			os.Exit(2)
+			fmt.Printf("ladder exhausted as required: %v\n", err)
 		}
 		for _, a := range out.Attempts {
 			fmt.Printf("attempt: %s\n", a)

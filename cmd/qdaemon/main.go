@@ -16,7 +16,6 @@ import (
 	"net"
 	"net/http"
 	"os"
-	"strconv"
 	"strings"
 
 	"qcdoc/internal/event"
@@ -35,16 +34,12 @@ func main() {
 	metrics := flag.String("metrics", "", "serve Prometheus-text /metrics on this address (e.g. 127.0.0.1:9100)")
 	flag.Parse()
 
-	var dims []int
-	for _, f := range strings.Split(*mshape, ",") {
-		v, err := strconv.Atoi(strings.TrimSpace(f))
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "bad machine shape %q\n", *mshape)
-			os.Exit(2)
-		}
-		dims = append(dims, v)
+	shape, err := geom.ParseShape(*mshape)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "qdaemon: -machine:", err)
+		flag.Usage()
+		os.Exit(2)
 	}
-	shape := geom.MakeShape(dims...)
 
 	eng := event.New()
 	m := machine.Build(eng, machine.DefaultConfig(shape))

@@ -81,7 +81,7 @@ type ChaosConfig struct {
 	// Telemetry enables the full observability layer on every attempt's
 	// machine and collects the merged histogram snapshots into the
 	// outcome. The digest is invariant under this flag — that invariance
-	// is the zero-perturbation gate (DESIGN.md §15).
+	// is the zero-perturbation gate (DESIGN.md §10).
 	Telemetry bool
 
 	// Log, when set, receives a human-readable narrative of the run.

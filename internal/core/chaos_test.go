@@ -297,7 +297,7 @@ func TestChaosSoakCompound(t *testing.T) {
 
 	// A fully observed run must surface the supervisor's ladder
 	// histograms in the merged telemetry — and must not perturb the
-	// digest by a bit (the zero-perturbation contract, DESIGN.md §15).
+	// digest by a bit (the zero-perturbation contract, DESIGN.md §10).
 	cfgT := CanonicalChaos(chaosSoakSeed).Soak()
 	cfgT.Telemetry = true
 	oT, err := RunChaosWilson(cfgT)

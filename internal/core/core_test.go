@@ -463,12 +463,11 @@ func TestSolveWilsonDeterministic(t *testing.T) {
 		// The solve's events must ride the queue's sorted-run lanes: a
 		// scheduling pattern that defeats them would cost the host 2x
 		// without changing a single simulated result.
-		for shard, q := range sess.M.Telemetry().EventQueues {
-			if hit := float64(q.LaneAppends) / float64(q.LaneAppends+q.HeapFallbacks); hit < 0.99 {
-				t.Fatalf("shard %d: lane-hit ratio %.4f < 0.99 (%+v)", shard, hit, q)
-			}
-			t.Logf("shard %d event queue: %+v", shard, q)
+		q := sess.Eng.QueueStats()
+		if hit := float64(q.LaneAppends) / float64(q.LaneAppends+q.HeapFallbacks); hit < 0.99 {
+			t.Fatalf("lane-hit ratio %.4f < 0.99 (%+v)", hit, q)
 		}
+		t.Logf("event queue: %+v", q)
 		// Serialize solution bits.
 		buf := make([]byte, 0, len(x.S)*192)
 		w := make([]uint64, 24)

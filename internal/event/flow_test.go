@@ -124,9 +124,6 @@ func TestChromeTraceMergedNamespacesAndStability(t *testing.T) {
 		e := New()
 		rec := NewRecorder(16)
 		rec.SetMachineID(machineID)
-		if rec.MachineID() != machineID {
-			t.Fatalf("machine id %d", rec.MachineID())
-		}
 		e.SetRecorder(rec)
 		e.After(Nanosecond, func() {
 			f := e.NewFlow()

@@ -177,9 +177,6 @@ func NewRecorder(size int) *Recorder {
 // ID so merged multi-machine traces don't collide on pid 0.
 func (r *Recorder) SetMachineID(id int) { r.machine = id }
 
-// MachineID returns the Chrome-trace pid namespace (0 by default).
-func (r *Recorder) MachineID() int { return r.machine }
-
 // ringFor returns (creating on first use) the ring for a shard index.
 func (r *Recorder) ringFor(shard int) *shardRing {
 	for _, sr := range r.rings {

@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"os"
 	"sync"
 
 	"qcdoc/internal/checkpoint"
@@ -88,10 +89,12 @@ type Result struct {
 	SimTime     event.Time
 	Digest      uint64
 	Err         error
+	// Metrics is the distributed solve's own account (solve runs only).
+	Metrics core.SolveMetrics
 
 	// Observability sidecar, populated only under Config.Observe /
 	// Config.TraceEvents and never folded into Digest (the digest must
-	// be invariant under observation — DESIGN.md §15). Hists carries the
+	// be invariant under observation — DESIGN.md §10). Hists carries the
 	// run's machine-wide latency distributions; Snap the full telemetry
 	// snapshot (solve runs only — chaos attempts tear their machines
 	// down, so only their merged histograms survive); Trace the run's
@@ -131,13 +134,14 @@ type Config struct {
 	Observe bool
 	// TraceEvents, when positive, attaches a flight recorder of that
 	// per-shard capacity to each solve run's engine (pid = spec index),
-	// collected into Result.Trace. Chaos runs ignore it (their machines
-	// are rebuilt per attempt).
+	// collected into Result.Trace; a panic in a traced run dumps the
+	// recorder's last 64 events to stderr before it propagates. Chaos
+	// runs ignore it (their machines are rebuilt per attempt).
 	TraceEvents int
 	// OnResult, when set, observes each completed run as it finishes —
-	// the live-campaign feed behind `qcdoc serve`'s /fleet endpoint. It
-	// is called from campaign worker goroutines (completion order, not
-	// spec order) and must be safe for concurrent use.
+	// the live-campaign feed behind `qcdoc fleet -addr`'s /fleet
+	// endpoint. It is called from campaign worker goroutines (completion
+	// order, not spec order) and must be safe for concurrent use.
 	OnResult func(i int, r Result)
 }
 
@@ -297,6 +301,12 @@ func runSolve(s Spec, cfg Config, i int) Result {
 		rec.SetMachineID(i)
 		sess.Eng.SetRecorder(rec)
 		res.Trace = rec
+		defer func() {
+			if r := recover(); r != nil {
+				rec.Dump(os.Stderr, 64)
+				panic(r)
+			}
+		}()
 	}
 
 	gauge := lattice.NewGaugeField(s.Global)
@@ -331,6 +341,9 @@ func runSolve(s Spec, cfg Config, i int) Result {
 			crc = checkpoint.FermionCRC(x)
 		}
 	}
+	if err == nil {
+		_, err = sess.M.VerifyChecksums()
+	}
 	if err != nil {
 		res.Err = err
 		return res
@@ -346,6 +359,7 @@ func runSolve(s Spec, cfg Config, i int) Result {
 	res.RelResidual = met.RelResidual
 	res.SolutionCRC = crc
 	res.SimTime = met.SimTime
+	res.Metrics = met
 	res.Digest = solveDigest(met, crc)
 	return res
 }

@@ -1,6 +1,7 @@
 package fleet_test
 
 import (
+	"fmt"
 	"runtime"
 	"strings"
 	"testing"
@@ -87,6 +88,59 @@ func TestFleetSolveSerialVsConcurrent(t *testing.T) {
 	serial := fleet.Run(fleet.Config{Workers: 1, Pool: machine.NewPool()}, specs)
 	conc := fleet.Run(fleet.Config{Workers: 8, Pool: machine.NewPool()}, specs)
 	requireSameDigests(t, serial, conc)
+
+	// A one-spec campaign is `qcdoc solve`: its Metrics must be exactly
+	// what the same solve reports when driven on a Session directly.
+	for _, op := range []fermion.OpKind{fermion.WilsonKind, fermion.CloverKind, fermion.AsqtadKind, fermion.DWFKind} {
+		s := solveBase()
+		s.Op, s.Ls = op, 4
+		if op == fermion.AsqtadKind {
+			s.Global = lattice.Shape4{6, 6, 4, 4} // the Naik hop reaches 3 sites
+		}
+		r := fleet.Run(fleet.Config{}, []fleet.Spec{s})[0]
+		if r.Err != nil {
+			t.Fatalf("%v: %v", op, r.Err)
+		}
+		if want := directSolve(t, s); r.Metrics != want {
+			t.Errorf("%v: campaign metrics %+v, direct solve %+v", op, r.Metrics, want)
+		}
+	}
+}
+
+// directSolve runs s on a Session of its own, with the fields and seeds
+// a fleet solve run uses, and returns the solve's metrics.
+func directSolve(t *testing.T, s fleet.Spec) core.SolveMetrics {
+	t.Helper()
+	sess, err := core.NewSession(s.Machine, s.Global)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+	gauge := lattice.NewGaugeField(s.Global)
+	gauge.Randomize(s.Seed)
+	var met core.SolveMetrics
+	switch s.Op {
+	case fermion.WilsonKind:
+		b := lattice.NewFermionField(s.Global)
+		b.Gaussian(s.Seed + 1)
+		_, met, err = sess.SolveWilson(gauge, b, s.Mass, fermion.Double, s.Tol, s.MaxIter)
+	case fermion.CloverKind:
+		b := lattice.NewFermionField(s.Global)
+		b.Gaussian(s.Seed + 1)
+		_, met, err = sess.SolveClover(fermion.NewClover(gauge, s.Mass, 1.0), b, fermion.Double, s.Tol, s.MaxIter)
+	case fermion.AsqtadKind:
+		b := lattice.NewColorField(s.Global)
+		b.Gaussian(s.Seed + 1)
+		_, met, err = sess.SolveASQTAD(fermion.NewASQTAD(gauge, s.Mass), b, fermion.Double, s.Tol, s.MaxIter)
+	case fermion.DWFKind:
+		b := fermion.NewField5(s.Global, s.Ls)
+		b.Gaussian(s.Seed + 1)
+		_, met, err = sess.SolveDWF(gauge, b, 1.8, s.Mass, s.Ls, fermion.Double, s.Tol, s.MaxIter)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return met
 }
 
 // TestFleetChaosMatchesFreshProcess runs a chaos fleet concurrently
@@ -252,8 +306,10 @@ func TestFleetObserveZeroPerturbation(t *testing.T) {
 				t.Fatalf("chaos run %q: ckpt_chunk_write_ps %+v", r.Name, h)
 			}
 		} else {
-			if r.Trace == nil || r.Trace.MachineID() != i {
-				t.Fatalf("solve run %q trace/pid: %v", r.Name, r.Trace)
+			var doc strings.Builder
+			if r.Trace == nil || r.Trace.WriteChromeTrace(&doc, 0) != nil ||
+				!strings.Contains(doc.String(), fmt.Sprintf(`"pid":%d,`, i)) {
+				t.Fatalf("solve run %q: no trace under pid %d", r.Name, i)
 			}
 			if len(r.Snap.Counters) == 0 {
 				t.Fatalf("solve run %q: empty snapshot", r.Name)

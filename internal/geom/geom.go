@@ -7,6 +7,8 @@ package geom
 
 import (
 	"fmt"
+	"strconv"
+	"strings"
 )
 
 // MaxDim is the dimensionality of the QCDOC mesh network. The paper fixes
@@ -58,6 +60,25 @@ func MakeShape(extents ...int) Shape {
 		s[d] = e
 	}
 	return s
+}
+
+// ParseShape reads a comma-separated list of one to MaxDim extents, each
+// at least 1, as a command line gives it ("2,2,2"); MakeShape pads the
+// rest.
+func ParseShape(s string) (Shape, error) {
+	fields := strings.Split(s, ",")
+	if len(fields) > MaxDim {
+		return Shape{}, fmt.Errorf("geom: shape %q has %d extents, at most %d", s, len(fields), MaxDim)
+	}
+	ext := make([]int, len(fields))
+	for d, f := range fields {
+		e, err := strconv.Atoi(strings.TrimSpace(f))
+		if err != nil || e < 1 {
+			return Shape{}, fmt.Errorf("geom: shape %q: extent %q in dimension %d is not a whole number of at least 1", s, f, d)
+		}
+		ext[d] = e
+	}
+	return MakeShape(ext...), nil
 }
 
 // Volume is the number of sites (nodes) in the torus.

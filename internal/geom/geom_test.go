@@ -40,6 +40,25 @@ func TestMakeShapePanics(t *testing.T) {
 	}
 }
 
+func TestParseShape(t *testing.T) {
+	for _, tc := range []struct {
+		in   string
+		want Shape
+		ok   bool
+	}{
+		{"", Shape{}, false},
+		{"2,0", Shape{}, false},
+		{"2,x", Shape{}, false},
+		{"1,1,1,1,1,1,1", Shape{}, false},
+		{"8, 4,4,2,2,2", MakeShape(8, 4, 4, 2, 2, 2), true},
+	} {
+		got, err := ParseShape(tc.in)
+		if (err == nil) != tc.ok || got != tc.want {
+			t.Errorf("ParseShape(%q) = %v, %v; want %v, ok %v", tc.in, got, err, tc.want, tc.ok)
+		}
+	}
+}
+
 func TestRankCoordRoundTrip(t *testing.T) {
 	s := MakeShape(3, 4, 2, 5)
 	for r := 0; r < s.Volume(); r++ {

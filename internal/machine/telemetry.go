@@ -6,17 +6,17 @@ import (
 	"qcdoc/internal/event"
 	"qcdoc/internal/geom"
 	"qcdoc/internal/hssl"
-	"qcdoc/internal/scu"
 	"qcdoc/internal/telemetry"
 )
 
 // This file wires the machine into the telemetry layer (DESIGN.md §10):
-// every node's SCU, CPU and memory counters register on one Registry at
-// Build time, the packaging-level derived gauges on top, and
-// Machine.Telemetry() assembles the machine-wide snapshot the host
-// exports. Registration stores only reader closures — nothing here runs
-// until a snapshot is requested, and a snapshot schedules no events, so
-// the simulated machine is bit-identical with telemetry on or off.
+// every node's SCU, link, CPU and memory counters register on one
+// Registry at Build time, with the machine-wide SCU and wire totals, the
+// host's event queues, the latency histograms and the packaging-level
+// derived gauges on top. m.Reg.Snapshot() is the machine-wide export.
+// Registration stores only reader closures — nothing here runs until a
+// snapshot is requested, and a snapshot schedules no events, so the
+// simulated machine is bit-identical with telemetry on or off.
 
 // registerTelemetry populates the machine's registry. Called once from
 // Build, before anything runs.
@@ -110,9 +110,6 @@ func (m *Machine) emitHistograms(emit telemetry.HistEmitFunc) {
 	emit("link_resend_gap_ps", gap.Snapshot())
 }
 
-// TelemetryEnabled reports whether EnableTelemetry has run.
-func (m *Machine) TelemetryEnabled() bool { return m.Reg.Enabled() }
-
 // queueStats returns every shard engine's event-queue counters, shard 0
 // first (one entry on a single-engine build). They describe the host's
 // work, not the simulated machine: how deep the queue got and how much of
@@ -140,19 +137,6 @@ func (m *Machine) WireStats() hssl.Stats {
 		}
 	}
 	return total
-}
-
-// WiresTrained counts trained wires (all of them, after boot).
-func (m *Machine) WiresTrained() int {
-	n := 0
-	for _, ws := range m.wires {
-		for _, w := range ws {
-			if w.Trained() {
-				n++
-			}
-		}
-	}
-	return n
 }
 
 // LinkUtilization is the fraction of the torus's aggregate serial
@@ -186,60 +170,4 @@ func (m *Machine) SustainedFlops() float64 {
 		}
 	}
 	return flops / (float64(now) / float64(event.Second))
-}
-
-// LinkTelemetry is one link's counters in a machine snapshot.
-type LinkTelemetry struct {
-	Rank  int       `json:"rank"`
-	Link  string    `json:"link"`
-	Stats scu.Stats `json:"stats"`
-}
-
-// Telemetry is the machine-wide observation the host exports: identity,
-// aggregate SCU and wire counters, every link's counters (the per-link
-// error counters are the §2.2 reliability audit trail), and the
-// registry's full counter/gauge snapshot.
-type Telemetry struct {
-	At           event.Time         `json:"at"`
-	Shape        string             `json:"shape"`
-	Nodes        int                `json:"nodes"`
-	Events       uint64             `json:"events"`
-	EventQueues  []event.QueueStats `json:"event_queues"` // per shard
-	WiresTrained int                `json:"wires_trained"`
-	Aggregate    scu.Stats          `json:"aggregate"`
-	Wires        hssl.Stats         `json:"wires"`
-	Links        []LinkTelemetry    `json:"links,omitempty"`
-	Counters     map[string]uint64  `json:"counters,omitempty"`
-	Gauges       map[string]float64 `json:"gauges,omitempty"`
-	// Histograms carries the latency distributions (p50/p95/p99/max per
-	// DESIGN.md §15): global-sum round trip, CG iteration, checkpoint
-	// chunk write, link in-flight and resend gap.
-	Histograms map[string]telemetry.HistogramSnapshot `json:"histograms,omitempty"`
-	Packaging  Packaging                              `json:"packaging"`
-}
-
-// Telemetry assembles the machine-wide snapshot. Purely a read — no
-// events, no state changes; callable at any point of a run.
-func (m *Machine) Telemetry() Telemetry {
-	snap := m.Reg.Snapshot()
-	t := Telemetry{
-		At:           m.Eng.Now(),
-		Shape:        m.Cfg.Shape.String(),
-		Nodes:        len(m.Nodes),
-		Events:       m.Eng.Executed(),
-		EventQueues:  m.queueStats(),
-		WiresTrained: m.WiresTrained(),
-		Aggregate:    m.Stats(),
-		Wires:        m.WireStats(),
-		Counters:     snap.Counters,
-		Gauges:       snap.Gauges,
-		Histograms:   snap.Histograms,
-		Packaging:    PackagingFor(len(m.Nodes), m.Cfg.Clock),
-	}
-	for r, n := range m.Nodes {
-		for _, l := range geom.AllLinks() {
-			t.Links = append(t.Links, LinkTelemetry{Rank: r, Link: l.String(), Stats: n.SCU.LinkStats(l)})
-		}
-	}
-	return t
 }

@@ -1,6 +1,7 @@
 package machine
 
 import (
+	"fmt"
 	"testing"
 
 	"qcdoc/internal/event"
@@ -42,9 +43,6 @@ func TestMachineTelemetrySnapshot(t *testing.T) {
 	defer eng.Shutdown()
 	m := Build(eng, DefaultConfig(shape))
 	m.EnableTelemetry()
-	if !m.TelemetryEnabled() {
-		t.Fatal("EnableTelemetry did not enable")
-	}
 	if err := m.Boot(); err != nil {
 		t.Fatal(err)
 	}
@@ -62,92 +60,87 @@ func TestMachineTelemetrySnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	tel := m.Telemetry()
-	if tel.Nodes != 4 || tel.Shape != shape.String() {
-		t.Fatalf("identity: %d nodes shape %q", tel.Nodes, tel.Shape)
+	snap := m.Reg.Snapshot()
+	at := eng.Now()
+	agg := m.Stats()
+	if snap.Counters["machine/scu/words_sent"] != agg.WordsSent || agg.WordsSent == 0 {
+		t.Fatalf("machine counter %d, aggregate %+v", snap.Counters["machine/scu/words_sent"], agg)
 	}
-	if tel.At != eng.Now() || tel.Events != eng.Executed() || tel.Events == 0 {
-		t.Fatalf("clock: at %v events %d", tel.At, tel.Events)
+	if snap.Counters["machine/hssl/frames"] == 0 || snap.Counters["machine/hssl/bits"] == 0 {
+		t.Fatalf("wire counters: %d frames, %d bits",
+			snap.Counters["machine/hssl/frames"], snap.Counters["machine/hssl/bits"])
 	}
-	if tel.WiresTrained != 4*geom.NumLinks {
-		t.Fatalf("wires trained %d", tel.WiresTrained)
-	}
-	if tel.Aggregate != m.Stats() || tel.Aggregate.WordsSent == 0 {
-		t.Fatalf("aggregate %+v", tel.Aggregate)
-	}
-	if tel.Wires.Frames == 0 || tel.Wires.Bits == 0 {
-		t.Fatalf("wire stats %+v", tel.Wires)
-	}
-	if len(tel.Links) != 4*geom.NumLinks {
-		t.Fatalf("%d link entries", len(tel.Links))
-	}
-	// The link list agrees with the per-link SCU counters, and summing
-	// it reproduces the aggregate — one source of truth.
+	// Every node's every link has its counters, they agree with the SCU,
+	// and summing them reproduces the machine-wide total — one source of
+	// truth.
 	var sum uint64
-	for i, lt := range tel.Links {
-		sum += lt.Stats.WordsSent
-		l := geom.AllLinks()[i%geom.NumLinks]
-		if lt.Link != l.String() || lt.Stats != m.Nodes[lt.Rank].SCU.LinkStats(l) {
-			t.Fatalf("link entry %d (%s) disagrees with SCU", i, lt.Link)
+	for r, n := range m.Nodes {
+		for _, l := range geom.AllLinks() {
+			key := fmt.Sprintf("node%d/link/%s/words_sent", r, l)
+			v, ok := snap.Counters[key]
+			if !ok || v != n.SCU.LinkStats(l).WordsSent {
+				t.Fatalf("%s = %d (present %v), SCU says %d", key, v, ok, n.SCU.LinkStats(l).WordsSent)
+			}
+			sum += v
 		}
 	}
-	if sum != tel.Aggregate.WordsSent {
-		t.Fatalf("links sum to %d, aggregate %d", sum, tel.Aggregate.WordsSent)
+	if sum != agg.WordsSent {
+		t.Fatalf("links sum to %d, aggregate %d", sum, agg.WordsSent)
 	}
-	// Registry counters carry per-node and machine-wide keys.
-	if tel.Counters["machine/scu/words_sent"] != tel.Aggregate.WordsSent {
-		t.Fatalf("machine counter %d", tel.Counters["machine/scu/words_sent"])
+	if _, ok := snap.Counters["node4/scu/words_sent"]; ok {
+		t.Fatal("snapshot has a fifth node")
 	}
 	n0 := m.Nodes[0].SCU.Stats()
-	if tel.Counters["node0/scu/words_sent"] != n0.WordsSent {
-		t.Fatalf("node0 counter %d vs %d", tel.Counters["node0/scu/words_sent"], n0.WordsSent)
+	if snap.Counters["node0/scu/words_sent"] != n0.WordsSent {
+		t.Fatalf("node0 counter %d vs %d", snap.Counters["node0/scu/words_sent"], n0.WordsSent)
 	}
-	if tel.Counters["node0/cpu/kernels"] != 1 {
-		t.Fatalf("node0 kernels = %d", tel.Counters["node0/cpu/kernels"])
+	if snap.Counters["node0/cpu/kernels"] != 1 {
+		t.Fatalf("node0 kernels = %d", snap.Counters["node0/cpu/kernels"])
 	}
 	// Barrier rides a global sum, so both tick.
-	if tel.Counters["node0/cpu/global_sums"] != 2 || tel.Counters["node0/cpu/barriers"] != 1 {
+	if snap.Counters["node0/cpu/global_sums"] != 2 || snap.Counters["node0/cpu/barriers"] != 1 {
 		t.Fatalf("collectives: sums %d barriers %d",
-			tel.Counters["node0/cpu/global_sums"], tel.Counters["node0/cpu/barriers"])
+			snap.Counters["node0/cpu/global_sums"], snap.Counters["node0/cpu/barriers"])
 	}
-	// Derived gauges: the machine computed 4 x 4000 flops in tel.At.
-	if g := tel.Gauges["machine/sustained_gflops"]; g <= 0 {
-		t.Fatalf("sustained gflops %g", g)
+	q := eng.QueueStats()
+	if snap.Counters["host/event_queue/shard0/lane_appends"] != q.LaneAppends ||
+		snap.Counters["host/event_queue/shard0/pending_high_water"] != q.HighWater || q.LaneAppends == 0 {
+		t.Fatalf("event queue counters disagree with %+v", q)
 	}
-	wantFlops := 4 * 4000.0 / (float64(tel.At) / float64(event.Second))
-	if g := tel.Gauges["machine/sustained_gflops"] * 1e9; g < wantFlops*0.999 || g > wantFlops*1.001 {
+	// Derived gauges: the machine computed 4 x 4000 flops in at.
+	wantFlops := 4 * 4000.0 / (float64(at) / float64(event.Second))
+	if g := snap.Gauges["machine/sustained_gflops"] * 1e9; g < wantFlops*0.999 || g > wantFlops*1.001 {
 		t.Fatalf("sustained %g, want %g", g, wantFlops)
 	}
-	if u := tel.Gauges["machine/link_utilization"]; u <= 0 || u > 1 {
+	if u := snap.Gauges["machine/link_utilization"]; u <= 0 || u > 1 {
 		t.Fatalf("link utilization %g", u)
 	}
-	if tel.Gauges["machine/peak_gflops"] != tel.Packaging.PeakTeraflops*1e3 {
+	if snap.Gauges["machine/peak_gflops"] != PackagingFor(4, m.Cfg.Clock).PeakTeraflops*1e3 {
 		t.Fatal("peak gauge disagrees with packaging")
 	}
-	eff := tel.Gauges["machine/efficiency"]
-	if want := tel.Gauges["machine/sustained_gflops"] / tel.Gauges["machine/peak_gflops"]; eff < want*0.999 || eff > want*1.001 {
+	eff := snap.Gauges["machine/efficiency"]
+	if want := snap.Gauges["machine/sustained_gflops"] / snap.Gauges["machine/peak_gflops"]; eff < want*0.999 || eff > want*1.001 {
 		t.Fatalf("efficiency %g, want %g", eff, want)
 	}
-	// Latency distributions (DESIGN.md §15): the global sum above must
+	// Latency distributions (DESIGN.md §10): the global sum above must
 	// have recorded a round trip on every node, and the per-link in-flight
 	// distribution must cover every acked word.
-	gs := tel.Histograms["machine/gsum_rtt_ps"]
+	gs := snap.Histograms["machine/gsum_rtt_ps"]
 	if gs.Count != 2*4 { // 2 collectives (sum + barrier) x 4 nodes
 		t.Fatalf("gsum_rtt_ps count %d, want 8", gs.Count)
 	}
-	if gs.P50 == 0 || gs.P99 < gs.P50 || gs.Max < gs.P99 || gs.Max > uint64(tel.At) {
+	if gs.P50 == 0 || gs.P99 < gs.P50 || gs.Max < gs.P99 || gs.Max > uint64(at) {
 		t.Fatalf("gsum_rtt_ps percentiles inconsistent: %+v", gs)
 	}
-	fl := tel.Histograms["machine/link_in_flight_ps"]
+	fl := snap.Histograms["machine/link_in_flight_ps"]
 	if fl.Count == 0 || fl.P50 == 0 {
 		t.Fatalf("link_in_flight_ps %+v", fl)
 	}
 }
 
 // TestTelemetryDisabledSnapshotIsEmpty pins the pull-based design: a
-// machine that never enabled telemetry still answers Telemetry() — the
-// always-on SCU/wire counters are there — but the registry contributes
-// nothing and the per-node CPU counters stay nil.
+// machine that never enabled telemetry answers a snapshot without
+// reading a single source, and its per-node CPU counters stay nil.
 func TestTelemetryDisabledSnapshotIsEmpty(t *testing.T) {
 	eng := event.New()
 	defer eng.Shutdown()
@@ -155,12 +148,10 @@ func TestTelemetryDisabledSnapshotIsEmpty(t *testing.T) {
 	if err := m.Boot(); err != nil {
 		t.Fatal(err)
 	}
-	tel := m.Telemetry()
-	if len(tel.Counters) != 0 || len(tel.Gauges) != 0 {
-		t.Fatalf("disabled registry leaked: %d counters %d gauges", len(tel.Counters), len(tel.Gauges))
-	}
-	if len(tel.Links) != 2*geom.NumLinks {
-		t.Fatalf("%d link entries", len(tel.Links))
+	snap := m.Reg.Snapshot()
+	if len(snap.Counters) != 0 || len(snap.Gauges) != 0 || len(snap.Histograms) != 0 {
+		t.Fatalf("disabled registry leaked: %d counters %d gauges %d histograms",
+			len(snap.Counters), len(snap.Gauges), len(snap.Histograms))
 	}
 	for _, n := range m.Nodes {
 		if n.Counters() != nil {

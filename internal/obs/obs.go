@@ -3,7 +3,7 @@
 // Chrome-trace /trace, and live campaign progress on /fleet — without
 // ever touching the simulation. The simulator side publishes immutable
 // snapshots (taken on the engine goroutine through the pull registry,
-// DESIGN.md §10/§15) into the server; HTTP handlers only ever read the
+// DESIGN.md §10) into the server; HTTP handlers only ever read the
 // last published copy under an RWMutex. Nothing here holds a reference
 // into a live machine, so scraping cannot perturb a run — the zero-
 // perturbation contract extends to the wire.

@@ -2,7 +2,7 @@
 // Record, the distribution counterpart of the registry's counters. The
 // owning component records durations (picoseconds, usually) on its own
 // hot path; percentiles are derived only at snapshot time, on the cold
-// pull path, so the zero-perturbation contract (DESIGN.md §10, §15)
+// pull path, so the zero-perturbation contract (DESIGN.md §10)
 // holds: recording is plain array arithmetic on simulator-owned state,
 // and reading never touches the hot path at all.
 package telemetry

@@ -138,18 +138,20 @@ func TestRegistryClear(t *testing.T) {
 	r.RegisterCounters("c", func(emit EmitFunc) { emit("x", 1) })
 	r.RegisterGauge("g", func() float64 { return 1 })
 	r.RegisterHistograms("h", func(emit HistEmitFunc) { emit("y", HistogramSnapshot{}) })
-	if c, g := r.Sources(); c != 1 || g != 1 || r.HistogramSources() != 1 {
-		t.Fatalf("sources %d/%d/%d before clear", c, g, r.HistogramSources())
+	if s := r.Snapshot(); len(s.Counters) != 1 || len(s.Gauges) != 1 || len(s.Histograms) != 1 {
+		t.Fatalf("snapshot before clear %+v", s)
 	}
 	r.Clear()
-	if c, g := r.Sources(); c != 0 || g != 0 || r.HistogramSources() != 0 {
-		t.Fatalf("sources %d/%d/%d after clear", c, g, r.HistogramSources())
-	}
 	if r.Enabled() {
 		t.Fatal("still enabled after clear")
 	}
 	if s := r.Snapshot(); len(s.Counters) != 0 || len(s.Gauges) != 0 || s.Histograms != nil {
 		t.Fatalf("cleared registry snapshot %+v", s)
+	}
+	// The sources are gone, not merely unread: enabling again finds none.
+	r.SetEnabled(true)
+	if s := r.Snapshot(); len(s.Counters) != 0 || len(s.Gauges) != 0 || len(s.Histograms) != 0 {
+		t.Fatalf("re-enabled cleared registry snapshot %+v", s)
 	}
 }
 

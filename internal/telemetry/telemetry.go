@@ -89,14 +89,6 @@ func (r *Registry) RegisterHistograms(prefix string, emit func(HistEmitFunc)) {
 	r.hists = append(r.hists, histSource{prefix: prefix, emit: emit})
 }
 
-// Sources reports how many counter groups and gauges are registered.
-func (r *Registry) Sources() (counters, gauges int) {
-	return len(r.counters), len(r.gauges)
-}
-
-// HistogramSources reports how many histogram groups are registered.
-func (r *Registry) HistogramSources() int { return len(r.hists) }
-
 // Clear disables the registry and drops every registered source. Pool
 // reclamation calls this when a machine is torn down so a recycled
 // engine can never reach emit closures of a dead machine.
