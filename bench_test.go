@@ -192,48 +192,6 @@ func BenchmarkE11RackScale(b *testing.B) {
 	}
 }
 
-// --- Chaos recovery ladder (DESIGN.md §16) --------------------------------
-
-// BenchmarkChaosRecovery runs the compound second-order soak scenario —
-// checkpoint corruption, a torn write, a spurious death report, and a
-// second death during recovery — end to end on an 8-node machine: every
-// iteration pays for detection, probe, chunk retries, a generation
-// fallback, and two partition shrinks before reconverging on 2 nodes.
-// workers=1 is the serial engine; workers=8 the sharded engine, whose
-// outcome digest must match bit for bit (checked every iteration).
-func BenchmarkChaosRecovery(b *testing.B) {
-	base := core.CanonicalChaos(1).Soak()
-	var digest uint64
-	for _, w := range []int{1, 8} {
-		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-			cfg := base
-			if w > 1 {
-				cfg.Shards = machine.ShardAuto
-				cfg.Workers = w
-			}
-			b.ReportAllocs()
-			var rungs, attempts int
-			for i := 0; i < b.N; i++ {
-				out, err := core.RunChaosWilson(cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if !out.Converged {
-					b.Fatal("soak scenario did not converge")
-				}
-				if digest != 0 && out.Digest != digest {
-					b.Fatalf("outcome digest drifted: %#x then %#x", digest, out.Digest)
-				}
-				digest = out.Digest
-				rungs = len(out.Rungs)
-				attempts = len(out.Attempts)
-			}
-			b.ReportMetric(float64(rungs), "rungs")
-			b.ReportMetric(float64(attempts), "attempts")
-		})
-	}
-}
-
 // --- E2: DDR spill --------------------------------------------------------
 
 func BenchmarkE2DDRSpill(b *testing.B) {

@@ -51,10 +51,9 @@ func cmdFleet(args []string) {
 	storm := fs.Bool("storm", false, "chaos plus the compound second-order preset; typed ladder exhaustion counts as a survived run")
 	faultSeeds := fs.String("faultseeds", "", "fault plan seeds to sweep, comma separated (implies -chaos)")
 	workers := fs.Int("workers", 8, "campaign worker pool: how many machines run concurrently")
-	simWorkers := fs.Int("simworkers", 0, "worker goroutines inside each machine's sharded engine (0 = serial engine per machine)")
 	addr := fs.String("addr", "", "observe the campaign and serve /metrics /trace /fleet on this address (e.g. 127.0.0.1:9100)")
 	verify := fs.Bool("verify", false, "re-run the campaign serially and dark and require identical per-run digests, then exit")
-	quiet := fs.Bool("quiet", false, "suppress per-run lines; print only the summary")
+	quiet := fs.Bool("quiet", false, "suppress per-run lines and chaos narratives; print only the summary")
 	fs.Parse(args)
 
 	base := fleet.Spec{
@@ -64,10 +63,6 @@ func cmdFleet(args []string) {
 		MaxIter: *maxIter,
 		Ls:      *ls,
 		Seed:    *seed,
-	}
-	if *simWorkers > 0 {
-		base.Shards = machine.ShardAuto
-		base.Workers = *simWorkers
 	}
 	var seeds []uint64
 	if *faultSeeds != "" {
@@ -91,13 +86,8 @@ func cmdFleet(args []string) {
 		if *storm {
 			c = c.Soak()
 		}
-		base.Seed = c.Seed
-		base.Tol = c.Tol
-		base.MaxIter = c.MaxIter
-		base.CheckpointEvery = c.CheckpointEvery
-		base.MaxAttempts = c.MaxAttempts
-		base.Chaos = true
-		base.Faults = c.Spec
+		c.Shape, c.Mass = base.Machine, base.Mass
+		base = chaosSpec(c)
 	}
 
 	var lattices []lattice.Shape4
@@ -106,7 +96,13 @@ func cmdFleet(args []string) {
 	}
 	var opKinds []fermion.OpKind
 	for _, o := range strings.Split(*ops, ",") {
-		opKinds = append(opKinds, opKind(strings.TrimSpace(o)))
+		k := opKind(strings.TrimSpace(o))
+		if *chaos && k != fermion.WilsonKind {
+			fmt.Fprintf(os.Stderr, "qcdoc fleet: chaos runs are Wilson only, got -ops %q\n", *ops)
+			fs.Usage()
+			os.Exit(2)
+		}
+		opKinds = append(opKinds, k)
 	}
 	specs := fleet.Sweep(base, lattices, opKinds, seeds)
 
@@ -151,9 +147,6 @@ func cmdFleet(args []string) {
 		}
 		if laddered(r.Err) {
 			exhausted++
-			if !*quiet {
-				fmt.Printf("fleet: ladder exhausted %q: %v\n", r.Name, r.Err)
-			}
 			continue
 		}
 		failed++
@@ -166,8 +159,7 @@ func cmdFleet(args []string) {
 		len(results)-failed, len(results), wall.Seconds(),
 		float64(len(results))/wall.Seconds(), fleet.Digest(results))
 	st := cfg.Pool.Stats()
-	fmt.Printf("fleet: pool recycled %d engine storages, %d frame rings; %d shard-plan hits\n",
-		st.StorageReused, st.RingsReused, st.PlanHits)
+	fmt.Printf("fleet: pool recycled %d engine storages, %d frame rings\n", st.StorageReused, st.RingsReused)
 	if failed > 0 {
 		os.Exit(1)
 	}

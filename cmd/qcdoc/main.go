@@ -14,25 +14,22 @@
 //	qcdoc estimate -op clover -grid 8,8,8,16 -local 4,4,4,4
 //	    analytic solver estimate for a paper-scale machine
 //
-//	qcdoc chaos -faultseed 16 -repeat 2
+//	qcdoc chaos -faultseed 16
 //	    run a solve under deterministic fault injection: node death,
-//	    watchdog detection, checkpoint restore, re-convergence
-//
-//	qcdoc chaos -soak -faultseed 1 -verify-workers 8 -require-fallback -require-shrink
-//	    compound second-order campaign: checkpoint corruption, torn
-//	    writes, false death reports and faults during recovery, driven
-//	    through the recovery ladder with digest-checked determinism
+//	    watchdog detection, checkpoint restore, re-convergence; -soak
+//	    adds checkpoint corruption, torn writes, false death reports and
+//	    faults during recovery, driven through the recovery ladder
 //
 //	qcdoc fleet -machine 2,2 -lattices "4,4,4,4;4,4,4,8" -ops wilson,clover -workers 8
 //	    run a campaign: many independent machines in one process,
 //	    sweeping (lattice × operator × fault seed) over a worker pool;
+//	    -verify re-runs it serially and requires identical digests;
 //	    -addr 127.0.0.1:9100 observes it and serves /metrics (Prometheus
 //	    text), /trace (Chrome trace) and /fleet (live progress) over HTTP
 package main
 
 import (
 	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -163,13 +160,8 @@ func cmdSolve(args []string) {
 	telemetryOut := fs.String("telemetry", "", "write the machine's telemetry registry snapshot (JSON) to this file after the run")
 	traceN := fs.Int("trace", 0, "attach a flight recorder holding the last N events (0 = off)")
 	chromeOut := fs.String("chrometrace", "", "write the flight-recorder tail as Chrome trace-event JSON to this file")
-	workers := fs.Int("workers", 0, "simulation worker goroutines for the sharded engine (0 = unsharded serial engine)")
 	fs.Parse(args)
 
-	if *ls < 1 {
-		fmt.Fprintf(os.Stderr, "need -ls of at least 1, got %d\n", *ls)
-		os.Exit(2)
-	}
 	spec := fleet.Spec{
 		Machine: parseMachine(fs, *mshape),
 		Global:  parseShape4(*lat),
@@ -179,10 +171,6 @@ func cmdSolve(args []string) {
 		MaxIter: *maxIter,
 		Ls:      *ls,
 		Seed:    *seed,
-	}
-	if *workers > 0 {
-		spec.Shards = machine.ShardAuto
-		spec.Workers = *workers
 	}
 	lay, err := core.NewLayout(spec.Machine, spec.Global)
 	fatal(err)
@@ -291,14 +279,12 @@ func cmdEstimate(args []string) {
 }
 
 // cmdChaos runs a distributed Wilson solve under a deterministic fault
-// plan: inject, detect, isolate, restore, converge. With -repeat N the
-// whole run executes N times and the outcome digests must match bit for
-// bit — same -faultseed, same recovery timeline, always. -soak adds the
-// compound second-order preset (checkpoint corruption, a spurious death
-// report, a second death during recovery) and attempt headroom for the
-// recovery ladder; -verify-workers re-runs on a sharded engine and
-// requires the identical digest; -expect-error gates scenarios that
-// must exhaust the ladder with a typed error.
+// plan — inject, detect, isolate, restore, converge — as a one-spec
+// campaign, printing the run's narrative and its outcome digest. -soak
+// adds the compound second-order preset (checkpoint corruption, a
+// spurious death report, a second death during recovery) and attempt
+// headroom for the recovery ladder. To check a digest across re-runs,
+// run the seeds as `qcdoc fleet -faultseeds ... -verify`.
 func cmdChaos(args []string) {
 	fs := flag.NewFlagSet("chaos", flag.ExitOnError)
 	// Every default is the canonical scenario's, so a bare `qcdoc chaos`
@@ -315,98 +301,47 @@ func cmdChaos(args []string) {
 	soak := fs.Bool("soak", false, "compound preset: +2 chunk corruptions, +1 torn write, +1 false death report, +1 recovery crash, 6 attempts")
 	recoveryCrashes := fs.Int("recovery-crashes", 0, "second deaths to draw, scheduled relative to the recovery window")
 	maxAttempts := fs.Int("max-attempts", 0, "restart budget (0 = default; -soak raises it to 6)")
-	repeat := fs.Int("repeat", 1, "run N times and require identical digests")
 	quiet := fs.Bool("quiet", false, "suppress the per-event narrative")
-	workers := fs.Int("workers", 0, "simulation worker goroutines for the sharded engine (0 = unsharded serial engine)")
-	verifyWorkers := fs.Int("verify-workers", 0, "after the serial runs, re-run with N workers and require the identical digest")
-	requireFallback := fs.Bool("require-fallback", false, "fail unless the run climbed a generation-fallback rung")
-	requireShrink := fs.Bool("require-shrink", false, "fail unless the run climbed a repartition rung")
-	expectError := fs.String("expect-error", "", "require the run to exhaust the ladder with a typed error (partition|checkpoint)")
 	fs.Parse(args)
-	wantErr, ok := map[string]error{
-		"":           nil,
-		"partition":  core.ErrPartitionExhausted,
-		"checkpoint": core.ErrCheckpointUnrecoverable,
-	}[*expectError]
-	if !ok {
-		fmt.Fprintf(os.Stderr, "qcdoc chaos: unknown -expect-error %q (want partition|checkpoint)\n", *expectError)
-		fs.Usage()
-		os.Exit(2)
-	}
 
 	// The fault mix is the canonical scenario's (or its -soak compound);
 	// the flags move the run, not the mix.
-	cfg := core.CanonicalChaos(*faultSeed)
-	cfg.Shape, cfg.Global, cfg.Seed = parseMachine(fs, *mshape), parseShape4(*lat), *seed
-	cfg.Mass, cfg.Tol, cfg.MaxIter = *mass, *tol, *maxIter
-	cfg.MaxAttempts = *maxAttempts
-	cfg.Spec.RecoveryCrashes = *recoveryCrashes
+	c := core.CanonicalChaos(*faultSeed)
+	c.Shape, c.Global, c.Seed = parseMachine(fs, *mshape), parseShape4(*lat), *seed
+	c.Mass, c.Tol, c.MaxIter = *mass, *tol, *maxIter
+	c.MaxAttempts = *maxAttempts
+	c.Spec.RecoveryCrashes = *recoveryCrashes
 	if *soak {
-		cfg = cfg.Soak()
+		c = c.Soak()
 	}
-	if *workers > 0 {
-		cfg.Shards = machine.ShardAuto
-		cfg.Workers = *workers
-	}
+	var cfg fleet.Config
 	if !*quiet {
 		cfg.Log = os.Stdout
 	}
-	runOnce := func(cfg core.ChaosConfig) *core.ChaosOutcome {
-		out, err := core.RunChaosWilson(cfg)
-		switch {
-		case wantErr == nil:
-			fatal(err)
-		case !errors.Is(err, wantErr):
-			fatal(fmt.Errorf("expected %q, got: %w", wantErr, err))
-		default:
-			fmt.Printf("ladder exhausted as required: %v\n", err)
-		}
-		for _, a := range out.Attempts {
-			fmt.Printf("attempt: %s\n", a)
-		}
-		for _, r := range out.Rungs {
-			fmt.Printf("ladder:  %s\n", r)
-		}
-		if out.Converged {
-			fmt.Printf("residual %.2g, solution CRC %#x\n", out.RelResidual, out.SolutionCRC)
-		}
-		fmt.Printf("fault plan digest %#x, outcome digest %#x\n", out.PlanDigest, out.Digest)
-		return out
+	r := fleet.Run(cfg, fleet.Sweep(chaosSpec(c), nil, nil, nil))[0]
+	if *quiet {
+		fmt.Println(r)
 	}
-	var digests []uint64
-	var last *core.ChaosOutcome
-	for i := 0; i < *repeat; i++ {
-		if *repeat > 1 {
-			fmt.Printf("--- run %d/%d ---\n", i+1, *repeat)
-		}
-		last = runOnce(cfg)
-		digests = append(digests, last.Digest)
+	if r.Err != nil {
+		os.Exit(1) // the result line carries the error
 	}
-	if *verifyWorkers > 0 {
-		fmt.Printf("--- verify: %d workers, sharded engine ---\n", *verifyWorkers)
-		wcfg := cfg
-		wcfg.Shards = machine.ShardAuto
-		wcfg.Workers = *verifyWorkers
-		last = runOnce(wcfg)
-		digests = append(digests, last.Digest)
-	}
-	for _, dg := range digests[1:] {
-		if dg != digests[0] {
-			fmt.Fprintf(os.Stderr, "qcdoc chaos: DIGEST MISMATCH across runs: %#x vs %#x\n", digests[0], dg)
-			os.Exit(1)
-		}
-	}
-	if len(digests) > 1 {
-		fmt.Printf("%d runs, identical outcome digest %#x: recovery timeline is deterministic\n",
-			len(digests), digests[0])
-	}
-	if *requireFallback && !last.HasRung(core.RungGenerationFallback) {
-		fmt.Fprintln(os.Stderr, "qcdoc chaos: no generation-fallback rung climbed (required)")
-		os.Exit(1)
-	}
-	if *requireShrink && !last.HasRung(core.RungRepartition) {
-		fmt.Fprintln(os.Stderr, "qcdoc chaos: no repartition rung climbed (required)")
-		os.Exit(1)
+}
+
+// chaosSpec is the fleet run description of a chaos scenario: the
+// fields of c that fleet.Run hands back to core.RunChaosWilson.
+func chaosSpec(c core.ChaosConfig) fleet.Spec {
+	return fleet.Spec{
+		Machine:         c.Shape,
+		Global:          c.Global,
+		Mass:            c.Mass,
+		Tol:             c.Tol,
+		MaxIter:         c.MaxIter,
+		Seed:            c.Seed,
+		Chaos:           true,
+		FaultSeed:       c.FaultSeed,
+		Faults:          c.Spec,
+		CheckpointEvery: c.CheckpointEvery,
+		MaxAttempts:     c.MaxAttempts,
 	}
 }
 

@@ -67,12 +67,6 @@ type ChaosConfig struct {
 	// Spec describes the faults to draw from FaultSeed.
 	Spec faultplan.Spec
 
-	// Shards/Workers select sharded parallel simulation for each
-	// attempt's machine (see machine.Config); the outcome digest is
-	// invariant under Workers.
-	Shards  int
-	Workers int
-
 	// Pool recycles engine storage and frame rings across attempts and
 	// across runs (fleet substrate); nil disables pooling. Pooling never
 	// changes the outcome digest.
@@ -303,15 +297,13 @@ func runChaosAttempt(cfg ChaosConfig, sup *supervisor, attempt int, shape geom.S
 	res := chaosAttempt{}
 	// rst carries the restore's product from the control process to the
 	// node programs: the supervisor writes it (in sim time, before the
-	// launch RPC) and each rank reads it after the launch crosses shards.
+	// launch RPC) and each rank reads it once the launch reaches it.
 	rst := struct {
 		x0   *lattice.FermionField
 		iter int
 	}{x0: lattice.NewFermionField(cfg.Global)}
 	eng := cfg.Pool.NewEngine()
 	mcfg := machine.DefaultConfig(shape)
-	mcfg.Shards = cfg.Shards
-	mcfg.Workers = cfg.Workers
 	mcfg.Pool = cfg.Pool
 	m := machine.Build(eng, mcfg)
 	defer func() {

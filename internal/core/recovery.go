@@ -134,17 +134,6 @@ func (r RungRecord) String() string {
 	return fmt.Sprintf("a%d %s rank=%d gen=%d at %v", r.Attempt, r.Kind, r.Rank, r.Gen, r.At)
 }
 
-// HasRung reports whether the run climbed at least one rung of the
-// given kind (the CLI's -require-fallback/-require-shrink gates).
-func (o *ChaosOutcome) HasRung(kind RungKind) bool {
-	for _, r := range o.Rungs {
-		if r.Kind == kind {
-			return true
-		}
-	}
-	return false
-}
-
 // RecoveryStats are the supervisor's cumulative counters, exported
 // through the telemetry registry of every attempt's machine.
 type RecoveryStats struct {

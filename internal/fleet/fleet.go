@@ -11,6 +11,8 @@
 package fleet
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -42,9 +44,9 @@ type Spec struct {
 	Machine geom.Shape
 	Global  lattice.Shape4
 
-	// Op selects the fermion operator for solve runs (chaos runs are
-	// always Wilson — they exercise the recovery pipeline, which is
-	// operator-independent).
+	// Op selects the fermion operator. Chaos runs are Wilson only (the
+	// zero value) — they exercise the recovery pipeline, which is
+	// operator-independent — and any other Op fails with ErrChaosOp.
 	Op fermion.OpKind
 
 	Mass    float64
@@ -55,12 +57,6 @@ type Spec struct {
 
 	// Seed draws the gauge configuration and source.
 	Seed uint64
-
-	// Shards/Workers select sharded parallel simulation inside this
-	// run's machine (machine.Config); campaign-level parallelism is
-	// Config.Workers.
-	Shards  int
-	Workers int
 
 	// Chaos switches the run from a plain solve to the full
 	// inject/detect/isolate/restore pipeline of core.RunChaosWilson,
@@ -106,7 +102,8 @@ type Result struct {
 
 func (r Result) String() string {
 	if r.Err != nil {
-		return fmt.Sprintf("%-32s ERROR: %v", r.Name, r.Err)
+		// A failed chaos run still has a digest, and -verify compares it.
+		return fmt.Sprintf("%-32s ERROR: %v  digest %#x", r.Name, r.Err, r.Digest)
 	}
 	s := fmt.Sprintf("%-32s %4d iter", r.Name, r.Iterations)
 	if r.Attempts > 1 {
@@ -124,8 +121,10 @@ type Config struct {
 	// Pool recycles engine storage and frame rings across the fleet's
 	// machine builds; nil disables pooling.
 	Pool *machine.Pool
-	// Log, when set, receives one line per completed run. Lines appear
-	// in completion order; the returned slice is always in spec order.
+	// Log, when set, receives one line per completed run, preceded by a
+	// chaos run's narrative (core.ChaosConfig.Log), which is buffered so
+	// that no two runs interleave. Runs appear in completion order; the
+	// returned slice is always in spec order.
 	Log io.Writer
 
 	// Observe enables the full telemetry layer on every run's machine
@@ -165,10 +164,15 @@ func Run(cfg Config, specs []Spec) []Result {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			var narrative *bytes.Buffer
+			if cfg.Log != nil {
+				narrative = new(bytes.Buffer)
+			}
 			for i := range idx {
-				results[i] = runOne(specs[i], cfg, i)
+				results[i] = runOne(specs[i], cfg, i, narrative)
 				if cfg.Log != nil {
 					logMu.Lock()
+					narrative.WriteTo(cfg.Log)
 					fmt.Fprintln(cfg.Log, results[i])
 					logMu.Unlock()
 				}
@@ -238,18 +242,25 @@ func Digest(rs []Result) uint64 {
 	return uint64(h)
 }
 
+// ErrChaosOp: a chaos spec asks for an operator other than Wilson.
+var ErrChaosOp = errors.New("fleet: chaos runs are Wilson only")
+
 // runOne executes a single spec on its own machine. The spec index i
-// only namespaces observability output (trace pids); it never reaches
-// the simulation.
-func runOne(s Spec, cfg Config, i int) Result {
-	if s.Chaos {
-		return runChaos(s, cfg)
+// only namespaces observability output (trace pids), and narrative, when
+// non-nil, receives a chaos run's narrative; neither reaches the
+// simulation.
+func runOne(s Spec, cfg Config, i int, narrative *bytes.Buffer) Result {
+	if !s.Chaos {
+		return runSolve(s, cfg, i)
 	}
-	return runSolve(s, cfg, i)
+	if s.Op != fermion.WilsonKind {
+		return Result{Name: s.Name, Err: fmt.Errorf("%w, got %v", ErrChaosOp, s.Op)}
+	}
+	return runChaos(s, cfg, narrative)
 }
 
-func runChaos(s Spec, cfg Config) Result {
-	out, err := core.RunChaosWilson(core.ChaosConfig{
+func runChaos(s Spec, cfg Config, narrative *bytes.Buffer) Result {
+	ccfg := core.ChaosConfig{
 		Shape:           s.Machine,
 		Global:          s.Global,
 		Seed:            s.Seed,
@@ -260,11 +271,13 @@ func runChaos(s Spec, cfg Config) Result {
 		CheckpointEvery: s.CheckpointEvery,
 		MaxAttempts:     s.MaxAttempts,
 		Spec:            s.Faults,
-		Shards:          s.Shards,
-		Workers:         s.Workers,
 		Pool:            cfg.Pool,
 		Telemetry:       cfg.Observe,
-	})
+	}
+	if narrative != nil {
+		ccfg.Log = narrative
+	}
+	out, err := core.RunChaosWilson(ccfg)
 	res := Result{Name: s.Name, Err: err}
 	if out != nil {
 		res.Attempts = len(out.Attempts)
@@ -284,8 +297,6 @@ func runChaos(s Spec, cfg Config) Result {
 func runSolve(s Spec, cfg Config, i int) Result {
 	res := Result{Name: s.Name}
 	mcfg := machine.DefaultConfig(s.Machine)
-	mcfg.Shards = s.Shards
-	mcfg.Workers = s.Workers
 	mcfg.Pool = cfg.Pool
 	sess, err := core.NewSessionConfig(mcfg, s.Global)
 	if err != nil {
@@ -329,6 +340,10 @@ func runSolve(s Spec, cfg Config, i int) Result {
 		b.Gaussian(s.Seed + 1)
 		_, met, err = sess.SolveASQTAD(ref, b, fermion.Double, s.Tol, s.MaxIter)
 	case fermion.DWFKind:
+		if s.Ls < 1 {
+			err = fmt.Errorf("%w: Ls %d", core.ErrSolveParams, s.Ls)
+			break
+		}
 		b := fermion.NewField5(s.Global, s.Ls)
 		b.Gaussian(s.Seed + 1)
 		_, met, err = sess.SolveDWF(gauge, b, 1.8, s.Mass, s.Ls, fermion.Double, s.Tol, s.MaxIter)

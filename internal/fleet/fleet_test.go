@@ -1,6 +1,8 @@
 package fleet_test
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
 	"runtime"
 	"strings"
@@ -147,6 +149,9 @@ func directSolve(t *testing.T, s fleet.Spec) core.SolveMetrics {
 // with a shared pool and requires each run's outcome digest to equal
 // the digest the same seed produces through core.RunChaosWilson alone
 // on unpooled storage — i.e. exactly what a fresh process would print.
+// A campaign with a Log writes each chaos run's narrative byte for byte
+// as the direct run writes it, followed by the run's result line, and
+// never interleaves two runs' narratives.
 func TestFleetChaosMatchesFreshProcess(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos fleet is seconds-long")
@@ -154,11 +159,13 @@ func TestFleetChaosMatchesFreshProcess(t *testing.T) {
 	seeds := []uint64{7, 8, 9, 10}
 	specs := fleet.Sweep(chaosBase(), nil, nil, seeds)
 	conc := fleet.Run(fleet.Config{Workers: 4, Pool: machine.NewPool()}, specs)
+	blocks := make([]string, len(seeds)) // each run's narrative and result line
 	for i, seed := range seeds {
 		if conc[i].Err != nil {
 			t.Fatalf("fleet run fseed=%d: %v", seed, conc[i].Err)
 		}
 		base := chaosBase()
+		var narrative bytes.Buffer
 		out, err := core.RunChaosWilson(core.ChaosConfig{
 			Shape:           base.Machine,
 			Global:          base.Global,
@@ -169,6 +176,7 @@ func TestFleetChaosMatchesFreshProcess(t *testing.T) {
 			MaxIter:         base.MaxIter,
 			CheckpointEvery: base.CheckpointEvery,
 			Spec:            base.Faults,
+			Log:             &narrative,
 		})
 		if err != nil {
 			t.Fatalf("standalone run fseed=%d: %v", seed, err)
@@ -176,6 +184,55 @@ func TestFleetChaosMatchesFreshProcess(t *testing.T) {
 		if out.Digest != conc[i].Digest {
 			t.Errorf("fseed=%d: standalone digest %#x != fleet digest %#x",
 				seed, out.Digest, conc[i].Digest)
+		}
+
+		var log bytes.Buffer
+		r := fleet.Run(fleet.Config{Log: &log}, specs[i:i+1])[0]
+		if r.Digest != out.Digest {
+			t.Errorf("fseed=%d: logged campaign digest %#x != standalone digest %#x", seed, r.Digest, out.Digest)
+		}
+		blocks[i] = narrative.String() + r.String() + "\n"
+		if log.String() != blocks[i] {
+			t.Errorf("fseed=%d: campaign log differs from the direct run's narrative:\n%s", seed, lineDiff(blocks[i], log.String()))
+		}
+	}
+
+	var log bytes.Buffer
+	rs := fleet.Run(fleet.Config{Workers: 2, Log: &log}, specs[:2])
+	requireSameDigests(t, conc[:2], rs)
+	if got := log.String(); got != blocks[0]+blocks[1] && got != blocks[1]+blocks[0] {
+		t.Errorf("two-run campaign log is not the two narratives one after the other:\n%s", got)
+	}
+}
+
+// TestFleetRejectsBadSpecs: a spec the simulator cannot run fails with a
+// typed error in its own result — a DWF solve at Ls 0, a chaos run asked
+// for a non-Wilson operator — and leaves the other runs of the campaign
+// bit for bit as they are alone.
+func TestFleetRejectsBadSpecs(t *testing.T) {
+	good := solveBase()
+	alone := fleet.Run(fleet.Config{}, []fleet.Spec{good})[0]
+	if alone.Err != nil {
+		t.Fatal(alone.Err)
+	}
+
+	dwf := solveBase()
+	dwf.Op, dwf.Ls = fermion.DWFKind, 0
+	chaos := chaosBase()
+	chaos.Op = fermion.CloverKind
+	rs := fleet.Run(fleet.Config{Workers: 3}, []fleet.Spec{good, dwf, chaos})
+	if rs[0].Err != nil || rs[0].Digest != alone.Digest {
+		t.Fatalf("valid run beside bad ones: digest %#x err %v, alone %#x", rs[0].Digest, rs[0].Err, alone.Digest)
+	}
+	if !errors.Is(rs[1].Err, core.ErrSolveParams) {
+		t.Errorf("DWF at Ls 0: %v, want ErrSolveParams", rs[1].Err)
+	}
+	if !errors.Is(rs[2].Err, fleet.ErrChaosOp) {
+		t.Errorf("clover chaos spec: %v, want ErrChaosOp", rs[2].Err)
+	}
+	for _, r := range rs[1:] {
+		if !strings.Contains(r.String(), fmt.Sprintf("digest %#x", r.Digest)) {
+			t.Errorf("failed run's line drops its digest: %q", r)
 		}
 	}
 }
