@@ -82,17 +82,11 @@ func (h *halo) post(t *scu.Transfer, err error) {
 
 // write stores one slot's words into a face buffer; read loads them.
 func (h *halo) write(buf uint64, slot int, w []uint64) {
-	buf += 8 * uint64(slot*len(w))
-	for k, x := range w {
-		h.ctx.N.Mem.WriteWord(buf+8*uint64(k), x)
-	}
+	h.ctx.N.Mem.WriteWords(buf+8*uint64(slot*len(w)), w)
 }
 
 func (h *halo) read(buf uint64, slot int, w []uint64) {
-	buf += 8 * uint64(slot*len(w))
-	for k := range w {
-		w[k] = h.ctx.N.Mem.ReadWord(buf + 8*uint64(k))
-	}
+	h.ctx.N.Mem.ReadWords(buf+8*uint64(slot*len(w)), w)
 }
 
 // putHalf packs a projected half spinor into a send slot; half unpacks

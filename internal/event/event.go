@@ -131,6 +131,9 @@ type Engine struct {
 	// An unclustered engine is its own shard 0.
 	cluster *Cluster
 	shard   int
+
+	until Time   // the horizon of the current Run; see RunBound
+	runs  uint64 // Runs begun
 }
 
 // New creates an engine with the clock at zero.
@@ -234,6 +237,7 @@ func (e *Engine) Run(until Time) error {
 		panic("event: Run re-entered from inside an event")
 	}
 	e.running = true
+	e.until, e.runs = until, e.runs+1
 	defer func() { e.running = false }()
 	if e.cluster != nil {
 		if e.shard != 0 {
@@ -270,6 +274,12 @@ func (e *Engine) runLocal(until Time) error {
 	}
 	return nil
 }
+
+// RunBound returns the current Run's horizon and how many Runs have begun
+// (host code may change anything between two); Observed whether a tracer
+// or a flight recorder watches every event.
+func (e *Engine) RunBound() (until Time, run uint64) { return e.until, e.runs }
+func (e *Engine) Observed() bool                     { return e.tracer != nil || e.rec != nil }
 
 // RunAll runs with no horizon.
 func (e *Engine) RunAll() error { return e.Run(Forever) }

@@ -213,6 +213,31 @@ func (e *Engine) peekTime() (Time, int) {
 	return at, src
 }
 
+// EarliestRejected returns when the first queued event accept rejects
+// (closures always) can act, a Timer's live firing counting at its
+// deadline (never, if stopped); Forever if none.
+func (e *Engine) EarliestRejected(accept func(h Handler, arg uint64) bool) Time {
+	best := Forever
+	visit := func(it *item) {
+		switch t, timer := it.h.(*Timer); {
+		case it.at >= best:
+		case it.fn != nil || !timer && !accept(it.h, it.arg):
+			best = it.at
+		case timer && t.qSeq == it.seq && t.at >= 0:
+			best = min(best, t.at)
+		}
+	}
+	for i := range e.events.lanes {
+		for l, j := &e.events.lanes[i], 0; j < l.n; j++ {
+			visit(&l.buf[(l.head+j)&(len(l.buf)-1)])
+		}
+	}
+	for i := range e.events.heap {
+		visit(&e.events.heap[i])
+	}
+	return best
+}
+
 // dispatchNext pops and executes the event peekTime found at src. A lane
 // head is read in place and only its references are cleared; its fields
 // are loaded first, as the freed slot may take an event the tracer or

@@ -481,3 +481,75 @@ func TestClusterMatchesSerialEngine(t *testing.T) {
 		}
 	}
 }
+
+type tagHandler int
+
+func (tagHandler) HandleEvent(uint64) {}
+
+// TestEarliestRejectedMatchesScan holds the query to a scan of what was
+// queued, with events spread over the lanes and the heap and some
+// dispatched first.
+func TestEarliestRejectedMatchesScan(t *testing.T) {
+	for seed := int64(0); seed < 50; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		e := New()
+		type queued struct {
+			at     Time
+			closed bool
+			h      tagHandler
+			arg    uint64
+		}
+		var all []queued
+		for i := 0; i < 200; i++ {
+			at := Time(rng.Intn(1000))
+			if rng.Intn(10) == 0 {
+				e.At(at, func() {})
+				all = append(all, queued{at: at, closed: true})
+				continue
+			}
+			h, arg := tagHandler(rng.Intn(4)), uint64(rng.Intn(3))
+			e.AtHandler(at, h, arg)
+			all = append(all, queued{at: at, h: h, arg: arg})
+		}
+		cut := Time(rng.Intn(300))
+		if err := e.Run(cut); err != nil {
+			t.Fatal(err)
+		}
+		accept := func(h Handler, arg uint64) bool { return h.(tagHandler) != 3 && arg != 2 }
+		want := Forever
+		for _, q := range all {
+			if q.at > cut && q.at < want && (q.closed || q.h == 3 || q.arg == 2) {
+				want = q.at
+			}
+		}
+		if got := e.EarliestRejected(accept); got != want {
+			t.Fatalf("seed %d: EarliestRejected = %v, want %v", seed, got, want)
+		}
+	}
+}
+
+// TestEarliestRejectedTimersActAtDeadline: a timer's live firing counts
+// at the timer's deadline, whatever its queued time, and a stopped or
+// superseded one not at all.
+func TestEarliestRejectedTimersActAtDeadline(t *testing.T) {
+	e := New()
+	all := func(Handler, uint64) bool { return true }
+	moved := e.NewTimer(func() {})
+	moved.Arm(100)
+	moved.Arm(500) // queued at 100, moving on to 500
+	stopped := e.NewTimer(func() {})
+	stopped.Arm(50)
+	stopped.Stop()
+	e.AtHandler(10, tagHandler(0), 0)
+	if got := e.EarliestRejected(all); got != 500 {
+		t.Fatalf("EarliestRejected = %v, want the moved timer's deadline 500", got)
+	}
+	e.NewTimer(func() {}).Arm(300)
+	if got := e.EarliestRejected(all); got != 300 {
+		t.Fatalf("EarliestRejected = %v, want 300", got)
+	}
+	e.At(200, func() {})
+	if got := e.EarliestRejected(all); got != 200 {
+		t.Fatalf("EarliestRejected = %v, want the closure at 200", got)
+	}
+}

@@ -57,6 +57,11 @@ func (t *Timer) ArmAt(at Time) {
 // Stop cancels the pending arming, if any.
 func (t *Timer) Stop() { t.at = -1 }
 
+// Deadline returns an armed timer's deadline; Queued when its queued
+// firing runs, at or before the deadline (moving on to it if early).
+func (t *Timer) Deadline() (Time, bool) { return t.at, t.at >= 0 }
+func (t *Timer) Queued() (Time, bool)   { return t.qAt, t.at >= 0 && t.qAt >= 0 }
+
 // HandleEvent dispatches a queued firing: the armed one runs the
 // callback, one a later Arm overtook moves on to the deadline, a stopped
 // or superseded one does nothing. It implements Handler and is not meant

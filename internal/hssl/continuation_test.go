@@ -36,10 +36,10 @@ func TestOnFrameDelivery(t *testing.T) {
 	var arriveAt event.Time
 	arriveAt, _ = w.Send(scupkt.WireOf([]byte{4}))
 	var lastAt event.Time
-	w.handler = func(f Frame) {
+	w.rx = FrameFunc(func(f Frame) {
 		got = append(got, f.Bytes()[0])
 		lastAt = eng.Now()
-	}
+	})
 	if err := eng.RunAll(); err != nil {
 		t.Fatal(err)
 	}

@@ -47,6 +47,19 @@ type Frame struct {
 	Seq uint64
 }
 
+// Flight is a slot of a wire's in-flight ring: a frame and its arrival.
+type Flight struct {
+	Frame
+	At event.Time
+}
+
+// Receiver takes the frames a wire delivers, each in its arrival event;
+// a FrameFunc is a function taking them.
+type Receiver interface{ HandleFrame(Frame) }
+type FrameFunc func(Frame)
+
+func (f FrameFunc) HandleFrame(fr Frame) { f(fr) }
+
 // FaultFunc may corrupt a frame in flight by mutating it in place,
 // reporting whether it changed anything. A nil FaultFunc means a clean
 // wire. The non-faulting path must be free: a hook that leaves the
@@ -72,15 +85,17 @@ type Wire struct {
 	name    string
 	bit     event.Time // one bit on the wire: the link clock's cycle
 	prop    event.Time
-	handler func(Frame) // the receiver; see OnFrame
+	rx      Receiver // see Attach
 	trained bool
+	dead    bool   // permanent hardware failure; see Kill
+	stale   uint16 // queued arrivals that only move on; see FastForward
 
 	busyUntil event.Time
 	seq       uint64
 	fault     FaultFunc
 	stats     Stats
-	dead      bool  // permanent hardware failure; see Kill
-	xmit      Frame // transmit slot: the frame being launched, for the fault hook
+	xmit      Frame      // transmit slot: the frame being launched, for the fault hook
+	shift     event.Time // how much later the stale arrivals' frames arrive
 
 	// In-flight frames, a reusable ring: Send (or, on a cross-shard wire,
 	// AcceptPayload at the barrier) pushes at the tail, each arrival
@@ -89,7 +104,7 @@ type Wire struct {
 	// per-frame delivery closure without changing anything observable. It
 	// grows to the wire's high-water mark once and is then
 	// allocation-free.
-	fly     []Frame
+	fly     []Flight
 	flyHead int
 	flyLen  int
 
@@ -232,7 +247,7 @@ func (w *Wire) Send(data scupkt.Wire) (event.Time, error) {
 	if w.rxEng != w.eng {
 		w.eng.CrossPayload(w.rxEng, arrive, w, 0, packFrame(f))
 	} else {
-		w.pushInFlight(f)
+		w.pushInFlight(f, arrive)
 		w.eng.AtHandler(arrive, w, 0)
 	}
 	return arrive, nil
@@ -255,31 +270,55 @@ func unpackFrame(p event.Payload) Frame {
 // called directly. On a cross-shard wire the transmitter never touches
 // the in-flight ring, so the receive side owns it, and the frame's
 // arrival event finds it at the head exactly as on a same-shard wire.
-func (w *Wire) AcceptPayload(p event.Payload) { w.pushInFlight(unpackFrame(p)) }
+func (w *Wire) AcceptPayload(p event.Payload) { w.pushInFlight(unpackFrame(p), 0) }
 
 // HandleEvent is a frame's one event: its last bit has reached the
-// receiver, and the OnFrame handler takes it there and then. Arrivals
-// fire in send order (FIFO serialization), so the frame is the ring's
-// head. It implements event.Handler; do not call it directly.
+// receiver, and the receiver takes it there and then. Arrivals fire in
+// send order (FIFO serialization), so the frame is the ring's head; the
+// stale ones a FastForward left come first and only move on. It
+// implements event.Handler; do not call it directly.
 func (w *Wire) HandleEvent(uint64) {
-	f := w.popInFlight()
-	if w.handler == nil || len(w.early) > 0 {
-		w.early = append(w.early, f) // cold: nobody listens yet, or OnFrame's drain is still queued
+	if w.stale > 0 {
+		w.stale--
+		w.rxEng.AtHandler(w.rxEng.Now()+w.shift, w, 0)
 		return
 	}
-	w.handler(f)
+	f := w.popInFlight()
+	if w.rx == nil || len(w.early) > 0 {
+		w.early = append(w.early, f) // cold: nobody listens yet, or Attach's drain is still queued
+		return
+	}
+	w.rx.HandleFrame(f)
 }
 
-func (w *Wire) pushInFlight(f Frame) {
+// InFlight returns how many frames are in flight; InFlightFrame the
+// i-th, oldest first, in place.
+func (w *Wire) InFlight() int               { return w.flyLen }
+func (w *Wire) InFlightFrame(i int) *Flight { return &w.fly[(w.flyHead+i)&(len(w.fly)-1)] }
+
+// FastForward moves a same-shard wire on as if it had carried frames more
+// frames (bits in all) and every frame in flight, whose bits the caller
+// rewrites, had been sent d later. Their queued arrivals turn stale and,
+// coming before any moved one, move on d: the order holds.
+func (w *Wire) FastForward(d event.Time, frames, bits uint64) {
+	w.busyUntil, w.seq, w.stale, w.shift = w.busyUntil+d, w.seq+frames, uint16(w.flyLen), d
+	w.stats.Frames, w.stats.Bits = w.stats.Frames+frames, w.stats.Bits+bits
+	for i := 0; i < w.flyLen; i++ {
+		f := w.InFlightFrame(i)
+		f.Seq, f.At = f.Seq+frames, f.At+d
+	}
+}
+
+func (w *Wire) pushInFlight(f Frame, at event.Time) {
 	if w.flyLen == len(w.fly) {
 		w.growInFlight()
 	}
-	w.fly[(w.flyHead+w.flyLen)&(len(w.fly)-1)] = f
+	w.fly[(w.flyHead+w.flyLen)&(len(w.fly)-1)] = Flight{f, at}
 	w.flyLen++
 }
 
 func (w *Wire) popInFlight() Frame {
-	f := w.fly[w.flyHead]
+	f := w.fly[w.flyHead].Frame
 	w.flyHead = (w.flyHead + 1) & (len(w.fly) - 1)
 	w.flyLen--
 	return f
@@ -288,7 +327,7 @@ func (w *Wire) popInFlight() Frame {
 // growInFlight doubles the ring; its length is zero or a power of two,
 // so an index wraps with a mask.
 func (w *Wire) growInFlight() {
-	grown := make([]Frame, max(4, 2*len(w.fly)))
+	grown := make([]Flight, max(4, 2*len(w.fly)))
 	for i := 0; i < w.flyLen; i++ {
 		grown[i] = w.fly[(w.flyHead+i)&(len(w.fly)-1)]
 	}
@@ -302,7 +341,7 @@ func (w *Wire) growInFlight() {
 // pure values — a ring carries no references — so a previous machine's
 // ring is safe to adopt as-is. No-op once frames are in flight, or on a
 // ring whose length is not a power of two (the ring wraps with a mask).
-func (w *Wire) AdoptRing(ring []Frame) {
+func (w *Wire) AdoptRing(ring []Flight) {
 	if n := len(ring); n > 0 && n&(n-1) == 0 && w.flyLen == 0 {
 		w.fly = ring
 		w.flyHead = 0
@@ -312,18 +351,21 @@ func (w *Wire) AdoptRing(ring []Frame) {
 // ReleaseRing detaches and returns the wire's in-flight ring for
 // recycling. The wire must be finished (its engine shut down); it is
 // left with no ring and would re-grow from scratch if used again.
-func (w *Wire) ReleaseRing() []Frame {
+func (w *Wire) ReleaseRing() []Flight {
 	r := w.fly
 	w.fly, w.flyHead, w.flyLen = nil, 0, 0
 	return r
 }
 
-// OnFrame attaches the wire's receiver: every arriving frame is handed
-// to fn at its arrival time, on the receiver's engine. Frames that
-// arrived before anyone was listening drain into fn in arrival order, in
-// one event at the current time.
-func (w *Wire) OnFrame(fn func(Frame)) {
-	w.handler = fn
+// OnFrame attaches fn as the wire's receiver; see Attach.
+func (w *Wire) OnFrame(fn func(Frame)) { w.Attach(FrameFunc(fn)) }
+
+// Attach makes r the wire's receiver: every arriving frame is handed to
+// r at its arrival time, on the receiver's engine. Frames that arrived
+// before anyone was listening drain into r in arrival order, in one
+// event at the current time.
+func (w *Wire) Attach(r Receiver) {
+	w.rx = r
 	if len(w.early) == 0 {
 		return
 	}
@@ -331,10 +373,16 @@ func (w *Wire) OnFrame(fn func(Frame)) {
 		early := w.early
 		w.early = nil
 		for _, f := range early {
-			fn(f)
+			r.HandleFrame(f)
 		}
 	})
 }
+
+// Receiver returns the attached receiver, or nil; Clean whether the wire
+// is trained, alive and unhooked; BusyUntil when its transmitter is done.
+func (w *Wire) Receiver() Receiver    { return w.rx }
+func (w *Wire) Clean() bool           { return w.trained && !w.dead && w.fault == nil }
+func (w *Wire) BusyUntil() event.Time { return w.busyUntil }
 
 // FlipBitOnce returns a FaultFunc that flips the given bit of frame
 // number seq exactly once — the single-bit-error scenario of §2.2 that

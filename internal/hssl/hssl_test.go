@@ -234,14 +234,14 @@ func TestInFlightRingWraps(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for size := 4; size <= 64; size *= 2 {
 		w := NewWire(event.New(), "w", DefaultClock, DefaultPropagation)
-		ring := make([]Frame, size)
+		ring := make([]Flight, size)
 		w.AdoptRing(ring)
 		var want []Frame
 		for seq := uint64(0); seq < uint64(4*size) || len(want) > 0; {
 			if len(want) < size-1 && seq < uint64(4*size) && (len(want) == 0 || rng.Intn(2) == 0) {
 				seq++
 				f := Frame{Wire: scupkt.Packet{Kind: scupkt.DataKind(int(seq)), Payload: rng.Uint64()}.Wire(), Seq: seq}
-				w.pushInFlight(f)
+				w.pushInFlight(f, event.Time(seq))
 				want = append(want, f)
 				continue
 			}
@@ -257,12 +257,59 @@ func TestInFlightRingWraps(t *testing.T) {
 	// A ring whose length is no power of two is refused: the wire grows
 	// its own.
 	w := NewWire(event.New(), "w", DefaultClock, DefaultPropagation)
-	w.AdoptRing(make([]Frame, 6))
+	w.AdoptRing(make([]Flight, 6))
 	if w.fly != nil {
 		t.Fatalf("AdoptRing took a %d-frame ring", len(w.fly))
 	}
-	w.pushInFlight(Frame{Seq: 1})
+	w.pushInFlight(Frame{Seq: 1}, 0)
 	if len(w.fly) != 4 || w.popInFlight().Seq != 1 {
 		t.Fatalf("grew a %d-frame ring, want 4", len(w.fly))
+	}
+}
+
+// TestFastForwardRequeuesInFlight moves a wire with three frames in
+// flight: the frames arrive d later in send order, renumbered and with
+// the bits the caller wrote, their earlier arrivals only move them on,
+// and the counters, the frame numbering and the transmitter's busy time
+// carry on from the moved state.
+func TestFastForwardRequeuesInFlight(t *testing.T) {
+	e := event.New()
+	w := trainedWire(e)
+	got := listen(e, w)
+	var at [3]event.Time
+	for i := range at {
+		at[i], _ = w.Send(scupkt.WireOf([]byte{byte(i), 0xAA}))
+	}
+	const d, skipped = 5 * event.Microsecond, 10
+	for i := 0; i < w.InFlight(); i++ {
+		w.InFlightFrame(i).Wire = scupkt.WireOf([]byte{byte(10 + i), 0xBB})
+	}
+	busy := w.BusyUntil()
+	w.FastForward(d, skipped, skipped*16)
+	if w.BusyUntil() != busy+d {
+		t.Fatalf("busy until %v, want %v", w.BusyUntil(), busy+d)
+	}
+	if err := e.RunAll(); err != nil {
+		t.Fatal(err)
+	}
+	if len(*got) != 3 {
+		t.Fatalf("%d deliveries, want 3: stale arrivals only move on", len(*got))
+	}
+	for i, a := range *got {
+		if a.at != at[i]+d || a.f.Seq != uint64(i+1+skipped) || a.f.Bytes()[0] != byte(10+i) {
+			t.Fatalf("delivery %d: at %v seq %d bytes %v, want at %v seq %d first byte %d",
+				i, a.at, a.f.Seq, a.f.Bytes(), at[i]+d, i+1+skipped, 10+i)
+		}
+	}
+	next, _ := w.Send(scupkt.WireOf([]byte{9, 9}))
+	if err := e.RunAll(); err != nil {
+		t.Fatal(err)
+	}
+	last := (*got)[len(*got)-1]
+	if last.f.Seq != 4+skipped || last.at != next {
+		t.Fatalf("next frame: seq %d at %v, want %d at %v", last.f.Seq, last.at, 4+skipped, next)
+	}
+	if s := w.Stats(); s.Frames != 4+skipped || s.Bits != (4+skipped)*16 {
+		t.Fatalf("stats %+v, want %d frames of 16 bits", s, 4+skipped)
 	}
 }

@@ -24,7 +24,7 @@ import (
 type Pool struct {
 	mu       sync.Mutex
 	storages []event.Storage
-	rings    [][]hssl.Frame
+	rings    [][]hssl.Flight
 	plans    map[planKey][]int
 	stats    PoolStats
 }
@@ -100,7 +100,7 @@ func (p *Pool) Reclaim(eng *event.Engine, m *Machine) {
 	if eng != nil {
 		st = eng.Release()
 	}
-	var rings [][]hssl.Frame
+	var rings [][]hssl.Flight
 	if m != nil {
 		for _, ws := range m.wires {
 			for _, w := range ws {
@@ -120,7 +120,7 @@ func (p *Pool) Reclaim(eng *event.Engine, m *Machine) {
 
 // ring hands out a recycled frame ring, or nil when the pool is empty
 // or nil.
-func (p *Pool) ring() []hssl.Frame {
+func (p *Pool) ring() []hssl.Flight {
 	if p == nil {
 		return nil
 	}

@@ -32,7 +32,7 @@ func buildAndRun(t *testing.T, p *Pool, shape geom.Shape) (*event.Engine, *Machi
 // are tracked through adopt → reclaim.
 func TestPoolRecyclesStorageAndRings(t *testing.T) {
 	p := NewPool()
-	p.rings = [][]hssl.Frame{make([]hssl.Frame, 8), make([]hssl.Frame, 4)}
+	p.rings = [][]hssl.Flight{make([]hssl.Flight, 8), make([]hssl.Flight, 4)}
 	shape := geom.MakeShape(2, 2)
 
 	eng, m := buildAndRun(t, p, shape)

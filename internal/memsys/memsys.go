@@ -114,6 +114,29 @@ func (m *NodeMemory) WriteWord(addr uint64, w uint64) {
 	p[addr/8%pageWords] = w
 }
 
+// ReadWords and WriteWords are ReadWord and WriteWord over consecutive
+// words, panics included, looking each page up once.
+func (m *NodeMemory) ReadWords(addr uint64, dst []uint64)  { m.words(addr, dst, false) }
+func (m *NodeMemory) WriteWords(addr uint64, src []uint64) { m.words(addr, src, true) }
+
+func (m *NodeMemory) words(addr uint64, w []uint64, write bool) {
+	for len(w) > 0 {
+		p, n := m.locate(addr), min(len(w), pageWords-int(addr/8%pageWords), int((m.limit-addr)/8))
+		switch {
+		case write && p == nil:
+			p = m.install(addr)
+			fallthrough
+		case write:
+			copy(p[addr/8%pageWords:], w[:n])
+		case p != nil:
+			copy(w[:n], p[addr/8%pageWords:])
+		default:
+			clear(w[:n])
+		}
+		addr, w = addr+8*uint64(n), w[n:]
+	}
+}
+
 // locate returns the page holding addr, nil if nothing has been written
 // to it, and panics on an address no word lives at. The EDRAM case is
 // small enough to inline.

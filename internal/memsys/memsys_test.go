@@ -241,3 +241,86 @@ func TestFitsEDRAM(t *testing.T) {
 		t.Fatal("8^4 Wilson working set should spill to DDR")
 	}
 }
+
+// TestBlockWordsMatchWordLoop holds ReadWords and WriteWords to the
+// per-word loops they replace: runs that cross page boundaries, the
+// EDRAM→DDR boundary and the end of a DDR that is not a whole number of
+// pages, on memories written word by word and block by block.
+func TestBlockWordsMatchWordLoop(t *testing.T) {
+	const ddr = 3*pageBytes + 512
+	starts := []uint64{0, 8 * (pageWords - 3), EDRAMBytes - 8*5, DDRBase, DDRBase + pageBytes - 16, DDRBase + ddr - 8*7}
+	rng := rand.New(rand.NewSource(7))
+	for _, start := range starts {
+		for _, n := range []int{1, 3, 7, pageWords + 9} {
+			if start+8*uint64(n) > DDRBase+ddr {
+				n = int((DDRBase + ddr - start) / 8)
+			}
+			blk, ref := NewNodeMemory(ddr), NewNodeMemory(ddr)
+			src := make([]uint64, n)
+			for i := range src {
+				src[i] = rng.Uint64()
+			}
+			blk.WriteWords(start, src)
+			for i, w := range src {
+				ref.WriteWord(start+8*uint64(i), w)
+			}
+			got, want := make([]uint64, n+4), make([]uint64, n+4)
+			from := start - min(start, 16) // read a little either side
+			if from+8*uint64(len(got)) > DDRBase+ddr {
+				got, want = got[:(DDRBase+ddr-from)/8], want[:(DDRBase+ddr-from)/8]
+			}
+			blk.ReadWords(from, got)
+			for i := range want {
+				want[i] = ref.ReadWord(from + 8*uint64(i))
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("start %#x n %d: word %d at %#x = %#x, want %#x", start, n, i, from+8*uint64(i), got[i], want[i])
+				}
+			}
+			if len(blk.ddr) != len(ref.ddr) {
+				t.Fatalf("start %#x n %d: block writes installed a different DDR table", start, n)
+			}
+			for i := range ref.edram {
+				if (blk.edram[i] == nil) != (ref.edram[i] == nil) {
+					t.Fatalf("start %#x n %d: EDRAM page %d installed differently", start, n, i)
+				}
+			}
+			for i := range ref.ddr {
+				if (blk.ddr[i] == nil) != (ref.ddr[i] == nil) {
+					t.Fatalf("start %#x n %d: DDR page %d installed differently", start, n, i)
+				}
+			}
+		}
+	}
+}
+
+func TestBlockReadOfUntouchedInstallsNothing(t *testing.T) {
+	m := NewNodeMemory(0)
+	dst := []uint64{1, 2, 3, 4}
+	m.ReadWords(pageBytes-16, dst)
+	m.ReadWords(DDRBase, dst[:2])
+	if dst[0]|dst[1]|dst[2]|dst[3] != 0 {
+		t.Fatalf("untouched memory read %v", dst)
+	}
+	for i, p := range m.edram {
+		if p != nil {
+			t.Fatalf("read installed EDRAM page %d", i)
+		}
+	}
+	if m.ddr != nil {
+		t.Fatal("read installed the DDR table")
+	}
+}
+
+func TestBlockWordsPanicLikeWordLoop(t *testing.T) {
+	m := NewNodeMemory(1 << 20)
+	mustPanic(t, "memsys: unaligned word access at 0x3", func() { m.ReadWords(3, make([]uint64, 2)) })
+	mustPanic(t, "memsys: unaligned word access at 0x400004", func() { m.WriteWords(DDRBase+4, []uint64{1}) })
+	mustPanic(t, "memsys: address 0x500000 beyond installed DDR (1048576 bytes)", func() { m.ReadWords(DDRBase+(1<<20), make([]uint64, 1)) })
+	end := DDRBase + (1 << 20) - 16
+	mustPanic(t, "memsys: address 0x500000 beyond installed DDR (1048576 bytes)", func() { m.WriteWords(end, []uint64{7, 8, 9}) })
+	if m.ReadWord(end) != 7 || m.ReadWord(end+8) != 8 {
+		t.Fatal("words before the out-of-range one were not written, as the word loop writes them")
+	}
+}

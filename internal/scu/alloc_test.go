@@ -16,8 +16,10 @@ import (
 // allocates on writes to fresh keys.)
 type flatMem struct{ words []uint64 }
 
-func (m *flatMem) ReadWord(a uint64) uint64     { return m.words[a/8] }
-func (m *flatMem) WriteWord(a uint64, w uint64) { m.words[a/8] = w }
+func (m *flatMem) ReadWord(a uint64) uint64          { return m.words[a/8] }
+func (m *flatMem) WriteWord(a uint64, w uint64)      { m.words[a/8] = w }
+func (m *flatMem) ReadWords(a uint64, dst []uint64)  { copy(dst, m.words[a/8:]) }
+func (m *flatMem) WriteWords(a uint64, src []uint64) { copy(m.words[a/8:], src) }
 
 const rigWords = 1 << 17
 
@@ -57,8 +59,10 @@ func stream(t *testing.T, pr *pair) {
 // ack-timer re-arm, DMA store — touches the heap zero times: frames are
 // values, the in-flight and resend registers are reusable rings, and the
 // pump/timer callbacks are pre-bound. The legs take the same measurement
-// off the clean path, where no solve goes unless a fault plan sends it:
-// parity errors, naks, rewinds and lost acks with the link histograms
+// off the clean path: the clean leg fast-forwards its quiet link (and
+// must move a word in under half an event), the per-frame leg keeps it
+// frame by frame with a hook that changes nothing, and the rest go where
+// no solve goes unless a fault plan sends it: parity errors, naks, rewinds and lost acks with the link histograms
 // recording; the flight recorder and its span marks; frames crossing a
 // shard boundary by value through the cluster mailboxes; and global-sum
 // words injected and passed through rather than fetched by DMA.
@@ -72,8 +76,15 @@ func TestSteadyStateWordPathAllocFree(t *testing.T) {
 		// (words received, always).
 		each  func(r *pair)
 		moved func(d Stats) bool
+		fast  bool // the link fast-forwards: under half an event per word
 	}{
-		{name: "clean", setup: stream},
+		{name: "clean", setup: stream, fast: true},
+		{name: "per-frame", setup: func(t *testing.T, r *pair) {
+			keep := func(*hssl.Frame) bool { return false }
+			r.ab.SetFault(keep)
+			r.ba.SetFault(keep)
+			stream(t, r)
+		}},
 		{name: "faults+hists", setup: func(t *testing.T, r *pair) {
 			r.ab.SetFault(hssl.FlipBitEvery(7))  // data frames: parity, nak, rewind
 			r.ba.SetFault(hssl.FlipBitEvery(11)) // ack frames: lost acks, timeouts
@@ -133,9 +144,9 @@ func TestSteadyStateWordPathAllocFree(t *testing.T) {
 				sa.Add(&sb)
 				return sa
 			}
-			before := totals()
+			before, events := totals(), r.eng.Executed()
 			avg := testing.AllocsPerRun(10, window)
-			after := totals()
+			after, events := totals(), r.eng.Executed()-events
 			var d Stats
 			for i := 0; i < NumStats(); i++ {
 				d.SetValue(i, after.Value(i)-before.Value(i))
@@ -145,6 +156,9 @@ func TestSteadyStateWordPathAllocFree(t *testing.T) {
 			}
 			if avg != 0 {
 				t.Errorf("word path allocates: %.2f allocs per %v window (%+v)", avg, span, d)
+			}
+			if perWord := float64(events) / float64(d.WordsReceived); leg.fast != (perWord < 0.5) {
+				t.Errorf("%d events for %d words (%.3f per word): fast-forward %v, want %v", events, d.WordsReceived, perWord, !leg.fast, leg.fast)
 			}
 		})
 	}

@@ -96,7 +96,7 @@ type linkUnit struct {
 	retraining    bool // outbound wire is re-training; transmissions suppressed
 	dead          bool // link declared permanently failed; see fail
 
-	// Receive side: a pure continuation — handleFrame runs directly in
+	// Receive side: a pure continuation — HandleFrame runs directly in
 	// each frame's arrival event.
 	expect     int
 	nakPending bool
@@ -108,6 +108,8 @@ type linkUnit struct {
 	idleBuf     [scupkt.SeqMod]uint64
 	idleBufHead int
 	idleBufLen  int
+	ff          *ffPair // fast-forward state shared with the far end; see ff.go
+	ffSide      uint8
 }
 
 // fifo is a head-indexed queue whose storage is reset, not freed, when
@@ -146,7 +148,7 @@ func (lu *linkUnit) start() {
 	lu.tx = txIdle
 	lu.ackTimer = lu.scu.eng.NewTimer(lu.ackTimeout)
 	lu.supTimer = lu.scu.eng.NewTimer(lu.supTimeout)
-	lu.in.OnFrame(lu.handleFrame)
+	lu.in.Attach(lu)
 	if lu.injects.len() > 0 {
 		lu.kick(txIdle) // drain anything injected before Start
 	}
@@ -246,6 +248,7 @@ func (lu *linkUnit) pump() {
 				lu.cur = lu.txPending.pop()
 				lu.curIdx = 0
 				lu.tx = txStartup
+				lu.ffArm()
 				startup := lu.scu.cfg.Clock.Cycles(txStartupCycles)
 				lu.scu.eng.AfterHandler(startup, lu, evStartup)
 				return
@@ -410,9 +413,12 @@ func (lu *linkUnit) fail() {
 
 // --- Receive engine ----------------------------------------------------
 
-// handleFrame is the receive engine: it runs in the arrival event of
-// every inbound frame, decoding the value frame in place.
-func (lu *linkUnit) handleFrame(f hssl.Frame) {
+// HandleFrame is the receive engine (an hssl.Receiver): it runs in each
+// inbound frame's arrival event, then lets the pair's fast-forward look.
+func (lu *linkUnit) HandleFrame(f hssl.Frame) {
+	if lu.ff != nil {
+		defer lu.ff.arrived(lu.ffSide, f)
+	}
 	pkt, _, err := f.Decode()
 	if err != nil {
 		lu.handleCorrupt(err)
@@ -553,13 +559,10 @@ func (lu *linkUnit) programRecv(t *Transfer) {
 	}
 }
 
+// containsSeq reports whether seq is in the unacked ring, which holds
+// consecutive sequence numbers from its head.
 func (lu *linkUnit) containsSeq(seq int) bool {
-	for i := 0; i < lu.unackedLen; i++ {
-		if lu.unacked[(lu.unackedHead+i)%scupkt.SeqMod].seq == seq {
-			return true
-		}
-	}
-	return false
+	return (seq-lu.unacked[lu.unackedHead].seq+scupkt.SeqMod)%scupkt.SeqMod < lu.unackedLen
 }
 
 func (lu *linkUnit) handleAck(flags uint8) {
@@ -585,7 +588,7 @@ func (lu *linkUnit) handleAck(flags uint8) {
 			lu.unackedHead = (lu.unackedHead + 1) % scupkt.SeqMod
 			lu.unackedLen--
 			if lu.hist != nil {
-				lu.hist.InFlight.Record(uint64(lu.scu.eng.Now() - pw.sentAt))
+				lu.hist.InFlight.Record(lu.ff.inFlight(lu.ffSide, uint64(lu.scu.eng.Now()-pw.sentAt)))
 			}
 			if pw.t != nil {
 				pw.t.progress(lu.scu.eng, lu.scu.eng.Now())

@@ -41,6 +41,8 @@ import (
 type Memory interface {
 	ReadWord(addr uint64) uint64
 	WriteWord(addr uint64, w uint64)
+	ReadWords(addr uint64, dst []uint64)
+	WriteWords(addr uint64, src []uint64)
 }
 
 // The SCU's start-up pipelines, in link clock cycles. Together with 72
@@ -229,6 +231,7 @@ type SCU struct {
 	globalIn [geom.NumLinks]int
 
 	started bool
+	ff      *ffEngine // shared with the SCUs its links pair with; see ff.go
 }
 
 // New creates an SCU for a node. mem is the node's local memory as seen

@@ -30,6 +30,18 @@ func (m *testMem) WriteWord(a uint64, w uint64) {
 	}
 }
 
+func (m *testMem) ReadWords(a uint64, dst []uint64) {
+	for i := range dst {
+		dst[i] = m.ReadWord(a + 8*uint64(i))
+	}
+}
+
+func (m *testMem) WriteWords(a uint64, src []uint64) {
+	for i, w := range src {
+		m.WriteWord(a+8*uint64(i), w)
+	}
+}
+
 // pair is a two-node harness: node A's (0,Fwd) link is wired to node B's
 // (0,Bwd) link. eng is A's engine and the one to run; B's differs from
 // it when the pair straddles two shards of a cluster.

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"qcdoc/internal/geom"
+	"qcdoc/internal/scupkt"
 )
 
 // TestLinkUnitsIdleAfterRun: after Start, and again once a 24-word
@@ -30,4 +31,29 @@ func TestLinkUnitsIdleAfterRun(t *testing.T) {
 		t.Fatal("transfers not complete")
 	}
 	check("after the transfer")
+}
+
+// TestContainsSeqWraps holds the one-distance window check to the scan
+// it replaced, for every ring head, fill and probed sequence number,
+// across the wrap at SeqMod.
+func TestContainsSeqWraps(t *testing.T) {
+	for head := 0; head < scupkt.SeqMod; head++ {
+		for first := 0; first < scupkt.SeqMod; first++ {
+			for n := 0; n < scupkt.SeqMod; n++ {
+				lu := &linkUnit{unackedHead: head, unackedLen: n}
+				for i := 0; i < n; i++ {
+					lu.unacked[(head+i)%scupkt.SeqMod].seq = (first + i) % scupkt.SeqMod
+				}
+				for seq := 0; seq < scupkt.SeqMod; seq++ {
+					want := false
+					for i := 0; i < n; i++ {
+						want = want || lu.unacked[(head+i)%scupkt.SeqMod].seq == seq
+					}
+					if got := lu.containsSeq(seq); got != want {
+						t.Fatalf("head %d first %d len %d: containsSeq(%d) = %v, want %v", head, first, n, seq, got, want)
+					}
+				}
+			}
+		}
+	}
 }
