@@ -22,14 +22,17 @@ import (
 	"qcdoc/internal/obs"
 )
 
-// cmdFleet runs a campaign: a sweep of (lattice × operator × fault
-// seed) where every run gets its own fully independent simulated
+// cmdFleet runs every job qcdoc runs: a sweep of (lattice × operator ×
+// fault seed) where every run gets its own fully independent simulated
 // machine and the campaign is scheduled over a bounded worker pool —
-// the fleet substrate of DESIGN.md §14. -storm layers the compound
-// second-order fault preset (checkpoint corruption, torn writes, false
-// death reports, faults during recovery) onto every run; runs that
-// exhaust the recovery ladder with a typed error are counted as
-// survived-by-design, not failures.
+// the fleet substrate of DESIGN.md §14. One lattice and one operator is
+// a single solve; -faultseeds runs the solve under the canonical chaos
+// scenario (DESIGN.md §12), printing each run's recovery narrative
+// unless -quiet. -storm layers the compound second-order fault preset
+// (checkpoint corruption, torn writes, false death reports, faults
+// during recovery) onto every run; runs that exhaust the recovery
+// ladder with a typed error are counted as survived-by-design, not
+// failures.
 //
 // -addr observes the campaign (telemetry on, a flight recorder on every
 // solve run) and serves /metrics, /trace and /fleet while it runs, and
@@ -80,14 +83,38 @@ func cmdFleet(args []string) {
 		*chaos = true
 	}
 	if *chaos {
-		// The canonical scenario (`qcdoc chaos`, `-soak` under -storm), so
-		// fleet digests equal standalone runs of the same seeds.
+		// A chaos run starts from the canonical scenario (its -soak
+		// compound under -storm) on the -machine shape; a flag given on
+		// the command line overrides the scenario's value, an unset one
+		// keeps it, so a bare -faultseeds run has the pinned digests.
 		c := core.CanonicalChaos(0)
 		if *storm {
 			c = c.Soak()
 		}
-		c.Shape, c.Mass = base.Machine, base.Mass
-		base = chaosSpec(c)
+		set := base
+		base = fleet.Spec{
+			Machine:         set.Machine,
+			Mass:            c.Mass,
+			Tol:             c.Tol,
+			MaxIter:         c.MaxIter,
+			Seed:            c.Seed,
+			Chaos:           true,
+			Faults:          c.Spec,
+			CheckpointEvery: c.CheckpointEvery,
+			MaxAttempts:     c.MaxAttempts,
+		}
+		fs.Visit(func(f *flag.Flag) {
+			switch f.Name {
+			case "mass":
+				base.Mass = set.Mass
+			case "tol":
+				base.Tol = set.Tol
+			case "maxiter":
+				base.MaxIter = set.MaxIter
+			case "seed":
+				base.Seed = set.Seed
+			}
+		})
 	}
 
 	var lattices []lattice.Shape4
@@ -123,7 +150,6 @@ func cmdFleet(args []string) {
 		go http.Serve(ln, srv.Handler())
 		fmt.Printf("fleet: serving http://%s (/metrics /trace /fleet)\n", ln.Addr())
 		cfg.Observe = true
-		cfg.TraceEvents = event.DefaultRecorderSize
 		cfg.OnResult = newProgress(specs, srv).record
 	}
 	start := time.Now()

@@ -14,7 +14,6 @@ import (
 	"qcdoc/internal/geom"
 	"qcdoc/internal/machine"
 	"qcdoc/internal/node"
-	"qcdoc/internal/qdaemon"
 	"qcdoc/internal/qmp"
 )
 
@@ -30,7 +29,7 @@ func main() {
 		shape, m.NumNodes(), shape.Dims())
 
 	for dims := 1; dims <= 4; dims++ {
-		fold, err := qdaemon.FoldToDims(shape, dims)
+		fold, err := geom.FoldToDims(shape, dims)
 		if err != nil {
 			log.Fatal(err)
 		}

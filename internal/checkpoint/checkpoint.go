@@ -300,9 +300,9 @@ func ReadFermion(r io.Reader) (*lattice.FermionField, error) {
 
 // WriteSolverState serializes an in-flight solve: the solution iterate
 // x and the iteration count at which it was taken. The periodic
-// checkpoints of a recovery-enabled CG solve (solver.CGNECheckpointed)
-// are written in this format to host storage, and the chaos/recovery
-// flow restores the newest complete one after a node death.
+// checkpoints of a recovery-enabled CG solve (solver.CGNE) are written
+// in this format to host storage, and the chaos/recovery flow restores
+// the newest complete one after a node death.
 func WriteSolverState(w io.Writer, x *lattice.FermionField, iteration uint32) error {
 	cw := &crcWriter{w: w}
 	if err := writeHeader(cw, KindSolver, x.L, iteration); err != nil {

@@ -106,7 +106,7 @@ func (c ChaosConfig) withDefaults() ChaosConfig {
 // plan kills a node mid-solve, drops and duplicates management packets
 // during boot, and corrupts one link in a burst. Everything — victim,
 // picosecond, detection, restart — derives from faultSeed; heartbeat and
-// watchdog policy are the qdaemon's constants. `qcdoc chaos`, `qcdoc fleet -chaos`,
+// watchdog policy are the qdaemon's constants. `qcdoc fleet -faultseeds`,
 // experiment E16 and the tests all start from this one value, which is
 // what makes their digests comparable.
 func CanonicalChaos(faultSeed uint64) ChaosConfig {

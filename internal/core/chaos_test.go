@@ -25,10 +25,11 @@ const (
 	chaosExhaustSeed = 16
 )
 
-// The outcome digests of the pinned chaos runs, as `qcdoc chaos` prints
-// them. A digest folds in every detection time, rung time and attempt
-// end time, so it moves if any heartbeat, watchdog, RPC retry or
-// recovery-ladder timing moves.
+// The outcome digests of the pinned chaos runs, as `qcdoc fleet
+// -machine 2,2,2 -faultseeds N` (-storm for soak) prints them; the
+// partition run has no command line. A digest folds in every detection
+// time, rung time and attempt end time, so it moves if any heartbeat,
+// watchdog, RPC retry or recovery-ladder timing moves.
 const (
 	chaosNodeDeathDigest   = 0xbe631344be792224 // canonical, fault seed 16
 	chaosSoakDigest        = 0xdc80a5c048e80e14 // soak, fault seed 1

@@ -29,7 +29,7 @@ func TestFoldTo4D(t *testing.T) {
 		{geom.MakeShape(1), lattice.Shape4{1, 1, 1, 1}},
 	}
 	for _, c := range cases {
-		f, err := FoldTo4D(c.shape)
+		f, err := geom.FoldToDims(c.shape, 4)
 		if err != nil {
 			t.Fatalf("%v: %v", c.shape, err)
 		}

@@ -10,8 +10,6 @@
 package core
 
 import (
-	"fmt"
-
 	"qcdoc/internal/geom"
 	"qcdoc/internal/lattice"
 )
@@ -28,7 +26,7 @@ type Layout struct {
 // dimensional partitions of the machine in software") and divides the
 // global lattice over the logical grid.
 func NewLayout(machineShape geom.Shape, global lattice.Shape4) (Layout, error) {
-	fold, err := FoldTo4D(machineShape)
+	fold, err := geom.FoldToDims(machineShape, 4)
 	if err != nil {
 		return Layout{}, err
 	}
@@ -39,63 +37,6 @@ func NewLayout(machineShape geom.Shape, global lattice.Shape4) (Layout, error) {
 		return Layout{}, err
 	}
 	return Layout{Fold: fold, Dec: dec}, nil
-}
-
-// FoldTo4D builds a 4-D fold of a machine shape: the four largest
-// dimensions become axes and the remaining dimensions (extent > 1) are
-// folded into the first axes, fastest first.
-func FoldTo4D(machineShape geom.Shape) (*geom.Fold, error) {
-	// Collect dims with extent > 1, sorted by extent descending (stable
-	// by index).
-	type de struct{ dim, ext int }
-	var ds []de
-	for d := 0; d < geom.MaxDim; d++ {
-		if machineShape[d] > 1 {
-			ds = append(ds, de{d, machineShape[d]})
-		}
-	}
-	for i := 0; i < len(ds); i++ {
-		for j := i + 1; j < len(ds); j++ {
-			if ds[j].ext > ds[i].ext {
-				ds[i], ds[j] = ds[j], ds[i]
-			}
-		}
-	}
-	if len(ds) == 0 {
-		// Single-node machine: trivial 4-D grid 1x1x1x1.
-		return geom.NewFold(machineShape, [][]int{{0}, {1}, {2}, {3}})
-	}
-	axes := make([][]int, 0, 4)
-	for i := 0; i < len(ds) && i < 4; i++ {
-		axes = append(axes, []int{ds[i].dim})
-	}
-	// Extra dims fold into axes round-robin; the extra dim is FASTER (it
-	// comes first in the axis's dim list? The serpentine closure needs
-	// the slowest dim even; extents here are machine extents (usually
-	// powers of two). Put the extra dim first (fastest) to keep the
-	// original axis dim slowest.
-	for i := 4; i < len(ds); i++ {
-		a := (i - 4) % len(axes)
-		axes[a] = append([]int{ds[i].dim}, axes[a]...)
-	}
-	// Pad with unused extent-1 machine dims if the machine has fewer
-	// than four used dimensions.
-	used := map[int]bool{}
-	for _, dims := range axes {
-		for _, d := range dims {
-			used[d] = true
-		}
-	}
-	for d := 0; d < geom.MaxDim && len(axes) < 4; d++ {
-		if !used[d] && machineShape[d] == 1 {
-			axes = append(axes, []int{d})
-			used[d] = true
-		}
-	}
-	if len(axes) != 4 {
-		return nil, fmt.Errorf("core: cannot form a 4-D fold of %v", machineShape)
-	}
-	return geom.NewFold(machineShape, axes)
 }
 
 // GridCoord extracts the 4-D grid coordinate of a logical coordinate.

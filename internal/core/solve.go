@@ -170,7 +170,7 @@ func rankProgram[F solver.Field[F]](lay Layout, pr problem[F], nodes int) (func(
 			if pr.checkpointer != nil {
 				ck = pr.checkpointer(ctx, rank)
 			}
-			res, err := solver.CGNECheckpointed(sp, op.Apply, op.ApplyDag, x, b, pr.tol, pr.maxIter, ck)
+			res, err := solver.CGNE(sp, op.Apply, op.ApplyDag, x, b, pr.tol, pr.maxIter, ck)
 			out.errs[rank] = err
 			pr.gather(out.solution, dec, gc, x)
 			if rank == 0 {

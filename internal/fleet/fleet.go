@@ -88,13 +88,13 @@ type Result struct {
 	// Metrics is the distributed solve's own account (solve runs only).
 	Metrics core.SolveMetrics
 
-	// Observability sidecar, populated only under Config.Observe /
-	// Config.TraceEvents and never folded into Digest (the digest must
-	// be invariant under observation — DESIGN.md §10). Hists carries the
-	// run's machine-wide latency distributions; Snap the full telemetry
-	// snapshot (solve runs only — chaos attempts tear their machines
-	// down, so only their merged histograms survive); Trace the run's
-	// flight recorder, pid-namespaced by spec index for merged export.
+	// Observability sidecar, populated only under Config.Observe and
+	// never folded into Digest (the digest must be invariant under
+	// observation — DESIGN.md §10). Hists carries the run's machine-wide
+	// latency distributions; Snap the full telemetry snapshot (solve
+	// runs only — chaos attempts tear their machines down, so only their
+	// merged histograms survive); Trace the run's flight recorder,
+	// pid-namespaced by spec index for merged export.
 	Hists map[string]telemetry.HistogramSnapshot
 	Snap  telemetry.Snapshot
 	Trace *event.Recorder
@@ -109,7 +109,11 @@ func (r Result) String() string {
 	if r.Attempts > 1 {
 		s += fmt.Sprintf(" (%d attempts)", r.Attempts)
 	}
-	return s + fmt.Sprintf("  residual %.2g  sim %v  digest %#x", r.RelResidual, r.SimTime, r.Digest)
+	s += fmt.Sprintf("  residual %.2g  sim %v", r.RelResidual, r.SimTime)
+	if r.Metrics.Efficiency > 0 {
+		s += fmt.Sprintf("  %.1f%% of peak", 100*r.Metrics.Efficiency)
+	}
+	return s + fmt.Sprintf("  digest %#x", r.Digest)
 }
 
 // Config parameterizes a campaign.
@@ -128,15 +132,14 @@ type Config struct {
 	Log io.Writer
 
 	// Observe enables the full telemetry layer on every run's machine
-	// and collects per-run histogram snapshots into Result.Hists.
-	// Per-run digests are invariant under Observe.
+	// and collects per-run histogram snapshots into Result.Hists. It
+	// also attaches an event.DefaultRecorderSize flight recorder to each
+	// solve run's engine (pid = spec index), collected into
+	// Result.Trace; a panic in a traced run dumps the recorder's last 64
+	// events to stderr before it propagates. Chaos runs get no recorder
+	// (their machines are rebuilt per attempt). Per-run digests are
+	// invariant under Observe.
 	Observe bool
-	// TraceEvents, when positive, attaches a flight recorder of that
-	// per-shard capacity to each solve run's engine (pid = spec index),
-	// collected into Result.Trace; a panic in a traced run dumps the
-	// recorder's last 64 events to stderr before it propagates. Chaos
-	// runs ignore it (their machines are rebuilt per attempt).
-	TraceEvents int
 	// OnResult, when set, observes each completed run as it finishes —
 	// the live-campaign feed behind `qcdoc fleet -addr`'s /fleet
 	// endpoint. It is called from campaign worker goroutines (completion
@@ -306,9 +309,7 @@ func runSolve(s Spec, cfg Config, i int) Result {
 	defer sess.Close()
 	if cfg.Observe {
 		sess.M.EnableTelemetry()
-	}
-	if cfg.TraceEvents > 0 {
-		rec := event.NewRecorder(cfg.TraceEvents)
+		rec := event.NewRecorder(event.DefaultRecorderSize)
 		rec.SetMachineID(i)
 		sess.Eng.SetRecorder(rec)
 		res.Trace = rec

@@ -33,8 +33,9 @@ func solveBase() fleet.Spec {
 	}
 }
 
-// chaosBase mirrors `qcdoc chaos -machine 2,2` so fleet digests are
-// comparable to standalone CLI runs of the same seeds.
+// chaosBase mirrors `qcdoc fleet -machine 2,2 -faultseeds ...` (the
+// canonical chaos scenario on four nodes) so fleet digests are
+// comparable to CLI runs of the same seeds.
 func chaosBase() fleet.Spec {
 	return fleet.Spec{
 		Machine:         geom.MakeShape(2, 2),
@@ -91,7 +92,7 @@ func TestFleetSolveSerialVsConcurrent(t *testing.T) {
 	conc := fleet.Run(fleet.Config{Workers: 8, Pool: machine.NewPool()}, specs)
 	requireSameDigests(t, serial, conc)
 
-	// A one-spec campaign is `qcdoc solve`: its Metrics must be exactly
+	// A one-spec campaign is a single solve: its Metrics must be exactly
 	// what the same solve reports when driven on a Session directly.
 	for _, op := range []fermion.OpKind{fermion.WilsonKind, fermion.CloverKind, fermion.AsqtadKind, fermion.DWFKind} {
 		s := solveBase()
@@ -266,7 +267,7 @@ func TestFleet32MachinesLifecycleHygiene(t *testing.T) {
 	// The concurrent leg runs fully observed (telemetry + per-run flight
 	// recorders): the digests must still match the dark serial leg, and
 	// teardown must reclaim everything — including registry sources.
-	conc := fleet.Run(fleet.Config{Workers: 8, Pool: pool, Observe: true, TraceEvents: 256}, specs)
+	conc := fleet.Run(fleet.Config{Workers: 8, Pool: pool, Observe: true}, specs)
 	requireSameDigests(t, serial, conc)
 	for i := range conc {
 		if len(conc[i].Hists) == 0 || conc[i].Trace == nil {
@@ -318,7 +319,7 @@ func TestFleetObserveZeroPerturbation(t *testing.T) {
 	seen := 0
 	observed := fleet.Run(fleet.Config{
 		Workers: 2, Pool: machine.NewPool(),
-		Observe: true, TraceEvents: 512,
+		Observe:  true,
 		OnResult: func(i int, r fleet.Result) { seen++ },
 	}, specs)
 	requireSameDigests(t, dark, observed)
@@ -331,7 +332,7 @@ func TestFleetObserveZeroPerturbation(t *testing.T) {
 	// run's snapshot byte for byte as the first did. Nothing is left out.
 	again := fleet.Run(fleet.Config{
 		Workers: 3, Pool: machine.NewPool(),
-		Observe: true, TraceEvents: 512,
+		Observe: true,
 	}, specs)
 	requireSameDigests(t, observed, again)
 	format := func(r fleet.Result) string {
@@ -406,7 +407,7 @@ func TestFleetMergedTraceByteStable(t *testing.T) {
 		nil, nil)
 	export := func() string {
 		rs := fleet.Run(fleet.Config{
-			Workers: 2, Pool: machine.NewPool(), Observe: true, TraceEvents: 1024,
+			Workers: 2, Pool: machine.NewPool(), Observe: true,
 		}, specs)
 		var recs []*event.Recorder
 		for _, r := range rs {

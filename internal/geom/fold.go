@@ -87,6 +87,52 @@ func IdentityFold(machine Shape) *Fold {
 	return f
 }
 
+// FoldToDims folds a machine shape to a logical torus of dims axes
+// (1..6): the largest machine dimensions become axes and the rest fold in
+// round-robin, fastest first, so each axis's own dimension stays its
+// slowest. A machine using fewer dimensions than dims is padded with its
+// extent-1 dimensions (a single node folds to 1x1x...).
+func FoldToDims(machine Shape, dims int) (*Fold, error) {
+	if dims < 1 || dims > MaxDim {
+		return nil, fmt.Errorf("geom: dimensionality %d out of range 1..%d", dims, MaxDim)
+	}
+	// Dimensions with extent > 1, largest first.
+	type de struct{ dim, ext int }
+	var ds []de
+	for d := 0; d < MaxDim; d++ {
+		if machine[d] > 1 {
+			ds = append(ds, de{d, machine[d]})
+		}
+	}
+	for i := 0; i < len(ds); i++ {
+		for j := i + 1; j < len(ds); j++ {
+			if ds[j].ext > ds[i].ext {
+				ds[i], ds[j] = ds[j], ds[i]
+			}
+		}
+	}
+	axes := make([][]int, 0, dims)
+	var used [MaxDim]bool
+	for i, e := range ds {
+		if i < dims {
+			axes = append(axes, []int{e.dim})
+		} else {
+			a := (i - dims) % len(axes)
+			axes[a] = append([]int{e.dim}, axes[a]...)
+		}
+		used[e.dim] = true
+	}
+	for d := 0; d < MaxDim && len(axes) < dims; d++ {
+		if !used[d] && machine[d] == 1 {
+			axes = append(axes, []int{d})
+		}
+	}
+	if len(axes) != dims {
+		return nil, fmt.Errorf("geom: cannot fold %v to %d dimensions", machine, dims)
+	}
+	return NewFold(machine, axes)
+}
+
 // Logical returns the shape of the folded (logical) torus.
 func (f *Fold) Logical() Shape { return f.logical }
 

@@ -302,7 +302,7 @@ func (d *Daemon) LoadProgram(name string, factory func(rank int) node.Program) {
 // The current implementation remaps the whole machine; the new fold is
 // what subsequent jobs see.
 func (d *Daemon) Remap(dims int) error {
-	f, err := FoldToDims(d.M.Cfg.Shape, dims)
+	f, err := geom.FoldToDims(d.M.Cfg.Shape, dims)
 	if err != nil {
 		return err
 	}
@@ -312,55 +312,6 @@ func (d *Daemon) Remap(dims int) error {
 
 // Fold returns the current partition fold.
 func (d *Daemon) Fold() *geom.Fold { return d.fold }
-
-// FoldToDims folds a machine shape to the requested logical
-// dimensionality: the largest dimensions become axes and the rest fold
-// in round-robin, fastest-first.
-func FoldToDims(shape geom.Shape, dims int) (*geom.Fold, error) {
-	if dims < 1 || dims > geom.MaxDim {
-		return nil, fmt.Errorf("qdaemon: dimensionality %d out of range 1..6", dims)
-	}
-	type de struct{ dim, ext int }
-	var ds []de
-	for dd := 0; dd < geom.MaxDim; dd++ {
-		if shape[dd] > 1 {
-			ds = append(ds, de{dd, shape[dd]})
-		}
-	}
-	for i := 0; i < len(ds); i++ {
-		for j := i + 1; j < len(ds); j++ {
-			if ds[j].ext > ds[i].ext {
-				ds[i], ds[j] = ds[j], ds[i]
-			}
-		}
-	}
-	var axes [][]int
-	for i := 0; i < len(ds) && i < dims; i++ {
-		axes = append(axes, []int{ds[i].dim})
-	}
-	for i := dims; i < len(ds); i++ {
-		a := (i - dims) % len(axes)
-		axes[a] = append([]int{ds[i].dim}, axes[a]...)
-	}
-	// Pad with extent-1 machine dims when the machine uses fewer
-	// dimensions than requested.
-	used := map[int]bool{}
-	for _, dl := range axes {
-		for _, dd := range dl {
-			used[dd] = true
-		}
-	}
-	for dd := 0; dd < geom.MaxDim && len(axes) < dims; dd++ {
-		if !used[dd] && shape[dd] == 1 {
-			axes = append(axes, []int{dd})
-			used[dd] = true
-		}
-	}
-	if len(axes) != dims {
-		return nil, fmt.Errorf("qdaemon: cannot fold %v to %d dimensions", shape, dims)
-	}
-	return geom.NewFold(shape, axes)
-}
 
 // Run launches a loaded program on every non-isolated node and blocks
 // until all of them report completion, returning the per-node hardware

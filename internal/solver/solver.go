@@ -83,16 +83,11 @@ func (c Checkpoint[T]) due(iter int) bool {
 // CGNE solves D x = b by conjugate gradient on the normal equations
 // D†D x = D†b, starting from the contents of x. It stops when the
 // normal-equation residual satisfies |r| <= tol*|D†b|, then reports the
-// true relative residual.
-func CGNE[T any](sp Space[T], applyD, applyDdag Op[T], x, b T, tol float64, maxIter int) (Result, error) {
-	return CGNECheckpointed(sp, applyD, applyDdag, x, b, tol, maxIter, Checkpoint[T]{})
-}
-
-// CGNECheckpointed is CGNE with periodic solution-state capture; see
-// Checkpoint. The checkpoint hook runs after an iteration's updates are
-// complete, so a saved x is exactly the iterate the next iteration
-// starts from.
-func CGNECheckpointed[T any](sp Space[T], applyD, applyDdag Op[T], x, b T, tol float64, maxIter int, ck Checkpoint[T]) (Result, error) {
+// true relative residual. ck captures the iterate periodically (see
+// Checkpoint; pass the zero value for none); its hook runs after an
+// iteration's updates are complete, so a saved x is exactly the iterate
+// the next iteration starts from.
+func CGNE[T any](sp Space[T], applyD, applyDdag Op[T], x, b T, tol float64, maxIter int, ck Checkpoint[T]) (Result, error) {
 	res := Result{}
 	// bp = D† b.
 	bp := sp.New()
@@ -159,59 +154,6 @@ func CGNECheckpointed[T any](sp Space[T], applyD, applyDdag Op[T], x, b T, tol f
 	if bNorm > 0 {
 		res.RelResidual = math.Sqrt(sp.Norm2(tmp)) / bNorm
 	}
-	if !res.Converged {
-		return res, fmt.Errorf("%w after %d iterations (|r|/|b| = %.3g)",
-			ErrMaxIterations, res.Iterations, res.RelResidual)
-	}
-	return res, nil
-}
-
-// CG solves A x = b for a Hermitian positive definite operator A,
-// starting from the contents of x.
-func CG[T any](sp Space[T], applyA Op[T], x, b T, tol float64, maxIter int) (Result, error) {
-	res := Result{}
-	bNorm := math.Sqrt(sp.Norm2(b))
-	if bNorm == 0 {
-		sp.Scale(x, 0)
-		res.Converged = true
-		return res, nil
-	}
-	r := sp.New()
-	applyA(r, x)
-	res.Applications++
-	sp.Scale(r, -1)
-	sp.AXPY(r, 1, b)
-	p := sp.New()
-	sp.Copy(p, r)
-	rr := sp.Norm2(r)
-	target := (tol * bNorm) * (tol * bNorm)
-	ap := sp.New()
-	for iter := 0; iter < maxIter; iter++ {
-		if rr <= target {
-			res.Converged = true
-			break
-		}
-		applyA(ap, p)
-		res.Applications++
-		pap := real(sp.Dot(p, ap))
-		if pap <= 0 {
-			return res, fmt.Errorf("solver: operator not positive definite (p†Ap = %g)", pap)
-		}
-		alpha := rr / pap
-		sp.AXPY(x, complex(alpha, 0), p)
-		sp.AXPY(r, complex(-alpha, 0), ap)
-		rrNew := sp.Norm2(r)
-		beta := rrNew / rr
-		sp.Scale(p, complex(beta, 0))
-		sp.AXPY(p, 1, r)
-		rr = rrNew
-		res.Iterations = iter + 1
-		sp.noteIteration()
-	}
-	if rr <= target {
-		res.Converged = true
-	}
-	res.RelResidual = math.Sqrt(rr) / bNorm
 	if !res.Converged {
 		return res, fmt.Errorf("%w after %d iterations (|r|/|b| = %.3g)",
 			ErrMaxIterations, res.Iterations, res.RelResidual)

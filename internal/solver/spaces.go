@@ -36,17 +36,17 @@ func SpaceOf[T Field[T]](newField func() T) Space[T] {
 // SolveDirac runs CGNE for a Dirac operator.
 func SolveDirac(op fermion.DiracOperator, x, b *lattice.FermionField, tol float64, maxIter int) (Result, error) {
 	sp := SpaceOf(func() *lattice.FermionField { return lattice.NewFermionField(op.Lattice()) })
-	return CGNE(sp, op.Apply, op.ApplyDag, x, b, tol, maxIter)
+	return CGNE(sp, op.Apply, op.ApplyDag, x, b, tol, maxIter, Checkpoint[*lattice.FermionField]{})
 }
 
 // SolveStaggered runs CGNE for a staggered operator.
 func SolveStaggered(op fermion.StaggeredOperator, x, b *lattice.ColorField, tol float64, maxIter int) (Result, error) {
 	sp := SpaceOf(func() *lattice.ColorField { return lattice.NewColorField(op.Lattice()) })
-	return CGNE(sp, op.Apply, op.ApplyDag, x, b, tol, maxIter)
+	return CGNE(sp, op.Apply, op.ApplyDag, x, b, tol, maxIter, Checkpoint[*lattice.ColorField]{})
 }
 
 // SolveDWF runs CGNE for the domain-wall operator.
 func SolveDWF(op *fermion.DWF, x, b *fermion.Field5, tol float64, maxIter int) (Result, error) {
 	sp := SpaceOf(func() *fermion.Field5 { return fermion.NewField5(op.Lattice(), op.Ls) })
-	return CGNE(sp, op.Apply, op.ApplyDag, x, b, tol, maxIter)
+	return CGNE(sp, op.Apply, op.ApplyDag, x, b, tol, maxIter, Checkpoint[*fermion.Field5]{})
 }
