@@ -8,32 +8,7 @@ GO ?= go
 # keep the gate fast. `make fuzz FUZZTIME=5m` for a real soak.
 FUZZTIME ?= 3s
 
-# The pinned benchmark set tracked across allocation-path changes:
-# engine dispatch (both tiers, and `backlog`: the solve's event pattern,
-# 128 sources each re-arming a 50 us timer on every 144 ns step), one
-# machine-wide reduction, the full functional Wilson solve, and the host
-# kernels under it (reference Wilson / clover / domain-wall application
-# in host-Mflops and ns/site, serial and with the site loops forked over
-# a team, and a reference CGNE solve). `make bench`
-# runs it with -benchmem so per-op allocation counts are part of the
-# record, and writes the parsed results to BENCH_frames.json (one JSON
-# entry per -count run).
-BENCH_SET = ^(BenchmarkEngineDispatch|BenchmarkGlobalSumMachine|BenchmarkTelemetryOverhead|BenchmarkE1FunctionalWilson|BenchmarkWilsonDslash|BenchmarkCloverApply|BenchmarkDWFApply|BenchmarkForkedKernels|BenchmarkCGNEWilsonSolve)$$
-
-# The parallel-engine benchmark set: the functional Wilson solve and the
-# rack-scale halo-exchange loop, each at workers=1/4/8 on the sharded
-# engine. Pinned separately in BENCH_parallel.json because the numbers
-# only mean "speedup" on a multi-core host — on one core they measure
-# the window-barrier overhead instead (README "Parallel engine").
-BENCH_PARALLEL_SET = ^(BenchmarkE1FunctionalWilsonParallel|BenchmarkE11RackScale)$$
-
-# The observability benchmark set (DESIGN.md §10): the zero-alloc
-# histogram record, the telemetry on/off word-path comparison (link
-# histograms enabled), and the full /metrics scrape path. Pinned in
-# BENCH_obs.json.
-BENCH_OBS_SET = ^(BenchmarkHistogramRecord|BenchmarkTelemetryOverhead|BenchmarkMetricsScrape)$$
-
-.PHONY: check vet fuzz build test race bench bench-smoke bench-micro-smoke benchall tables chaos fleet obs loc
+.PHONY: check vet fuzz build test race bench bench-smoke bench-micro-smoke tables chaos fleet obs loc
 
 check: vet build race fuzz
 
@@ -74,31 +49,27 @@ test:
 race:
 	$(GO) test -race ./...
 
+# The repo's benchmark and its one record (bench/README.md, declared in
+# BENCHMARK.json): the five workloads at the default seed, result files
+# in bench/out/. `bash bench/run.sh -workload NAME` is one run the way
+# the regression gate makes it.
 bench:
-	$(GO) test -run '^$$' -bench '$(BENCH_SET)' -benchmem -count=5 . \
-		| $(GO) run ./cmd/benchjson -meta suite=frames -o BENCH_frames.json
-	$(GO) test -run '^$$' -bench '$(BENCH_PARALLEL_SET)' -benchmem -benchtime 3x -count=3 . \
-		| $(GO) run ./cmd/benchjson -meta suite=parallel -o BENCH_parallel.json
-	$(GO) test -run '^$$' -bench '$(BENCH_OBS_SET)' -benchmem -count=5 . \
-		| $(GO) run ./cmd/benchjson -meta suite=obs -o BENCH_obs.json
+	bash bench/run.sh
 
-benchall:
-	$(GO) test -bench=. -benchmem ./...
-
-# The repo's benchmark (bench/README.md) is its own module, so the root
-# `go build ./...` and `go test ./...` never compile it: vet it, run its
-# tests, and smoke all five workloads at tiny sizes, so an API slip in a
-# package it imports shows here rather than in the benchmark run.
+# bench/ is its own module, so the root `go build ./...` and `go test
+# ./...` never compile it: vet it, run its tests, and smoke all five
+# workloads at tiny sizes, so an API slip in a package it imports shows
+# here rather than in the benchmark run.
 bench-smoke:
 	$(GO) -C bench vet ./...
 	$(GO) -C bench test ./...
 	$(GO) -C bench run . -smoke
 
-# One iteration of each pinned microbenchmark ($(BENCH_SET)), so the
-# code the BENCH_frames.json records time runs on every push, not only
-# when `make bench` re-records them.
+# One iteration of each root microbenchmark (bench_test.go: engine
+# dispatch, the kernels serial and forked), so a change that breaks one
+# fails on every push.
 bench-micro-smoke:
-	$(GO) test -run '^$$' -bench '$(BENCH_SET)' -benchtime 1x .
+	$(GO) test -run '^$$' -bench . -benchtime 1x .
 
 tables:
 	$(GO) run ./cmd/benchtables
@@ -106,7 +77,7 @@ tables:
 # Lines of Go by ROADMAP's rule — the number the "least code" north star
 # tracks, and its budget: more non-test Go than LOC_BUDGET fails. bench/
 # is its own module and counted apart.
-LOC_BUDGET = 18833
+LOC_BUDGET = 18555
 NONTEST_LOC = find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' | xargs cat | wc -l
 loc:
 	@printf 'non-test Go: %s lines (budget $(LOC_BUDGET))\n' "$$($(NONTEST_LOC))"

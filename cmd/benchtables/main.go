@@ -7,20 +7,12 @@
 //	benchtables             # model-level experiments (fast)
 //	benchtables -functional # also run the packet-level machine simulations
 //	benchtables -e E1,E4    # only the named experiments
-//	benchtables -bench BENCH_obs.json  # render pinned benchjson records
-//
-// With -bench, each benchjson file renders as a table: ns/op and the
-// allocation columns first, then any percentile metrics (p50/p95/p99,
-// as reported by the observability benchmarks) in rank order, then the
-// remaining custom metrics sorted by name.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
-	"sort"
 	"strings"
 
 	"qcdoc/internal/experiments"
@@ -29,18 +21,7 @@ import (
 func main() {
 	functional := flag.Bool("functional", false, "run the packet-level machine simulations too (slower)")
 	only := flag.String("e", "", "comma-separated experiment ids (e.g. E1,E4f); default all")
-	benchFiles := flag.String("bench", "", "comma-separated benchjson files (BENCH_*.json) to render as tables")
 	flag.Parse()
-
-	if *benchFiles != "" {
-		for _, path := range strings.Split(*benchFiles, ",") {
-			if err := renderBenchFile(strings.TrimSpace(path)); err != nil {
-				fmt.Fprintf(os.Stderr, "benchtables: %v\n", err)
-				os.Exit(1)
-			}
-		}
-		return
-	}
 
 	want := map[string]bool{}
 	for _, id := range strings.Split(*only, ",") {
@@ -88,87 +69,6 @@ func main() {
 	for _, t := range tables {
 		fmt.Println(t.Format())
 	}
-}
-
-// benchRecord mirrors cmd/benchjson's output shape (the two commands
-// stay decoupled — this is the read side of that file format).
-type benchRecord struct {
-	Meta struct {
-		GOMAXPROCS int               `json:"gomaxprocs"`
-		NumCPU     int               `json:"numcpu"`
-		Extra      map[string]string `json:"extra,omitempty"`
-	} `json:"meta"`
-	Results []struct {
-		Name    string             `json:"name"`
-		Runs    int64              `json:"runs"`
-		Metrics map[string]float64 `json:"metrics"`
-	} `json:"results"`
-}
-
-// leadCols are the metric columns every benchmark table leads with,
-// in order; percentileCols follow, then everything else sorted.
-var leadCols = []string{"ns/op", "B/op", "allocs/op"}
-var percentileCols = []string{"p50", "p95", "p99"}
-
-// renderBenchFile prints one benchjson record as an aligned table.
-func renderBenchFile(path string) error {
-	blob, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	var rec benchRecord
-	if err := json.Unmarshal(blob, &rec); err != nil {
-		return fmt.Errorf("%s: %v", path, err)
-	}
-
-	// Column set: lead columns and percentiles in fixed rank order when
-	// any result reports them, then the leftover metrics sorted by name.
-	present := map[string]bool{}
-	for _, r := range rec.Results {
-		for m := range r.Metrics {
-			present[m] = true
-		}
-	}
-	fixed := map[string]bool{}
-	var cols []string
-	for _, c := range append(append([]string{}, leadCols...), percentileCols...) {
-		if present[c] {
-			cols = append(cols, c)
-			fixed[c] = true
-		}
-	}
-	var rest []string
-	for m := range present {
-		if !fixed[m] {
-			rest = append(rest, m)
-		}
-	}
-	sort.Strings(rest)
-	cols = append(cols, rest...)
-
-	fmt.Printf("%s (gomaxprocs %d, numcpu %d", path, rec.Meta.GOMAXPROCS, rec.Meta.NumCPU)
-	if suite := rec.Meta.Extra["suite"]; suite != "" {
-		fmt.Printf(", suite %s", suite)
-	}
-	fmt.Println(")")
-	fmt.Printf("  %-44s %10s", "benchmark", "runs")
-	for _, c := range cols {
-		fmt.Printf(" %14s", c)
-	}
-	fmt.Println()
-	for _, r := range rec.Results {
-		fmt.Printf("  %-44s %10d", r.Name, r.Runs)
-		for _, c := range cols {
-			if v, ok := r.Metrics[c]; ok {
-				fmt.Printf(" %14.6g", v)
-			} else {
-				fmt.Printf(" %14s", "-")
-			}
-		}
-		fmt.Println()
-	}
-	fmt.Println()
-	return nil
 }
 
 // anyFunctionalSelected reports whether -e names a functional experiment.

@@ -60,7 +60,7 @@ func cmdFleet(args []string) {
 	fs.Parse(args)
 
 	base := fleet.Spec{
-		Machine: parseMachine(fs, *mshape),
+		Machine: parseShape(fs, "machine", *mshape, 0),
 		Mass:    *mass,
 		Tol:     *tol,
 		MaxIter: *maxIter,
@@ -119,7 +119,7 @@ func cmdFleet(args []string) {
 
 	var lattices []lattice.Shape4
 	for _, l := range strings.Split(*lats, ";") {
-		lattices = append(lattices, parseShape4(strings.TrimSpace(l)))
+		lattices = append(lattices, parseShape4(fs, "lattices", strings.TrimSpace(l)))
 	}
 	var opKinds []fermion.OpKind
 	for _, o := range strings.Split(*ops, ",") {

@@ -64,6 +64,28 @@ func TestFleetRefusesLsZero(t *testing.T) {
 	}
 }
 
+// An extent below 1, a clock below 1 MHz or a machine of fewer than one
+// node is a usage error: exit 2 with a message naming the flag, never a
+// panic or a table computed for it.
+func TestRefusesOutOfRangeInputs(t *testing.T) {
+	for _, c := range []struct{ args, flag string }{
+		{"estimate -local 0,4,4,4", "-local"},
+		{"estimate -grid 0,8,8,16", "-grid"},
+		{"estimate -local 4,4,4", "-local"},
+		{"estimate -clock 0", "-clock"},
+		{"info -clock 0", "-clock"},
+		{"info -nodes 0", "-nodes"},
+		{"info -nodes -5", "-nodes"},
+		{"scaling -lattice 32,32,-32,64", "-lattice"},
+		{"fleet -lattices 4,4,4,4;0,4,4,4", "-lattices"},
+	} {
+		code, stdout, stderr := qcdoc(t, strings.Fields(c.args)...)
+		if code != 2 || stdout != "" || !strings.Contains(stderr, c.flag) || strings.Contains(stderr, "panic:") {
+			t.Errorf("qcdoc %s: exit %d, stdout:\n%s\nstderr:\n%s", c.args, code, stdout, stderr)
+		}
+	}
+}
+
 // One lattice and one operator is a single solve: its line carries the
 // run digest and the solve's share of peak.
 func TestFleetSingleSolve(t *testing.T) {

@@ -32,7 +32,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
 	"strings"
 
 	"qcdoc/internal/cost"
@@ -67,38 +66,37 @@ func usage() {
 	os.Exit(2)
 }
 
-func parseDims(s string) []int {
-	var out []int
-	for _, f := range strings.Split(s, ",") {
-		v, err := strconv.Atoi(strings.TrimSpace(f))
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "bad dimension list %q\n", s)
-			os.Exit(2)
-		}
-		out = append(out, v)
-	}
-	return out
-}
-
-func parseShape4(s string) lattice.Shape4 {
-	d := parseDims(s)
-	if len(d) != 4 {
-		fmt.Fprintf(os.Stderr, "need 4 extents, got %q\n", s)
-		os.Exit(2)
-	}
-	return lattice.Shape4{d[0], d[1], d[2], d[3]}
-}
-
-// parseMachine reads a command's -machine shape, exiting 2 with the
-// command's usage when geom.ParseShape refuses it.
-func parseMachine(fs *flag.FlagSet, s string) geom.Shape {
+// parseShape reads the extent list of a command's flag name by
+// geom.ParseShape's rule, every extent a whole number of at least 1,
+// with exactly dims extents when dims > 0; it exits 2 with the
+// command's usage on anything else.
+func parseShape(fs *flag.FlagSet, name, s string, dims int) geom.Shape {
 	shape, err := geom.ParseShape(s)
+	if err == nil && dims > 0 && strings.Count(s, ",")+1 != dims {
+		err = fmt.Errorf("need %d extents, got %q", dims, s)
+	}
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "qcdoc %s: -machine: %v\n", fs.Name(), err)
+		fmt.Fprintf(os.Stderr, "qcdoc %s: -%s: %v\n", fs.Name(), name, err)
 		fs.Usage()
 		os.Exit(2)
 	}
 	return shape
+}
+
+// parseShape4 reads a flag's 4-D lattice or process grid.
+func parseShape4(fs *flag.FlagSet, name, s string) lattice.Shape4 {
+	e := parseShape(fs, name, s, 4)
+	return lattice.Shape4{e[0], e[1], e[2], e[3]}
+}
+
+// atLeastOne exits 2 with the command's usage when a count or rate
+// flag is below 1.
+func atLeastOne(fs *flag.FlagSet, name string, v int64) {
+	if v < 1 {
+		fmt.Fprintf(os.Stderr, "qcdoc %s: -%s %d: must be at least 1\n", fs.Name(), name, v)
+		fs.Usage()
+		os.Exit(2)
+	}
 }
 
 func opKind(s string) fermion.OpKind {
@@ -123,6 +121,8 @@ func cmdInfo(args []string) {
 	nodes := fs.Int("nodes", 1024, "machine size in nodes")
 	clock := fs.Int64("clock", 500, "clock in MHz")
 	fs.Parse(args)
+	atLeastOne(fs, "nodes", int64(*nodes))
+	atLeastOne(fs, "clock", *clock)
 	hz := event.Hz(*clock) * event.MHz
 	p := machine.PackagingFor(*nodes, hz)
 	fmt.Println(p)
@@ -144,7 +144,7 @@ func cmdScaling(args []string) {
 	lat := fs.String("lattice", "32,32,32,64", "global lattice")
 	op := fs.String("op", "wilson", "operator")
 	fs.Parse(args)
-	global := parseShape4(*lat)
+	global := parseShape4(fs, "lattice", *lat)
 	grids := []lattice.Shape4{
 		{2, 2, 2, 4}, {4, 4, 4, 4}, {4, 4, 4, 16}, {8, 8, 8, 8}, {8, 8, 8, 16},
 	}
@@ -166,8 +166,9 @@ func cmdEstimate(args []string) {
 	local := fs.String("local", "4,4,4,4", "local volume")
 	clock := fs.Int64("clock", 500, "clock MHz")
 	fs.Parse(args)
-	cfg := perf.DefaultConfig(opKind(*op), parseShape4(*grid), event.Hz(*clock)*event.MHz)
-	cfg.Local = parseShape4(*local)
+	atLeastOne(fs, "clock", *clock)
+	cfg := perf.DefaultConfig(opKind(*op), parseShape4(fs, "grid", *grid), event.Hz(*clock)*event.MHz)
+	cfg.Local = parseShape4(fs, "local", *local)
 	est := perf.CGIteration(cfg)
 	fmt.Printf("%d nodes, local %v (%v resident)\n", est.Nodes, cfg.Local, est.Level)
 	fmt.Printf("per CG iteration: compute %v, halo %v (hidden: %v), reductions %v\n",

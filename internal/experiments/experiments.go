@@ -1,9 +1,9 @@
 // Package experiments reproduces every quantitative table and figure of
 // the paper's evaluation (§2.2 network numbers, §2.4 packaging, §4
 // performance and cost). Each experiment returns a structured table;
-// cmd/benchtables prints them all, the root bench_test.go wraps them as
-// benchmarks, and EXPERIMENTS.md records paper-vs-measured values. The
-// experiment ids match DESIGN.md's index.
+// cmd/benchtables prints them all, the package's tests check them
+// against the paper, and EXPERIMENTS.md records paper-vs-measured
+// values. The experiment ids match DESIGN.md's index.
 package experiments
 
 import (
