@@ -2,7 +2,7 @@
 // against a simulated machine.
 //
 //	qdaemon -machine 2,2,2           # interactive qcsh REPL
-//	qdaemon -machine 2,2 -c "boot; run j1 demo; output j1"
+//	qdaemon -machine 2,2 -c "boot; run j1 demo; output j1"  # exits 1 at the first failing command
 //	qdaemon -metrics 127.0.0.1:9100  # also export /metrics (Prometheus text)
 //
 // A demo program ("demo": every node prints its rank and performs a
@@ -77,21 +77,22 @@ func main() {
 		fmt.Printf("qdaemon: serving /metrics on http://%s\n", ln.Addr())
 	}
 
-	exec := func(line string) {
+	// exec runs one command and reports whether it succeeded.
+	exec := func(line string) bool {
 		line = strings.TrimSpace(line)
 		if line == "" {
-			return
+			return true
 		}
 		var out string
 		var err error
 		eng.Spawn("qcsh", func(p *event.Proc) { out, err = sh.Exec(p, line) })
 		if rerr := eng.RunAll(); rerr != nil {
 			fmt.Fprintln(os.Stderr, "engine:", rerr)
-			return
+			return false
 		}
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
-			return
+			return false
 		}
 		if out != "" {
 			fmt.Println(out)
@@ -99,11 +100,15 @@ func main() {
 		if srv != nil {
 			srv.PublishMetrics(eng.Now(), m.Reg.Snapshot())
 		}
+		return true
 	}
 
+	// A script stops at its first failing command and exits 1.
 	if *script != "" {
 		for _, line := range strings.Split(*script, ";") {
-			exec(line)
+			if !exec(line) {
+				os.Exit(1)
+			}
 		}
 		return
 	}

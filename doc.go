@@ -25,10 +25,10 @@
 //	internal/qdaemon     host daemon and qcsh (§3.1)
 //	internal/qmp         user communications API (§3.3)
 //	internal/latmath     SU(3)/spinor algebra, gamma matrices
-//	internal/lattice     fields, even-odd, decomposition
+//	internal/lattice     fields, decomposition
 //	internal/fermion     the four Dirac discretizations + cost model (§4)
 //	internal/solver      Krylov solvers
-//	internal/hmc         gauge evolution (heatbath, overrelaxation, HMC)
+//	internal/hmc         quenched gauge evolution (heatbath)
 //	internal/core        distributed QCD on the simulated machine
 //	internal/perf        analytic model for paper-scale machines
 //	internal/cost        §4 cost table and price/performance

@@ -302,6 +302,12 @@ func runChaosAttempt(cfg ChaosConfig, sup *supervisor, attempt int, shape geom.S
 		x0   *lattice.FermionField
 		iter int
 	}{x0: lattice.NewFermionField(cfg.Global)}
+	// The same parameter check a session solve makes, before a machine
+	// exists.
+	pr := wilsonProblem(gauge, nil, b, cfg.Mass, fermion.Double, cfg.Tol, cfg.MaxIter)
+	if err := pr.validate(lay.Dec); err != nil {
+		return res, err
+	}
 	eng := cfg.Pool.NewEngine()
 	mcfg := machine.DefaultConfig(shape)
 	mcfg.Pool = cfg.Pool
@@ -321,7 +327,6 @@ func runChaosAttempt(cfg ChaosConfig, sup *supervisor, attempt int, shape geom.S
 	d.FS = fs
 	plan.Bind(m) // the victim inboxes: Arm runs inside the attempt
 
-	pr := wilsonProblem(gauge, nil, b, cfg.Mass, fermion.Double, cfg.Tol, cfg.MaxIter)
 	pr.warmStart = func() *lattice.FermionField { return rst.x0 } // the restored iterate
 	pr.checkpointer = func(ctx *node.Ctx, rank int) solver.Checkpoint[*lattice.FermionField] {
 		k := qos.FromCtx(ctx)

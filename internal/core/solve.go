@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"qcdoc/internal/event"
 	"qcdoc/internal/fermion"
@@ -21,8 +22,8 @@ var (
 	// ErrLocalExtent: a distributed direction's local extent is below the
 	// operator's hop reach (ASQTAD's Naik term needs three sites).
 	ErrLocalExtent = errors.New("core: local extent below the operator's hop reach")
-	// ErrSolveParams: the tolerance is not positive, or the iteration
-	// limit or Ls is below one.
+	// ErrSolveParams: the tolerance is not positive, the iteration limit
+	// or Ls is below one, or a mass parameter is not finite.
 	ErrSolveParams = errors.New("core: solver parameters out of range")
 )
 
@@ -42,6 +43,8 @@ type problem[F solver.Field[F]] struct {
 	reach   int // smallest local extent a distributed direction may have
 	tol     float64
 	maxIter int
+	mass    float64 // the quark mass (mf for domain-wall fields)
+	m5      float64 // the domain-wall height; 0 for the 4-D operators
 
 	b            F
 	gaugeL, bL   lattice.Shape4 // global shapes of the configuration and of b
@@ -60,7 +63,7 @@ func wilsonProblem(gauge *lattice.GaugeField, clover *fermion.Clover, b *lattice
 		kind = fermion.CloverKind
 	}
 	return problem[*lattice.FermionField]{
-		kind: kind, prec: prec, ls: 1, tol: tol, maxIter: maxIter,
+		kind: kind, prec: prec, ls: 1, tol: tol, maxIter: maxIter, mass: mass,
 		b: b, gaugeL: gauge.L, bL: b.L, bLs: 1,
 		newField: lattice.NewFermionField, scatter: ScatterFermion, gather: GatherFermion,
 		newOperator: func(ctx *node.Ctx, comm *qmp.Comm, tm *team.Team, dec lattice.Decomp) distOperator[*lattice.FermionField] {
@@ -71,7 +74,7 @@ func wilsonProblem(gauge *lattice.GaugeField, clover *fermion.Clover, b *lattice
 
 func asqtadProblem(ref *fermion.ASQTAD, b *lattice.ColorField, prec fermion.Precision, tol float64, maxIter int) problem[*lattice.ColorField] {
 	return problem[*lattice.ColorField]{
-		kind: fermion.AsqtadKind, prec: prec, ls: 1, reach: naikReach, tol: tol, maxIter: maxIter,
+		kind: fermion.AsqtadKind, prec: prec, ls: 1, reach: naikReach, tol: tol, maxIter: maxIter, mass: ref.Mass,
 		b: b, gaugeL: ref.G.L, bL: b.L, bLs: 1,
 		newField: lattice.NewColorField, scatter: ScatterColor, gather: GatherColor,
 		newOperator: func(ctx *node.Ctx, comm *qmp.Comm, tm *team.Team, dec lattice.Decomp) distOperator[*lattice.ColorField] {
@@ -83,7 +86,7 @@ func asqtadProblem(ref *fermion.ASQTAD, b *lattice.ColorField, prec fermion.Prec
 func dwfProblem(gauge *lattice.GaugeField, b *fermion.Field5, m5, mf float64, ls int, prec fermion.Precision, tol float64, maxIter int) problem[*fermion.Field5] {
 	newField := func(l lattice.Shape4) *fermion.Field5 { return fermion.NewField5(l, ls) }
 	return problem[*fermion.Field5]{
-		kind: fermion.DWFKind, prec: prec, ls: ls, tol: tol, maxIter: maxIter,
+		kind: fermion.DWFKind, prec: prec, ls: ls, tol: tol, maxIter: maxIter, mass: mf, m5: m5,
 		b: b, gaugeL: gauge.L, bL: b.L, bLs: b.Ls,
 		newField: newField,
 		scatter: func(global *fermion.Field5, dec lattice.Decomp, gc lattice.Site) *fermion.Field5 {
@@ -113,9 +116,9 @@ func dwfProblem(gauge *lattice.GaugeField, b *fermion.Field5, m5, mf float64, ls
 // validate checks the problem against the layout it is about to run on.
 // Rank constructors assume it passed.
 func (pr *problem[F]) validate(dec lattice.Decomp) error {
-	if !(pr.tol > 0) || pr.maxIter < 1 || pr.ls < 1 {
-		return fmt.Errorf("%w: tolerance %g, iteration limit %d, Ls %d",
-			ErrSolveParams, pr.tol, pr.maxIter, pr.ls)
+	if !(pr.tol > 0) || pr.maxIter < 1 || pr.ls < 1 || !finite(pr.mass) || !finite(pr.m5) {
+		return fmt.Errorf("%w: tolerance %g, iteration limit %d, Ls %d, mass %g, m5 %g",
+			ErrSolveParams, pr.tol, pr.maxIter, pr.ls, pr.mass, pr.m5)
 	}
 	if pr.gaugeL != dec.Global || pr.bL != dec.Global || pr.bLs != pr.ls {
 		return fmt.Errorf("%w: gauge %v, source %v (Ls %d) on lattice %v (Ls %d)",
@@ -129,6 +132,8 @@ func (pr *problem[F]) validate(dec lattice.Decomp) error {
 	}
 	return nil
 }
+
+func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
 
 // solveOutput is what the ranks of one launch leave behind.
 type solveOutput[F any] struct {

@@ -98,11 +98,6 @@ func Paper4096Points() []PricePoint {
 	return pts
 }
 
-// PerNodeCost estimates the cost per node of the 4096-node machine
-// (useful for extrapolating the 12,288-node builds, where the paper
-// expects volume discounts to push price/performance to the $1 target).
-func PerNodeCost() float64 { return TotalWithRnD4096() / 4096 }
-
 // Target is the design goal from the abstract.
 const TargetDollarsPerMflops = 1.00
 

@@ -57,14 +57,6 @@ func TestE9PricePerformance(t *testing.T) {
 	}
 }
 
-func TestPerNodeCost(t *testing.T) {
-	// ~$417 per node including R&D.
-	c := PerNodeCost()
-	if c < 400 || c > 440 {
-		t.Fatalf("per-node cost $%.2f", c)
-	}
-}
-
 func TestPowerBudget(t *testing.T) {
 	w, dpw := PowerBudget(450 * event.MHz)
 	// 4096 nodes = 4 racks: just under 40 kW.

@@ -229,12 +229,6 @@ func CGIterationFlopsPerSite(kind OpKind) float64 {
 	return 2*FlopsPerSite(kind) + 3*(2*n) + 2*(2*n)
 }
 
-// CGEfficiency is the modelled fraction of peak the CG solver sustains.
-func CGEfficiency(cpu ppc440.CPU, m memsys.Model, kind OpKind, prec Precision, level memsys.Level) float64 {
-	cycles := CGIterationCycles(cpu, m, kind, prec, level)
-	return CGIterationFlopsPerSite(kind) / (float64(cpu.FlopsPerCycle) * cycles)
-}
-
 // CommBytesPerFaceSite is the data shipped to one neighbour per boundary
 // site per operator application: a spin-projected half spinor for
 // Wilson-type operators (12 complex numbers, §1's nearest-neighbour

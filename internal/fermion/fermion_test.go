@@ -408,7 +408,8 @@ func TestCostAnchors(t *testing.T) {
 		t.Errorf("SP %.3f should be slightly above DP %.3f", sp, dp)
 	}
 	// CG efficiency tracks the dslash efficiency.
-	cg := CGEfficiency(cpu, m, WilsonKind, Double, memsys.EDRAM)
+	cycles := CGIterationCycles(cpu, m, WilsonKind, Double, memsys.EDRAM)
+	cg := CGIterationFlopsPerSite(WilsonKind) / (float64(cpu.FlopsPerCycle) * cycles)
 	if math.Abs(cg-dp) > 0.03 {
 		t.Errorf("CG efficiency %.3f far from dslash %.3f", cg, dp)
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
 	"strings"
 	"testing"
@@ -234,6 +235,43 @@ func TestFleetRejectsBadSpecs(t *testing.T) {
 	for _, r := range rs[1:] {
 		if !strings.Contains(r.String(), fmt.Sprintf("digest %#x", r.Digest)) {
 			t.Errorf("failed run's line drops its digest: %q", r)
+		}
+	}
+}
+
+// TestFleetRefusesSolverParams: a solve and a chaos run check the same
+// solver parameters before anything runs. A tolerance that is not
+// positive, an iteration limit below one or a mass that is not finite
+// fails with ErrSolveParams after 0 iterations, and a chaos run never
+// starts an attempt.
+func TestFleetRefusesSolverParams(t *testing.T) {
+	bad := []struct {
+		name string
+		set  func(*fleet.Spec)
+	}{
+		{"tol -1", func(s *fleet.Spec) { s.Tol = -1 }},
+		{"tol NaN", func(s *fleet.Spec) { s.Tol = math.NaN() }},
+		{"maxiter -1", func(s *fleet.Spec) { s.MaxIter = -1 }},
+		{"mass NaN", func(s *fleet.Spec) { s.Mass = math.NaN() }},
+		{"mass +Inf", func(s *fleet.Spec) { s.Mass = math.Inf(1) }},
+	}
+	var specs []fleet.Spec
+	for _, base := range []func() fleet.Spec{solveBase, chaosBase} {
+		for _, b := range bad {
+			s := base()
+			b.set(&s)
+			s.Name = b.name
+			specs = append(specs, s)
+		}
+	}
+	for i, r := range fleet.Run(fleet.Config{Workers: 2}, specs) {
+		kind := "solve"
+		if specs[i].Chaos {
+			kind = "chaos"
+		}
+		if !errors.Is(r.Err, core.ErrSolveParams) || r.Iterations != 0 || r.Attempts != 0 {
+			t.Errorf("%s %s: err %v after %d iterations in %d attempts, want ErrSolveParams, 0 and 0",
+				kind, r.Name, r.Err, r.Iterations, r.Attempts)
 		}
 	}
 }

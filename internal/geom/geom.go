@@ -157,27 +157,6 @@ func wrap(x, n int) int {
 	return x
 }
 
-// Distance returns the minimum number of nearest-neighbour hops between
-// a and b on the torus.
-func (s Shape) Distance(a, b Coord) int {
-	d := 0
-	for dim := 0; dim < MaxDim; dim++ {
-		delta := abs(a[dim] - b[dim])
-		if w := s[dim] - delta; w < delta {
-			delta = w
-		}
-		d += delta
-	}
-	return d
-}
-
-func abs(x int) int {
-	if x < 0 {
-		return -x
-	}
-	return x
-}
-
 // Diameter returns the maximum hop distance between any two nodes,
 // i.e. the sum over dimensions of floor(extent/2).
 func (s Shape) Diameter() int {

@@ -2,14 +2,9 @@
 // sampling of the Feynman path integral that QCDOC runs for weeks at a
 // time (§4's verification was "a five day simulation ... redone, with
 // the requirement that the resulting QCD configuration be identical in
-// all bits"). Three update algorithms are provided for the quenched
-// Wilson gauge action:
-//
-//   - Cabibbo-Marinari pseudo-heatbath with Kennedy-Pendleton SU(2)
-//     sampling;
-//   - SU(2)-subgroup overrelaxation (microcanonical, action preserving);
-//   - hybrid Monte Carlo with leapfrog integration — the algorithm
-//     class used for dynamical-fermion production running.
+// all bits"). It provides one update algorithm for the quenched Wilson
+// gauge action: the Cabibbo-Marinari pseudo-heatbath with
+// Kennedy-Pendleton SU(2) sampling.
 //
 // All randomness flows through counter-based per-link streams keyed by
 // (seed, sweep, link), so an evolution is bit-reproducible and
@@ -98,36 +93,4 @@ func kennedyPendleton(st *rng.Stream, alpha float64) latmath.SU2 {
 		A2: norm * sinT * math.Sin(phi),
 		A3: norm * cosT,
 	}
-}
-
-// Overrelax performs one microcanonical overrelaxation sweep: each SU(2)
-// subgroup is reflected about its staple projection, changing the
-// configuration while preserving the action exactly.
-func Overrelax(g *lattice.GaugeField) {
-	l := g.L
-	v := l.Volume()
-	for idx := 0; idx < v; idx++ {
-		x := l.SiteOf(idx)
-		for mu := 0; mu < lattice.Ndim; mu++ {
-			u := g.Link(x, mu)
-			staple := g.Staple(x, mu)
-			for sg := 0; sg < latmath.NumSU2Subgroups; sg++ {
-				w := u.Mul(staple)
-				what, k := latmath.ExtractSU2(w, sg)
-				if k == 0 {
-					continue
-				}
-				refl := what.Conj().Mul(what.Conj())
-				u = latmath.EmbedSU2(refl, sg).Mul(u)
-			}
-			g.SetLink(x, mu, u.Reunitarize())
-		}
-	}
-}
-
-// Action returns the Wilson gauge action S = -(beta/3) Σ_p Re tr U_p.
-func Action(g *lattice.GaugeField, beta float64) float64 {
-	// Plaquette() is normalized by 3 and by the plaquette count.
-	nPlaq := float64(g.L.Volume() * 6)
-	return -beta * g.Plaquette() * nPlaq
 }

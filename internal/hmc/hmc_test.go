@@ -99,178 +99,3 @@ func TestStrongCouplingPlaquette(t *testing.T) {
 		t.Fatalf("strong-coupling plaquette %.4f, want ~%.4f", p, want)
 	}
 }
-
-func TestOverrelaxPreservesAction(t *testing.T) {
-	g := lattice.NewGaugeField(smallLattice())
-	h := &Heatbath{Beta: 5.6, Seed: 5}
-	for i := 0; i < 5; i++ {
-		h.Sweep(g)
-	}
-	before := g.Plaquette()
-	cfg := g.Clone()
-	Overrelax(g)
-	after := g.Plaquette()
-	if math.Abs(before-after) > 1e-8 {
-		t.Fatalf("overrelaxation changed the action: %.10f -> %.10f", before, after)
-	}
-	if g.Equal(cfg) {
-		t.Fatal("overrelaxation did not move the configuration")
-	}
-}
-
-func TestMomentaKineticPositive(t *testing.T) {
-	p := NewMomenta(smallLattice())
-	p.Gaussian(1, 0)
-	k := p.Kinetic()
-	if k <= 0 {
-		t.Fatalf("kinetic energy %v", k)
-	}
-	// Expectation: 8 independent Gaussian algebra directions per link
-	// contribute 1/2 each: K ≈ 4 * Ndim * V.
-	want := 4.0 * lattice.Ndim * float64(smallLattice().Volume())
-	if math.Abs(k-want)/want > 0.1 {
-		t.Fatalf("kinetic = %v, want ~%v", k, want)
-	}
-}
-
-func TestLeapfrogReversible(t *testing.T) {
-	g := lattice.NewGaugeField(smallLattice())
-	h := &Heatbath{Beta: 5.6, Seed: 9}
-	for i := 0; i < 3; i++ {
-		h.Sweep(g)
-	}
-	orig := g.Clone()
-	p := NewMomenta(g.L)
-	p.Gaussian(2, 0)
-	Integrate(g, p, 5.6, 0.05, 10)
-	// Flip momenta and integrate back.
-	for i := range p.P {
-		p.P[i] = p.P[i].Scale(-1)
-	}
-	Integrate(g, p, 5.6, 0.05, 10)
-	maxDiff := 0.0
-	for i := range g.U {
-		if d := g.U[i].FrobeniusDistance(orig.U[i]); d > maxDiff {
-			maxDiff = d
-		}
-	}
-	if maxDiff > 1e-8 {
-		t.Fatalf("leapfrog not reversible: max link distance %g", maxDiff)
-	}
-}
-
-func TestLeapfrogEnergyScaling(t *testing.T) {
-	// |ΔH| of a leapfrog trajectory scales as dt² at fixed trajectory
-	// length — the standard integrator-order test, and a sharp check of
-	// the force/action consistency.
-	g0 := lattice.NewGaugeField(lattice.Shape4{2, 2, 2, 4})
-	h := &Heatbath{Beta: 5.6, Seed: 13}
-	for i := 0; i < 5; i++ {
-		h.Sweep(g0)
-	}
-	beta := 5.6
-	deltaH := func(dt float64, steps int) float64 {
-		g := g0.Clone()
-		p := NewMomenta(g.L)
-		p.Gaussian(3, 0)
-		before := Action(g, beta) + p.Kinetic()
-		Integrate(g, p, beta, dt, steps)
-		after := Action(g, beta) + p.Kinetic()
-		return math.Abs(after - before)
-	}
-	d1 := deltaH(0.08, 10)
-	d2 := deltaH(0.04, 20)
-	ratio := d1 / d2
-	// Second-order integrator: halving dt should reduce |ΔH| by ~4.
-	if ratio < 2.5 || ratio > 6.5 {
-		t.Fatalf("ΔH scaling ratio %.2f (d1=%g d2=%g), want ~4", ratio, d1, d2)
-	}
-}
-
-func TestHMCAcceptsAndEquilibrates(t *testing.T) {
-	g := lattice.NewGaugeField(lattice.Shape4{2, 2, 2, 4})
-	hmc := &HMC{Beta: 5.6, Seed: 17, StepSize: 0.05, Steps: 10}
-	for i := 0; i < 20; i++ {
-		hmc.Run(g)
-	}
-	if hmc.Accepted == 0 {
-		t.Fatal("no trajectory accepted")
-	}
-	rate := float64(hmc.Accepted) / float64(hmc.Accepted+hmc.Rejected)
-	if rate < 0.5 {
-		t.Fatalf("acceptance rate %.2f too low for this step size", rate)
-	}
-	for i := 0; i < 16; i++ {
-		if !g.U[i].IsSU3(1e-8) {
-			t.Fatal("HMC left SU(3)")
-		}
-	}
-}
-
-func TestHMCBitReproducible(t *testing.T) {
-	run := func() *lattice.GaugeField {
-		g := lattice.NewGaugeField(lattice.Shape4{2, 2, 2, 2})
-		hmc := &HMC{Beta: 5.6, Seed: 21, StepSize: 0.05, Steps: 8}
-		for i := 0; i < 5; i++ {
-			hmc.Run(g)
-		}
-		return g
-	}
-	a := run()
-	b := run()
-	if !a.Equal(b) {
-		t.Fatal("HMC evolution not bit-reproducible")
-	}
-}
-
-func TestHMCAgreesWithHeatbath(t *testing.T) {
-	// Two independent algorithms sampling the same distribution must
-	// produce the same mean plaquette — a strong cross-validation.
-	if testing.Short() {
-		t.Skip("statistics run")
-	}
-	beta := 5.0
-	l := lattice.Shape4{4, 4, 4, 4}
-	gHB := lattice.NewGaugeField(l)
-	hb := &Heatbath{Beta: beta, Seed: 31}
-	for i := 0; i < 30; i++ {
-		hb.Sweep(gHB)
-	}
-	pHB, n := 0.0, 30
-	for i := 0; i < n; i++ {
-		hb.Sweep(gHB)
-		pHB += gHB.Plaquette()
-	}
-	pHB /= float64(n)
-
-	// Start the HMC from an independently thermalized configuration (a
-	// cold start at this volume rejects until a rare fluctuation; the
-	// cross-check only concerns equilibrium averages).
-	gMC := lattice.NewGaugeField(l)
-	warm := &Heatbath{Beta: beta, Seed: 99}
-	for i := 0; i < 20; i++ {
-		warm.Sweep(gMC)
-	}
-	mc := &HMC{Beta: beta, Seed: 37, StepSize: 0.04, Steps: 12}
-	for i := 0; i < 20; i++ {
-		mc.Run(gMC)
-	}
-	pMC, m := 0.0, 40
-	for i := 0; i < m; i++ {
-		mc.Run(gMC)
-		pMC += gMC.Plaquette()
-	}
-	pMC /= float64(m)
-	if math.Abs(pHB-pMC) > 0.03 {
-		t.Fatalf("heatbath plaquette %.4f vs HMC %.4f", pHB, pMC)
-	}
-}
-
-func TestActionMatchesPlaquette(t *testing.T) {
-	g := lattice.NewGaugeField(smallLattice())
-	// Cold: S = -beta * 1 * 6V.
-	want := -5.6 * 6 * float64(smallLattice().Volume())
-	if got := Action(g, 5.6); math.Abs(got-want) > 1e-6 {
-		t.Fatalf("cold action = %v, want %v", got, want)
-	}
-}

@@ -128,17 +128,6 @@ func TestRandomSU3Quick(t *testing.T) {
 	}
 }
 
-func TestSmallSU3NearIdentity(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	u := SmallSU3(rng, 0.01)
-	if !u.IsSU3(1e-9) {
-		t.Fatal("not SU(3)")
-	}
-	if d := u.FrobeniusDistance(Identity3()); d > 0.2 {
-		t.Fatalf("eps=0.01 element too far from identity: %v", d)
-	}
-}
-
 func TestExpiHUnitary(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for i := 0; i < 20; i++ {
@@ -356,7 +345,7 @@ func TestSU2EmbeddingQuick(t *testing.T) {
 	f := func(seed int64, sgSel uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
 		sg := int(sgSel) % NumSU2Subgroups
-		u := RandomSU2(rng)
+		u := randomSU2(rng)
 		m := EmbedSU2(u, sg)
 		if !m.IsSU3(1e-9) {
 			return false

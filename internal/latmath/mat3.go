@@ -166,7 +166,7 @@ func (m Mat3) Reunitarize() Mat3 {
 
 // TracelessAntiHermitian projects m onto the su(3) algebra:
 // (m - m†)/2 - tr(m - m†)/6, the projection used when building field
-// strength and HMC forces.
+// strength.
 func (m Mat3) TracelessAntiHermitian() Mat3 {
 	a := m.Sub(m.Dagger()).Scale(0.5)
 	tr := a.Trace() / 3
@@ -182,11 +182,6 @@ func ExpiH(h Mat3) Mat3 {
 	x := h.Scale(1i)
 	return expm(x)
 }
-
-// Exp returns exp(m) for a general matrix; for traceless anti-Hermitian
-// m (an su(3) algebra element, e.g. an HMC momentum times a step size)
-// the result is special unitary.
-func Exp(m Mat3) Mat3 { return expm(m) }
 
 // expm computes exp(x) by scaling and squaring with a 12-term Taylor
 // series.

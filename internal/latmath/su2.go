@@ -108,8 +108,8 @@ func ExtractSU2(m Mat3, subgroup int) (SU2, float64) {
 	return SU2{a0 / k, a1 / k, a2 / k, a3 / k}, k
 }
 
-// RandomSU2 draws a uniformly distributed SU(2) element.
-func RandomSU2(src Source) SU2 {
+// randomSU2 draws a uniformly distributed SU(2) element.
+func randomSU2(src Source) SU2 {
 	g0, g1 := gauss(src)
 	g2, g3 := gauss(src)
 	n := math.Sqrt(g0*g0 + g1*g1 + g2*g2 + g3*g3)
@@ -125,31 +125,8 @@ func RandomSU3(src Source) Mat3 {
 	m := Identity3()
 	for rep := 0; rep < 2; rep++ {
 		for sg := 0; sg < NumSU2Subgroups; sg++ {
-			m = EmbedSU2(RandomSU2(src), sg).Mul(m)
+			m = EmbedSU2(randomSU2(src), sg).Mul(m)
 		}
 	}
 	return m.Reunitarize()
-}
-
-// SmallSU3 draws an SU(3) element near the identity: exp(i eps H) for a
-// random Hermitian traceless H with O(1) entries. Used for Metropolis
-// updates and for perturbing configurations in tests.
-func SmallSU3(src Source, eps float64) Mat3 {
-	var h Mat3
-	for i := 0; i < 3; i++ {
-		for j := i; j < 3; j++ {
-			re, im := gauss(src)
-			if i == j {
-				h[i][j] = complex(re, 0)
-			} else {
-				h[i][j] = complex(re, im)
-				h[j][i] = complex(re, -im)
-			}
-		}
-	}
-	tr := h.Trace() / 3
-	for i := 0; i < 3; i++ {
-		h[i][i] -= tr
-	}
-	return ExpiH(h.Scale(complex(eps, 0))).Reunitarize()
 }

@@ -1,9 +1,9 @@
 // Package lattice provides the space-time containers of lattice QCD:
 // four-dimensional periodic lattices, SU(3) gauge fields, fermion fields,
-// even-odd parity structure, and the decomposition of a global lattice
-// across the (folded, four-dimensional) QCDOC machine grid — "each
-// processor becomes responsible for the local variables associated with
-// a space-time hypercube" (§1).
+// and the decomposition of a global lattice across the (folded,
+// four-dimensional) QCDOC machine grid — "each processor becomes
+// responsible for the local variables associated with a space-time
+// hypercube" (§1).
 package lattice
 
 import (
@@ -88,10 +88,6 @@ func (s Shape4) Neighbors(k int) *Neighbors {
 	return &n
 }
 
-// Parity returns 0 for even sites, 1 for odd ((x+y+z+t) mod 2) — the
-// checkerboard used by even-odd preconditioned solvers.
-func Parity(c Site) int { return (c[0] + c[1] + c[2] + c[3]) % 2 }
-
 // GaugeField holds one SU(3) link per site per direction: U[mu](x)
 // connects x to x+mu.
 type GaugeField struct {
@@ -167,8 +163,7 @@ func (g *GaugeField) PlaquetteAt(x Site, mu, nu int) float64 {
 // Staple returns the sum of the six staples around U_mu(x), in the
 // convention where the sum of all plaquettes containing the link equals
 // Re tr [U_mu(x) · Staple(x,mu)]. It is the derivative of the Wilson
-// gauge action with respect to that link, used by heatbath and HMC
-// updates.
+// gauge action with respect to that link, used by heatbath updates.
 func (g *GaugeField) Staple(x Site, mu int) latmath.Mat3 {
 	sum := latmath.Zero3()
 	for nu := 0; nu < Ndim; nu++ {

@@ -69,29 +69,6 @@ func TestNeighborsTable(t *testing.T) {
 	}
 }
 
-func TestParityCheckerboard(t *testing.T) {
-	l := Shape4{4, 4, 4, 4}
-	even, odd := 0, 0
-	for idx := 0; idx < l.Volume(); idx++ {
-		s := l.SiteOf(idx)
-		p := Parity(s)
-		if p == 0 {
-			even++
-		} else {
-			odd++
-		}
-		// Every neighbour has opposite parity.
-		for mu := 0; mu < Ndim; mu++ {
-			if Parity(l.Hop(s, mu, +1)) == p {
-				t.Fatalf("neighbour of %v has same parity", s)
-			}
-		}
-	}
-	if even != odd {
-		t.Fatalf("parity imbalance: %d/%d", even, odd)
-	}
-}
-
 func TestColdPlaquette(t *testing.T) {
 	g := NewGaugeField(Shape4{4, 4, 4, 4})
 	if p := g.Plaquette(); math.Abs(p-1) > 1e-12 {

@@ -103,7 +103,7 @@ func Build(eng *event.Engine, cfg Config) *Machine {
 	m.Nodes = make([]*node.Node, v)
 	m.wires = make([][]*hssl.Wire, v)
 	for r := 0; r < v; r++ {
-		m.Nodes[r] = node.New(m.NodeEngine(r), r, cfg.Shape.CoordOf(r), cfg.Clock, 0)
+		m.Nodes[r] = node.New(m.NodeEngine(r), r, cfg.Shape.CoordOf(r), cfg.Clock)
 		m.wires[r] = make([]*hssl.Wire, geom.NumLinks)
 	}
 	// One outbound wire per (node, link); the inbound wire of link l on

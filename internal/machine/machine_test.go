@@ -144,7 +144,7 @@ func TestRunSPMDCollectsPanics(t *testing.T) {
 func TestBootStateMachine(t *testing.T) {
 	eng := event.New()
 	defer eng.Shutdown()
-	n := node.New(eng, 0, geom.Coord{}, 500*event.MHz, 0)
+	n := node.New(eng, 0, geom.Coord{}, 500*event.MHz)
 	// Cannot run an app or the run kernel from reset.
 	if err := n.StartRunKernel(); err == nil {
 		t.Fatal("run kernel started from reset")

@@ -44,12 +44,9 @@ const (
 	EDRAMBytes = 4 << 20
 	// EDRAMRowBytes is one EDRAM access: 1024 bits plus ECC.
 	EDRAMRowBytes = 128
-	// DefaultDDRBytes is the default external memory per node. Nodes in
-	// the 4096-node machine carried 128 or 256 MBytes (§4); up to 2 GB is
-	// supported.
-	DefaultDDRBytes = 128 << 20
-	// MaxDDRBytes is the architectural limit.
-	MaxDDRBytes = 2 << 30
+	// DDRBytes is the external memory per node: 128 MBytes, the smaller
+	// of the two DIMM sizes the 4096-node machine carried (§4).
+	DDRBytes = 128 << 20
 	// PrefetchStreams is the number of concurrent contiguous streams the
 	// EDRAM controller prefetches without page-miss stalls (§2.1: "the
 	// EDRAM controller maintains two prefetching streams").
@@ -57,7 +54,7 @@ const (
 )
 
 // NodeMemory is the functional local memory of one node: EDRAM occupies
-// [0, EDRAMBytes), DDR occupies [EDRAMBytes, EDRAMBytes+ddrBytes). It
+// [0, EDRAMBytes), DDR occupies [EDRAMBytes, ddrEnd). It
 // implements the SCU's Memory interface. The store is sparse: each region
 // is a table of fixed-size pages, a page exists once a word in it has
 // been written, and everything else reads as zero — a node costs the host
@@ -67,8 +64,10 @@ const (
 type NodeMemory struct {
 	edram [EDRAMBytes / pageBytes]*page
 	ddr   []*page
-	limit uint64 // EDRAMBytes + installed DDR: one past the last byte
 }
+
+// ddrEnd is one past the last byte of DDR.
+const ddrEnd = EDRAMBytes + DDRBytes
 
 // pageWords is the page size in 64-bit words (4 KB). Measured, not
 // configurable: DESIGN.md §9 has the numbers for this size and the two
@@ -80,20 +79,8 @@ const (
 
 type page [pageWords]uint64
 
-// NewNodeMemory returns a node memory with the given DDR size (0 means
-// DefaultDDRBytes) and no pages.
-func NewNodeMemory(ddrBytes int) *NodeMemory {
-	if ddrBytes == 0 {
-		ddrBytes = DefaultDDRBytes
-	}
-	if ddrBytes < 0 || ddrBytes > MaxDDRBytes {
-		panic(fmt.Sprintf("memsys: invalid DDR size %d", ddrBytes))
-	}
-	return &NodeMemory{limit: EDRAMBytes + uint64(ddrBytes)}
-}
-
-// DDRBytes returns the installed external memory size.
-func (m *NodeMemory) DDRBytes() int { return int(m.limit - EDRAMBytes) }
+// NewNodeMemory returns a node memory with no pages.
+func NewNodeMemory() *NodeMemory { return &NodeMemory{} }
 
 // ReadWord returns the 64-bit word at byte address addr (8-aligned).
 // Untouched memory reads as zero, and reading it allocates nothing.
@@ -121,7 +108,7 @@ func (m *NodeMemory) WriteWords(addr uint64, src []uint64) { m.words(addr, src, 
 
 func (m *NodeMemory) words(addr uint64, w []uint64, write bool) {
 	for len(w) > 0 {
-		p, n := m.locate(addr), min(len(w), pageWords-int(addr/8%pageWords), int((m.limit-addr)/8))
+		p, n := m.locate(addr), min(len(w), pageWords-int(addr/8%pageWords), int((ddrEnd-addr)/8))
 		switch {
 		case write && p == nil:
 			p = m.install(addr)
@@ -151,8 +138,8 @@ func (m *NodeMemory) locateDDR(addr uint64) *page {
 	if addr%8 != 0 {
 		panic(fmt.Sprintf("memsys: unaligned word access at %#x", addr))
 	}
-	if addr >= m.limit {
-		panic(fmt.Sprintf("memsys: address %#x beyond installed DDR (%d bytes)", addr, m.DDRBytes()))
+	if addr >= ddrEnd {
+		panic(fmt.Sprintf("memsys: address %#x beyond installed DDR (%d bytes)", addr, DDRBytes))
 	}
 	if pg := (addr - EDRAMBytes) / pageBytes; pg < uint64(len(m.ddr)) {
 		return m.ddr[pg]
@@ -169,7 +156,7 @@ func (m *NodeMemory) install(addr uint64) *page {
 		return p
 	}
 	if m.ddr == nil {
-		m.ddr = make([]*page, (m.limit-EDRAMBytes+pageBytes-1)/pageBytes)
+		m.ddr = make([]*page, DDRBytes/pageBytes)
 	}
 	m.ddr[(addr-EDRAMBytes)/pageBytes] = p
 	return p

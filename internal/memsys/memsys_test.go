@@ -20,7 +20,7 @@ func TestAddressMap(t *testing.T) {
 }
 
 func TestReadWriteRoundTrip(t *testing.T) {
-	m := NewNodeMemory(0)
+	m := NewNodeMemory()
 	addrs := []uint64{0, 8, EDRAMBytes - 8, DDRBase, DDRBase + 1024*8}
 	for i, a := range addrs {
 		m.WriteWord(a, uint64(i)+0xF00)
@@ -37,7 +37,7 @@ func TestReadWriteRoundTrip(t *testing.T) {
 }
 
 func TestReadWriteQuick(t *testing.T) {
-	m := NewNodeMemory(1 << 20)
+	m := NewNodeMemory()
 	f := func(seed int64, vals []uint64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		written := map[uint64]uint64{}
@@ -72,36 +72,29 @@ func mustPanic(t *testing.T, want string, fn func()) {
 }
 
 func TestUnalignedPanics(t *testing.T) {
-	m := NewNodeMemory(0)
+	m := NewNodeMemory()
 	mustPanic(t, "memsys: unaligned word access at 0x3", func() { m.ReadWord(3) })
 	mustPanic(t, "memsys: unaligned word access at 0x400004", func() { m.WriteWord(DDRBase+4, 1) })
 }
 
 func TestBeyondDDRPanics(t *testing.T) {
-	m := NewNodeMemory(1 << 20)
-	mustPanic(t, "memsys: address 0x500000 beyond installed DDR (1048576 bytes)", func() { m.WriteWord(DDRBase+(1<<20), 1) })
-	mustPanic(t, "memsys: address 0x500000 beyond installed DDR (1048576 bytes)", func() { m.ReadWord(DDRBase + (1 << 20)) })
-}
-
-func TestBadDDRSizePanics(t *testing.T) {
-	mustPanic(t, "memsys: invalid DDR size 2147483649", func() { NewNodeMemory(MaxDDRBytes + 1) })
-	mustPanic(t, "memsys: invalid DDR size -8", func() { NewNodeMemory(-8) })
+	m := NewNodeMemory()
+	mustPanic(t, "memsys: address 0x8400000 beyond installed DDR (134217728 bytes)", func() { m.WriteWord(DDRBase+DDRBytes, 1) })
+	mustPanic(t, "memsys: address 0x8400000 beyond installed DDR (134217728 bytes)", func() { m.ReadWord(DDRBase + DDRBytes) })
 }
 
 // TestNodeMemoryMatchesReference runs seeded random read/write programs
 // against a map: the paged store must be indistinguishable from a flat
 // one. Addresses are weighted toward where a page table can go wrong —
 // both sides of page boundaries, the last EDRAM word and the first DDR
-// word, the last installed DDR word (in a DDR whose size is not a whole
-// number of pages) — and toward words never written, which must read
-// zero without allocating anything.
+// word, the last DDR word — and toward words never written, which must
+// read zero without allocating anything.
 func TestNodeMemoryMatchesReference(t *testing.T) {
-	const ddr = 3*pageBytes + 512 // ends inside its fourth page
-	last := DDRBase + ddr - 8
+	last := uint64(ddrEnd - 8)
 	edges := []uint64{0, EDRAMBytes - 8, DDRBase, last, 256 << 10}
 	for seed := int64(1); seed <= 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		m, ref := NewNodeMemory(ddr), map[uint64]uint64{}
+		m, ref := NewNodeMemory(), map[uint64]uint64{}
 		addr := func() uint64 {
 			switch rng.Intn(4) {
 			case 0: // an edge, or its neighbour on either side
@@ -111,12 +104,12 @@ func TestNodeMemoryMatchesReference(t *testing.T) {
 				}
 				return last
 			case 1: // the words around a page boundary
-				pg := uint64(rng.Intn(int((DDRBase+ddr)/pageBytes))) + 1
+				pg := uint64(rng.Intn(ddrEnd/pageBytes)) + 1
 				return pg*pageBytes + 8*uint64(rng.Intn(4)) - 16
 			case 2: // a few hot pages, so writes land on installed pages too
 				return uint64(rng.Intn(4))*(EDRAMBytes/3)&^(pageBytes-1) + 8*uint64(rng.Intn(pageWords))
 			default: // anywhere
-				return uint64(rng.Int63n(int64(DDRBase+ddr)/8)) * 8
+				return uint64(rng.Int63n(int64(ddrEnd)/8)) * 8
 			}
 		}
 		for step := 0; step < 4000; step++ {
@@ -136,10 +129,10 @@ func TestNodeMemoryMatchesReference(t *testing.T) {
 		}
 	}
 
-	m := NewNodeMemory(0)
+	m := NewNodeMemory()
 	var sum uint64
 	reads := testing.AllocsPerRun(10, func() {
-		for _, a := range []uint64{0, 256 << 10, EDRAMBytes - 8, DDRBase, DDRBase + DefaultDDRBytes - 8} {
+		for _, a := range []uint64{0, 256 << 10, EDRAMBytes - 8, DDRBase, DDRBase + DDRBytes - 8} {
 			sum += m.ReadWord(a)
 		}
 	})
@@ -165,7 +158,7 @@ func allocatedBytes(fn func()) uint64 {
 func TestFirstAppWordFootprint(t *testing.T) {
 	var m *NodeMemory
 	got := allocatedBytes(func() {
-		m = NewNodeMemory(0)
+		m = NewNodeMemory()
 		m.WriteWord(256<<10, 1)
 	})
 	if m.ReadWord(256<<10) != 1 {
@@ -244,18 +237,17 @@ func TestFitsEDRAM(t *testing.T) {
 
 // TestBlockWordsMatchWordLoop holds ReadWords and WriteWords to the
 // per-word loops they replace: runs that cross page boundaries, the
-// EDRAM→DDR boundary and the end of a DDR that is not a whole number of
-// pages, on memories written word by word and block by block.
+// EDRAM→DDR boundary and the end of DDR, on memories written word by
+// word and block by block.
 func TestBlockWordsMatchWordLoop(t *testing.T) {
-	const ddr = 3*pageBytes + 512
-	starts := []uint64{0, 8 * (pageWords - 3), EDRAMBytes - 8*5, DDRBase, DDRBase + pageBytes - 16, DDRBase + ddr - 8*7}
+	starts := []uint64{0, 8 * (pageWords - 3), EDRAMBytes - 8*5, DDRBase, DDRBase + pageBytes - 16, ddrEnd - 8*7}
 	rng := rand.New(rand.NewSource(7))
 	for _, start := range starts {
 		for _, n := range []int{1, 3, 7, pageWords + 9} {
-			if start+8*uint64(n) > DDRBase+ddr {
-				n = int((DDRBase + ddr - start) / 8)
+			if start+8*uint64(n) > ddrEnd {
+				n = int((ddrEnd - start) / 8)
 			}
-			blk, ref := NewNodeMemory(ddr), NewNodeMemory(ddr)
+			blk, ref := NewNodeMemory(), NewNodeMemory()
 			src := make([]uint64, n)
 			for i := range src {
 				src[i] = rng.Uint64()
@@ -266,8 +258,8 @@ func TestBlockWordsMatchWordLoop(t *testing.T) {
 			}
 			got, want := make([]uint64, n+4), make([]uint64, n+4)
 			from := start - min(start, 16) // read a little either side
-			if from+8*uint64(len(got)) > DDRBase+ddr {
-				got, want = got[:(DDRBase+ddr-from)/8], want[:(DDRBase+ddr-from)/8]
+			if from+8*uint64(len(got)) > ddrEnd {
+				got, want = got[:(ddrEnd-from)/8], want[:(ddrEnd-from)/8]
 			}
 			blk.ReadWords(from, got)
 			for i := range want {
@@ -296,7 +288,7 @@ func TestBlockWordsMatchWordLoop(t *testing.T) {
 }
 
 func TestBlockReadOfUntouchedInstallsNothing(t *testing.T) {
-	m := NewNodeMemory(0)
+	m := NewNodeMemory()
 	dst := []uint64{1, 2, 3, 4}
 	m.ReadWords(pageBytes-16, dst)
 	m.ReadWords(DDRBase, dst[:2])
@@ -314,12 +306,12 @@ func TestBlockReadOfUntouchedInstallsNothing(t *testing.T) {
 }
 
 func TestBlockWordsPanicLikeWordLoop(t *testing.T) {
-	m := NewNodeMemory(1 << 20)
+	m := NewNodeMemory()
 	mustPanic(t, "memsys: unaligned word access at 0x3", func() { m.ReadWords(3, make([]uint64, 2)) })
 	mustPanic(t, "memsys: unaligned word access at 0x400004", func() { m.WriteWords(DDRBase+4, []uint64{1}) })
-	mustPanic(t, "memsys: address 0x500000 beyond installed DDR (1048576 bytes)", func() { m.ReadWords(DDRBase+(1<<20), make([]uint64, 1)) })
-	end := DDRBase + (1 << 20) - 16
-	mustPanic(t, "memsys: address 0x500000 beyond installed DDR (1048576 bytes)", func() { m.WriteWords(end, []uint64{7, 8, 9}) })
+	mustPanic(t, "memsys: address 0x8400000 beyond installed DDR (134217728 bytes)", func() { m.ReadWords(DDRBase+DDRBytes, make([]uint64, 1)) })
+	end := DDRBase + DDRBytes - 16
+	mustPanic(t, "memsys: address 0x8400000 beyond installed DDR (134217728 bytes)", func() { m.WriteWords(end, []uint64{7, 8, 9}) })
 	if m.ReadWord(end) != 7 || m.ReadWord(end+8) != 8 {
 		t.Fatal("words before the out-of-range one were not written, as the word loop writes them")
 	}

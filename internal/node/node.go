@@ -106,10 +106,9 @@ type Node struct {
 // EDRAM.
 const bootReserved = 256 << 10
 
-// New builds a node whose SCU runs the default protocol parameters at
-// the node's clock. ddrBytes of 0 selects the default DIMM size.
-func New(eng *event.Engine, rank int, coord geom.Coord, clock event.Hz, ddrBytes int) *Node {
-	mem := memsys.NewNodeMemory(ddrBytes)
+// New builds a node whose processor and SCU run at clock.
+func New(eng *event.Engine, rank int, coord geom.Coord, clock event.Hz) *Node {
+	mem := memsys.NewNodeMemory()
 	model := memsys.DefaultModel()
 	model.Clock = clock
 	n := &Node{
@@ -123,9 +122,7 @@ func New(eng *event.Engine, rank int, coord geom.Coord, clock event.Hz, ddrBytes
 		state:    Reset,
 		brk:      bootReserved,
 	}
-	scuCfg := scu.DefaultConfig()
-	scuCfg.Clock = clock
-	n.SCU = scu.New(eng, n.Name, mem, scuCfg)
+	n.SCU = scu.New(eng, n.Name, mem, clock)
 	return n
 }
 
@@ -280,7 +277,7 @@ func (n *Node) AppEnd() event.Time { return n.appEnd }
 func (n *Node) AllocWords(words int) uint64 {
 	addr := n.brk
 	n.brk += uint64(words) * 8
-	if n.brk > memsys.DDRBase+uint64(n.Mem.DDRBytes()) {
+	if n.brk > memsys.DDRBase+memsys.DDRBytes {
 		panic(fmt.Sprintf("node %s: out of memory (brk %#x)", n.Name, n.brk))
 	}
 	return addr

@@ -13,7 +13,7 @@ func testNode(t *testing.T) (*event.Engine, *Node) {
 	t.Helper()
 	eng := event.New()
 	t.Cleanup(eng.Shutdown)
-	n := New(eng, 3, geom.Coord{1, 0, 1, 0, 0, 0}, 500*event.MHz, 1<<20)
+	n := New(eng, 3, geom.Coord{1, 0, 1, 0, 0, 0}, 500*event.MHz)
 	return eng, n
 }
 
@@ -114,13 +114,13 @@ func TestAllocator(t *testing.T) {
 	if n.AllocLevel() != memsys.DDR {
 		t.Fatal("large allocation should spill to DDR")
 	}
-	// Exhaustion panics (1 MB DDR installed).
+	// Exhaustion panics (128 MB DDR installed).
 	defer func() {
 		if recover() == nil {
 			t.Fatal("OOM not detected")
 		}
 	}()
-	n.AllocWords(1 << 20)
+	n.AllocWords(memsys.DDRBytes / 8)
 }
 
 func TestFloatAccessors(t *testing.T) {

@@ -19,7 +19,7 @@ func rig(t *testing.T) (*event.Engine, *Kernel, *ethjtag.Port) {
 	nw := ethjtag.NewNetwork(eng)
 	host := nw.Attach(ethjtag.HostAddr, ethjtag.HostEthernetBps)
 	eth := nw.Attach(ethjtag.NodeEthAddr(0), ethjtag.NodeEthernetBps)
-	n := node.New(eng, 0, geom.Coord{}, 500*event.MHz, 0)
+	n := node.New(eng, 0, geom.Coord{}, 500*event.MHz)
 	n.LoadBootWord(0, 1)
 	if err := n.StartBootKernel(); err != nil {
 		t.Fatal(err)
@@ -136,7 +136,7 @@ func TestPeek(t *testing.T) {
 func TestFromCtxPanicsWithoutKernel(t *testing.T) {
 	eng := event.New()
 	defer eng.Shutdown()
-	n := node.New(eng, 0, geom.Coord{}, 500*event.MHz, 0)
+	n := node.New(eng, 0, geom.Coord{}, 500*event.MHz)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("no panic")

@@ -33,9 +33,6 @@ func New(seed, id uint64) *Stream {
 // Clone returns a copy of the stream at its current position.
 func (s *Stream) Clone() *Stream { c := *s; return &c }
 
-// Skip advances the stream by n draws without generating them.
-func (s *Stream) Skip(n uint64) { s.ctr += n }
-
 // Pos returns the number of values drawn so far.
 func (s *Stream) Pos() uint64 { return s.ctr }
 

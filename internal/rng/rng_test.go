@@ -43,21 +43,6 @@ func TestSeedSeparation(t *testing.T) {
 	}
 }
 
-func TestSkipMatchesDraws(t *testing.T) {
-	a := New(5, 5)
-	b := New(5, 5)
-	for i := 0; i < 17; i++ {
-		a.Uint64()
-	}
-	b.Skip(17)
-	if a.Uint64() != b.Uint64() {
-		t.Fatal("Skip != drawing")
-	}
-	if a.Pos() != 18 {
-		t.Fatalf("pos = %d", a.Pos())
-	}
-}
-
 func TestCloneIndependent(t *testing.T) {
 	a := New(9, 9)
 	a.Uint64()

@@ -38,7 +38,7 @@ func newFlatPair(t *testing.T, workers int) *pair {
 	for i := range ma.words {
 		ma.words[i] = uint64(i)*0x9E3779B97F4A7C15 + 1
 	}
-	return newPairMem(t, Config{}, ea, eb, ma, &flatMem{words: make([]uint64, rigWords)})
+	return newPairMem(t, ea, eb, ma, &flatMem{words: make([]uint64, rigWords)})
 }
 
 // stream programs one long a-to-b transfer: the DMA word path.
@@ -216,7 +216,7 @@ func TestStallNamesTheLink(t *testing.T) {
 			t.Errorf("dmaWait(%v) = %q, want %q", l, got, want)
 		}
 	}
-	pr := newPair(t, Config{})
+	pr := newPair(t)
 	pr.eng.Spawn("B app", func(p *event.Proc) {
 		rt, err := pr.b.StartRecv(pr.linkB, Contiguous(0, 4))
 		if err != nil {

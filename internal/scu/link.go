@@ -76,7 +76,7 @@ type linkUnit struct {
 	// transmission.
 	injects fifo[uint64]
 
-	// unacked is the hardware's resend register file: at most Window
+	// unacked is the hardware's resend register file: at most window
 	// (< SeqMod) words, a fixed ring.
 	unacked     [scupkt.SeqMod]pendingWord
 	unackedHead int
@@ -103,7 +103,7 @@ type linkUnit struct {
 	rxT        fifo[*Transfer] // programmed receive transfers
 	rxProgress int             // words stored into the head of rxT
 
-	// idleBuf is the idle-receive register file: up to Window words held
+	// idleBuf is the idle-receive register file: up to window words held
 	// without acknowledgement until a receive is programmed.
 	idleBuf     [scupkt.SeqMod]uint64
 	idleBufHead int
@@ -249,7 +249,7 @@ func (lu *linkUnit) pump() {
 				lu.curIdx = 0
 				lu.tx = txStartup
 				lu.ffArm()
-				startup := lu.scu.cfg.Clock.Cycles(txStartupCycles)
+				startup := lu.scu.clock.Cycles(txStartupCycles)
 				lu.scu.eng.AfterHandler(startup, lu, evStartup)
 				return
 			default:
@@ -257,7 +257,7 @@ func (lu *linkUnit) pump() {
 				return
 			}
 		}
-		if lu.unackedLen >= lu.scu.cfg.Window {
+		if lu.unackedLen >= window {
 			lu.tx = txWindow
 			return // an ack will pump
 		}
@@ -278,12 +278,12 @@ func (lu *linkUnit) sendHeld() {
 	lu.held = false
 	lu.heldT = nil
 	if lu.unackedLen == 1 {
-		lu.ackTimer.Arm(lu.scu.cfg.AckTimeout)
+		lu.ackTimer.Arm(ackTimeout)
 	}
 }
 
 // ackTimeout is the lost-acknowledgement recovery: if the oldest
-// unacknowledged word has not been acked within AckTimeout, resend it
+// unacknowledged word has not been acked within ackTimeout, resend it
 // and restart the clock. Every pop of the window head re-arms (or stops)
 // the timer, which only moves its deadline (event.Timer), so this never
 // runs for a word that was acknowledged. A streak of timeouts with no
@@ -293,12 +293,12 @@ func (lu *linkUnit) ackTimeout() {
 		return
 	}
 	lu.timeoutStreak++
-	if lu.timeoutStreak >= lu.scu.cfg.RetrainAfter {
+	if lu.timeoutStreak >= retrainAfter {
 		lu.beginRetrain()
 		return
 	}
 	lu.resend(&lu.unacked[lu.unackedHead])
-	lu.ackTimer.Arm(lu.scu.cfg.AckTimeout)
+	lu.ackTimer.Arm(ackTimeout)
 }
 
 // resend retransmits one unacknowledged word, recording the gap since
@@ -336,7 +336,7 @@ func (lu *linkUnit) transmitSup(w uint64) {
 	lu.supWord = w
 	lu.sendPacket(scupkt.Packet{Kind: scupkt.Supervisor, Payload: w})
 	lu.stats.SupsSent++
-	lu.supTimer.Arm(lu.scu.cfg.AckTimeout)
+	lu.supTimer.Arm(ackTimeout)
 }
 
 // supTimeout resends the outstanding supervisor word (stop-and-wait
@@ -348,13 +348,13 @@ func (lu *linkUnit) supTimeout() {
 		return
 	}
 	lu.timeoutStreak++
-	if lu.timeoutStreak >= lu.scu.cfg.RetrainAfter {
+	if lu.timeoutStreak >= retrainAfter {
 		lu.beginRetrain()
 		return
 	}
 	lu.sendPacket(scupkt.Packet{Kind: scupkt.Supervisor, Payload: lu.supWord})
 	lu.stats.Resends++
-	lu.supTimer.Arm(lu.scu.cfg.AckTimeout)
+	lu.supTimer.Arm(ackTimeout)
 }
 
 // beginRetrain resets and re-trains the outbound wire: the §2.2
@@ -364,7 +364,7 @@ func (lu *linkUnit) supTimeout() {
 // that keep producing no acknowledgement progress escalate to fail.
 func (lu *linkUnit) beginRetrain() {
 	lu.retrainCount++
-	if lu.retrainCount > lu.scu.cfg.MaxRetrains {
+	if lu.retrainCount > maxRetrains {
 		lu.fail()
 		return
 	}
@@ -388,18 +388,18 @@ func (lu *linkUnit) retrainDone() {
 	lu.retraining = false
 	lu.resendUnacked()
 	if lu.unackedLen > 0 {
-		lu.ackTimer.Arm(lu.scu.cfg.AckTimeout)
+		lu.ackTimer.Arm(ackTimeout)
 	}
 	if lu.supPending {
 		lu.sendPacket(scupkt.Packet{Kind: scupkt.Supervisor, Payload: lu.supWord})
 		lu.stats.Resends++
-		lu.supTimer.Arm(lu.scu.cfg.AckTimeout)
+		lu.supTimer.Arm(ackTimeout)
 	}
 	lu.kick(txWindow)
 	lu.kick(txIdle)
 }
 
-// fail declares the link permanently dead: MaxRetrains re-trainings in
+// fail declares the link permanently dead: maxRetrains re-trainings in
 // a row produced no acknowledgement progress, so the hardware stops
 // trying (a dead transmitter resending forever would only burn the
 // wire) and escalates through the SCU's supervisor interrupt path.
@@ -511,8 +511,8 @@ func (lu *linkUnit) handleData(seq int, w uint64) {
 	if lu.rxT.len() == 0 {
 		// Idle receive: hold the word in an SCU register and withhold the
 		// acknowledgement; the sender's window will block it after
-		// Window words (§2.2).
-		if lu.idleBufLen >= lu.scu.cfg.Window {
+		// window words (§2.2).
+		if lu.idleBufLen >= window {
 			panic(fmt.Sprintf("scu %s link %v: idle-receive overflow (window protocol violated)",
 				lu.scu.name, lu.link))
 		}
@@ -600,7 +600,7 @@ func (lu *linkUnit) handleAck(flags uint8) {
 		// Every head pop restarts (or, with nothing left in flight,
 		// stops) the lost-ack recovery clock.
 		if lu.unackedLen > 0 {
-			lu.ackTimer.Arm(lu.scu.cfg.AckTimeout)
+			lu.ackTimer.Arm(ackTimeout)
 		} else {
 			lu.ackTimer.Stop()
 		}

@@ -235,7 +235,6 @@ func modelRun(t *testing.T, seed int64, pr *pair, kill bool) (dirs [2]*modelDir)
 
 func TestLinkProtocolMatchesReferenceFIFO(t *testing.T) {
 	const seeds = 200
-	cfg := Config{AckTimeout: 5 * event.Microsecond, RetrainAfter: 2}
 	// totals[kill][cross] sums the link counters of every seed.
 	var totals [2][2]Stats
 	for _, v := range []struct {
@@ -257,7 +256,7 @@ func TestLinkProtocolMatchesReferenceFIFO(t *testing.T) {
 					c := event.Clusterize(engA, 2, 2, hssl.MinLatency(hssl.DefaultClock, hssl.DefaultPropagation))
 					engB = c.Shard(1)
 				}
-				pr := newPairOn(t, cfg, engA, engB)
+				pr := newPairOn(t, engA, engB)
 				for _, d := range modelRun(t, seed, pr, v.kill == 1) {
 					st := d.tx.LinkStats(d.txL)
 					total.Add(&st)

@@ -25,12 +25,7 @@ type retrainRun struct {
 
 func runRetrainScenario(t *testing.T, n int, fault func(pr *pair)) retrainRun {
 	t.Helper()
-	cfg := Config{
-		AckTimeout:   5 * event.Microsecond,
-		RetrainAfter: 2,
-		MaxRetrains:  3,
-	}
-	pr := newPair(t, cfg)
+	pr := newPair(t)
 	var r retrainRun
 	pr.a.OnLinkFailure(func(l geom.Link) { r.escalated = append(r.escalated, l) })
 	r.words = fillWords(pr.ma, 0, n, 42)
@@ -71,10 +66,11 @@ func TestFlipBitEveryForcesRetrain(t *testing.T) {
 		return runRetrainScenario(t, n, func(pr *pair) {
 			pr.ab.SetFault(hssl.FlipBitEvery(1))
 			// The burst ends at a fixed simulated time: long enough for
-			// the ack-timeout streak (2 x 5 us) to force re-trainings,
-			// short enough that clean traffic resumes before MaxRetrains
-			// consecutive retrains would declare the link dead.
-			pr.eng.At(25*event.Microsecond, func() { pr.ab.SetFault(nil) })
+			// the ack-timeout streak (retrainAfter x ackTimeout) to force
+			// a re-training, short enough that clean traffic resumes
+			// before maxRetrains consecutive retrains would declare the
+			// link dead.
+			pr.eng.At((retrainAfter+1)*ackTimeout, func() { pr.ab.SetFault(nil) })
 		})
 	}
 	r1 := run()
@@ -123,7 +119,7 @@ func TestFlipBitEveryForcesRetrain(t *testing.T) {
 
 // A permanently severed wire (hssl.Wire.Kill) makes every re-training
 // "succeed" at the transmitter while restoring nothing: after
-// MaxRetrains with no ack progress the link must be declared dead,
+// maxRetrains with no ack progress the link must be declared dead,
 // counted in link_failures, surfaced in FailedLinks, and escalated
 // through OnLinkFailure — deterministically.
 func TestDeadWireEscalatesToLinkFailure(t *testing.T) {
@@ -142,7 +138,7 @@ func TestDeadWireEscalatesToLinkFailure(t *testing.T) {
 		t.Fatalf("link_failures = %d, want 1 (%+v)", r1.aStats.LinkFailures, r1.aStats)
 	}
 	if r1.aStats.Retrains != 3 {
-		t.Fatalf("retrains = %d, want MaxRetrains = 3", r1.aStats.Retrains)
+		t.Fatalf("retrains = %d, want maxRetrains = 3", r1.aStats.Retrains)
 	}
 	if r1.aFailed == 0 {
 		t.Fatal("FailedLinks mask empty after give-up")

@@ -58,68 +58,28 @@ const (
 	rxStartupCycles = 100
 )
 
-// Config holds the SCU timing and protocol parameters.
-type Config struct {
-	// Clock is the link/processor clock (the HSSL links run at the same
-	// clock as the processor; target 500 MHz).
-	Clock event.Hz
-	// Window is the number of unacknowledged data words allowed in
-	// flight. Default (and hardware value) 3; must be < scupkt.SeqMod.
-	Window int
-	// AckTimeout triggers a resend of the oldest unacknowledged word,
-	// recovering from corrupted acknowledgement frames. It must be much
-	// larger than the round trip so it never fires spuriously. Default
-	// 50 us.
-	AckTimeout event.Time
-	// RetrainAfter is the number of consecutive acknowledgement timeouts
+// The link protocol's fixed hardware parameters (§2.2).
+const (
+	// window is the number of unacknowledged data words allowed in
+	// flight: the paper's "three in the air". It stays below
+	// scupkt.SeqMod, which sizes the resend and idle-receive register
+	// files.
+	window = scupkt.WindowSize
+	// ackTimeout triggers a resend of the oldest unacknowledged word,
+	// recovering from corrupted acknowledgement frames. It is much
+	// larger than the round trip so it never fires spuriously.
+	ackTimeout = 50 * event.Microsecond
+	// retrainAfter is the number of consecutive acknowledgement timeouts
 	// (with no ack progress in between) after which the SCU resets and
 	// re-trains the outbound wire instead of resending again — the
 	// recovery for a link whose sampling phase has drifted or that is
-	// suffering a burst error. Default 4.
-	RetrainAfter int
-	// MaxRetrains is the number of consecutive re-trainings (with no ack
+	// suffering a burst error.
+	retrainAfter = 4
+	// maxRetrains is the number of consecutive re-trainings (with no ack
 	// progress in between) after which the SCU gives up, declares the
 	// link dead, and escalates via the supervisor interrupt path.
-	// Default 3.
-	MaxRetrains int
-}
-
-// DefaultConfig returns the paper's nominal 500 MHz configuration.
-func DefaultConfig() Config {
-	return Config{
-		Clock:        500 * event.MHz,
-		Window:       scupkt.WindowSize,
-		AckTimeout:   50 * event.Microsecond,
-		RetrainAfter: 4,
-		MaxRetrains:  3,
-	}
-}
-
-func (c Config) withDefaults() Config {
-	d := DefaultConfig()
-	if c.Clock == 0 {
-		c.Clock = d.Clock
-	}
-	if c.Window == 0 {
-		c.Window = d.Window
-	}
-	if c.AckTimeout == 0 {
-		c.AckTimeout = d.AckTimeout
-	}
-	if c.RetrainAfter == 0 {
-		c.RetrainAfter = d.RetrainAfter
-	}
-	if c.MaxRetrains == 0 {
-		c.MaxRetrains = d.MaxRetrains
-	}
-	if c.Window >= scupkt.SeqMod {
-		// The window protocol cannot distinguish a full window from an
-		// empty one once Window reaches the sequence modulus, and the
-		// link unit's resend/idle-receive register files are sized SeqMod.
-		panic(fmt.Sprintf("scu: Window %d must be < scupkt.SeqMod (%d)", c.Window, scupkt.SeqMod))
-	}
-	return c
-}
+	maxRetrains = 3
+)
 
 // Stats aggregates per-link protocol counters.
 type Stats struct {
@@ -136,7 +96,7 @@ type Stats struct {
 	PartIRQsSent  uint64
 	PartIRQsRecvd uint64
 	Retrains      uint64 // link re-trainings forced by ack-timeout streaks
-	LinkFailures  uint64 // links declared dead after MaxRetrains gave up
+	LinkFailures  uint64 // links declared dead after maxRetrains gave up
 }
 
 // statsFields is the single definition of the protocol counter set:
@@ -205,9 +165,9 @@ type SCU struct {
 	eng  *event.Engine
 	name string
 	mem  Memory
-	cfg  Config
 
-	rxStartup event.Time // rxStartupCycles at cfg.Clock, for storeWord
+	clock     event.Hz   // the link clock, the processor's (§2.2)
+	rxStartup event.Time // rxStartupCycles at clock, for storeWord
 
 	links [geom.NumLinks]*linkUnit
 
@@ -234,11 +194,12 @@ type SCU struct {
 	ff      *ffEngine // shared with the SCUs its links pair with; see ff.go
 }
 
-// New creates an SCU for a node. mem is the node's local memory as seen
-// by the DMA engines.
-func New(eng *event.Engine, name string, mem Memory, cfg Config) *SCU {
-	s := &SCU{eng: eng, name: name, mem: mem, cfg: cfg.withDefaults()}
-	s.rxStartup = s.cfg.Clock.Cycles(rxStartupCycles)
+// New creates an SCU for a node whose links run at clock (the processor
+// clock; the paper's target is 500 MHz). mem is the node's local memory
+// as seen by the DMA engines.
+func New(eng *event.Engine, name string, mem Memory, clock event.Hz) *SCU {
+	s := &SCU{eng: eng, name: name, mem: mem, clock: clock}
+	s.rxStartup = clock.Cycles(rxStartupCycles)
 	for i := range s.globalIn {
 		s.globalIn[i] = -1
 	}
@@ -354,7 +315,7 @@ func (s *SCU) SendSupervisor(l geom.Link, word uint64) error {
 func (s *SCU) OnSupervisor(fn func(l geom.Link, word uint64)) { s.onSupervisor = fn }
 
 // SupLinkFailed is the supervisor word delivered with the link-failure
-// escalation: when a link gives up after MaxRetrains, the SCU raises
+// escalation: when a link gives up after maxRetrains, the SCU raises
 // the same CPU interrupt a neighbour's supervisor packet would, with
 // this distinguished word ("LNKDEAD" in ASCII), so supervisor-level
 // software learns about dead links through its existing interrupt path.
@@ -459,5 +420,5 @@ func (s *SCU) Checksums(l geom.Link) (tx, rx scupkt.Checksum) {
 // Engine returns the event engine the SCU runs on.
 func (s *SCU) Engine() *event.Engine { return s.eng }
 
-// Clock returns the configured link clock.
-func (s *SCU) Clock() event.Hz { return s.cfg.Clock }
+// Clock returns the link clock.
+func (s *SCU) Clock() event.Hz { return s.clock }

@@ -54,22 +54,25 @@ type pair struct {
 	linkB  geom.Link  // the link as seen from B
 }
 
-func newPair(t *testing.T, cfg Config) *pair {
+// testClock is the paper's 500 MHz link clock.
+const testClock = 500 * event.MHz
+
+func newPair(t *testing.T) *pair {
 	t.Helper()
 	eng := event.New()
-	return newPairOn(t, cfg, eng, eng)
+	return newPairOn(t, eng, eng)
 }
 
-func newPairOn(t *testing.T, cfg Config, eng, engB *event.Engine) *pair {
+func newPairOn(t *testing.T, eng, engB *event.Engine) *pair {
 	t.Helper()
 	ma, mb := newTestMem(), newTestMem()
-	pr := newPairMem(t, cfg, eng, engB, ma, mb)
+	pr := newPairMem(t, eng, engB, ma, mb)
 	pr.ma, pr.mb = ma, mb
 	return pr
 }
 
 // newPairMem is newPairOn over the caller's memories (ma and mb stay nil).
-func newPairMem(t *testing.T, cfg Config, eng, engB *event.Engine, ma, mb Memory) *pair {
+func newPairMem(t *testing.T, eng, engB *event.Engine, ma, mb Memory) *pair {
 	t.Helper()
 	ab := hssl.NewWireBetween(eng, engB, "a->b", hssl.DefaultClock, hssl.DefaultPropagation)
 	ba := hssl.NewWireBetween(engB, eng, "b->a", hssl.DefaultClock, hssl.DefaultPropagation)
@@ -78,8 +81,8 @@ func newPairMem(t *testing.T, cfg Config, eng, engB *event.Engine, ma, mb Memory
 	if err := eng.RunAll(); err != nil {
 		t.Fatal(err)
 	}
-	a := New(eng, "A", ma, cfg)
-	b := New(engB, "B", mb, cfg)
+	a := New(eng, "A", ma, testClock)
+	b := New(engB, "B", mb, testClock)
 	la := geom.Link{Dim: 0, Dir: geom.Fwd}
 	lb := geom.Link{Dim: 0, Dir: geom.Bwd}
 	a.AttachLink(la, ab, ba)
@@ -111,7 +114,7 @@ func fillWords(m *testMem, base uint64, n int, seed int64) []uint64 {
 func TestSingleWordLatency600ns(t *testing.T) {
 	// E4: memory-to-memory time for a nearest-neighbour transfer is about
 	// 600 ns (§2.2).
-	pr := newPair(t, Config{})
+	pr := newPair(t)
 	pr.ma.WriteWord(0, 0xCAFE)
 	start := pr.eng.Now()
 	rt, err := pr.b.StartRecv(pr.linkB, Contiguous(0x1000, 1))
@@ -138,7 +141,7 @@ func TestSingleWordLatency600ns(t *testing.T) {
 func Test24WordTransferTiming(t *testing.T) {
 	// E4: for a 24-word transfer the 600 ns first-word latency is small
 	// against the ~3.3 us for the remaining 23 words (~3.9 us total).
-	pr := newPair(t, Config{})
+	pr := newPair(t)
 	want := fillWords(pr.ma, 0, 24, 7)
 	start := pr.eng.Now()
 	rt, _ := pr.b.StartRecv(pr.linkB, Contiguous(0x2000, 24))
@@ -160,7 +163,7 @@ func Test24WordTransferTiming(t *testing.T) {
 func TestIdleReceiveNoTemporalOrdering(t *testing.T) {
 	// §2.2: the receiver holds the first three words and withholds acks,
 	// so a send may start long before the receive is programmed.
-	pr := newPair(t, Config{})
+	pr := newPair(t)
 	want := fillWords(pr.ma, 0, 8, 9)
 	st, _ := pr.a.StartSend(pr.linkA, Contiguous(0, 8))
 	// Let the sender run: it must stall after 3 unacknowledged words.
@@ -189,7 +192,7 @@ func TestIdleReceiveNoTemporalOrdering(t *testing.T) {
 
 func TestConcurrentBidirectional(t *testing.T) {
 	// §2.2: concurrent sends and receives to each neighbour.
-	pr := newPair(t, Config{})
+	pr := newPair(t)
 	wantAB := fillWords(pr.ma, 0, 32, 11)
 	wantBA := fillWords(pr.mb, 0x8000, 32, 13)
 	rtB, _ := pr.b.StartRecv(pr.linkB, Contiguous(0x4000, 32))
@@ -213,7 +216,7 @@ func TestConcurrentBidirectional(t *testing.T) {
 func TestBlockStridedDMA(t *testing.T) {
 	// Gather on the send side, scatter on the receive side, with
 	// different shapes (same total).
-	pr := newPair(t, Config{})
+	pr := newPair(t)
 	desc := DMADesc{Base: 0, BlockWords: 2, NumBlocks: 4, StrideWords: 10}
 	var want []uint64
 	for i := 0; i < desc.TotalWords(); i++ {
@@ -236,7 +239,7 @@ func TestBlockStridedDMA(t *testing.T) {
 }
 
 func TestDMADescValidation(t *testing.T) {
-	pr := newPair(t, Config{})
+	pr := newPair(t)
 	bad := []DMADesc{
 		{Base: 0, BlockWords: 0, NumBlocks: 1, StrideWords: 1},
 		{Base: 0, BlockWords: 1, NumBlocks: 0, StrideWords: 1},
@@ -278,7 +281,7 @@ func TestSingleBitErrorAutoResend(t *testing.T) {
 	// E12: a single bit error is detected by parity and repaired by the
 	// automatic hardware resend; the delivered data is correct and the
 	// end-of-link checksums agree.
-	pr := newPair(t, Config{})
+	pr := newPair(t)
 	want := fillWords(pr.ma, 0, 16, 21)
 	// Corrupt a payload bit of the 5th data frame on the A->B wire.
 	pr.ab.SetFault(hssl.FlipBitOnce(5, 23))
@@ -315,7 +318,7 @@ func TestSingleBitErrorAutoResend(t *testing.T) {
 func TestRepeatedErrorsSoak(t *testing.T) {
 	// Corrupt every 7th frame on the data wire; the transfer must still
 	// complete correctly.
-	pr := newPair(t, Config{AckTimeout: 5 * event.Microsecond})
+	pr := newPair(t)
 	want := fillWords(pr.ma, 0, 200, 33)
 	pr.ab.SetFault(hssl.FlipBitEvery(7))
 	rt, _ := pr.b.StartRecv(pr.linkB, Contiguous(0x7000, 200))
@@ -340,7 +343,7 @@ func TestAckCorruptionRecovered(t *testing.T) {
 	// Corrupting the reverse (ack-carrying) wire stalls the window until
 	// the acknowledgement timeout resends the oldest word and the
 	// receiver re-acks.
-	pr := newPair(t, Config{AckTimeout: 5 * event.Microsecond})
+	pr := newPair(t)
 	want := fillWords(pr.ma, 0, 8, 41)
 	pr.ba.SetFault(hssl.FlipBitEvery(3)) // hits ack frames B->A
 	rt, _ := pr.b.StartRecv(pr.linkB, Contiguous(0x8000, 8))
@@ -359,7 +362,7 @@ func TestAckCorruptionRecovered(t *testing.T) {
 func TestSupervisorInterrupt(t *testing.T) {
 	// §2.2: a supervisor packet lands in the neighbour's SCU register and
 	// raises a CPU interrupt there.
-	pr := newPair(t, Config{})
+	pr := newPair(t)
 	var got []uint64
 	var gotLink geom.Link
 	pr.b.OnSupervisor(func(l geom.Link, w uint64) {
@@ -397,7 +400,7 @@ func TestSupervisorInterrupt(t *testing.T) {
 func TestSupervisorDuringDataTransfer(t *testing.T) {
 	// Supervisors multiplex onto a busy link without corrupting the data
 	// stream.
-	pr := newPair(t, Config{})
+	pr := newPair(t)
 	want := fillWords(pr.ma, 0, 64, 55)
 	var sup []uint64
 	pr.b.OnSupervisor(func(_ geom.Link, w uint64) { sup = append(sup, w) })
@@ -421,7 +424,7 @@ func TestSupervisorDuringDataTransfer(t *testing.T) {
 }
 
 func TestPartitionInterruptTwoNodes(t *testing.T) {
-	pr := newPair(t, Config{})
+	pr := newPair(t)
 	pr.a.RaisePartIRQ(0x04)
 	pr.run(t)
 	if pr.b.PartIRQPending() != 0x04 {
@@ -454,7 +457,7 @@ func TestPartitionInterruptTwoNodes(t *testing.T) {
 }
 
 // ring builds n nodes connected in a 1-D torus along dimension 0.
-func ring(t *testing.T, n int, cfg Config) (*event.Engine, []*SCU, []*testMem) {
+func ring(t *testing.T, n int) (*event.Engine, []*SCU, []*testMem) {
 	t.Helper()
 	eng := event.New()
 	fwd := make([]*hssl.Wire, n) // fwd[i]: i -> i+1
@@ -472,7 +475,7 @@ func ring(t *testing.T, n int, cfg Config) (*event.Engine, []*SCU, []*testMem) {
 	mems := make([]*testMem, n)
 	for i := 0; i < n; i++ {
 		mems[i] = newTestMem()
-		scus[i] = New(eng, fmt.Sprintf("n%d", i), mems[i], cfg)
+		scus[i] = New(eng, fmt.Sprintf("n%d", i), mems[i], testClock)
 	}
 	for i := 0; i < n; i++ {
 		next := (i + 1) % n
@@ -492,7 +495,7 @@ func TestGlobalRingBroadcastSum(t *testing.T) {
 	// §2.2 Global operations: each node contributes one word; words pass
 	// through the ring so every node collects all N words after N-1 hops.
 	const n = 4
-	eng, scus, _ := ring(t, n, Config{})
+	eng, scus, _ := ring(t, n)
 	collected := make([][]uint64, n)
 	lin := geom.Link{Dim: 0, Dir: geom.Bwd}
 	lout := geom.Link{Dim: 0, Dir: geom.Fwd}
@@ -538,7 +541,7 @@ func TestGlobalDoubledMode(t *testing.T) {
 	// The doubled functionality: two disjoint streams run both ring
 	// directions at once, halving the hop count.
 	const n = 4
-	eng, scus, _ := ring(t, n, Config{})
+	eng, scus, _ := ring(t, n)
 	got := make([]map[uint64]bool, n)
 	fwdL := geom.Link{Dim: 0, Dir: geom.Fwd}
 	bwdL := geom.Link{Dim: 0, Dir: geom.Bwd}
@@ -592,7 +595,7 @@ func TestGlobalDoubledMode(t *testing.T) {
 }
 
 func TestGlobalStreamValidation(t *testing.T) {
-	pr := newPair(t, Config{})
+	pr := newPair(t)
 	ok := GlobalConfig{In: pr.linkA, HasIn: true, Outs: []geom.Link{pr.linkA}, Expect: 1, Forward: 0}
 	if err := pr.a.ConfigureGlobal(0, ok); err != nil {
 		t.Fatalf("valid config rejected: %v", err)
@@ -623,7 +626,7 @@ func TestTransferIntegrityQuick(t *testing.T) {
 	// Property: any transfer size and stride pattern delivers exactly the
 	// source words, in order, under random single-frame corruption.
 	f := func(seed int64, sizeSel, strideSel uint8, faultFrame uint8, faultBit uint16) bool {
-		pr := newPair(t, Config{AckTimeout: 5 * event.Microsecond})
+		pr := newPair(t)
 		n := int(sizeSel%32) + 1
 		stride := int(strideSel%5) + 1
 		desc := DMADesc{Base: 0, BlockWords: 1, NumBlocks: n, StrideWords: stride}
@@ -664,29 +667,18 @@ func TestTransferIntegrityQuick(t *testing.T) {
 func TestWindowSustainsFullBandwidth(t *testing.T) {
 	// E6/§2.2: with three words in the air the link runs at the
 	// serialization limit (72 bits per word), so 500 words take about
-	// 500 x 144 ns. With a window of 1 the handshake round trip gates
-	// every word and throughput collapses — the reason the hardware uses
-	// three.
-	elapsed := func(window int) event.Time {
-		pr := newPair(t, Config{Window: window})
-		fillWords(pr.ma, 0, 500, 77)
-		start := pr.eng.Now()
-		rt, _ := pr.b.StartRecv(pr.linkB, Contiguous(0x10000, 500))
-		pr.a.StartSend(pr.linkA, Contiguous(0, 500))
-		pr.run(t)
-		return rt.Finished() - start
-	}
-	t3 := elapsed(3)
-	t1 := elapsed(1)
-	// Window 3: ~ 250ns startup + 500*144ns + tail ≈ 72.5us.
+	// 500 x 144 ns: the window hides the ~42 ns ack round trip (16-bit
+	// ack + two flight times) that would otherwise gate every word.
+	pr := newPair(t)
+	fillWords(pr.ma, 0, 500, 77)
+	start := pr.eng.Now()
+	rt, _ := pr.b.StartRecv(pr.linkB, Contiguous(0x10000, 500))
+	pr.a.StartSend(pr.linkA, Contiguous(0, 500))
+	pr.run(t)
+	t3 := rt.Finished() - start
+	// ~ 250ns startup + 500*144ns + tail ≈ 72.5us.
 	ideal := 500 * 144 * event.Nanosecond
 	if t3 > ideal+2*event.Microsecond {
 		t.Fatalf("window-3 transfer took %v, not serialization-bound (%v)", t3, ideal)
-	}
-	// Window 1 pays the ~42 ns ack round trip (16-bit ack + two flight
-	// times) on every word; window 3 hides it entirely.
-	handshake := 500 * 40 * event.Nanosecond
-	if t1 < t3+handshake {
-		t.Fatalf("window-1 (%v) should pay the per-word handshake over window-3 (%v)", t1, t3)
 	}
 }

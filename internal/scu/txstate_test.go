@@ -11,7 +11,7 @@ import (
 // transfer with its window stalls has drained, both ends' transmit
 // engines are parked idle.
 func TestLinkUnitsIdleAfterRun(t *testing.T) {
-	pr := newPair(t, Config{})
+	pr := newPair(t)
 	units := []*linkUnit{pr.a.links[geom.LinkIndex(pr.linkA)], pr.b.links[geom.LinkIndex(pr.linkB)]}
 	check := func(when string) {
 		t.Helper()
