@@ -58,6 +58,7 @@ func cmdFleet(args []string) {
 	verify := fs.Bool("verify", false, "re-run the campaign serially and dark and require identical per-run digests, then exit")
 	quiet := fs.Bool("quiet", false, "suppress per-run lines and chaos narratives; print only the summary")
 	fs.Parse(args)
+	atLeastOne(fs, "workers", int64(*workers))
 
 	base := fleet.Spec{
 		Machine: parseShape(fs, "machine", *mshape, 0),

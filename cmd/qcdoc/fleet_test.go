@@ -78,6 +78,8 @@ func TestRefusesOutOfRangeInputs(t *testing.T) {
 		{"info -nodes -5", "-nodes"},
 		{"scaling -lattice 32,32,-32,64", "-lattice"},
 		{"fleet -lattices 4,4,4,4;0,4,4,4", "-lattices"},
+		{"fleet -workers 0", "-workers"},
+		{"fleet -workers -3", "-workers"},
 	} {
 		code, stdout, stderr := qcdoc(t, strings.Fields(c.args)...)
 		if code != 2 || stdout != "" || !strings.Contains(stderr, c.flag) || strings.Contains(stderr, "panic:") {

@@ -130,22 +130,26 @@ func TestQuietLinkMatchesPerFrame(t *testing.T) {
 
 // TestQuietLinkKeepsLinkHistograms runs the golden Wilson solve with
 // telemetry on, clean (quiet link pairs fast-forward and record each
-// skipped period's in-flight latencies again) and hooked (frame by
-// frame): every link's histograms and counters must agree, and the clean
-// run must still move a word in under half an event.
+// skipped period's in-flight latencies again), hooked (frame by frame)
+// and clean under a flight recorder (watching does not change the path):
+// every link's histograms and counters must agree, the clean runs must
+// still move a word in under half an event, and the recorder must hold a
+// jump's "scu-ff" span.
 func TestQuietLinkKeepsLinkHistograms(t *testing.T) {
 	type hists struct {
 		inFlight, resendGap []telemetry.HistogramSnapshot
 		links               []scu.Stats
 		perWord             float64
+		jumps               int
 	}
-	run := func(hooked bool) hists {
+	run := func(hooked bool, rec *event.Recorder) hists {
 		sess, err := NewSession(geom.MakeShape(2, 2), goldenGlobal)
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer sess.Close()
 		sess.M.EnableTelemetry()
+		sess.Eng.SetRecorder(rec)
 		if hooked {
 			for r := 0; r < sess.M.NumNodes(); r++ {
 				for _, l := range geom.AllLinks() {
@@ -168,14 +172,31 @@ func TestQuietLinkKeepsLinkHistograms(t *testing.T) {
 				h.links = append(h.links, n.SCU.LinkStats(l))
 			}
 		}
+		if rec != nil {
+			for _, r := range rec.Tail(0) {
+				if r.Kind == event.TraceSpanBegin && r.Actor() == "scu-ff" {
+					h.jumps++
+				}
+			}
+		}
 		return h
 	}
-	clean, hooked := run(false), run(true)
+	rec := event.NewRecorder(event.DefaultRecorderSize)
+	clean, hooked, recorded := run(false, nil), run(true, nil), run(false, rec)
 	if clean.perWord > 0.5 {
 		t.Errorf("clean run with telemetry: %.3f events per word, want at most 0.5", clean.perWord)
 	}
-	clean.perWord, hooked.perWord = 0, 0
+	if recorded.perWord > 0.5 {
+		t.Errorf("clean run with telemetry and a flight recorder: %.3f events per word, want at most 0.5", recorded.perWord)
+	}
+	if recorded.jumps == 0 {
+		t.Errorf("flight recorder holds no scu-ff span in its last %d of %d records", rec.Cap(), rec.Total())
+	}
+	clean.perWord, hooked.perWord, recorded.perWord, recorded.jumps = 0, 0, 0, 0
 	if !reflect.DeepEqual(clean, hooked) {
 		t.Fatal("link histograms or counters differ between the fast-forwarded and the frame-by-frame run")
+	}
+	if !reflect.DeepEqual(recorded, hooked) {
+		t.Fatal("link histograms or counters differ between the recorded and the frame-by-frame run")
 	}
 }

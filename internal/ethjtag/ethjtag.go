@@ -330,9 +330,6 @@ func (p *Port) RecvTimeout(proc *event.Proc, d event.Time) (Packet, bool) {
 	return p.rx.GetTimeout(proc, d)
 }
 
-// Addr returns the port's address.
-func (p *Port) Addr() Addr { return p.addr }
-
 // --- Ethernet/JTAG controller -------------------------------------------
 
 // JTAGOp is a JTAG command carried in a UDP payload.

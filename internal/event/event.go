@@ -276,10 +276,8 @@ func (e *Engine) runLocal(until Time) error {
 }
 
 // RunBound returns the current Run's horizon and how many Runs have begun
-// (host code may change anything between two); Observed whether a tracer
-// or a flight recorder watches every event.
+// (host code may change anything between two).
 func (e *Engine) RunBound() (until Time, run uint64) { return e.until, e.runs }
-func (e *Engine) Observed() bool                     { return e.tracer != nil || e.rec != nil }
 
 // RunAll runs with no horizon.
 func (e *Engine) RunAll() error { return e.Run(Forever) }

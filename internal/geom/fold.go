@@ -136,9 +136,6 @@ func FoldToDims(machine Shape, dims int) (*Fold, error) {
 // Logical returns the shape of the folded (logical) torus.
 func (f *Fold) Logical() Shape { return f.logical }
 
-// Machine returns the underlying machine shape.
-func (f *Fold) Machine() Shape { return f.machine }
-
 // snake converts a linear index k along an axis into per-machine-dimension
 // indices, applying the recursive boustrophedon reversal.
 func (f *Fold) snake(k int, dims []int, out []int) {

@@ -128,23 +128,6 @@ func TestRandomSU3Quick(t *testing.T) {
 	}
 }
 
-func TestExpiHUnitary(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	for i := 0; i < 20; i++ {
-		// Hermitian h.
-		m := randMat(rng)
-		h := m.Add(m.Dagger()).Scale(0.5)
-		u := ExpiH(h)
-		if !u.IsUnitary(1e-8) {
-			t.Fatalf("exp(iH) not unitary at trial %d", i)
-		}
-	}
-	// exp(0) = 1.
-	if ExpiH(Zero3()).FrobeniusDistance(Identity3()) > tol {
-		t.Fatal("exp(0) != 1")
-	}
-}
-
 func TestTracelessAntiHermitian(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	m := randMat(rng)

@@ -175,40 +175,3 @@ func (m Mat3) TracelessAntiHermitian() Mat3 {
 	}
 	return a
 }
-
-// ExpiH returns exp(i h) for Hermitian h by scaled-and-squared Taylor
-// series; the result is unitary to high accuracy for moderate ||h||.
-func ExpiH(h Mat3) Mat3 {
-	x := h.Scale(1i)
-	return expm(x)
-}
-
-// expm computes exp(x) by scaling and squaring with a 12-term Taylor
-// series.
-func expm(x Mat3) Mat3 {
-	// Scale down by 2^k so the series converges fast.
-	norm := 0.0
-	for i := 0; i < 3; i++ {
-		for j := 0; j < 3; j++ {
-			norm += real(x[i][j])*real(x[i][j]) + imag(x[i][j])*imag(x[i][j])
-		}
-	}
-	norm = math.Sqrt(norm)
-	k := 0
-	for norm > 0.5 {
-		norm /= 2
-		k++
-	}
-	scale := complex(math.Ldexp(1, -k), 0)
-	xs := x.Scale(scale)
-	sum := Identity3()
-	term := Identity3()
-	for n := 1; n <= 12; n++ {
-		term = term.Mul(xs).Scale(complex(1/float64(n), 0))
-		sum = sum.Add(term)
-	}
-	for ; k > 0; k-- {
-		sum = sum.Mul(sum)
-	}
-	return sum
-}

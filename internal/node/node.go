@@ -262,9 +262,6 @@ func (n *Node) TickHeartbeat() {
 	}
 }
 
-// Heartbeat returns the liveness counter.
-func (n *Node) Heartbeat() uint64 { return n.heartbeat }
-
 // AppDone reports whether the last application finished, and its error.
 func (n *Node) AppDone() (bool, error) { return n.appDone, n.appErr }
 

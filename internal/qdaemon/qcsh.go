@@ -12,6 +12,10 @@ import (
 	"qcdoc/internal/scu"
 )
 
+// maxTraceSize bounds "trace on N": a ring is allocated whole, 80 B a
+// record, so 1<<20 records is 80 MiB.
+const maxTraceSize = 1 << 20
+
 // Qcsh is the command-line interface to QCDOC (§3.1): "a modified UNIX
 // tcsh ... gathers commands to send to the qdaemon and manages the
 // returning data stream". This implementation is the command
@@ -151,7 +155,7 @@ func (q *Qcsh) Exec(p *event.Proc, line string) (string, error) {
 			size := event.DefaultRecorderSize
 			if len(fields) >= 3 {
 				n, err := strconv.Atoi(fields[2])
-				if err != nil || n <= 0 {
+				if err != nil || n <= 0 || n > maxTraceSize {
 					return "", fmt.Errorf("qcsh: bad trace size %q", fields[2])
 				}
 				size = n

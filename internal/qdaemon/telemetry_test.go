@@ -156,6 +156,10 @@ func TestQcshTelemetryCommands(t *testing.T) {
 		if _, err := sh.Exec(p, "trace"); err == nil {
 			t.Error("trace dump with recorder off accepted")
 		}
+		// A ring past the bound is refused before anything is allocated.
+		if _, err := sh.Exec(p, "trace on 1048577"); err == nil || !strings.Contains(err.Error(), "bad trace size") || d.Eng.Recorder() != nil {
+			t.Errorf("trace on 1048577: %v, recorder %v", err, d.Eng.Recorder() != nil)
+		}
 		out, err = sh.Exec(p, "trace on 128")
 		if err != nil || !strings.Contains(out, "128") {
 			t.Errorf("trace on: %q, %v", out, err)

@@ -92,12 +92,6 @@ func WaitAll(p *event.Proc, ts ...*scu.Transfer) {
 	}
 }
 
-// SendSupervisor delivers a supervisor word (and a CPU interrupt) to the
-// (axis, dir) neighbour.
-func (c *Comm) SendSupervisor(axis int, dir geom.Dir, w uint64) error {
-	return c.n.SCU.SendSupervisor(c.link(axis, dir), w)
-}
-
 // GlobalSumFloat64 performs the §2.2 global sum: a dimension-by-
 // dimension ring reduction through the SCU pass-through mode. Every node
 // contributes x and receives the identical machine-wide total,

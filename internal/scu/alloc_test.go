@@ -61,11 +61,14 @@ func stream(t *testing.T, pr *pair) {
 // pump/timer callbacks are pre-bound. The legs take the same measurement
 // off the clean path: the clean leg fast-forwards its quiet link (and
 // must move a word in under half an event), the per-frame leg keeps it
-// frame by frame with a hook that changes nothing, and the rest go where
-// no solve goes unless a fault plan sends it: parity errors, naks, rewinds and lost acks with the link histograms
-// recording; the flight recorder and its span marks; frames crossing a
-// shard boundary by value through the cluster mailboxes; and global-sum
-// words injected and passed through rather than fetched by DMA.
+// frame by frame with a hook that changes nothing, the recorder leg
+// fast-forwards under a flight recorder (its jumps' "scu-ff" span marks
+// included) and the recorder/per-frame leg records every frame, and the
+// rest go where no solve goes unless a fault plan sends it: parity
+// errors, naks, rewinds and lost acks with the link histograms recording;
+// frames crossing a shard boundary by value through the cluster
+// mailboxes; and global-sum words injected and passed through rather than
+// fetched by DMA.
 func TestSteadyStateWordPathAllocFree(t *testing.T) {
 	legs := []struct {
 		name    string
@@ -93,6 +96,13 @@ func TestSteadyStateWordPathAllocFree(t *testing.T) {
 			stream(t, r)
 		}, moved: func(d Stats) bool { return d.Resends > 0 && d.NaksSent > 0 && d.ParityErrors > 0 }},
 		{name: "recorder", setup: func(t *testing.T, r *pair) {
+			r.eng.SetRecorder(event.NewRecorder(256))
+			stream(t, r)
+		}, fast: true},
+		{name: "recorder/per-frame", setup: func(t *testing.T, r *pair) {
+			keep := func(*hssl.Frame) bool { return false }
+			r.ab.SetFault(keep)
+			r.ba.SetFault(keep)
 			r.eng.SetRecorder(event.NewRecorder(256))
 			stream(t, r)
 		}},

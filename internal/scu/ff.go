@@ -141,7 +141,7 @@ type ffSnap struct {
 // ffArm: a long send on a serial engine (re)starts the pair's search.
 func (lu *linkUnit) ffArm() {
 	p, _ := lu.out.Receiver().(*linkUnit)
-	if lu.cur.total >= ffMinWords && lu.ff == nil && p != nil && lu.scu.eng.Cluster() == nil && !lu.scu.eng.Observed() {
+	if lu.cur.total >= ffMinWords && lu.ff == nil && p != nil && lu.scu.eng.Cluster() == nil {
 		es := cmp.Or(lu.scu.ff, p.scu.ff)
 		if es == nil {
 			es = &ffEngine{eng: lu.scu.eng}
@@ -232,7 +232,7 @@ func (fp *ffPair) try(j, s *ffSnap) bool {
 			m = min(m, (x.cur.total-1-x.curIdx)/n, (p.rxT.peek().total-1-p.rxProgress)/n)
 		}
 	}
-	if dw[0]+dw[1] == 0 || s.other != j.other || m < 2 || fp.es.eng.Observed() || !fp.lu[0].pairClosed() {
+	if dw[0]+dw[1] == 0 || s.other != j.other || m < 2 || !fp.lu[0].pairClosed() {
 		return false
 	}
 	h := fp.es.horizonAt() // and no armed lost-ack clock's queued firing
@@ -269,8 +269,10 @@ func (s *SCU) touches(t *Transfer) bool {
 	return false
 }
 
-// jump moves the pair m periods (d) on.
+// jump moves the pair m periods (d) on, one "scu-ff" span in a recorder's trace.
 func (fp *ffPair) jump(m int, d event.Time, dw [2]int) {
+	fp.es.eng.MarkSpanBegin("scu-ff")
+	defer fp.es.eng.MarkSpanEnd("scu-ff")
 	for side, x := range fp.lu {
 		p, w, n, np := fp.lu[1-side], x.out, m*dw[side], m*dw[1-side]
 		sent := x.curIdx

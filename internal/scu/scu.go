@@ -419,6 +419,3 @@ func (s *SCU) Checksums(l geom.Link) (tx, rx scupkt.Checksum) {
 
 // Engine returns the event engine the SCU runs on.
 func (s *SCU) Engine() *event.Engine { return s.eng }
-
-// Clock returns the link clock.
-func (s *SCU) Clock() event.Hz { return s.clock }
