@@ -30,6 +30,9 @@ vet:
 # re-encoding what it consumed. FuzzQuietLinkSchedule runs generated
 # SPMD programs with quiet link pairs fast-forwarding and frame by frame
 # (DESIGN.md §9): counters, checksums, memory and final clock must agree.
+# FuzzPlanPrefix holds the fault plan's draw order to prefix stability:
+# zeroing every fault count after the k-th kind yields a prefix of the
+# full plan.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzWireDecode$$' -fuzztime $(FUZZTIME) ./internal/scupkt
 	$(GO) test -run '^$$' -fuzz '^FuzzCheckpointDecode$$' -fuzztime $(FUZZTIME) ./internal/checkpoint
@@ -39,6 +42,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzHopKernelBits$$' -fuzztime $(FUZZTIME) ./internal/latmath
 	$(GO) test -run '^$$' -fuzz '^FuzzJTAGDecode$$' -fuzztime $(FUZZTIME) ./internal/ethjtag
 	$(GO) test -run '^$$' -fuzz '^FuzzQuietLinkSchedule$$' -fuzztime $(FUZZTIME) ./internal/machine
+	$(GO) test -run '^$$' -fuzz '^FuzzPlanPrefix$$' -fuzztime $(FUZZTIME) ./internal/faultplan
 
 build:
 	$(GO) build ./...
@@ -77,7 +81,7 @@ tables:
 # Lines of Go by ROADMAP's rule — the number the "least code" north star
 # tracks, and its budget: more non-test Go than LOC_BUDGET fails. bench/
 # is its own module and counted apart.
-LOC_BUDGET = 18200
+LOC_BUDGET = 17976
 NONTEST_LOC = find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' | xargs cat | wc -l
 loc:
 	@printf 'non-test Go: %s lines (budget $(LOC_BUDGET))\n' "$$($(NONTEST_LOC))"

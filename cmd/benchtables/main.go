@@ -18,8 +18,23 @@ import (
 	"qcdoc/internal/experiments"
 )
 
+// functional lists the packet-level machine simulations, in run order.
+var functional = []struct {
+	id  string
+	run func() (experiments.Table, error)
+}{
+	{"E4F", experiments.E4Functional},
+	{"E5F", experiments.E5Functional},
+	{"E10", experiments.E10},
+	{"E12", experiments.E12},
+	{"E13", experiments.E13},
+	{"E14", experiments.E14},
+	{"E16", experiments.E16},
+	{"E1F", experiments.E1Functional},
+}
+
 func main() {
-	functional := flag.Bool("functional", false, "run the packet-level machine simulations too (slower)")
+	runFunctional := flag.Bool("functional", false, "run the packet-level machine simulations too (slower)")
 	only := flag.String("e", "", "comma-separated experiment ids (e.g. E1,E4f); default all")
 	flag.Parse()
 
@@ -40,43 +55,19 @@ func main() {
 			tables = append(tables, t)
 		}
 	}
-	if *functional || anyFunctionalSelected(want) {
-		type fn struct {
-			id  string
-			run func() (experiments.Table, error)
+	// A functional experiment runs under -functional, or when -e names it.
+	for _, f := range functional {
+		if !(*runFunctional && selected(f.id) || want[f.id]) {
+			continue
 		}
-		for _, f := range []fn{
-			{"E4F", experiments.E4Functional},
-			{"E5F", experiments.E5Functional},
-			{"E10", experiments.E10},
-			{"E12", experiments.E12},
-			{"E13", experiments.E13},
-			{"E14", experiments.E14},
-			{"E16", experiments.E16},
-			{"E1F", experiments.E1Functional},
-		} {
-			if !selected(f.id) {
-				continue
-			}
-			t, err := f.run()
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "%s failed: %v\n", f.id, err)
-				os.Exit(1)
-			}
-			tables = append(tables, t)
+		t, err := f.run()
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "%s failed: %v\n", f.id, err)
+			os.Exit(1)
 		}
+		tables = append(tables, t)
 	}
 	for _, t := range tables {
 		fmt.Println(t.Format())
 	}
-}
-
-// anyFunctionalSelected reports whether -e names a functional experiment.
-func anyFunctionalSelected(want map[string]bool) bool {
-	for _, id := range []string{"E1F", "E4F", "E5F", "E10", "E12", "E13", "E14", "E16"} {
-		if want[id] {
-			return true
-		}
-	}
-	return false
 }

@@ -325,7 +325,6 @@ func runChaosAttempt(cfg ChaosConfig, sup *supervisor, attempt int, shape geom.S
 	}
 	d := qdaemon.New(eng, m)
 	d.FS = fs
-	plan.Bind(m) // the victim inboxes: Arm runs inside the attempt
 
 	pr.warmStart = func() *lattice.FermionField { return rst.x0 } // the restored iterate
 	pr.checkpointer = func(ctx *node.Ctx, rank int) solver.Checkpoint[*lattice.FermionField] {

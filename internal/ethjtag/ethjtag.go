@@ -12,7 +12,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"sync/atomic"
 
 	"qcdoc/internal/event"
 )
@@ -46,9 +45,8 @@ const (
 )
 
 // Packet is one UDP datagram on the management network. It is a plain
-// value — the payload is an immutable string — so a packet crosses
-// shards, fans out to every broadcast receiver and duplicates without a
-// copy.
+// value — the payload is an immutable string — so a packet fans out to
+// every broadcast receiver and duplicates without a copy.
 type Packet struct {
 	Src, Dst Addr
 	Port     uint16
@@ -92,22 +90,18 @@ type FaultFunc func(pkt *Packet) FaultVerdict
 // hardware, modelled as a store-and-forward switch with per-port
 // serialization and a fixed traversal latency.
 //
-// Under a sharded cluster the switch itself lives on the network's
-// engine (the host shard): every packet serializes on its sender's
-// shard, hops to the switch at the end of serialization, passes the
-// fault injector there — serially, so the counted fault stream stays
-// deterministic — and hops again to its destination port's shard at
-// the arrival time. Both hops are inbox sends (the switch's and the
-// port's, bound at setup); both exceed the lookahead by construction
-// (the smallest frame's line time is 432 ns at 1 Gbit, and the switch
-// latency is 10 us).
+// The switch and every port live on the network's one engine: a packet
+// serializes on its sender's port, enters the switch at the end of
+// serialization, passes the fault injector there — in one deterministic
+// packet order, so the counted fault stream replays — and is delivered
+// to its destination port at the arrival time. The management plane
+// runs on an unsharded machine only (qdaemon.New refuses a sharded one).
 type Network struct {
 	eng     *event.Engine
-	in      *event.Inbox[Packet] // route, on the switch's engine
 	ports   map[Addr]*Port
 	addrs   []Addr // attached addresses in ascending order, for deterministic broadcast
 	Latency event.Time
-	Dropped uint64 // packets to unknown destinations (updated atomically)
+	Dropped uint64 // packets to unknown destinations
 
 	// Fault, when set, judges every packet entering the switch; see
 	// FaultFunc. Drop, duplication, and stall counts are kept for
@@ -124,22 +118,17 @@ type Network struct {
 
 // NewNetwork creates the management network.
 func NewNetwork(eng *event.Engine) *Network {
-	n := &Network{eng: eng, ports: map[Addr]*Port{}, Latency: 10 * event.Microsecond}
-	n.in = event.NewInbox(eng, n.route)
-	return n
+	return &Network{eng: eng, ports: map[Addr]*Port{}, Latency: 10 * event.Microsecond}
 }
 
 // Now is the switch's simulation clock — fault injectors windowing on
-// sim time read it from inside the Fault hook, where they already run
-// serially on the switch's shard.
+// sim time read it from inside the Fault hook.
 func (n *Network) Now() event.Time { return n.eng.Now() }
 
-// Port is one endpoint. All of its state — serializer, queues, pend
-// ring, counters — belongs to the shard engine it was attached on.
+// Port is one endpoint: a serializer, a receive queue, a pend ring and
+// counters, all on the network's engine.
 type Port struct {
 	net       *Network
-	eng       *event.Engine
-	in        *event.Inbox[Packet] // deliver, on the port's engine
 	addr      Addr
 	bps       int64
 	rx        *event.Queue[Packet]
@@ -182,27 +171,18 @@ func (p *Port) pushPend(pkt Packet) {
 	p.pendLen++
 }
 
-// Attach adds an endpoint with the given line rate in bits/second, on
-// the network's own (host) shard.
+// Attach adds an endpoint with the given line rate in bits/second.
+// Setup-time only: the port table is read-only once the simulation runs.
 func (n *Network) Attach(addr Addr, bps int64) *Port {
-	return n.AttachOn(n.eng, addr, bps)
-}
-
-// AttachOn adds an endpoint whose state lives on the given shard
-// engine — the port of a node assigned to that shard. Setup-time only:
-// the port table is read-only once the simulation runs.
-func (n *Network) AttachOn(eng *event.Engine, addr Addr, bps int64) *Port {
 	if _, dup := n.ports[addr]; dup {
 		panic(fmt.Sprintf("ethjtag: duplicate address %#x", addr))
 	}
 	p := &Port{
 		net:  n,
-		eng:  eng,
 		addr: addr,
 		bps:  bps,
-		rx:   event.NewQueue[Packet](eng, fmt.Sprintf("eth %#x", addr)),
+		rx:   event.NewQueue[Packet](n.eng, fmt.Sprintf("eth %#x", addr)),
 	}
-	p.in = event.NewInbox(eng, p.deliver)
 	n.ports[addr] = p
 	i := sort.Search(len(n.addrs), func(i int) bool { return n.addrs[i] >= addr })
 	n.addrs = append(n.addrs, 0)
@@ -222,29 +202,28 @@ func (p *Port) Send(pkt Packet) error {
 	pkt.Src = p.addr
 	if pkt.Dst != Broadcast {
 		if _, ok := p.net.ports[pkt.Dst]; !ok {
-			atomic.AddUint64(&p.net.Dropped, 1)
+			p.net.Dropped++
 			return fmt.Errorf("%w: %#x", ErrNoRoute, pkt.Dst)
 		}
 	}
 	bits := int64(len(pkt.Payload)+frameOverheadBytes) * 8
 	ser := event.Time(float64(bits) / float64(p.bps) * 1e12)
-	start := p.eng.Now()
+	eng := p.net.eng
+	start := eng.Now()
 	if p.busyUntil > start {
 		start = p.busyUntil
 	}
 	p.busyUntil = start + ser
 	p.TxPackets++
-	// The frame enters the switch when its last bit leaves the port —
-	// at least one full serialization after now, which comfortably
-	// exceeds the cluster lookahead, so the cross-shard hop never clamps.
-	p.net.in.Send(p.eng, p.busyUntil, pkt)
+	// The frame enters the switch when its last bit leaves the port.
+	eng.At(p.busyUntil, func() { p.net.route(pkt) })
 	return nil
 }
 
 // route carries one packet through the switch fabric: the fault
-// injector judges it (serially, on the switch's shard, so a counted
-// fault stream sees one deterministic packet order), then it crosses to
-// its destination port's shard at the arrival time.
+// injector judges it (in one deterministic packet order, so a counted
+// fault stream replays), then it is delivered to its destination port
+// at the arrival time.
 func (n *Network) route(pkt Packet) {
 	verdict := FaultNone
 	if n.Fault != nil {
@@ -260,9 +239,7 @@ func (n *Network) route(pkt Packet) {
 	}
 	arrive := n.eng.Now() + n.Latency
 	if verdict == FaultStall {
-		// The frame is held in the degraded path and delivered late;
-		// adding delay keeps the cross-shard hop above the lookahead
-		// bound (the normal arrival already exceeds it).
+		// The frame is held in the degraded path and delivered late.
 		n.FaultStalled++
 		arrive += n.Stall
 	}
@@ -275,15 +252,20 @@ func (n *Network) route(pkt Packet) {
 			if addr == pkt.Src {
 				continue
 			}
-			n.ports[addr].in.Send(n.eng, arrive, pkt)
+			n.deliverAt(n.ports[addr], arrive, pkt)
 		}
 		return
 	}
 	dst := n.ports[pkt.Dst]
-	dst.in.Send(n.eng, arrive, pkt)
+	n.deliverAt(dst, arrive, pkt)
 	if verdict == FaultDup {
-		dst.in.Send(n.eng, arrive, pkt)
+		n.deliverAt(dst, arrive, pkt)
 	}
+}
+
+// deliverAt schedules pkt's arrival at port p.
+func (n *Network) deliverAt(p *Port, t event.Time, pkt Packet) {
+	n.eng.At(t, func() { p.deliver(pkt) })
 }
 
 func (p *Port) deliver(pkt Packet) {
@@ -293,7 +275,7 @@ func (p *Port) deliver(pkt Packet) {
 		// coroutine receiver takes, so event ordering is tier-invariant.
 		// The packet parks in the pend ring rather than a fresh closure.
 		p.pushPend(pkt)
-		p.eng.AtHandler(p.eng.Now(), p, 0)
+		p.net.eng.AtHandler(p.net.eng.Now(), p, 0)
 		return
 	}
 	p.rx.Put(pkt)
@@ -309,7 +291,8 @@ func (p *Port) OnPacket(fn func(Packet)) {
 	if p.rx.Len() == 0 {
 		return
 	}
-	p.eng.At(p.eng.Now(), func() {
+	eng := p.net.eng
+	eng.At(eng.Now(), func() {
 		for {
 			pkt, ok := p.rx.TryGet()
 			if !ok {
@@ -392,7 +375,7 @@ type JTAGController struct {
 }
 
 // Start attaches the controller to its port.
-func (c *JTAGController) Start(eng *event.Engine) {
+func (c *JTAGController) Start() {
 	c.Port.OnPacket(c.serve)
 }
 

@@ -202,7 +202,7 @@ func TestJTAGControllerProtocol(t *testing.T) {
 	jp := nw.Attach(NodeJTAGAddr(0), NodeEthernetBps)
 	tgt := &fakeTarget{mem: map[uint64]uint64{}}
 	ctl := &JTAGController{Port: jp, Target: tgt}
-	ctl.Start(eng)
+	ctl.Start()
 
 	var replies []Packet
 	done := make(chan struct{})

@@ -36,8 +36,6 @@ package event
 // per shard, hence identical digests.
 
 import (
-	"fmt"
-	"reflect"
 	"runtime"
 	"sort"
 	"sync/atomic"
@@ -63,12 +61,10 @@ type PayloadHandler interface {
 	AcceptPayload(p Payload)
 }
 
-// xmsg is one cross-shard message parked in a mailbox between the
-// producing window and the barrier drain: either a payload delivery
-// (h != nil, the hot path) or an Inbox message (the cold control path).
+// xmsg is one cross-shard payload delivery parked in a mailbox between
+// the producing window and the barrier drain.
 type xmsg struct {
 	at   Time
-	fn   func()
 	h    PayloadHandler
 	arg  uint64
 	p    Payload
@@ -260,12 +256,10 @@ func (c *Cluster) drainMail() {
 			mb := &c.mail[si][di]
 			for k := range mb.msgs {
 				m := &mb.msgs[k]
-				if m.h != nil {
-					m.h.AcceptPayload(m.p)
-				}
-				dst.enqueue(m.at, m.fn, m.h, m.arg, m.flow) // fn or h, never both
+				m.h.AcceptPayload(m.p)
+				dst.enqueue(m.at, nil, m.h, m.arg, m.flow)
 				c.stats.CrossMessages++
-				mb.msgs[k] = xmsg{} // release closure/handler references
+				mb.msgs[k] = xmsg{} // release the handler reference
 			}
 			mb.msgs = mb.msgs[:0]
 		}
@@ -471,9 +465,6 @@ func (c *Cluster) shutdown() {
 // Cluster returns the cluster this engine is a shard of, or nil.
 func (e *Engine) Cluster() *Cluster { return e.cluster }
 
-// ShardID returns this engine's shard index (0 when unclustered).
-func (e *Engine) ShardID() int { return e.shard }
-
 // runWindow executes this shard's events with at < wend (and at <=
 // until, matching Run's inclusive horizon). Called concurrently for
 // different shards; everything it touches is shard-local.
@@ -485,79 +476,6 @@ func (e *Engine) runWindow(wend, until Time) {
 		}
 		e.dispatchNext(src)
 	}
-}
-
-// Inbox is a callback bound at setup to one engine, reachable from any
-// shard of its cluster with a value — the cold control path for
-// cross-shard actions (fault injection, management hops, heartbeat
-// starts). Only values cross: NewInbox refuses a message type that can
-// reach memory, so a sender never hands the receiving shard a
-// reference into its own state.
-type Inbox[T any] struct {
-	eng *Engine
-	fn  func(T)
-}
-
-// NewInbox binds fn to e. It panics if T can reach a pointer, slice,
-// map, chan, func, interface, uintptr or unsafe.Pointer (one walk of the
-// type, here, never per message), and if e's run — on a cluster, the
-// host shard's — is in progress: inboxes are bound at setup, like
-// Timers and Handlers.
-func NewInbox[T any](e *Engine, fn func(T)) *Inbox[T] {
-	t := reflect.TypeFor[T]()
-	if k := refKind(t); k != "" {
-		panic(fmt.Sprintf("event: NewInbox: %v reaches a %s", t, k))
-	}
-	host := e
-	if e.cluster != nil {
-		host = e.cluster.shards[0]
-	}
-	if host.running {
-		panic("event: NewInbox during a run")
-	}
-	return &Inbox[T]{eng: e, fn: fn}
-}
-
-// refKind names the first kind inside t that can reference memory, or
-// returns "" for a plain value: scalars, strings (immutable), and
-// arrays and structs of plain values.
-func refKind(t reflect.Type) string {
-	switch t.Kind() {
-	case reflect.Array:
-		return refKind(t.Elem())
-	case reflect.Struct:
-		for i := 0; i < t.NumField(); i++ {
-			if k := refKind(t.Field(i).Type); k != "" {
-				return k
-			}
-		}
-	case reflect.Pointer, reflect.Slice, reflect.Map, reflect.Chan, reflect.Func,
-		reflect.Interface, reflect.Uintptr, reflect.UnsafePointer:
-		return t.Kind().String()
-	}
-	return ""
-}
-
-// Send delivers v to the inbox's callback at time t. From the inbox's
-// own engine, or without a cluster, it is from.At. Across shards, t is
-// clamped up to from.Now() + lookahead — the earliest instant the
-// conservative window protocol can still deliver — and the message
-// waits in the mailbox for the next barrier, carrying from's flow.
-func (b *Inbox[T]) Send(from *Engine, t Time, v T) {
-	fn := func() { b.fn(v) }
-	d := b.eng
-	if d == from || from.cluster == nil {
-		from.At(t, fn)
-		return
-	}
-	if d.cluster != from.cluster {
-		panic("event: Inbox.Send across unrelated clusters")
-	}
-	if min := from.now + from.cluster.look; t < min {
-		t = min
-	}
-	mb := &from.cluster.mail[from.shard][d.shard]
-	mb.msgs = append(mb.msgs, xmsg{at: t, fn: fn, flow: from.curFlow})
 }
 
 // CrossPayload hands p to h (AcceptPayload) and schedules

@@ -114,7 +114,6 @@ type Engine struct {
 
 	tracer   func(at Time) // observes every dispatched event, if set
 	rec      *Recorder     // flight recorder, if attached
-	ring     *shardRing    // this shard's ring within rec
 	executed uint64        // events dispatched since New
 
 	// Causal-flow state (trace.go): curFlow is the trace ID of the event
@@ -307,26 +306,13 @@ func (e *Engine) SetTracer(fn func(at Time)) { e.tracer = fn }
 // SetRecorder attaches a flight recorder that captures every dispatched
 // event into its ring (nil detaches). Recording schedules no events and
 // allocates nothing per dispatch, so the simulated event stream is
-// identical with or without it; see trace.go. On the host shard of a
-// cluster the recorder attaches to every shard, each getting its own
-// ring; Dump and the Chrome-trace export merge them by simulated time.
+// identical with or without it; see trace.go. The recorder is
+// unsharded: SetRecorder panics on an engine of a cluster.
 func (e *Engine) SetRecorder(r *Recorder) {
-	if e.cluster != nil && e.shard == 0 {
-		for _, s := range e.cluster.shards {
-			s.setRecorderLocal(r)
-		}
-		return
+	if e.cluster != nil {
+		panic("event: SetRecorder on a sharded engine (the flight recorder is unsharded)")
 	}
-	e.setRecorderLocal(r)
-}
-
-func (e *Engine) setRecorderLocal(r *Recorder) {
 	e.rec = r
-	if r == nil {
-		e.ring = nil
-	} else {
-		e.ring = r.ringFor(e.shard)
-	}
 }
 
 // Recorder returns the attached flight recorder, or nil.

@@ -265,8 +265,8 @@ func (e *Engine) dispatchNext(src int) {
 	if e.tracer != nil {
 		e.tracer(at)
 	}
-	if e.ring != nil {
-		e.ring.record(at, seq, flow, fn, h, arg)
+	if e.rec != nil {
+		e.rec.record(at, seq, flow, fn, h, arg)
 	}
 	if fn != nil {
 		fn()

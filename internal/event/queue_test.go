@@ -435,10 +435,10 @@ func runNodes(t *testing.T, seed uint64, host *Engine, engs []*Engine) ([][]stri
 	for i, n := range nodes {
 		logs[i] = n.log
 	}
-	for _, e := range engs {
+	for i, e := range engs {
 		executed += e.Executed()
 		if e.Pending() != 0 {
-			t.Fatalf("shard %d still holds %d events", e.ShardID(), e.Pending())
+			t.Fatalf("shard %d still holds %d events", i, e.Pending())
 		}
 	}
 	host.Shutdown()

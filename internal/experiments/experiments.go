@@ -60,7 +60,6 @@ func (t Table) Format() string {
 	return b.String()
 }
 
-func f3(x float64) string  { return fmt.Sprintf("%.3f", x) }
 func pct(x float64) string { return fmt.Sprintf("%.1f%%", 100*x) }
 
 // E1 reproduces §4's measured solver efficiencies: 128 nodes, 4^4 local

@@ -113,12 +113,12 @@ func E4Functional() (Table, error) {
 					for i := 0; i < words; i++ {
 						n.Mem.WriteWord(addr+8*uint64(i), uint64(i))
 					}
-					if _, err := n.SCU.StartSend(geom.Link{Dim: 0, Dir: geom.Fwd}, contiguous(addr, words)); err != nil {
+					if _, err := n.SCU.StartSend(geom.Link{Dim: 0, Dir: geom.Fwd}, scu.Contiguous(addr, words)); err != nil {
 						panic(err)
 					}
 				} else {
 					addr := n.AllocWords(words)
-					rt, err := n.SCU.StartRecv(geom.Link{Dim: 0, Dir: geom.Bwd}, contiguous(addr, words))
+					rt, err := n.SCU.StartRecv(geom.Link{Dim: 0, Dir: geom.Bwd}, scu.Contiguous(addr, words))
 					if err != nil {
 						panic(err)
 					}
@@ -362,7 +362,7 @@ func E14() (Table, error) {
 			recvs := make([]interface{ Wait(*event.Proc) }, 0, geom.NumLinks)
 			for i, l := range geom.AllLinks() {
 				addrs[i] = n.AllocWords(1)
-				rt, err := n.SCU.StartRecv(l, contiguous(addrs[i], 1))
+				rt, err := n.SCU.StartRecv(l, scu.Contiguous(addrs[i], 1))
 				if err != nil {
 					panic(err)
 				}
@@ -371,7 +371,7 @@ func E14() (Table, error) {
 			for i, l := range geom.AllLinks() {
 				a := n.AllocWords(1)
 				n.Mem.WriteWord(a, uint64(rank)<<8|uint64(i))
-				if _, err := n.SCU.StartSend(l, contiguous(a, 1)); err != nil {
+				if _, err := n.SCU.StartSend(l, scu.Contiguous(a, 1)); err != nil {
 					panic(err)
 				}
 			}
@@ -397,6 +397,3 @@ func E14() (Table, error) {
 	)
 	return t, nil
 }
-
-// contiguous is a local shorthand for a contiguous DMA descriptor.
-func contiguous(base uint64, words int) scu.DMADesc { return scu.Contiguous(base, words) }

@@ -237,11 +237,6 @@ type Plan struct {
 	// arms counts distinct Arm calls (attempts). RecoveryCrash faults
 	// arm only from the second attempt onward.
 	arms int
-
-	// bound is the machine Bind readied, and victims its per-rank
-	// inboxes: each applies a fault on the victim's own shard engine.
-	bound   *machine.Machine
-	victims []*event.Inbox[Fault]
 }
 
 // Generate derives the fault schedule for the given seed: same seed,
@@ -303,23 +298,9 @@ func Generate(seed uint64, spec Spec, nodes int) *Plan {
 	return p
 }
 
-// Bind readies the plan to strike m: one inbox per rank, on the rank's
-// shard engine, that applies a node or link fault there. Call it at
-// setup, before m's engine runs (beside qdaemon.New); Arm, which may run
-// inside the attempt, only sends to these inboxes.
-func (p *Plan) Bind(m *machine.Machine) {
-	p.bound = m
-	p.victims = make([]*event.Inbox[Fault], len(m.Nodes))
-	for r := range m.Nodes {
-		eng := m.NodeEngine(r)
-		p.victims[r] = event.NewInbox(eng, func(f Fault) { inject(eng, m, f) })
-	}
-}
-
 // Arm schedules every unspent fault on the engine against the given
-// machine (readied by Bind) and management network. Call it once per
-// attempt, after boot:
-// the node and link faults fire at their At offsets; the net faults
+// machine and management network. Call it once per attempt, after
+// boot: the node and link faults fire at their At offsets; the net faults
 // install a packet-fault hook counting management requests from this
 // moment. Faults mark themselves Spent when they fire, so re-arming the
 // same plan on a recovered machine replays only what has not yet
@@ -331,23 +312,20 @@ func (p *Plan) Bind(m *machine.Machine) {
 // layer — losing one is a real gap in the §3.1 protocol, not a
 // recoverable fault, and injecting it would just wedge the run.
 //
-// On a sharded machine the victim's lifecycle state and outbound wires
-// belong to its shard engine, so each injection is a Fault value sent to
-// that shard's inbox (a plain At on an unsharded build). The plan's own
-// bookkeeping — Spent and OnFire — is an event on the arming engine at
-// the same plan time, so every observer callback runs serially there,
-// whatever shard the fault struck.
+// Each fault is two events at the same plan time: the injection, then
+// the plan's own bookkeeping (Spent and OnFire). A plan strikes an
+// unsharded machine only: Arm panics on a sharded one.
 //
 // Arm is idempotent per attempt: a second call with the same engine —
 // a recovery that was itself interrupted and re-entered — is a no-op,
 // so surviving faults are never scheduled twice and the counted
 // net-fault stream keeps its position. A fresh engine re-arms.
 func (p *Plan) Arm(eng *event.Engine, m *machine.Machine, net *ethjtag.Network) {
+	if m.Cluster() != nil {
+		panic("faultplan: Arm on a sharded machine (fault injection is unsharded)")
+	}
 	if p.armedOn == eng {
 		return
-	}
-	if p.bound != m {
-		panic("faultplan: Arm on a machine the plan was not bound to")
 	}
 	p.armedOn = eng
 	p.arms++
@@ -371,10 +349,10 @@ func (p *Plan) Arm(eng *event.Engine, m *machine.Machine, net *ethjtag.Network) 
 			}
 		}
 		// Clamp the victim rank to the (possibly smaller, repartitioned)
-		// machine before picking its shard.
+		// machine.
 		fault := *f
 		fault.Rank = f.Rank % len(m.Nodes)
-		p.victims[fault.Rank].Send(eng, base+f.At, fault)
+		eng.At(base+f.At, func() { inject(eng, m, fault) })
 		eng.At(base+f.At, func() {
 			f.Spent = true
 			if p.OnFire != nil {
@@ -405,7 +383,7 @@ type Host interface {
 
 // ArmHost schedules the host-plane faults (ChunkCorrupt, ChunkTorn,
 // WatchdogFalsePositive) against the given host surface on the arming
-// engine — the shard the host FS and watchdog live on. Call it after
+// engine — the one the host FS and watchdog live on. Call it after
 // Arm, once per attempt; like Arm it is idempotent per engine. Chunk
 // faults that find no chunk to strike stay unspent and replay on the
 // next attempt.
@@ -452,9 +430,8 @@ func (p *Plan) ArmHost(eng *event.Engine, nodes int, h Host) {
 	}
 }
 
-// inject applies one node/link fault to rank f.Rank of the machine.
-// eng is the victim's shard engine: the LinkBurst end timer must live
-// where the wire's transmit state does.
+// inject applies one node/link fault to rank f.Rank of the machine;
+// a LinkBurst's end is an event on eng.
 func inject(eng *event.Engine, m *machine.Machine, f Fault) {
 	switch f.Kind {
 	case NodeCrash, RecoveryCrash:

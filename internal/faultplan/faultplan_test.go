@@ -1,6 +1,8 @@
 package faultplan
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"qcdoc/internal/ethjtag"
@@ -57,6 +59,61 @@ func TestGenerateDeterministic(t *testing.T) {
 	}
 }
 
+// FuzzPlanPrefix holds Generate to its draw-order contract: kinds draw
+// in Spec field order, each fault a fixed number of draws, so a spec
+// that zeroes every count after its k-th kind generates a prefix of the
+// full spec's plan. The input decodes to a seed (8 bytes), a node count
+// in 1..64, the 12 fault counts in 0..3 and a cut k in 0..12; missing
+// bytes read as zero.
+func FuzzPlanPrefix(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{42, 0, 0, 0, 0, 0, 0, 0, 15, 2, 1, 1, 2, 3, 1, 1, 1, 1, 1, 1, 1, 6})
+	f.Add([]byte{7, 7, 7, 7, 7, 7, 7, 7, 63, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 12})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		at := func(i int) byte {
+			if i < len(data) {
+				return data[i]
+			}
+			return 0
+		}
+		var seed uint64
+		for i := 0; i < 8; i++ {
+			seed |= uint64(at(i)) << (8 * i)
+		}
+		nodes := 1 + int(at(8))%64
+		full := Spec{From: event.Millisecond, To: 5 * event.Millisecond}
+		for i, c := range specCounts(&full) {
+			*c = int(at(9+i)) % 4
+		}
+		k := int(at(21)) % 13
+		cut := full
+		for _, c := range specCounts(&cut)[k:] {
+			*c = 0
+		}
+		fp := Generate(seed, full, nodes)
+		cp := Generate(seed, cut, nodes)
+		if len(cp.Faults) > len(fp.Faults) {
+			t.Fatalf("cut at %d: %d faults, full plan %d", k, len(cp.Faults), len(fp.Faults))
+		}
+		for i, c := range cp.Faults {
+			if c != fp.Faults[i] {
+				t.Fatalf("seed %#x, %d nodes, cut at %d: fault %d is %+v, full plan has %+v",
+					seed, nodes, k, i, c, fp.Faults[i])
+			}
+		}
+	})
+}
+
+// specCounts returns s's twelve fault counts in field order, the order
+// Generate draws them in.
+func specCounts(s *Spec) []*int {
+	return []*int{
+		&s.NodeCrashes, &s.NodeHangs, &s.LinkDeaths, &s.LinkBursts,
+		&s.NetDrops, &s.NetDups, &s.ChunkCorrupts, &s.ChunkTorns,
+		&s.NFSStalls, &s.NFSErrors, &s.WatchdogFalsePositives, &s.RecoveryCrashes,
+	}
+}
+
 // Arming a plan fires each fault once; re-arming on a fresh machine
 // (the recovery restart) replays only what has not yet happened.
 func TestArmSpentMarking(t *testing.T) {
@@ -82,7 +139,6 @@ func TestArmSpentMarking(t *testing.T) {
 	}
 
 	eng1, m1 := boot()
-	plan.Bind(m1)
 	plan.Arm(eng1, m1, nil)
 	if err := eng1.RunAll(); err != nil {
 		t.Fatal(err)
@@ -98,7 +154,6 @@ func TestArmSpentMarking(t *testing.T) {
 	// The restarted machine re-arms the same plan: the crash is spent
 	// and must not repeat.
 	eng2, m2 := boot()
-	plan.Bind(m2)
 	plan.Arm(eng2, m2, nil)
 	if err := eng2.RunAll(); err != nil {
 		t.Fatal(err)
@@ -190,7 +245,6 @@ func TestArmIdempotentAndRecoveryCrashGating(t *testing.T) {
 	// Attempt 1, armed twice (interrupted recovery re-entering): the
 	// recovery crash is second-order and must stay down.
 	eng1, m1 := boot()
-	plan.Bind(m1)
 	plan.Arm(eng1, m1, nil)
 	plan.Arm(eng1, m1, nil) // nested re-arm: must be a no-op
 	if err := eng1.RunAll(); err != nil {
@@ -206,7 +260,6 @@ func TestArmIdempotentAndRecoveryCrashGating(t *testing.T) {
 
 	// Attempt 2 (fresh engine): the recovery crash arms and fires.
 	eng2, m2 := boot()
-	plan.Bind(m2)
 	plan.Arm(eng2, m2, nil)
 	if err := eng2.RunAll(); err != nil {
 		t.Fatal(err)
@@ -221,7 +274,6 @@ func TestArmIdempotentAndRecoveryCrashGating(t *testing.T) {
 
 	// Attempt 3: spent stays spent.
 	eng3, m3 := boot()
-	plan.Bind(m3)
 	plan.Arm(eng3, m3, nil)
 	if err := eng3.RunAll(); err != nil {
 		t.Fatal(err)
@@ -310,7 +362,6 @@ func TestArmFiresAtPlanTime(t *testing.T) {
 			t.Errorf("%v fired at %d ps, want base+At = %d ps", f, now, base+f.At)
 		}
 	}
-	plan.Bind(m)
 	plan.Arm(eng, m, ethjtag.NewNetwork(eng))
 	plan.ArmHost(eng, 4, &recordingHost{haveChunk: true})
 	if err := eng.RunAll(); err != nil {
@@ -319,4 +370,19 @@ func TestArmFiresAtPlanTime(t *testing.T) {
 	if fired != len(plan.Faults) {
 		t.Fatalf("%d of %d faults fired", fired, len(plan.Faults))
 	}
+}
+
+// Fault injection is unsharded: Arm refuses a sharded machine.
+func TestArmRefusesShardedMachine(t *testing.T) {
+	eng := event.New()
+	defer eng.Shutdown()
+	cfg := machine.DefaultConfig(geom.MakeShape(2, 2))
+	cfg.Shards = machine.ShardAuto
+	m := machine.Build(eng, cfg)
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "shard") {
+			t.Fatalf("Arm on a sharded machine: panic %v, want one naming sharding", r)
+		}
+	}()
+	Generate(1, testSpec(), 4).Arm(eng, m, ethjtag.NewNetwork(eng))
 }

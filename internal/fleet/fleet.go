@@ -3,9 +3,9 @@
 // (lattice size × operator × fault seed), scheduled over a bounded
 // worker pool. The substrate contract (DESIGN.md §14) is that a run
 // produces the same outcome digest it would produce alone in a fresh
-// process — machines share only immutable data (cost tables, shard
-// plans) and reference-free recycled storage (frame rings, event-heap
-// arrays), never mutable state. The real QCDOC host served a whole
+// process — machines share only immutable data (cost tables) and
+// reference-free recycled storage (frame rings, event-heap arrays),
+// never mutable state. The real QCDOC host served a whole
 // physics community this way: many partitions, many jobs, one machine
 // room (paper §3).
 package fleet
@@ -148,9 +148,9 @@ type Config struct {
 }
 
 // Run executes every spec and returns results in spec order. Each run
-// is fully independent: its own engine (or engine cluster), machine,
-// RNG streams, and telemetry — failure or chaos in one run cannot be
-// observed by another.
+// is fully independent: its own engine, machine, RNG streams, and
+// telemetry — failure or chaos in one run cannot be observed by
+// another.
 func Run(cfg Config, specs []Spec) []Result {
 	results := make([]Result, len(specs))
 	workers := cfg.Workers

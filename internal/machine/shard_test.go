@@ -1,8 +1,9 @@
 package machine
 
 import (
-	"bytes"
+	"fmt"
 	"hash/fnv"
+	"strings"
 	"testing"
 
 	"qcdoc/internal/event"
@@ -14,9 +15,8 @@ import (
 
 // shardedTraceRun is traceRun on a sharded machine: one FNV tracer per
 // shard (a shared tracer closure would race across workers), combined
-// in shard order into one digest, plus the merged flight-recorder
-// Chrome trace, which must be byte-identical at any worker count.
-func shardedTraceRun(t *testing.T, shape geom.Shape, shards, workers int) (eventDigest, linkDigest uint64, end event.Time, trace string) {
+// in shard order into one digest.
+func shardedTraceRun(t *testing.T, shape geom.Shape, shards, workers int) (eventDigest, linkDigest uint64, end event.Time) {
 	t.Helper()
 	eng := event.New()
 	cfg := DefaultConfig(shape)
@@ -39,8 +39,6 @@ func shardedTraceRun(t *testing.T, shape geom.Shape, shards, workers int) (event
 			h.Write(buf[:])
 		})
 	}
-	rec := event.NewRecorder(1 << 14)
-	eng.SetRecorder(rec)
 	if err := m.Boot(); err != nil {
 		t.Fatal(err)
 	}
@@ -96,27 +94,20 @@ func shardedTraceRun(t *testing.T, shape geom.Shape, shards, workers int) (event
 			}
 		}
 	}
-	var tb bytes.Buffer
-	if err := rec.WriteChromeTrace(&tb, 0); err != nil {
-		t.Fatal(err)
-	}
-	return eh.Sum64(), lh.Sum64(), eng.Now(), tb.String()
+	return eh.Sum64(), lh.Sum64(), eng.Now()
 }
 
 // TestShardedDeterministicReplay is the sharded analogue of
 // TestDeterministicReplay, and more: the per-shard event streams, link
-// checksums, final clock, and the merged flight-recorder trace must be
-// identical across runs AND across worker counts 1, 2, 4, 8 — workers
+// checksums and final clock must be identical across runs AND across
+// worker counts 1, 2, 4, 8 — workers
 // only choose which OS thread executes a shard's window, never what the
 // window contains.
 func TestShardedDeterministicReplay(t *testing.T) {
 	shape := geom.MakeShape(4, 2, 2)
-	e0, l0, t0, tr0 := shardedTraceRun(t, shape, ShardAuto, 1)
-	if tr0 == "" {
-		t.Fatal("recorder produced no trace")
-	}
+	e0, l0, t0 := shardedTraceRun(t, shape, ShardAuto, 1)
 	for _, workers := range []int{1, 2, 4, 8} {
-		e, l, tend, tr := shardedTraceRun(t, shape, ShardAuto, workers)
+		e, l, tend := shardedTraceRun(t, shape, ShardAuto, workers)
 		if e != e0 {
 			t.Fatalf("workers=%d: event digest %#x, want %#x", workers, e, e0)
 		}
@@ -126,10 +117,23 @@ func TestShardedDeterministicReplay(t *testing.T) {
 		if tend != t0 {
 			t.Fatalf("workers=%d: final time %v, want %v", workers, tend, t0)
 		}
-		if tr != tr0 {
-			t.Fatalf("workers=%d: merged recorder trace differs from workers=1", workers)
-		}
 	}
+}
+
+// The flight recorder is unsharded: SetRecorder refuses the host
+// engine of a sharded machine.
+func TestSetRecorderRefusesShardedMachine(t *testing.T) {
+	eng := event.New()
+	defer eng.Shutdown()
+	cfg := DefaultConfig(geom.MakeShape(2, 2))
+	cfg.Shards = ShardAuto
+	Build(eng, cfg)
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "shard") {
+			t.Fatalf("SetRecorder on a sharded machine: panic %v, want one naming sharding", r)
+		}
+	}()
+	eng.SetRecorder(event.NewRecorder(16))
 }
 
 // TestShardPlanIsTopologyOnly pins the structural invariant behind

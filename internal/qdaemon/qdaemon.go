@@ -76,7 +76,8 @@ type Daemon struct {
 	FS map[string][]byte
 	// Output collects application stdout lines per job.
 	Output map[string][]string
-	// doneCount tracks per-job completion RPCs.
+	// doneCount tracks per-job completion RPCs; it holds an entry for
+	// every job this daemon has launched, so a job name runs once.
 	doneCount map[string]int
 	doneGate  *event.Gate
 	hwReports map[string][]string
@@ -94,8 +95,12 @@ type Daemon struct {
 // New wires a daemon to a built (untrained, unbooted) machine: it
 // creates the management network with one standard-Ethernet and one
 // JTAG port per node, the per-node run kernels, and the host ports, and
-// starts every service loop.
+// starts every service loop. The management plane runs on one engine:
+// New panics on a sharded machine.
 func New(eng *event.Engine, m *machine.Machine) *Daemon {
+	if m.Cluster() != nil {
+		panic("qdaemon: New on a sharded machine (the management network is unsharded)")
+	}
 	d := &Daemon{
 		Eng:       eng,
 		M:         m,
@@ -120,17 +125,13 @@ func New(eng *event.Engine, m *machine.Machine) *Daemon {
 		emit("failures", d.rpcStats.Failures)
 	})
 	for r, n := range m.Nodes {
-		// Node-side ports live on the node's shard engine, so kernel and
-		// JTAG service run where the node's state does; the host ports
-		// above stay on the network's engine.
-		neng := m.NodeEngine(r)
-		eth := d.Net.AttachOn(neng, ethjtag.NodeEthAddr(r), ethjtag.NodeEthernetBps)
-		jp := d.Net.AttachOn(neng, ethjtag.NodeJTAGAddr(r), ethjtag.NodeEthernetBps)
+		eth := d.Net.Attach(ethjtag.NodeEthAddr(r), ethjtag.NodeEthernetBps)
+		jp := d.Net.Attach(ethjtag.NodeJTAGAddr(r), ethjtag.NodeEthernetBps)
 		k := qos.NewKernel(n, eth, ethjtag.HostAddr)
 		k.NFS = ethjtag.HostAddr + 1
-		k.Start(neng)
+		k.Start()
 		ctl := &ethjtag.JTAGController{Port: jp, Target: nodeTarget{n}}
-		ctl.Start(neng)
+		ctl.Start()
 		d.Kernels = append(d.Kernels, k)
 		d.JTAGs = append(d.JTAGs, ctl)
 	}
@@ -321,10 +322,15 @@ func (d *Daemon) Fold() *geom.Fold { return d.fold }
 // launch whose first ack was lost — counts as launched. If the
 // watchdog detects a node death while the job is in flight, Run returns
 // its *AbortError instead of waiting forever for a completion that
-// cannot come.
+// cannot come. A job name runs once per daemon: Run refuses one it has
+// already launched, before sending anything, since the completions of
+// both runs would count toward the same job.
 func (d *Daemon) Run(p *event.Proc, job, program string) ([]string, error) {
 	if !d.booted {
 		return nil, fmt.Errorf("qdaemon: machine not booted")
+	}
+	if _, used := d.doneCount[job]; used {
+		return nil, fmt.Errorf("qdaemon: job %s already launched", job)
 	}
 	if d.abortErr != nil {
 		// A death was detected between jobs — during a recovery's
@@ -334,6 +340,7 @@ func (d *Daemon) Run(p *event.Proc, job, program string) ([]string, error) {
 		return nil, d.takeAbort()
 	}
 	d.activeJob = job
+	d.doneCount[job] = 0
 	ranks := d.Part.HealthyRanks()
 	launch := func(r int) error {
 		return d.Ctl.Send(ethjtag.Packet{

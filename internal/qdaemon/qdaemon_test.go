@@ -1,6 +1,7 @@
 package qdaemon
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -101,6 +102,57 @@ func TestJobLaunchAndOutput(t *testing.T) {
 	if len(seen) != 4 {
 		t.Fatalf("duplicate stdout: %v", out)
 	}
+}
+
+// A job name runs once per daemon. A second Run of "j1" is refused
+// before it sends a launch packet (it would otherwise count the first
+// run's completions and return early), and the next job, "j2", returns
+// only once every node has reported it done.
+func TestRunRefusesReusedJobName(t *testing.T) {
+	_, d, run := harness(t, geom.MakeShape(2, 2))
+	d.LoadProgram("nap", func(int) node.Program {
+		return func(ctx *node.Ctx) { ctx.P.Sleep(10 * event.Microsecond) }
+	})
+	run(func(p *event.Proc) {
+		if err := d.BootAll(p); err != nil {
+			t.Error(err)
+			return
+		}
+		if _, err := d.Run(p, "j1", "nap"); err != nil {
+			t.Error(err)
+			return
+		}
+		sent := d.Ctl.TxPackets
+		if _, err := d.Run(p, "j1", "nap"); err == nil || !strings.Contains(err.Error(), "already launched") {
+			t.Errorf("second run of j1: err %v, want already launched", err)
+		}
+		if d.Ctl.TxPackets != sent {
+			t.Errorf("refused run sent %d launch packets", d.Ctl.TxPackets-sent)
+		}
+		reports, err := d.Run(p, "j2", "nap")
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		if n := len(d.M.Nodes); len(reports) != n || d.doneCount["j2"] != n {
+			t.Errorf("j2 returned with %d reports, %d done, want %d", len(reports), d.doneCount["j2"], n)
+		}
+	})
+}
+
+// The management plane is unsharded: New refuses a sharded machine.
+func TestNewRefusesShardedMachine(t *testing.T) {
+	eng := event.New()
+	defer eng.Shutdown()
+	cfg := machine.DefaultConfig(geom.MakeShape(2, 2))
+	cfg.Shards = machine.ShardAuto
+	m := machine.Build(eng, cfg)
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "shard") {
+			t.Fatalf("New on a sharded machine: panic %v, want one naming sharding", r)
+		}
+	}()
+	New(eng, m)
 }
 
 func TestNFSWrites(t *testing.T) {

@@ -97,28 +97,25 @@ func WaitAll(p *event.Proc, ts ...*scu.Transfer) {
 // contributes x and receives the identical machine-wide total,
 // accumulated in canonical coordinate order (bit-reproducible).
 func (c *Comm) GlobalSumFloat64(p *event.Proc, x float64) float64 {
-	c.noteGlobalSum()
-	start, flow, prev := c.gsumBegin(p)
-	shape := c.fold.Logical()
-	for axis := 0; axis < geom.MaxDim; axis++ {
-		if shape[axis] > 1 {
-			x = c.axisSum(p, axis, x, false)
-		}
-	}
-	c.gsumEnd(p, start, flow, prev)
-	return x
+	return c.globalSumFloat64(p, x, false)
 }
 
 // GlobalSumFloat64Doubled is the doubled-mode variant: both ring
 // directions run concurrently on the SCU's two disjoint global streams,
 // halving the hop count (Nx/2 + Ny/2 + ... instead of Nx + Ny + ... - 4).
 func (c *Comm) GlobalSumFloat64Doubled(p *event.Proc, x float64) float64 {
+	return c.globalSumFloat64(p, x, true)
+}
+
+// globalSumFloat64 is both float sums: one ring reduction per axis of
+// extent > 1, single or doubled.
+func (c *Comm) globalSumFloat64(p *event.Proc, x float64, doubled bool) float64 {
 	c.noteGlobalSum()
 	start, flow, prev := c.gsumBegin(p)
 	shape := c.fold.Logical()
 	for axis := 0; axis < geom.MaxDim; axis++ {
 		if shape[axis] > 1 {
-			x = c.axisSum(p, axis, x, true)
+			x = c.axisSum(p, axis, x, doubled)
 		}
 	}
 	c.gsumEnd(p, start, flow, prev)
@@ -322,14 +319,4 @@ func must(err error) {
 	if err != nil {
 		panic("qmp: " + err.Error())
 	}
-}
-
-// stridedDesc and contiguousDesc re-export DMA descriptor construction
-// so application code can stay in qmp vocabulary.
-func stridedDesc(base uint64, blockWords, numBlocks, strideWords int) scu.DMADesc {
-	return scu.DMADesc{Base: base, BlockWords: blockWords, NumBlocks: numBlocks, StrideWords: strideWords}
-}
-
-func contiguousDesc(base uint64, words int) scu.DMADesc {
-	return scu.Contiguous(base, words)
 }

@@ -8,6 +8,7 @@ import (
 	"qcdoc/internal/geom"
 	"qcdoc/internal/machine"
 	"qcdoc/internal/node"
+	"qcdoc/internal/scu"
 )
 
 func booted(t *testing.T, shape geom.Shape) (*event.Engine, *machine.Machine) {
@@ -263,8 +264,8 @@ func TestHaloExchangeUnderFold(t *testing.T) {
 			for i := 0; i < 20; i++ {
 				n.Mem.WriteWord(src+8*uint64(i), uint64(c.Rank())<<16|uint64(i))
 			}
-			sdesc := stridedDesc(src, 2, 4, 5)
-			rt, err := c.StartRecv(0, geom.Bwd, contiguousDesc(dst, 8))
+			sdesc := scu.DMADesc{Base: src, BlockWords: 2, NumBlocks: 4, StrideWords: 5}
+			rt, err := c.StartRecv(0, geom.Bwd, scu.Contiguous(dst, 8))
 			if err != nil {
 				panic(err)
 			}

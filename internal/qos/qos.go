@@ -47,7 +47,6 @@ type Kernel struct {
 	kernelLoaded  bool
 	stdoutSeq     int
 
-	hbStart  *event.Inbox[event.Time] // armHeartbeat, on the node's engine
 	hbTimer  *event.Timer
 	hbPeriod event.Time
 }
@@ -72,16 +71,13 @@ func FromCtx(ctx *node.Ctx) *Kernel {
 // Start attaches the kernel thread to its Ethernet port. It runs from
 // boot-kernel state onward; in the real machine the boot kernel
 // initializes this Ethernet controller (§3.1). The service loop is a
-// continuation on the event engine — one per node, no goroutines. eng
-// is the node's engine; Start runs at setup, outside any run.
-func (k *Kernel) Start(eng *event.Engine) {
+// continuation on the event engine — one per node, no goroutines.
+func (k *Kernel) Start() {
 	k.Eth.OnPacket(k.serve)
-	k.hbStart = event.NewInbox(eng, func(period event.Time) { k.armHeartbeat(eng, period) })
 }
 
-// StartHeartbeat arms the kernel's liveness tick from engine from (the
-// host's, typically): the tick starts on the node's own engine at from's
-// current time, or a lookahead later across shards. Every period, the
+// StartHeartbeat arms the kernel's liveness tick on eng, the machine's
+// one engine, in an event at its current time. Every period, the
 // kernel thread bumps the node's heartbeat counter, which the host
 // watchdog reads through the telemetry MMIO window. Heartbeats are
 // opt-in (chaos/recovery runs enable them) so the default event stream
@@ -89,8 +85,8 @@ func (k *Kernel) Start(eng *event.Engine) {
 // crashed or hung node's timer keeps firing (it is engine machinery,
 // not node software) but ticks nothing: the counter freezes, which is
 // precisely the watchdog's detection signal.
-func (k *Kernel) StartHeartbeat(from *event.Engine, period event.Time) {
-	k.hbStart.Send(from, from.Now(), period)
+func (k *Kernel) StartHeartbeat(eng *event.Engine, period event.Time) {
+	eng.At(eng.Now(), func() { k.armHeartbeat(eng, period) })
 }
 
 func (k *Kernel) armHeartbeat(eng *event.Engine, period event.Time) {

@@ -25,7 +25,7 @@ func rig(t *testing.T) (*event.Engine, *Kernel, *ethjtag.Port) {
 		t.Fatal(err)
 	}
 	k := NewKernel(n, eth, ethjtag.HostAddr)
-	k.Start(eng)
+	k.Start()
 	return eng, k, host
 }
 
