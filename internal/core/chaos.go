@@ -55,6 +55,7 @@ type ChaosConfig struct {
 	Seed      uint64
 	FaultSeed uint64
 
+	// Mass, Tol and MaxIter are the solve's parameters, taken as given.
 	Mass    float64
 	Tol     float64
 	MaxIter int
@@ -82,16 +83,10 @@ type ChaosConfig struct {
 	Log io.Writer
 }
 
+// withDefaults fills the recovery settings left zero. It never touches
+// Mass, Tol or MaxIter: a zero tolerance or iteration limit must fail
+// the parameter check, as a solve's does, and a zero mass is a mass.
 func (c ChaosConfig) withDefaults() ChaosConfig {
-	if c.Mass == 0 {
-		c.Mass = 0.5
-	}
-	if c.Tol == 0 {
-		c.Tol = 1e-8
-	}
-	if c.MaxIter == 0 {
-		c.MaxIter = 400
-	}
 	if c.CheckpointEvery == 0 {
 		c.CheckpointEvery = 10
 	}

@@ -32,6 +32,7 @@ const (
 // watchdog, RPC retry or recovery-ladder timing moves.
 const (
 	chaosNodeDeathDigest   = 0xbe631344be792224 // canonical, fault seed 16
+	chaosMassZeroDigest    = 0xac5849fe7d53733b // canonical at mass 0, fault seed 16
 	chaosSoakDigest        = 0xdc80a5c048e80e14 // soak, fault seed 1
 	chaosPartitionDigest   = 0xd931036864861461 // 2x2, fault seed 16, one recovery crash
 	chaosCheckpointDigest  = 0x9531aa4827964dff // soak, fault seed 23
@@ -103,6 +104,28 @@ func TestChaosWilsonNoFaults(t *testing.T) {
 	}
 	if len(out.Attempts) != 1 || !out.Converged || out.Attempts[0].Aborted {
 		t.Fatalf("clean run: %+v", out.Attempts)
+	}
+}
+
+// A chaos run takes its mass literally, as a solve does: mass 0 is a
+// different problem from the canonical mass 0.5, so it must recover and
+// converge on its own pinned digest, not reproduce the canonical one.
+func TestChaosTakesMassLiterally(t *testing.T) {
+	if testing.Short() {
+		t.Skip("chaos run")
+	}
+	cfg := CanonicalChaos(16)
+	cfg.Mass = 0
+	out, err := RunChaosWilson(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !out.Converged {
+		t.Fatalf("mass 0 did not converge: %+v", out.Attempts)
+	}
+	if out.Digest != chaosMassZeroDigest {
+		t.Fatalf("mass 0 outcome digest %#x, want %#x (mass 0.5 gives %#x)",
+			out.Digest, uint64(chaosMassZeroDigest), uint64(chaosNodeDeathDigest))
 	}
 }
 

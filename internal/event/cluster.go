@@ -29,9 +29,9 @@ package event
 //     fixed (destination, source, send-order) sweep into the receiving
 //     shard's one event queue, so it assigns them sequence numbers
 //     identically on every run.
-//   - Anything genuinely machine-wide (the partition-interrupt sampling
-//     clock) runs as a global event: a serial callback executed at a
-//     barrier with every shard clock aligned.
+//   - Nothing machine-wide runs on a cluster: no serial tier executes
+//     callbacks at a barrier, so the partition-interrupt sampling clock
+//     and Engine.Stop are refused on a sharded machine (both panic).
 // Same seed, same machine, any worker count: identical event streams
 // per shard, hence identical digests.
 
@@ -49,13 +49,13 @@ type Payload [4]uint64
 
 // PayloadHandler is a Handler that can also be handed a Payload value
 // from another shard. A cross-shard delivery is two calls: AcceptPayload
-// at the barrier that drains the sender's mailbox — serial, like an
-// OnBarrier hook, so it may only store the value into state the
-// receiving side owns — and then an ordinary HandleEvent(arg) at the
-// delivery time, on the receiver's shard. Payloads are accepted in send
-// order and the handler pairs them with its events itself, so one
-// handler's deliveries must arrive in the order they were sent (a wire
-// is FIFO: one sender, arrival times in send order).
+// at the barrier that drains the sender's mailbox — serial, while no
+// shard runs, so it may only store the value into state the receiving
+// side owns — and then an ordinary HandleEvent(arg) at the delivery
+// time, on the receiver's shard. Payloads are accepted in send order and
+// the handler pairs them with its events itself, so one handler's
+// deliveries must arrive in the order they were sent (a wire is FIFO:
+// one sender, arrival times in send order).
 type PayloadHandler interface {
 	Handler
 	AcceptPayload(p Payload)
@@ -64,11 +64,10 @@ type PayloadHandler interface {
 // xmsg is one cross-shard payload delivery parked in a mailbox between
 // the producing window and the barrier drain.
 type xmsg struct {
-	at   Time
-	h    PayloadHandler
-	arg  uint64
-	p    Payload
-	flow uint64 // causal trace ID, carried across the shard boundary
+	at  Time
+	h   PayloadHandler
+	arg uint64
+	p   Payload
 }
 
 // mailbox is one single-producer/single-consumer cross-shard queue:
@@ -80,25 +79,15 @@ type mailbox struct {
 	_    [5]uint64
 }
 
-// gitem is one global (machine-wide) event: executed serially at a
-// barrier with every shard clock aligned to its time.
-type gitem struct {
-	at  Time
-	seq uint64
-	fn  func()
-}
-
 // ClusterStats counts cluster activity for telemetry.
 type ClusterStats struct {
 	// Windows is how many parallel windows the run loop executed.
 	Windows uint64
-	// Barriers counts barrier synchronizations (= Windows plus global
-	// event alignments).
+	// Barriers counts barrier synchronizations. Every barrier ends a
+	// window, so it always equals Windows.
 	Barriers uint64
 	// CrossMessages counts mailbox messages drained.
 	CrossMessages uint64
-	// GlobalEvents counts machine-wide serial events executed.
-	GlobalEvents uint64
 }
 
 // Cluster coordinates N shard engines. Build one with Clusterize; the
@@ -109,11 +98,7 @@ type Cluster struct {
 	workers  int
 	look     Time // conservative lookahead
 	mail     [][]mailbox
-	globals  []gitem
-	gseq     uint64
-	hooks    []func()
 	stats    ClusterStats
-	stopReq  atomic.Bool
 	panicked atomic.Bool
 	panicVal any
 
@@ -179,50 +164,6 @@ func (c *Cluster) Shard(i int) *Engine { return c.shards[i] }
 // Stats returns a copy of the cluster's activity counters.
 func (c *Cluster) Stats() ClusterStats { return c.stats }
 
-// OnBarrier registers fn to run serially at every window barrier, after
-// the mailboxes have been drained. Barrier hooks are the sanctioned
-// place to inspect per-shard state that event handlers may not touch
-// across shards (e.g. collecting the machine's sampling-clock arm
-// requests).
-func (c *Cluster) OnBarrier(fn func()) { c.hooks = append(c.hooks, fn) }
-
-// AtGlobal schedules fn as a machine-wide event at time t: it runs
-// serially, at a barrier, with every shard's clock set to t. Only
-// barrier-serial contexts (setup code, barrier hooks, other global
-// events) may call it. t must not precede any shard's clock.
-func (c *Cluster) AtGlobal(t Time, fn func()) {
-	c.gseq++
-	c.globals = append(c.globals, gitem{at: t, seq: c.gseq, fn: fn})
-}
-
-// peekGlobal returns the earliest pending global event time, or Forever.
-func (c *Cluster) peekGlobal() Time {
-	t := Forever
-	for i := range c.globals {
-		if c.globals[i].at < t {
-			t = c.globals[i].at
-		}
-	}
-	return t
-}
-
-// popGlobalsAt removes and returns the global events at exactly t, in
-// schedule order.
-func (c *Cluster) popGlobalsAt(t Time) []gitem {
-	var due []gitem
-	rest := c.globals[:0]
-	for _, g := range c.globals {
-		if g.at == t {
-			due = append(due, g)
-		} else {
-			rest = append(rest, g)
-		}
-	}
-	c.globals = rest
-	sort.Slice(due, func(i, j int) bool { return due[i].seq < due[j].seq })
-	return due
-}
-
 // maxNow returns the latest shard clock.
 func (c *Cluster) maxNow() Time {
 	t := c.shards[0].now
@@ -235,9 +176,9 @@ func (c *Cluster) maxNow() Time {
 }
 
 // alignClocks advances every shard clock to t (never backward). The
-// cluster aligns at quiescence, horizons and global events so that code
-// reading Now() after a run — metrics, control processes — sees one
-// machine-wide clock, as with a single engine.
+// cluster aligns at quiescence and horizons so that code reading Now()
+// after a run — metrics, control processes — sees one machine-wide
+// clock, as with a single engine.
 func (c *Cluster) alignClocks(t Time) {
 	for _, s := range c.shards {
 		if s.now < t {
@@ -257,7 +198,7 @@ func (c *Cluster) drainMail() {
 			for k := range mb.msgs {
 				m := &mb.msgs[k]
 				m.h.AcceptPayload(m.p)
-				dst.enqueue(m.at, nil, m.h, m.arg, m.flow)
+				dst.enqueue(m.at, nil, m.h, m.arg, 0)
 				c.stats.CrossMessages++
 				mb.msgs[k] = xmsg{} // release the handler reference
 			}
@@ -268,66 +209,34 @@ func (c *Cluster) drainMail() {
 
 // run is the cluster's window loop; Engine.Run on the host shard
 // delegates here. Semantics match Engine.Run: events at exactly `until`
-// execute, a drained machine with blocked non-daemon processes is an
-// *ErrStall, Stop ends the run at the next barrier.
+// execute, and a drained machine with blocked non-daemon processes is an
+// *ErrStall.
 func (c *Cluster) run(until Time) error {
-	c.stopReq.Store(false)
 	defer c.parkWorkers()
 	for {
 		c.drainMail()
-		for _, h := range c.hooks {
-			h()
-		}
 		tmin := Forever
 		for _, s := range c.shards {
 			if t, _ := s.peekTime(); t < tmin { // Forever when nothing is queued
 				tmin = t
 			}
 		}
-		g := c.peekGlobal()
-		if tmin == Forever && g == Forever {
+		if tmin == Forever {
+			c.alignClocks(c.maxNow())
 			if names := c.blockedNames(); len(names) > 0 {
-				c.alignClocks(c.maxNow())
 				return &ErrStall{At: c.shards[0].now, Blocked: names}
 			}
-			c.alignClocks(c.maxNow())
 			return nil
 		}
-		next := tmin
-		if g < next {
-			next = g
-		}
-		if next > until {
+		if tmin > until {
 			c.alignClocks(until)
 			return nil
 		}
-		if g <= tmin {
-			// Machine-wide events run serially with all clocks aligned.
-			c.alignClocks(g)
-			c.stats.Barriers++
-			c.stats.GlobalEvents++
-			for _, gi := range c.popGlobalsAt(g) {
-				gi.fn()
-			}
-			if c.stopReq.Load() {
-				return nil
-			}
-			continue
-		}
-		wend := tmin + c.look
-		if g < wend {
-			wend = g
-		}
-		c.runWindow(wend, until)
+		c.runWindow(tmin+c.look, until)
 		c.stats.Windows++
 		c.stats.Barriers++
 		if c.panicked.Load() {
 			panic(c.panicVal)
-		}
-		if c.stopReq.Load() {
-			c.drainMail()
-			c.alignClocks(c.maxNow())
-			return nil
 		}
 	}
 }
@@ -501,5 +410,5 @@ func (e *Engine) CrossPayload(d *Engine, t Time, h PayloadHandler, arg uint64, p
 		panic("event: CrossPayload violates cluster lookahead")
 	}
 	mb := &e.cluster.mail[e.shard][d.shard]
-	mb.msgs = append(mb.msgs, xmsg{at: t, h: h, arg: arg, p: p, flow: e.curFlow})
+	mb.msgs = append(mb.msgs, xmsg{at: t, h: h, arg: arg, p: p})
 }

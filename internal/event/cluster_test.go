@@ -1,7 +1,9 @@
 package event
 
 import (
+	"fmt"
 	"runtime"
+	"strings"
 	"testing"
 )
 
@@ -40,5 +42,31 @@ func TestClusterPoolParksBetweenRuns(t *testing.T) {
 				}
 			}
 		}()
+	}
+}
+
+// A cluster has no stop request: Stop on any of its shards panics,
+// naming sharding, whether called from setup code or from an event.
+func TestStopRefusesShardedEngine(t *testing.T) {
+	host := New()
+	c := Clusterize(host, 2, 1, 100)
+	defer host.Shutdown()
+	refused := func(e *Engine) (r any) {
+		defer func() { r = recover() }()
+		e.Stop()
+		return nil
+	}
+	for i := 0; i < c.NumShards(); i++ {
+		if r := refused(c.Shard(i)); r == nil || !strings.Contains(fmt.Sprint(r), "shard") {
+			t.Fatalf("Stop on shard %d: panic %v, want one naming sharding", i, r)
+		}
+	}
+	var inEvent any
+	c.Shard(1).After(10, func() { inEvent = refused(c.Shard(1)) })
+	if err := host.RunAll(); err != nil {
+		t.Fatal(err)
+	}
+	if inEvent == nil || !strings.Contains(fmt.Sprint(inEvent), "shard") {
+		t.Fatalf("Stop from an event on shard 1: panic %v, want one naming sharding", inEvent)
 	}
 }

@@ -118,7 +118,7 @@ type Engine struct {
 
 	// Causal-flow state (trace.go): curFlow is the trace ID of the event
 	// being dispatched (inherited by everything it schedules), flowSeq
-	// numbers the flows this shard has minted, lastSeq is the sequence
+	// numbers the flows this engine has minted, lastSeq is the sequence
 	// number of the current event (reused by span marks so marking never
 	// consumes a sequence number — attaching a recorder must not move
 	// any event's seq).
@@ -168,13 +168,12 @@ func (e *Engine) AtHandler(t Time, h Handler, arg uint64) {
 	e.enqueue(t, nil, h, arg, e.curFlow)
 }
 
-// NewFlow mints a fresh causal-trace ID, unique per shard and stable
-// across runs and worker counts (shard identity and a per-shard
-// counter, both deterministic). The ID does not become current until
-// SetFlow installs it.
+// NewFlow mints a fresh causal-trace ID, unique per engine and stable
+// across runs (a per-engine counter under a fixed high bit). The ID does
+// not become current until SetFlow installs it.
 func (e *Engine) NewFlow() uint64 {
 	e.flowSeq++
-	return uint64(e.shard+1)<<40 | e.flowSeq
+	return 1<<40 | e.flowSeq
 }
 
 // SetFlow makes f the current causal flow — every event scheduled from
@@ -198,14 +197,12 @@ func (e *Engine) AfterHandler(d Time, h Handler, arg uint64) {
 	e.AtHandler(e.now+d, h, arg)
 }
 
-// Stop makes Run return after the current event completes. On a
-// clustered engine the request is honored at the next window barrier —
-// never mid-window, where observing another shard's request would make
-// the outcome depend on execution interleaving.
+// Stop makes Run return after the current event completes. A sharded
+// engine refuses it: one shard's request would end the other shards'
+// windows at whatever point they had reached.
 func (e *Engine) Stop() {
 	if e.cluster != nil {
-		e.cluster.stopReq.Store(true)
-		return
+		panic("event: Stop on a sharded engine (a cluster runs until it drains or reaches its horizon)")
 	}
 	e.stopped = true
 }

@@ -46,9 +46,8 @@ func TestFlowInheritance(t *testing.T) {
 	}
 }
 
-// TestNewFlowDeterministic pins the flow-ID scheme: per-shard counter
-// in the low bits, shard+1 in the high bits, so IDs are deterministic
-// and never collide across shards.
+// TestNewFlowDeterministic pins the flow-ID scheme: a per-engine counter
+// in the low bits under bit 40, so IDs are deterministic and never 0.
 func TestNewFlowDeterministic(t *testing.T) {
 	e := New()
 	f1, f2 := e.NewFlow(), e.NewFlow()

@@ -178,23 +178,15 @@ func (r *Recorder) Dump(w io.Writer, n int) {
 	}
 }
 
-// WriteChromeTrace exports up to n of the most recent records (0 = the
-// whole ring) as Chrome trace-event JSON loadable in chrome://tracing
-// or Perfetto: dispatched events as "instant" events, span marks as
-// async "b"/"e" pairs keyed by their causal flow ID (so one global sum
-// or recovery sequence renders as a single flow). The recorder's
-// machine ID is the pid; the tid is 0. Records export in ring order,
-// the engine's deterministic dispatch order, so the export is
-// byte-identical for a given simulation.
-func (r *Recorder) WriteChromeTrace(w io.Writer, n int) error {
-	return writeChromeJSON(w, mergedTail([]*Recorder{r}, n))
-}
-
-// WriteChromeTraceMerged exports several machines' recorders (e.g. one
-// per fleet run) into a single Chrome trace, pids namespaced by each
-// recorder's machine ID. Nil recorders are skipped. The merge key is
-// (At, pid, Seq) with ring order below that, so the combined export is
-// byte-stable across runs.
+// WriteChromeTraceMerged exports up to n of the most recent records (0 =
+// all of them) of several machines' recorders (e.g. one per fleet run, or
+// a single machine's) as one Chrome trace-event JSON document loadable in
+// chrome://tracing or Perfetto: dispatched events as "instant" events,
+// span marks as async "b"/"e" pairs keyed by their causal flow ID (so one
+// global sum or recovery sequence renders as a single flow). Each
+// recorder's machine ID is the pid; the tid is 0. Nil recorders are
+// skipped. The merge key is (At, pid, Seq) with ring order below that, so
+// the export is byte-stable across runs.
 func WriteChromeTraceMerged(w io.Writer, recs []*Recorder, n int) error {
 	return writeChromeJSON(w, mergedTail(recs, n))
 }

@@ -134,7 +134,7 @@ func TestRecorderDumpAndChromeTrace(t *testing.T) {
 		t.Fatalf("dump:\n%s", dump.String())
 	}
 	var ct strings.Builder
-	if err := rec.WriteChromeTrace(&ct, 0); err != nil {
+	if err := WriteChromeTraceMerged(&ct, []*Recorder{rec}, 0); err != nil {
 		t.Fatal(err)
 	}
 	// The export must be valid JSON in Chrome trace-event shape.

@@ -250,8 +250,10 @@ func TestFleetRefusesSolverParams(t *testing.T) {
 		set  func(*fleet.Spec)
 	}{
 		{"tol -1", func(s *fleet.Spec) { s.Tol = -1 }},
+		{"tol 0", func(s *fleet.Spec) { s.Tol = 0 }},
 		{"tol NaN", func(s *fleet.Spec) { s.Tol = math.NaN() }},
 		{"maxiter -1", func(s *fleet.Spec) { s.MaxIter = -1 }},
+		{"maxiter 0", func(s *fleet.Spec) { s.MaxIter = 0 }},
 		{"mass NaN", func(s *fleet.Spec) { s.Mass = math.NaN() }},
 		{"mass +Inf", func(s *fleet.Spec) { s.Mass = math.Inf(1) }},
 	}
@@ -403,7 +405,7 @@ func TestFleetObserveZeroPerturbation(t *testing.T) {
 			}
 		} else {
 			var doc strings.Builder
-			if r.Trace == nil || r.Trace.WriteChromeTrace(&doc, 0) != nil ||
+			if r.Trace == nil || event.WriteChromeTraceMerged(&doc, []*event.Recorder{r.Trace}, 0) != nil ||
 				!strings.Contains(doc.String(), fmt.Sprintf(`"pid":%d,`, i)) {
 				t.Fatalf("solve run %q: no trace under pid %d", r.Name, i)
 			}

@@ -29,14 +29,14 @@ type Config struct {
 	// machines against a 500 MHz target).
 	Clock event.Hz
 	// Shards selects event-engine sharding for conservative parallel
-	// simulation (DESIGN.md §13): 0 builds the classic single-engine
+	// simulation (DESIGN.md §13): false builds the classic single-engine
 	// machine; ShardAuto partitions along the packaging hierarchy
-	// (daughterboards below a motherboard's worth of nodes, whole
-	// motherboards at scale); n > 0 asks for about n shards, rounded to
-	// whole daughterboards. The shard plan is a pure function of Shape
-	// and Shards — never of Workers — which is what makes outcome
-	// digests worker-count-invariant.
-	Shards int
+	// (daughterboards below a crate's worth of nodes, whole motherboards
+	// at scale). The shard plan is a pure function of Shape — never of
+	// Workers — which is what makes outcome digests worker-count-invariant.
+	// A sharded machine runs halo exchanges and global sums only: a
+	// partition interrupt or Engine.Stop on it panics.
+	Shards bool
 	// Workers bounds how many shards execute concurrently (0 = one per
 	// available CPU). Sharded builds need a fresh engine (no events run
 	// yet); Build panics otherwise.
@@ -48,7 +48,7 @@ type Config struct {
 }
 
 // ShardAuto selects the packaging-derived shard plan.
-const ShardAuto = -1
+const ShardAuto = true
 
 // DefaultConfig returns the paper's target configuration for a given
 // shape.
@@ -79,13 +79,10 @@ type Machine struct {
 	windowPeriod event.Time
 	clockArmed   bool
 
-	// Sharding state (nil/empty on a single-engine build). shardOf maps
-	// a node rank to its shard; armAt holds per-rank sampling-clock arm
-	// requests (each written only by the rank's own shard, harvested at
-	// the window barrier).
+	// Sharding state (nil on a single-engine build). shardOf maps a node
+	// rank to its shard.
 	cluster *event.Cluster
 	shardOf []int
-	armAt   []event.Time
 }
 
 // Build constructs the machine: nodes, torus wiring, and SCU attachment.
@@ -139,37 +136,33 @@ func Build(eng *event.Engine, cfg Config) *Machine {
 		m.windowPeriod = min
 	}
 	// Arm the sampling clock whenever any SCU raises a partition
-	// interrupt. On a sharded build the request lands in the rank's own
-	// arm slot and is harvested at the window barrier; see
-	// sampleClockBarrier.
-	for r, n := range m.Nodes {
-		if m.cluster == nil {
-			n.SCU.WindowArm = m.armClock
-			continue
-		}
-		slot := &m.armAt[r]
-		eng := m.NodeEngine(r)
-		n.SCU.WindowArm = func() {
-			if *slot < 0 {
-				*slot = eng.Now()
-			}
-		}
-	}
+	// interrupt. The clock samples every node at once, which no shard
+	// may do, so a sharded machine refuses the interrupt instead.
+	arm := m.armClock
 	if m.cluster != nil {
-		m.cluster.OnBarrier(m.sampleClockBarrier)
+		arm = refusePartIRQ
+	}
+	for _, n := range m.Nodes {
+		n.SCU.WindowArm = arm
 	}
 	m.registerTelemetry()
 	return m
 }
 
-// buildCluster partitions the machine's ranks into shard engines
-// according to cfg.Shards. Contiguous rank blocks follow the packaging
+// buildCluster partitions the machine's ranks into shard engines when
+// cfg.Shards is set. Contiguous rank blocks follow the packaging
 // hierarchy: ranks 2k and 2k+1 share a daughterboard, blocks of 64 a
 // motherboard.
 func (m *Machine) buildCluster(eng *event.Engine, cfg Config, v int) {
-	per := shardNodesPer(cfg, v)
-	if per <= 0 || per >= v {
+	if !cfg.Shards {
 		return // single engine
+	}
+	per := NodesPerDaughterboard
+	if v >= NodesPerMotherboard*MotherboardsPerCrate {
+		per = NodesPerMotherboard
+	}
+	if per >= v {
+		return // one board: a single engine
 	}
 	n := (v + per - 1) / per
 	workers := cfg.Workers
@@ -178,34 +171,9 @@ func (m *Machine) buildCluster(eng *event.Engine, cfg Config, v int) {
 	}
 	look := hssl.MinLatency(cfg.Clock, hssl.DefaultPropagation)
 	m.cluster = event.Clusterize(eng, n, workers, look)
-	// The plan is a pure function of (Shape, Shards); a pooled build
-	// shares one immutable copy across all machines of that topology.
-	m.shardOf = cfg.Pool.shardPlan(cfg.Shape, cfg.Shards, v, per)
-	m.armAt = make([]event.Time, v)
-	for r := range m.armAt {
-		m.armAt[r] = -1
-	}
-}
-
-// shardNodesPer returns the nodes-per-shard block size for a config, or
-// 0 for a single-engine build. Depends only on Shape volume and Shards.
-func shardNodesPer(cfg Config, v int) int {
-	switch {
-	case cfg.Shards == 0 || v < 2:
-		return 0
-	case cfg.Shards == ShardAuto:
-		if v >= NodesPerMotherboard*MotherboardsPerCrate {
-			return NodesPerMotherboard
-		}
-		return NodesPerDaughterboard
-	default:
-		per := (v + cfg.Shards - 1) / cfg.Shards
-		// Round up to whole daughterboards so board pairs stay together.
-		if rem := per % NodesPerDaughterboard; rem != 0 {
-			per += NodesPerDaughterboard - rem
-		}
-		return per
-	}
+	// The plan is a pure function of Shape; a pooled build shares one
+	// immutable copy across all machines of that topology.
+	m.shardOf = cfg.Pool.shardPlan(cfg.Shape, per)
 }
 
 // Cluster returns the shard cluster, or nil on a single-engine build.
@@ -295,9 +263,6 @@ func (m *Machine) armClock() {
 func (m *Machine) windowTick() {
 	m.clockArmed = false
 	again := false
-	// armClock registers this tick only on single-engine builds, where
-	// every node shares the one engine; the sharded machine samples via
-	// windowTickGlobal instead.
 	for _, n := range m.Nodes {
 		n.SCU.WindowTick()
 		if n.SCU.PartIRQPending() != n.SCU.PartIRQStatus() {
@@ -309,47 +274,9 @@ func (m *Machine) windowTick() {
 	}
 }
 
-// sampleClockBarrier runs at every cluster window barrier: it harvests
-// the per-rank arm requests and schedules the machine-wide sampling
-// tick as a global event. The tick time is always schedulable — a
-// request raised during a window precedes every shard clock by at most
-// one lookahead, and the window period is at least twice the lookahead.
-func (m *Machine) sampleClockBarrier() {
-	minArm := event.Time(-1)
-	for i := range m.armAt {
-		if t := m.armAt[i]; t >= 0 {
-			if minArm < 0 || t < minArm {
-				minArm = t
-			}
-			m.armAt[i] = -1
-		}
-	}
-	if minArm < 0 || m.clockArmed {
-		// No request, or the pending tick already covers it (it re-arms
-		// itself while interrupt bits remain unsampled).
-		return
-	}
-	m.clockArmed = true
-	m.cluster.AtGlobal(minArm+m.windowPeriod, m.windowTickGlobal)
-}
-
-// windowTickGlobal is windowTick as a machine-wide global event: it
-// runs serially with every shard clock aligned, which is what lets it
-// touch all nodes' SCUs — the one legitimately machine-wide piece of
-// hardware, the motherboard-distributed slow clock (§2.4).
-func (m *Machine) windowTickGlobal() {
-	m.clockArmed = false
-	again := false
-	for _, n := range m.Nodes {
-		n.SCU.WindowTick()
-		if n.SCU.PartIRQPending() != n.SCU.PartIRQStatus() {
-			again = true
-		}
-	}
-	if again {
-		m.clockArmed = true
-		m.cluster.AtGlobal(m.Eng.Now()+m.windowPeriod, m.windowTickGlobal)
-	}
+// refusePartIRQ is every SCU's WindowArm on a sharded machine.
+func refusePartIRQ() {
+	panic("machine: partition interrupt on a sharded machine (the global sampling clock is unsharded)")
 }
 
 // RunSPMD starts the same program on every node (the machine's natural

@@ -13,7 +13,7 @@ import (
 // doesn't thrash the allocator: event-engine heap storage (the timer
 // arena), HSSL in-flight frame rings, and — shared rather than
 // recycled — the shard plan for a given topology, which is a pure
-// function of (Shape, Shards) and therefore immutable and safe for any
+// function of the Shape and therefore immutable and safe for any
 // number of concurrent machines to read.
 //
 // A Pool is safe for concurrent use; a nil *Pool disables pooling
@@ -25,15 +25,8 @@ type Pool struct {
 	mu       sync.Mutex
 	storages []event.Storage
 	rings    [][]hssl.Flight
-	plans    map[planKey][]int
+	plans    map[geom.Shape][]int
 	stats    PoolStats
-}
-
-// planKey identifies a shard plan: the plan depends only on topology
-// and requested shard count, never on Workers or host cores.
-type planKey struct {
-	shape  geom.Shape
-	shards int
 }
 
 // PoolStats counts pool traffic, for hygiene tests and the fleet
@@ -58,7 +51,7 @@ type PoolStats struct {
 
 // NewPool returns an empty pool.
 func NewPool() *Pool {
-	return &Pool{plans: make(map[planKey][]int)}
+	return &Pool{plans: make(map[geom.Shape][]int)}
 }
 
 // NewEngine returns a fresh event engine, reusing pooled heap storage
@@ -137,24 +130,24 @@ func (p *Pool) ring() []hssl.Flight {
 	return nil
 }
 
-// shardPlan returns the rank→shard map for a topology, shared and
-// immutable across every machine with the same (Shape, Shards). Callers
-// must treat the returned slice as read-only. With a nil pool the plan
-// is computed fresh.
-func (p *Pool) shardPlan(shape geom.Shape, shards, v, per int) []int {
+// shardPlan returns the rank→shard map for a topology (per nodes to a
+// shard), shared and immutable across every machine with the same
+// Shape: the plan depends on nothing else, never on Workers or host
+// cores. Callers must treat the returned slice as read-only. With a nil
+// pool the plan is computed fresh.
+func (p *Pool) shardPlan(shape geom.Shape, per int) []int {
 	if p == nil {
-		return computeShardPlan(v, per)
+		return computeShardPlan(shape.Volume(), per)
 	}
-	key := planKey{shape: shape, shards: shards}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if plan, ok := p.plans[key]; ok {
+	if plan, ok := p.plans[shape]; ok {
 		p.stats.PlanHits++
 		return plan
 	}
 	p.stats.PlanMisses++
-	plan := computeShardPlan(v, per)
-	p.plans[key] = plan
+	plan := computeShardPlan(shape.Volume(), per)
+	p.plans[shape] = plan
 	return plan
 }
 

@@ -16,11 +16,11 @@ import (
 // shardedTraceRun is traceRun on a sharded machine: one FNV tracer per
 // shard (a shared tracer closure would race across workers), combined
 // in shard order into one digest.
-func shardedTraceRun(t *testing.T, shape geom.Shape, shards, workers int) (eventDigest, linkDigest uint64, end event.Time) {
+func shardedTraceRun(t *testing.T, shape geom.Shape, workers int) (eventDigest, linkDigest uint64, end event.Time) {
 	t.Helper()
 	eng := event.New()
 	cfg := DefaultConfig(shape)
-	cfg.Shards = shards
+	cfg.Shards = ShardAuto
 	cfg.Workers = workers
 	m := Build(eng, cfg)
 	cl := m.Cluster()
@@ -44,7 +44,6 @@ func shardedTraceRun(t *testing.T, shape geom.Shape, shards, workers int) (event
 	}
 	defer eng.Shutdown()
 	fold := geom.IdentityFold(shape)
-	m.Nodes[1].SCU.RaisePartIRQ(0x04)
 	err := m.RunSPMD("trace", func(rank int) node.Program {
 		return func(ctx *node.Ctx) {
 			n := ctx.N
@@ -98,16 +97,17 @@ func shardedTraceRun(t *testing.T, shape geom.Shape, shards, workers int) (event
 }
 
 // TestShardedDeterministicReplay is the sharded analogue of
-// TestDeterministicReplay, and more: the per-shard event streams, link
+// TestDeterministicReplay (less its partition interrupt, which a sharded
+// machine refuses), and more: the per-shard event streams, link
 // checksums and final clock must be identical across runs AND across
 // worker counts 1, 2, 4, 8 — workers
 // only choose which OS thread executes a shard's window, never what the
 // window contains.
 func TestShardedDeterministicReplay(t *testing.T) {
 	shape := geom.MakeShape(4, 2, 2)
-	e0, l0, t0 := shardedTraceRun(t, shape, ShardAuto, 1)
+	e0, l0, t0 := shardedTraceRun(t, shape, 1)
 	for _, workers := range []int{1, 2, 4, 8} {
-		e, l, tend := shardedTraceRun(t, shape, ShardAuto, workers)
+		e, l, tend := shardedTraceRun(t, shape, workers)
 		if e != e0 {
 			t.Fatalf("workers=%d: event digest %#x, want %#x", workers, e, e0)
 		}
@@ -136,9 +136,31 @@ func TestSetRecorderRefusesShardedMachine(t *testing.T) {
 	eng.SetRecorder(event.NewRecorder(16))
 }
 
+// The slow global clock samples every node at once, which no shard may
+// do: a sharded machine refuses a partition interrupt at the raise.
+func TestRaisePartIRQRefusesShardedMachine(t *testing.T) {
+	eng := event.New()
+	defer eng.Shutdown()
+	cfg := DefaultConfig(geom.MakeShape(2, 2))
+	cfg.Shards = ShardAuto
+	m := Build(eng, cfg)
+	if m.Cluster() == nil {
+		t.Fatal("ShardAuto built an unsharded machine")
+	}
+	if err := m.Boot(); err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "shard") {
+			t.Fatalf("RaisePartIRQ on a sharded machine: panic %v, want one naming sharding", r)
+		}
+	}()
+	m.Nodes[1].SCU.RaisePartIRQ(0x04)
+}
+
 // TestShardPlanIsTopologyOnly pins the structural invariant behind
 // worker-count-invariant digests: the shard plan depends only on the
-// shape and the Shards setting, never on Workers.
+// shape, never on Workers.
 func TestShardPlanIsTopologyOnly(t *testing.T) {
 	shape := geom.MakeShape(4, 2, 2)
 	for _, workers := range []int{1, 3, 8} {
@@ -155,13 +177,5 @@ func TestShardPlanIsTopologyOnly(t *testing.T) {
 				t.Fatalf("rank %d on shard %d, want %d", r, m.shardOf[r], want)
 			}
 		}
-	}
-	// Explicit shard counts round to daughterboard blocks.
-	cfg := DefaultConfig(shape)
-	cfg.Shards = 3
-	m := Build(event.New(), cfg)
-	defer m.Eng.Shutdown()
-	if got := m.Cluster().NumShards(); got != 3 {
-		t.Fatalf("Shards=3: got %d shards", got)
 	}
 }
