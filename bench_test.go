@@ -15,6 +15,8 @@ import (
 	"qcdoc/internal/event"
 	"qcdoc/internal/fermion"
 	"qcdoc/internal/lattice"
+	"qcdoc/internal/memsys"
+	"qcdoc/internal/ppc440"
 	"qcdoc/internal/team"
 )
 
@@ -156,13 +158,17 @@ func benchGauge(b *testing.B) (*lattice.GaugeField, *lattice.FermionField, *latt
 	return g, src, lattice.NewFermionField(l)
 }
 
-// reportKernel adds the two host-side kernel rates to an operator
-// benchmark that applied kind to sites sites b.N times: Mflop/s by the
-// operator's nominal flop count (Wilson: the 1320-flop budget) and
-// ns per site.
-func reportKernel(b *testing.B, kind fermion.OpKind, sites int) {
+// reportKernel states an operator benchmark that applied an operator of
+// per-site cost c (fermion.SiteCost in double precision) to sites sites
+// b.N times the way VPIC's README.performance states a kernel: its
+// nominal flops (Wilson: the 1320-flop budget) and bytes through the
+// load/store pipeline per site, next to the rates achieved on the host,
+// ns per site and Mflop/s.
+func reportKernel(b *testing.B, c ppc440.KernelCost, sites int) {
 	siteApps := float64(sites) * float64(b.N)
-	b.ReportMetric(fermion.FlopsPerSite(kind)*siteApps/b.Elapsed().Seconds()/1e6, "host-Mflops")
+	b.ReportMetric(c.Flops, "flop/site")
+	b.ReportMetric(c.LoadBytes+c.StoreBytes, "B/site")
+	b.ReportMetric(c.Flops*siteApps/b.Elapsed().Seconds()/1e6, "host-Mflops")
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/siteApps, "ns/site")
 }
 
@@ -174,7 +180,7 @@ func benchWilson(b *testing.B, tm *team.Team) {
 	for i := 0; i < b.N; i++ {
 		w.Apply(dst, src)
 	}
-	reportKernel(b, fermion.WilsonKind, g.L.Volume())
+	reportKernel(b, fermion.SiteCost(fermion.WilsonKind, fermion.Double, memsys.EDRAM), g.L.Volume())
 }
 
 func benchClover(b *testing.B, tm *team.Team) {
@@ -185,7 +191,7 @@ func benchClover(b *testing.B, tm *team.Team) {
 	for i := 0; i < b.N; i++ {
 		c.Apply(dst, src)
 	}
-	reportKernel(b, fermion.CloverKind, g.L.Volume())
+	reportKernel(b, fermion.SiteCost(fermion.CloverKind, fermion.Double, memsys.EDRAM), g.L.Volume())
 }
 
 func benchDWF(b *testing.B, tm *team.Team) {
@@ -201,5 +207,5 @@ func benchDWF(b *testing.B, tm *team.Team) {
 	for i := 0; i < b.N; i++ {
 		d.Apply(dst, src)
 	}
-	reportKernel(b, fermion.DWFKind, 8*l.Volume())
+	reportKernel(b, fermion.DWFSiteCost(fermion.Double, memsys.EDRAM, 8), 8*l.Volume())
 }

@@ -97,8 +97,8 @@ func (w *wilsonHop) hop(dst, src []latmath.Spinor, diag complex128) {
 // the (mu, end) recv buffer, in face-site order.
 type hopGhosts wilsonHop
 
-func (g *hopGhosts) Half(mu, end, s, slot int) latmath.HalfSpinor {
-	return g.half(mu, end, s*len(g.faces[mu][end])+slot)
+func (g *hopGhosts) Half(h *latmath.HalfSpinor, mu, end, s, slot int) {
+	g.half(h, mu, end, s*len(g.faces[mu][end])+slot)
 }
 
 // applyDag computes dst = D† src = R γ5 D γ5 R src for the operator D

@@ -90,17 +90,17 @@ func (h *halo) read(buf uint64, slot int, w []uint64) {
 }
 
 // putHalf packs a projected half spinor into a send slot; half unpacks
-// the neighbour's from the matching recv slot.
+// the neighbour's from the matching recv slot into v.
 func (h *halo) putHalf(mu, end, slot int, v *latmath.HalfSpinor) {
 	var w [latmath.HalfSpinorWords]uint64
-	latmath.PackHalfSpinor(*v, w[:])
+	latmath.PackHalfSpinor(v, w[:])
 	h.write(h.send[mu][end], slot, w[:])
 }
 
-func (h *halo) half(mu, end, slot int) latmath.HalfSpinor {
+func (h *halo) half(v *latmath.HalfSpinor, mu, end, slot int) {
 	var w [latmath.HalfSpinorWords]uint64
 	h.read(h.recv[mu][end], slot, w[:])
-	return latmath.UnpackHalfSpinor(w[:])
+	latmath.UnpackHalfSpinor(v, w[:])
 }
 
 // putVec and vec are the color-vector slots of the staggered exchange.

@@ -80,38 +80,42 @@ func (k *HopKernel) Run(t *team.Team, dst, src []latmath.Spinor, diag complex128
 	t.Run(len(dst), k)
 }
 
-// Ghosts returns the projected half spinor the (mu, end) neighbour packed
-// for face slot slot of slice s; the low-end (end 0) sender has already
-// applied its link.
+// Ghosts sets h to the projected half spinor the (mu, end) neighbour
+// packed for face slot slot of slice s; the low-end (end 0) sender has
+// already applied its link.
 type Ghosts interface {
-	Half(mu, end, s, slot int) latmath.HalfSpinor
+	Half(h *latmath.HalfSpinor, mu, end, s, slot int)
 }
 
 func (k *HopKernel) Range(lo, hi int) {
 	v4 := k.G.L.Volume()
-	var h latmath.HalfSpinor
 	idx := lo % v4
 	for i := lo; i < hi; i++ {
 		src := k.src[i-idx : i-idx+v4] // the slice site i is on
+		// Each hop's half spinor lives in the upper half of dst[i]: this
+		// chunk's own memory, written last, so the steps need no scratch
+		// (none to zero, none that escapes to the ghost reader).
+		h := (*latmath.HalfSpinor)(k.dst[i][:2])
 		var acc latmath.Spinor
 		for mu := 0; mu < lattice.Ndim; mu++ {
 			// +mu term (1-γ)U_mu(x)ψ(x+mu); off the high face ψ(x+mu) is a
 			// ghost, already projected, and the link is ours.
-			u := &k.G.U[lattice.Ndim*idx+mu]
 			if up := k.Nb.Up[mu][idx]; up >= 0 {
-				acc.Hop(mu, +1, u, &src[up])
+				h.Project(mu, +1, &src[up])
 			} else {
-				h = k.Ghosts.Half(mu, 1, (i-idx)/v4, int(^up))
-				h.MulMat(u, &h)
-				acc.AddReconstruct(mu, +1, &h)
+				k.Ghosts.Half(h, mu, 1, (i-idx)/v4, int(^up))
 			}
-			// -mu term (1+γ)U†_mu(x-mu)ψ(x-mu).
+			h.MulMat(&k.G.U[lattice.Ndim*idx+mu], h)
+			acc.AddReconstruct(mu, +1, h)
+			// -mu term (1+γ)U†_mu(x-mu)ψ(x-mu); the low-end sender of a
+			// ghost has applied its link.
 			if dn := k.Nb.Dn[mu][idx]; dn >= 0 {
-				acc.Hop(mu, -1, &k.G.U[lattice.Ndim*int(dn)+mu], &src[dn])
+				h.Project(mu, -1, &src[dn])
+				h.DagMulMat(&k.G.U[lattice.Ndim*int(dn)+mu], h)
 			} else {
-				h = k.Ghosts.Half(mu, 0, (i-idx)/v4, int(^dn))
-				acc.AddReconstruct(mu, -1, &h)
+				k.Ghosts.Half(h, mu, 0, (i-idx)/v4, int(^dn))
 			}
+			acc.AddReconstruct(mu, -1, h)
 		}
 		k.dst[i].HopResult(k.diag, &src[idx], &acc)
 		if idx++; idx == v4 {

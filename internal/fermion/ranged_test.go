@@ -76,6 +76,18 @@ func refCloverAddTo(t *CloverTerm, dst, src []latmath.Spinor) {
 	}
 }
 
+// refHop adds one neighbour's hopping term to acc through the by-value
+// steps: project, carry by u (s = +1) or u† (s = -1), reconstruct.
+func refHop(acc latmath.Spinor, mu, s int, u latmath.Mat3, psi latmath.Spinor) latmath.Spinor {
+	h := latmath.Project(mu, s, psi)
+	if s > 0 {
+		h = latmath.HalfSpinor{u.MulVec(h[0]), u.MulVec(h[1])}
+	} else {
+		h = latmath.HalfSpinor{u.DagMulVec(h[0]), u.DagMulVec(h[1])}
+	}
+	return acc.Add(latmath.Reconstruct(mu, s, h))
+}
+
 // refHopSlices is the hop as Ls separate per-slice site loops.
 func refHopSlices(dst, src []latmath.Spinor, g *lattice.GaugeField, nb *lattice.Neighbors, ls int, diag complex128) {
 	v4 := g.L.Volume()
@@ -85,8 +97,8 @@ func refHopSlices(dst, src []latmath.Spinor, g *lattice.GaugeField, nb *lattice.
 			var acc latmath.Spinor
 			for mu := 0; mu < lattice.Ndim; mu++ {
 				up, dn := nb.Up[mu][idx], nb.Dn[mu][idx]
-				acc.Hop(mu, +1, &g.U[lattice.Ndim*idx+mu], &f[up])
-				acc.Hop(mu, -1, &g.U[lattice.Ndim*int(dn)+mu], &f[dn])
+				acc = refHop(acc, mu, +1, g.U[lattice.Ndim*idx+mu], f[up])
+				acc = refHop(acc, mu, -1, g.U[lattice.Ndim*int(dn)+mu], f[dn])
 			}
 			d[idx].HopResult(diag, &f[idx], &acc)
 		}

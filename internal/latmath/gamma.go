@@ -151,7 +151,8 @@ func Sigma(mu, nu int) Mat4 {
 // spinor's lower two spin components are a fixed linear combination of
 // the upper two. recon[μ][sIdx] holds that 2x2 map R with
 // (Pψ)_{2+j} = Σ_k R[j][k] (Pψ)_k, computed (and verified) at
-// declaration for whatever basis Gamma holds.
+// declaration for whatever basis Gamma holds. By-value Reconstruct reads
+// it; the hop kernel's literals are held to it by hop_test.go.
 var recon = buildProjectors()
 
 func buildProjectors() (recon [4][2][2][2]complex128) {
@@ -206,42 +207,6 @@ func signIndex(s int) int {
 	return 1
 }
 
-// projRow is one of the two upper rows of 1 - s γ_μ. γ_μ couples the
-// upper spin pair to the lower one, so row a holds exactly two non-zeros:
-// c1 on the diagonal and c2 in a lower column b2, and the projected
-// component is h_a = (0 + c1 ψ_a) + c2 ψ_b2.
-type projRow struct {
-	c1, c2 complex128
-	b2     int
-}
-
-// proj[μ][sIdx][a] tabulates those rows once, at declaration, next to
-// recon (hop.go is the reader).
-var proj = buildProjRows()
-
-func buildProjRows() (rows [4][2][2]projRow) {
-	for mu := 0; mu < 4; mu++ {
-		for sIdx, s := range []complex128{+1, -1} {
-			P := Identity4.Sub(Gamma[mu].Scale(s))
-			for a := 0; a < 2; a++ {
-				r := projRow{c1: P[a][a]}
-				n := 0
-				for b := 0; b < 4; b++ {
-					if P[a][b] != 0 {
-						n++
-						r.c2, r.b2 = P[a][b], b
-					}
-				}
-				if n != 2 || r.c1 == 0 || r.b2 <= a {
-					panic(fmt.Sprintf("latmath: row %d of 1-(%v)γ_%d is not diagonal plus one lower-pair entry", a, s, mu))
-				}
-				rows[mu][sIdx][a] = r
-			}
-		}
-	}
-	return rows
-}
-
 // Project computes the two independent components of (1 - s γ_μ) ψ.
 // This is what is sent to a neighbour: 12 complex numbers instead of 24.
 func Project(mu, s int, psi Spinor) HalfSpinor {
@@ -256,8 +221,8 @@ func Reconstruct(mu, s int, h HalfSpinor) Spinor {
 	R := recon[mu][signIndex(s)]
 	out := Spinor{h[0], h[1]}
 	for k := range h[0] {
-		out[2][k] = reconLower(R[0][0], R[0][1], h[0][k], h[1][k])
-		out[3][k] = reconLower(R[1][0], R[1][1], h[0][k], h[1][k])
+		out[2][k] = R[0][0]*h[0][k] + R[0][1]*h[1][k]
+		out[3][k] = R[1][0]*h[0][k] + R[1][1]*h[1][k]
 	}
 	return out
 }

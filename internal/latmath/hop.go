@@ -8,21 +8,50 @@ package latmath
 //
 // The floating-point expression of every component is part of the
 // contract — solutions are compared bit for bit across decompositions
-// and against pinned digests: h_a = (0 + c1 ψ_a) + c2 ψ_b2 with full
-// complex multiplies by the table entries, rows of U left to right,
-// R00 h0 + R01 h1, diag ψ - 0.5 acc. Multiplying by 1 and ±i and adding
-// to zero look redundant, but folding them changes the sign of zero
-// components (a point source is mostly zeros).
+// and against pinned digests: h_a = (0 + c1 ψ_a) + c2 ψ_b2 and the
+// lower components r0 h0 + r1 h1 as complex multiplies by the
+// coefficients of 1 - s γ_μ, rows of U left to right, diag ψ - 0.5 acc.
+// The coefficients are literals (1, ±1, ±i, 0; hop_test.go derives them
+// from Gamma), so the compiler folds the exact real products x·1 = x and
+// x·(-1) = -x; it cannot fold 0·x or 0 + x, and they stay: dropping
+// them changes the sign of zero components (a point source is mostly
+// zeros) or turns 0·∞ from NaN into 0.
 
 // Project sets h to the two independent components of (1 - s γ_μ) ψ.
 func (h *HalfSpinor) Project(mu, s int, psi *Spinor) {
-	si := signIndex(s)
-	for a := range h {
-		r := proj[mu][si][a]
-		p1, p2 := &psi[a], &psi[r.b2]
-		for k := range h[a] {
-			h[a][k] = (0 + r.c1*p1[k]) + r.c2*p2[k]
-		}
+	switch mu<<1 | signIndex(s) {
+	case 0: // x+
+		h[0].project(&psi[0], -1i, &psi[3])
+		h[1].project(&psi[1], -1i, &psi[2])
+	case 1: // x-
+		h[0].project(&psi[0], 1i, &psi[3])
+		h[1].project(&psi[1], 1i, &psi[2])
+	case 2: // y+
+		h[0].project(&psi[0], 1, &psi[3])
+		h[1].project(&psi[1], -1, &psi[2])
+	case 3: // y-
+		h[0].project(&psi[0], -1, &psi[3])
+		h[1].project(&psi[1], 1, &psi[2])
+	case 4: // z+
+		h[0].project(&psi[0], -1i, &psi[2])
+		h[1].project(&psi[1], 1i, &psi[3])
+	case 5: // z-
+		h[0].project(&psi[0], 1i, &psi[2])
+		h[1].project(&psi[1], -1i, &psi[3])
+	case 6: // t+
+		h[0].project(&psi[0], -1, &psi[2])
+		h[1].project(&psi[1], -1, &psi[3])
+	default: // t-
+		h[0].project(&psi[0], 1, &psi[2])
+		h[1].project(&psi[1], 1, &psi[3])
+	}
+}
+
+// project sets v = (0 + 1 p) + c q, one row of a projection. It
+// inlines, so a literal c reaches the multiplies.
+func (v *Vec3) project(p *Vec3, c complex128, q *Vec3) {
+	for k := range v {
+		v[k] = (0 + 1*p[k]) + c*q[k]
 	}
 }
 
@@ -56,37 +85,40 @@ func (h *HalfSpinor) DagMulMat(u *Mat3, g *HalfSpinor) {
 	h[1].DagMulMat(u, &g[1])
 }
 
-// reconLower is one lower component of a reconstructed spinor from the
-// two projected ones, with (r0, r1) a row of recon.
-func reconLower(r0, r1, h0, h1 complex128) complex128 { return r0*h0 + r1*h1 }
-
 // AddReconstruct accumulates the four components of (1 - s γ_μ) ψ,
 // rebuilt from its projection h, into acc.
 func (acc *Spinor) AddReconstruct(mu, s int, h *HalfSpinor) {
-	si := signIndex(s)
-	r00, r01 := recon[mu][si][0][0], recon[mu][si][0][1]
-	r10, r11 := recon[mu][si][1][0], recon[mu][si][1][1]
+	switch mu<<1 | signIndex(s) {
+	case 0: // x+
+		acc.addRecon(h, 0, 1i, 1i, 0)
+	case 1: // x-
+		acc.addRecon(h, 0, -1i, -1i, 0)
+	case 2: // y+
+		acc.addRecon(h, 0, -1, 1, 0)
+	case 3: // y-
+		acc.addRecon(h, 0, 1, -1, 0)
+	case 4: // z+
+		acc.addRecon(h, 1i, 0, 0, -1i)
+	case 5: // z-
+		acc.addRecon(h, -1i, 0, 0, 1i)
+	case 6: // t+
+		acc.addRecon(h, -1, 0, 0, -1)
+	default: // t-
+		acc.addRecon(h, 1, 0, 0, 1)
+	}
+}
+
+// addRecon accumulates h and its lower components, rows (r00, r01) and
+// (r10, r11) of recon, into acc. Like project it inlines, so literal
+// rows fold.
+func (acc *Spinor) addRecon(h *HalfSpinor, r00, r01, r10, r11 complex128) {
 	for k := range h[0] {
 		h0, h1 := h[0][k], h[1][k]
 		acc[0][k] += h0
 		acc[1][k] += h1
-		acc[2][k] += reconLower(r00, r01, h0, h1)
-		acc[3][k] += reconLower(r10, r11, h0, h1)
+		acc[2][k] += r00*h0 + r01*h1
+		acc[3][k] += r10*h0 + r11*h1
 	}
-}
-
-// Hop accumulates one neighbour's hopping term into acc: ψ projected
-// with (1 - s γ_μ), carried by the link — u for the forward hop s = +1,
-// u† for the backward hop s = -1 — and reconstructed.
-func (acc *Spinor) Hop(mu, s int, u *Mat3, psi *Spinor) {
-	var h HalfSpinor
-	h.Project(mu, s, psi)
-	if s > 0 {
-		h.MulMat(u, &h)
-	} else {
-		h.DagMulMat(u, &h)
-	}
-	acc.AddReconstruct(mu, s, &h)
 }
 
 // HopResult closes a site: dst = diag ψ - ½ acc, with acc the sum of

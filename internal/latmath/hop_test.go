@@ -2,10 +2,47 @@ package latmath
 
 import (
 	"encoding/binary"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 )
+
+// projRow is one of the two upper rows of 1 - s γ_μ. γ_μ couples the
+// upper spin pair to the lower one, so row a holds exactly two non-zeros:
+// c1 on the diagonal and c2 in a lower column b2, and the projected
+// component is h_a = (0 + c1 ψ_a) + c2 ψ_b2.
+type projRow struct {
+	c1, c2 complex128
+	b2     int
+}
+
+// proj[μ][sIdx][a] tabulates those rows from Gamma: the derivation the
+// literal coefficients of HalfSpinor.Project must equal.
+var proj = buildProjRows()
+
+func buildProjRows() (rows [4][2][2]projRow) {
+	for mu := 0; mu < 4; mu++ {
+		for sIdx, s := range []complex128{+1, -1} {
+			P := Identity4.Sub(Gamma[mu].Scale(s))
+			for a := 0; a < 2; a++ {
+				r := projRow{c1: P[a][a]}
+				n := 0
+				for b := 0; b < 4; b++ {
+					if P[a][b] != 0 {
+						n++
+						r.c2, r.b2 = P[a][b], b
+					}
+				}
+				if n != 2 || r.c1 == 0 || r.b2 <= a {
+					panic(fmt.Sprintf("latmath: row %d of 1-(%v)γ_%d is not diagonal plus one lower-pair entry", a, s, mu))
+				}
+				rows[mu][sIdx][a] = r
+			}
+		}
+	}
+	return rows
+}
 
 // The by-value hop steps as they stood before the pointer kernel, kept
 // verbatim as the oracle: every pinned digest in the tree was produced
@@ -68,7 +105,8 @@ func refHop(acc Spinor, mu, s, link int, u Mat3, psi Spinor) Spinor {
 // hopImpl is a kernel under test, so that the same comparison runs on
 // the real one and on deliberately broken ones.
 type hopImpl struct {
-	project func(h *HalfSpinor, mu, s int, psi *Spinor)
+	project     func(h *HalfSpinor, mu, s int, psi *Spinor)
+	reconstruct func(acc *Spinor, mu, s int, h *HalfSpinor)
 }
 
 func (k hopImpl) hop(acc *Spinor, mu, s, link int, u *Mat3, psi *Spinor) {
@@ -80,10 +118,12 @@ func (k hopImpl) hop(acc *Spinor, mu, s, link int, u *Mat3, psi *Spinor) {
 	case linkUdag:
 		h.DagMulMat(u, &h)
 	}
-	acc.AddReconstruct(mu, s, &h)
+	k.reconstruct(acc, mu, s, &h)
 }
 
-func realKernel() hopImpl { return hopImpl{project: (*HalfSpinor).Project} }
+func realKernel() hopImpl {
+	return hopImpl{project: (*HalfSpinor).Project, reconstruct: (*Spinor).AddReconstruct}
+}
 
 // sameBits compares two complex numbers by IEEE bit pattern; NaNs match
 // any NaN (the payload depends on operand order inside the hardware).
@@ -198,11 +238,11 @@ func TestHopKernelBits(t *testing.T) {
 }
 
 // TestHopKernelWrappersAndResult covers what hopMismatches does not
-// reach: the by-value Project/Reconstruct the benchmark probes call,
-// the composite Hop, and the closing diag ψ - ½ acc.
+// reach: the by-value Project/Reconstruct the benchmark probes call and
+// the closing diag ψ - ½ acc.
 func TestHopKernelWrappersAndResult(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
-	u := RandomSU3(rng)
+	RandomSU3(rng) // the link of a deleted case; drawn so the spinors stay the same
 	spinors := append(adversarialSpinors(), randSpinor(rng), randSpinor(rng))
 	for i, psi := range spinors {
 		for mu := 0; mu < 4; mu++ {
@@ -211,15 +251,6 @@ func TestHopKernelWrappersAndResult(t *testing.T) {
 				full, fullRef := Reconstruct(mu, s, h), refReconstruct(mu, s, hRef)
 				if !sameSpinor(&full, &fullRef) {
 					t.Fatalf("spinor %d mu %d s %d: Reconstruct(Project) differs from the oracle", i, mu, s)
-				}
-				link := linkU
-				if s < 0 {
-					link = linkUdag
-				}
-				acc, want := psi, refHop(psi, mu, s, link, u, psi)
-				acc.Hop(mu, s, &u, &psi)
-				if !sameSpinor(&acc, &want) {
-					t.Fatalf("spinor %d mu %d s %d: Hop differs from the oracle", i, mu, s)
 				}
 			}
 		}
@@ -235,14 +266,16 @@ func TestHopKernelWrappersAndResult(t *testing.T) {
 }
 
 // TestHopOracleCatchesSimplifications is the mutation check on the
-// oracle itself: three rewrites of the projection that are algebraically
-// the identity — dropping the leading 0 +, dropping the multiply by 1,
-// multiplying by ±i as a swap and negate — must each be caught on the
-// adversarial inputs (signed zeros for the first and last, infinities
-// for the second: the 0 + hides the sign 1·z gives a zero, but 0·∞ is
-// NaN). Adding the two terms in the other order is not in the list
-// because IEEE addition commutes: (0 + x) + y and (0 + y) + x are the
-// same bits for every x and y, NaN payloads aside.
+// oracle itself: rewrites of the kernel that are algebraically the
+// identity must each be caught on the adversarial inputs. In the
+// projection: dropping the leading 0 +, dropping the multiply by 1,
+// multiplying by ±i as a swap and negate (signed zeros for the first
+// and last, infinities for the second: the 0 + hides the sign 1·z gives
+// a zero, but 0·∞ is NaN). In the reconstruction: dropping the term
+// whose coefficient is 0, and ±i as a swap again. Adding two terms in
+// the other order is not in the list because IEEE addition commutes:
+// (0 + x) + y and (0 + y) + x are the same bits for every x and y, NaN
+// payloads aside.
 func TestHopOracleCatchesSimplifications(t *testing.T) {
 	timesEntry := func(c, z complex128) complex128 {
 		switch c {
@@ -253,37 +286,105 @@ func TestHopOracleCatchesSimplifications(t *testing.T) {
 		}
 		return c * z
 	}
-	mutants := map[string]func(h *HalfSpinor, mu, s int, psi *Spinor){
-		"no leading zero": func(h *HalfSpinor, mu, s int, psi *Spinor) {
+	reconMutant := func(lower func(r [2]complex128, h0, h1 complex128) complex128) func(acc *Spinor, mu, s int, h *HalfSpinor) {
+		return func(acc *Spinor, mu, s int, h *HalfSpinor) {
+			R := recon[mu][signIndex(s)]
+			for k := range h[0] {
+				acc[0][k] += h[0][k]
+				acc[1][k] += h[1][k]
+				acc[2][k] += lower(R[0], h[0][k], h[1][k])
+				acc[3][k] += lower(R[1], h[0][k], h[1][k])
+			}
+		}
+	}
+	kern := realKernel()
+	mutants := map[string]hopImpl{
+		"no leading zero": {reconstruct: kern.reconstruct, project: func(h *HalfSpinor, mu, s int, psi *Spinor) {
 			for a, r := range proj[mu][signIndex(s)] {
 				for k := range h[a] {
 					h[a][k] = r.c1*psi[a][k] + r.c2*psi[r.b2][k]
 				}
 			}
-		},
-		"times one dropped": func(h *HalfSpinor, mu, s int, psi *Spinor) {
+		}},
+		"times one dropped": {reconstruct: kern.reconstruct, project: func(h *HalfSpinor, mu, s int, psi *Spinor) {
 			for a, r := range proj[mu][signIndex(s)] {
 				for k := range h[a] {
 					h[a][k] = (0 + psi[a][k]) + r.c2*psi[r.b2][k]
 				}
 			}
-		},
-		"times i by swap": func(h *HalfSpinor, mu, s int, psi *Spinor) {
+		}},
+		"times i by swap": {reconstruct: kern.reconstruct, project: func(h *HalfSpinor, mu, s int, psi *Spinor) {
 			for a, r := range proj[mu][signIndex(s)] {
 				for k := range h[a] {
 					h[a][k] = (0 + r.c1*psi[a][k]) + timesEntry(r.c2, psi[r.b2][k])
 				}
 			}
-		},
+		}},
+		"zero coefficient dropped": {project: kern.project, reconstruct: reconMutant(func(r [2]complex128, h0, h1 complex128) complex128 {
+			if r[0] == 0 {
+				return r[1] * h1
+			}
+			return r[0] * h0
+		})},
+		"recon times i by swap": {project: kern.project, reconstruct: reconMutant(func(r [2]complex128, h0, h1 complex128) complex128 {
+			return timesEntry(r[0], h0) + timesEntry(r[1], h1)
+		})},
 	}
 	u := Identity3()
-	for name, project := range mutants {
+	for name, k := range mutants {
 		caught := 0
 		for _, psi := range adversarialSpinors() {
-			caught += hopMismatches(hopImpl{project: project}, psi, u)
+			caught += hopMismatches(k, psi, u)
 		}
 		if caught == 0 {
 			t.Errorf("mutant %q passes the oracle: the adversarial inputs do not pin that expression", name)
+		}
+	}
+}
+
+// TestHopLiteralsMatchGamma holds the literal coefficients of the
+// kernel to the tables derived from Gamma: the projection of a unit
+// spinor e_b is column b of rows proj, the reconstruction of a unit half
+// spinor is a column of recon. A coefficient with the wrong sign, or on
+// the wrong column, fails here by name before the oracle sees a digest.
+func TestHopLiteralsMatchGamma(t *testing.T) {
+	for mu := 0; mu < 4; mu++ {
+		for si, s := range []int{+1, -1} {
+			for b := 0; b < 4; b++ {
+				var psi Spinor
+				psi[b][0] = 1
+				var h HalfSpinor
+				h.Project(mu, s, &psi)
+				for a, r := range proj[mu][si] {
+					want := complex128(0)
+					switch b {
+					case a:
+						want = r.c1
+					case r.b2:
+						want = r.c2
+					}
+					if h[a][0] != want {
+						t.Errorf("Project mu %d s %+d: row %d column %d is %v, Gamma gives %v", mu, s, a, b, h[a][0], want)
+					}
+				}
+			}
+			for c := 0; c < 2; c++ {
+				var h HalfSpinor
+				h[c][0] = 1
+				var acc Spinor
+				acc.AddReconstruct(mu, s, &h)
+				for a := 0; a < 4; a++ {
+					want := complex128(0)
+					if a == c {
+						want = 1
+					} else if a >= 2 {
+						want = recon[mu][si][a-2][c]
+					}
+					if acc[a][0] != want {
+						t.Errorf("AddReconstruct mu %d s %+d: row %d column %d is %v, recon gives %v", mu, s, a, c, acc[a][0], want)
+					}
+				}
+			}
 		}
 	}
 }

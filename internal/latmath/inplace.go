@@ -6,7 +6,8 @@ package latmath
 // where the by-value methods (Spinor.AXPY, Mat4.ApplySpin, ...) copy a
 // spinor in and out per site. As in hop.go the floating-point expression
 // of every component is the by-value one's — y + a x, a y, 0 + c x, full
-// complex multiplies — and a bit oracle holds the two together.
+// complex multiplies, of which a literal ±1 folds only the exact x·±1 —
+// and a bit oracle holds the two together.
 
 // AddScaled sets y += a x.
 func (y *Vec3) AddScaled(a complex128, x *Vec3) {
@@ -50,18 +51,21 @@ func (y *Spinor) AddSpinor(x *Spinor) {
 	}
 }
 
-// gamma5 is the diagonal of Gamma5, all of it in the chiral basis; in
-// any other the bit oracle fails.
-var gamma5 = [4]complex128{Gamma5[0][0], Gamma5[1][1], Gamma5[2][2], Gamma5[3][3]}
-
 // Gamma5 sets dst = γ5 src, component for component what
-// Gamma5.ApplySpin computes: 0 + c ψ_a with c the diagonal entry.
+// Gamma5.ApplySpin computes: 0 + c ψ_a with c the diagonal entry, +1 on
+// the upper spin pair and -1 on the lower in the chiral basis (the bit
+// oracle derives them from Gamma5).
 func (dst *Spinor) Gamma5(src *Spinor) {
-	for s := range dst {
-		c := gamma5[s]
-		for k := range dst[s] {
-			dst[s][k] = 0 + c*src[s][k]
-		}
+	dst[0].setScaled(1, &src[0])
+	dst[1].setScaled(1, &src[1])
+	dst[2].setScaled(-1, &src[2])
+	dst[3].setScaled(-1, &src[3])
+}
+
+// setScaled sets v = 0 + c x; it inlines, so a literal c folds.
+func (v *Vec3) setScaled(c complex128, x *Vec3) {
+	for k := range v {
+		v[k] = 0 + c*x[k]
 	}
 }
 
@@ -77,21 +81,31 @@ func chiral(plus bool, c, x complex128) complex128 {
 // SubChiral sets acc -= P ψ with P = ½(1 + γ5) if plus, else ½(1 - γ5):
 // a fifth-dimension hop of the domain-wall operator.
 func (acc *Spinor) SubChiral(plus bool, psi *Spinor) {
-	for s := range acc {
-		c := gamma5[s]
-		for k := range acc[s] {
-			acc[s][k] = acc[s][k] - chiral(plus, c, psi[s][k])
-		}
+	acc[0].subChiral(plus, 1, &psi[0])
+	acc[1].subChiral(plus, 1, &psi[1])
+	acc[2].subChiral(plus, -1, &psi[2])
+	acc[3].subChiral(plus, -1, &psi[3])
+}
+
+// subChiral and addScaledChiral are one spin row of SubChiral and
+// AddScaledChiral, with c that row's literal γ5 entry.
+func (v *Vec3) subChiral(plus bool, c complex128, x *Vec3) {
+	for k := range v {
+		v[k] = v[k] - chiral(plus, c, x[k])
 	}
 }
 
 // AddScaledChiral sets acc += m P ψ: the hop across the walls, which
 // re-enters with the mass factor.
 func (acc *Spinor) AddScaledChiral(m complex128, plus bool, psi *Spinor) {
-	for s := range acc {
-		c := gamma5[s]
-		for k := range acc[s] {
-			acc[s][k] = acc[s][k] + m*chiral(plus, c, psi[s][k])
-		}
+	acc[0].addScaledChiral(m, plus, 1, &psi[0])
+	acc[1].addScaledChiral(m, plus, 1, &psi[1])
+	acc[2].addScaledChiral(m, plus, -1, &psi[2])
+	acc[3].addScaledChiral(m, plus, -1, &psi[3])
+}
+
+func (v *Vec3) addScaledChiral(m complex128, plus bool, c complex128, x *Vec3) {
+	for k := range v {
+		v[k] = v[k] + m*chiral(plus, c, x[k])
 	}
 }

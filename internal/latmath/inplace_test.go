@@ -9,6 +9,10 @@ import (
 // as the oracle: Spinor.AXPY / Scale / Add, Mat4.ApplySpin with Gamma5,
 // and the chiral projectors as fermion/dwf.go wrote them.
 
+// gamma5 is the diagonal of Gamma5: the literals of Spinor.Gamma5 and
+// the chiral projectors must equal it.
+var gamma5 = [4]complex128{Gamma5[0][0], Gamma5[1][1], Gamma5[2][2], Gamma5[3][3]}
+
 func refProjPlus(s Spinor) Spinor  { return s.Add(Gamma5.ApplySpin(s)).Scale(0.5) }
 func refProjMinus(s Spinor) Spinor { return s.Sub(Gamma5.ApplySpin(s)).Scale(0.5) }
 
@@ -131,6 +135,33 @@ func TestInPlaceOracleCatchesSimplifications(t *testing.T) {
 		}
 		if caught == 0 {
 			t.Errorf("mutant %q passes the oracle: the adversarial inputs do not pin that expression", name)
+		}
+	}
+}
+
+// TestGamma5LiteralsMatchGamma holds the literal ±1 of γ5 and of the
+// chiral projectors, spin row by spin row, to the diagonal of Gamma5: a
+// row with the wrong sign fails here by name.
+func TestGamma5LiteralsMatchGamma(t *testing.T) {
+	for b := 0; b < 4; b++ {
+		var e Spinor
+		e[b][0] = 1
+		var g Spinor
+		g.Gamma5(&e)
+		if g[b][0] != gamma5[b] {
+			t.Errorf("Gamma5 row %d is %v, Gamma5 gives %v", b, g[b][0], gamma5[b])
+		}
+		for _, plus := range []bool{true, false} {
+			want := 0.5 * (1 - gamma5[b])
+			if plus {
+				want = 0.5 * (1 + gamma5[b])
+			}
+			var sub, add Spinor
+			sub.SubChiral(plus, &e)
+			add.AddScaledChiral(1, plus, &e)
+			if sub[b][0] != -want || add[b][0] != want {
+				t.Errorf("chiral projector plus=%v row %d: SubChiral %v, AddScaledChiral %v, Gamma5 gives %v", plus, b, sub[b][0], add[b][0], want)
+			}
 		}
 	}
 }

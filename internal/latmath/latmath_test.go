@@ -304,8 +304,9 @@ func TestPackUnpackRoundTripQuick(t *testing.T) {
 		}
 		h := Project(0, 1, s)
 		hb := make([]uint64, HalfSpinorWords)
-		PackHalfSpinor(h, hb)
-		if UnpackHalfSpinor(hb) != h {
+		PackHalfSpinor(&h, hb)
+		var back HalfSpinor
+		if UnpackHalfSpinor(&back, hb); back != h {
 			return false
 		}
 		m := randMat(rng)

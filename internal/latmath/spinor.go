@@ -84,7 +84,7 @@ func UnpackSpinor(src []uint64) Spinor {
 }
 
 // PackHalfSpinor serializes a half spinor to 12 words.
-func PackHalfSpinor(h HalfSpinor, dst []uint64) {
+func PackHalfSpinor(h *HalfSpinor, dst []uint64) {
 	i := 0
 	for a := 0; a < 2; a++ {
 		for c := 0; c < 3; c++ {
@@ -95,9 +95,8 @@ func PackHalfSpinor(h HalfSpinor, dst []uint64) {
 	}
 }
 
-// UnpackHalfSpinor inverts PackHalfSpinor.
-func UnpackHalfSpinor(src []uint64) HalfSpinor {
-	var h HalfSpinor
+// UnpackHalfSpinor inverts PackHalfSpinor, into h.
+func UnpackHalfSpinor(h *HalfSpinor, src []uint64) {
 	i := 0
 	for a := 0; a < 2; a++ {
 		for c := 0; c < 3; c++ {
@@ -105,7 +104,6 @@ func UnpackHalfSpinor(src []uint64) HalfSpinor {
 			i += 2
 		}
 	}
-	return h
 }
 
 // PackVec3 serializes a color vector to 6 words.

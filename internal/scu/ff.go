@@ -256,8 +256,14 @@ func (fp *ffPair) try(j, s *ffSnap) bool {
 	return m >= 2
 }
 
-// touches: t's range meets another transfer's on s, one of them a receive.
+// touches: t, one of s's transfers, has a range that meets another
+// transfer's on s, one of them a receive. A transfer joins s's sets only
+// when posted (s.posts counts them) and leaving cannot make an overlap,
+// so a "no" holds until the next post.
 func (s *SCU) touches(t *Transfer) bool {
+	if t.apart == s.posts+1 {
+		return false
+	}
 	meets := func(o *Transfer) bool {
 		return o != t && !(t.Send && o.Send) && o.Desc.Base < t.Desc.Addr(t.total-1)+8 && t.Desc.Base < o.Desc.Addr(o.total-1)+8
 	}
@@ -266,6 +272,7 @@ func (s *SCU) touches(t *Transfer) bool {
 			return true
 		}
 	}
+	t.apart = s.posts + 1
 	return false
 }
 

@@ -174,6 +174,7 @@ func (lu *linkUnit) sendPacket(p scupkt.Packet) {
 
 // queueSend programs a DMA send transfer and kicks the transmit engine.
 func (lu *linkUnit) queueSend(t *Transfer) {
+	lu.scu.posts++
 	lu.txPending.push(t)
 	lu.kick(txIdle)
 }
@@ -548,6 +549,7 @@ func (lu *linkUnit) storeWord(w uint64) {
 // programRecv attaches a receive transfer; any idle-held words drain into
 // it immediately and the withheld acknowledgement is released.
 func (lu *linkUnit) programRecv(t *Transfer) {
+	lu.scu.posts++
 	lu.rxT.push(t)
 	drained := false
 	for lu.idleBufLen > 0 && lu.rxT.len() > 0 {

@@ -191,6 +191,7 @@ type SCU struct {
 	globalIn [geom.NumLinks]int
 
 	started bool
+	posts   uint64    // transfers posted; see touches
 	ff      *ffEngine // shared with the SCUs its links pair with; see ff.go
 }
 

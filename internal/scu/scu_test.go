@@ -682,3 +682,38 @@ func TestWindowSustainsFullBandwidth(t *testing.T) {
 		t.Fatalf("window-3 transfer took %v, not serialization-bound (%v)", t3, ideal)
 	}
 }
+
+// TestTouchesSeesNewPosts holds touches' cached "no overlap" answer to
+// the posts that can invalidate it: a receive or a send posted after the
+// answer, over a range that meets the cached transfer's, must make
+// touches report the overlap.
+func TestTouchesSeesNewPosts(t *testing.T) {
+	pr := newPair(t)
+	st, err := pr.a.StartSend(pr.linkA, Contiguous(0x1000, 16))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pr.a.touches(st) {
+		t.Fatal("a lone send touches nothing")
+	}
+	if _, err := pr.a.StartRecv(pr.linkA, Contiguous(0x1040, 4)); err != nil {
+		t.Fatal(err)
+	}
+	if !pr.a.touches(st) {
+		t.Error("a receive posted into the send's range after a cached no: touches still says no")
+	}
+
+	rt, err := pr.b.StartRecv(pr.linkB, Contiguous(0x2000, 16))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pr.b.touches(rt) {
+		t.Fatal("a lone receive touches nothing")
+	}
+	if _, err := pr.b.StartSend(pr.linkB, Contiguous(0x2078, 2)); err != nil {
+		t.Fatal(err)
+	}
+	if !pr.b.touches(rt) {
+		t.Error("a send posted over the receive's range after a cached no: touches still says no")
+	}
+}

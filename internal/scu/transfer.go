@@ -60,11 +60,12 @@ type Transfer struct {
 	Desc DMADesc
 	Send bool
 
+	completed bool
 	total     int
 	wordsDone int
-	completed bool
 	done      event.Gate
 	finished  event.Time
+	apart     uint64 // the owning SCU's posts+1 when touches last said no
 }
 
 func newTransfer(eng *event.Engine, l geom.Link, d DMADesc, send bool) *Transfer {
