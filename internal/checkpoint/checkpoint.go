@@ -65,72 +65,121 @@ func (cw *crcWriter) Write(p []byte) (int, error) {
 	return cw.w.Write(p)
 }
 
-type crcReader struct {
-	r   io.Reader
-	crc uint32
-}
+// The codec moves whole records: a header, or one site's complex
+// numbers, is appended into one reused buffer and crosses the CRC
+// stream in one call, so nothing is allocated per value. siteBytes is
+// the largest record, a spinor of 4x3 complex numbers.
+const siteBytes = 4 * 3 * 16
 
-func (cr *crcReader) Read(p []byte) (int, error) {
-	n, err := cr.r.Read(p)
-	cr.crc = crc32.Update(cr.crc, castagnoli, p[:n])
-	return n, err
-}
-
-func writeHeader(w io.Writer, kind Kind, l lattice.Shape4, extra uint32) error {
-	hdr := []any{uint64(Magic), uint32(Version), uint32(kind),
-		uint32(l[0]), uint32(l[1]), uint32(l[2]), uint32(l[3]), extra}
-	for _, v := range hdr {
-		if err := binary.Write(w, binary.BigEndian, v); err != nil {
-			return err
+// appendRows appends rows of three complex numbers, big-endian IEEE-754
+// bit patterns: a link matrix's rows, or a spinor's color vectors.
+func appendRows[R ~[3]complex128](b []byte, rows []R) []byte {
+	for _, row := range rows {
+		for _, z := range row {
+			b = binary.BigEndian.AppendUint64(b, math.Float64bits(real(z)))
+			b = binary.BigEndian.AppendUint64(b, math.Float64bits(imag(z)))
 		}
 	}
-	return nil
+	return b
 }
 
-func readHeader(r io.Reader) (kind Kind, l lattice.Shape4, extra uint32, err error) {
-	var magic uint64
-	var version uint32
-	if err = binary.Read(r, binary.BigEndian, &magic); err != nil {
+func appendMat(b []byte, m *latmath.Mat3) []byte      { return appendRows(b, m[:]) }
+func appendSpinor(b []byte, s *latmath.Spinor) []byte { return appendRows(b, s[:]) }
+
+// writeSites writes a header, one record per site and the CRC trailer,
+// and returns the CRC of header and payload (the trailer's value).
+func writeSites[S any](w io.Writer, kind Kind, l lattice.Shape4, extra uint32,
+	sites []S, appendSite func([]byte, *S) []byte) (uint32, error) {
+	cw := crcWriter{w: w}
+	b := binary.BigEndian.AppendUint64(make([]byte, 0, siteBytes), Magic)
+	b = binary.BigEndian.AppendUint32(b, Version)
+	b = binary.BigEndian.AppendUint32(b, uint32(kind))
+	for _, n := range l {
+		b = binary.BigEndian.AppendUint32(b, uint32(n))
+	}
+	if _, err := cw.Write(binary.BigEndian.AppendUint32(b, extra)); err != nil {
+		return 0, err
+	}
+	for i := range sites {
+		if _, err := cw.Write(appendSite(b[:0], &sites[i])); err != nil {
+			return 0, err
+		}
+	}
+	_, err := w.Write(binary.BigEndian.AppendUint32(b[:0], cw.crc))
+	return cw.crc, err
+}
+
+// cursor reads big-endian values off the front of a decoded record.
+type cursor []byte
+
+func (c *cursor) u32() uint32 {
+	v := binary.BigEndian.Uint32(*c)
+	*c = (*c)[4:]
+	return v
+}
+
+func (c *cursor) u64() uint64 {
+	v := binary.BigEndian.Uint64(*c)
+	*c = (*c)[8:]
+	return v
+}
+
+// decoder reads a stream's records into one buffer, checksumming them.
+type decoder struct {
+	r   io.Reader
+	crc uint32
+	buf [siteBytes]byte
+}
+
+// next reads the following n-byte record.
+func (d *decoder) next(n int) (cursor, error) {
+	_, err := io.ReadFull(d.r, d.buf[:n])
+	d.crc = crc32.Update(d.crc, castagnoli, d.buf[:n])
+	return d.buf[:n], err
+}
+
+// trailer reads the stored CRC, which follows the checksummed bytes.
+func (d *decoder) trailer() (uint32, error) {
+	_, err := io.ReadFull(d.r, d.buf[:4])
+	return binary.BigEndian.Uint32(d.buf[:4]), err
+}
+
+func (d *decoder) header() (kind Kind, l lattice.Shape4, extra uint32, err error) {
+	c, err := d.next(8)
+	if err != nil {
 		return
 	}
-	if magic != Magic {
+	if c.u64() != Magic {
 		err = ErrBadMagic
 		return
 	}
-	if err = binary.Read(r, binary.BigEndian, &version); err != nil {
+	if c, err = d.next(4); err != nil {
 		return
 	}
-	if version != Version {
+	if version := c.u32(); version != Version {
 		err = fmt.Errorf("checkpoint: unsupported version %d", version)
 		return
 	}
-	var k uint32
-	if err = binary.Read(r, binary.BigEndian, &k); err != nil {
+	if c, err = d.next(6 * 4); err != nil { // kind, four extents, extra
 		return
 	}
-	kind = Kind(k)
-	var dims [4]uint32
-	for i := range dims {
-		if err = binary.Read(r, binary.BigEndian, &dims[i]); err != nil {
-			return
-		}
-		l[i] = int(dims[i])
+	kind = Kind(c.u32())
+	for i := range l {
+		l[i] = int(c.u32())
 	}
-	if err = binary.Read(r, binary.BigEndian, &extra); err != nil {
-		return
-	}
+	extra = c.u32()
 	// Sanity-bound the header before anything allocates from it: a
 	// corrupted shape must be rejected here, not after attempting a
 	// multi-gigabyte field allocation (the CRC would catch the corruption
 	// too late).
 	const maxExtent = 4096
 	volume := 1
-	for _, d := range l {
-		if d < 1 || d > maxExtent {
+	for _, n := range l {
+		if n < 1 || n > maxExtent {
 			err = fmt.Errorf("%w: implausible lattice shape %v", ErrBadHeader, l)
 			return
 		}
-		volume *= d
+		volume *= n
 	}
 	if volume > maxVolume {
 		err = fmt.Errorf("%w: lattice volume %d exceeds limit", ErrBadHeader, volume)
@@ -148,105 +197,58 @@ const maxVolume = 1 << 26
 // decoder property FuzzCheckpointDecode pins).
 const allocChunk = 4096
 
-func readMats(r io.Reader, n int) ([]latmath.Mat3, error) {
-	cap0 := n
-	if cap0 > allocChunk {
-		cap0 = allocChunk
-	}
-	out := make([]latmath.Mat3, 0, cap0)
-	for i := 0; i < n; i++ {
-		var m latmath.Mat3
-		for row := 0; row < 3; row++ {
-			for c := 0; c < 3; c++ {
-				z, err := readComplex(r)
-				if err != nil {
-					return nil, err
-				}
-				m[row][c] = z
-			}
+func readRows[R ~[3]complex128](c cursor, rows []R) {
+	for i := range rows {
+		for k := range rows[i] {
+			re := math.Float64frombits(c.u64())
+			rows[i][k] = complex(re, math.Float64frombits(c.u64()))
 		}
-		out = append(out, m)
+	}
+}
+
+func readMat(c cursor, m *latmath.Mat3)      { readRows(c, m[:]) }
+func readSpinor(c cursor, s *latmath.Spinor) { readRows(c, s[:]) }
+
+// readSites decodes n site records of size bytes each, growing the
+// slice only as records arrive.
+func readSites[S any](d *decoder, n, size int, read func(cursor, *S)) ([]S, error) {
+	out := make([]S, 0, min(n, allocChunk))
+	for i := 0; i < n; i++ {
+		c, err := d.next(size)
+		if err != nil {
+			return nil, err
+		}
+		var zero S
+		out = append(out, zero)
+		read(c, &out[i])
 	}
 	return out, nil
-}
-
-func readSpinors(r io.Reader, n int) ([]latmath.Spinor, error) {
-	cap0 := n
-	if cap0 > allocChunk {
-		cap0 = allocChunk
-	}
-	out := make([]latmath.Spinor, 0, cap0)
-	for i := 0; i < n; i++ {
-		var s latmath.Spinor
-		for a := 0; a < 4; a++ {
-			for c := 0; c < 3; c++ {
-				z, err := readComplex(r)
-				if err != nil {
-					return nil, err
-				}
-				s[a][c] = z
-			}
-		}
-		out = append(out, s)
-	}
-	return out, nil
-}
-
-func writeComplex(w io.Writer, z complex128) error {
-	if err := binary.Write(w, binary.BigEndian, math.Float64bits(real(z))); err != nil {
-		return err
-	}
-	return binary.Write(w, binary.BigEndian, math.Float64bits(imag(z)))
-}
-
-func readComplex(r io.Reader) (complex128, error) {
-	var re, im uint64
-	if err := binary.Read(r, binary.BigEndian, &re); err != nil {
-		return 0, err
-	}
-	if err := binary.Read(r, binary.BigEndian, &im); err != nil {
-		return 0, err
-	}
-	return complex(math.Float64frombits(re), math.Float64frombits(im)), nil
 }
 
 // WriteGauge serializes a gauge configuration.
 func WriteGauge(w io.Writer, g *lattice.GaugeField) error {
-	cw := &crcWriter{w: w}
-	if err := writeHeader(cw, KindGauge, g.L, 0); err != nil {
-		return err
-	}
-	for i := range g.U {
-		m := &g.U[i]
-		for r := 0; r < 3; r++ {
-			for c := 0; c < 3; c++ {
-				if err := writeComplex(cw, m[r][c]); err != nil {
-					return err
-				}
-			}
-		}
-	}
-	return binary.Write(w, binary.BigEndian, cw.crc)
+	_, err := writeSites(w, KindGauge, g.L, 0, g.U, appendMat)
+	return err
 }
 
 // ReadGauge deserializes a gauge configuration, verifying the CRC.
 func ReadGauge(r io.Reader) (*lattice.GaugeField, error) {
-	cr := &crcReader{r: r}
-	kind, l, _, err := readHeader(cr)
+	d := &decoder{r: r}
+	kind, l, _, err := d.header()
 	if err != nil {
 		return nil, err
 	}
 	if kind != KindGauge {
 		return nil, fmt.Errorf("%w: got %d, want gauge", ErrBadKind, kind)
 	}
-	us, err := readMats(cr, 4*l.Volume())
+	us, err := readSites(d, 4*l.Volume(), 3*3*16, readMat)
 	if err != nil {
 		return nil, err
 	}
 	g := &lattice.GaugeField{L: l, U: us}
-	sum := cr.crc
-	var stored uint32
-	if err := binary.Read(r, binary.BigEndian, &stored); err != nil {
+	sum := d.crc
+	stored, err := d.trailer()
+	if err != nil {
 		return nil, err
 	}
 	if stored != sum {
@@ -257,45 +259,39 @@ func ReadGauge(r io.Reader) (*lattice.GaugeField, error) {
 
 // WriteFermion serializes a spinor field.
 func WriteFermion(w io.Writer, f *lattice.FermionField) error {
-	cw := &crcWriter{w: w}
-	if err := writeHeader(cw, KindFermion, f.L, 0); err != nil {
-		return err
+	_, err := writeSites(w, KindFermion, f.L, 0, f.S, appendSpinor)
+	return err
+}
+
+// readSpinorField decodes a spinor-field stream of the given kind,
+// returning its extra header word.
+func readSpinorField(r io.Reader, want Kind, name string) (*lattice.FermionField, uint32, error) {
+	d := &decoder{r: r}
+	kind, l, extra, err := d.header()
+	if err != nil {
+		return nil, 0, err
 	}
-	for i := range f.S {
-		for a := 0; a < 4; a++ {
-			for c := 0; c < 3; c++ {
-				if err := writeComplex(cw, f.S[i][a][c]); err != nil {
-					return err
-				}
-			}
-		}
+	if kind != want {
+		return nil, 0, fmt.Errorf("%w: got %d, want %s", ErrBadKind, kind, name)
 	}
-	return binary.Write(w, binary.BigEndian, cw.crc)
+	ss, err := readSites(d, l.Volume(), siteBytes, readSpinor)
+	if err != nil {
+		return nil, 0, err
+	}
+	stored, err := d.trailer()
+	if err != nil {
+		return nil, 0, err
+	}
+	if stored != d.crc {
+		return nil, 0, ErrBadCRC
+	}
+	return &lattice.FermionField{L: l, S: ss}, extra, nil
 }
 
 // ReadFermion deserializes a spinor field, verifying the CRC.
 func ReadFermion(r io.Reader) (*lattice.FermionField, error) {
-	cr := &crcReader{r: r}
-	kind, l, _, err := readHeader(cr)
-	if err != nil {
-		return nil, err
-	}
-	if kind != KindFermion {
-		return nil, fmt.Errorf("%w: got %d, want fermion", ErrBadKind, kind)
-	}
-	ss, err := readSpinors(cr, l.Volume())
-	if err != nil {
-		return nil, err
-	}
-	f := &lattice.FermionField{L: l, S: ss}
-	var stored uint32
-	if err := binary.Read(r, binary.BigEndian, &stored); err != nil {
-		return nil, err
-	}
-	if stored != cr.crc {
-		return nil, ErrBadCRC
-	}
-	return f, nil
+	f, _, err := readSpinorField(r, KindFermion, "fermion")
+	return f, err
 }
 
 // WriteSolverState serializes an in-flight solve: the solution iterate
@@ -304,61 +300,36 @@ func ReadFermion(r io.Reader) (*lattice.FermionField, error) {
 // in this format to host storage, and the chaos/recovery flow restores
 // the newest complete one after a node death.
 func WriteSolverState(w io.Writer, x *lattice.FermionField, iteration uint32) error {
-	cw := &crcWriter{w: w}
-	if err := writeHeader(cw, KindSolver, x.L, iteration); err != nil {
-		return err
-	}
-	for i := range x.S {
-		for a := 0; a < 4; a++ {
-			for c := 0; c < 3; c++ {
-				if err := writeComplex(cw, x.S[i][a][c]); err != nil {
-					return err
-				}
-			}
-		}
-	}
-	return binary.Write(w, binary.BigEndian, cw.crc)
+	_, err := writeSites(w, KindSolver, x.L, iteration, x.S, appendSpinor)
+	return err
 }
 
 // ReadSolverState deserializes an in-flight solve, verifying the CRC.
 func ReadSolverState(r io.Reader) (*lattice.FermionField, uint32, error) {
-	cr := &crcReader{r: r}
-	kind, l, iteration, err := readHeader(cr)
-	if err != nil {
-		return nil, 0, err
-	}
-	if kind != KindSolver {
-		return nil, 0, fmt.Errorf("%w: got %d, want solver state", ErrBadKind, kind)
-	}
-	ss, err := readSpinors(cr, l.Volume())
-	if err != nil {
-		return nil, 0, err
-	}
-	x := &lattice.FermionField{L: l, S: ss}
-	var stored uint32
-	if err := binary.Read(r, binary.BigEndian, &stored); err != nil {
-		return nil, 0, err
-	}
-	if stored != cr.crc {
-		return nil, 0, ErrBadCRC
-	}
-	return x, iteration, nil
+	return readSpinorField(r, KindSolver, "solver state")
+}
+
+// wholeCRC extends the CRC of a stream's header and payload over its
+// own big-endian trailer: CRC-32C streams, so this is the checksum of
+// the whole stream, computed in one pass over the field.
+func wholeCRC(inner uint32) uint32 {
+	var b [4]byte
+	binary.BigEndian.PutUint32(b[:], inner)
+	return crc32.Update(inner, castagnoli, b[:])
 }
 
 // FermionCRC returns the checksum a WriteFermion of f would produce —
 // the spinor-field fingerprint recovery runs use to prove the restored
 // solution is bit-identical to the fault-free one.
 func FermionCRC(f *lattice.FermionField) uint32 {
-	cw := &crcWriter{w: io.Discard}
-	_ = WriteFermion(cw, f)
-	return cw.crc
+	inner, _ := writeSites(io.Discard, KindFermion, f.L, 0, f.S, appendSpinor)
+	return wholeCRC(inner)
 }
 
-// GaugeCRC returns the checksum a WriteGauge of g would produce —
-// a cheap fingerprint for bit-identity comparisons without keeping two
-// full configurations in memory.
+// GaugeCRC returns the checksum of a WriteGauge of g — header, payload
+// and inner trailer — a cheap fingerprint for bit-identity comparisons
+// without keeping two full configurations in memory.
 func GaugeCRC(g *lattice.GaugeField) uint32 {
-	cw := &crcWriter{w: io.Discard}
-	_ = WriteGauge(cw, g) // CRC accumulates over header+payload+inner trailer
-	return cw.crc
+	inner, _ := writeSites(io.Discard, KindGauge, g.L, 0, g.U, appendMat)
+	return wholeCRC(inner)
 }

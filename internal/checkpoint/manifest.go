@@ -56,29 +56,29 @@ func BlobCRC(b []byte) uint32 {
 	return crc32.Checksum(b, castagnoli)
 }
 
-// WriteManifest serializes a manifest.
+// WriteManifest serializes a manifest: the header, then one record
+// per generation, each appended into one reused buffer.
 func WriteManifest(w io.Writer, m *Manifest) error {
-	cw := &crcWriter{w: w}
-	hdr := []any{uint64(ManifestMagic), uint32(ManifestVersion), uint32(len(m.Generations))}
-	for _, v := range hdr {
-		if err := binary.Write(cw, binary.BigEndian, v); err != nil {
+	cw := crcWriter{w: w}
+	b := binary.BigEndian.AppendUint64(make([]byte, 0, siteBytes), ManifestMagic)
+	b = binary.BigEndian.AppendUint32(b, ManifestVersion)
+	b = binary.BigEndian.AppendUint32(b, uint32(len(m.Generations)))
+	if _, err := cw.Write(b); err != nil {
+		return err
+	}
+	for _, g := range m.Generations {
+		b = binary.BigEndian.AppendUint32(b[:0], uint32(g.Attempt))
+		b = binary.BigEndian.AppendUint32(b, uint32(g.Iter))
+		b = binary.BigEndian.AppendUint32(b, uint32(len(g.CRCs)))
+		for _, crc := range g.CRCs {
+			b = binary.BigEndian.AppendUint32(b, crc)
+		}
+		if _, err := cw.Write(b); err != nil {
 			return err
 		}
 	}
-	for _, g := range m.Generations {
-		gh := []any{uint32(g.Attempt), uint32(g.Iter), uint32(len(g.CRCs))}
-		for _, v := range gh {
-			if err := binary.Write(cw, binary.BigEndian, v); err != nil {
-				return err
-			}
-		}
-		for _, crc := range g.CRCs {
-			if err := binary.Write(cw, binary.BigEndian, crc); err != nil {
-				return err
-			}
-		}
-	}
-	return binary.Write(w, binary.BigEndian, cw.crc)
+	_, err := w.Write(binary.BigEndian.AppendUint32(b[:0], cw.crc))
+	return err
 }
 
 // ReadManifest deserializes a manifest, verifying the CRC. Errors are
@@ -86,61 +86,47 @@ func WriteManifest(w io.Writer, m *Manifest) error {
 // short read); allocation stays proportional to the input actually
 // consumed, never to a corrupt header's claims.
 func ReadManifest(r io.Reader) (*Manifest, error) {
-	cr := &crcReader{r: r}
-	var magic uint64
-	if err := binary.Read(cr, binary.BigEndian, &magic); err != nil {
+	d := &decoder{r: r}
+	c, err := d.next(8)
+	if err != nil {
 		return nil, err
 	}
-	if magic != ManifestMagic {
+	if c.u64() != ManifestMagic {
 		return nil, ErrBadMagic
 	}
-	var version, count uint32
-	if err := binary.Read(cr, binary.BigEndian, &version); err != nil {
+	if c, err = d.next(8); err != nil {
 		return nil, err
 	}
-	if version != ManifestVersion {
+	if version := c.u32(); version != ManifestVersion {
 		return nil, fmt.Errorf("checkpoint: unsupported manifest version %d", version)
 	}
-	if err := binary.Read(cr, binary.BigEndian, &count); err != nil {
-		return nil, err
-	}
+	count := c.u32()
 	if count > maxGenerations {
 		return nil, fmt.Errorf("%w: implausible generation count %d", ErrBadHeader, count)
 	}
 	m := &Manifest{}
 	for i := uint32(0); i < count; i++ {
-		var attempt, iter, ranks uint32
-		if err := binary.Read(cr, binary.BigEndian, &attempt); err != nil {
+		if c, err = d.next(12); err != nil {
 			return nil, err
 		}
-		if err := binary.Read(cr, binary.BigEndian, &iter); err != nil {
-			return nil, err
-		}
-		if err := binary.Read(cr, binary.BigEndian, &ranks); err != nil {
-			return nil, err
-		}
+		attempt, iter, ranks := c.u32(), c.u32(), c.u32()
 		if ranks > maxManifestRanks {
 			return nil, fmt.Errorf("%w: implausible rank count %d", ErrBadHeader, ranks)
 		}
-		cap0 := int(ranks)
-		if cap0 > allocChunk {
-			cap0 = allocChunk
-		}
-		crcs := make([]uint32, 0, cap0)
+		crcs := make([]uint32, 0, min(int(ranks), allocChunk))
 		for j := uint32(0); j < ranks; j++ {
-			var crc uint32
-			if err := binary.Read(cr, binary.BigEndian, &crc); err != nil {
+			if c, err = d.next(4); err != nil {
 				return nil, err
 			}
-			crcs = append(crcs, crc)
+			crcs = append(crcs, c.u32())
 		}
 		m.Generations = append(m.Generations, Generation{
 			Attempt: int(attempt), Iter: int(iter), CRCs: crcs,
 		})
 	}
-	sum := cr.crc
-	var stored uint32
-	if err := binary.Read(r, binary.BigEndian, &stored); err != nil {
+	sum := d.crc
+	stored, err := d.trailer()
+	if err != nil {
 		return nil, err
 	}
 	if stored != sum {

@@ -114,6 +114,64 @@ type Network struct {
 	// the fault injector consults it; zero with a verdict of FaultStall
 	// degrades to normal delivery.
 	Stall event.Time
+
+	// slab holds every packet between Send and its receiver; free lists
+	// the empty slots. A hop's event carries its slot as the handler
+	// argument (HandleEvent), so a packet in flight costs no closure.
+	// Each qdaemon builds its own Network: no pooled run inherits slots.
+	slab []flight
+	free []uint32
+}
+
+// flight is a packet in the switch and, once routed, its port.
+type flight struct {
+	pkt Packet
+	dst *Port
+}
+
+// The hop a slab slot's event performs, in the low bits of its
+// argument; the slot index is the rest.
+const (
+	hopRoute   = iota // enter the switch: fault verdict, fan-out
+	hopDeliver        // arrive at the destination port
+	hopHandoff        // reach a continuation-tier receiver
+	hopBits    = 2
+)
+
+// launch parks pkt, bound for dst, in a free slot and schedules hop on
+// it at time t.
+func (n *Network) launch(t event.Time, hop uint64, pkt Packet, dst *Port) {
+	if len(n.free) == 0 {
+		n.free = append(n.free, uint32(len(n.slab)))
+		n.slab = append(n.slab, flight{})
+	}
+	i := n.free[len(n.free)-1]
+	n.free = n.free[:len(n.free)-1]
+	n.slab[i] = flight{pkt, dst}
+	n.eng.AtHandler(t, n, uint64(i)<<hopBits|hop)
+}
+
+// take empties slot i, releasing its payload, and returns what it held.
+func (n *Network) take(i uint64) flight {
+	f := n.slab[i]
+	n.slab[i] = flight{}
+	n.free = append(n.free, uint32(i))
+	return f
+}
+
+// HandleEvent performs one hop of a packet in flight. It implements
+// event.Handler and is not meant to be called directly.
+func (n *Network) HandleEvent(arg uint64) {
+	i := arg >> hopBits
+	switch arg & (1<<hopBits - 1) {
+	case hopRoute:
+		n.route(i)
+	case hopDeliver:
+		n.slab[i].dst.deliver(i)
+	case hopHandoff:
+		f := n.take(i)
+		f.dst.handler(f.pkt)
+	}
 }
 
 // NewNetwork creates the management network.
@@ -125,8 +183,8 @@ func NewNetwork(eng *event.Engine) *Network {
 // sim time read it from inside the Fault hook.
 func (n *Network) Now() event.Time { return n.eng.Now() }
 
-// Port is one endpoint: a serializer, a receive queue, a pend ring and
-// counters, all on the network's engine.
+// Port is one endpoint: a serializer, a receive queue and counters, all
+// on the network's engine.
 type Port struct {
 	net       *Network
 	addr      Addr
@@ -136,39 +194,6 @@ type Port struct {
 	busyUntil event.Time
 	TxPackets uint64
 	RxPackets uint64
-
-	// pend holds delivered packets awaiting their deferred handler event,
-	// a reusable ring (see deliver). Unlike an hssl wire, a port has many
-	// senders, so the Send -> arrival hop cannot share a ring — but the
-	// deliver -> handler hop is enqueued in deliver order and each event
-	// consumes exactly one packet, so a FIFO ring is exact there.
-	pend     []Packet
-	pendHead int
-	pendLen  int
-}
-
-// HandleEvent runs the deferred handler hand-off for the oldest pending
-// packet. It implements event.Handler and is not meant to be called
-// directly.
-func (p *Port) HandleEvent(uint64) {
-	pkt := p.pend[p.pendHead]
-	p.pend[p.pendHead] = Packet{}
-	p.pendHead = (p.pendHead + 1) % len(p.pend)
-	p.pendLen--
-	p.handler(pkt)
-}
-
-func (p *Port) pushPend(pkt Packet) {
-	if p.pendLen == len(p.pend) {
-		grown := make([]Packet, max(4, 2*len(p.pend)))
-		for i := 0; i < p.pendLen; i++ {
-			grown[i] = p.pend[(p.pendHead+i)%len(p.pend)]
-		}
-		p.pend = grown
-		p.pendHead = 0
-	}
-	p.pend[(p.pendHead+p.pendLen)%len(p.pend)] = pkt
-	p.pendLen++
 }
 
 // Attach adds an endpoint with the given line rate in bits/second.
@@ -216,19 +241,20 @@ func (p *Port) Send(pkt Packet) error {
 	p.busyUntil = start + ser
 	p.TxPackets++
 	// The frame enters the switch when its last bit leaves the port.
-	eng.At(p.busyUntil, func() { p.net.route(pkt) })
+	p.net.launch(p.busyUntil, hopRoute, pkt, nil)
 	return nil
 }
 
-// route carries one packet through the switch fabric: the fault
-// injector judges it (in one deterministic packet order, so a counted
-// fault stream replays), then it is delivered to its destination port
-// at the arrival time.
-func (n *Network) route(pkt Packet) {
+// route carries the packet in slot i through the switch fabric: the
+// fault injector judges it in place (in one deterministic packet order,
+// so a counted fault stream replays), then it is delivered to its
+// destination port at the arrival time.
+func (n *Network) route(i uint64) {
 	verdict := FaultNone
 	if n.Fault != nil {
-		verdict = n.Fault(&pkt)
+		verdict = n.Fault(&n.slab[i].pkt)
 	}
+	pkt := n.take(i).pkt
 	if verdict == FaultDrop {
 		// The line time was spent; the switch fabric ate the frame.
 		n.FaultDropped++
@@ -252,33 +278,28 @@ func (n *Network) route(pkt Packet) {
 			if addr == pkt.Src {
 				continue
 			}
-			n.deliverAt(n.ports[addr], arrive, pkt)
+			n.launch(arrive, hopDeliver, pkt, n.ports[addr])
 		}
 		return
 	}
 	dst := n.ports[pkt.Dst]
-	n.deliverAt(dst, arrive, pkt)
+	n.launch(arrive, hopDeliver, pkt, dst)
 	if verdict == FaultDup {
-		n.deliverAt(dst, arrive, pkt)
+		n.launch(arrive, hopDeliver, pkt, dst)
 	}
 }
 
-// deliverAt schedules pkt's arrival at port p.
-func (n *Network) deliverAt(p *Port, t event.Time, pkt Packet) {
-	n.eng.At(t, func() { p.deliver(pkt) })
-}
-
-func (p *Port) deliver(pkt Packet) {
+// deliver lands the packet in slot i at port p.
+func (p *Port) deliver(i uint64) {
 	p.RxPackets++
 	if p.handler != nil {
 		// One-event deferral, matching the Put -> gate-wake hop a
 		// coroutine receiver takes, so event ordering is tier-invariant.
-		// The packet parks in the pend ring rather than a fresh closure.
-		p.pushPend(pkt)
-		p.net.eng.AtHandler(p.net.eng.Now(), p, 0)
+		// The packet keeps its slot until the hand-off.
+		p.net.eng.AtHandler(p.net.eng.Now(), p.net, i<<hopBits|hopHandoff)
 		return
 	}
-	p.rx.Put(pkt)
+	p.rx.Put(p.net.take(i).pkt)
 }
 
 // OnPacket attaches a continuation-tier receiver: every arriving packet

@@ -248,3 +248,62 @@ func TestJTAGControllerProtocol(t *testing.T) {
 		t.Fatalf("target state: %+v", tgt)
 	}
 }
+
+// TestRequestReplyAllocFree: a steady-state request/reply — the
+// qdaemon's exchange pattern, a host process sending a JTAG-sized
+// request and waiting on RecvTimeout, a continuation-tier receiver
+// answering — allocates nothing, with and without a fault hook judging
+// every packet. Each hop rides the event queue as a slab slot, the
+// hook reads the packet in place, and the receive queue and the timed
+// wait keep their storage. The payloads are built once: encoding a
+// command (EncodeJTAG) is the caller's allocation, not the network's.
+func TestRequestReplyAllocFree(t *testing.T) {
+	for _, hooked := range []bool{false, true} {
+		eng := event.New()
+		nw := NewNetwork(eng)
+		judged := 0
+		if hooked {
+			nw.Fault = func(pkt *Packet) FaultVerdict {
+				if pkt.Port == PortJTAG {
+					judged++
+				}
+				return FaultNone
+			}
+		}
+		host := nw.Attach(HostAddr, HostEthernetBps)
+		jp := nw.Attach(NodeJTAGAddr(0), NodeEthernetBps)
+		req := Packet{Dst: NodeJTAGAddr(0), Port: PortJTAG, Payload: EncodeJTAG(OpReadWord, 8, 0)}
+		rep := Packet{Dst: HostAddr, Port: PortJTAG, Payload: EncodeJTAG(OpReadWord, 8, 222)}
+		jp.OnPacket(func(Packet) { _ = jp.Send(rep) })
+		replies := 0
+		eng.SpawnDaemon("host", func(p *event.Proc) {
+			for {
+				if err := host.Send(req); err != nil {
+					t.Error(err)
+					return
+				}
+				if got, ok := host.RecvTimeout(p, event.Millisecond); ok && got.Payload == rep.Payload {
+					replies++
+				}
+				p.Sleep(50 * event.Microsecond)
+			}
+		})
+		// Each step is one exchange plus the pause: the request, the
+		// reply and the wake all land inside it.
+		step := func() {
+			if err := eng.Run(eng.Now() + 100*event.Microsecond); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < 50; i++ { // grow the slab, the rings and the event queue
+			step()
+		}
+		if avg := testing.AllocsPerRun(200, step); avg != 0 {
+			t.Errorf("hooked=%v: a request/reply allocates %.2f objects, want 0", hooked, avg)
+		}
+		if replies < 250 || hooked && judged < 2*replies {
+			t.Errorf("hooked=%v: %d replies, %d judged", hooked, replies, judged)
+		}
+		eng.Shutdown()
+	}
+}

@@ -24,6 +24,7 @@ package event
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -325,13 +326,14 @@ func (e *Engine) LiveProcs() int { return e.live }
 // simulator state between its blocking calls (Sleep, Wait, queue Get),
 // which is safe because the engine is parked whenever the process runs.
 type Proc struct {
-	eng    *Engine
-	name   string
-	wakeFn func() // wake, bound once at Spawn: scheduling it allocates nothing
-	resume chan struct{}
-	done   bool
-	daemon bool
-	killed bool
+	eng      *Engine
+	name     string
+	wakeFn   func() // wake, bound once at Spawn: scheduling it allocates nothing
+	resume   chan struct{}
+	done     bool
+	daemon   bool
+	killed   bool
+	timedOut bool // set when a gate's deadline wakes the process; see WaitUntil
 }
 
 // procKilled is the panic value used to unwind parked processes when the
@@ -525,16 +527,11 @@ func (g *Gate) WaitUntil(p *Proc, what string, deadline Time) bool {
 		return false
 	}
 	g.gen++
-	gen := g.gen
-	g.park(gateWaiter{p: p, gen: gen})
-	timedOut := false
-	g.eng.At(deadline, func() {
-		if g.removeWaiter(gen) {
-			timedOut = true
-			p.wake()
-		}
-	})
+	g.park(gateWaiter{p: p, gen: g.gen})
+	g.eng.AtHandler(deadline, g, g.gen)
 	p.yield(what)
+	timedOut := p.timedOut
+	p.timedOut = false
 	return !timedOut
 }
 
@@ -545,16 +542,18 @@ func (g *Gate) park(w gateWaiter) {
 	g.waiters = append(g.waiters, w)
 }
 
-// removeWaiter drops the timed waiter with the given generation,
-// reporting whether it was still parked on the gate.
-func (g *Gate) removeWaiter(gen uint64) bool {
-	for i := range g.waiters {
-		if g.waiters[i].gen == gen {
-			g.waiters = append(g.waiters[:i], g.waiters[i+1:]...)
-			return true
+// HandleEvent is a timed wait's deadline: if the waiter of generation
+// gen is still parked, it leaves the gate and wakes timed out. It
+// implements Handler and is not meant to be called directly.
+func (g *Gate) HandleEvent(gen uint64) {
+	for i, w := range g.waiters {
+		if w.gen == gen {
+			g.waiters = slices.Delete(g.waiters, i, i+1)
+			w.p.timedOut = true
+			w.p.wake()
+			return
 		}
 	}
-	return false
 }
 
 // Fire wakes every process currently waiting on the gate. The wake-ups
@@ -571,15 +570,16 @@ func (g *Gate) Fire() {
 // Waiting reports the number of processes parked on the gate.
 func (g *Gate) Waiting() int { return len(g.waiters) }
 
-// Queue is an unbounded FIFO of items with optional delivery delay; the
-// basic building block for modelled wires, mailboxes and DMA completion
-// notifications. Items become visible to Get only at their delivery time.
+// Queue is an unbounded FIFO of items, a mailbox a process blocks on.
+// The items live in a ring that grows only when full, and a popped slot
+// is zeroed: a queue in steady state allocates nothing and keeps nothing
+// it has handed out reachable.
 type Queue[T any] struct {
-	eng    *Engine
-	reason string // "recv <name>", what a process parked in Get is waiting for
-	items  []T
-	gate   Gate
-	closed bool
+	eng     *Engine
+	reason  string // "recv <name>", what a process parked in Get is waiting for
+	ring    []T
+	head, n int // the oldest item's index, and the item count
+	gate    Gate
 }
 
 // NewQueue creates a queue on the engine.
@@ -589,18 +589,27 @@ func NewQueue[T any](e *Engine, name string) *Queue[T] {
 
 // Put makes item available immediately.
 func (q *Queue[T]) Put(item T) {
-	q.items = append(q.items, item)
+	if q.n == len(q.ring) {
+		grown := make([]T, max(4, 2*len(q.ring)))
+		copy(grown, q.ring[q.head:])
+		copy(grown[len(q.ring)-q.head:], q.ring[:q.head])
+		q.ring, q.head = grown, 0
+	}
+	q.ring[(q.head+q.n)%len(q.ring)] = item
+	q.n++
 	q.gate.Fire()
 }
 
 // TryGet removes and returns the head item if one is available now.
 func (q *Queue[T]) TryGet() (T, bool) {
 	var zero T
-	if len(q.items) == 0 {
+	if q.n == 0 {
 		return zero, false
 	}
-	item := q.items[0]
-	q.items = q.items[1:]
+	item := q.ring[q.head]
+	q.ring[q.head] = zero
+	q.head = (q.head + 1) % len(q.ring)
+	q.n--
 	return item, true
 }
 
@@ -632,4 +641,4 @@ func (q *Queue[T]) GetTimeout(p *Proc, d Time) (T, bool) {
 }
 
 // Len reports how many items are currently available.
-func (q *Queue[T]) Len() int { return len(q.items) }
+func (q *Queue[T]) Len() int { return q.n }

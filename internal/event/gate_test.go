@@ -213,3 +213,83 @@ func TestGateCycleAllocFree(t *testing.T) {
 		t.Fatalf("woken %d times in 101 measured cycles", woken)
 	}
 }
+
+// TestGateTimedWaitAllocFree: a timed wait allocates nothing either way
+// it ends — woken by Fire before its deadline, or timed out by the
+// deadline event, which travels as the gate's own handler event rather
+// than a closure. Before: 1 (the deadline closure) per wait.
+func TestGateTimedWaitAllocFree(t *testing.T) {
+	for _, fire := range []bool{true, false} {
+		e := New()
+		g := NewGate(e)
+		fired, timedOut := 0, 0
+		e.SpawnDaemon("waiter", func(p *Proc) {
+			for {
+				if g.WaitUntil(p, "gate", p.Now()+10) {
+					fired++
+				} else {
+					timedOut++
+				}
+				g.Wait(p, "next round")
+			}
+		})
+		cycle := func() {
+			g.Fire() // out of the untimed wait, into WaitUntil
+			if err := e.Run(e.Now()); err != nil {
+				t.Fatal(err)
+			}
+			if fire {
+				g.Fire() // woken before the deadline
+			}
+			if err := e.RunAll(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := e.RunAll(); err != nil { // the spawn: one timeout, then parked untimed
+			t.Fatal(err)
+		}
+		fired, timedOut = 0, 0
+		if avg := testing.AllocsPerRun(100, cycle); avg != 0 {
+			t.Errorf("fire=%v: a timed wait allocates %.2f objects, want 0", fire, avg)
+		}
+		// AllocsPerRun runs the cycle once more than it measures.
+		if fire && (fired != 101 || timedOut != 0) || !fire && (fired != 0 || timedOut != 101) {
+			t.Errorf("fire=%v: %d fired, %d timed out in 101 cycles", fire, fired, timedOut)
+		}
+		e.Shutdown()
+	}
+}
+
+// TestQueueSteadyStateAllocFree: once its ring has grown to the
+// working depth, a queue's Put/Get cycle allocates nothing, and a popped
+// slot is zeroed so the queue keeps nothing it handed out reachable.
+func TestQueueSteadyStateAllocFree(t *testing.T) {
+	e := New()
+	defer e.Shutdown()
+	q := NewQueue[*int](e, "q")
+	v := new(int)
+	for i := 0; i < 3; i++ {
+		q.Put(v)
+	}
+	// One measured run of 10 000 cycles: AllocsPerRun's per-run average
+	// truncates, so an allocation every few cycles must not round away.
+	allocs := testing.AllocsPerRun(1, func() {
+		for i := 0; i < 10000; i++ {
+			q.Put(v)
+			if got, ok := q.TryGet(); !ok || got != v {
+				t.Fatal("queue lost an item")
+			}
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("10 000 Put/Get cycles allocate %.0f objects, want 0", allocs)
+	}
+	for q.Len() > 0 {
+		q.TryGet()
+	}
+	for i, slot := range q.ring {
+		if slot != nil {
+			t.Errorf("popped slot %d still holds %p", i, slot)
+		}
+	}
+}

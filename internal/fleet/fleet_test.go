@@ -520,3 +520,38 @@ func lineDiff(a, b string) string {
 	}
 	return out.String()
 }
+
+// fleetMallocCeiling bounds the heap objects one canonical chaos run
+// allocates (TestFleetChaosAllocCeiling). Measured at 5.7 k with the
+// allocation-free management network and checkpoint codec (DESIGN.md
+// §9; 51.7 k before), within ±20 at GOMAXPROCS 1, 2 and 8. The ceiling
+// sits about 25 % above that: jitter passes, and a regression to
+// per-packet or per-value allocation fails.
+const fleetMallocCeiling = 7_200
+
+// TestFleetChaosAllocCeiling runs one canonical chaos spec (2x2
+// machine, 4^4 lattice, fault seed 7: boot over the management network,
+// checkpoints through the codec and the NFS shim, a crash and the
+// recovery ladder) and fails if it allocates more heap objects than
+// fleetMallocCeiling.
+func TestFleetChaosAllocCeiling(t *testing.T) {
+	if testing.Short() {
+		t.Skip("a chaos run is seconds-long")
+	}
+	specs := fleet.Sweep(chaosBase(), nil, nil, []uint64{7})
+	run := func() {
+		if r := fleet.Run(fleet.Config{}, specs)[0]; r.Err != nil {
+			t.Fatal(r.Err)
+		}
+	}
+	run() // one-time initialisation stays out of the count
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	run()
+	runtime.ReadMemStats(&after)
+	mallocs := after.Mallocs - before.Mallocs
+	t.Logf("one chaos run: %d heap objects (ceiling %d)", mallocs, fleetMallocCeiling)
+	if mallocs > fleetMallocCeiling {
+		t.Errorf("one chaos run allocated %d heap objects, ceiling %d", mallocs, fleetMallocCeiling)
+	}
+}

@@ -122,10 +122,11 @@ func (g *GaugeField) SetLink(x Site, mu int, m latmath.Mat3) {
 // result is independent of traversal order and machine decomposition.
 func (g *GaugeField) Randomize(seed uint64) {
 	v := g.L.Volume()
+	var st rng.Stream
 	for idx := 0; idx < v; idx++ {
 		for mu := 0; mu < Ndim; mu++ {
-			st := rng.New(seed, uint64(idx)*Ndim+uint64(mu))
-			g.U[Ndim*idx+mu] = latmath.RandomSU3(st)
+			st = rng.Of(seed, uint64(idx)*Ndim+uint64(mu))
+			g.U[Ndim*idx+mu] = latmath.RandomSU3(&st)
 		}
 	}
 }
@@ -218,9 +219,10 @@ func NewFermionField(l Shape4) *FermionField {
 
 // Gaussian fills with unit-normal noise from per-site streams.
 func (f *FermionField) Gaussian(seed uint64) {
+	var st rng.Stream
 	for idx := range f.S {
-		st := rng.New(seed, uint64(idx))
-		f.S[idx] = latmath.GaussianSpinor(st)
+		st = rng.Of(seed, uint64(idx))
+		f.S[idx] = latmath.GaussianSpinor(&st)
 	}
 }
 
@@ -285,9 +287,10 @@ func NewColorField(l Shape4) *ColorField {
 
 // Gaussian fills with unit-normal noise.
 func (f *ColorField) Gaussian(seed uint64) {
+	var st rng.Stream
 	for idx := range f.V {
-		st := rng.New(seed, uint64(idx))
-		f.V[idx] = latmath.GaussianVec3(st)
+		st = rng.Of(seed, uint64(idx))
+		f.V[idx] = latmath.GaussianVec3(&st)
 	}
 }
 

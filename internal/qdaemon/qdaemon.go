@@ -9,6 +9,7 @@ package qdaemon
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"qcdoc/internal/ethjtag"
@@ -171,39 +172,40 @@ func (d *Daemon) hostLoop(p *event.Proc) {
 
 // nfsLoop serves the NFS shim: chunked writes land in the host FS.
 func (d *Daemon) nfsLoop(p *event.Proc) {
+	type file struct {
+		name string
+		src  ethjtag.Addr
+	}
 	type pending struct {
 		chunks map[int]string
 		total  int
 	}
-	open := map[string]*pending{}
+	open := map[file]*pending{}
 	for {
 		pkt := d.NFS.Recv(p)
 		if pkt.Port != ethjtag.PortNFS {
 			continue
 		}
 		// "write <name> <i> <total> <data...>"
-		s := pkt.Payload
-		var name string
-		var i, total int
-		idx := strings.Index(s, " ")
-		if idx < 0 || s[:idx] != "write" {
+		rest, ok := strings.CutPrefix(pkt.Payload, "write ")
+		if !ok {
 			continue
 		}
-		rest := s[idx+1:]
-		sp := strings.SplitN(rest, " ", 4)
-		if len(sp) < 4 {
+		name, rest, _ := strings.Cut(rest, " ")
+		si, rest, _ := strings.Cut(rest, " ")
+		stotal, data, ok := strings.Cut(rest, " ")
+		if !ok {
 			continue
 		}
-		name = sp[0]
-		fmt.Sscanf(sp[1], "%d", &i)
-		fmt.Sscanf(sp[2], "%d", &total)
-		key := fmt.Sprintf("%s|%d", name, pkt.Src)
+		i, _ := strconv.Atoi(si)
+		total, _ := strconv.Atoi(stotal)
+		key := file{name, pkt.Src}
 		pd := open[key]
 		if pd == nil {
 			pd = &pending{chunks: map[int]string{}, total: total}
 			open[key] = pd
 		}
-		pd.chunks[i] = sp[3]
+		pd.chunks[i] = data
 		if len(pd.chunks) == pd.total {
 			var data []byte
 			for c := 0; c < pd.total; c++ {
@@ -273,7 +275,7 @@ func (d *Daemon) bootNode(p *event.Proc, r int) error {
 		}
 	}
 	rep, err := d.exchange(p, d.Ctl, ethjtag.Packet{Dst: eaddr, Port: ethjtag.PortBoot, Payload: "START"},
-		fmt.Sprintf("node %d run-kernel start", r),
+		func() string { return fmt.Sprintf("node %d run-kernel start", r) },
 		func(rep ethjtag.Packet) bool { return rep.Src == eaddr && rep.Port == ethjtag.PortBoot })
 	if err != nil {
 		return err
@@ -450,7 +452,7 @@ func (d *Daemon) statusExchange(p *event.Proc, rank int) (string, error) {
 	eaddr := ethjtag.NodeEthAddr(rank)
 	rep, err := d.exchange(p, d.Ctl, ethjtag.Packet{
 		Dst: eaddr, Port: ethjtag.PortRPC, Payload: "status",
-	}, fmt.Sprintf("node %d status", rank), func(rep ethjtag.Packet) bool {
+	}, func() string { return fmt.Sprintf("node %d status", rank) }, func(rep ethjtag.Packet) bool {
 		return rep.Src == eaddr && rep.Port == ethjtag.PortRPC && strings.HasPrefix(rep.Payload, "state=")
 	})
 	if err != nil {

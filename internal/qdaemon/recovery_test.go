@@ -68,6 +68,33 @@ func TestBootSurvivesDroppedAck(t *testing.T) {
 	}
 }
 
+// TestExchangeFailureNamesTransaction pins the text of an exhausted
+// exchange's error: the transaction is described only on this path, and
+// the words must be the ones the daemon always printed.
+func TestExchangeFailureNamesTransaction(t *testing.T) {
+	for _, tc := range []struct {
+		drop func(*ethjtag.Packet) bool
+		want string
+	}{
+		{isJTAGReply, "qdaemon: node 0 jtag op 1 addr 0x0: no reply after 6 attempts"},
+		{func(pkt *ethjtag.Packet) bool { return pkt.Port == ethjtag.PortBoot && pkt.Src >= ethjtag.NodeAddrBase },
+			"qdaemon: node 0 run-kernel start: no reply after 6 attempts"},
+	} {
+		_, d, run := harness(t, geom.MakeShape(2))
+		d.Net.Fault = func(pkt *ethjtag.Packet) ethjtag.FaultVerdict {
+			if tc.drop(pkt) {
+				return ethjtag.FaultDrop
+			}
+			return ethjtag.FaultNone
+		}
+		var err error
+		run(func(p *event.Proc) { err = d.BootAll(p) })
+		if err == nil || err.Error() != tc.want {
+			t.Errorf("boot error %q, want %q", err, tc.want)
+		}
+	}
+}
+
 // Dropping the non-idempotent OpStartBoot ack exercises the status
 // disambiguation: the retransmitted start is refused (the node is
 // already out of reset), and the follow-up OpStatus proves the first

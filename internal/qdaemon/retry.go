@@ -58,8 +58,9 @@ func (d *Daemon) RPCStats() RPCStats { return d.rpcStats }
 // counted and discarded, restarting the wait. The caller owns the port:
 // each host port has exactly one process doing synchronous exchanges on
 // it (the control program on Ctl, the watchdog on Mon), so a matched
-// reply always belongs to the request just sent.
-func (d *Daemon) exchange(p *event.Proc, port *ethjtag.Port, req ethjtag.Packet, what string, match func(ethjtag.Packet) bool) (ethjtag.Packet, error) {
+// reply always belongs to the request just sent. what names the
+// transaction in the error, built only on that rare path.
+func (d *Daemon) exchange(p *event.Proc, port *ethjtag.Port, req ethjtag.Packet, what func() string, match func(ethjtag.Packet) bool) (ethjtag.Packet, error) {
 	timeout := rpcTimeout
 	for attempt := 1; ; attempt++ {
 		if err := port.Send(req); err != nil {
@@ -79,7 +80,7 @@ func (d *Daemon) exchange(p *event.Proc, port *ethjtag.Port, req ethjtag.Packet,
 		d.rpcStats.Timeouts++
 		if attempt >= rpcAttempts {
 			d.rpcStats.Failures++
-			return ethjtag.Packet{}, fmt.Errorf("qdaemon: %s: no reply after %d attempts", what, attempt)
+			return ethjtag.Packet{}, fmt.Errorf("qdaemon: %s: no reply after %d attempts", what(), attempt)
 		}
 		d.rpcStats.Retries++
 		timeout *= 2
@@ -95,7 +96,7 @@ func (d *Daemon) exchange(p *event.Proc, port *ethjtag.Port, req ethjtag.Packet,
 // carry no address).
 func (d *Daemon) jtagExchange(p *event.Proc, port *ethjtag.Port, rank int, op ethjtag.JTAGOp, addr, data uint64, addrMatters bool) (uint64, error) {
 	jaddr := ethjtag.NodeJTAGAddr(rank)
-	what := fmt.Sprintf("node %d jtag op %d addr %#x", rank, op, addr)
+	what := func() string { return fmt.Sprintf("node %d jtag op %d addr %#x", rank, op, addr) }
 	rep, err := d.exchange(p, port, ethjtag.Packet{
 		Dst: jaddr, Port: ethjtag.PortJTAG,
 		Payload: ethjtag.EncodeJTAG(op, addr, data),

@@ -16,6 +16,7 @@ package qos
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"qcdoc/internal/ethjtag"
@@ -217,13 +218,14 @@ func (k *Kernel) WriteFile(p *event.Proc, name string, data []byte) {
 	if total == 0 {
 		total = 1
 	}
+	var b []byte
 	for i := 0; i < total; i++ {
 		lo := i * chunk
-		hi := lo + chunk
-		if hi > len(data) {
-			hi = len(data)
-		}
-		hdr := fmt.Sprintf("write %s %d %d ", name, i, total)
-		_ = k.Eth.Send(ethjtag.Packet{Dst: k.NFS, Port: ethjtag.PortNFS, Payload: hdr + string(data[lo:hi])})
+		hi := min(lo+chunk, len(data))
+		b = append(append(b[:0], "write "...), name...)
+		b = strconv.AppendInt(append(b, ' '), int64(i), 10)
+		b = strconv.AppendInt(append(b, ' '), int64(total), 10)
+		b = append(append(b, ' '), data[lo:hi]...)
+		_ = k.Eth.Send(ethjtag.Packet{Dst: k.NFS, Port: ethjtag.PortNFS, Payload: string(b)})
 	}
 }

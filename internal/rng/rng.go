@@ -25,9 +25,12 @@ func mix64(x uint64) uint64 {
 
 // New derives the stream for entity id under the global seed. Streams
 // with different (seed, id) pairs are statistically independent.
-func New(seed, id uint64) *Stream {
-	key := mix64(mix64(seed) ^ mix64(id^0xA5A5A5A5A5A5A5A5))
-	return &Stream{key: key}
+func New(seed, id uint64) *Stream { s := Of(seed, id); return &s }
+
+// Of is New as a value: a loop drawing from one stream per site re-keys
+// one variable rather than allocating a stream per site.
+func Of(seed, id uint64) Stream {
+	return Stream{key: mix64(mix64(seed) ^ mix64(id^0xA5A5A5A5A5A5A5A5))}
 }
 
 // Clone returns a copy of the stream at its current position.
