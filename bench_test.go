@@ -132,9 +132,9 @@ func (s *backlogSource) HandleEvent(uint64) {
 }
 
 // BenchmarkKernels applies the reference Wilson, clover and domain-wall
-// operators with their site loops run serially and forked over a team
-// (DESIGN.md §8 "Host threads"); bench/'s fermion probes time the serial
-// kernels only.
+// operators, and the Wilson and domain-wall D†, with their site loops run
+// serially and forked over a team (DESIGN.md §8 "Host threads"); bench/'s
+// fermion probes time the serial kernels of D only.
 func BenchmarkKernels(b *testing.B) {
 	var tm team.Team
 	defer tm.Close()
@@ -142,9 +142,11 @@ func BenchmarkKernels(b *testing.B) {
 		name string
 		tm   *team.Team
 	}{{"serial", nil}, {"forked", &tm}} {
-		b.Run(mode.name+"/wilson", func(b *testing.B) { benchWilson(b, mode.tm) })
+		b.Run(mode.name+"/wilson", func(b *testing.B) { benchWilson(b, mode.tm, false) })
+		b.Run(mode.name+"/wilson-dag", func(b *testing.B) { benchWilson(b, mode.tm, true) })
 		b.Run(mode.name+"/clover", func(b *testing.B) { benchClover(b, mode.tm) })
-		b.Run(mode.name+"/dwf", func(b *testing.B) { benchDWF(b, mode.tm) })
+		b.Run(mode.name+"/dwf", func(b *testing.B) { benchDWF(b, mode.tm, false) })
+		b.Run(mode.name+"/dwf-dag", func(b *testing.B) { benchDWF(b, mode.tm, true) })
 	}
 }
 
@@ -172,13 +174,17 @@ func reportKernel(b *testing.B, c ppc440.KernelCost, sites int) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/siteApps, "ns/site")
 }
 
-func benchWilson(b *testing.B, tm *team.Team) {
+func benchWilson(b *testing.B, tm *team.Team, dag bool) {
 	g, src, dst := benchGauge(b)
 	w := fermion.NewWilson(g, 0.1)
 	w.Team = tm
+	apply := w.Apply
+	if dag {
+		apply = w.ApplyDag
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		w.Apply(dst, src)
+		apply(dst, src)
 	}
 	reportKernel(b, fermion.SiteCost(fermion.WilsonKind, fermion.Double, memsys.EDRAM), g.L.Volume())
 }
@@ -194,7 +200,7 @@ func benchClover(b *testing.B, tm *team.Team) {
 	reportKernel(b, fermion.SiteCost(fermion.CloverKind, fermion.Double, memsys.EDRAM), g.L.Volume())
 }
 
-func benchDWF(b *testing.B, tm *team.Team) {
+func benchDWF(b *testing.B, tm *team.Team, dag bool) {
 	l := lattice.Shape4{4, 4, 4, 8}
 	g := lattice.NewGaugeField(l)
 	g.Randomize(7)
@@ -203,9 +209,13 @@ func benchDWF(b *testing.B, tm *team.Team) {
 	src := fermion.NewField5(l, 8)
 	src.Gaussian(8)
 	dst := fermion.NewField5(l, 8)
+	apply := d.Apply
+	if dag {
+		apply = d.ApplyDag
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		d.Apply(dst, src)
+		apply(dst, src)
 	}
 	reportKernel(b, fermion.DWFSiteCost(fermion.Double, memsys.EDRAM, 8), 8*l.Volume())
 }

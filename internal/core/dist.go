@@ -12,11 +12,13 @@ import (
 // wilsonHop is the distributed 4-D Wilson hopping term on Ls slices of
 // spinors sharing one gauge field: the kernel of the Wilson and clover
 // operators (Ls = 1) and of the domain-wall operator, whose fifth
-// dimension stays node-local. Boundary spin-projected half spinors
+// dimension stays node-local. D and D† are the same hop with opposite
+// projector signs s (+1 and -1). Boundary spin-projected half spinors
 // travel through the SCU as in the hand-tuned production code: the low
-// face is projected with (1-γ_mu) and sent backward (the receiver
-// applies its own gauge link); the high face is projected with (1+γ_mu),
-// multiplied by U†, and sent forward (the sender owns that link). Twelve
+// face is projected with (1-sγ_mu) and sent backward (the receiver
+// applies its own gauge link); the high face is projected with
+// (1+sγ_mu), multiplied by U†, and sent forward (the sender owns that
+// link). Twelve
 // complex numbers per face site per slice per direction — exactly the
 // cost model's comm volume. The gauge field is read once for all slices,
 // which is the data reuse behind the DWF kernel's high efficiency (§4).
@@ -28,10 +30,10 @@ type wilsonHop struct {
 	// the configuration. Its neighbour table holds, where a hop leaves
 	// the node, ^slot of the ghost the (mu, end) neighbour packed for
 	// that face site.
-	sites    fermion.HopKernel
-	team     *team.Team // the rank program's; nil runs every loop on the rank
-	g5       fermion.Gamma5Kernel
-	tmp, mid []latmath.Spinor // D† scratch, allocated on first use
+	sites fermion.HopKernel
+	team  *team.Team // the rank program's; nil runs every loop on the rank
+	// dag is set while D† runs: its slices travel in reflected order.
+	dag bool
 }
 
 func newWilsonHop(ctx *node.Ctx, comm *qmp.Comm, tm *team.Team, dec lattice.Decomp, gauge *lattice.GaugeField, kind fermion.OpKind, ls int, prec fermion.Precision) wilsonHop {
@@ -63,14 +65,16 @@ func newWilsonHop(ctx *node.Ctx, comm *qmp.Comm, tm *team.Team, dec lattice.Deco
 	return w
 }
 
-// hop computes dst = diag·src - ½ Σ_mu [(1-γ_mu)U_mu(x)src(x+mu) +
-// (1+γ_mu)U†_mu(x-mu)src(x-mu)] on every slice, with halo exchange over
-// the machine. All spin and colour arithmetic is latmath's hop kernel.
-func (w *wilsonHop) hop(dst, src []latmath.Spinor, diag complex128) {
+// hop computes dst = diag·src - ½ Σ_mu [(1-sγ_mu)U_mu(x)src(x+mu) +
+// (1+sγ_mu)U†_mu(x-mu)src(x-mu)] on every slice, with halo exchange
+// over the machine. All spin and colour arithmetic is latmath's hop
+// kernel.
+func (w *wilsonHop) hop(dst, src []latmath.Spinor, diag complex128, s int) {
 	// The face pack stays on the rank's goroutine at any volume: it
 	// stores into node memory, whose pages install on first write.
 	g := w.sites.G
 	v4 := g.L.Volume()
+	w.dag = s < 0
 	var h latmath.HalfSpinor
 	for mu := 0; mu < lattice.Ndim; mu++ {
 		if !w.split[mu] {
@@ -78,10 +82,10 @@ func (w *wilsonHop) hop(dst, src []latmath.Spinor, diag complex128) {
 		}
 		lo, hi := w.faces[mu][0], w.faces[mu][1]
 		for slot := 0; slot < w.Ls*len(lo); slot++ {
-			s, i := slot/len(lo), slot%len(lo)
-			h.Project(mu, +1, &src[s*v4+lo[i]])
+			sl, i := w.slice(slot/len(lo)), slot%len(lo)
+			h.Project(mu, s, &src[sl*v4+lo[i]])
 			w.putHalf(mu, 0, slot, &h)
-			h.Project(mu, -1, &src[s*v4+hi[i]])
+			h.Project(mu, -s, &src[sl*v4+hi[i]])
 			h.DagMulMat(&g.U[lattice.Ndim*hi[i]+mu], &h)
 			w.putHalf(mu, 1, slot, &h)
 		}
@@ -90,7 +94,17 @@ func (w *wilsonHop) hop(dst, src []latmath.Spinor, diag complex128) {
 	// Chunks of the site loop read the ghosts in node memory and write
 	// only their own sites.
 	w.sites.Ghosts = (*hopGhosts)(w)
-	w.sites.Run(w.team, dst, src, diag)
+	w.sites.Run(w.team, dst, src, diag, s)
+}
+
+// slice maps a slot's slice to the field slice it carries: itself under
+// D, its mirror Ls-1-k under D†. D† = R γ5 D γ5 R puts the slices of
+// R src on the wire in natural order, the order TestWireTraceGolden pins.
+func (w *wilsonHop) slice(k int) int {
+	if w.dag {
+		return w.Ls - 1 - k
+	}
+	return k
 }
 
 // hopGhosts is a wilsonHop as the site loop's ghost reader: slice s of
@@ -98,19 +112,7 @@ func (w *wilsonHop) hop(dst, src []latmath.Spinor, diag complex128) {
 type hopGhosts wilsonHop
 
 func (g *hopGhosts) Half(h *latmath.HalfSpinor, mu, end, s, slot int) {
-	g.half(h, mu, end, s*len(g.faces[mu][end])+slot)
-}
-
-// applyDag computes dst = D† src = R γ5 D γ5 R src for the operator D
-// built on this hop; R reflects the fifth dimension (the identity at
-// Ls = 1).
-func (w *wilsonHop) applyDag(dst, src []latmath.Spinor, applyD func(dst, src []latmath.Spinor)) {
-	if w.tmp == nil {
-		w.tmp, w.mid = make([]latmath.Spinor, len(src)), make([]latmath.Spinor, len(src))
-	}
-	w.g5.Run(w.team, w.tmp, src, w.Ls)
-	applyD(w.mid, w.tmp)
-	w.g5.Run(w.team, dst, w.mid, w.Ls)
+	g.half(h, mu, end, (*wilsonHop)(g).slice(s)*len(g.faces[mu][end])+slot)
 }
 
 // DistWilson is the distributed Wilson Dirac operator running on one
@@ -142,17 +144,18 @@ func NewDistWilson(ctx *node.Ctx, comm *qmp.Comm, tm *team.Team, dec lattice.Dec
 }
 
 // Apply computes dst = D src.
-func (d *DistWilson) Apply(dst, src *lattice.FermionField) { d.apply(dst.S, src.S) }
+func (d *DistWilson) Apply(dst, src *lattice.FermionField) { d.apply(dst.S, src.S, +1) }
 
-func (d *DistWilson) apply(dst, src []latmath.Spinor) {
-	d.hop(dst, src, complex(d.Mass+4, 0))
+// ApplyDag computes dst = D† src = γ5 D γ5 src: the hop with the
+// projector signs swapped, plus the clover term, its own adjoint.
+func (d *DistWilson) ApplyDag(dst, src *lattice.FermionField) { d.apply(dst.S, src.S, -1) }
+
+func (d *DistWilson) apply(dst, src []latmath.Spinor, s int) {
+	d.hop(dst, src, complex(d.Mass+4, 0), s)
 	if d.term != nil {
 		d.term.AddTo(d.team, dst, src)
 	}
 }
-
-// ApplyDag computes dst = D† src = γ5 D γ5 src.
-func (d *DistWilson) ApplyDag(dst, src *lattice.FermionField) { d.applyDag(dst.S, src.S, d.apply) }
 
 // DistDWF is the distributed domain-wall operator: the 4-D Wilson hop on
 // each of the Ls fifth-dimension slices plus the node-local fifth-
@@ -170,12 +173,13 @@ func NewDistDWF(ctx *node.Ctx, comm *qmp.Comm, tm *team.Team, dec lattice.Decomp
 }
 
 // Apply computes dst = D src.
-func (d *DistDWF) Apply(dst, src *fermion.Field5) { d.apply(dst.S, src.S) }
+func (d *DistDWF) Apply(dst, src *fermion.Field5) { d.apply(dst.S, src.S, +1) }
 
-func (d *DistDWF) apply(dst, src []latmath.Spinor) {
-	d.hop(dst, src, complex(-d.M5+4+1, 0))
-	d.fifth.Run(d.team, dst, src, d.Ls, d.Mf)
+// ApplyDag computes dst = D† src = R γ5 D γ5 R src: the hop with the
+// projector signs swapped and the fifth-dimension hops reversed.
+func (d *DistDWF) ApplyDag(dst, src *fermion.Field5) { d.apply(dst.S, src.S, -1) }
+
+func (d *DistDWF) apply(dst, src []latmath.Spinor, s int) {
+	d.hop(dst, src, complex(-d.M5+4+1, 0), s)
+	d.fifth.Run(d.team, dst, src, d.Ls, d.Mf, s)
 }
-
-// ApplyDag computes dst = D† src = R γ5 D γ5 R src.
-func (d *DistDWF) ApplyDag(dst, src *fermion.Field5) { d.applyDag(dst.S, src.S, d.apply) }

@@ -138,9 +138,13 @@ func (c *Clover) Apply(dst, src *lattice.FermionField) {
 	c.term.AddTo(c.Team, dst.S, src.S)
 }
 
-// ApplyDag computes dst = D† src via γ5-hermiticity (the clover term
-// commutes with γ5 and is Hermitian).
-func (c *Clover) ApplyDag(dst, src *lattice.FermionField) { c.applyDag(dst, src, c.Apply) }
+// ApplyDag computes dst = D† src: the Wilson D† plus the clover term,
+// which is its own adjoint (Hermitian, and block diagonal in the chiral
+// basis, so it commutes with γ5).
+func (c *Clover) ApplyDag(dst, src *lattice.FermionField) {
+	c.Wilson.ApplyDag(dst, src)
+	c.term.AddTo(c.Team, dst.S, src.S)
+}
 
 // SpinBlockDiagonal reports whether the clover term at site idx is block
 // diagonal in spin (upper 2x2 and lower 2x2 blocks only) — true in the

@@ -100,10 +100,8 @@ type DWF struct {
 
 	Team *team.Team // forks the site loops over the host's cores; nil runs them on the caller
 
-	hop      HopKernel
-	fifth    FifthDimKernel
-	g5       Gamma5Kernel
-	tmp, mid *Field5 // D† scratch, allocated on first use
+	hop   HopKernel
+	fifth FifthDimKernel
 }
 
 // NewDWF builds the operator.
@@ -123,81 +121,51 @@ func (d *DWF) Lattice() lattice.Shape4 { return d.G.L }
 // — then the fifth-dimension hops.
 func (d *DWF) Apply(dst, src *Field5) {
 	// Wilson diagonal at mass -M5, plus the +1 of D_perp.
-	d.hop.Run(d.Team, dst.S, src.S, complex(-d.M5+4+1, 0))
-	d.fifth.Run(d.Team, dst.S, src.S, d.Ls, d.Mf)
+	d.hop.Run(d.Team, dst.S, src.S, complex(-d.M5+4+1, 0), +1)
+	d.fifth.Run(d.Team, dst.S, src.S, d.Ls, d.Mf, +1)
+}
+
+// ApplyDag computes dst = D† src = R γ5 D γ5 R src, R reflecting the
+// fifth dimension (s -> Ls-1-s): the Wilson hop with the projector signs
+// swapped, and the fifth-dimension hops with their direction reversed.
+func (d *DWF) ApplyDag(dst, src *Field5) {
+	d.hop.Run(d.Team, dst.S, src.S, complex(-d.M5+4+1, 0), -1)
+	d.fifth.Run(d.Team, dst.S, src.S, d.Ls, d.Mf, -1)
 }
 
 // FifthDimKernel adds the site-local fifth-dimension terms of the
-// domain-wall operator, -P_- src(s+1) - P_+ src(s-1) with the -m_f
-// boundary condition, to dst; both are Ls slices of 4-D spinors and the
-// range is their Ls·V4 sites. Shared with the distributed operator,
-// whose fifth dimension stays node-local.
+// domain-wall operator to dst: -P_- src(s+t) - P_+ src(s-t), in that
+// order, with the -m_f boundary condition on the hops off either end.
+// The step t is +1 for D and -1 for D† (R γ5 P_∓ γ5 R hops the other
+// way). Both fields are Ls slices of 4-D spinors and the range is their
+// Ls·V4 sites. Shared with the distributed operator, whose fifth
+// dimension stays node-local.
 type FifthDimKernel struct {
 	dst, src []latmath.Spinor
-	ls       int
+	step     int // ±V4: the site offset of the P_- hop
 	m        complex128
 }
 
-// Run sets the arguments and runs the kernel over both fields on t.
-func (k *FifthDimKernel) Run(t *team.Team, dst, src []latmath.Spinor, ls int, mf float64) {
-	k.dst, k.src, k.ls, k.m = dst, src, ls, complex(mf, 0)
+// Run sets the arguments and runs the kernel over both fields on t; s
+// is the step direction.
+func (k *FifthDimKernel) Run(t *team.Team, dst, src []latmath.Spinor, ls int, mf float64, s int) {
+	k.dst, k.src, k.step, k.m = dst, src, s*(len(src)/ls), complex(mf, 0)
 	t.Run(len(dst), k)
 }
 
 func (k *FifthDimKernel) Range(lo, hi int) {
 	n := len(k.src)
-	v4 := n / k.ls
 	for i := lo; i < hi; i++ {
 		out := &k.dst[i]
-		if up := i + v4; up < n {
-			out.SubChiral(false, &k.src[up])
+		if fwd := i + k.step; uint(fwd) < uint(n) {
+			out.SubChiral(false, &k.src[fwd])
 		} else {
-			out.AddScaledChiral(k.m, false, &k.src[up-n])
+			out.AddScaledChiral(k.m, false, &k.src[(fwd+n)%n])
 		}
-		if dn := i - v4; dn >= 0 {
-			out.SubChiral(true, &k.src[dn])
+		if back := i - k.step; uint(back) < uint(n) {
+			out.SubChiral(true, &k.src[back])
 		} else {
-			out.AddScaledChiral(k.m, true, &k.src[dn+n])
-		}
-	}
-}
-
-// ApplyDag computes dst = D† src using the domain-wall relation
-// D† = R γ5 D γ5 R, where R reflects the fifth dimension
-// (s -> Ls-1-s).
-func (d *DWF) ApplyDag(dst, src *Field5) {
-	if d.tmp == nil {
-		d.tmp, d.mid = NewField5(d.G.L, d.Ls), NewField5(d.G.L, d.Ls)
-	}
-	d.g5.Run(d.Team, d.tmp.S, src.S, d.Ls)
-	d.Apply(d.mid, d.tmp)
-	d.g5.Run(d.Team, dst.S, d.mid.S, d.Ls)
-}
-
-// Gamma5Kernel computes dst = R γ5 src on Ls slices: γ5 in spin,
-// reflection s -> Ls-1-s in the fifth dimension (plain γ5 at Ls = 1).
-// Its range is the Ls·V4 sites of dst; dst and src must not overlap.
-type Gamma5Kernel struct {
-	dst, src []latmath.Spinor
-	ls       int
-}
-
-// Run sets the arguments and runs the kernel over both fields on t.
-func (k *Gamma5Kernel) Run(t *team.Team, dst, src []latmath.Spinor, ls int) {
-	k.dst, k.src, k.ls = dst, src, ls
-	t.Run(len(dst), k)
-}
-
-func (k *Gamma5Kernel) Range(lo, hi int) {
-	n := len(k.src)
-	v4 := n / k.ls
-	idx := lo % v4
-	for i := lo; i < hi; i++ {
-		// Site i is on the slice starting at i-idx; its source is at idx
-		// on the mirror slice.
-		k.dst[i].Gamma5(&k.src[n-v4-(i-idx)+idx])
-		if idx++; idx == v4 {
-			idx = 0
+			out.AddScaledChiral(k.m, true, &k.src[(back+n)%n])
 		}
 	}
 }

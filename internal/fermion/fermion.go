@@ -56,13 +56,16 @@ func pathProduct(g *lattice.GaugeField, x lattice.Site, steps []pathStep) latmat
 	return m
 }
 
-// HopKernel computes dst = diag·src - ½ Σ_mu [ (1-γ_mu) U_mu(x) src(x+mu)
-// + (1+γ_mu) U†_mu(x-mu) src(x-mu) ] on Ls slices of one 4-D volume
+// HopKernel computes dst = diag·src - ½ Σ_mu [ (1-s γ_mu) U_mu(x) src(x+mu)
+// + (1+s γ_mu) U†_mu(x-mu) src(x-mu) ] on Ls slices of one 4-D volume
 // sharing the gauge field, through the spin-projected kernel in latmath
 // (12 instead of 24 complex numbers per neighbour — exactly the quantity
-// the SCU ships between nodes). Its range is the Ls·V4 sites of dst,
-// slice-major; dst and src must not overlap. It is the site loop of the
-// reference operators and, with Ghosts, of the distributed ones.
+// the SCU ships between nodes). The projector sign s is +1 for the
+// Wilson hop of D and -1 for that of D†: γ5 (1 - γ_mu) γ5 = 1 + γ_mu, so
+// γ5 D γ5 is the same hop with the projectors swapped. Its range is the
+// Ls·V4 sites of dst, slice-major; dst and src must not overlap. It is
+// the site loop of the reference operators and, with Ghosts, of the
+// distributed ones.
 type HopKernel struct {
 	G  *lattice.GaugeField
 	Nb *lattice.Neighbors
@@ -72,11 +75,12 @@ type HopKernel struct {
 
 	dst, src []latmath.Spinor
 	diag     complex128
+	s        int
 }
 
 // Run sets the arguments and runs the kernel over both fields on t.
-func (k *HopKernel) Run(t *team.Team, dst, src []latmath.Spinor, diag complex128) {
-	k.dst, k.src, k.diag = dst, src, diag
+func (k *HopKernel) Run(t *team.Team, dst, src []latmath.Spinor, diag complex128, s int) {
+	k.dst, k.src, k.diag, k.s = dst, src, diag, s
 	t.Run(len(dst), k)
 }
 
@@ -89,6 +93,7 @@ type Ghosts interface {
 
 func (k *HopKernel) Range(lo, hi int) {
 	v4 := k.G.L.Volume()
+	s := k.s
 	idx := lo % v4
 	for i := lo; i < hi; i++ {
 		src := k.src[i-idx : i-idx+v4] // the slice site i is on
@@ -98,24 +103,24 @@ func (k *HopKernel) Range(lo, hi int) {
 		h := (*latmath.HalfSpinor)(k.dst[i][:2])
 		var acc latmath.Spinor
 		for mu := 0; mu < lattice.Ndim; mu++ {
-			// +mu term (1-γ)U_mu(x)ψ(x+mu); off the high face ψ(x+mu) is a
-			// ghost, already projected, and the link is ours.
+			// +mu term (1-sγ)U_mu(x)ψ(x+mu); off the high face ψ(x+mu) is
+			// a ghost, already projected, and the link is ours.
 			if up := k.Nb.Up[mu][idx]; up >= 0 {
-				h.Project(mu, +1, &src[up])
+				h.Project(mu, s, &src[up])
 			} else {
 				k.Ghosts.Half(h, mu, 1, (i-idx)/v4, int(^up))
 			}
 			h.MulMat(&k.G.U[lattice.Ndim*idx+mu], h)
-			acc.AddReconstruct(mu, +1, h)
-			// -mu term (1+γ)U†_mu(x-mu)ψ(x-mu); the low-end sender of a
+			acc.AddReconstruct(mu, s, h)
+			// -mu term (1+sγ)U†_mu(x-mu)ψ(x-mu); the low-end sender of a
 			// ghost has applied its link.
 			if dn := k.Nb.Dn[mu][idx]; dn >= 0 {
-				h.Project(mu, -1, &src[dn])
+				h.Project(mu, -s, &src[dn])
 				h.DagMulMat(&k.G.U[lattice.Ndim*int(dn)+mu], h)
 			} else {
 				k.Ghosts.Half(h, mu, 0, (i-idx)/v4, int(^dn))
 			}
-			acc.AddReconstruct(mu, -1, h)
+			acc.AddReconstruct(mu, -s, h)
 		}
 		k.dst[i].HopResult(k.diag, &src[idx], &acc)
 		if idx++; idx == v4 {
@@ -127,15 +132,13 @@ func (k *HopKernel) Range(lo, hi int) {
 // Wilson is the naive Wilson Dirac operator
 // D = (m + 4) - (1/2) Σ_mu [(1-γ_mu) U_mu(x) T_{+mu} + (1+γ_mu) U†_mu T_{-mu}].
 // An operator value is not safe for concurrent use: its site loops run
-// as kernels it keeps, and D† works in scratch fields it keeps.
+// as kernels it keeps.
 type Wilson struct {
 	G    *lattice.GaugeField
 	Mass float64
 	Team *team.Team // forks the site loops over the host's cores; nil runs them on the caller
 
-	hop      HopKernel
-	g5       Gamma5Kernel
-	tmp, mid *lattice.FermionField // D† scratch, allocated on first use
+	hop HopKernel
 }
 
 // NewWilson builds the operator on gauge field g with bare mass m.
@@ -151,18 +154,11 @@ func (w *Wilson) Lattice() lattice.Shape4 { return w.G.L }
 
 // Apply computes dst = D src.
 func (w *Wilson) Apply(dst, src *lattice.FermionField) {
-	w.hop.Run(w.Team, dst.S, src.S, complex(w.Mass+4, 0))
+	w.hop.Run(w.Team, dst.S, src.S, complex(w.Mass+4, 0), +1)
 }
 
-// ApplyDag computes dst = D† src via γ5-hermiticity: D† = γ5 D γ5.
-func (w *Wilson) ApplyDag(dst, src *lattice.FermionField) { w.applyDag(dst, src, w.Apply) }
-
-// applyDag is γ5 D γ5 for the operator applyD built on this Wilson term.
-func (w *Wilson) applyDag(dst, src *lattice.FermionField, applyD func(dst, src *lattice.FermionField)) {
-	if w.tmp == nil {
-		w.tmp, w.mid = lattice.NewFermionField(w.G.L), lattice.NewFermionField(w.G.L)
-	}
-	w.g5.Run(w.Team, w.tmp.S, src.S, 1)
-	applyD(w.mid, w.tmp)
-	w.g5.Run(w.Team, dst.S, w.mid.S, 1)
+// ApplyDag computes dst = D† src = γ5 D γ5 src: the hop with the
+// projector signs swapped.
+func (w *Wilson) ApplyDag(dst, src *lattice.FermionField) {
+	w.hop.Run(w.Team, dst.S, src.S, complex(w.Mass+4, 0), -1)
 }

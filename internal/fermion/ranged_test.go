@@ -1,6 +1,7 @@
 package fermion
 
 import (
+	"fmt"
 	"math"
 	"runtime"
 	"testing"
@@ -12,9 +13,10 @@ import (
 )
 
 // The by-value site loops as they stood before the ranged kernels, kept
-// verbatim as the oracle: every pinned digest in the tree was produced
-// by these expressions, so a kernel must equal them bit for bit, at any
-// team width.
+// as the oracle with their expressions verbatim (the hop and the fifth-
+// dimension loop now take D†'s sign too): every pinned digest in the
+// tree was produced by these expressions, so a kernel must equal them
+// bit for bit, at any team width.
 
 // projPlus applies P_+ = (1+γ5)/2.
 func projPlus(s latmath.Spinor) latmath.Spinor {
@@ -28,20 +30,23 @@ func projMinus(s latmath.Spinor) latmath.Spinor {
 	return s.Sub(g5).Scale(0.5)
 }
 
-func refAddFifthDimHops(dst, src []latmath.Spinor, v4, ls int, mf float64) {
+// refAddFifthDimHops adds -P_- src(s+step) - P_+ src(s-step), a hop off
+// either end re-entering on the other with factor mf; step is +1 for D
+// and -1 for D†.
+func refAddFifthDimHops(dst, src []latmath.Spinor, v4, ls int, mf float64, step int) {
 	m := complex(mf, 0)
 	for s := 0; s < ls; s++ {
 		for idx := 0; idx < v4; idx++ {
 			out := dst[s*v4+idx]
-			if up := s + 1; up < ls {
-				out = out.Sub(projMinus(src[up*v4+idx]))
+			if fwd := s + step; fwd >= 0 && fwd < ls {
+				out = out.Sub(projMinus(src[fwd*v4+idx]))
 			} else {
-				out = out.AXPY(m, projMinus(src[idx]))
+				out = out.AXPY(m, projMinus(src[(fwd+ls)%ls*v4+idx]))
 			}
-			if dn := s - 1; dn >= 0 {
-				out = out.Sub(projPlus(src[dn*v4+idx]))
+			if back := s - step; back >= 0 && back < ls {
+				out = out.Sub(projPlus(src[back*v4+idx]))
 			} else {
-				out = out.AXPY(m, projPlus(src[(ls-1)*v4+idx]))
+				out = out.AXPY(m, projPlus(src[(back+ls)%ls*v4+idx]))
 			}
 			dst[s*v4+idx] = out
 		}
@@ -77,10 +82,11 @@ func refCloverAddTo(t *CloverTerm, dst, src []latmath.Spinor) {
 }
 
 // refHop adds one neighbour's hopping term to acc through the by-value
-// steps: project, carry by u (s = +1) or u† (s = -1), reconstruct.
-func refHop(acc latmath.Spinor, mu, s int, u latmath.Mat3, psi latmath.Spinor) latmath.Spinor {
+// steps: project with sign s, carry by u (dir = +1) or u† (dir = -1),
+// reconstruct.
+func refHop(acc latmath.Spinor, mu, s, dir int, u latmath.Mat3, psi latmath.Spinor) latmath.Spinor {
 	h := latmath.Project(mu, s, psi)
-	if s > 0 {
+	if dir > 0 {
 		h = latmath.HalfSpinor{u.MulVec(h[0]), u.MulVec(h[1])}
 	} else {
 		h = latmath.HalfSpinor{u.DagMulVec(h[0]), u.DagMulVec(h[1])}
@@ -88,8 +94,9 @@ func refHop(acc latmath.Spinor, mu, s int, u latmath.Mat3, psi latmath.Spinor) l
 	return acc.Add(latmath.Reconstruct(mu, s, h))
 }
 
-// refHopSlices is the hop as Ls separate per-slice site loops.
-func refHopSlices(dst, src []latmath.Spinor, g *lattice.GaugeField, nb *lattice.Neighbors, ls int, diag complex128) {
+// refHopSlices is the hop with projector sign sign as Ls separate
+// per-slice site loops.
+func refHopSlices(dst, src []latmath.Spinor, g *lattice.GaugeField, nb *lattice.Neighbors, ls int, diag complex128, sign int) {
 	v4 := g.L.Volume()
 	for s := 0; s < ls; s++ {
 		d, f := dst[s*v4:(s+1)*v4], src[s*v4:(s+1)*v4]
@@ -97,8 +104,8 @@ func refHopSlices(dst, src []latmath.Spinor, g *lattice.GaugeField, nb *lattice.
 			var acc latmath.Spinor
 			for mu := 0; mu < lattice.Ndim; mu++ {
 				up, dn := nb.Up[mu][idx], nb.Dn[mu][idx]
-				acc = refHop(acc, mu, +1, g.U[lattice.Ndim*idx+mu], f[up])
-				acc = refHop(acc, mu, -1, g.U[lattice.Ndim*int(dn)+mu], f[dn])
+				acc = refHop(acc, mu, sign, +1, g.U[lattice.Ndim*idx+mu], f[up])
+				acc = refHop(acc, mu, -sign, -1, g.U[lattice.Ndim*int(dn)+mu], f[dn])
 			}
 			d[idx].HopResult(diag, &f[idx], &acc)
 		}
@@ -312,14 +319,14 @@ func (k *colorKernel) Range(lo, hi int) {
 
 // sliceCases are the kernels over Ls slices of v4 sites; n = ls·v4.
 func sliceCases(ls int) []rangedCase {
-	return []rangedCase{
-		{"Gamma5Kernel", func(tm *team.Team, dst, src []latmath.Spinor) {
-			new(Gamma5Kernel).Run(tm, dst, src, ls)
-		}, func(_ *team.Team, dst, src []latmath.Spinor) { refReflectGamma5(dst, src, ls) }},
-		{"FifthDimKernel", func(tm *team.Team, dst, src []latmath.Spinor) {
-			new(FifthDimKernel).Run(tm, dst, src, ls, 0.05)
-		}, func(_ *team.Team, dst, src []latmath.Spinor) { refAddFifthDimHops(dst, src, len(dst)/ls, ls, 0.05) }},
+	fifth := func(name string, step int) rangedCase {
+		return rangedCase{name, func(tm *team.Team, dst, src []latmath.Spinor) {
+			new(FifthDimKernel).Run(tm, dst, src, ls, 0.05, step)
+		}, func(_ *team.Team, dst, src []latmath.Spinor) {
+			refAddFifthDimHops(dst, src, len(dst)/ls, ls, 0.05, step)
+		}}
 	}
+	return []rangedCase{fifth("FifthDimKernel", +1), fifth("FifthDimKernel dag", -1)}
 }
 
 // checkCase runs c and its oracle on identical inputs, on a team of the
@@ -379,10 +386,12 @@ func TestRangedKernelsMatchByValue(t *testing.T) {
 	clover := NewClover(gauge, 0.2, 1.3)
 	asqtad := NewASQTAD(gauge, 0.3)
 	v4, diag := l.Volume(), complex(4.3, 0)
-	hop := func(ls int) rangedCase {
+	hop := func(ls, sign int) rangedCase {
 		return rangedCase{"HopKernel", func(tm *team.Team, dst, src []latmath.Spinor) {
-			(&HopKernel{G: gauge, Nb: clover.hop.Nb}).Run(tm, dst, src, diag)
-		}, func(_ *team.Team, dst, src []latmath.Spinor) { refHopSlices(dst, src, gauge, clover.hop.Nb, ls, diag) }}
+			(&HopKernel{G: gauge, Nb: clover.hop.Nb}).Run(tm, dst, src, diag, sign)
+		}, func(_ *team.Team, dst, src []latmath.Spinor) {
+			refHopSlices(dst, src, gauge, clover.hop.Nb, ls, diag, sign)
+		}}
 	}
 	term := rangedCase{"CloverTerm.AddTo", func(tm *team.Team, dst, src []latmath.Spinor) {
 		clover.term.AddTo(tm, dst, src)
@@ -392,8 +401,10 @@ func TestRangedKernelsMatchByValue(t *testing.T) {
 	}, func(_ *team.Team, dst, src []latmath.Vec3) { refStaggered(dst, src, asqtad) })
 	for _, width := range []int{1, 2, 3, 7} {
 		for _, adversarial := range []bool{false, true} {
-			checkCase(t, hop(1), width, v4, adversarial)
-			checkCase(t, hop(2), width, 2*v4, adversarial)
+			for _, sign := range []int{+1, -1} {
+				checkCase(t, hop(1, sign), width, v4, adversarial)
+				checkCase(t, hop(2, sign), width, 2*v4, adversarial)
+			}
 			checkCase(t, term, width, v4, adversarial)
 			checkCase(t, staggered, width, v4, adversarial)
 		}
@@ -401,26 +412,28 @@ func TestRangedKernelsMatchByValue(t *testing.T) {
 }
 
 // TestRangedOracleCatchesChunkSlips is the mutation check on the test
-// itself: a kernel that stops each chunk a site short (γ5 and the
-// staggered kernel), and one that reads its reflected source from its
-// own slice, must fail the comparison once the loop forks. (That chunks never overlap is the
-// team's own visit-count test; an overlapping mutant here would race.)
+// itself: a kernel that stops each chunk a site short (the fifth-
+// dimension and the staggered kernel), and a D† fifth-dimension hop that
+// steps the way D's does, must fail the comparison once the loop forks.
+// (That chunks never overlap is the team's own visit-count test; an
+// overlapping mutant here would race.)
 func TestRangedOracleCatchesChunkSlips(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(3))
-	const ls = 5
-	n := ls * (team.Grain - 3)
-	mutants := map[string]func(k *Gamma5Kernel, lo, hi int){
-		"one short":     func(k *Gamma5Kernel, lo, hi int) { k.Range(lo, hi-1) },
-		"no reflection": func(k *Gamma5Kernel, lo, hi int) { (&Gamma5Kernel{k.dst, k.src, 1}).Range(lo, hi) },
+	const ls, mf = 5, 0.05
+	v4 := team.Grain - 3
+	n := ls * v4
+	mutants := map[string]func(k *FifthDimKernel, lo, hi int){
+		"one short":      func(k *FifthDimKernel, lo, hi int) { k.Range(lo, hi-1) },
+		"wrong step way": func(k *FifthDimKernel, lo, hi int) { (&FifthDimKernel{k.dst, k.src, -k.step, k.m}).Range(lo, hi) },
 	}
 	for name, mutant := range mutants {
 		var tm team.Team
 		src, got := testSpinors(n, 71, true), testSpinors(n, 72, true)
 		want := clone(got)
-		k := &mutantKernel{Gamma5Kernel{got[1 : n+1], src[1 : n+1], ls}, mutant}
+		k := &mutantKernel{FifthDimKernel{got[1 : n+1], src[1 : n+1], -v4, complex(mf, 0)}, mutant}
 		tm.Run(n, k)
 		tm.Close()
-		refReflectGamma5(want[1:n+1], src[1:n+1], ls)
+		refAddFifthDimHops(want[1:n+1], src[1:n+1], v4, ls, mf, -1)
 		if sameSpinors(got, want) {
 			t.Errorf("mutant %q passes the oracle", name)
 		}
@@ -449,8 +462,71 @@ type shortStaggered struct{ *StaggeredKernel }
 func (k shortStaggered) Range(lo, hi int) { k.StaggeredKernel.Range(lo, hi-1) }
 
 type mutantKernel struct {
-	Gamma5Kernel
-	mutant func(k *Gamma5Kernel, lo, hi int)
+	FifthDimKernel
+	mutant func(k *FifthDimKernel, lo, hi int)
 }
 
-func (k *mutantKernel) Range(lo, hi int) { k.mutant(&k.Gamma5Kernel, lo, hi) }
+func (k *mutantKernel) Range(lo, hi int) { k.mutant(&k.FifthDimKernel, lo, hi) }
+
+// TestApplyDagMatchesGamma5Route holds every Wilson-type D† to the route
+// it replaced, R γ5 D γ5 R by value (R reflects the fifth dimension, the
+// identity at Ls = 1), in every float64 bit: Wilson, clover and domain
+// wall at Ls 1, 2 and 5, on a Gaussian and a point source, run serially
+// and forked at team widths 1, 2, 3 and 7.
+func TestApplyDagMatchesGamma5Route(t *testing.T) {
+	l := lattice.Shape4{8, 8, 11, 11}
+	v4 := l.Volume()
+	gauge := lattice.NewGaugeField(l)
+	gauge.Randomize(75)
+	type op struct {
+		name       string
+		ls         int
+		setTeam    func(tm *team.Team)
+		apply, dag func(dst, src []latmath.Spinor)
+	}
+	field := func(s []latmath.Spinor) *lattice.FermionField { return &lattice.FermionField{L: l, S: s} }
+	wilson, clover := NewWilson(gauge, 0.1), NewClover(gauge, 0.1, 1.3)
+	ops := []op{
+		{"wilson", 1, func(tm *team.Team) { wilson.Team = tm },
+			func(d, s []latmath.Spinor) { wilson.Apply(field(d), field(s)) },
+			func(d, s []latmath.Spinor) { wilson.ApplyDag(field(d), field(s)) }},
+		{"clover", 1, func(tm *team.Team) { clover.Team = tm },
+			func(d, s []latmath.Spinor) { clover.Apply(field(d), field(s)) },
+			func(d, s []latmath.Spinor) { clover.ApplyDag(field(d), field(s)) }},
+	}
+	for _, ls := range []int{1, 2, 5} {
+		dwf := NewDWF(gauge, 1.8, 0.05, ls)
+		f5 := func(s []latmath.Spinor) *Field5 { return &Field5{L: l, Ls: ls, S: s} }
+		ops = append(ops, op{fmt.Sprintf("dwf Ls %d", ls), ls, func(tm *team.Team) { dwf.Team = tm },
+			func(d, s []latmath.Spinor) { dwf.Apply(f5(d), f5(s)) },
+			func(d, s []latmath.Spinor) { dwf.ApplyDag(f5(d), f5(s)) }})
+	}
+	check := func(tm *team.Team, mode string) {
+		for _, o := range ops {
+			o.setTeam(tm)
+			n := o.ls * v4
+			point := make([]latmath.Spinor, n)
+			point[(o.ls/2)*v4+37][2][1] = 1
+			for name, src := range map[string][]latmath.Spinor{"Gaussian": testSpinors(n, 76, false)[1 : n+1], "point": point} {
+				got, tmp, mid, want := make([]latmath.Spinor, n), make([]latmath.Spinor, n), make([]latmath.Spinor, n), make([]latmath.Spinor, n)
+				o.dag(got, src)
+				refReflectGamma5(tmp, src, o.ls)
+				o.apply(mid, tmp)
+				refReflectGamma5(want, mid, o.ls)
+				if !sameSpinors(got, want) {
+					t.Errorf("%s, %s, %s source: D† differs from R γ5 D γ5 R", o.name, mode, name)
+				}
+			}
+			o.setTeam(nil)
+		}
+	}
+	check(nil, "serial")
+	for _, width := range []int{1, 2, 3, 7} {
+		func() {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(width))
+			var tm team.Team
+			defer tm.Close()
+			check(&tm, fmt.Sprintf("forked at width %d", width))
+		}()
+	}
+}

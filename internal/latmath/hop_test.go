@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"math/cmplx"
 	"math/rand"
 	"testing"
 )
@@ -176,6 +177,42 @@ func hopMismatches(k hopImpl, psi Spinor, u Mat3) int {
 	return bad
 }
 
+// hopSite is one site of the hop kernel with projector sign s whose
+// eight neighbours are all psi and whose links are all u:
+// 4.3 psi - ½ Σ_mu [(1 - sγ_mu) u psi + (1 + sγ_mu) u† psi].
+func hopSite(s int, psi Spinor, u Mat3) Spinor {
+	k := realKernel()
+	var acc, out Spinor
+	for mu := 0; mu < 4; mu++ {
+		k.hop(&acc, mu, s, linkU, &u, &psi)
+		k.hop(&acc, mu, -s, linkUdag, &u, &psi)
+	}
+	out.HopResult(4.3, &psi, &acc)
+	return out
+}
+
+// dagMismatches counts the components on which the s = -1 hop of psi,
+// D†'s, differs from γ5 applied to the s = +1 hop of γ5 psi, the route it
+// replaced. Where either is finite they must be equal as values; where
+// one is not finite (an Inf or NaN input, or an overflow), so must the
+// other be. The bits may differ in two ways, both from γ5 by value,
+// 0 + (c + 0i) x: it turns every -0 into +0, and its 0·∞ and 0·NaN make
+// a component with one non-finite part NaN in the other part too.
+func dagMismatches(psi Spinor, u Mat3) int {
+	got := hopSite(-1, psi, u)
+	want := Gamma5.ApplySpin(hopSite(+1, Gamma5.ApplySpin(psi), u))
+	finite := func(z complex128) bool { return !cmplx.IsInf(z) && !cmplx.IsNaN(z) }
+	bad := 0
+	for a := range got {
+		for k, x := range got[a] {
+			if y := want[a][k]; (finite(x) || finite(y)) && x != y {
+				bad++
+			}
+		}
+	}
+	return bad
+}
+
 // adversarialSpinors are the inputs on which a "harmless" algebraic
 // simplification of the kernel shows: signed zeros, a point source,
 // denormals, infinities and NaN.
@@ -232,6 +269,9 @@ func TestHopKernelBits(t *testing.T) {
 		for j, u := range links {
 			if bad := hopMismatches(realKernel(), psi, u); bad != 0 {
 				t.Fatalf("spinor %d, link %d: kernel differs from the by-value oracle in %d cases", i, j, bad)
+			}
+			if bad := dagMismatches(psi, u); bad != 0 {
+				t.Fatalf("spinor %d, link %d: the s = -1 hop differs from γ5 (s = +1 hop) γ5 in %d components", i, j, bad)
 			}
 		}
 	}
@@ -422,6 +462,9 @@ func FuzzHopKernelBits(f *testing.F) {
 		psi, u := UnpackSpinor(w[:SpinorWords]), UnpackMat3(w[SpinorWords:])
 		if bad := hopMismatches(realKernel(), psi, u); bad != 0 {
 			t.Fatalf("kernel differs from the by-value oracle in %d cases for psi=%v u=%v", bad, psi, u)
+		}
+		if bad := dagMismatches(psi, u); bad != 0 {
+			t.Fatalf("the s = -1 hop differs from γ5 (s = +1 hop) γ5 in %d components for psi=%v u=%v", bad, psi, u)
 		}
 	})
 }

@@ -1,7 +1,7 @@
 package latmath
 
 // In-place forms of the site-local arithmetic around the hop kernel: the
-// BLAS-1 updates of a solver, γ5, and the chiral projectors of the
+// BLAS-1 updates of a solver and the chiral projectors of the
 // domain-wall fifth dimension, working through pointers on field memory
 // where the by-value methods (Spinor.AXPY, Mat4.ApplySpin, ...) copy a
 // spinor in and out per site. As in hop.go the floating-point expression
@@ -48,24 +48,6 @@ func (y *Vec3) AddVec(x *Vec3) {
 func (y *Spinor) AddSpinor(x *Spinor) {
 	for s := range y {
 		y[s].AddVec(&x[s])
-	}
-}
-
-// Gamma5 sets dst = γ5 src, component for component what
-// Gamma5.ApplySpin computes: 0 + c ψ_a with c the diagonal entry, +1 on
-// the upper spin pair and -1 on the lower in the chiral basis (the bit
-// oracle derives them from Gamma5).
-func (dst *Spinor) Gamma5(src *Spinor) {
-	dst[0].setScaled(1, &src[0])
-	dst[1].setScaled(1, &src[1])
-	dst[2].setScaled(-1, &src[2])
-	dst[3].setScaled(-1, &src[3])
-}
-
-// setScaled sets v = 0 + c x; it inlines, so a literal c folds.
-func (v *Vec3) setScaled(c complex128, x *Vec3) {
-	for k := range v {
-		v[k] = 0 + c*x[k]
 	}
 }
 

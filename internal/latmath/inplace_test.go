@@ -6,11 +6,11 @@ import (
 )
 
 // The by-value forms the in-place ones replaced in every site loop, kept
-// as the oracle: Spinor.AXPY / Scale / Add, Mat4.ApplySpin with Gamma5,
-// and the chiral projectors as fermion/dwf.go wrote them.
+// as the oracle: Spinor.AXPY / Scale / Add and the chiral projectors as
+// fermion/dwf.go wrote them, through Mat4.ApplySpin with Gamma5.
 
-// gamma5 is the diagonal of Gamma5: the literals of Spinor.Gamma5 and
-// the chiral projectors must equal it.
+// gamma5 is the diagonal of Gamma5: the literals of the chiral
+// projectors must equal it.
 var gamma5 = [4]complex128{Gamma5[0][0], Gamma5[1][1], Gamma5[2][2], Gamma5[3][3]}
 
 func refProjPlus(s Spinor) Spinor  { return s.Add(Gamma5.ApplySpin(s)).Scale(0.5) }
@@ -19,11 +19,10 @@ func refProjMinus(s Spinor) Spinor { return s.Sub(Gamma5.ApplySpin(s)).Scale(0.5
 // inPlaceImpl is the set of forms under test, so that the comparison
 // runs on the real ones and on deliberately broken ones.
 type inPlaceImpl struct {
-	gamma5 func(dst, src *Spinor)
 	chiral func(plus bool, c, x complex128) complex128
 }
 
-func realInPlace() inPlaceImpl { return inPlaceImpl{gamma5: (*Spinor).Gamma5, chiral: chiral} }
+func realInPlace() inPlaceImpl { return inPlaceImpl{chiral: chiral} }
 
 func (k inPlaceImpl) subChiral(acc *Spinor, plus bool, psi *Spinor) {
 	for s := range acc {
@@ -56,9 +55,6 @@ func inPlaceMismatches(k inPlaceImpl, y, x Spinor, a complex128) int {
 	if want := y[1].Add(x[2]); !sameBits(v[0], want[0]) || !sameBits(v[1], want[1]) || !sameBits(v[2], want[2]) {
 		bad++
 	}
-	got = y
-	k.gamma5(&got, &x)
-	check(got, Gamma5.ApplySpin(x))
 	for _, plus := range []bool{true, false} {
 		proj := refProjMinus(x)
 		if plus {
@@ -96,31 +92,28 @@ func TestInPlaceFormsBits(t *testing.T) {
 	}
 }
 
-// TestInPlaceOracleCatchesSimplifications is the mutation check: γ5 as a
-// copy and negate, γ5 without the leading 0 +, and P_± as "keep the
-// upper (lower) pair, zero the other" are the identity algebraically and
-// must each be caught on the adversarial inputs.
+// TestInPlaceOracleCatchesSimplifications is the mutation check: γ5 x
+// inside P_± as a copy and negate, or without the leading 0 +, and P_±
+// as "keep the upper (lower) pair, zero the other" are the identity
+// algebraically and must each be caught on the adversarial inputs.
 func TestInPlaceOracleCatchesSimplifications(t *testing.T) {
+	projector := func(g5 func(c, x complex128) complex128) func(plus bool, c, x complex128) complex128 {
+		return func(plus bool, c, x complex128) complex128 {
+			if plus {
+				return 0.5 * (x + g5(c, x))
+			}
+			return 0.5 * (x - g5(c, x))
+		}
+	}
 	mutants := map[string]inPlaceImpl{
-		"γ5 by negation": {chiral: chiral, gamma5: func(dst, src *Spinor) {
-			for s := range dst {
-				for c := range dst[s] {
-					if real(gamma5[s]) < 0 {
-						dst[s][c] = -src[s][c]
-					} else {
-						dst[s][c] = src[s][c]
-					}
-				}
+		"γ5 by negation": {chiral: projector(func(c, x complex128) complex128 {
+			if real(c) < 0 {
+				return -x
 			}
-		}},
-		"γ5 without 0 +": {chiral: chiral, gamma5: func(dst, src *Spinor) {
-			for s := range dst {
-				for c := range dst[s] {
-					dst[s][c] = gamma5[s] * src[s][c]
-				}
-			}
-		}},
-		"projector by selection": {gamma5: (*Spinor).Gamma5, chiral: func(plus bool, c, x complex128) complex128 {
+			return x
+		})},
+		"γ5 without 0 +": {chiral: projector(func(c, x complex128) complex128 { return c * x })},
+		"projector by selection": {chiral: func(plus bool, c, x complex128) complex128 {
 			if plus == (real(c) > 0) {
 				return x
 			}
@@ -139,18 +132,13 @@ func TestInPlaceOracleCatchesSimplifications(t *testing.T) {
 	}
 }
 
-// TestGamma5LiteralsMatchGamma holds the literal ±1 of γ5 and of the
-// chiral projectors, spin row by spin row, to the diagonal of Gamma5: a
-// row with the wrong sign fails here by name.
+// TestGamma5LiteralsMatchGamma holds the literal ±1 of γ5 in the chiral
+// projectors, spin row by spin row, to the diagonal of Gamma5: a row with
+// the wrong sign fails here by name.
 func TestGamma5LiteralsMatchGamma(t *testing.T) {
 	for b := 0; b < 4; b++ {
 		var e Spinor
 		e[b][0] = 1
-		var g Spinor
-		g.Gamma5(&e)
-		if g[b][0] != gamma5[b] {
-			t.Errorf("Gamma5 row %d is %v, Gamma5 gives %v", b, g[b][0], gamma5[b])
-		}
 		for _, plus := range []bool{true, false} {
 			want := 0.5 * (1 - gamma5[b])
 			if plus {
