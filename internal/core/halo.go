@@ -31,7 +31,7 @@ type halo struct {
 	words      [lattice.Ndim]int  // words per face buffer
 	send, recv [lattice.Ndim][2]uint64
 
-	transfers []*scu.Transfer // reused by every exchange
+	transfers []scu.Transfer // reused by every exchange
 }
 
 // newHalo allocates the face buffers — per split direction, per end,
@@ -75,7 +75,7 @@ func (h *halo) exchange() {
 	qmp.WaitAll(h.ctx.P, h.transfers...)
 }
 
-func (h *halo) post(t *scu.Transfer, err error) {
+func (h *halo) post(t scu.Transfer, err error) {
 	check(err)
 	h.transfers = append(h.transfers, t)
 }

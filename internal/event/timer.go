@@ -2,9 +2,9 @@ package event
 
 // Timer is a reusable one-shot timer bound to a fixed callback — the
 // continuation tier's pooled replacement for the "After(d, closure)"
-// pattern on per-word hot paths. The callback closure is allocated once,
-// when the timer is created; arming, re-arming, stopping, and firing
-// allocate nothing.
+// pattern on per-word hot paths. The callback, a Handler and argument,
+// is bound once (Bind; NewTimer for a closure); arming, re-arming,
+// stopping, and firing allocate nothing.
 //
 // Arming an armed timer cancels the earlier arming — what the SCU's
 // acknowledgement-timeout registers need (each window-head pop restarts
@@ -21,7 +21,8 @@ package event
 // behaviour is the callback re-arming its own timer.
 type Timer struct {
 	eng *Engine
-	fn  func()
+	h   Handler
+	arg uint64
 	// The armed deadline and the sequence number of the Arm that set it
 	// (at < 0: not armed); the live queued firing's key (qAt < 0: none).
 	at, qAt   Time
@@ -32,8 +33,21 @@ type Timer struct {
 // the only allocating step of a timer's life; create timers at
 // construction time and reuse them.
 func (e *Engine) NewTimer(fn func()) *Timer {
-	return &Timer{eng: e, fn: fn, at: -1, qAt: -1}
+	t := new(Timer)
+	t.Bind(e, timerFunc(fn), 0)
+	return t
 }
+
+// Bind makes t (held by value: no object) an unarmed timer whose firing
+// calls h.HandleEvent(arg).
+func (t *Timer) Bind(e *Engine, h Handler, arg uint64) {
+	*t = Timer{eng: e, h: h, arg: arg, at: -1, qAt: -1}
+}
+
+// timerFunc is a NewTimer callback as a Handler.
+type timerFunc func()
+
+func (f timerFunc) HandleEvent(uint64) { f() }
 
 // Arm schedules the callback to run d from now, cancelling any earlier
 // arming.
@@ -76,7 +90,7 @@ func (t *Timer) HandleEvent(uint64) {
 	case t.at < 0:
 	case t.seq == t.qSeq:
 		t.at = -1
-		t.fn()
+		t.h.HandleEvent(t.arg)
 	default:
 		e.requeue(t.at, t.seq, t)
 		t.qAt, t.qSeq = t.at, t.seq

@@ -82,8 +82,10 @@ type Stats struct {
 type Wire struct {
 	eng     *event.Engine // transmitter's engine: Send, training, fault state
 	rxEng   *event.Engine // receiver's engine: delivery, OnFrame
-	name    string
-	bit     event.Time // one bit on the wire: the link clock's cycle
+	name    string        // NewWire's name; a slab wire asks its owner
+	owner   Owner         // the slab's builder, or nil; see InitBetween
+	id      int           // the wire's number for its owner
+	bit     event.Time    // one bit on the wire: the link clock's cycle
 	prop    event.Time
 	rx      Receiver // see Attach
 	trained bool
@@ -97,13 +99,9 @@ type Wire struct {
 	xmit      Frame      // transmit slot: the frame being launched, for the fault hook
 	shift     event.Time // how much later the stale arrivals' frames arrive
 
-	// In-flight frames, a reusable ring: Send (or, on a cross-shard wire,
-	// AcceptPayload at the barrier) pushes at the tail, each arrival
-	// event pops the head. Arrival order equals send order (the wire is
-	// point-to-point and serialization is FIFO), so the ring replaces a
-	// per-frame delivery closure without changing anything observable. It
-	// grows to the wire's high-water mark once and is then
-	// allocation-free.
+	// In-flight frames, a ring grown once to the high-water mark: Send
+	// (or, cross-shard, AcceptPayload) pushes at the tail, each arrival
+	// event pops the head; arrivals keep send order (FIFO serialization).
 	fly     []Flight
 	flyHead int
 	flyLen  int
@@ -117,15 +115,25 @@ func NewWire(eng *event.Engine, name string, clock event.Hz, prop event.Time) *W
 	return NewWireBetween(eng, eng, name, clock, prop)
 }
 
-// NewWireBetween creates a wire whose transmitter and receiver live on
-// different shard engines of one cluster. The transmit half (Send,
-// training, the fault hook) runs on tx; deliveries and the OnFrame
-// handler run on rx. When the two engines differ, frames cross the shard
-// boundary by value through the cluster's mailboxes, timed at their
-// modelled arrival — which the conservative lookahead (MinLatency)
-// guarantees is always at least one window away.
+// NewWireBetween creates a wire whose transmit half (Send, training,
+// the fault hook) runs on tx and whose deliveries run on rx. Across
+// shards, frames go by value through the cluster's mailboxes, at least
+// one lookahead window (MinLatency) away.
 func NewWireBetween(tx, rx *event.Engine, name string, clock event.Hz, prop event.Time) *Wire {
 	return &Wire{eng: tx, rxEng: rx, name: name, bit: clock.Cycle(), prop: prop}
+}
+
+// Owner builds a slab of wires (InitBetween): it names wire id on
+// demand and hears when its Train completes.
+type Owner interface {
+	WireName(id int) string
+	WireTrained(id int)
+}
+
+// InitBetween makes w, in its owner's slab, NewWireBetween's wire named
+// by owner.WireName(id).
+func (w *Wire) InitBetween(tx, rx *event.Engine, owner Owner, id int, clock event.Hz, prop event.Time) {
+	*w = Wire{eng: tx, rxEng: rx, owner: owner, id: id, bit: clock.Cycle(), prop: prop}
 }
 
 // MinTransmittedFrameBytes is the smallest frame the SCU ever puts on a
@@ -151,7 +159,12 @@ func (w *Wire) SetFault(f FaultFunc) { w.fault = f }
 func (w *Wire) Stats() Stats { return w.stats }
 
 // Name returns the wire's name.
-func (w *Wire) Name() string { return w.name }
+func (w *Wire) Name() string {
+	if w.owner != nil {
+		return w.owner.WireName(w.id)
+	}
+	return w.name
+}
 
 // ErrNotTrained is returned when data is sent before link training.
 var ErrNotTrained = errors.New("hssl: link not trained")
@@ -165,8 +178,7 @@ func (w *Wire) TrainTime() event.Time {
 // TrainAsync performs the power-on training handshake: the transmitter
 // sends the known TrainingBytes sequence so the receiver can lock its
 // sampling phase and byte boundaries. The wire becomes trained after
-// TrainTime, then done (if non-nil) runs. The machine layer chains these
-// to train a node's links serially without a trainer process.
+// TrainTime, then done (if non-nil) runs.
 func (w *Wire) TrainAsync(done func()) {
 	w.eng.After(w.TrainTime(), func() {
 		w.trained = true
@@ -176,6 +188,11 @@ func (w *Wire) TrainAsync(done func()) {
 	})
 }
 
+// Train is TrainAsync for a wire of an owner's slab: the owner's
+// WireTrained(id) runs once it is trained, in the wire's own event
+// (argument 1; an arrival's is 0).
+func (w *Wire) Train() { w.eng.AfterHandler(w.TrainTime(), w, 1) }
+
 // Trained reports whether the wire has completed training.
 func (w *Wire) Trained() bool { return w.trained }
 
@@ -184,13 +201,10 @@ func (w *Wire) Trained() bool { return w.trained }
 // arrive regardless.
 func (w *Wire) Reset() { w.trained = false }
 
-// Kill permanently severs the wire: a failed driver, a broken trace.
-// The transmitter cannot tell — it keeps serializing, and Send keeps
-// accounting serialization time — but nothing ever reaches the far end
-// again. Retraining "succeeds" from the transmit side (the training
-// pattern leaves the pins) yet restores nothing, which is exactly what
-// forces the SCU's give-up escalation: retrains that never produce an
-// acknowledgement.
+// Kill permanently severs the wire (a failed driver, a broken trace).
+// The transmitter cannot tell: it keeps serializing and retraining
+// "succeeds", but nothing reaches the far end — which is what forces the
+// SCU's give-up escalation.
 func (w *Wire) Kill() { w.dead = true }
 
 // SerializeTime returns how long the given frame occupies the transmitter.
@@ -198,18 +212,13 @@ func (w *Wire) SerializeTime(nBytes int) event.Time {
 	return event.Time(nBytes) * 8 * w.bit
 }
 
-// Send launches a frame onto the wire. It returns the time at which the
-// frame will have fully arrived at the receiver. Send never blocks the
-// caller: the SCU hardware queues into the serializer; flow control
-// happens one layer up via the ack window. An untrained wire rejects
-// traffic.
-//
-// The frame travels by value: Send copies the bits into the in-flight
-// ring, so the caller's Wire value is dead the moment Send returns, and
-// nothing on the steady-state path touches the heap.
+// Send launches a frame onto the wire and returns when it will have fully
+// arrived. It never blocks (flow control is the SCU's ack window); an
+// untrained wire rejects traffic. The frame goes by value into the
+// in-flight ring: nothing on the steady-state path touches the heap.
 func (w *Wire) Send(data scupkt.Wire) (event.Time, error) {
 	if !w.trained {
-		return 0, fmt.Errorf("%w: %s", ErrNotTrained, w.name)
+		return 0, fmt.Errorf("%w: %s", ErrNotTrained, w.Name())
 	}
 	start := w.eng.Now()
 	if w.busyUntil > start {
@@ -275,9 +284,14 @@ func (w *Wire) AcceptPayload(p event.Payload) { w.pushInFlight(unpackFrame(p), 0
 // HandleEvent is a frame's one event: its last bit has reached the
 // receiver, and the receiver takes it there and then. Arrivals fire in
 // send order (FIFO serialization), so the frame is the ring's head; the
-// stale ones a FastForward left come first and only move on. It
-// implements event.Handler; do not call it directly.
-func (w *Wire) HandleEvent(uint64) {
+// stale ones a FastForward left come first and only move on. The other
+// event is Train's. It implements event.Handler; do not call it directly.
+func (w *Wire) HandleEvent(ev uint64) {
+	if ev == 1 {
+		w.trained = true
+		w.owner.WireTrained(w.id)
+		return
+	}
 	if w.stale > 0 {
 		w.stale--
 		w.rxEng.AtHandler(w.rxEng.Now()+w.shift, w, 0)
@@ -335,12 +349,10 @@ func (w *Wire) growInFlight() {
 	w.flyHead = 0
 }
 
-// AdoptRing hands the wire a recycled in-flight ring to use as its
-// backing array (machine.Pool recycles rings across machine builds so a
-// fleet doesn't re-grow every wire's ring from nothing). Frames are
-// pure values — a ring carries no references — so a previous machine's
-// ring is safe to adopt as-is. No-op once frames are in flight, or on a
-// ring whose length is not a power of two (the ring wraps with a mask).
+// AdoptRing hands the wire a recycled in-flight ring (machine.Pool's);
+// frames are pure values, so any ring is safe as-is. No-op once frames
+// are in flight, or on a length not a power of two (the ring wraps with
+// a mask).
 func (w *Wire) AdoptRing(ring []Flight) {
 	if n := len(ring); n > 0 && n&(n-1) == 0 && w.flyLen == 0 {
 		w.fly = ring

@@ -70,8 +70,7 @@ type Machine struct {
 	// telemetry.go).
 	Reg *telemetry.Registry
 
-	// wires[rank][linkIndex] is the outbound wire of that node's link.
-	wires [][]*hssl.Wire
+	torus torus // every node's outbound wires
 
 	booted bool
 
@@ -98,34 +97,22 @@ func Build(eng *event.Engine, cfg Config) *Machine {
 	v := cfg.Shape.Volume()
 	m.buildCluster(eng, cfg, v)
 	m.Nodes = make([]*node.Node, v)
-	m.wires = make([][]*hssl.Wire, v)
 	for r := 0; r < v; r++ {
 		m.Nodes[r] = node.New(m.NodeEngine(r), r, cfg.Shape.CoordOf(r), cfg.Clock)
-		m.wires[r] = make([]*hssl.Wire, geom.NumLinks)
 	}
-	// One outbound wire per (node, link); the inbound wire of link l on
-	// node n is the neighbour's outbound wire on the opposite link. The
-	// wire's transmit half lives on the sender's shard, its receive half
-	// on the neighbour's.
-	for r := 0; r < v; r++ {
-		c := cfg.Shape.CoordOf(r)
-		for _, l := range geom.AllLinks() {
-			nb := cfg.Shape.Rank(cfg.Shape.Neighbor(c, l.Dim, l.Dir))
-			name := "w" + strconv.Itoa(r) + l.String()
-			w := hssl.NewWireBetween(
-				m.NodeEngine(r), m.NodeEngine(nb), name, cfg.Clock, hssl.DefaultPropagation)
-			w.AdoptRing(cfg.Pool.ring())
-			m.wires[r][geom.LinkIndex(l)] = w
-		}
-	}
-	for r := 0; r < v; r++ {
-		c := cfg.Shape.CoordOf(r)
-		for _, l := range geom.AllLinks() {
-			nb := cfg.Shape.Rank(cfg.Shape.Neighbor(c, l.Dim, l.Dir))
-			out := m.wires[r][geom.LinkIndex(l)]
-			in := m.wires[nb][geom.LinkIndex(l.Opposite())]
-			m.Nodes[r].SCU.AttachLink(l, out, in)
-		}
+	// One outbound wire per (node, link), at rank*NumLinks + LinkIndex
+	// in one slab; the inbound wire of link l on node n is the
+	// neighbour's outbound wire on the opposite link. The wire's transmit
+	// half lives on the sender's shard, its receive half on the
+	// neighbour's.
+	m.torus.wires = make([]hssl.Wire, v*geom.NumLinks)
+	for id := range m.torus.wires {
+		r, l := id/geom.NumLinks, geom.LinkAt(id%geom.NumLinks)
+		nb := cfg.Shape.Rank(cfg.Shape.Neighbor(cfg.Shape.CoordOf(r), l.Dim, l.Dir))
+		w := &m.torus.wires[id]
+		w.InitBetween(m.NodeEngine(r), m.NodeEngine(nb), &m.torus, id, cfg.Clock, hssl.DefaultPropagation)
+		w.AdoptRing(cfg.Pool.ring())
+		m.Nodes[r].SCU.AttachLink(l, w, m.Wire(nb, l.Opposite()))
 	}
 	// Window period: long enough for a partition interrupt to flood the
 	// whole machine before sampling (§2.2) — diameter hops of a 2-byte
@@ -197,25 +184,16 @@ func (m *Machine) WindowPeriod() event.Time { return m.windowPeriod }
 // Wire returns the outbound wire of a node's link (for fault injection
 // and statistics in tests and experiments).
 func (m *Machine) Wire(rank int, l geom.Link) *hssl.Wire {
-	return m.wires[rank][geom.LinkIndex(l)]
+	return &m.torus.wires[rank*geom.NumLinks+geom.LinkIndex(l)]
 }
 
 // TrainLinks trains every HSSL link, all nodes in parallel with each
-// node's links in sequence, as the hardware does when powered on and
-// released from reset (§2.2). Each node's trainer is a continuation
-// chain on the event engine — building a 1024-node machine spawns no
-// goroutines. It runs the engine until training completes.
+// node's links in sequence, as the hardware does out of reset (§2.2): a
+// wire's training event starts the next one's (torus.WireTrained). It
+// runs the engine until training completes.
 func (m *Machine) TrainLinks() error {
 	for r := range m.Nodes {
-		wires := m.wires[r]
-		var next func(i int)
-		next = func(i int) {
-			if i == len(wires) {
-				return
-			}
-			wires[i].TrainAsync(func() { next(i + 1) })
-		}
-		next(0)
+		m.torus.wires[r*geom.NumLinks].Train()
 	}
 	if err := m.Eng.RunAll(); err != nil {
 		return fmt.Errorf("machine: link training failed: %w", err)
@@ -323,7 +301,8 @@ func (m *Machine) VerifyChecksums() (int, error) {
 	checked := 0
 	for r, n := range m.Nodes {
 		c := m.Cfg.Shape.CoordOf(r)
-		for _, l := range geom.AllLinks() {
+		for i := 0; i < geom.NumLinks; i++ {
+			l := geom.LinkAt(i)
 			nb := m.Cfg.Shape.Rank(m.Cfg.Shape.Neighbor(c, l.Dim, l.Dir))
 			tx, _ := n.SCU.Checksums(l)
 			_, rx := m.Nodes[nb].SCU.Checksums(l.Opposite())
@@ -335,6 +314,22 @@ func (m *Machine) VerifyChecksums() (int, error) {
 		}
 	}
 	return checked, nil
+}
+
+// torus is the machine's wires and their owner, which names them on
+// demand and chains each node's link training.
+type torus struct{ wires []hssl.Wire }
+
+// WireName names wire id as Build always has: "w", the rank, the link.
+func (t *torus) WireName(id int) string {
+	return "w" + strconv.Itoa(id/geom.NumLinks) + geom.LinkAt(id%geom.NumLinks).String()
+}
+
+// WireTrained starts training the node's next link.
+func (t *torus) WireTrained(id int) {
+	if (id+1)%geom.NumLinks != 0 {
+		t.wires[id+1].Train()
+	}
 }
 
 // Stats sums SCU counters over all nodes, via the counter table that is

@@ -9,18 +9,11 @@ import (
 )
 
 // Pool recycles the expensive per-machine allocations across machine
-// lifetimes so a fleet building and tearing down hundreds of machines
-// doesn't thrash the allocator: event-engine heap storage (the timer
-// arena), HSSL in-flight frame rings, and — shared rather than
-// recycled — the shard plan for a given topology, which is a pure
-// function of the Shape and therefore immutable and safe for any
-// number of concurrent machines to read.
-//
-// A Pool is safe for concurrent use; a nil *Pool disables pooling
-// everywhere it is accepted (every method no-ops), so single-machine
-// callers need not care. The pool never holds live references:
-// Storage is reference-cleared by event.Release, and frame rings are
-// pure values (DESIGN.md §14).
+// lifetimes — event-engine heap storage and HSSL in-flight frame rings —
+// and shares the shard plan of a topology, a pure function of the Shape.
+// A Pool is safe for concurrent use; a nil *Pool disables pooling (every
+// method no-ops). It holds no live references: Storage is cleared by
+// event.Release and frame rings are pure values (DESIGN.md §14).
 type Pool struct {
 	mu       sync.Mutex
 	storages []event.Storage
@@ -74,14 +67,11 @@ func (p *Pool) NewEngine() *event.Engine {
 	return event.NewWith(st)
 }
 
-// Reclaim takes back a finished machine's recyclable storage: the
-// engine's heap arrays and every wire's in-flight ring. The engine must
-// already be shut down, and neither it nor the machine may be used
-// afterwards. Shard engines built by Clusterize keep their storage (the
-// cluster owns them); only the host engine's arrays are pooled. Nil
-// pool, engine, or machine are all no-ops — except that the machine's
-// telemetry registry is always cleared, pool or no pool, so teardown
-// never leaves emit closures of a dead machine registered anywhere.
+// Reclaim takes back a finished machine's storage: the host engine's
+// heap arrays (shard engines keep theirs) and every wire's in-flight
+// ring. The engine must be shut down; neither it nor the machine may be
+// used afterwards. Nil arguments are no-ops, but the machine's telemetry
+// registry is always cleared, so no dead machine's closures stay.
 func (p *Pool) Reclaim(eng *event.Engine, m *Machine) {
 	if m != nil && m.Reg != nil {
 		m.Reg.Clear()
@@ -95,11 +85,9 @@ func (p *Pool) Reclaim(eng *event.Engine, m *Machine) {
 	}
 	var rings [][]hssl.Flight
 	if m != nil {
-		for _, ws := range m.wires {
-			for _, w := range ws {
-				if r := w.ReleaseRing(); cap(r) > 0 {
-					rings = append(rings, r)
-				}
+		for i := range m.torus.wires {
+			if r := m.torus.wires[i].ReleaseRing(); cap(r) > 0 {
+				rings = append(rings, r)
 			}
 		}
 	}

@@ -167,8 +167,8 @@ func quietProgram(ctx *node.Ctx, fold *geom.Fold, rank int, rounds []quietRound,
 		if r.kind == quietInject {
 			rxWords++ // the injected word lands in the forward receive
 		}
-		var ts []*scu.Transfer
-		post := func(t *scu.Transfer, err error) {
+		var ts []scu.Transfer
+		post := func(t scu.Transfer, err error) {
 			if err != nil {
 				panic(err)
 			}

@@ -10,13 +10,10 @@ import (
 )
 
 // This file wires the machine into the telemetry layer (DESIGN.md §10):
-// every node's SCU, link, CPU and memory counters register on one
-// Registry at Build time, with the machine-wide SCU and wire totals, the
-// host's event queues, the latency histograms and the packaging-level
-// derived gauges on top. m.Reg.Snapshot() is the machine-wide export.
-// Registration stores only reader closures — nothing here runs until a
-// snapshot is requested, and a snapshot schedules no events, so the
-// simulated machine is bit-identical with telemetry on or off.
+// per-node and machine-wide counters, event queues, histograms and
+// gauges register on one Registry at Build time as reader closures. A
+// snapshot schedules no events: telemetry on or off, the simulated
+// machine is bit-identical.
 
 // registerTelemetry populates the machine's registry. Called once from
 // Build, before anything runs.
@@ -128,13 +125,11 @@ func (m *Machine) queueStats() []event.QueueStats {
 // WireStats sums HSSL wire counters over every wire in the torus.
 func (m *Machine) WireStats() hssl.Stats {
 	var total hssl.Stats
-	for _, ws := range m.wires {
-		for _, w := range ws {
-			s := w.Stats()
-			total.Frames += s.Frames
-			total.Bits += s.Bits
-			total.Corrupted += s.Corrupted
-		}
+	for i := range m.torus.wires {
+		s := m.torus.wires[i].Stats()
+		total.Frames += s.Frames
+		total.Bits += s.Bits
+		total.Corrupted += s.Corrupted
 	}
 	return total
 }

@@ -6,8 +6,6 @@
 //   - block-strided zero-copy sends and receives along logical axes
 //     (the SCU DMA engines; no temporal ordering between a send and the
 //     matching receive is required);
-//   - persistent transfers (the SCU stores DMA instructions internally
-//     so repeated halo exchanges restart with a single write);
 //   - global sums and broadcasts riding the SCU's pass-through global
 //     mode, including the "doubled" two-stream variant that halves the
 //     hop count;
@@ -73,22 +71,20 @@ func (c *Comm) link(axis int, dir geom.Dir) geom.Link {
 
 // StartSend begins a DMA send of the described local memory toward the
 // (axis, dir) neighbour.
-func (c *Comm) StartSend(axis int, dir geom.Dir, d scu.DMADesc) (*scu.Transfer, error) {
+func (c *Comm) StartSend(axis int, dir geom.Dir, d scu.DMADesc) (scu.Transfer, error) {
 	return c.n.SCU.StartSend(c.link(axis, dir), d)
 }
 
 // StartRecv begins a DMA receive of data sent by the (axis, dir)
 // neighbour into the described local memory.
-func (c *Comm) StartRecv(axis int, dir geom.Dir, d scu.DMADesc) (*scu.Transfer, error) {
+func (c *Comm) StartRecv(axis int, dir geom.Dir, d scu.DMADesc) (scu.Transfer, error) {
 	return c.n.SCU.StartRecv(c.link(axis, dir), d)
 }
 
 // WaitAll blocks until every transfer completes.
-func WaitAll(p *event.Proc, ts ...*scu.Transfer) {
+func WaitAll(p *event.Proc, ts ...scu.Transfer) {
 	for _, t := range ts {
-		if t != nil {
-			t.Wait(p)
-		}
+		t.Wait(p)
 	}
 }
 

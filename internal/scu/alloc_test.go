@@ -175,14 +175,17 @@ func TestSteadyStateWordPathAllocFree(t *testing.T) {
 }
 
 // TestProgrammedTransferAllocs is the budget of one halo exchange as a
-// rank sees it: program a receive and a send, wait for both. Each
-// transfer is one object — it holds its gate by value, parks its waiter
-// in the gate's own storage, completes through itself as the event
-// handler, names its wait from a constant, and queues on FIFOs that keep
-// their storage. Before, in this harness: 23 (per transfer its gate, its
-// completion closure, a waiter list, a wake closure, a re-allocated
-// FIFO and the formatting of "dma +0"; three more for the kick gate and
-// the engine's quiescence check); now 2.
+// rank sees it: program a receive and a send, wait for both. After the
+// first exchange it allocates nothing: each SCU takes its transfer
+// record from its free list (the completion event put it back), the
+// handle is a value, the record holds its gate by value and parks its
+// waiter in the gate's own storage, completes through itself as the
+// event handler, names its wait from a constant, and waits in a link
+// queue that keeps its storage. Before, in this harness: 23 (per
+// transfer its gate, its completion closure, a waiter list, a wake
+// closure, a re-allocated FIFO and the formatting of "dma +0"; three
+// more for the kick gate and the engine's quiescence check), then 2 (one
+// record per transfer).
 func TestProgrammedTransferAllocs(t *testing.T) {
 	pr := newFlatPair(t, 0)
 	kick := event.NewGate(pr.eng)
@@ -207,8 +210,8 @@ func TestProgrammedTransferAllocs(t *testing.T) {
 	}
 	exchange() // one-time growth: FIFOs, wire rings, the event queue
 	before := pr.b.Stats().WordsReceived
-	if avg := testing.AllocsPerRun(10, exchange); avg != 2 {
-		t.Errorf("one programmed receive + send + two waits allocate %.1f objects, want 2", avg)
+	if avg := testing.AllocsPerRun(10, exchange); avg != 0 {
+		t.Errorf("one programmed receive + send + two waits allocate %.1f objects, want 0", avg)
 	}
 	if got := pr.b.Stats().WordsReceived - before; got != 11*16 {
 		t.Fatalf("measured exchanges moved %d words, want %d", got, 11*16)

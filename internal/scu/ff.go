@@ -31,7 +31,7 @@ func (es *ffEngine) isOwned(h event.Handler, _ uint64) bool {
 	if w, wire := h.(*hssl.Wire); wire {
 		lu, ok = w.Receiver().(*linkUnit)
 	}
-	t, done := h.(*Transfer)
+	t, done := h.(*transfer)
 	return ok && lu.pairClosed() || done && !waited(t)
 }
 
@@ -81,13 +81,13 @@ func (lu *linkUnit) closedTo(p *linkUnit) bool {
 }
 
 // anyTransfer: fn holds for a transfer lu sends, receives or holds a word of.
-func (lu *linkUnit) anyTransfer(fn func(*Transfer) bool) bool {
+func (lu *linkUnit) anyTransfer(fn func(*transfer) bool) bool {
 	for i := 0; i < lu.unackedLen; i++ {
 		if t := lu.unacked[(lu.unackedHead+i)%scupkt.SeqMod].t; t != nil && fn(t) {
 			return true
 		}
 	}
-	for _, q := range [2]*fifo[*Transfer]{&lu.txPending, &lu.rxT} {
+	for _, q := range [2]*fifo[*transfer]{&lu.txPending, &lu.rxT} {
 		for _, t := range q.items[q.head:] {
 			if fn(t) {
 				return true
@@ -97,7 +97,7 @@ func (lu *linkUnit) anyTransfer(fn func(*Transfer) bool) bool {
 	return lu.cur != nil && fn(lu.cur) || lu.held && lu.heldT != nil && fn(lu.heldT)
 }
 
-func waited(t *Transfer) bool { return t.done.Waiting() > 0 }
+func waited(t *transfer) bool { return t.done.Waiting() > 0 }
 
 func seqBack(next, seq int) int { return (next - seq + scupkt.SeqMod) % scupkt.SeqMod }
 
@@ -224,8 +224,8 @@ func (fp *ffPair) try(j, s *ffSnap) bool {
 			n = 0
 		}
 		if n < 0 || s.sent[side]-j.sent[side] != int32(n) || n > 0 && p.rxT.len() == 0 ||
-			n > 0 && (x.scu.touches(x.cur) || p.scu.touches(p.rxT.peek()) || x.cur.Desc.NumBlocks > 1 ||
-				p.rxT.peek().Desc.NumBlocks > 1) || x.hist != nil && (n > 8 || s.lats[side]-j.lats[side] != int32(n)) {
+			n > 0 && (x.scu.touches(x.cur) || p.scu.touches(p.rxT.peek()) || x.cur.desc.NumBlocks > 1 ||
+				p.rxT.peek().desc.NumBlocks > 1) || x.hist != nil && (n > 8 || s.lats[side]-j.lats[side] != int32(n)) {
 			return false
 		}
 		if dw[side] = n; n > 0 {
@@ -260,12 +260,12 @@ func (fp *ffPair) try(j, s *ffSnap) bool {
 // transfer's on s, one of them a receive. A transfer joins s's sets only
 // when posted (s.posts counts them) and leaving cannot make an overlap,
 // so a "no" holds until the next post.
-func (s *SCU) touches(t *Transfer) bool {
+func (s *SCU) touches(t *transfer) bool {
 	if t.apart == s.posts+1 {
 		return false
 	}
-	meets := func(o *Transfer) bool {
-		return o != t && !(t.Send && o.Send) && o.Desc.Base < t.Desc.Addr(t.total-1)+8 && t.Desc.Base < o.Desc.Addr(o.total-1)+8
+	meets := func(o *transfer) bool {
+		return o != t && !(t.send && o.send) && o.desc.Base < t.desc.Addr(t.total-1)+8 && t.desc.Base < o.desc.Addr(o.total-1)+8
 	}
 	for _, lu := range s.links {
 		if lu != nil && lu.anyTransfer(meets) {
@@ -290,7 +290,7 @@ func (fp *ffPair) jump(m int, d event.Time, dw [2]int) {
 			f := w.InFlightFrame(i)
 			pkt, _, _ := f.Decode()
 			if seq, ok := pkt.Kind.DataSeq(); ok {
-				pkt = scupkt.Packet{Kind: scupkt.DataKind(seq + n), Payload: x.scu.mem.ReadWord(x.cur.Desc.Addr(sent - seqBack(x.seqNext, seq) + n))}
+				pkt = scupkt.Packet{Kind: scupkt.DataKind(seq + n), Payload: x.scu.mem.ReadWord(x.cur.desc.Addr(sent - seqBack(x.seqNext, seq) + n))}
 			} else {
 				pkt.Payload = (pkt.Payload + uint64(np)) % scupkt.SeqMod // a plain ack: its sequence number alone
 			}
@@ -302,12 +302,12 @@ func (fp *ffPair) jump(m int, d event.Time, dw [2]int) {
 			regs, k := x.unacked, x.unackedLen
 			for i := range k {
 				pw := regs[(x.unackedHead+i)%scupkt.SeqMod]
-				pw.seq, pw.word, pw.sentAt = (pw.seq+n)%scupkt.SeqMod, x.scu.mem.ReadWord(x.cur.Desc.Addr(sent-k+i+n)), pw.sentAt+d
+				pw.seq, pw.word, pw.sentAt = (pw.seq+n)%scupkt.SeqMod, x.scu.mem.ReadWord(x.cur.desc.Addr(sent-k+i+n)), pw.sentAt+d
 				x.unacked[(x.unackedHead+n+i)%scupkt.SeqMod] = pw
 			}
 			x.unackedHead = (x.unackedHead + n) % scupkt.SeqMod
 			if x.curIdx += n; x.held {
-				x.heldWord = x.scu.mem.ReadWord(x.cur.Desc.Addr(x.curIdx - 1))
+				x.heldWord = x.scu.mem.ReadWord(x.cur.desc.Addr(x.curIdx - 1))
 			}
 			x.seqNext, p.expect = (x.seqNext+n)%scupkt.SeqMod, (p.expect+n)%scupkt.SeqMod
 			p.rxT.peek().wordsDone += n
@@ -329,12 +329,12 @@ func (fp *ffPair) jump(m int, d event.Time, dw [2]int) {
 func (es *ffEngine) move(x *linkUnit, i, n int, sum *scupkt.Checksum, p *linkUnit) {
 	for done := 0; done < n; done += len(es.buf) {
 		buf := es.buf[:min(n-done, len(es.buf))]
-		x.scu.mem.ReadWords(x.cur.Desc.Addr(i+done), buf)
+		x.scu.mem.ReadWords(x.cur.desc.Addr(i+done), buf)
 		for _, w := range buf {
 			sum.Add(w)
 		}
 		if p != nil {
-			p.scu.mem.WriteWords(p.rxT.peek().Desc.Addr(p.rxProgress+done), buf)
+			p.scu.mem.WriteWords(p.rxT.peek().desc.Addr(p.rxProgress+done), buf)
 		}
 	}
 }

@@ -8,16 +8,12 @@ import (
 )
 
 // GlobalConfig programs one of the SCU's two global-operation streams
-// (§2.2, "Global operations"). In global mode, data words arriving on
-// the In link are delivered locally (OnWord) and passed through to every
-// link in Outs — with only about a byte of store-and-forward delay in
-// the real hardware — so a pattern of such configurations across the
-// machine implements low-latency global sums and broadcasts.
-//
-// The stream terminates after Expect received words; of these, the first
-// Forward words are passed through (in a ring reduction each node
-// forwards all but the final word, which has already visited every
-// node).
+// (§2.2, "Global operations"): data words arriving on the In link are
+// delivered locally (OnWord) and passed through to every link in Outs
+// (about a byte of store-and-forward delay in the hardware), the
+// substrate of low-latency global sums and broadcasts. The stream ends
+// after Expect words, of which the first Forward pass through (a ring
+// reduction forwards all but the last, which has visited every node).
 type GlobalConfig struct {
 	// In is the link whose inbound data words belong to this stream.
 	// Ignored when HasIn is false (a pure source, e.g. a broadcast

@@ -18,7 +18,7 @@ type pendingWord struct {
 	seq    int
 	word   uint64
 	sentAt event.Time
-	t      *Transfer // owning send transfer; nil for injected global words
+	t      *transfer // owning send transfer; nil for injected global words
 }
 
 // txState is the transmit engine's state. The zero value is an engine
@@ -34,16 +34,12 @@ const (
 )
 
 // linkUnit is the per-link hardware: a transmit engine feeding the
-// outbound wire and a receive engine draining the inbound wire. Both are
-// flat state machines on the engine's continuation tier — a 1024-node
-// machine has 12288 of each, so they must cost no goroutines, no
-// per-event channel handoffs, and (like the hardware, which has no
-// allocator) no steady-state heap allocations per data word: packets
-// encode into value frames, the resend and idle-receive registers are
-// fixed arrays, and the recurring timers and pump wake-ups are pre-bound
-// callbacks created once at Start. Acknowledgements for our
-// transmissions arrive on the inbound wire, multiplexed with the
-// neighbour's own traffic.
+// outbound wire and a receive engine draining the inbound wire, flat
+// state machines on the engine's continuation tier. A 1024-node machine
+// has 12288, so like the hardware they allocate nothing: they live in
+// their SCU by value, frames are values, the registers fixed arrays,
+// and the timers and wake-ups are bound to the unit itself. Acks for our
+// transmissions arrive on the inbound wire with the neighbour's traffic.
 type linkUnit struct {
 	scu  *SCU
 	link geom.Link
@@ -61,15 +57,15 @@ type linkUnit struct {
 	// calls pump, which sends words until it must park — idle, in the
 	// startup charge, or with the window full.
 	tx          txState
-	ackTimer    *event.Timer    // lost-acknowledgement recovery
-	supTimer    *event.Timer    // supervisor stop-and-wait recovery
+	ackTimer    event.Timer     // lost-acknowledgement recovery
+	supTimer    event.Timer     // supervisor stop-and-wait recovery
 	pumpPending bool            // a deferred pump event is queued
-	txPending   fifo[*Transfer] // programmed send transfers
-	cur         *Transfer       // transfer currently streaming
+	txPending   fifo[*transfer] // programmed send transfers
+	cur         *transfer       // transfer currently streaming
 	curIdx      int             // next word index within cur
 	held        bool            // a fetched word is in hand, awaiting window room
 	heldWord    uint64
-	heldT       *Transfer
+	heldT       *transfer
 	seqNext     int
 
 	// injects holds global-operation words awaiting priority
@@ -100,7 +96,7 @@ type linkUnit struct {
 	// each frame's arrival event.
 	expect     int
 	nakPending bool
-	rxT        fifo[*Transfer] // programmed receive transfers
+	rxT        fifo[*transfer] // programmed receive transfers
 	rxProgress int             // words stored into the head of rxT
 
 	// idleBuf is the idle-receive register file: up to window words held
@@ -112,15 +108,20 @@ type linkUnit struct {
 	ffSide      uint8
 }
 
-// fifo is a head-indexed queue whose storage is reset, not freed, when
-// it drains, so a link that carries transfer after transfer (or a long
-// run of global operations) reuses one backing array.
+// fifo is a head-indexed queue that keeps its storage when it drains;
+// its first item needs none (first).
 type fifo[T any] struct {
 	items []T
 	head  int
+	first [1]T
 }
 
-func (q *fifo[T]) push(v T) { q.items = append(q.items, v) }
+func (q *fifo[T]) push(v T) {
+	if q.items == nil {
+		q.items = q.first[:0]
+	}
+	q.items = append(q.items, v)
+}
 func (q *fifo[T]) len() int { return len(q.items) - q.head }
 func (q *fifo[T]) peek() T  { return q.items[q.head] }
 
@@ -135,32 +136,20 @@ func (q *fifo[T]) pop() T {
 	return v
 }
 
-func newLinkUnit(s *SCU, l geom.Link, out, in *hssl.Wire) *linkUnit {
-	return &linkUnit{
-		scu:  s,
-		link: l,
-		out:  out,
-		in:   in,
-	}
-}
-
 func (lu *linkUnit) start() {
 	lu.tx = txIdle
-	lu.ackTimer = lu.scu.eng.NewTimer(lu.ackTimeout)
-	lu.supTimer = lu.scu.eng.NewTimer(lu.supTimeout)
+	lu.ackTimer.Bind(lu.scu.eng, lu, evAckTimeout)
+	lu.supTimer.Bind(lu.scu.eng, lu, evSupTimeout)
 	lu.in.Attach(lu)
 	if lu.injects.len() > 0 {
 		lu.kick(txIdle) // drain anything injected before Start
 	}
 }
 
-// sendPacket encodes and transmits one packet as a value frame, treating
-// an untrained wire as an assembly error (the machine trains all links
-// at boot, before the SCU engines start moving data). While the link is
-// re-training or after it has been declared dead, transmissions are
-// silently suppressed instead: every suppressed data word is still in
-// the unacked ring (or covered by a stop-and-wait timer), so the window
-// protocol re-issues it once the link is back — or never, if it isn't.
+// sendPacket transmits one packet as a value frame; an untrained wire is
+// an assembly error. A re-training or dead link suppresses it: the word
+// stays in the unacked ring (or under a stop-and-wait timer), re-issued
+// once the link is back — or never, if it isn't.
 func (lu *linkUnit) sendPacket(p scupkt.Packet) {
 	if lu.retraining || lu.dead {
 		return
@@ -173,8 +162,7 @@ func (lu *linkUnit) sendPacket(p scupkt.Packet) {
 // --- Transmit engine ---------------------------------------------------
 
 // queueSend programs a DMA send transfer and kicks the transmit engine.
-func (lu *linkUnit) queueSend(t *Transfer) {
-	lu.scu.posts++
+func (lu *linkUnit) queueSend(t *transfer) {
 	lu.txPending.push(t)
 	lu.kick(txIdle)
 }
@@ -185,13 +173,11 @@ func (lu *linkUnit) inject(w uint64) {
 	lu.kick(txIdle)
 }
 
-// kick wakes the transmit engine with a deferred pump if it is parked in
-// the given state: the once-per-transfer wake-ups (a programmed send, an
-// injected global word, the end of a re-training). The one-event
-// deferral lets the caller finish its own sends first — the frame order
-// every pinned trace records; the per-word wake-up, the window-opening
-// ack, pumps inline (handleAck). An engine that is already running,
-// charging its startup pipeline, or parked elsewhere ignores the kick.
+// kick wakes the transmit engine parked in state with a deferred pump:
+// the once-per-transfer wake-ups (a send, an injected global word, a
+// retrain's end). The deferral lets the caller finish its own sends
+// first, the frame order every pinned trace records; handleAck pumps
+// inline. An engine not parked in state ignores the kick.
 func (lu *linkUnit) kick(state txState) {
 	if lu.pumpPending || lu.tx != state {
 		return
@@ -200,18 +186,27 @@ func (lu *linkUnit) kick(state txState) {
 	lu.scu.eng.AfterHandler(0, lu, evPump)
 }
 
-// The link unit is the handler of its own two transmit wake-ups, told
-// apart by the event argument.
+// The link unit is the handler of its own two transmit wake-ups and of
+// its two timers' firings, told apart by the argument.
 const (
-	evPump    = iota // the deferred pump of a kick
-	evStartup        // the end of the DMA startup charge
+	evPump       = iota // the deferred pump of a kick
+	evStartup           // the end of the DMA startup charge
+	evAckTimeout        // ackTimer fired
+	evSupTimeout        // supTimer fired
 )
 
-// HandleEvent runs a transmit wake-up.
+// HandleEvent runs a transmit wake-up or a recovery timeout.
 func (lu *linkUnit) HandleEvent(ev uint64) {
-	if ev == evPump {
+	switch ev {
+	case evAckTimeout:
+		lu.ackTimeout()
+		return
+	case evSupTimeout:
+		lu.supTimeout()
+		return
+	case evPump:
 		lu.pumpPending = false
-	} else {
+	default:
 		lu.tx = txRun
 	}
 	lu.pump()
@@ -235,7 +230,7 @@ func (lu *linkUnit) pump() {
 				lu.held = true
 			case lu.cur != nil:
 				// Fetch the next word of the streaming transfer.
-				lu.heldWord = lu.scu.mem.ReadWord(lu.cur.Desc.Addr(lu.curIdx))
+				lu.heldWord = lu.scu.mem.ReadWord(lu.cur.desc.Addr(lu.curIdx))
 				lu.heldT = lu.cur
 				lu.held = true
 				lu.curIdx++
@@ -283,18 +278,14 @@ func (lu *linkUnit) sendHeld() {
 	}
 }
 
-// ackTimeout is the lost-acknowledgement recovery: if the oldest
-// unacknowledged word has not been acked within ackTimeout, resend it
-// and restart the clock. Every pop of the window head re-arms (or stops)
-// the timer, which only moves its deadline (event.Timer), so this never
-// runs for a word that was acknowledged. A streak of timeouts with no
-// progress escalates to link re-training (see beginRetrain).
+// ackTimeout is the lost-acknowledgement recovery: resend the oldest
+// unacknowledged word and restart the clock (every window-head pop
+// re-arms or stops it). A streak with no progress re-trains the link.
 func (lu *linkUnit) ackTimeout() {
 	if lu.unackedLen == 0 || lu.retraining || lu.dead {
 		return
 	}
-	lu.timeoutStreak++
-	if lu.timeoutStreak >= retrainAfter {
+	if lu.timeoutStreak++; lu.timeoutStreak >= retrainAfter {
 		lu.beginRetrain()
 		return
 	}
@@ -341,28 +332,26 @@ func (lu *linkUnit) transmitSup(w uint64) {
 }
 
 // supTimeout resends the outstanding supervisor word (stop-and-wait
-// recovery); the supervisor ack stops the timer. Supervisor timeouts
-// feed the same escalation streak as data timeouts, so a link carrying
-// only supervisor traffic still retrains and eventually fails.
+// recovery), feeding the same escalation streak as data timeouts.
 func (lu *linkUnit) supTimeout() {
 	if !lu.supPending || lu.retraining || lu.dead {
 		return
 	}
-	lu.timeoutStreak++
-	if lu.timeoutStreak >= retrainAfter {
+	if lu.timeoutStreak++; lu.timeoutStreak >= retrainAfter {
 		lu.beginRetrain()
 		return
 	}
+	lu.resendSup()
+}
+
+func (lu *linkUnit) resendSup() {
 	lu.sendPacket(scupkt.Packet{Kind: scupkt.Supervisor, Payload: lu.supWord})
 	lu.stats.Resends++
 	lu.supTimer.Arm(ackTimeout)
 }
 
-// beginRetrain resets and re-trains the outbound wire: the §2.2
-// low-level recovery for a link whose errors outlast the resend
-// protocol. Transmissions are suppressed for the training time; when
-// training completes, everything unacknowledged is re-issued. Retrains
-// that keep producing no acknowledgement progress escalate to fail.
+// beginRetrain resets and re-trains the outbound wire (§2.2), silent for
+// the training time; retrains with no ack progress escalate to fail.
 func (lu *linkUnit) beginRetrain() {
 	lu.retrainCount++
 	if lu.retrainCount > maxRetrains {
@@ -378,10 +367,8 @@ func (lu *linkUnit) beginRetrain() {
 	lu.out.TrainAsync(lu.retrainDone)
 }
 
-// retrainDone resumes the link after re-training: rewind-resend every
-// unacknowledged data word on the fresh wire, re-issue any outstanding
-// supervisor word, restart the recovery clocks, and release the
-// transmit engine if the window parked it.
+// retrainDone resumes the link: resend everything unacknowledged,
+// restart the recovery clocks, release a parked transmit engine.
 func (lu *linkUnit) retrainDone() {
 	if lu.dead {
 		return
@@ -392,18 +379,14 @@ func (lu *linkUnit) retrainDone() {
 		lu.ackTimer.Arm(ackTimeout)
 	}
 	if lu.supPending {
-		lu.sendPacket(scupkt.Packet{Kind: scupkt.Supervisor, Payload: lu.supWord})
-		lu.stats.Resends++
-		lu.supTimer.Arm(ackTimeout)
+		lu.resendSup()
 	}
 	lu.kick(txWindow)
 	lu.kick(txIdle)
 }
 
-// fail declares the link permanently dead: maxRetrains re-trainings in
-// a row produced no acknowledgement progress, so the hardware stops
-// trying (a dead transmitter resending forever would only burn the
-// wire) and escalates through the SCU's supervisor interrupt path.
+// fail declares the link dead after maxRetrains fruitless re-trainings
+// and escalates through the SCU's supervisor interrupt path.
 func (lu *linkUnit) fail() {
 	lu.dead = true
 	lu.stats.LinkFailures++
@@ -536,7 +519,7 @@ func (lu *linkUnit) popIdle() uint64 {
 // storeWord lands an accepted word in local memory via the receive DMA.
 func (lu *linkUnit) storeWord(w uint64) {
 	t := lu.rxT.peek()
-	lu.scu.mem.WriteWord(t.Desc.Addr(lu.rxProgress), w)
+	lu.scu.mem.WriteWord(t.desc.Addr(lu.rxProgress), w)
 	lu.rxProgress++
 	done := lu.rxProgress == t.total
 	t.progress(lu.scu.eng, lu.scu.eng.Now()+lu.scu.rxStartup)
@@ -548,8 +531,7 @@ func (lu *linkUnit) storeWord(w uint64) {
 
 // programRecv attaches a receive transfer; any idle-held words drain into
 // it immediately and the withheld acknowledgement is released.
-func (lu *linkUnit) programRecv(t *Transfer) {
-	lu.scu.posts++
+func (lu *linkUnit) programRecv(t *transfer) {
 	lu.rxT.push(t)
 	drained := false
 	for lu.idleBufLen > 0 && lu.rxT.len() > 0 {

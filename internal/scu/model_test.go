@@ -31,8 +31,8 @@ type modelDir struct {
 	tx, rx    *SCU
 	txL, rxL  geom.Link
 	rxMem     *testMem
-	sends     []*Transfer
-	recvs     []*Transfer
+	sends     []Transfer
+	recvs     []Transfer
 	want      []memWrite // the reference FIFO, in delivery order
 	sups      []uint64   // supervisor words sent
 	gotSups   []uint64   // supervisor interrupts taken at the receiver

@@ -3,11 +3,10 @@ package scu
 import "qcdoc/internal/geom"
 
 // partState implements the partition-interrupt mechanism (§2.2): 8-bit
-// interrupt masks flood through the mesh, each node forwarding bits it
-// has not previously sent on each link, with the slow global clock
-// sampling the accumulated status into the CPU-visible register. The
-// global clock window is sized (by the machine) so that an interrupt
-// raised anywhere is seen machine-wide before the next sampling edge.
+// masks flood through the mesh, each node forwarding on each link the
+// bits it has not sent there, and the slow global clock samples them
+// into the CPU-visible register, its window sized (by the machine) to
+// let an interrupt reach every node first.
 type partState struct {
 	scu         *SCU
 	seen        uint8 // interrupt bits known to this node

@@ -100,12 +100,9 @@ type Stats struct {
 }
 
 // statsFields is the single definition of the protocol counter set:
-// telemetry name plus field accessor, in a stable order. Stats.Add,
-// Stats.Each, the indexed Value/SetValue accessors and the node's
-// telemetry peek window all walk this table, so adding a counter here is
-// the whole job — aggregation, registry export and the host-side fetch
-// path pick it up at once. Write-once at declaration, read-only after:
-// every machine in a fleet walks the same table.
+// telemetry name and field, in a stable order. Aggregation, registry
+// export and the telemetry peek window all walk it, so adding a counter
+// here is the whole job. Read-only: every machine shares it.
 var statsFields = []struct {
 	name string
 	get  func(*Stats) *uint64
@@ -169,7 +166,8 @@ type SCU struct {
 	clock     event.Hz   // the link clock, the processor's (§2.2)
 	rxStartup event.Time // rxStartupCycles at clock, for storeWord
 
-	links [geom.NumLinks]*linkUnit
+	links [geom.NumLinks]*linkUnit // &units[i] once attached
+	units [geom.NumLinks]linkUnit
 
 	onSupervisor  func(l geom.Link, word uint64)
 	onLinkFailure func(l geom.Link)
@@ -192,6 +190,7 @@ type SCU struct {
 
 	started bool
 	posts   uint64    // transfers posted; see touches
+	free    *transfer // completed transfer records; see transfer
 	ff      *ffEngine // shared with the SCUs its links pair with; see ff.go
 }
 
@@ -230,16 +229,16 @@ func (s *SCU) AttachLink(l geom.Link, out, in *hssl.Wire) {
 	if s.started {
 		panic("scu: AttachLink after Start")
 	}
-	s.links[geom.LinkIndex(l)] = newLinkUnit(s, l, out, in)
+	i := geom.LinkIndex(l)
+	s.units[i] = linkUnit{scu: s, link: l, out: out, in: in}
+	s.links[i] = &s.units[i]
 }
 
 // Attached reports whether the link has been wired.
 func (s *SCU) Attached(l geom.Link) bool { return s.links[geom.LinkIndex(l)] != nil }
 
-// Start brings up the per-link hardware engines (transmit and receive
-// state machines) on the event engine's continuation tier — no
-// goroutines; a link costs only its state struct. The wires must already
-// be trained.
+// Start brings up the per-link transmit and receive engines on the event
+// engine's continuation tier. The wires must already be trained.
 func (s *SCU) Start() {
 	if s.started {
 		return
@@ -268,33 +267,36 @@ func (s *SCU) linkUnit(l geom.Link) (*linkUnit, error) {
 // completes when every word has been acknowledged by the neighbour.
 // There is no need for the neighbour to have programmed its receive
 // first (idle receive holds early words).
-func (s *SCU) StartSend(l geom.Link, d DMADesc) (*Transfer, error) {
-	lu, err := s.linkUnit(l)
-	if err != nil {
-		return nil, err
-	}
-	if err := d.validate(); err != nil {
-		return nil, err
-	}
-	t := newTransfer(s.eng, l, d, true)
-	lu.queueSend(t)
-	return t, nil
-}
+func (s *SCU) StartSend(l geom.Link, d DMADesc) (Transfer, error) { return s.post(l, d, true) }
 
 // StartRecv programs a DMA receive on link l: incoming data words are
 // stored at the descriptor's addresses. Completes when all words have
 // landed in local memory.
-func (s *SCU) StartRecv(l geom.Link, d DMADesc) (*Transfer, error) {
+func (s *SCU) StartRecv(l geom.Link, d DMADesc) (Transfer, error) { return s.post(l, d, false) }
+
+// post programs a transfer in a record off the free list (or a new one),
+// every per-transfer field reset. NewGate inlines: no second object.
+func (s *SCU) post(l geom.Link, d DMADesc, send bool) (Transfer, error) {
 	lu, err := s.linkUnit(l)
+	if err == nil {
+		err = d.validate()
+	}
 	if err != nil {
-		return nil, err
+		return Transfer{}, err
 	}
-	if err := d.validate(); err != nil {
-		return nil, err
+	t := s.free
+	if t == nil {
+		t = new(transfer)
 	}
-	t := newTransfer(s.eng, l, d, false)
-	lu.programRecv(t)
-	return t, nil
+	s.free = t.next
+	*t = transfer{link: l, desc: d, send: send, total: d.TotalWords(), done: *event.NewGate(s.eng), gen: t.gen + 1, scu: s}
+	s.posts++
+	if send {
+		lu.queueSend(t)
+	} else {
+		lu.programRecv(t)
+	}
+	return Transfer{t, t.gen}, nil
 }
 
 // SendSupervisor sends a single 64-bit supervisor word to the (dim, dir)

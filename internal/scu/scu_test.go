@@ -693,13 +693,13 @@ func TestTouchesSeesNewPosts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pr.a.touches(st) {
+	if pr.a.touches(st.rec) {
 		t.Fatal("a lone send touches nothing")
 	}
 	if _, err := pr.a.StartRecv(pr.linkA, Contiguous(0x1040, 4)); err != nil {
 		t.Fatal(err)
 	}
-	if !pr.a.touches(st) {
+	if !pr.a.touches(st.rec) {
 		t.Error("a receive posted into the send's range after a cached no: touches still says no")
 	}
 
@@ -707,13 +707,13 @@ func TestTouchesSeesNewPosts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pr.b.touches(rt) {
+	if pr.b.touches(rt.rec) {
 		t.Fatal("a lone receive touches nothing")
 	}
 	if _, err := pr.b.StartSend(pr.linkB, Contiguous(0x2078, 2)); err != nil {
 		t.Fatal(err)
 	}
-	if !pr.b.touches(rt) {
+	if !pr.b.touches(rt.rec) {
 		t.Error("a send posted over the receive's range after a cached no: touches still says no")
 	}
 }

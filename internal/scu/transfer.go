@@ -52,13 +52,23 @@ func (d DMADesc) validate() error {
 	return nil
 }
 
-// Transfer is one in-flight DMA transfer (send or receive) on a link:
-// one object per programmed transfer, holding its completion gate by
-// value and serving as its own completion event (HandleEvent).
+// Transfer is the handle of one programmed DMA transfer (send or
+// receive): the SCU's record of it and the record's generation then.
+// Once the completion event has fired the SCU reuses the record, so a
+// stale handle reads as done, its Wait returns at once, and Finished
+// panics rather than report a later transfer's time.
 type Transfer struct {
-	Link geom.Link
-	Desc DMADesc
-	Send bool
+	rec *transfer
+	gen uint64
+}
+
+// transfer is one programmed transfer's record, holding its completion
+// gate by value and serving as its own completion event (HandleEvent),
+// which puts it back on its SCU's free list.
+type transfer struct {
+	link geom.Link
+	desc DMADesc
+	send bool
 
 	completed bool
 	total     int
@@ -66,11 +76,10 @@ type Transfer struct {
 	done      event.Gate
 	finished  event.Time
 	apart     uint64 // the owning SCU's posts+1 when touches last said no
-}
 
-func newTransfer(eng *event.Engine, l geom.Link, d DMADesc, send bool) *Transfer {
-	// NewGate inlines, so the copy costs no second object.
-	return &Transfer{Link: l, Desc: d, Send: send, total: d.TotalWords(), done: *event.NewGate(eng)}
+	gen  uint64    // bumped at every reuse
+	scu  *SCU      // the owner
+	next *transfer // the owner's free list
 }
 
 // dmaWait is the wait reason of a transfer on link l, "dma " +
@@ -85,21 +94,28 @@ func dmaWait(l geom.Link) string {
 
 // Done reports whether the transfer has completed: all words
 // acknowledged (send) or stored in local memory (receive).
-func (t *Transfer) Done() bool { return t.completed }
+func (t Transfer) Done() bool { return t.rec.gen != t.gen || t.rec.completed }
 
 // Wait blocks the process until the transfer completes.
-func (t *Transfer) Wait(p *event.Proc) {
-	for !t.completed {
-		t.done.Wait(p, dmaWait(t.Link))
+func (t Transfer) Wait(p *event.Proc) {
+	for !t.Done() {
+		t.rec.done.Wait(p, dmaWait(t.rec.link))
 	}
 }
 
-// Finished returns the completion time (valid once Done).
-func (t *Transfer) Finished() event.Time { return t.finished }
+// Finished returns the completion time (valid once Done) until the SCU
+// reuses the record, no sooner than its next StartSend or StartRecv;
+// after that it panics.
+func (t Transfer) Finished() event.Time {
+	if t.rec.gen != t.gen {
+		panic("scu: Finished on a transfer whose record has been reused")
+	}
+	return t.rec.finished
+}
 
 // progress records one completed word; at the last word the transfer
 // completes at time at (never in the past), carried as the event argument.
-func (t *Transfer) progress(eng *event.Engine, at event.Time) {
+func (t *transfer) progress(eng *event.Engine, at event.Time) {
 	t.wordsDone++
 	if t.wordsDone == t.total {
 		eng.AtHandler(at, t, uint64(at))
@@ -107,9 +123,11 @@ func (t *Transfer) progress(eng *event.Engine, at event.Time) {
 }
 
 // HandleEvent is the completion event: it marks the transfer done at the
-// time progress scheduled it for and wakes the waiters.
-func (t *Transfer) HandleEvent(at uint64) {
+// time progress scheduled it for, wakes the waiters and frees the
+// record, which no link queue or register holds any more.
+func (t *transfer) HandleEvent(at uint64) {
 	t.completed = true
 	t.finished = event.Time(at)
 	t.done.Fire()
+	t.next, t.scu.free = t.scu.free, t
 }
