@@ -186,7 +186,7 @@ func cmdFleet(args []string) {
 		len(results)-failed, len(results), wall.Seconds(),
 		float64(len(results))/wall.Seconds(), fleet.Digest(results))
 	st := cfg.Pool.Stats()
-	fmt.Printf("fleet: pool recycled %d engine storages, %d frame rings\n", st.StorageReused, st.RingsReused)
+	fmt.Printf("fleet: pool recycled %d engine storages, ring slots of %d wires\n", st.StorageReused, st.RingsReused)
 	if failed > 0 {
 		os.Exit(1)
 	}

@@ -328,7 +328,6 @@ func (e *Engine) LiveProcs() int { return e.live }
 type Proc struct {
 	eng      *Engine
 	name     string
-	wakeFn   func() // wake, bound once at Spawn: scheduling it allocates nothing
 	resume   chan struct{}
 	done     bool
 	daemon   bool
@@ -344,7 +343,6 @@ type procKilled struct{}
 // the current simulated time (after already-queued events at that time).
 func (e *Engine) Spawn(name string, fn func(*Proc)) *Proc {
 	p := &Proc{eng: e, name: name, resume: make(chan struct{})}
-	p.wakeFn = p.wake
 	e.live++
 	go func() {
 		<-p.resume // first activation comes through the event queue
@@ -360,7 +358,7 @@ func (e *Engine) Spawn(name string, fn func(*Proc)) *Proc {
 		}()
 		fn(p)
 	}()
-	e.At(e.now, p.wakeFn)
+	e.AtHandler(e.now, p, 0)
 	return p
 }
 
@@ -396,6 +394,11 @@ func (e *Engine) shutdownLocal() {
 		}
 	}
 }
+
+// HandleEvent is the process's wake event: the process is its own
+// handler, so scheduling a wake allocates nothing. It implements
+// Handler; do not call it directly.
+func (p *Proc) HandleEvent(uint64) { p.wake() }
 
 // wake transfers control to the process until it yields or exits. It
 // runs as an event on the engine goroutine.
@@ -446,7 +449,7 @@ func (p *Proc) Kill() {
 	}
 	p.killed = true
 	if _, parked := p.eng.blocked[p]; parked {
-		p.eng.At(p.eng.now, p.wakeFn)
+		p.eng.AtHandler(p.eng.now, p, 0)
 	}
 }
 
@@ -460,9 +463,6 @@ func IsKillPanic(r any) bool {
 	return ok
 }
 
-// Name returns the process name given to Spawn.
-func (p *Proc) Name() string { return p.name }
-
 // Now returns the current simulated time.
 func (p *Proc) Now() Time { return p.eng.now }
 
@@ -472,7 +472,7 @@ func (p *Proc) Engine() *Engine { return p.eng }
 // Sleep suspends the process for d of simulated time.
 func (p *Proc) Sleep(d Time) {
 	p.holdsTurn("sleep")
-	p.eng.After(d, p.wakeFn)
+	p.eng.AfterHandler(d, p, 0)
 	p.yield("sleep")
 }
 
@@ -561,7 +561,7 @@ func (g *Gate) HandleEvent(gen uint64) {
 // its storage stays for the next round of waiters.
 func (g *Gate) Fire() {
 	for _, w := range g.waiters {
-		g.eng.At(g.eng.now, w.p.wakeFn)
+		g.eng.AtHandler(g.eng.now, w.p, 0)
 	}
 	clear(g.waiters)
 	g.waiters = g.waiters[:0]

@@ -15,7 +15,7 @@ type gateLike interface {
 
 // dropGate is the reference: Fire drops the waiter storage and wakes
 // through a method value bound per waiter, as Gate did before it kept
-// its storage and woke through Proc.wakeFn.
+// its storage and woke its processes as handlers (Proc.HandleEvent).
 type dropGate struct {
 	eng     *Engine
 	waiters []gateWaiter
@@ -185,7 +185,7 @@ func TestGateMatchesDropReference(t *testing.T) {
 
 // TestGateCycleAllocFree: parking on a gate and being fired off it
 // allocates nothing — the waiter goes into storage the gate keeps, the
-// wake-up is the process's pre-bound wakeFn, and a run that ends with
+// wake-up is the process itself as a handler, and a run that ends with
 // only daemons parked builds no stall report. Before: 3 (the waiter
 // list, the wake closure, the report's name slice).
 func TestGateCycleAllocFree(t *testing.T) {

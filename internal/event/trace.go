@@ -23,11 +23,10 @@ import (
 type TraceKind uint8
 
 const (
-	// TraceFunc is a closure event (At/After and the coroutine tier's
-	// activation/wake events).
+	// TraceFunc is a closure event (At/After).
 	TraceFunc TraceKind = iota
 	// TraceHandler is a pre-bound Handler event (the continuation tier's
-	// hot paths: wires, link pumps, timers).
+	// hot paths: wires, link pumps, timers; a process's wake).
 	TraceHandler
 	// TraceSpanBegin / TraceSpanEnd are span marks dropped by
 	// instrumented code (Engine.MarkSpanBegin/End): not events at all,

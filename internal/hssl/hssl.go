@@ -99,9 +99,9 @@ type Wire struct {
 	xmit      Frame      // transmit slot: the frame being launched, for the fault hook
 	shift     event.Time // how much later the stale arrivals' frames arrive
 
-	// In-flight frames, a ring grown once to the high-water mark: Send
-	// (or, cross-shard, AcceptPayload) pushes at the tail, each arrival
-	// event pops the head; arrivals keep send order (FIFO serialization).
+	// In-flight frames, a ring grown to the high-water mark: Send (or,
+	// cross-shard, AcceptPayload) pushes at the tail, each arrival event
+	// pops the head; arrivals keep send order (FIFO serialization).
 	fly     []Flight
 	flyHead int
 	flyLen  int
@@ -131,9 +131,11 @@ type Owner interface {
 }
 
 // InitBetween makes w, in its owner's slab, NewWireBetween's wire named
-// by owner.WireName(id).
-func (w *Wire) InitBetween(tx, rx *event.Engine, owner Owner, id int, clock event.Hz, prop event.Time) {
-	*w = Wire{eng: tx, rxEng: rx, owner: owner, id: id, bit: clock.Cycle(), prop: prop}
+// by owner.WireName(id) with in-flight ring ring: its length a power of
+// two, its cap that length, so that outgrowing it never appends into a
+// neighbour's slot.
+func (w *Wire) InitBetween(tx, rx *event.Engine, owner Owner, id int, clock event.Hz, prop event.Time, ring []Flight) {
+	*w = Wire{eng: tx, rxEng: rx, owner: owner, id: id, bit: clock.Cycle(), prop: prop, fly: ring}
 }
 
 // MinTransmittedFrameBytes is the smallest frame the SCU ever puts on a
@@ -338,36 +340,17 @@ func (w *Wire) popInFlight() Frame {
 	return f
 }
 
-// growInFlight doubles the ring; its length is zero or a power of two,
-// so an index wraps with a mask.
+// growInFlight doubles the full ring (from nothing to 4) by appending,
+// and moves its wrapped part past the old end. The length is zero or a
+// power of two, so an index wraps with a mask.
 func (w *Wire) growInFlight() {
-	grown := make([]Flight, max(4, 2*len(w.fly)))
-	for i := 0; i < w.flyLen; i++ {
-		grown[i] = w.fly[(w.flyHead+i)&(len(w.fly)-1)]
-	}
-	w.fly = grown
-	w.flyHead = 0
+	n := len(w.fly)
+	w.fly = append(w.fly, make([]Flight, max(4, n))...)
+	copy(w.fly[n:], w.fly[:w.flyHead])
 }
 
-// AdoptRing hands the wire a recycled in-flight ring (machine.Pool's);
-// frames are pure values, so any ring is safe as-is. No-op once frames
-// are in flight, or on a length not a power of two (the ring wraps with
-// a mask).
-func (w *Wire) AdoptRing(ring []Flight) {
-	if n := len(ring); n > 0 && n&(n-1) == 0 && w.flyLen == 0 {
-		w.fly = ring
-		w.flyHead = 0
-	}
-}
-
-// ReleaseRing detaches and returns the wire's in-flight ring for
-// recycling. The wire must be finished (its engine shut down); it is
-// left with no ring and would re-grow from scratch if used again.
-func (w *Wire) ReleaseRing() []Flight {
-	r := w.fly
-	w.fly, w.flyHead, w.flyLen = nil, 0, 0
-	return r
-}
+// RingSize returns the length of the wire's in-flight ring.
+func (w *Wire) RingSize() int { return len(w.fly) }
 
 // OnFrame attaches fn as the wire's receiver; see Attach.
 func (w *Wire) OnFrame(fn func(Frame)) { w.Attach(FrameFunc(fn)) }

@@ -233,9 +233,10 @@ func TestBitTimeMatchesClockCycles(t *testing.T) {
 func TestInFlightRingWraps(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for size := 4; size <= 64; size *= 2 {
-		w := NewWire(event.New(), "w", DefaultClock, DefaultPropagation)
+		e := event.New()
 		ring := make([]Flight, size)
-		w.AdoptRing(ring)
+		var w Wire
+		w.InitBetween(e, e, nil, 0, DefaultClock, DefaultPropagation, ring)
 		var want []Frame
 		for seq := uint64(0); seq < uint64(4*size) || len(want) > 0; {
 			if len(want) < size-1 && seq < uint64(4*size) && (len(want) == 0 || rng.Intn(2) == 0) {
@@ -251,19 +252,59 @@ func TestInFlightRingWraps(t *testing.T) {
 			want = want[1:]
 		}
 		if len(w.fly) != size || &w.fly[0] != &ring[0] {
-			t.Fatalf("size %d: the adopted ring was replaced (now %d frames)", size, len(w.fly))
+			t.Fatalf("size %d: the given ring was replaced (now %d frames)", size, len(w.fly))
 		}
 	}
-	// A ring whose length is no power of two is refused: the wire grows
-	// its own.
+	// A wire with no ring grows one of 4 frames at its first push.
 	w := NewWire(event.New(), "w", DefaultClock, DefaultPropagation)
-	w.AdoptRing(make([]Flight, 6))
-	if w.fly != nil {
-		t.Fatalf("AdoptRing took a %d-frame ring", len(w.fly))
-	}
 	w.pushInFlight(Frame{Seq: 1}, 0)
 	if len(w.fly) != 4 || w.popInFlight().Seq != 1 {
 		t.Fatalf("grew a %d-frame ring, want 4", len(w.fly))
+	}
+}
+
+// TestSlabNeighboursIntact gives two wires adjacent 4-frame slots of one
+// slab, as machine.Build does, and overflows the first, wrapped, while
+// the second holds three frames: the first must grow into storage of
+// its own, both must deliver their frames in order, and the second's
+// slot must be untouched. A slot handed out without its cap
+// (slab[0:4] rather than slab[0:4:4]) lets the first wire's growth
+// append over the second's frames.
+func TestSlabNeighboursIntact(t *testing.T) {
+	e := event.New()
+	slab := make([]Flight, 8)
+	var a, b Wire
+	a.InitBetween(e, e, nil, 0, DefaultClock, DefaultPropagation, slab[0:4:4])
+	b.InitBetween(e, e, nil, 1, DefaultClock, DefaultPropagation, slab[4:8:8])
+	frame := func(seq uint64) Frame {
+		return Frame{Wire: scupkt.Packet{Kind: scupkt.DataKind(int(seq)), Payload: seq * 0x9E3779B97F4A7C15}.Wire(), Seq: seq}
+	}
+	for seq := uint64(101); seq <= 103; seq++ {
+		b.pushInFlight(frame(seq), event.Time(seq))
+	}
+	a.pushInFlight(frame(1), 1)
+	a.pushInFlight(frame(2), 2)
+	a.popInFlight()
+	a.popInFlight() // the head is now at slot 2: the overflow wraps
+	for seq := uint64(3); seq <= 9; seq++ {
+		a.pushInFlight(frame(seq), event.Time(seq))
+	}
+	if len(a.fly) != 8 || &a.fly[0] == &slab[0] {
+		t.Fatalf("overflowed wire has a %d-frame ring in the slab, want 8 frames of its own", len(a.fly))
+	}
+	for seq := uint64(3); seq <= 9; seq++ {
+		if got := a.popInFlight(); got != frame(seq) {
+			t.Fatalf("overflowed wire popped %+v, want %+v", got, frame(seq))
+		}
+	}
+	if &b.fly[0] != &slab[4] {
+		t.Fatal("the neighbour lost its slot")
+	}
+	for seq := uint64(101); seq <= 103; seq++ {
+		if got := b.InFlightFrame(0); got.Frame != frame(seq) || got.At != event.Time(seq) {
+			t.Fatalf("neighbour's frame %d is %+v, want %+v at %v", seq, *got, frame(seq), event.Time(seq))
+		}
+		b.popInFlight()
 	}
 }
 

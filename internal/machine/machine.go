@@ -41,7 +41,7 @@ type Config struct {
 	// available CPU). Sharded builds need a fresh engine (no events run
 	// yet); Build panics otherwise.
 	Workers int
-	// Pool, when set, recycles frame rings across machine builds and
+	// Pool, when set, recycles ring slabs across machine builds and
 	// shares the shard plan between machines of identical topology
 	// (fleet substrate, DESIGN.md §14). Nil disables pooling.
 	Pool *Pool
@@ -65,14 +65,14 @@ type Machine struct {
 	Cfg   Config
 	Nodes []*node.Node
 
-	// Reg is the telemetry registry every component's counters are
-	// registered on at Build time; disabled until EnableTelemetry (see
-	// telemetry.go).
+	// Reg is the telemetry registry: empty and disabled until
+	// EnableTelemetry registers the machine's sources (see telemetry.go).
 	Reg *telemetry.Registry
 
 	torus torus // every node's outbound wires
 
-	booted bool
+	booted      bool
+	telemetryOn bool // the machine's sources are on Reg
 
 	// Global clock state for partition-interrupt windows.
 	windowPeriod event.Time
@@ -100,28 +100,25 @@ func Build(eng *event.Engine, cfg Config) *Machine {
 	for r := 0; r < v; r++ {
 		m.Nodes[r] = node.New(m.NodeEngine(r), r, cfg.Shape.CoordOf(r), cfg.Clock)
 	}
-	// One outbound wire per (node, link), at rank*NumLinks + LinkIndex
-	// in one slab; the inbound wire of link l on node n is the
-	// neighbour's outbound wire on the opposite link. The wire's transmit
-	// half lives on the sender's shard, its receive half on the
-	// neighbour's.
+	// One outbound wire per (node, link), wire id = rank*NumLinks +
+	// LinkIndex, in one slab, its ring slot id of k frames in another.
+	// Link l's inbound wire is the neighbour's outbound wire on l's
+	// opposite; its transmit half lives on the sender's shard.
 	m.torus.wires = make([]hssl.Wire, v*geom.NumLinks)
+	k, slab := cfg.Pool.slab(len(m.torus.wires))
+	m.torus.slab = slab
 	for id := range m.torus.wires {
 		r, l := id/geom.NumLinks, geom.LinkAt(id%geom.NumLinks)
 		nb := cfg.Shape.Rank(cfg.Shape.Neighbor(cfg.Shape.CoordOf(r), l.Dim, l.Dir))
 		w := &m.torus.wires[id]
-		w.InitBetween(m.NodeEngine(r), m.NodeEngine(nb), &m.torus, id, cfg.Clock, hssl.DefaultPropagation)
-		w.AdoptRing(cfg.Pool.ring())
+		w.InitBetween(m.NodeEngine(r), m.NodeEngine(nb), &m.torus, id, cfg.Clock, hssl.DefaultPropagation, slab[k*id:k*id+k:k*id+k])
 		m.Nodes[r].SCU.AttachLink(l, w, m.Wire(nb, l.Opposite()))
 	}
 	// Window period: long enough for a partition interrupt to flood the
 	// whole machine before sampling (§2.2) — diameter hops of a 2-byte
 	// frame plus dispatch, with a 2x guard.
 	hop := cfg.Clock.Cycles(16) + hssl.DefaultPropagation
-	m.windowPeriod = 2 * event.Time(cfg.Shape.Diameter()+1) * hop
-	if min := 25 * event.Nanosecond; m.windowPeriod < min {
-		m.windowPeriod = min
-	}
+	m.windowPeriod = max(2*event.Time(cfg.Shape.Diameter()+1)*hop, 25*event.Nanosecond)
 	// Arm the sampling clock whenever any SCU raises a partition
 	// interrupt. The clock samples every node at once, which no shard
 	// may do, so a sharded machine refuses the interrupt instead.
@@ -132,7 +129,7 @@ func Build(eng *event.Engine, cfg Config) *Machine {
 	for _, n := range m.Nodes {
 		n.SCU.WindowArm = arm
 	}
-	m.registerTelemetry()
+	m.Reg = telemetry.New()
 	return m
 }
 
@@ -275,7 +272,7 @@ func (m *Machine) RunSPMD(name string, prog func(rank int) node.Program) error {
 	for _, n := range m.Nodes {
 		done, err := n.AppDone()
 		if !done {
-			return fmt.Errorf("machine: %s did not finish", n.Name)
+			return fmt.Errorf("machine: %s did not finish", n)
 		}
 		if err != nil {
 			return err
@@ -308,7 +305,7 @@ func (m *Machine) VerifyChecksums() (int, error) {
 			_, rx := m.Nodes[nb].SCU.Checksums(l.Opposite())
 			if !tx.Equal(&rx) {
 				return checked, fmt.Errorf("machine: checksum mismatch %s link %v -> node %d: tx %d words %#x, rx %d words %#x",
-					n.Name, l, nb, tx.Count(), tx.Sum(), rx.Count(), rx.Sum())
+					n, l, nb, tx.Count(), tx.Sum(), rx.Count(), rx.Sum())
 			}
 			checked++
 		}
@@ -316,9 +313,12 @@ func (m *Machine) VerifyChecksums() (int, error) {
 	return checked, nil
 }
 
-// torus is the machine's wires and their owner, which names them on
-// demand and chains each node's link training.
-type torus struct{ wires []hssl.Wire }
+// torus is the machine's wires and their rings' slab, and their owner,
+// which names them on demand and chains each node's link training.
+type torus struct {
+	wires []hssl.Wire
+	slab  []hssl.Flight
+}
 
 // WireName names wire id as Build always has: "w", the rank, the link.
 func (t *torus) WireName(id int) string {

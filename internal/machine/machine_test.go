@@ -8,6 +8,7 @@ import (
 	"qcdoc/internal/event"
 	"qcdoc/internal/geom"
 	"qcdoc/internal/node"
+	"qcdoc/internal/qmp"
 	"qcdoc/internal/scu"
 )
 
@@ -29,7 +30,7 @@ func TestBuildAndBoot(t *testing.T) {
 	}
 	for _, n := range m.Nodes {
 		if n.State() != node.RunKernel {
-			t.Fatalf("%s in state %v after boot", n.Name, n.State())
+			t.Fatalf("%s in state %v after boot", n, n.State())
 		}
 		if n.BootWords() == 0 {
 			t.Fatal("node booted without loading code (no PROMs!)")
@@ -52,12 +53,14 @@ func TestWireNamesMatchFmt(t *testing.T) {
 }
 
 // buildBootAllocsPerNode bounds the heap objects Build plus Boot
-// allocate: per node, fewer than the node has links. A node costs its
-// memory, CPU, SCU (link units, their timers and queues inside it) and
-// telemetry registrations; the wires come from one slab per machine, are
-// named on demand, and train through their own events. Measured at about
-// 11 per node from 16 to 256 nodes; before, about 125.
-const buildBootAllocsPerNode = 16
+// allocate per node: the node, its memory, its SCU (link units, their
+// timers and queues, its first two transfer records inside it) and the
+// memory page the boot word lands in. The wires and their in-flight
+// rings come from two slabs per machine, are named on demand, and train
+// through their own events; telemetry registers only when enabled.
+// Measured at 4 per node (plus 10 per machine) at 16 and 64 nodes;
+// before, about 12, and 125 before that.
+const buildBootAllocsPerNode = 4
 
 // TestBuildBootAllocsPerNode holds Build plus Boot to
 // buildBootAllocsPerNode objects per node, plus a constant, on machines
@@ -74,6 +77,86 @@ func TestBuildBootAllocsPerNode(t *testing.T) {
 		if limit := float64(buildBootAllocsPerNode*shape.Volume() + 64); allocs > limit {
 			t.Errorf("%v: Build+Boot allocate %.0f objects (%.1f per node), want at most %.0f",
 				shape, allocs, allocs/float64(shape.Volume()), limit)
+		}
+	}
+}
+
+// rackAllocsPerNode and rackAllocsPerShard bound the heap objects of a
+// whole rack-shaped run: Build, Boot, a program of halo rounds and
+// doubled global sums, and Shutdown. Beyond Build and Boot a node spends
+// its application process (the Proc, its channel and goroutine, its
+// name), the program's closure and context, its Comm and a memory page;
+// a shard its engine, queue lanes and mailboxes. Measured on 64 nodes at
+// 860 objects serial and 1 772 on 32 shards (13.4 per node, 28.5 more
+// per shard); before, 2 487 and 3 396.
+const rackAllocsPerNode, rackAllocsPerShard = 16, 32
+
+// TestRackProgramAllocsPerNode holds a rack-shaped run (the benchmark's
+// rack loop at 64 nodes: 24 halo rounds of 16 words, one per dimension
+// in turn, a doubled global sum before every sixth and one at the end)
+// to rackAllocsPerNode objects per node plus rackAllocsPerShard per
+// shard, serial and sharded.
+func TestRackProgramAllocsPerNode(t *testing.T) {
+	const rounds, words = 24, 16
+	shape := geom.MakeShape(2, 2, 2, 2, 2, 2)
+	fold := geom.IdentityFold(shape)
+	v := shape.Volume()
+	want := float64(v * (v + 1) / 2)
+	bad := make([]bool, v)
+	for _, shards := range []bool{false, ShardAuto} {
+		numShards := 1
+		allocs := testing.AllocsPerRun(2, func() {
+			eng := event.New()
+			cfg := DefaultConfig(shape)
+			cfg.Shards, cfg.Workers = shards, 2
+			m := Build(eng, cfg)
+			if c := m.Cluster(); c != nil {
+				numShards = c.NumShards()
+			}
+			err := m.Boot()
+			if err == nil {
+				err = m.RunSPMD("rack", func(rank int) node.Program {
+					return func(ctx *node.Ctx) {
+						n := ctx.N
+						send, recv := n.AllocWords(words), n.AllocWords(words)
+						comm := qmp.New(ctx, fold)
+						for round := 0; round <= rounds; round++ {
+							if round%6 == 5 || round == rounds {
+								if comm.GlobalSumFloat64Doubled(ctx.P, float64(rank+1)) != want {
+									bad[rank] = true
+								}
+							}
+							if round == rounds {
+								break
+							}
+							out := geom.Link{Dim: round % geom.MaxDim, Dir: geom.Fwd}
+							rt, err := n.SCU.StartRecv(out.Opposite(), scu.Contiguous(recv, words))
+							if err != nil {
+								panic(err)
+							}
+							st, err := n.SCU.StartSend(out, scu.Contiguous(send, words))
+							if err != nil {
+								panic(err)
+							}
+							st.Wait(ctx.P)
+							rt.Wait(ctx.P)
+						}
+					}
+				})
+			}
+			eng.Shutdown()
+			if err != nil {
+				t.Fatal(err)
+			}
+		})
+		for rank, b := range bad {
+			if b {
+				t.Fatalf("%d shards: rank %d got a wrong global sum", numShards, rank)
+			}
+		}
+		if limit := float64(rackAllocsPerNode*v + rackAllocsPerShard*numShards); allocs > limit {
+			t.Errorf("%d shards: a rack run allocates %.0f objects (%.1f per node), want at most %.0f",
+				numShards, allocs, allocs/float64(v), limit)
 		}
 	}
 }
@@ -256,7 +339,7 @@ func TestE14Wiring(t *testing.T) {
 	for _, n := range m.Nodes {
 		for _, l := range geom.AllLinks() {
 			if !n.SCU.Attached(l) {
-				t.Fatalf("%s link %v not attached", n.Name, l)
+				t.Fatalf("%s link %v not attached", n, l)
 			}
 		}
 	}

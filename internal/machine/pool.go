@@ -1,6 +1,7 @@
 package machine
 
 import (
+	"slices"
 	"sync"
 
 	"qcdoc/internal/event"
@@ -8,19 +9,24 @@ import (
 	"qcdoc/internal/hssl"
 )
 
-// Pool recycles the expensive per-machine allocations across machine
-// lifetimes — event-engine heap storage and HSSL in-flight frame rings —
-// and shares the shard plan of a topology, a pure function of the Shape.
-// A Pool is safe for concurrent use; a nil *Pool disables pooling (every
-// method no-ops). It holds no live references: Storage is cleared by
-// event.Release and frame rings are pure values (DESIGN.md §14).
+// Pool recycles event-engine heap storage and HSSL ring slabs across
+// machine lifetimes and shares the shard plan of a topology, a pure
+// function of the Shape. A Pool is safe for concurrent use; a nil *Pool
+// disables pooling (every method no-ops). It holds no live references:
+// Storage is cleared by event.Release and frames are pure values
+// (DESIGN.md §14).
 type Pool struct {
 	mu       sync.Mutex
 	storages []event.Storage
-	rings    [][]hssl.Flight
+	slabs    [][]hssl.Flight
+	ringLen  int // the largest ring a reclaimed machine's wire had
 	plans    map[geom.Shape][]int
 	stats    PoolStats
 }
+
+// minRing is a wire's ring slot in a fresh slab: three words in the air
+// and an ack.
+const minRing = 4
 
 // PoolStats counts pool traffic, for hygiene tests and the fleet
 // driver's summary line.
@@ -28,13 +34,13 @@ type PoolStats struct {
 	// StorageReused / StorageFresh count NewEngine calls served from the
 	// free list vs. built cold.
 	StorageReused, StorageFresh int
-	// RingsReused / RingsFresh count wires built with a recycled
-	// in-flight ring vs. starting empty.
+	// RingsReused / RingsFresh count wires built with their in-flight
+	// rings in a recycled slab vs. a fresh one.
 	RingsReused, RingsFresh int
 	// PlanHits / PlanMisses count shard-plan cache lookups.
 	PlanHits, PlanMisses int
-	// StorageIdle / RingsIdle are the current free-list depths.
-	StorageIdle, RingsIdle int
+	// StorageIdle / SlabsIdle are the current free-list depths.
+	StorageIdle, SlabsIdle int
 	// PendingEvents sums the still-queued events across idle storages.
 	// Always zero — Release clears every item — and asserted so by the
 	// lifecycle-hygiene tests: a nonzero value means a dead machine's
@@ -68,10 +74,11 @@ func (p *Pool) NewEngine() *event.Engine {
 }
 
 // Reclaim takes back a finished machine's storage: the host engine's
-// heap arrays (shard engines keep theirs) and every wire's in-flight
-// ring. The engine must be shut down; neither it nor the machine may be
-// used afterwards. Nil arguments are no-ops, but the machine's telemetry
-// registry is always cleared, so no dead machine's closures stay.
+// heap arrays (shard engines keep theirs) and the ring slab, noting the
+// largest ring a wire grew to. The engine must be shut down; neither it
+// nor the machine may be used afterwards. Nil arguments are no-ops, but
+// the machine's registry is always cleared, so no dead machine's
+// closures stay.
 func (p *Pool) Reclaim(eng *event.Engine, m *Machine) {
 	if m != nil && m.Reg != nil {
 		m.Reg.Clear()
@@ -83,39 +90,38 @@ func (p *Pool) Reclaim(eng *event.Engine, m *Machine) {
 	if eng != nil {
 		st = eng.Release()
 	}
-	var rings [][]hssl.Flight
-	if m != nil {
-		for i := range m.torus.wires {
-			if r := m.torus.wires[i].ReleaseRing(); cap(r) > 0 {
-				rings = append(rings, r)
-			}
-		}
-	}
 	p.mu.Lock()
+	defer p.mu.Unlock()
 	if st.Cap() > 0 {
 		p.storages = append(p.storages, st)
 	}
-	p.rings = append(p.rings, rings...)
-	p.mu.Unlock()
+	if m != nil && m.torus.slab != nil { // taken once: no two machines share a slab
+		p.slabs, m.torus.slab = append(p.slabs, m.torus.slab), nil
+		for i := range m.torus.wires {
+			p.ringLen = max(p.ringLen, m.torus.wires[i].RingSize())
+		}
+	}
 }
 
-// ring hands out a recycled frame ring, or nil when the pool is empty
-// or nil.
-func (p *Pool) ring() []hssl.Flight {
+// slab returns ring storage for n wires, k frames each (the largest ring
+// a reclaimed machine grew, at least minRing): the latest reclaimed slab
+// that holds them, or a fresh one.
+func (p *Pool) slab(n int) (k int, slab []hssl.Flight) {
 	if p == nil {
-		return nil
+		return minRing, make([]hssl.Flight, minRing*n)
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if n := len(p.rings); n > 0 {
-		r := p.rings[n-1]
-		p.rings[n-1] = nil
-		p.rings = p.rings[:n-1]
-		p.stats.RingsReused++
-		return r
+	k = max(minRing, p.ringLen)
+	for i := len(p.slabs) - 1; i >= 0; i-- {
+		if s := p.slabs[i]; len(s) >= k*n {
+			p.slabs = slices.Delete(p.slabs, i, i+1)
+			p.stats.RingsReused += n
+			return k, s
+		}
 	}
-	p.stats.RingsFresh++
-	return nil
+	p.stats.RingsFresh += n
+	return k, make([]hssl.Flight, k*n)
 }
 
 // shardPlan returns the rank→shard map for a topology (per nodes to a
@@ -156,7 +162,7 @@ func (p *Pool) Stats() PoolStats {
 	defer p.mu.Unlock()
 	s := p.stats
 	s.StorageIdle = len(p.storages)
-	s.RingsIdle = len(p.rings)
+	s.SlabsIdle = len(p.slabs)
 	for _, st := range p.storages {
 		s.PendingEvents += st.Pending()
 	}

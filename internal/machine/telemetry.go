@@ -11,16 +11,13 @@ import (
 
 // This file wires the machine into the telemetry layer (DESIGN.md §10):
 // per-node and machine-wide counters, event queues, histograms and
-// gauges register on one Registry at Build time as reader closures. A
+// gauges register as reader closures at the first EnableTelemetry. A
 // snapshot schedules no events: telemetry on or off, the simulated
 // machine is bit-identical.
 
-// registerTelemetry populates the machine's registry. Called once from
-// Build, before anything runs.
+// registerTelemetry populates the machine's registry; see EnableTelemetry.
 func (m *Machine) registerTelemetry() {
-	m.Reg = telemetry.New()
 	for r, n := range m.Nodes {
-		n := n
 		m.Reg.RegisterCounters(fmt.Sprintf("node%d/scu", r), func(emit telemetry.EmitFunc) {
 			s := n.SCU.Stats()
 			s.Each(emit)
@@ -47,6 +44,7 @@ func (m *Machine) registerTelemetry() {
 		emit("frames", w.Frames)
 		emit("bits", w.Bits)
 		emit("corrupted", w.Corrupted)
+		emit("dropped", w.Dropped)
 	})
 	m.Reg.RegisterCounters("host/event_queue", func(emit telemetry.EmitFunc) {
 		for i, q := range m.queueStats() {
@@ -70,10 +68,14 @@ func (m *Machine) registerTelemetry() {
 	m.Reg.RegisterGauge("machine/power_watts", func() float64 { return pkg.PowerWatts })
 }
 
-// EnableTelemetry switches the whole layer on: the registry starts
-// collecting, every node starts counting, and every link starts
-// recording its latency distributions. Idempotent.
+// EnableTelemetry switches the whole layer on: the machine's sources
+// register, the registry starts collecting, every node starts counting,
+// and every link starts recording its latency distributions. Idempotent.
 func (m *Machine) EnableTelemetry() {
+	if !m.telemetryOn {
+		m.telemetryOn = true
+		m.registerTelemetry()
+	}
 	m.Reg.SetEnabled(true)
 	for _, n := range m.Nodes {
 		n.EnableCounters()
@@ -130,6 +132,7 @@ func (m *Machine) WireStats() hssl.Stats {
 		total.Frames += s.Frames
 		total.Bits += s.Bits
 		total.Corrupted += s.Corrupted
+		total.Dropped += s.Dropped
 	}
 	return total
 }
@@ -142,12 +145,8 @@ func (m *Machine) LinkUtilization() float64 {
 	if now == 0 {
 		return 0
 	}
-	bits := float64(m.WireStats().Bits)
 	capacity := float64(len(m.Nodes)*geom.NumLinks) * float64(m.Cfg.Clock) * (float64(now) / float64(event.Second))
-	if capacity == 0 {
-		return 0
-	}
-	return bits / capacity
+	return float64(m.WireStats().Bits) / capacity
 }
 
 // SustainedFlops is the machine-wide achieved floating-point rate:

@@ -2,6 +2,8 @@ package machine
 
 import (
 	"fmt"
+	"hash/fnv"
+	"sort"
 	"testing"
 
 	"qcdoc/internal/event"
@@ -9,6 +11,7 @@ import (
 	"qcdoc/internal/node"
 	"qcdoc/internal/ppc440"
 	"qcdoc/internal/qmp"
+	"qcdoc/internal/scupkt"
 )
 
 // TestTelemetryZeroPerturbation is the load-bearing contract of the
@@ -157,5 +160,127 @@ func TestTelemetryDisabledSnapshotIsEmpty(t *testing.T) {
 		if n.Counters() != nil {
 			t.Fatal("node counters enabled without EnableTelemetry")
 		}
+	}
+}
+
+// telemetryLines runs TestMachineTelemetrySnapshot's program on an
+// enabled 2x2 machine and returns its snapshot's counters, sorted, as
+// "key" and as "key value" lines.
+func telemetryLines(t *testing.T) (keys, values []string) {
+	t.Helper()
+	shape := geom.MakeShape(2, 2)
+	eng := event.New()
+	defer eng.Shutdown()
+	m := Build(eng, DefaultConfig(shape))
+	m.EnableTelemetry()
+	if err := m.Boot(); err != nil {
+		t.Fatal(err)
+	}
+	fold := geom.IdentityFold(shape)
+	kern := ppc440.KernelCost{Name: "wilson", Flops: 4000, FPUOps: 2000, LoadBytes: 256, Streams: 1}
+	err := m.RunSPMD("telem", func(rank int) node.Program {
+		return func(ctx *node.Ctx) {
+			ctx.N.Compute(ctx.P, kern)
+			c := qmp.New(ctx, fold)
+			c.GlobalSumFloat64(ctx.P, float64(rank))
+			c.Barrier(ctx.P)
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap := m.Reg.Snapshot()
+	for _, k := range snap.Names() {
+		keys = append(keys, k)
+		values = append(values, fmt.Sprintf("%s %d", k, snap.Counters[k]))
+	}
+	return keys, values
+}
+
+// linesDigest is FNV-1a over the lines, each ended by a newline.
+func linesDigest(lines []string) uint64 {
+	h := fnv.New64a()
+	for _, l := range lines {
+		h.Write([]byte(l + "\n"))
+	}
+	return h.Sum64()
+}
+
+// TestTelemetryKeysPinned pins an enabled machine's counter snapshot:
+// the same sorted keys, and the same values after the same program, as
+// when every source registered at Build (804 counters), with
+// machine/hssl/dropped the one addition.
+func TestTelemetryKeysPinned(t *testing.T) {
+	keys, values := telemetryLines(t)
+	const dropped = "machine/hssl/dropped"
+	i := sort.SearchStrings(keys, dropped)
+	if i == len(keys) || keys[i] != dropped || values[i] != dropped+" 0" {
+		t.Fatalf("no %q counter of 0 in the snapshot", dropped)
+	}
+	keys, values = append(keys[:i:i], keys[i+1:]...), append(values[:i:i], values[i+1:]...)
+	const wantKeys, wantValues = 0xce7f14869c120682, 0x2406f7bd637a0a13
+	if len(keys) != 804 || linesDigest(keys) != wantKeys || linesDigest(values) != wantValues {
+		t.Fatalf("%d counters, keys %#x, values %#x; want 804, %#x, %#x",
+			len(keys), linesDigest(keys), linesDigest(values), uint64(wantKeys), uint64(wantValues))
+	}
+}
+
+// TestTelemetryRegistersOnEnable: a machine that never enabled
+// telemetry holds no source of its own — its registry, switched on by
+// hand, snapshots nothing — and no per-node source in particular.
+func TestTelemetryRegistersOnEnable(t *testing.T) {
+	eng := event.New()
+	defer eng.Shutdown()
+	m := Build(eng, DefaultConfig(geom.MakeShape(2, 2)))
+	if err := m.Boot(); err != nil {
+		t.Fatal(err)
+	}
+	m.Reg.SetEnabled(true)
+	if snap := m.Reg.Snapshot(); len(snap.Counters) != 0 || len(snap.Gauges) != 0 || len(snap.Histograms) != 0 {
+		t.Fatalf("a dark machine registered %d counters (the first %q), %d gauges, %d histograms",
+			len(snap.Counters), snap.Names()[:min(1, len(snap.Counters))], len(snap.Gauges), len(snap.Histograms))
+	}
+}
+
+// TestWireStatsCountDropped kills a wire between two sends of a burst:
+// the frames it swallows count as dropped in the wire's stats, the
+// machine-wide sum and the machine/hssl/dropped counter.
+func TestWireStatsCountDropped(t *testing.T) {
+	eng := event.New()
+	defer eng.Shutdown()
+	m := Build(eng, DefaultConfig(geom.MakeShape(2, 2)))
+	m.EnableTelemetry()
+	if err := m.Boot(); err != nil {
+		t.Fatal(err)
+	}
+	w := m.Wire(1, geom.LinkAt(0))
+	for i := 0; i < 5; i++ {
+		if i == 2 {
+			w.Kill()
+		}
+		if _, err := w.Send(scupkt.WireOf([]byte{byte(i), 0xAA})); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := w.Stats().Dropped; got != 3 {
+		t.Fatalf("killed wire dropped %d frames, want 3", got)
+	}
+	if got := m.WireStats().Dropped; got != 3 {
+		t.Fatalf("WireStats().Dropped = %d, want 3", got)
+	}
+	if got := m.Reg.Snapshot().Counters["machine/hssl/dropped"]; got != 3 {
+		t.Fatalf("machine/hssl/dropped = %d, want 3", got)
+	}
+}
+
+// TestStatsAllocFree: summing the SCU counters of a node or of the whole
+// machine allocates nothing; the sum stays on the stack.
+func TestStatsAllocFree(t *testing.T) {
+	eng := event.New()
+	defer eng.Shutdown()
+	m := Build(eng, DefaultConfig(geom.MakeShape(2, 2)))
+	var sink uint64
+	if a := testing.AllocsPerRun(10, func() { sink += m.Stats().WordsSent + m.Nodes[0].SCU.Stats().Resends }); a != 0 {
+		t.Fatalf("Machine.Stats and SCU.Stats allocate %.0f objects, want 0", a)
 	}
 }

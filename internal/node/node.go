@@ -10,6 +10,8 @@ package node
 
 import (
 	"fmt"
+	"math"
+	"strconv"
 
 	"qcdoc/internal/event"
 	"qcdoc/internal/geom"
@@ -73,7 +75,6 @@ type Node struct {
 	Eng   *event.Engine
 	Rank  int
 	Coord geom.Coord
-	Name  string
 
 	Mem      *memsys.NodeMemory
 	MemModel memsys.Model
@@ -115,15 +116,24 @@ func New(eng *event.Engine, rank int, coord geom.Coord, clock event.Hz) *Node {
 		Eng:      eng,
 		Rank:     rank,
 		Coord:    coord,
-		Name:     fmt.Sprintf("node%d", rank),
 		Mem:      mem,
 		MemModel: model,
 		CPU:      ppc440.At(clock),
 		state:    Reset,
 		brk:      bootReserved,
 	}
-	n.SCU = scu.New(eng, n.Name, mem, clock)
+	n.SCU = scu.New(eng, n, mem, clock)
 	return n
+}
+
+// String returns the node's name, "node" and its rank, built on demand.
+func (n *Node) String() string { return n.nameWith("") }
+
+// nameWith returns the node's name and suffix in one allocation.
+func (n *Node) nameWith(suffix string) string {
+	var buf [64]byte
+	b := strconv.AppendInt(append(buf[:0], "node"...), int64(n.Rank), 10)
+	return string(append(b, suffix...))
 }
 
 // State returns the lifecycle state.
@@ -143,10 +153,10 @@ func (n *Node) BootWords() int { return n.bootWords }
 // StartBootKernel begins executing the JTAG-loaded boot kernel.
 func (n *Node) StartBootKernel() error {
 	if n.state != Reset {
-		return fmt.Errorf("node %s: boot kernel start in state %v", n.Name, n.state)
+		return fmt.Errorf("node %s: boot kernel start in state %v", n, n.state)
 	}
 	if n.bootWords == 0 {
-		return fmt.Errorf("node %s: no boot code loaded (no PROMs on QCDOC)", n.Name)
+		return fmt.Errorf("node %s: no boot code loaded (no PROMs on QCDOC)", n)
 	}
 	n.state = BootKernel
 	return nil
@@ -156,7 +166,7 @@ func (n *Node) StartBootKernel() error {
 // Ethernet) and initializes the SCU.
 func (n *Node) StartRunKernel() error {
 	if n.state != BootKernel {
-		return fmt.Errorf("node %s: run kernel start in state %v", n.Name, n.state)
+		return fmt.Errorf("node %s: run kernel start in state %v", n, n.state)
 	}
 	n.state = RunKernel
 	n.SCU.Start()
@@ -185,12 +195,12 @@ func (n *Node) ForceReady() {
 // from engine shutdown re-panics so teardown proceeds as before.
 func (n *Node) RunProgram(name string, prog Program) error {
 	if n.state != RunKernel {
-		return fmt.Errorf("node %s: cannot run application in state %v", n.Name, n.state)
+		return fmt.Errorf("node %s: cannot run application in state %v", n, n.state)
 	}
 	n.state = AppRunning
 	n.appDone = false
 	n.appErr = nil
-	n.appProc = n.Eng.Spawn(n.Name+" app "+name, func(p *event.Proc) {
+	n.appProc = n.Eng.Spawn(n.nameWith(" app "+name), func(p *event.Proc) {
 		defer func() {
 			r := recover()
 			killed := r != nil && event.IsKillPanic(r)
@@ -200,7 +210,7 @@ func (n *Node) RunProgram(name string, prog Program) error {
 			case killed:
 				panic(r) // engine teardown, not an application outcome
 			case r != nil:
-				n.appErr = fmt.Errorf("node %s: application panic: %v", n.Name, r)
+				n.appErr = fmt.Errorf("node %s: application panic: %v", n, r)
 			}
 			if !n.hung && n.state == AppRunning {
 				n.state = RunKernel
@@ -275,7 +285,7 @@ func (n *Node) AllocWords(words int) uint64 {
 	addr := n.brk
 	n.brk += uint64(words) * 8
 	if n.brk > memsys.DDRBase+memsys.DDRBytes {
-		panic(fmt.Sprintf("node %s: out of memory (brk %#x)", n.Name, n.brk))
+		panic(fmt.Sprintf("node %s: out of memory (brk %#x)", n, n.brk))
 	}
 	return addr
 }
@@ -285,12 +295,12 @@ func (n *Node) AllocLevel() memsys.Level { return memsys.LevelOf(n.brk - 1) }
 
 // WriteF64 stores a float64 at a word address.
 func (n *Node) WriteF64(addr uint64, v float64) {
-	n.Mem.WriteWord(addr, f64bits(v))
+	n.Mem.WriteWord(addr, math.Float64bits(v))
 }
 
 // ReadF64 loads a float64 from a word address.
 func (n *Node) ReadF64(addr uint64) float64 {
-	return f64frombits(n.Mem.ReadWord(addr))
+	return math.Float64frombits(n.Mem.ReadWord(addr))
 }
 
 // Compute charges the node's CPU with a kernel execution.

@@ -34,23 +34,31 @@ type Comm struct {
 
 	// Global-sum scratch, owned so that a sum builds nothing per axis:
 	// the gathered words of the ring in hand (ringN nodes, this one at
-	// ringMe), the one-link Outs of the two streams, and the streams'
-	// OnWord callbacks, bound once in New. The k-th word arriving from
-	// behind left the node k+1 places back; from ahead, k+1 places on.
+	// ringMe), in ring up to 8 nodes (every axis of the 1024-node rack),
+	// and the one-link Outs of the two streams.
 	vals          []uint64
+	ring          [8]uint64
 	ringN, ringMe int
 	outs          [2][1]geom.Link
-	onBehind      func(k int, w uint64)
-	onAhead       func(k int, w uint64)
 }
 
 // New builds the communicator for the node in ctx under the given fold
 // of the physical machine.
 func New(ctx *node.Ctx, fold *geom.Fold) *Comm {
 	c := &Comm{n: ctx.N, fold: fold, lc: fold.ToLogical(ctx.N.Coord)}
-	c.onBehind = func(k int, w uint64) { c.vals[((c.ringMe-1-k)%c.ringN+c.ringN)%c.ringN] = w }
-	c.onAhead = func(k int, w uint64) { c.vals[(c.ringMe+1+k)%c.ringN] = w }
+	c.vals = c.ring[:]
 	return c
+}
+
+// GlobalWord stores the k-th word of a gather's stream, which left the
+// node k+1 places on (stream 1, from ahead) or back (stream 0, from
+// behind; k+1 < ringN). It implements scu.WordSink.
+func (c *Comm) GlobalWord(stream, k int, w uint64) {
+	d := k + 1
+	if stream == 0 {
+		d = c.ringN - d
+	}
+	c.vals[(c.ringMe+d)%c.ringN] = w
 }
 
 // Shape returns the logical torus shape.
@@ -93,48 +101,45 @@ func WaitAll(p *event.Proc, ts ...scu.Transfer) {
 // contributes x and receives the identical machine-wide total,
 // accumulated in canonical coordinate order (bit-reproducible).
 func (c *Comm) GlobalSumFloat64(p *event.Proc, x float64) float64 {
-	return c.globalSumFloat64(p, x, false)
+	return math.Float64frombits(c.globalSum(p, math.Float64bits(x), false, true))
 }
 
 // GlobalSumFloat64Doubled is the doubled-mode variant: both ring
 // directions run concurrently on the SCU's two disjoint global streams,
 // halving the hop count (Nx/2 + Ny/2 + ... instead of Nx + Ny + ... - 4).
 func (c *Comm) GlobalSumFloat64Doubled(p *event.Proc, x float64) float64 {
-	return c.globalSumFloat64(p, x, true)
-}
-
-// globalSumFloat64 is both float sums: one ring reduction per axis of
-// extent > 1, single or doubled.
-func (c *Comm) globalSumFloat64(p *event.Proc, x float64, doubled bool) float64 {
-	c.noteGlobalSum()
-	start, flow, prev := c.gsumBegin(p)
-	shape := c.fold.Logical()
-	for axis := 0; axis < geom.MaxDim; axis++ {
-		if shape[axis] > 1 {
-			x = c.axisSum(p, axis, x, doubled)
-		}
-	}
-	c.gsumEnd(p, start, flow, prev)
-	return x
+	return math.Float64frombits(c.globalSum(p, math.Float64bits(x), true, true))
 }
 
 // GlobalSumUint64 sums unsigned words (useful for counters and votes).
 func (c *Comm) GlobalSumUint64(p *event.Proc, x uint64) uint64 {
+	return c.globalSum(p, x, false, false)
+}
+
+// globalSum is every global sum: one ring reduction per axis of extent
+// > 1, single or doubled, whose words add as float64s or as integers in
+// canonical order — by origin coordinate, identical on every node.
+func (c *Comm) globalSum(p *event.Proc, x uint64, doubled, float bool) uint64 {
 	c.noteGlobalSum()
 	start, flow, prev := c.gsumBegin(p)
-	// Ride the float path bit-exactly only for small integers; do it
-	// directly instead: same rings, integer accumulate.
 	shape := c.fold.Logical()
 	for axis := 0; axis < geom.MaxDim; axis++ {
 		if shape[axis] <= 1 {
 			continue
 		}
-		vals := c.axisGather(p, axis, x, false)
-		var sum uint64
-		for _, v := range vals {
-			sum += v
+		vals := c.axisGather(p, axis, x, doubled)
+		x = 0
+		if float {
+			sum := 0.0
+			for _, w := range vals {
+				sum += math.Float64frombits(w)
+			}
+			x = math.Float64bits(sum)
+		} else {
+			for _, w := range vals {
+				x += w
+			}
 		}
-		x = sum
 	}
 	c.gsumEnd(p, start, flow, prev)
 	return x
@@ -168,17 +173,6 @@ func (c *Comm) gsumEnd(p *event.Proc, start event.Time, flow, prev uint64) {
 	}
 }
 
-// axisSum reduces along one logical axis.
-func (c *Comm) axisSum(p *event.Proc, axis int, x float64, doubled bool) float64 {
-	vals := c.axisGather(p, axis, math.Float64bits(x), doubled)
-	// Canonical order: by origin coordinate, identical on every node.
-	sum := 0.0
-	for _, w := range vals {
-		sum += math.Float64frombits(w)
-	}
-	return sum
-}
-
 // axisGather collects every node's word along an axis ring, indexed by
 // the origin's coordinate on the axis. The result is the Comm's scratch:
 // valid until the next gather.
@@ -187,7 +181,7 @@ func (c *Comm) axisGather(p *event.Proc, axis int, word uint64, doubled bool) []
 	if cap(c.vals) < n {
 		c.vals = make([]uint64, n)
 	}
-	vals := c.vals[:n] // every entry is overwritten: ours here, n-1 by OnWord
+	vals := c.vals[:n] // every entry is overwritten: ours here, n-1 by GlobalWord
 	c.vals, c.ringN, c.ringMe = vals, n, c.lc[axis]
 	vals[c.ringMe] = word
 	fwd := c.link(axis, geom.Fwd)
@@ -198,7 +192,7 @@ func (c *Comm) axisGather(p *event.Proc, axis int, word uint64, doubled bool) []
 		// -axis side, forwarding all but the last.
 		cfg := scu.GlobalConfig{
 			In: bwd, HasIn: true, Outs: c.outs[0][:],
-			Expect: n - 1, Forward: n - 2, OnWord: c.onBehind,
+			Expect: n - 1, Forward: n - 2, OnWord: c,
 		}
 		must(c.n.SCU.ConfigureGlobal(0, cfg))
 		must(c.n.SCU.GlobalInject(0, word))
@@ -213,11 +207,11 @@ func (c *Comm) axisGather(p *event.Proc, axis int, word uint64, doubled bool) []
 	kb := n - 1 - kf
 	cfg0 := scu.GlobalConfig{
 		In: bwd, HasIn: true, Outs: c.outs[0][:],
-		Expect: kf, Forward: max(kf-1, 0), OnWord: c.onBehind,
+		Expect: kf, Forward: max(kf-1, 0), OnWord: c,
 	}
 	cfg1 := scu.GlobalConfig{
 		In: fwd, HasIn: true, Outs: c.outs[1][:],
-		Expect: kb, Forward: max(kb-1, 0), OnWord: c.onAhead,
+		Expect: kb, Forward: max(kb-1, 0), OnWord: c,
 	}
 	must(c.n.SCU.ConfigureGlobal(0, cfg0))
 	if kb > 0 {
@@ -281,7 +275,7 @@ func (c *Comm) Broadcast(p *event.Proc, root geom.Coord, word uint64) uint64 {
 		cfg := scu.GlobalConfig{
 			In: bwd, HasIn: true, Outs: []geom.Link{fwd},
 			Expect: 1, Forward: forward,
-			OnWord: func(_ int, w uint64) { got = w },
+			OnWord: scu.WordFunc(func(_ int, w uint64) { got = w }),
 		}
 		must(c.n.SCU.ConfigureGlobal(0, cfg))
 		c.n.SCU.WaitGlobal(p, 0)

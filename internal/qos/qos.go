@@ -171,7 +171,7 @@ func (k *Kernel) handleRPC(pkt ethjtag.Packet) {
 			// and hardware status to the qdaemon (§3.2).
 			st := ctx.N.SCU.Stats()
 			k.send(ethjtag.PortRPC, fmt.Sprintf("done %s %s parity=%d header=%d resends=%d",
-				job, k.Node.Name, st.ParityErrors, st.HeaderErrors, st.Resends))
+				job, k.Node, st.ParityErrors, st.HeaderErrors, st.Resends))
 		}
 		if err := k.Node.RunProgram(name, wrapped); err != nil {
 			k.reply(pkt, ethjtag.PortRPC, "err: "+err.Error())
@@ -204,7 +204,7 @@ func (k *Kernel) send(port uint16, msg string) {
 // it to the user's qcsh session (§3.1).
 func (k *Kernel) Printf(format string, args ...any) {
 	k.stdoutSeq++
-	msg := fmt.Sprintf("stdout %s %d %s", k.Node.Name, k.stdoutSeq, fmt.Sprintf(format, args...))
+	msg := fmt.Sprintf("stdout %s %d %s", k.Node, k.stdoutSeq, fmt.Sprintf(format, args...))
 	k.send(ethjtag.PortRPC, msg)
 }
 

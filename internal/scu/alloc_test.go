@@ -4,6 +4,7 @@ import (
 	"errors"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"qcdoc/internal/event"
 	"qcdoc/internal/geom"
@@ -112,7 +113,7 @@ func TestSteadyStateWordPathAllocFree(t *testing.T) {
 			// A two-node ring reduction's traffic without its arithmetic: a
 			// injects, b passes every word through, a takes it back.
 			const forever = 1 << 30
-			sink := func(int, uint64) {}
+			sink := WordFunc(func(int, uint64) {})
 			err := r.a.ConfigureGlobal(0, GlobalConfig{In: r.linkA, HasIn: true, Outs: []geom.Link{r.linkA}, Expect: forever, OnWord: sink})
 			if err == nil {
 				err = r.b.ConfigureGlobal(0, GlobalConfig{In: r.linkB, HasIn: true, Outs: []geom.Link{r.linkB}, Expect: forever, Forward: forever, OnWord: sink})
@@ -247,5 +248,14 @@ func TestStallNamesTheLink(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "B app (dma -0)") {
 		t.Fatalf("stall message %q does not name the node and link", err)
+	}
+}
+
+// TestSCUSizeClass holds the SCU, its two embedded transfer records
+// included, to the 10 880 B allocation size class it has always had: one
+// more class is 1.4 MB more per 1024-node machine build.
+func TestSCUSizeClass(t *testing.T) {
+	if size := unsafe.Sizeof(SCU{}); size > 10880 {
+		t.Fatalf("SCU is %d B, past the 10 880 B size class", size)
 	}
 }

@@ -27,11 +27,20 @@ type GlobalConfig struct {
 	// Forward is how many of the received words (the first ones) are
 	// passed through to Outs.
 	Forward int
-	// OnWord is called for each received word with its arrival index;
-	// arrival order on a given stream is deterministic (upstream
-	// neighbour's word first).
-	OnWord func(idx int, w uint64)
+	// OnWord takes each received word with its arrival index; arrival
+	// order on a given stream is deterministic (upstream neighbour's word
+	// first).
+	OnWord WordSink
 }
+
+// WordSink takes the idx-th word w of global stream id; a WordFunc is a
+// function taking them, whatever the stream.
+type WordSink interface {
+	GlobalWord(stream, idx int, w uint64)
+}
+type WordFunc func(idx int, w uint64)
+
+func (f WordFunc) GlobalWord(_, idx int, w uint64) { f(idx, w) }
 
 // globalStream is the state of one of the SCU's two streams. The SCU
 // owns both (SCU.streams); configuring one resets cfg and received and
@@ -86,7 +95,7 @@ func (s *SCU) ConfigureGlobal(id int, cfg GlobalConfig) error {
 	gs.cfg, gs.received = cfg, 0
 	s.globals[id] = gs
 	if cfg.HasIn {
-		s.globalIn[geom.LinkIndex(cfg.In)] = id
+		s.globalIn[geom.LinkIndex(cfg.In)] = int8(id)
 		// Idle receive interplay (§2.2): stream words that arrived before
 		// the stream was configured are being held, unacknowledged, in the
 		// link's SCU registers. Drain them into the stream and release the
@@ -155,7 +164,7 @@ func (gs *globalStream) receive(w uint64) {
 			gs.scu.name, gs.id, gs.received, gs.cfg.Expect))
 	}
 	if gs.cfg.OnWord != nil {
-		gs.cfg.OnWord(idx, w)
+		gs.cfg.OnWord.GlobalWord(gs.id, idx, w)
 	}
 	if idx < gs.cfg.Forward {
 		for _, o := range gs.cfg.Outs {

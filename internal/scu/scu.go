@@ -26,6 +26,7 @@ package scu
 import (
 	"errors"
 	"fmt"
+	"unsafe"
 
 	"qcdoc/internal/event"
 	"qcdoc/internal/geom"
@@ -100,67 +101,64 @@ type Stats struct {
 }
 
 // statsFields is the single definition of the protocol counter set:
-// telemetry name and field, in a stable order. Aggregation, registry
-// export and the telemetry peek window all walk it, so adding a counter
-// here is the whole job. Read-only: every machine shares it.
+// telemetry name and field offset (a Stats it reaches into stays on the
+// stack), in a stable order. Aggregation, registry export and the
+// telemetry peek window all walk it, so adding a counter here is the
+// whole job. Read-only: every machine shares it.
 var statsFields = []struct {
 	name string
-	get  func(*Stats) *uint64
+	off  uintptr
 }{
-	{"words_sent", func(s *Stats) *uint64 { return &s.WordsSent }},
-	{"words_received", func(s *Stats) *uint64 { return &s.WordsReceived }},
-	{"acks_sent", func(s *Stats) *uint64 { return &s.AcksSent }},
-	{"naks_sent", func(s *Stats) *uint64 { return &s.NaksSent }},
-	{"resends", func(s *Stats) *uint64 { return &s.Resends }},
-	{"parity_errors", func(s *Stats) *uint64 { return &s.ParityErrors }},
-	{"header_errors", func(s *Stats) *uint64 { return &s.HeaderErrors }},
-	{"duplicates", func(s *Stats) *uint64 { return &s.Duplicates }},
-	{"sups_sent", func(s *Stats) *uint64 { return &s.SupsSent }},
-	{"sups_received", func(s *Stats) *uint64 { return &s.SupsReceived }},
-	{"partirqs_sent", func(s *Stats) *uint64 { return &s.PartIRQsSent }},
-	{"partirqs_recvd", func(s *Stats) *uint64 { return &s.PartIRQsRecvd }},
-	{"retrains", func(s *Stats) *uint64 { return &s.Retrains }},
-	{"link_failures", func(s *Stats) *uint64 { return &s.LinkFailures }},
+	{"words_sent", unsafe.Offsetof(Stats{}.WordsSent)},
+	{"words_received", unsafe.Offsetof(Stats{}.WordsReceived)},
+	{"acks_sent", unsafe.Offsetof(Stats{}.AcksSent)},
+	{"naks_sent", unsafe.Offsetof(Stats{}.NaksSent)},
+	{"resends", unsafe.Offsetof(Stats{}.Resends)},
+	{"parity_errors", unsafe.Offsetof(Stats{}.ParityErrors)},
+	{"header_errors", unsafe.Offsetof(Stats{}.HeaderErrors)},
+	{"duplicates", unsafe.Offsetof(Stats{}.Duplicates)},
+	{"sups_sent", unsafe.Offsetof(Stats{}.SupsSent)},
+	{"sups_received", unsafe.Offsetof(Stats{}.SupsReceived)},
+	{"partirqs_sent", unsafe.Offsetof(Stats{}.PartIRQsSent)},
+	{"partirqs_recvd", unsafe.Offsetof(Stats{}.PartIRQsRecvd)},
+	{"retrains", unsafe.Offsetof(Stats{}.Retrains)},
+	{"link_failures", unsafe.Offsetof(Stats{}.LinkFailures)},
+}
+
+// field returns counter i of s in table order.
+func (s *Stats) field(i int) *uint64 {
+	return (*uint64)(unsafe.Add(unsafe.Pointer(s), statsFields[i].off))
 }
 
 // NumStats is the number of counters in Stats, in table order.
 func NumStats() int { return len(statsFields) }
 
-// StatsNames returns the counter names in table order.
-func StatsNames() []string {
-	names := make([]string, len(statsFields))
-	for i, f := range statsFields {
-		names[i] = f.name
-	}
-	return names
-}
-
 // Add accumulates o into s, field by field from the shared table.
 func (s *Stats) Add(o *Stats) {
-	for _, f := range statsFields {
-		*f.get(s) += *f.get(o)
+	for i := range statsFields {
+		*s.field(i) += *o.field(i)
 	}
 }
 
 // Each calls emit for every counter in table order.
 func (s *Stats) Each(emit func(name string, v uint64)) {
-	for _, f := range statsFields {
-		emit(f.name, *f.get(s))
+	for i, f := range statsFields {
+		emit(f.name, *s.field(i))
 	}
 }
 
 // Value returns counter i in table order (the indexed view the telemetry
 // peek window serves word by word).
-func (s *Stats) Value(i int) uint64 { return *statsFields[i].get(s) }
+func (s *Stats) Value(i int) uint64 { return *s.field(i) }
 
 // SetValue stores counter i in table order (for reassembling a Stats
 // from peeked words on the host side).
-func (s *Stats) SetValue(i int, v uint64) { *statsFields[i].get(s) = v }
+func (s *Stats) SetValue(i int, v uint64) { *s.field(i) = v }
 
 // SCU is one node's serial communications unit.
 type SCU struct {
 	eng  *event.Engine
-	name string
+	name fmt.Stringer // formatted only into errors
 	mem  Memory
 
 	clock     event.Hz   // the link clock, the processor's (§2.2)
@@ -186,18 +184,19 @@ type SCU struct {
 	globals [2]*globalStream
 	// globalIn maps a link index to the stream consuming its inbound
 	// data words, or -1.
-	globalIn [geom.NumLinks]int
+	globalIn [geom.NumLinks]int8
 
 	started bool
-	posts   uint64    // transfers posted; see touches
-	free    *transfer // completed transfer records; see transfer
-	ff      *ffEngine // shared with the SCUs its links pair with; see ff.go
+	posts   uint64      // transfers posted; see touches
+	free    *transfer   // completed transfer records; see transfer
+	ff      *ffEngine   // shared with the SCUs its links pair with; see ff.go
+	recs    [2]transfer // the free list's first: a send and a receive take no heap object
 }
 
 // New creates an SCU for a node whose links run at clock (the processor
-// clock; the paper's target is 500 MHz). mem is the node's local memory
-// as seen by the DMA engines.
-func New(eng *event.Engine, name string, mem Memory, clock event.Hz) *SCU {
+// clock; the paper's target is 500 MHz), named in its errors by name.
+// mem is the node's local memory as seen by the DMA engines.
+func New(eng *event.Engine, name fmt.Stringer, mem Memory, clock event.Hz) *SCU {
 	s := &SCU{eng: eng, name: name, mem: mem, clock: clock}
 	s.rxStartup = clock.Cycles(rxStartupCycles)
 	for i := range s.globalIn {
@@ -207,11 +206,9 @@ func New(eng *event.Engine, name string, mem Memory, clock event.Hz) *SCU {
 		s.streams[id] = globalStream{scu: s, id: id, done: *event.NewGate(eng)}
 	}
 	s.part.init(s)
+	s.recs[0].next, s.free = &s.recs[1], &s.recs[0]
 	return s
 }
-
-// Name returns the SCU's name (usually the node's coordinate).
-func (s *SCU) Name() string { return s.name }
 
 // Errors returned by SCU operations.
 var (

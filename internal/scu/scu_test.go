@@ -72,6 +72,11 @@ func newPairOn(t *testing.T, eng, engB *event.Engine) *pair {
 }
 
 // newPairMem is newPairOn over the caller's memories (ma and mb stay nil).
+// testName names a test's SCU.
+type testName string
+
+func (n testName) String() string { return string(n) }
+
 func newPairMem(t *testing.T, eng, engB *event.Engine, ma, mb Memory) *pair {
 	t.Helper()
 	ab := hssl.NewWireBetween(eng, engB, "a->b", hssl.DefaultClock, hssl.DefaultPropagation)
@@ -81,8 +86,8 @@ func newPairMem(t *testing.T, eng, engB *event.Engine, ma, mb Memory) *pair {
 	if err := eng.RunAll(); err != nil {
 		t.Fatal(err)
 	}
-	a := New(eng, "A", ma, testClock)
-	b := New(engB, "B", mb, testClock)
+	a := New(eng, testName("A"), ma, testClock)
+	b := New(engB, testName("B"), mb, testClock)
 	la := geom.Link{Dim: 0, Dir: geom.Fwd}
 	lb := geom.Link{Dim: 0, Dir: geom.Bwd}
 	a.AttachLink(la, ab, ba)
@@ -475,7 +480,7 @@ func ring(t *testing.T, n int) (*event.Engine, []*SCU, []*testMem) {
 	mems := make([]*testMem, n)
 	for i := 0; i < n; i++ {
 		mems[i] = newTestMem()
-		scus[i] = New(eng, fmt.Sprintf("n%d", i), mems[i], testClock)
+		scus[i] = New(eng, testName(fmt.Sprintf("n%d", i)), mems[i], testClock)
 	}
 	for i := 0; i < n; i++ {
 		next := (i + 1) % n
@@ -506,7 +511,7 @@ func TestGlobalRingBroadcastSum(t *testing.T) {
 			Outs:    []geom.Link{lout},
 			Expect:  n - 1,
 			Forward: n - 2,
-			OnWord:  func(_ int, w uint64) { collected[i] = append(collected[i], w) },
+			OnWord:  WordFunc(func(_ int, w uint64) { collected[i] = append(collected[i], w) }),
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -553,14 +558,14 @@ func TestGlobalDoubledMode(t *testing.T) {
 		if err := s.ConfigureGlobal(0, GlobalConfig{
 			In: bwdL, HasIn: true, Outs: []geom.Link{fwdL},
 			Expect: kf, Forward: kf - 1,
-			OnWord: func(_ int, w uint64) { got[i][w] = true },
+			OnWord: WordFunc(func(_ int, w uint64) { got[i][w] = true }),
 		}); err != nil {
 			t.Fatal(err)
 		}
 		cfg := GlobalConfig{
 			In: fwdL, HasIn: true, Outs: []geom.Link{bwdL},
 			Expect: kb, Forward: kb - 1,
-			OnWord: func(_ int, w uint64) { got[i][w] = true },
+			OnWord: WordFunc(func(_ int, w uint64) { got[i][w] = true }),
 		}
 		if cfg.Forward < 0 {
 			cfg.Forward = 0
