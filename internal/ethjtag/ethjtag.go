@@ -8,7 +8,6 @@
 package ethjtag
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"sort"
@@ -45,12 +44,24 @@ const (
 )
 
 // Packet is one UDP datagram on the management network. It is a plain
-// value — the payload is an immutable string — so a packet fans out to
-// every broadcast receiver and duplicates without a copy.
+// value — the payload is an immutable string, a JTAG command a struct —
+// so a packet fans out to every broadcast receiver and duplicates
+// without a copy.
 type Packet struct {
 	Src, Dst Addr
 	Port     uint16
 	Payload  string
+	// JTAG is the command or reply a PortJTAG packet carries; such a
+	// packet has no Payload.
+	JTAG JTAGCmd
+}
+
+// payloadBytes is the packet's UDP payload size on the wire.
+func (p *Packet) payloadBytes() int {
+	if p.Port == PortJTAG {
+		return jtagCmdBytes
+	}
+	return len(p.Payload)
 }
 
 // Link speeds (§2.3, §3.1).
@@ -74,10 +85,19 @@ const (
 	// FaultDup delivers the packet twice — the hub-retransmit glitch
 	// that makes at-least-once protocols earn their dedup logic.
 	FaultDup
-	// FaultStall delays delivery by the network's Stall latency on top
-	// of the normal switch traversal — a congested or degraded host-side
-	// path (the NFS server fighting the RAID for its disks, §3.2/§4).
+	// FaultStall delays delivery by StallLatency on top of the normal
+	// switch traversal — a congested or degraded host-side path (the NFS
+	// server fighting the RAID for its disks, §3.2/§4).
 	FaultStall
+)
+
+// Switch timing.
+const (
+	// SwitchLatency is a packet's traversal of the hub tree, from the end
+	// of its serialization to its arrival.
+	SwitchLatency = 10 * event.Microsecond
+	// StallLatency is the extra delivery delay a FaultStall verdict adds.
+	StallLatency = 200 * event.Microsecond
 )
 
 // FaultFunc inspects a packet at launch (after serialization timing is
@@ -88,7 +108,7 @@ type FaultFunc func(pkt *Packet) FaultVerdict
 
 // Network is the switched management Ethernet: a tree of 5-port hubs in
 // hardware, modelled as a store-and-forward switch with per-port
-// serialization and a fixed traversal latency.
+// serialization and a fixed traversal latency (SwitchLatency).
 //
 // The switch and every port live on the network's one engine: a packet
 // serializes on its sender's port, enters the switch at the end of
@@ -100,7 +120,6 @@ type Network struct {
 	eng     *event.Engine
 	ports   map[Addr]*Port
 	addrs   []Addr // attached addresses in ascending order, for deterministic broadcast
-	Latency event.Time
 	Dropped uint64 // packets to unknown destinations
 
 	// Fault, when set, judges every packet entering the switch; see
@@ -110,10 +129,6 @@ type Network struct {
 	FaultDropped    uint64
 	FaultDuplicated uint64
 	FaultStalled    uint64
-	// Stall is the extra delivery delay a FaultStall verdict adds. Only
-	// the fault injector consults it; zero with a verdict of FaultStall
-	// degrades to normal delivery.
-	Stall event.Time
 
 	// slab holds every packet between Send and its receiver; free lists
 	// the empty slots. A hop's event carries its slot as the handler
@@ -176,7 +191,7 @@ func (n *Network) HandleEvent(arg uint64) {
 
 // NewNetwork creates the management network.
 func NewNetwork(eng *event.Engine) *Network {
-	return &Network{eng: eng, ports: map[Addr]*Port{}, Latency: 10 * event.Microsecond}
+	return &Network{eng: eng, ports: map[Addr]*Port{}}
 }
 
 // Now is the switch's simulation clock — fault injectors windowing on
@@ -231,7 +246,7 @@ func (p *Port) Send(pkt Packet) error {
 			return fmt.Errorf("%w: %#x", ErrNoRoute, pkt.Dst)
 		}
 	}
-	bits := int64(len(pkt.Payload)+frameOverheadBytes) * 8
+	bits := int64(pkt.payloadBytes()+frameOverheadBytes) * 8
 	ser := event.Time(float64(bits) / float64(p.bps) * 1e12)
 	eng := p.net.eng
 	start := eng.Now()
@@ -263,11 +278,11 @@ func (n *Network) route(i uint64) {
 	if verdict == FaultDup {
 		n.FaultDuplicated++
 	}
-	arrive := n.eng.Now() + n.Latency
+	arrive := n.eng.Now() + SwitchLatency
 	if verdict == FaultStall {
 		// The frame is held in the degraded path and delivered late.
 		n.FaultStalled++
-		arrive += n.Stall
+		arrive += StallLatency
 	}
 	if pkt.Dst == Broadcast {
 		// Fan out in address order, not map order: delivery events at
@@ -340,9 +355,8 @@ func (p *Port) RecvTimeout(proc *event.Proc, d event.Time) (Packet, bool) {
 type JTAGOp byte
 
 const (
-	// OpLoadBoot writes one word of boot-kernel code (into the
-	// instruction cache of the real chip; into reserved low memory
-	// here).
+	// OpLoadBoot loads one word of boot-kernel code (into the
+	// instruction cache of the real chip; counted here).
 	OpLoadBoot JTAGOp = iota + 1
 	// OpStartBoot releases the CPU into the loaded boot kernel.
 	OpStartBoot
@@ -354,25 +368,16 @@ const (
 	OpStatus
 )
 
-// JTAG command payload: [op:1][addr:8][data:8] big-endian.
-const jtagCmdLen = 17
-
-// EncodeJTAG builds a command payload.
-func EncodeJTAG(op JTAGOp, addr, data uint64) string {
-	var buf [jtagCmdLen]byte
-	buf[0] = byte(op)
-	binary.BigEndian.PutUint64(buf[1:9], addr)
-	binary.BigEndian.PutUint64(buf[9:17], data)
-	return string(buf[:])
+// JTAGCmd is a JTAG command or its reply. The controller's circuitry
+// decodes it from a UDP payload of [op:1][addr:8][data:8]; the simulator
+// carries the fields and charges the line for those 17 bytes.
+type JTAGCmd struct {
+	Op         JTAGOp
+	Addr, Data uint64
 }
 
-// DecodeJTAG parses a command payload.
-func DecodeJTAG(b string) (op JTAGOp, addr, data uint64, err error) {
-	if len(b) < jtagCmdLen {
-		return 0, 0, 0, errors.New("ethjtag: short JTAG command")
-	}
-	return JTAGOp(b[0]), binary.BigEndian.Uint64([]byte(b[1:9])), binary.BigEndian.Uint64([]byte(b[9:17])), nil
-}
+// jtagCmdBytes is a JTAG command's payload size on the wire.
+const jtagCmdBytes = 17
 
 // JTAGTarget is the chip-side surface the controller drives: raw memory,
 // the boot loader, and the reset controls. It requires no software on
@@ -406,32 +411,26 @@ func (c *JTAGController) serve(pkt Packet) {
 		return // the JTAG connection answers only JTAG UDP (§2.3)
 	}
 	c.Served++
-	op, addr, data, err := DecodeJTAG(pkt.Payload)
-	reply := Packet{Dst: pkt.Src, Port: PortJTAG}
-	if err != nil {
-		reply.Payload = EncodeJTAG(0, 0, ^uint64(0))
-		_ = c.Port.Send(reply)
-		return
-	}
-	switch op {
+	cmd := pkt.JTAG
+	var reply JTAGCmd
+	switch cmd.Op {
 	case OpLoadBoot:
-		c.Target.LoadBootWord(addr, data)
-		reply.Payload = EncodeJTAG(op, addr, 0)
+		c.Target.LoadBootWord(cmd.Addr, cmd.Data)
+		reply = JTAGCmd{Op: cmd.Op, Addr: cmd.Addr}
 	case OpStartBoot:
-		var code uint64
+		reply = JTAGCmd{Op: cmd.Op}
 		if err := c.Target.StartBootKernel(); err != nil {
-			code = 1
+			reply.Data = 1
 		}
-		reply.Payload = EncodeJTAG(op, 0, code)
 	case OpWriteWord:
-		c.Target.WriteWord(addr, data)
-		reply.Payload = EncodeJTAG(op, addr, 0)
+		c.Target.WriteWord(cmd.Addr, cmd.Data)
+		reply = JTAGCmd{Op: cmd.Op, Addr: cmd.Addr}
 	case OpReadWord:
-		reply.Payload = EncodeJTAG(op, addr, c.Target.ReadWord(addr))
+		reply = JTAGCmd{Op: cmd.Op, Addr: cmd.Addr, Data: c.Target.ReadWord(cmd.Addr)}
 	case OpStatus:
-		reply.Payload = EncodeJTAG(op, 0, c.Target.StateCode())
+		reply = JTAGCmd{Op: cmd.Op, Data: c.Target.StateCode()}
 	default:
-		reply.Payload = EncodeJTAG(0, 0, ^uint64(0))
+		reply = JTAGCmd{Data: ^uint64(0)}
 	}
-	_ = c.Port.Send(reply)
+	_ = c.Port.Send(Packet{Dst: pkt.Src, Port: PortJTAG, JTAG: reply})
 }

@@ -124,49 +124,6 @@ func TestNoRoute(t *testing.T) {
 	nw.Attach(1, HostEthernetBps)
 }
 
-// jtagSeeds are TestJTAGEncodeDecode's inputs: a full command and a
-// truncated one.
-func jtagSeeds() []string {
-	b := EncodeJTAG(OpReadWord, 0x1234, 0xBEEF)
-	return []string{b, b[:10]}
-}
-
-func TestJTAGEncodeDecode(t *testing.T) {
-	seeds := jtagSeeds()
-	op, addr, data, err := DecodeJTAG(seeds[0])
-	if err != nil || op != OpReadWord || addr != 0x1234 || data != 0xBEEF {
-		t.Fatalf("round trip: %v %v %v %v", op, addr, data, err)
-	}
-	if _, _, _, err := DecodeJTAG(seeds[1]); err == nil {
-		t.Fatal("short command accepted")
-	}
-}
-
-// FuzzJTAGDecode feeds DecodeJTAG arbitrary payloads, as a JTAG port
-// receives them off the wire: it must never panic, a short payload
-// must be an error, and a decoded command must re-encode to exactly
-// the bytes it consumed.
-func FuzzJTAGDecode(f *testing.F) {
-	for _, b := range jtagSeeds() {
-		f.Add(b)
-	}
-	f.Fuzz(func(t *testing.T, b string) {
-		op, addr, data, err := DecodeJTAG(b)
-		if len(b) < jtagCmdLen {
-			if err == nil {
-				t.Fatalf("%d-byte command accepted", len(b))
-			}
-			return
-		}
-		if err != nil {
-			t.Fatalf("%d-byte command: %v", len(b), err)
-		}
-		if re := EncodeJTAG(op, addr, data); re != b[:jtagCmdLen] {
-			t.Fatalf("re-encoded %x, consumed %x", re, b[:jtagCmdLen])
-		}
-	})
-}
-
 // fakeTarget is a minimal chip for controller tests.
 type fakeTarget struct {
 	mem     map[uint64]uint64
@@ -209,7 +166,7 @@ func TestJTAGControllerProtocol(t *testing.T) {
 	_ = done
 	eng.Spawn("host", func(p *event.Proc) {
 		send := func(op JTAGOp, addr, data uint64) Packet {
-			host.Send(Packet{Dst: NodeJTAGAddr(0), Port: PortJTAG, Payload: EncodeJTAG(op, addr, data)})
+			host.Send(Packet{Dst: NodeJTAGAddr(0), Port: PortJTAG, JTAG: JTAGCmd{op, addr, data}})
 			return host.Recv(p)
 		}
 		// Starting with no code fails.
@@ -222,6 +179,7 @@ func TestJTAGControllerProtocol(t *testing.T) {
 		replies = append(replies, send(OpStartBoot, 0, 0))
 		replies = append(replies, send(OpReadWord, 8, 0))
 		replies = append(replies, send(OpStatus, 0, 0))
+		replies = append(replies, send(0x7F, 8, 0))
 		// Non-JTAG packets to the JTAG port are ignored (it answers only
 		// JTAG UDP).
 		host.Send(Packet{Dst: NodeJTAGAddr(0), Port: PortRPC, Payload: "ping"})
@@ -229,23 +187,70 @@ func TestJTAGControllerProtocol(t *testing.T) {
 	if err := eng.RunAll(); err != nil {
 		t.Fatal(err)
 	}
-	if len(replies) != 4 {
+	if len(replies) != 5 {
 		t.Fatalf("%d replies", len(replies))
 	}
-	if _, _, code, _ := DecodeJTAG(replies[0].Payload); code != 1 {
+	if replies[0].JTAG.Data != 1 {
 		t.Fatal("premature boot not refused")
 	}
-	if _, _, code, _ := DecodeJTAG(replies[1].Payload); code != 0 {
+	if replies[1].JTAG.Data != 0 {
 		t.Fatal("boot failed after load")
 	}
-	if _, addr, data, _ := DecodeJTAG(replies[2].Payload); addr != 8 || data != 222 {
-		t.Fatalf("peek = %v @ %v", data, addr)
+	if r := replies[2].JTAG; r.Addr != 8 || r.Data != 222 {
+		t.Fatalf("peek = %v @ %v", r.Data, r.Addr)
 	}
-	if _, _, state, _ := DecodeJTAG(replies[3].Payload); state != 1 {
+	if replies[3].JTAG.Data != 1 {
 		t.Fatal("status wrong")
+	}
+	if r := replies[4].JTAG; r != (JTAGCmd{Data: ^uint64(0)}) {
+		t.Fatalf("unknown op answered %+v, want the error reply", r)
 	}
 	if !tgt.started || tgt.boot != 3 {
 		t.Fatalf("target state: %+v", tgt)
+	}
+}
+
+// clockedTarget is a fakeTarget that notes when the controller read it.
+type clockedTarget struct {
+	fakeTarget
+	eng *event.Engine
+	at  event.Time
+}
+
+func (c *clockedTarget) ReadWord(a uint64) uint64 {
+	c.at = c.eng.Now()
+	return c.fakeTarget.ReadWord(a)
+}
+
+// TestJTAGArrivalTime pins one exchange to the timing of the 17-byte
+// command the chip's controller decodes ([op:1][addr:8][data:8]): with
+// 54 bytes of framing, the request serializes in 568 ns on the host's
+// Gigabit port and the reply in 5.68 us on the node's 100 Mbit port,
+// and each crossing of the switch adds 10 us.
+func TestJTAGArrivalTime(t *testing.T) {
+	eng := event.New()
+	defer eng.Shutdown()
+	nw := NewNetwork(eng)
+	host := nw.Attach(HostAddr, HostEthernetBps)
+	tgt := &clockedTarget{fakeTarget: fakeTarget{mem: map[uint64]uint64{8: 222}}, eng: eng}
+	(&JTAGController{Port: nw.Attach(NodeJTAGAddr(0), NodeEthernetBps), Target: tgt}).Start()
+	var reply Packet
+	var back event.Time
+	eng.Spawn("host", func(p *event.Proc) {
+		host.Send(Packet{Dst: NodeJTAGAddr(0), Port: PortJTAG, JTAG: JTAGCmd{OpReadWord, 8, 0}})
+		reply, back = host.Recv(p), p.Now()
+	})
+	if err := eng.RunAll(); err != nil {
+		t.Fatal(err)
+	}
+	if want := 10568 * event.Nanosecond; tgt.at != want {
+		t.Errorf("request served at %v, want %v", tgt.at, want)
+	}
+	if want := 26248 * event.Nanosecond; back != want {
+		t.Errorf("reply back at %v, want %v", back, want)
+	}
+	if reply.JTAG.Data != 222 {
+		t.Errorf("reply %+v", reply.JTAG)
 	}
 }
 
@@ -255,8 +260,8 @@ func TestJTAGControllerProtocol(t *testing.T) {
 // answering — allocates nothing, with and without a fault hook judging
 // every packet. Each hop rides the event queue as a slab slot, the
 // hook reads the packet in place, and the receive queue and the timed
-// wait keep their storage. The payloads are built once: encoding a
-// command (EncodeJTAG) is the caller's allocation, not the network's.
+// wait keep their storage. A command is a value, so building one
+// allocates nothing either.
 func TestRequestReplyAllocFree(t *testing.T) {
 	for _, hooked := range []bool{false, true} {
 		eng := event.New()
@@ -272,8 +277,8 @@ func TestRequestReplyAllocFree(t *testing.T) {
 		}
 		host := nw.Attach(HostAddr, HostEthernetBps)
 		jp := nw.Attach(NodeJTAGAddr(0), NodeEthernetBps)
-		req := Packet{Dst: NodeJTAGAddr(0), Port: PortJTAG, Payload: EncodeJTAG(OpReadWord, 8, 0)}
-		rep := Packet{Dst: HostAddr, Port: PortJTAG, Payload: EncodeJTAG(OpReadWord, 8, 222)}
+		req := Packet{Dst: NodeJTAGAddr(0), Port: PortJTAG, JTAG: JTAGCmd{OpReadWord, 8, 0}}
+		rep := Packet{Dst: HostAddr, Port: PortJTAG, JTAG: JTAGCmd{OpReadWord, 8, 222}}
 		jp.OnPacket(func(Packet) { _ = jp.Send(rep) })
 		replies := 0
 		eng.SpawnDaemon("host", func(p *event.Proc) {
@@ -282,7 +287,7 @@ func TestRequestReplyAllocFree(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				if got, ok := host.RecvTimeout(p, event.Millisecond); ok && got.Payload == rep.Payload {
+				if got, ok := host.RecvTimeout(p, event.Millisecond); ok && got.JTAG == rep.JTAG {
 					replies++
 				}
 				p.Sleep(50 * event.Microsecond)

@@ -198,7 +198,7 @@ func (c *Cluster) drainMail() {
 			for k := range mb.msgs {
 				m := &mb.msgs[k]
 				m.h.AcceptPayload(m.p)
-				dst.enqueue(m.at, nil, m.h, m.arg, 0)
+				dst.enqueue(m.at, m.h, m.arg, 0)
 				c.stats.CrossMessages++
 				mb.msgs[k] = xmsg{} // release the handler reference
 			}

@@ -91,6 +91,13 @@ type Handler interface {
 	HandleEvent(arg uint64)
 }
 
+// funcHandler is a closure as a Handler: At, After and NewTimer wrap
+// their callback in it, so the queue holds one form of event. A func
+// value fits the interface word, so the wrapping allocates nothing.
+type funcHandler func()
+
+func (f funcHandler) HandleEvent(uint64) { f() }
+
 // Engine is a discrete-event scheduler. All simulation activity —
 // scheduled callbacks and process resumptions — runs on the goroutine
 // that calls Run, one step at a time; processes hand control back and
@@ -153,7 +160,7 @@ func (e *Engine) At(t Time, fn func()) {
 	if t < e.now {
 		t = e.now
 	}
-	e.enqueue(t, fn, nil, 0, e.curFlow)
+	e.enqueue(t, funcHandler(fn), 0, e.curFlow)
 }
 
 // After schedules fn to run d from now.
@@ -166,7 +173,7 @@ func (e *Engine) AtHandler(t Time, h Handler, arg uint64) {
 	if t < e.now {
 		t = e.now
 	}
-	e.enqueue(t, nil, h, arg, e.curFlow)
+	e.enqueue(t, h, arg, e.curFlow)
 }
 
 // NewFlow mints a fresh causal-trace ID, unique per engine and stable

@@ -8,15 +8,13 @@ import "math/bits"
 // order — the determinism contract (DESIGN.md "The
 // event queue").
 
-// An item in the event queue: either a closure (fn) or a pre-bound
-// handler invocation (h, arg) when fn is nil. flow is the causal trace
-// ID inherited from the event that scheduled this one (trace.go); it
-// rides in the queue either way and is only ever read at dispatch, so
-// it cannot perturb event order.
+// An item in the event queue: a handler invocation h.HandleEvent(arg)
+// (a closure rides as a funcHandler). flow is the causal trace ID
+// inherited from the event that scheduled this one (trace.go); it is
+// only ever read at dispatch, so it cannot perturb event order.
 type item struct {
 	at   Time
 	seq  uint64 // stable FIFO order among simultaneous events
-	fn   func()
 	h    Handler
 	arg  uint64
 	flow uint64
@@ -55,7 +53,7 @@ func (h *eventHeap) pop() item {
 	top := s[0]
 	n := len(s) - 1
 	s[0] = s[n]
-	s[n] = item{} // release fn/handler references
+	s[n] = item{} // release the handler reference
 	s = s[:n]
 	*h = s
 	i := 0
@@ -140,7 +138,7 @@ func (e *Engine) QueueStats() QueueStats { return e.events.stats }
 // far event leaves the earlier tails to the near events only they can
 // take), else in the heap. It is the only function that stores into
 // either.
-func (e *Engine) enqueue(at Time, fn func(), h Handler, arg, flow uint64) {
+func (e *Engine) enqueue(at Time, h Handler, arg, flow uint64) {
 	e.seq++
 	q := &e.events
 	q.n++
@@ -153,7 +151,7 @@ func (e *Engine) enqueue(at Time, fn func(), h Handler, arg, flow uint64) {
 	}
 	if best == srcNone {
 		q.stats.HeapFallbacks++
-		q.heap.push(item{at: at, seq: e.seq, fn: fn, h: h, arg: arg, flow: flow})
+		q.heap.push(item{at: at, seq: e.seq, h: h, arg: arg, flow: flow})
 		return
 	}
 	q.stats.LaneAppends++
@@ -163,7 +161,7 @@ func (e *Engine) enqueue(at Time, fn func(), h Handler, arg, flow uint64) {
 		l.grow()
 	}
 	s := &l.buf[(l.head+l.n)&(len(l.buf)-1)]
-	s.at, s.seq, s.fn, s.h, s.arg, s.flow = at, e.seq, fn, h, arg, flow
+	s.at, s.seq, s.h, s.arg, s.flow = at, e.seq, h, arg, flow
 	l.n++
 	q.live |= 1 << best
 }
@@ -219,12 +217,20 @@ func (e *Engine) peekTime() (Time, int) {
 func (e *Engine) EarliestRejected(accept func(h Handler, arg uint64) bool) Time {
 	best := Forever
 	visit := func(it *item) {
-		switch t, timer := it.h.(*Timer); {
-		case it.at >= best:
-		case it.fn != nil || !timer && !accept(it.h, it.arg):
+		if it.at >= best {
+			return
+		}
+		switch h := it.h.(type) {
+		case funcHandler:
 			best = it.at
-		case timer && t.qSeq == it.seq && t.at >= 0:
-			best = min(best, t.at)
+		case *Timer:
+			if h.qSeq == it.seq && h.at >= 0 {
+				best = min(best, h.at)
+			}
+		default:
+			if !accept(h, it.arg) {
+				best = it.at
+			}
 		}
 	}
 	for i := range e.events.lanes {
@@ -255,8 +261,8 @@ func (e *Engine) dispatchNext(src int) {
 			e.events.live &^= 1 << src
 		}
 	}
-	at, seq, fn, h, arg, flow := next.at, next.seq, next.fn, next.h, next.arg, next.flow
-	next.fn, next.h = nil, nil // release fn/handler references
+	at, seq, h, arg, flow := next.at, next.seq, next.h, next.arg, next.flow
+	next.h = nil // release the handler reference
 	e.events.n--
 	e.now = at
 	e.executed++
@@ -266,11 +272,7 @@ func (e *Engine) dispatchNext(src int) {
 		e.tracer(at)
 	}
 	if e.rec != nil {
-		e.rec.record(at, seq, flow, fn, h, arg)
+		e.rec.record(at, seq, flow, h, arg)
 	}
-	if fn != nil {
-		fn()
-	} else {
-		h.HandleEvent(arg)
-	}
+	h.HandleEvent(arg)
 }

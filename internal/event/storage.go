@@ -39,7 +39,7 @@ func (s Storage) Pending() int {
 	n := len(s.heap)
 	for _, b := range s.lanes {
 		for i := range b {
-			if b[i].fn != nil || b[i].h != nil {
+			if b[i].h != nil {
 				n++
 			}
 		}

@@ -34,7 +34,7 @@ type Timer struct {
 // construction time and reuse them.
 func (e *Engine) NewTimer(fn func()) *Timer {
 	t := new(Timer)
-	t.Bind(e, timerFunc(fn), 0)
+	t.Bind(e, funcHandler(fn), 0)
 	return t
 }
 
@@ -43,11 +43,6 @@ func (e *Engine) NewTimer(fn func()) *Timer {
 func (t *Timer) Bind(e *Engine, h Handler, arg uint64) {
 	*t = Timer{eng: e, h: h, arg: arg, at: -1, qAt: -1}
 }
-
-// timerFunc is a NewTimer callback as a Handler.
-type timerFunc func()
-
-func (f timerFunc) HandleEvent(uint64) { f() }
 
 // Arm schedules the callback to run d from now, cancelling any earlier
 // arming.
@@ -64,7 +59,7 @@ func (t *Timer) ArmAt(at Time) {
 		t.seq = e.seq
 		return
 	}
-	e.enqueue(at, nil, t, 0, e.curFlow)
+	e.enqueue(at, t, 0, e.curFlow)
 	t.seq, t.qAt, t.qSeq = e.seq, at, e.seq
 }
 

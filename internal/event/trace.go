@@ -114,14 +114,14 @@ func (r *Recorder) SetMachineID(id int) { r.machine = id }
 
 // record stores one dispatch into the ring. Called from the dispatch
 // loop with the item by value so nothing escapes to the heap.
-func (r *Recorder) record(at Time, seq, flow uint64, fn func(), h Handler, arg uint64) {
+func (r *Recorder) record(at Time, seq, flow uint64, h Handler, arg uint64) {
 	slot := &r.ring[r.total%uint64(len(r.ring))]
 	slot.At = at
 	slot.Seq = seq
 	slot.Arg = arg
 	slot.Flow = flow
 	slot.name = ""
-	if fn != nil {
+	if _, closure := h.(funcHandler); closure {
 		slot.Kind = TraceFunc
 		slot.h = nil
 	} else {

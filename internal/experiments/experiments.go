@@ -184,15 +184,14 @@ func E5() Table {
 
 // E6 reproduces the bandwidth table of §2.1-2.2.
 func E6() Table {
-	m := memsys.DefaultModel()
 	t := Table{
 		ID:     "E6",
 		Title:  "Bandwidths at 500 MHz (§2.1-2.2)",
 		Header: []string{"path", "model", "paper"},
 	}
 	t.Rows = append(t.Rows,
-		[]string{"CPU <-> EDRAM", fmt.Sprintf("%.1f GB/s", m.BusBandwidth(memsys.EDRAM)/1e9), "8 GB/s"},
-		[]string{"DDR SDRAM", fmt.Sprintf("%.1f GB/s", m.BusBandwidth(memsys.DDR)/1e9), "2.6 GB/s"},
+		[]string{"CPU <-> EDRAM", fmt.Sprintf("%.1f GB/s", memsys.BusBandwidth(memsys.EDRAM, 500*event.MHz)/1e9), "8 GB/s"},
+		[]string{"DDR SDRAM", fmt.Sprintf("%.1f GB/s", memsys.BusBandwidth(memsys.DDR, 500*event.MHz)/1e9), "2.6 GB/s"},
 		[]string{"SCU aggregate (24 links)", fmt.Sprintf("%.2f GB/s", perf.AggregateLinkBandwidth(500*event.MHz)/1e9), "1.3 GB/s"},
 		[]string{"per link per direction", fmt.Sprintf("%.1f MB/s", perf.LinkPayloadBandwidth(500*event.MHz)/1e6), "(500 Mbit/s serial)"},
 	)
@@ -318,10 +317,9 @@ func E15() Table {
 	clv := perf.DslashEfficiency(fermion.CloverKind, fermion.Double, memsys.EDRAM, 500*event.MHz)
 	t.Rows = append(t.Rows, []string{"clover", "-", fmt.Sprintf("%.0f", fermion.SiteCost(fermion.CloverKind, fermion.Double, memsys.EDRAM).Bytes()), pct(clv)})
 	cpu := perfCPU()
-	mm := memsys.DefaultModel()
 	for _, ls := range []int{4, 8, 16, 32} {
 		c := fermion.DWFSiteCost(fermion.Double, memsys.EDRAM, ls)
-		eff := cpu.Efficiency(c, mm)
+		eff := cpu.Efficiency(c)
 		t.Rows = append(t.Rows, []string{"dwf", fmt.Sprint(ls), fmt.Sprintf("%.0f", c.Bytes()), pct(eff)})
 	}
 	t.Notes = append(t.Notes, "larger Ls amortizes gauge-field traffic (the links serve every fifth-dimension slice)")

@@ -168,53 +168,27 @@ type Spec struct {
 	NFSErrors              int
 	WatchdogFalsePositives int
 	RecoveryCrashes        int
+}
 
-	// BurstDur and BurstEvery parameterize LinkBursts; zero values take
-	// 50 us and every 13th frame.
-	BurstDur   event.Time
-	BurstEvery uint64
-	// NetSpan bounds the request index drawn for NetDrop/NetDup faults
-	// (they hit one of the first NetSpan management requests after Arm;
-	// zero takes 400, early enough to land in boot/launch traffic).
-	NetSpan uint64
-
-	// RecoveryFrom/RecoveryTo bound RecoveryCrash injection times,
+// The shapes of the drawn faults, the same in every plan (an NFSStall's
+// per-packet delay is the network's, ethjtag.FaultStall).
+const (
+	// burstDur bounds a LinkBurst's corruption window; burstEvery is its
+	// stride (every burstEvery-th frame).
+	burstDur   = 50 * event.Microsecond
+	burstEvery = 13
+	// netSpan bounds the request index drawn for NetDrop/NetDup faults:
+	// they hit one of the first netSpan management requests after Arm,
+	// early enough to land in boot/launch traffic.
+	netSpan = 400
+	// recoveryFrom/recoveryTo bound RecoveryCrash injection times,
 	// relative to the re-Arm of a recovered attempt (so relative to the
-	// repartition window); zero values take 100 us .. 5 ms, which covers
-	// restore, relaunch, and the early solve.
-	RecoveryFrom, RecoveryTo event.Time
-	// NFSWindow is the duration of each NFSStall/NFSError window; zero
-	// takes 1.5 ms. NFSStallLatency is the extra per-packet delivery
-	// delay inside a stall window; zero takes 200 us.
-	NFSWindow       event.Time
-	NFSStallLatency event.Time
-}
-
-func (s Spec) withDefaults() Spec {
-	if s.To <= s.From {
-		s.To = s.From + event.Millisecond
-	}
-	if s.BurstDur <= 0 {
-		s.BurstDur = 50 * event.Microsecond
-	}
-	if s.BurstEvery == 0 {
-		s.BurstEvery = 13
-	}
-	if s.NetSpan == 0 {
-		s.NetSpan = 400
-	}
-	if s.RecoveryTo <= s.RecoveryFrom {
-		s.RecoveryFrom = 100 * event.Microsecond
-		s.RecoveryTo = 5 * event.Millisecond
-	}
-	if s.NFSWindow <= 0 {
-		s.NFSWindow = 1500 * event.Microsecond
-	}
-	if s.NFSStallLatency <= 0 {
-		s.NFSStallLatency = 200 * event.Microsecond
-	}
-	return s
-}
+	// repartition window): restore, relaunch, and the early solve.
+	recoveryFrom = 100 * event.Microsecond
+	recoveryTo   = 5 * event.Millisecond
+	// nfsWindow is the duration of each NFSStall/NFSError window.
+	nfsWindow = 1500 * event.Microsecond
+)
 
 // Plan is a generated fault schedule.
 type Plan struct {
@@ -222,10 +196,6 @@ type Plan struct {
 	Faults []Fault
 	// OnFire, when set, observes each fault as it is injected.
 	OnFire func(Fault)
-
-	// StallLatency is the delivery delay an NFSStall window imposes
-	// (copied from the generating Spec).
-	StallLatency event.Time
 
 	// armedOn/armedHostOn remember the engine of the current attempt's
 	// Arm/ArmHost: re-arming on the same engine is a no-op, so a
@@ -244,7 +214,9 @@ type Plan struct {
 // (kind by kind, each fault a fixed number of draws), so adding fault
 // classes to a spec never perturbs the draws of the classes before it.
 func Generate(seed uint64, spec Spec, nodes int) *Plan {
-	spec = spec.withDefaults()
+	if spec.To <= spec.From {
+		spec.To = spec.From + event.Millisecond
+	}
 	s := rng.New(seed, 0xFA17)
 	span := uint64(spec.To - spec.From)
 	drawAt := func() event.Time { return spec.From + event.Time(s.Uint64()%span) }
@@ -263,13 +235,13 @@ func Generate(seed uint64, spec Spec, nodes int) *Plan {
 	}
 	for i := 0; i < spec.LinkBursts; i++ {
 		p.Faults = append(p.Faults, Fault{Kind: LinkBurst, At: drawAt(), Rank: drawRank(),
-			Link: drawLink(), Dur: spec.BurstDur, Every: spec.BurstEvery})
+			Link: drawLink(), Dur: burstDur, Every: burstEvery})
 	}
 	for i := 0; i < spec.NetDrops; i++ {
-		p.Faults = append(p.Faults, Fault{Kind: NetDrop, Nth: 1 + s.Uint64()%spec.NetSpan})
+		p.Faults = append(p.Faults, Fault{Kind: NetDrop, Nth: 1 + s.Uint64()%netSpan})
 	}
 	for i := 0; i < spec.NetDups; i++ {
-		p.Faults = append(p.Faults, Fault{Kind: NetDup, Nth: 1 + s.Uint64()%spec.NetSpan})
+		p.Faults = append(p.Faults, Fault{Kind: NetDup, Nth: 1 + s.Uint64()%netSpan})
 	}
 	// Second-order/storage kinds draw after every first-order kind, each
 	// kind a fixed number of draws: a spec that adds them reproduces the
@@ -281,20 +253,18 @@ func Generate(seed uint64, spec Spec, nodes int) *Plan {
 		p.Faults = append(p.Faults, Fault{Kind: ChunkTorn, At: drawAt(), Rank: drawRank(), Nth: s.Uint64()})
 	}
 	for i := 0; i < spec.NFSStalls; i++ {
-		p.Faults = append(p.Faults, Fault{Kind: NFSStall, At: drawAt(), Dur: spec.NFSWindow})
+		p.Faults = append(p.Faults, Fault{Kind: NFSStall, At: drawAt(), Dur: nfsWindow})
 	}
 	for i := 0; i < spec.NFSErrors; i++ {
-		p.Faults = append(p.Faults, Fault{Kind: NFSError, At: drawAt(), Dur: spec.NFSWindow})
+		p.Faults = append(p.Faults, Fault{Kind: NFSError, At: drawAt(), Dur: nfsWindow})
 	}
 	for i := 0; i < spec.WatchdogFalsePositives; i++ {
 		p.Faults = append(p.Faults, Fault{Kind: WatchdogFalsePositive, At: drawAt(), Rank: drawRank()})
 	}
-	recSpan := uint64(spec.RecoveryTo - spec.RecoveryFrom)
 	for i := 0; i < spec.RecoveryCrashes; i++ {
 		p.Faults = append(p.Faults, Fault{Kind: RecoveryCrash,
-			At: spec.RecoveryFrom + event.Time(s.Uint64()%recSpan), Rank: drawRank()})
+			At: recoveryFrom + event.Time(s.Uint64()%uint64(recoveryTo-recoveryFrom)), Rank: drawRank()})
 	}
-	p.StallLatency = spec.NFSStallLatency
 	return p
 }
 
@@ -473,7 +443,6 @@ func (p *Plan) armNetFaults(eng *event.Engine, base event.Time, net *ethjtag.Net
 		net.Fault = nil
 		return
 	}
-	net.Stall = p.StallLatency
 	for _, w := range windows {
 		w := w
 		// The window announces itself at its opening edge and marks

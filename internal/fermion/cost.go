@@ -215,10 +215,10 @@ func DotCost(kind OpKind, prec Precision, level memsys.Level) ppc440.KernelCost 
 // and two inner products). The phases run back to back, each in its own
 // memory regime — the dslash gathers, the linalg streams through the
 // prefetcher — so their cycle counts add.
-func CGIterationCycles(cpu ppc440.CPU, m memsys.Model, kind OpKind, prec Precision, level memsys.Level) float64 {
-	dslash := cpu.KernelCycles(SiteCost(kind, prec, level), m)
-	axpy := cpu.KernelCycles(AXPYCost(kind, prec, level), m)
-	dot := cpu.KernelCycles(DotCost(kind, prec, level), m)
+func CGIterationCycles(cpu ppc440.CPU, kind OpKind, prec Precision, level memsys.Level) float64 {
+	dslash := cpu.KernelCycles(SiteCost(kind, prec, level))
+	axpy := cpu.KernelCycles(AXPYCost(kind, prec, level))
+	dot := cpu.KernelCycles(DotCost(kind, prec, level))
 	return 2*dslash + 3*axpy + 2*dot
 }
 

@@ -375,9 +375,8 @@ func TestCostAnchors(t *testing.T) {
 	// on the paper's measured efficiencies (§4) and the predicted
 	// orderings hold.
 	cpu := ppc440.Default()
-	m := memsys.DefaultModel()
 	eff := func(k OpKind, p Precision, lvl memsys.Level) float64 {
-		return cpu.Efficiency(SiteCost(k, p, lvl), m)
+		return cpu.Efficiency(SiteCost(k, p, lvl))
 	}
 	cases := []struct {
 		kind     OpKind
@@ -408,8 +407,8 @@ func TestCostAnchors(t *testing.T) {
 		t.Errorf("SP %.3f should be slightly above DP %.3f", sp, dp)
 	}
 	// CG efficiency tracks the dslash efficiency.
-	cycles := CGIterationCycles(cpu, m, WilsonKind, Double, memsys.EDRAM)
-	cg := CGIterationFlopsPerSite(WilsonKind) / (float64(cpu.FlopsPerCycle) * cycles)
+	cycles := CGIterationCycles(cpu, WilsonKind, Double, memsys.EDRAM)
+	cg := CGIterationFlopsPerSite(WilsonKind) / (ppc440.FlopsPerCycle * cycles)
 	if math.Abs(cg-dp) > 0.03 {
 		t.Errorf("CG efficiency %.3f far from dslash %.3f", cg, dp)
 	}

@@ -76,10 +76,13 @@ type Spec struct {
 // must be bit-identical to the digest the same spec produces in a
 // fresh single-machine process.
 type Result struct {
-	Name        string
-	Iterations  int
-	Attempts    int
-	Converged   bool
+	Name       string
+	Iterations int
+	Attempts   int
+	Converged  bool
+	// RelResidual is the solution's true relative residual |Dx−b|/|b|,
+	// the number a run line prints. CGNE stops on the normal-equation
+	// residual |D†r|/|D†b| ≤ Tol, so RelResidual need not be below Tol.
 	RelResidual float64
 	SolutionCRC uint32
 	SimTime     event.Time

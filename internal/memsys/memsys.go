@@ -9,7 +9,7 @@
 //   - NodeMemory: the functional store — a sparse, paged 64-bit word
 //     address space with EDRAM at low addresses and DDR above it, used by
 //     the simulated SCU DMA engines and node programs;
-//   - Model: the timing model — sustained bandwidths per level for bulk
+//   - the timing model — sustained bandwidths per level for bulk
 //     (DMA/prefetch-friendly) and compute-kernel (load-issue-limited)
 //     access, with the prefetching controller's two-stream rule and page
 //     miss penalties.
@@ -173,65 +173,54 @@ func LevelOf(addr uint64) Level {
 // DDRBase is the first byte address of external memory.
 const DDRBase uint64 = EDRAMBytes
 
-// Model is the memory-system timing model. Two bandwidth regimes per
-// level:
+// The timing model. Two bandwidth regimes per level:
 //
 //   - Bus bandwidth: what the hardware datapath moves for bulk,
-//     prefetch-friendly access (DMA, streaming): EDRAM 16 B/cycle
-//     (8 GB/s at 500 MHz), DDR 5.2 B/cycle (2.6 GB/s).
+//     prefetch-friendly access (DMA, streaming).
 //   - Kernel bandwidth: what a compute kernel's load/store pipeline
 //     sustains through the data cache, including issue limits and
 //     load-use stalls. Calibrated against the paper's measured solver
 //     efficiencies (see internal/perf).
-type Model struct {
-	Clock event.Hz
-
-	// Bus bytes per cycle (peak datapath).
-	EDRAMBusBPC float64
-	DDRBusBPC   float64
-
-	// Kernel-sustained bytes per cycle for compute access patterns.
-	EDRAMKernelBPC float64
-	DDRKernelBPC   float64
-
+//
+// Both are bytes per processor cycle, so a model clocked at 360 or
+// 420 MHz keeps the per-cycle rates and scales the per-second ones.
+const (
+	// EDRAMBusBPC is the EDRAM datapath: 16 B/cycle, 8 GB/s at 500 MHz
+	// (§2.1).
+	EDRAMBusBPC = 16
+	// DDRBusBPC is the DDR controller: 5.2 B/cycle, 2.6 GB/s at 500 MHz
+	// (§2.1).
+	DDRBusBPC = 5.2
+	// EDRAMKernelBPC is calibrated: load-issue and stall limited.
+	EDRAMKernelBPC = 1.75
+	// DDRKernelBPC is calibrated: it gives ~30% Wilson efficiency from
+	// DDR (§4).
+	DDRKernelBPC = 1.31
 	// PageMissCycles is charged per row activation when more concurrent
 	// streams are in flight than the prefetcher covers.
-	PageMissCycles float64
-}
-
-// DefaultModel returns the 500 MHz model with the paper's datapath widths
-// and the calibrated kernel bandwidths (see internal/perf for the
-// calibration discussion).
-func DefaultModel() Model {
-	return Model{
-		Clock:          500 * event.MHz,
-		EDRAMBusBPC:    16,   // 8 GB/s at 500 MHz (§2.1)
-		DDRBusBPC:      5.2,  // 2.6 GB/s (§2.1)
-		EDRAMKernelBPC: 1.75, // calibrated: load-issue + stall limited
-		DDRKernelBPC:   1.31, // calibrated: gives ~30% Wilson efficiency from DDR (§4)
-		PageMissCycles: 11,
-	}
-}
+	PageMissCycles = 11
+)
 
 // BusBPC returns the bulk bytes-per-cycle for a level.
-func (m Model) BusBPC(l Level) float64 {
+func BusBPC(l Level) float64 {
 	if l == EDRAM {
-		return m.EDRAMBusBPC
+		return EDRAMBusBPC
 	}
-	return m.DDRBusBPC
+	return DDRBusBPC
 }
 
 // KernelBPC returns the compute-kernel bytes-per-cycle for a level.
-func (m Model) KernelBPC(l Level) float64 {
+func KernelBPC(l Level) float64 {
 	if l == EDRAM {
-		return m.EDRAMKernelBPC
+		return EDRAMKernelBPC
 	}
-	return m.DDRKernelBPC
+	return DDRKernelBPC
 }
 
-// BusBandwidth returns the peak datapath bandwidth in bytes/second.
-func (m Model) BusBandwidth(l Level) float64 {
-	return m.BusBPC(l) * float64(m.Clock)
+// BusBandwidth returns the peak datapath bandwidth in bytes/second at
+// the given clock.
+func BusBandwidth(l Level, clock event.Hz) float64 {
+	return BusBPC(l) * float64(clock)
 }
 
 // StreamCycles models a bulk streaming access of the given byte count
@@ -241,19 +230,19 @@ func (m Model) BusBandwidth(l Level) float64 {
 // two-stream prefetcher: "for an operation involving a(x) × b(x) ... the
 // EDRAM controller will fetch data without suffering excessive page miss
 // overheads").
-func (m Model) StreamCycles(l Level, bytes int, nStreams int) float64 {
-	base := float64(bytes) / m.BusBPC(l)
+func StreamCycles(l Level, bytes int, nStreams int) float64 {
+	base := float64(bytes) / BusBPC(l)
 	if nStreams <= PrefetchStreams {
 		return base
 	}
 	rows := float64(bytes) / EDRAMRowBytes
-	return base + rows*m.PageMissCycles
+	return base + rows*PageMissCycles
 }
 
 // KernelCycles models a compute kernel moving the given bytes through the
 // load/store pipeline.
-func (m Model) KernelCycles(l Level, bytes int) float64 {
-	return float64(bytes) / m.KernelBPC(l)
+func KernelCycles(l Level, bytes int) float64 {
+	return float64(bytes) / KernelBPC(l)
 }
 
 // FitsEDRAM reports whether a working set of the given bytes is
@@ -275,7 +264,7 @@ type Counters struct {
 	PageMisses   uint64
 }
 
-// Note accounts one modelled access, mirroring Model.StreamCycles'
+// Note accounts one modelled access, mirroring StreamCycles'
 // classification: at or under PrefetchStreams the access rode the
 // prefetcher (one hit per access); beyond it every row activation was a
 // page miss. nStreams of 0 (irregular/gather access, charged through the

@@ -5,6 +5,8 @@ import (
 	"runtime"
 	"testing"
 	"testing/quick"
+
+	"qcdoc/internal/event"
 )
 
 func TestAddressMap(t *testing.T) {
@@ -173,11 +175,10 @@ func TestFirstAppWordFootprint(t *testing.T) {
 func TestModelBandwidths(t *testing.T) {
 	// E6: the paper's datapath numbers — 8 GB/s to EDRAM, 2.6 GB/s to DDR
 	// at 500 MHz.
-	m := DefaultModel()
-	if bw := m.BusBandwidth(EDRAM); bw < 7.9e9 || bw > 8.1e9 {
+	if bw := BusBandwidth(EDRAM, 500*event.MHz); bw < 7.9e9 || bw > 8.1e9 {
 		t.Fatalf("EDRAM bus = %.3g B/s, want 8e9", bw)
 	}
-	if bw := m.BusBandwidth(DDR); bw < 2.55e9 || bw > 2.65e9 {
+	if bw := BusBandwidth(DDR, 500*event.MHz); bw < 2.55e9 || bw > 2.65e9 {
 		t.Fatalf("DDR bus = %.3g B/s, want 2.6e9", bw)
 	}
 }
@@ -185,34 +186,32 @@ func TestModelBandwidths(t *testing.T) {
 func TestPrefetchStreamsAvoidPageMisses(t *testing.T) {
 	// §2.1: a(x)*b(x) — two contiguous streams — runs at full bus speed;
 	// more streams than the prefetcher covers pay page misses.
-	m := DefaultModel()
 	bytes := 1 << 16
-	two := m.StreamCycles(EDRAM, bytes, 2)
-	ideal := float64(bytes) / m.EDRAMBusBPC
+	two := StreamCycles(EDRAM, bytes, 2)
+	ideal := float64(bytes) / EDRAMBusBPC
 	if two != ideal {
 		t.Fatalf("2-stream cycles = %v, want bus-limited %v", two, ideal)
 	}
-	three := m.StreamCycles(EDRAM, bytes, 3)
+	three := StreamCycles(EDRAM, bytes, 3)
 	if three <= two {
 		t.Fatal("3 streams should pay page misses")
 	}
 	// Penalty magnitude: one page-miss per 128-byte row.
-	wantPenalty := float64(bytes) / EDRAMRowBytes * m.PageMissCycles
+	wantPenalty := float64(bytes) / EDRAMRowBytes * PageMissCycles
 	if got := three - two; got != wantPenalty {
 		t.Fatalf("penalty = %v, want %v", got, wantPenalty)
 	}
 }
 
 func TestKernelSlowerThanBus(t *testing.T) {
-	m := DefaultModel()
 	for _, l := range []Level{EDRAM, DDR} {
-		if m.KernelBPC(l) >= m.BusBPC(l) {
+		if KernelBPC(l) >= BusBPC(l) {
 			t.Fatalf("%v kernel bandwidth must be below bus bandwidth", l)
 		}
 	}
 	// DDR kernels are slower than EDRAM kernels: the basis of the ~30%
 	// efficiency figure for spilled volumes (§4).
-	if m.KernelBPC(DDR) >= m.KernelBPC(EDRAM) {
+	if KernelBPC(DDR) >= KernelBPC(EDRAM) {
 		t.Fatal("DDR kernel bandwidth must be below EDRAM")
 	}
 }

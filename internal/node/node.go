@@ -76,10 +76,9 @@ type Node struct {
 	Rank  int
 	Coord geom.Coord
 
-	Mem      *memsys.NodeMemory
-	MemModel memsys.Model
-	CPU      ppc440.CPU
-	SCU      *scu.SCU
+	Mem *memsys.NodeMemory
+	CPU ppc440.CPU
+	SCU *scu.SCU
 
 	state     State
 	bootWords int
@@ -110,17 +109,14 @@ const bootReserved = 256 << 10
 // New builds a node whose processor and SCU run at clock.
 func New(eng *event.Engine, rank int, coord geom.Coord, clock event.Hz) *Node {
 	mem := memsys.NewNodeMemory()
-	model := memsys.DefaultModel()
-	model.Clock = clock
 	n := &Node{
-		Eng:      eng,
-		Rank:     rank,
-		Coord:    coord,
-		Mem:      mem,
-		MemModel: model,
-		CPU:      ppc440.At(clock),
-		state:    Reset,
-		brk:      bootReserved,
+		Eng:   eng,
+		Rank:  rank,
+		Coord: coord,
+		Mem:   mem,
+		CPU:   ppc440.At(clock),
+		state: Reset,
+		brk:   bootReserved,
 	}
 	n.SCU = scu.New(eng, n, mem, clock)
 	return n
@@ -139,13 +135,11 @@ func (n *Node) nameWith(suffix string) string {
 // State returns the lifecycle state.
 func (n *Node) State() State { return n.state }
 
-// LoadBootWord models one word of boot-kernel code arriving by JTAG
-// (written directly into the instruction cache, §3.1). Loading any code
+// LoadBootWord models one word of boot-kernel code arriving by JTAG,
+// written directly into the instruction cache (§3.1). The simulator runs
+// no loaded code, so the word is counted, not stored. Loading any code
 // moves a reset node to the boot kernel state once started.
-func (n *Node) LoadBootWord(addr uint64, w uint64) {
-	n.Mem.WriteWord(addr, w)
-	n.bootWords++
-}
+func (n *Node) LoadBootWord(addr, w uint64) { n.bootWords++ }
 
 // BootWords reports how many code words have been loaded.
 func (n *Node) BootWords() int { return n.bootWords }
@@ -306,5 +300,5 @@ func (n *Node) ReadF64(addr uint64) float64 {
 // Compute charges the node's CPU with a kernel execution.
 func (n *Node) Compute(p *event.Proc, k ppc440.KernelCost) {
 	n.noteKernel(k)
-	n.CPU.Execute(p, k, n.MemModel)
+	n.CPU.Execute(p, k)
 }

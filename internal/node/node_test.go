@@ -145,7 +145,7 @@ func TestComputeCharges(t *testing.T) {
 	if err := eng.RunAll(); err != nil {
 		t.Fatal(err)
 	}
-	want := n.CPU.KernelTime(k, n.MemModel)
+	want := n.CPU.KernelTime(k)
 	if elapsed != want {
 		t.Fatalf("charged %v, want %v", elapsed, want)
 	}

@@ -83,7 +83,7 @@ func (n *Node) noteKernel(k ppc440.KernelCost) {
 	c.Kernels++
 	c.Flops += k.Flops
 	comp := n.CPU.ComputeCycles(k)
-	mem := n.CPU.MemoryCycles(k, n.MemModel)
+	mem := n.CPU.MemoryCycles(k)
 	c.ComputeCycles += comp
 	c.MemoryCycles += mem
 	charged := comp

@@ -58,7 +58,7 @@ func TestNoteKernelClassification(t *testing.T) {
 	// Per-kernel cycles: the charged (max) pipeline, matching the CPU
 	// model exactly.
 	for _, k := range []ppc440.KernelCost{cb, mb, gather} {
-		want := n.CPU.KernelCycles(k, n.MemModel)
+		want := n.CPU.KernelCycles(k)
 		if got := c.CyclesByKernel[k.Name]; got != want {
 			t.Fatalf("%s cycles = %g, want %g", k.Name, got, want)
 		}

@@ -98,30 +98,30 @@ func GsumLatency(clock event.Hz, grid lattice.Shape4, doubled bool) event.Time {
 	return event.Time(GsumHops(grid, doubled))*hop + event.Time(dims)*perDim
 }
 
-// Config describes an estimated solver run.
+// Config describes an estimated solver run. The estimate always
+// overlaps communication with compute, as the QCDOC kernels do, and
+// sizes DWF at fermion.DefaultLs.
 type Config struct {
-	Clock   event.Hz
-	Grid    lattice.Shape4 // 4-D process grid (the folded machine)
-	Local   lattice.Shape4 // local volume per node
-	Kind    fermion.OpKind
-	Prec    fermion.Precision
-	Ls      int  // DWF fifth dimension (ignored otherwise)
-	Overlap bool // overlap communication with compute (the QCDOC kernels do)
-	Doubled bool // use doubled-mode global sums
+	Clock event.Hz
+	Grid  lattice.Shape4 // 4-D process grid (the folded machine)
+	Local lattice.Shape4 // local volume per node
+	Kind  fermion.OpKind
+	Prec  fermion.Precision
 }
 
+// gsumDoubled: the estimate's global sums use the doubled SCU streams
+// (§2.2).
+const gsumDoubled = true
+
 // DefaultConfig returns the paper's benchmark point: 4^4 local volume,
-// double precision, overlapping kernels at the given clock.
+// double precision at the given clock.
 func DefaultConfig(kind fermion.OpKind, grid lattice.Shape4, clock event.Hz) Config {
 	return Config{
-		Clock:   clock,
-		Grid:    grid,
-		Local:   lattice.Shape4{4, 4, 4, 4},
-		Kind:    kind,
-		Prec:    fermion.Double,
-		Ls:      fermion.DefaultLs,
-		Overlap: true,
-		Doubled: true,
+		Clock: clock,
+		Grid:  grid,
+		Local: lattice.Shape4{4, 4, 4, 4},
+		Kind:  kind,
+		Prec:  fermion.Double,
 	}
 }
 
@@ -143,9 +143,6 @@ type Estimate struct {
 // slices returns the per-4D-site multiplier (Ls for DWF, 1 otherwise).
 func (c Config) slices() int {
 	if c.Kind == fermion.DWFKind {
-		if c.Ls > 0 {
-			return c.Ls
-		}
 		return fermion.DefaultLs
 	}
 	return 1
@@ -158,22 +155,9 @@ func (c Config) WorkingLevel() memsys.Level {
 
 // CGIteration estimates one CG iteration.
 func CGIteration(c Config) Estimate {
-	cpu := ppc440.At(c.Clock)
-	mem := memsys.DefaultModel()
-	mem.Clock = c.Clock
 	level := c.WorkingLevel()
 	vLocal := float64(c.Local.Volume() * c.slices())
-
-	var cycles float64
-	if c.Kind == fermion.DWFKind {
-		ls := c.slices()
-		dslash := cpu.KernelCycles(fermion.DWFSiteCost(c.Prec, level, ls), mem)
-		axpy := cpu.KernelCycles(fermion.AXPYCost(c.Kind, c.Prec, level), mem)
-		dot := cpu.KernelCycles(fermion.DotCost(c.Kind, c.Prec, level), mem)
-		cycles = 2*dslash + 3*axpy + 2*dot
-	} else {
-		cycles = fermion.CGIterationCycles(cpu, mem, c.Kind, c.Prec, level)
-	}
+	cycles := fermion.CGIterationCycles(ppc440.At(c.Clock), c.Kind, c.Prec, level)
 	e := Estimate{Level: level, Nodes: c.Grid.Volume()}
 	e.ComputeTime = event.Time(cycles * vLocal * float64(c.Clock.Cycle()))
 
@@ -200,20 +184,14 @@ func CGIteration(c Config) Estimate {
 	// distributed dot products sum real and imaginary parts separately,
 	// giving three sums in the functional implementation — the model
 	// follows the hardware-friendly count of 3.
-	e.GsumTime = 3 * GsumLatency(c.Clock, c.Grid, c.Doubled)
+	e.GsumTime = 3 * GsumLatency(c.Clock, c.Grid, gsumDoubled)
 
-	if c.Overlap {
-		// DMA engines move faces while the CPU works the volume.
-		if e.CommRawTime > e.ComputeTime {
-			e.CommTime = e.CommRawTime - e.ComputeTime
-			e.IterTime = e.CommRawTime + e.GsumTime
-		} else {
-			e.CommTime = 0
-			e.IterTime = e.ComputeTime + e.GsumTime
-		}
+	// DMA engines move faces while the CPU works the volume.
+	if e.CommRawTime > e.ComputeTime {
+		e.CommTime = e.CommRawTime - e.ComputeTime
+		e.IterTime = e.CommRawTime + e.GsumTime
 	} else {
-		e.CommTime = e.CommRawTime
-		e.IterTime = e.ComputeTime + e.CommRawTime + e.GsumTime
+		e.IterTime = e.ComputeTime + e.GsumTime
 	}
 
 	e.FlopsPerIter = fermion.CGIterationFlopsPerSite(c.Kind) * vLocal
@@ -231,10 +209,7 @@ func CGIteration(c Config) Estimate {
 // EDRAM-resident 4^4 volumes where communication hides fully under
 // compute.
 func DslashEfficiency(kind fermion.OpKind, prec fermion.Precision, level memsys.Level, clock event.Hz) float64 {
-	cpu := ppc440.At(clock)
-	mem := memsys.DefaultModel()
-	mem.Clock = clock
-	return cpu.Efficiency(fermion.SiteCost(kind, prec, level), mem)
+	return ppc440.At(clock).Efficiency(fermion.SiteCost(kind, prec, level))
 }
 
 // HardScalingPoint is one point of the fixed-problem scaling curve.
@@ -258,12 +233,7 @@ func HardScaling(kind fermion.OpKind, global lattice.Shape4, grids []lattice.Sha
 		if err != nil {
 			return nil, fmt.Errorf("perf: grid %v: %w", grid, err)
 		}
-		cfg := Config{
-			Clock: clock, Grid: grid, Local: dec.Local,
-			Kind: kind, Prec: fermion.Double, Ls: fermion.DefaultLs,
-			Overlap: true, Doubled: true,
-		}
-		est := CGIteration(cfg)
+		est := CGIteration(Config{Clock: clock, Grid: grid, Local: dec.Local, Kind: kind, Prec: fermion.Double})
 		pt := HardScalingPoint{
 			Nodes: grid.Volume(), Grid: grid, Local: dec.Local, Estimate: est,
 		}

@@ -23,19 +23,23 @@ const (
 	DCacheBytes = 32 << 10
 )
 
-// CPU is the processor timing model.
-type CPU struct {
-	// Clock is the processor frequency. The paper's machines ran at
-	// 360, 420, 450 and (target) 500 MHz (§4).
-	Clock event.Hz
+// FPU model constants.
+const (
 	// FlopsPerCycle is the FPU peak: one multiply and one add per cycle.
-	FlopsPerCycle int
+	FlopsPerCycle = 2
 	// FPUCPI is the average cycles consumed per FPU issue slot in a
 	// hand-tuned kernel, folding in dependency stalls, load-use bubbles
 	// and loop control. Calibrated once so the Wilson Dirac kernel lands
 	// at the paper's 40%-of-peak anchor; all other operators then follow
 	// from their own operation counts.
-	FPUCPI float64
+	FPUCPI = 1.9
+)
+
+// CPU is the processor timing model.
+type CPU struct {
+	// Clock is the processor frequency. The paper's machines ran at
+	// 360, 420, 450 and (target) 500 MHz (§4).
+	Clock event.Hz
 }
 
 // Default returns the 500 MHz target configuration.
@@ -43,13 +47,13 @@ func Default() CPU { return At(500 * event.MHz) }
 
 // At returns the model clocked at the given frequency.
 func At(clock event.Hz) CPU {
-	return CPU{Clock: clock, FlopsPerCycle: 2, FPUCPI: 1.9}
+	return CPU{Clock: clock}
 }
 
 // PeakFlops is the peak floating-point rate in flops/second (1 Gflops at
 // 500 MHz).
 func (c CPU) PeakFlops() float64 {
-	return float64(c.FlopsPerCycle) * float64(c.Clock)
+	return FlopsPerCycle * float64(c.Clock)
 }
 
 // KernelCost describes the per-invocation cost of a compute kernel in
@@ -127,7 +131,7 @@ func (k KernelCost) pipelineFactor() float64 {
 
 // ComputeCycles is the FPU-issue-limited time.
 func (c CPU) ComputeCycles(k KernelCost) float64 {
-	return k.FPUOps * c.FPUCPI * k.pipelineFactor()
+	return k.FPUOps * FPUCPI * k.pipelineFactor()
 }
 
 // memoryFactor returns the factor, defaulting to 1.
@@ -141,20 +145,20 @@ func (k KernelCost) memoryFactor() float64 {
 // MemoryCycles is the load/store-limited time under the memory model:
 // bus bandwidth for prefetch-covered streaming kernels, sustained kernel
 // bandwidth for gather-style access.
-func (c CPU) MemoryCycles(k KernelCost, m memsys.Model) float64 {
+func (c CPU) MemoryCycles(k KernelCost) float64 {
 	bytes := int(k.Bytes())
 	if k.Streams > 0 && k.Streams <= memsys.PrefetchStreams {
-		return m.StreamCycles(k.Level, bytes, k.Streams) * k.memoryFactor()
+		return memsys.StreamCycles(k.Level, bytes, k.Streams) * k.memoryFactor()
 	}
-	return m.KernelCycles(k.Level, bytes) * k.memoryFactor()
+	return memsys.KernelCycles(k.Level, bytes) * k.memoryFactor()
 }
 
 // KernelCycles is the modelled execution time in cycles: compute and
 // memory pipelines overlap (the prefetching EDRAM controller runs ahead
 // of the FPU), so the kernel takes the longer of the two.
-func (c CPU) KernelCycles(k KernelCost, m memsys.Model) float64 {
+func (c CPU) KernelCycles(k KernelCost) float64 {
 	comp := c.ComputeCycles(k)
-	mem := c.MemoryCycles(k, m)
+	mem := c.MemoryCycles(k)
 	if mem > comp {
 		return mem
 	}
@@ -162,26 +166,26 @@ func (c CPU) KernelCycles(k KernelCost, m memsys.Model) float64 {
 }
 
 // KernelTime converts KernelCycles to simulated time.
-func (c CPU) KernelTime(k KernelCost, m memsys.Model) event.Time {
-	return event.Time(c.KernelCycles(k, m) * float64(c.Clock.Cycle()))
+func (c CPU) KernelTime(k KernelCost) event.Time {
+	return event.Time(c.KernelCycles(k) * float64(c.Clock.Cycle()))
 }
 
 // Efficiency is the fraction of peak floating point throughput the kernel
 // sustains.
-func (c CPU) Efficiency(k KernelCost, m memsys.Model) float64 {
-	cycles := c.KernelCycles(k, m)
+func (c CPU) Efficiency(k KernelCost) float64 {
+	cycles := c.KernelCycles(k)
 	if cycles == 0 {
 		return 0
 	}
-	return k.Flops / (float64(c.FlopsPerCycle) * cycles)
+	return k.Flops / (FlopsPerCycle * cycles)
 }
 
 // SustainedFlops is the achieved flops/second.
-func (c CPU) SustainedFlops(k KernelCost, m memsys.Model) float64 {
-	return c.Efficiency(k, m) * c.PeakFlops()
+func (c CPU) SustainedFlops(k KernelCost) float64 {
+	return c.Efficiency(k) * c.PeakFlops()
 }
 
 // Execute charges the kernel's time to a running simulation process.
-func (c CPU) Execute(p *event.Proc, k KernelCost, m memsys.Model) {
-	p.Sleep(c.KernelTime(k, m))
+func (c CPU) Execute(p *event.Proc, k KernelCost) {
+	p.Sleep(c.KernelTime(k))
 }

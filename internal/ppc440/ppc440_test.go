@@ -32,40 +32,37 @@ func pureStream() KernelCost {
 
 func TestComputeBound(t *testing.T) {
 	c := Default()
-	m := memsys.DefaultModel()
 	k := pureCompute()
-	cycles := c.KernelCycles(k, m)
-	if cycles != k.FPUOps*c.FPUCPI {
+	cycles := c.KernelCycles(k)
+	if cycles != k.FPUOps*FPUCPI {
 		t.Fatalf("cycles = %v", cycles)
 	}
 	// All-FMA code sustains 1/FPUCPI of peak.
-	want := 1 / c.FPUCPI
-	if got := c.Efficiency(k, m); got < want-1e-9 || got > want+1e-9 {
+	want := 1 / FPUCPI
+	if got := c.Efficiency(k); got < want-1e-9 || got > want+1e-9 {
 		t.Fatalf("efficiency = %v, want %v", got, want)
 	}
 }
 
 func TestMemoryBound(t *testing.T) {
 	c := Default()
-	m := memsys.DefaultModel()
 	k := pureStream()
-	if got, want := c.KernelCycles(k, m), m.KernelCycles(memsys.EDRAM, int(k.Bytes())); got != want {
+	if got, want := c.KernelCycles(k), memsys.KernelCycles(memsys.EDRAM, int(k.Bytes())); got != want {
 		t.Fatalf("cycles = %v, want %v", got, want)
 	}
 	// The same kernel from DDR is slower.
 	k.Level = memsys.DDR
-	if c.KernelCycles(k, m) <= c.KernelCycles(pureStream(), m) {
+	if c.KernelCycles(k) <= c.KernelCycles(pureStream()) {
 		t.Fatal("DDR kernel not slower than EDRAM")
 	}
 }
 
 func TestPipelineFactor(t *testing.T) {
 	c := Default()
-	m := memsys.DefaultModel()
 	k := pureCompute()
-	base := c.KernelCycles(k, m)
+	base := c.KernelCycles(k)
 	k.PipelineFactor = 0.5
-	if got := c.KernelCycles(k, m); got != base/2 {
+	if got := c.KernelCycles(k); got != base/2 {
 		t.Fatalf("factor 0.5 gives %v, want %v", got, base/2)
 	}
 }
@@ -91,16 +88,15 @@ func TestScaleAndAdd(t *testing.T) {
 
 func TestKernelTimeAndExecute(t *testing.T) {
 	c := Default()
-	m := memsys.DefaultModel()
 	k := pureCompute() // 1960 cycles = 3.92 us at 500 MHz
-	want := event.Time(k.FPUOps * c.FPUCPI * float64(c.Clock.Cycle()))
-	if got := c.KernelTime(k, m); got != want {
+	want := event.Time(k.FPUOps * FPUCPI * float64(c.Clock.Cycle()))
+	if got := c.KernelTime(k); got != want {
 		t.Fatalf("time = %v, want %v", got, want)
 	}
 	eng := event.New()
 	var end event.Time
 	eng.Spawn("app", func(p *event.Proc) {
-		c.Execute(p, k, m)
+		c.Execute(p, k)
 		end = p.Now()
 	})
 	if err := eng.RunAll(); err != nil {
@@ -112,10 +108,9 @@ func TestKernelTimeAndExecute(t *testing.T) {
 }
 
 func TestSustainedScalesWithClock(t *testing.T) {
-	m := memsys.DefaultModel()
 	k := pureCompute()
-	s500 := Default().SustainedFlops(k, m)
-	s360 := At(360*event.MHz).SustainedFlops(k, m)
+	s500 := Default().SustainedFlops(k)
+	s360 := At(360 * event.MHz).SustainedFlops(k)
 	ratio := s360 / s500
 	if ratio < 0.71 || ratio > 0.73 {
 		t.Fatalf("sustained ratio = %v, want 0.72", ratio)
@@ -124,8 +119,7 @@ func TestSustainedScalesWithClock(t *testing.T) {
 
 func TestEfficiencyZeroCycles(t *testing.T) {
 	c := Default()
-	m := memsys.DefaultModel()
-	if got := c.Efficiency(KernelCost{}, m); got != 0 {
+	if got := c.Efficiency(KernelCost{}); got != 0 {
 		t.Fatalf("empty kernel efficiency = %v", got)
 	}
 }

@@ -99,17 +99,10 @@ func (d *Daemon) jtagExchange(p *event.Proc, port *ethjtag.Port, rank int, op et
 	what := func() string { return fmt.Sprintf("node %d jtag op %d addr %#x", rank, op, addr) }
 	rep, err := d.exchange(p, port, ethjtag.Packet{
 		Dst: jaddr, Port: ethjtag.PortJTAG,
-		Payload: ethjtag.EncodeJTAG(op, addr, data),
+		JTAG: ethjtag.JTAGCmd{Op: op, Addr: addr, Data: data},
 	}, what, func(rep ethjtag.Packet) bool {
-		if rep.Src != jaddr || rep.Port != ethjtag.PortJTAG {
-			return false
-		}
-		rop, raddr, _, derr := ethjtag.DecodeJTAG(rep.Payload)
-		return derr == nil && rop == op && (!addrMatters || raddr == addr)
+		return rep.Src == jaddr && rep.Port == ethjtag.PortJTAG &&
+			rep.JTAG.Op == op && (!addrMatters || rep.JTAG.Addr == addr)
 	})
-	if err != nil {
-		return 0, err
-	}
-	_, _, rdata, _ := ethjtag.DecodeJTAG(rep.Payload)
-	return rdata, nil
+	return rep.JTAG.Data, err
 }
