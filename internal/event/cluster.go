@@ -5,39 +5,30 @@ package event
 // engines that execute concurrently inside barrier-synchronized time
 // windows (DESIGN.md §13).
 //
-// The synchronization model is classic conservative PDES specialized to
-// the QCDOC topology. Nodes interact only through HSSL wires and the
-// management Ethernet, and both charge a guaranteed minimum delay — at
-// least one minimum frame's serialization time plus the wire's time of
-// flight — before anything becomes visible at the far end. That
-// minimum is the cluster's lookahead L: if every shard's next event is
-// at or after T, no cross-shard influence can land before T+L, so all
-// events in [T, T+L) are independent across shards and may run in
-// parallel. The run loop repeats: find the global minimum next-event
-// time, execute one window on every shard (concurrently, one shard per
-// worker at a time), then drain the single-producer/single-consumer
-// cross-shard mailboxes at the barrier.
+// This is conservative PDES on the QCDOC topology. Nothing a node does
+// becomes visible at another before a minimum frame's serialization
+// plus the wire's time of flight: that is the lookahead L, so with every
+// shard's next event at or after T, the events in [T, T+L) are
+// independent across shards. The run loop repeats: find the global
+// minimum next-event time, run one window on every shard (one shard per
+// worker at a time), drain the cross-shard mailboxes at the barrier.
 //
 // Determinism is structural, not incidental:
 //   - The shard plan is a pure function of the machine topology, never
-//     of the worker count. Workers only change which OS thread executes
-//     a shard's window, not which events it contains.
+//     of the worker count, which only picks the OS thread of a window.
 //   - Within a shard, events dispatch in (time, seq) order exactly as
 //     on a single engine.
-//   - Cross-shard messages are appended by their producing shard in its
-//     deterministic execution order and drained at the barrier in a
-//     fixed (destination, source, send-order) sweep into the receiving
-//     shard's one event queue, so it assigns them sequence numbers
-//     identically on every run.
-//   - Nothing machine-wide runs on a cluster: no serial tier executes
-//     callbacks at a barrier, so the partition-interrupt sampling clock
-//     and Engine.Stop are refused on a sharded machine (both panic).
+//   - Cross-shard messages are appended in their producer's
+//     deterministic order and drained at the barrier in a fixed
+//     (destination, source, send-order) sweep into the receiver's queue,
+//     so they get the same sequence numbers on every run.
+//   - Nothing machine-wide runs on a cluster: the partition-interrupt
+//     sampling clock and Engine.Stop panic on a sharded machine.
 // Same seed, same machine, any worker count: identical event streams
 // per shard, hence identical digests.
 
 import (
 	"runtime"
-	"sort"
 	"sync/atomic"
 )
 
@@ -223,10 +214,7 @@ func (c *Cluster) run(until Time) error {
 		}
 		if tmin == Forever {
 			c.alignClocks(c.maxNow())
-			if names := c.blockedNames(); len(names) > 0 {
-				return &ErrStall{At: c.shards[0].now, Blocked: names}
-			}
-			return nil
+			return stall(c.shards[0].now, c.shards)
 		}
 		if tmin > until {
 			c.alignClocks(until)
@@ -239,21 +227,6 @@ func (c *Cluster) run(until Time) error {
 			panic(c.panicVal)
 		}
 	}
-}
-
-// blockedNames collects non-daemon blocked process names across all
-// shards, sorted for stable reporting.
-func (c *Cluster) blockedNames() []string {
-	var names []string
-	for _, s := range c.shards {
-		for p, what := range s.blocked {
-			if !p.daemon {
-				names = append(names, p.name+" ("+what+")")
-			}
-		}
-	}
-	sort.Strings(names)
-	return names
 }
 
 // runWindow executes one [*, wend) window on every shard, using the

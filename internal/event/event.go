@@ -1,16 +1,15 @@
-// Package event provides the discrete-event simulation core used by the
-// QCDOC machine model: a virtual clock with picosecond resolution, one
-// stable event queue per engine (queue.go), and a two-tier process model
-// — coroutine processes (Spawn/Proc, goroutines with a single token of
-// control) for programs, and zero-goroutine continuations (At/After
-// callbacks, Handler, Timer) for the per-link and per-node hardware
-// services, which exist in the tens of thousands on a big machine: a
-// continuation step costs one function call and holds no goroutine,
-// while a coroutine suspension costs a goroutine park and two channel
-// handoffs. Both tiers share one event queue, so simulated-time results
-// do not depend on which tier a process runs on. Everything on an
-// engine runs on one goroutine, one event at a time, so no locking is
-// needed anywhere in the simulator's guts.
+// Package event is the discrete-event core of the QCDOC machine model: a
+// virtual clock with picosecond resolution, one stable event queue per
+// engine (queue.go), and two tiers of processes sharing it, so no
+// simulated time depends on the tier. Programs are coroutines (Proc: a
+// goroutine that holds the engine's single token of control between
+// blocking calls; a Proc is a value, so a node keeps its application
+// thread inside itself and starts it with Start). Per-link and per-node
+// hardware, tens of thousands of services on a big machine, are
+// continuations (At/After callbacks, Handler, Timer): one function call
+// per step and no goroutine, where a coroutine suspension costs a
+// goroutine park and two channel handoffs. An engine runs one event at a
+// time on one goroutine, so the simulator's guts need no locks.
 //
 // An engine is deliberately sequential: the paper's machine is
 // self-synchronizing at the link level (§2.2), and a conservative,
@@ -108,8 +107,8 @@ type Engine struct {
 	events     eventQueue
 	seq        uint64
 	park       chan struct{} // a process signals here when it yields or exits
-	live       int           // processes that have started and not finished
-	blocked    map[*Proc]string
+	procs      *Proc         // the live processes: started and not finished
+	live       int           // how many
 	stopped    bool
 	terminated bool // Shutdown has been called; parked processes unwind
 
@@ -144,24 +143,14 @@ type Engine struct {
 }
 
 // New creates an engine with the clock at zero.
-func New() *Engine {
-	return &Engine{
-		park:    make(chan struct{}),
-		blocked: make(map[*Proc]string),
-	}
-}
+func New() *Engine { return &Engine{park: make(chan struct{})} }
 
 // Now returns the current simulated time.
 func (e *Engine) Now() Time { return e.now }
 
 // At schedules fn to run at time t (clamped to now if in the past).
 // Events at equal times run in scheduling order.
-func (e *Engine) At(t Time, fn func()) {
-	if t < e.now {
-		t = e.now
-	}
-	e.enqueue(t, funcHandler(fn), 0, e.curFlow)
-}
+func (e *Engine) At(t Time, fn func()) { e.AtHandler(t, funcHandler(fn), 0) }
 
 // After schedules fn to run d from now.
 func (e *Engine) After(d Time, fn func()) { e.At(e.now+d, fn) }
@@ -258,17 +247,7 @@ func (e *Engine) runLocal(until Time) error {
 	for !e.stopped {
 		t, src := e.peekTime()
 		if src == srcNone {
-			var names []string // parked daemons are normal quiescence: nothing to build
-			for p, what := range e.blocked {
-				if !p.daemon {
-					names = append(names, p.name+" ("+what+")")
-				}
-			}
-			if len(names) > 0 {
-				sort.Strings(names)
-				return &ErrStall{At: e.now, Blocked: names}
-			}
-			return nil
+			return stall(e.now, []*Engine{e})
 		}
 		if t > until {
 			e.now = until
@@ -277,6 +256,26 @@ func (e *Engine) runLocal(until Time) error {
 		e.dispatchNext(src)
 	}
 	return nil
+}
+
+// stall ends a run whose queues drained: an *ErrStall naming every live
+// non-daemon process of the engines with what it waits for, sorted, or
+// nil when only daemons are parked (normal quiescence). The names are
+// built here, on a stall, and nowhere else.
+func stall(at Time, engines []*Engine) error {
+	var names []string
+	for _, e := range engines {
+		for p := e.procs; p != nil; p = p.next {
+			if !p.daemon {
+				names = append(names, p.body.ProcName(p.label)+" ("+p.reason+")")
+			}
+		}
+	}
+	if names == nil {
+		return nil
+	}
+	sort.Strings(names)
+	return &ErrStall{At: at, Blocked: names}
 }
 
 // RunBound returns the current Run's horizon and how many Runs have begun
@@ -332,14 +331,45 @@ func (e *Engine) LiveProcs() int { return e.live }
 // engine via an explicit control token. Process code may only touch
 // simulator state between its blocking calls (Sleep, Wait, queue Get),
 // which is safe because the engine is parked whenever the process runs.
+// A Proc may be held by value and started again once its run finished.
 type Proc struct {
 	eng      *Engine
-	name     string
+	body     Body
+	label    string // the name Start was given; see Body
 	resume   chan struct{}
+	gen      uint64 // the run; every wake carries it, see HandleEvent
+	reason   string // what the process is parked for, "" while it is not
+	next     *Proc  // the engine's live list, linked through next
+	pprev    **Proc // and through whichever pointer points here
 	done     bool
 	daemon   bool
 	killed   bool
 	timedOut bool // set when a gate's deadline wakes the process; see WaitUntil
+}
+
+// Body is the code a process runs. RunProc runs from the process's first
+// activation, unless the process was killed before it; ExitProc runs
+// last in every case, with what RunProc panicked with (nil if it
+// returned, a kill-panic for Kill or Shutdown): what it does not re-panic
+// is swallowed. ProcName names the process from the label Start was
+// given, only when a stall report or a turn-guard panic asks.
+type Body interface {
+	RunProc(p *Proc)
+	ExitProc(p *Proc, r any)
+	ProcName(label string) string
+}
+
+// funcBody is a Spawn function as a Body: it re-panics anything but a
+// kill. A func value fits the interface word, so this allocates nothing.
+type funcBody func(*Proc)
+
+func (f funcBody) RunProc(p *Proc)              { f(p) }
+func (f funcBody) ProcName(label string) string { return label }
+
+func (f funcBody) ExitProc(_ *Proc, r any) {
+	if r != nil && !IsKillPanic(r) {
+		panic(r)
+	}
 }
 
 // procKilled is the panic value used to unwind parked processes when the
@@ -349,24 +379,50 @@ type procKilled struct{}
 // Spawn starts a new process executing fn. The process begins running at
 // the current simulated time (after already-queued events at that time).
 func (e *Engine) Spawn(name string, fn func(*Proc)) *Proc {
-	p := &Proc{eng: e, name: name, resume: make(chan struct{})}
-	e.live++
-	go func() {
-		<-p.resume // first activation comes through the event queue
-		defer func() {
-			if r := recover(); r != nil {
-				if _, ok := r.(procKilled); !ok {
-					panic(r)
-				}
-			}
-			p.done = true
-			e.live--
-			e.park <- struct{}{}
-		}()
-		fn(p)
-	}()
-	e.AtHandler(e.now, p, 0)
+	p := new(Proc)
+	e.Start(p, name, funcBody(fn))
 	return p
+}
+
+// Start is Spawn into a Proc the caller holds: a node keeps its
+// application thread in itself. p must be new or finished; a restart
+// keeps its channel, and a wake left over from the earlier run is dropped.
+func (e *Engine) Start(p *Proc, name string, body Body) {
+	if p.eng != nil && !p.done {
+		panic("event: Start on the live process " + p.body.ProcName(p.label))
+	}
+	if p.resume == nil {
+		p.resume = make(chan struct{})
+	}
+	*p = Proc{eng: e, body: body, label: name, resume: p.resume, gen: p.gen + 1, next: e.procs, pprev: &e.procs}
+	if p.next != nil {
+		p.next.pprev = &p.next
+	}
+	e.procs, e.live = p, e.live+1
+	go p.run()
+	e.AtHandler(e.now, p, p.gen)
+}
+
+// run is the process's goroutine. Its first activation comes through the
+// event queue; a process killed before it never enters its body.
+func (p *Proc) run() {
+	<-p.resume
+	defer p.exit()
+	p.unwindIfKilled()
+	p.body.RunProc(p)
+}
+
+// exit ends the run: the body sees how it ended, the process leaves the
+// live list (keeping its next for Shutdown's walk), and control goes
+// back to the engine.
+func (p *Proc) exit() {
+	p.body.ExitProc(p, recover())
+	p.done, *p.pprev = true, p.next
+	if p.next != nil {
+		p.next.pprev = p.pprev
+	}
+	p.eng.live--
+	p.eng.park <- struct{}{}
 }
 
 // SpawnDaemon starts a process that is allowed to remain blocked when the
@@ -379,11 +435,11 @@ func (e *Engine) SpawnDaemon(name string, fn func(*Proc)) *Proc {
 	return p
 }
 
-// Shutdown unwinds every parked process so their goroutines exit. The
-// engine is unusable afterwards. Call it when a simulation (and its
-// machine full of daemon link handlers) is finished, particularly in
-// tests that build many machines. On a clustered engine it unwinds the
-// whole cluster (worker pool included), whichever shard it is called on.
+// Shutdown unwinds every live process, parked or not yet activated, so
+// their goroutines exit; the engine is unusable afterwards. Call it when
+// a simulation is finished, particularly in tests that build many
+// machines. On a clustered engine it unwinds the whole cluster (worker
+// pool included), whichever shard it is called on.
 func (e *Engine) Shutdown() {
 	if e.cluster != nil {
 		e.cluster.shutdown()
@@ -394,18 +450,22 @@ func (e *Engine) Shutdown() {
 
 func (e *Engine) shutdownLocal() {
 	e.terminated = true
-	for len(e.blocked) > 0 {
-		for p := range e.blocked {
-			p.wake() // the process observes terminated inside yield and unwinds
-			break
+	for p := e.procs; p != nil; p = p.next {
+		if p != e.cur {
+			p.wake() // the process observes terminated and unwinds
 		}
 	}
 }
 
 // HandleEvent is the process's wake event: the process is its own
-// handler, so scheduling a wake allocates nothing. It implements
-// Handler; do not call it directly.
-func (p *Proc) HandleEvent(uint64) { p.wake() }
+// handler, so scheduling a wake allocates nothing. run is the generation
+// of the run that scheduled it; a wake from an earlier run is dropped. It
+// implements Handler; do not call it directly.
+func (p *Proc) HandleEvent(run uint64) {
+	if run == p.gen {
+		p.wake()
+	}
+}
 
 // wake transfers control to the process until it yields or exits. It
 // runs as an event on the engine goroutine.
@@ -425,38 +485,40 @@ func (p *Proc) wake() {
 // process, the call would park the engine's own goroutine for good.
 func (p *Proc) holdsTurn(reason string) {
 	if p.eng.cur != p {
-		panic("event: " + p.name + " blocks (" + reason + ") outside its own turn")
+		panic("event: " + p.body.ProcName(p.label) + " blocks (" + reason + ") outside its own turn")
+	}
+}
+
+// unwindIfKilled panics the process out through its body once the
+// engine shut down or the process was killed.
+func (p *Proc) unwindIfKilled() {
+	if p.eng.terminated || p.killed {
+		panic(procKilled{})
 	}
 }
 
 // yield hands control back to the engine and blocks until reactivated.
 func (p *Proc) yield(reason string) {
-	if p.eng.terminated || p.killed {
-		panic(procKilled{})
-	}
-	p.eng.blocked[p] = reason
+	p.unwindIfKilled()
+	p.reason = reason
 	p.eng.park <- struct{}{}
 	<-p.resume
-	delete(p.eng.blocked, p)
-	if p.eng.terminated || p.killed {
-		panic(procKilled{})
-	}
+	p.reason = ""
+	p.unwindIfKilled()
 }
 
-// Kill marks the process for unwinding: at its next resumption —
-// scheduled immediately if it is parked, its already-pending wake
-// otherwise — it panics out through its blocking call and the goroutine
-// exits, an engine Shutdown scoped to one process. Fault injection uses
-// it to model a node whose software dies mid-run: the process gets no
-// chance to run cleanup code at simulated times it would never have
-// reached.
+// Kill is Shutdown for one process: at its next resumption (scheduled
+// now if it is parked) it panics out through its blocking call, or never
+// enters its body, and its goroutine exits. Fault injection uses it for
+// a node whose software dies mid-run, with no cleanup at simulated times
+// it would never have reached.
 func (p *Proc) Kill() {
 	if p.done || p.killed {
 		return
 	}
 	p.killed = true
-	if _, parked := p.eng.blocked[p]; parked {
-		p.eng.AtHandler(p.eng.now, p, 0)
+	if p.reason != "" {
+		p.eng.AtHandler(p.eng.now, p, p.gen)
 	}
 }
 
@@ -479,7 +541,7 @@ func (p *Proc) Engine() *Engine { return p.eng }
 // Sleep suspends the process for d of simulated time.
 func (p *Proc) Sleep(d Time) {
 	p.holdsTurn("sleep")
-	p.eng.AfterHandler(d, p, 0)
+	p.eng.AfterHandler(d, p, p.gen)
 	p.yield("sleep")
 }
 
@@ -495,13 +557,13 @@ type Gate struct {
 	gen     uint64 // stamps timed waits; see WaitUntil
 }
 
-// gateWaiter is one parked process. gen is nonzero for timed waits: the
-// deadline event identifies its waiter by generation, so a Fire (which
-// clears the list) or an earlier deadline leaves nothing for a stale
-// deadline event to find.
+// gateWaiter is one parked process and the run it parked in. gen is
+// nonzero for timed waits: the deadline event identifies its waiter by
+// generation, so a Fire (which clears the list) or an earlier deadline
+// leaves nothing for a stale deadline event to find.
 type gateWaiter struct {
-	p   *Proc
-	gen uint64
+	p        *Proc
+	run, gen uint64
 }
 
 // NewGate creates a gate on the engine.
@@ -515,7 +577,7 @@ func (g *Gate) Wait(p *Proc, what string) {
 		panic("event: Gate.Wait across engines (shard boundary)")
 	}
 	p.holdsTurn(what)
-	g.park(gateWaiter{p: p})
+	g.park(gateWaiter{p: p, run: p.gen})
 	p.yield(what)
 }
 
@@ -534,7 +596,7 @@ func (g *Gate) WaitUntil(p *Proc, what string, deadline Time) bool {
 		return false
 	}
 	g.gen++
-	g.park(gateWaiter{p: p, gen: g.gen})
+	g.park(gateWaiter{p: p, run: p.gen, gen: g.gen})
 	g.eng.AtHandler(deadline, g, g.gen)
 	p.yield(what)
 	timedOut := p.timedOut
@@ -550,14 +612,17 @@ func (g *Gate) park(w gateWaiter) {
 }
 
 // HandleEvent is a timed wait's deadline: if the waiter of generation
-// gen is still parked, it leaves the gate and wakes timed out. It
-// implements Handler and is not meant to be called directly.
+// gen is still parked, it leaves the gate and, if its process is still in
+// the run that parked, wakes timed out. It implements Handler and is not
+// meant to be called directly.
 func (g *Gate) HandleEvent(gen uint64) {
 	for i, w := range g.waiters {
 		if w.gen == gen {
 			g.waiters = slices.Delete(g.waiters, i, i+1)
-			w.p.timedOut = true
-			w.p.wake()
+			if w.run == w.p.gen {
+				w.p.timedOut = true
+				w.p.wake()
+			}
 			return
 		}
 	}
@@ -568,7 +633,7 @@ func (g *Gate) HandleEvent(gen uint64) {
 // its storage stays for the next round of waiters.
 func (g *Gate) Fire() {
 	for _, w := range g.waiters {
-		g.eng.AtHandler(g.eng.now, w.p, 0)
+		g.eng.AtHandler(g.eng.now, w.p, w.run)
 	}
 	clear(g.waiters)
 	g.waiters = g.waiters[:0]

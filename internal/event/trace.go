@@ -38,15 +38,10 @@ const (
 )
 
 func (k TraceKind) String() string {
-	switch k {
-	case TraceHandler:
-		return "handler"
-	case TraceSpanBegin:
-		return "span-begin"
-	case TraceSpanEnd:
-		return "span-end"
+	if k > TraceSpanEnd {
+		return "func"
 	}
-	return "func"
+	return [...]string{"func", "handler", "span-begin", "span-end"}[k]
 }
 
 // TraceRecord is one dispatched event: its time, stable sequence

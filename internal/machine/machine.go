@@ -96,9 +96,12 @@ func Build(eng *event.Engine, cfg Config) *Machine {
 	m := &Machine{Eng: eng, Cfg: cfg}
 	v := cfg.Shape.Volume()
 	m.buildCluster(eng, cfg, v)
+	// The nodes, with their memory, SCU and application thread, are one slab.
+	nodes := make([]node.Node, v)
 	m.Nodes = make([]*node.Node, v)
-	for r := 0; r < v; r++ {
-		m.Nodes[r] = node.New(m.NodeEngine(r), r, cfg.Shape.CoordOf(r), cfg.Clock)
+	for r := range nodes {
+		nodes[r].Init(m.NodeEngine(r), r, cfg.Shape.CoordOf(r), cfg.Clock)
+		m.Nodes[r] = &nodes[r]
 	}
 	// One outbound wire per (node, link), wire id = rank*NumLinks +
 	// LinkIndex, in one slab, its ring slot id of k frames in another.

@@ -53,14 +53,15 @@ func TestWireNamesMatchFmt(t *testing.T) {
 }
 
 // buildBootAllocsPerNode bounds the heap objects Build plus Boot
-// allocate per node: the node, its memory, its SCU (link units, their
-// timers and queues, its first two transfer records inside it) and the
-// memory page the boot word lands in. The wires and their in-flight
-// rings come from two slabs per machine, are named on demand, and train
+// allocate per node. Every node, with its memory, its SCU (link units,
+// their timers and queues, its first two transfer records) and its
+// application thread inside, is one element of a per-machine slab; the
+// boot word is counted, not stored. The wires and their in-flight rings
+// come from two slabs per machine, are named on demand, and train
 // through their own events; telemetry registers only when enabled.
-// Measured at 4 per node (plus 10 per machine) at 16 and 64 nodes;
-// before, about 12, and 125 before that.
-const buildBootAllocsPerNode = 4
+// Measured at 10 and 11 objects per machine at 16 and 64 nodes, none per
+// node; before, 4 per node (plus 10), about 12, and 125 before that.
+const buildBootAllocsPerNode = 0
 
 // TestBuildBootAllocsPerNode holds Build plus Boot to
 // buildBootAllocsPerNode objects per node, plus a constant, on machines
@@ -84,12 +85,13 @@ func TestBuildBootAllocsPerNode(t *testing.T) {
 // rackAllocsPerNode and rackAllocsPerShard bound the heap objects of a
 // whole rack-shaped run: Build, Boot, a program of halo rounds and
 // doubled global sums, and Shutdown. Beyond Build and Boot a node spends
-// its application process (the Proc, its channel and goroutine, its
-// name), the program's closure and context, its Comm and a memory page;
-// a shard its engine, queue lanes and mailboxes. Measured on 64 nodes at
-// 860 objects serial and 1 772 on 32 shards (13.4 per node, 28.5 more
-// per shard); before, 2 487 and 3 396.
-const rackAllocsPerNode, rackAllocsPerShard = 16, 32
+// its application thread's goroutine and channel (the process, its
+// context and its name live in the node), the program's closure, its
+// Comm and a memory page; a shard its engine, queue lanes and mailboxes.
+// Measured on 64 nodes at 338 objects serial and 1 197 on 32 shards (4.8
+// per node, 27.7 more per shard); before, 797 and 1 708, and 2 487 and
+// 3 396 before that.
+const rackAllocsPerNode, rackAllocsPerShard = 5, 32
 
 // TestRackProgramAllocsPerNode holds a rack-shaped run (the benchmark's
 // rack loop at 64 nodes: 24 halo rounds of 16 words, one per dimension

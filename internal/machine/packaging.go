@@ -2,6 +2,7 @@ package machine
 
 import (
 	"fmt"
+	"slices"
 
 	"qcdoc/internal/event"
 	"qcdoc/internal/geom"
@@ -130,13 +131,6 @@ func GuessShape(n int) geom.Shape {
 			}
 		}
 	}
-	// Sort descending for a conventional presentation.
-	for i := 0; i < geom.MaxDim; i++ {
-		for j := i + 1; j < geom.MaxDim; j++ {
-			if dims[j] > dims[i] {
-				dims[i], dims[j] = dims[j], dims[i]
-			}
-		}
-	}
+	slices.SortFunc(dims[:], func(a, b int) int { return b - a }) // descending, as conventionally written
 	return geom.MakeShape(dims[:]...)
 }

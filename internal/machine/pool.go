@@ -130,25 +130,21 @@ func (p *Pool) slab(n int) (k int, slab []hssl.Flight) {
 // cores. Callers must treat the returned slice as read-only. With a nil
 // pool the plan is computed fresh.
 func (p *Pool) shardPlan(shape geom.Shape, per int) []int {
-	if p == nil {
-		return computeShardPlan(shape.Volume(), per)
+	if p != nil {
+		p.mu.Lock()
+		defer p.mu.Unlock()
+		if plan, ok := p.plans[shape]; ok {
+			p.stats.PlanHits++
+			return plan
+		}
+		p.stats.PlanMisses++
 	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if plan, ok := p.plans[shape]; ok {
-		p.stats.PlanHits++
-		return plan
-	}
-	p.stats.PlanMisses++
-	plan := computeShardPlan(shape.Volume(), per)
-	p.plans[shape] = plan
-	return plan
-}
-
-func computeShardPlan(v, per int) []int {
-	plan := make([]int, v)
-	for r := 0; r < v; r++ {
+	plan := make([]int, shape.Volume())
+	for r := range plan {
 		plan[r] = r / per
+	}
+	if p != nil {
+		p.plans[shape] = plan
 	}
 	return plan
 }

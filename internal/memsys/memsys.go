@@ -60,7 +60,8 @@ const (
 // been written, and everything else reads as zero — a node costs the host
 // what it touches, not where its allocator starts. The EDRAM table is
 // resident, and an EDRAM access reads nothing else of the struct; the DDR
-// table arrives with the first DDR write.
+// table arrives with the first DDR write. The zero value has no pages; a
+// node holds its memory by value.
 type NodeMemory struct {
 	edram [EDRAMBytes / pageBytes]*page
 	ddr   []*page
@@ -78,9 +79,6 @@ const (
 )
 
 type page [pageWords]uint64
-
-// NewNodeMemory returns a node memory with no pages.
-func NewNodeMemory() *NodeMemory { return &NodeMemory{} }
 
 // ReadWord returns the 64-bit word at byte address addr (8-aligned).
 // Untouched memory reads as zero, and reading it allocates nothing.

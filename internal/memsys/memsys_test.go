@@ -22,7 +22,7 @@ func TestAddressMap(t *testing.T) {
 }
 
 func TestReadWriteRoundTrip(t *testing.T) {
-	m := NewNodeMemory()
+	m := new(NodeMemory)
 	addrs := []uint64{0, 8, EDRAMBytes - 8, DDRBase, DDRBase + 1024*8}
 	for i, a := range addrs {
 		m.WriteWord(a, uint64(i)+0xF00)
@@ -39,7 +39,7 @@ func TestReadWriteRoundTrip(t *testing.T) {
 }
 
 func TestReadWriteQuick(t *testing.T) {
-	m := NewNodeMemory()
+	m := new(NodeMemory)
 	f := func(seed int64, vals []uint64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		written := map[uint64]uint64{}
@@ -74,13 +74,13 @@ func mustPanic(t *testing.T, want string, fn func()) {
 }
 
 func TestUnalignedPanics(t *testing.T) {
-	m := NewNodeMemory()
+	m := new(NodeMemory)
 	mustPanic(t, "memsys: unaligned word access at 0x3", func() { m.ReadWord(3) })
 	mustPanic(t, "memsys: unaligned word access at 0x400004", func() { m.WriteWord(DDRBase+4, 1) })
 }
 
 func TestBeyondDDRPanics(t *testing.T) {
-	m := NewNodeMemory()
+	m := new(NodeMemory)
 	mustPanic(t, "memsys: address 0x8400000 beyond installed DDR (134217728 bytes)", func() { m.WriteWord(DDRBase+DDRBytes, 1) })
 	mustPanic(t, "memsys: address 0x8400000 beyond installed DDR (134217728 bytes)", func() { m.ReadWord(DDRBase + DDRBytes) })
 }
@@ -96,7 +96,7 @@ func TestNodeMemoryMatchesReference(t *testing.T) {
 	edges := []uint64{0, EDRAMBytes - 8, DDRBase, last, 256 << 10}
 	for seed := int64(1); seed <= 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		m, ref := NewNodeMemory(), map[uint64]uint64{}
+		m, ref := new(NodeMemory), map[uint64]uint64{}
 		addr := func() uint64 {
 			switch rng.Intn(4) {
 			case 0: // an edge, or its neighbour on either side
@@ -131,7 +131,7 @@ func TestNodeMemoryMatchesReference(t *testing.T) {
 		}
 	}
 
-	m := NewNodeMemory()
+	m := new(NodeMemory)
 	var sum uint64
 	reads := testing.AllocsPerRun(10, func() {
 		for _, a := range []uint64{0, 256 << 10, EDRAMBytes - 8, DDRBase, DDRBase + DDRBytes - 8} {
@@ -160,7 +160,7 @@ func allocatedBytes(fn func()) uint64 {
 func TestFirstAppWordFootprint(t *testing.T) {
 	var m *NodeMemory
 	got := allocatedBytes(func() {
-		m = NewNodeMemory()
+		m = new(NodeMemory)
 		m.WriteWord(256<<10, 1)
 	})
 	if m.ReadWord(256<<10) != 1 {
@@ -246,7 +246,7 @@ func TestBlockWordsMatchWordLoop(t *testing.T) {
 			if start+8*uint64(n) > ddrEnd {
 				n = int((ddrEnd - start) / 8)
 			}
-			blk, ref := NewNodeMemory(), NewNodeMemory()
+			blk, ref := new(NodeMemory), new(NodeMemory)
 			src := make([]uint64, n)
 			for i := range src {
 				src[i] = rng.Uint64()
@@ -287,7 +287,7 @@ func TestBlockWordsMatchWordLoop(t *testing.T) {
 }
 
 func TestBlockReadOfUntouchedInstallsNothing(t *testing.T) {
-	m := NewNodeMemory()
+	m := new(NodeMemory)
 	dst := []uint64{1, 2, 3, 4}
 	m.ReadWords(pageBytes-16, dst)
 	m.ReadWords(DDRBase, dst[:2])
@@ -305,7 +305,7 @@ func TestBlockReadOfUntouchedInstallsNothing(t *testing.T) {
 }
 
 func TestBlockWordsPanicLikeWordLoop(t *testing.T) {
-	m := NewNodeMemory()
+	m := new(NodeMemory)
 	mustPanic(t, "memsys: unaligned word access at 0x3", func() { m.ReadWords(3, make([]uint64, 2)) })
 	mustPanic(t, "memsys: unaligned word access at 0x400004", func() { m.WriteWords(DDRBase+4, []uint64{1}) })
 	mustPanic(t, "memsys: address 0x8400000 beyond installed DDR (134217728 bytes)", func() { m.ReadWords(DDRBase+DDRBytes, make([]uint64, 1)) })

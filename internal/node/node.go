@@ -42,21 +42,13 @@ const (
 	Crashed
 )
 
+var stateNames = [...]string{"reset", "boot-kernel", "run-kernel", "app-running", "crashed"}
+
 func (s State) String() string {
-	switch s {
-	case Reset:
-		return "reset"
-	case BootKernel:
-		return "boot-kernel"
-	case RunKernel:
-		return "run-kernel"
-	case AppRunning:
-		return "app-running"
-	case Crashed:
-		return "crashed"
-	default:
-		return fmt.Sprintf("state(%d)", int(s))
+	if s >= 0 && int(s) < len(stateNames) {
+		return stateNames[s]
 	}
+	return fmt.Sprintf("state(%d)", int(s))
 }
 
 // Ctx is the execution context a node program receives: the simulation
@@ -70,19 +62,22 @@ type Ctx struct {
 // binary.
 type Program func(ctx *Ctx)
 
-// Node is one processing node.
+// Node is one processing node. It holds its memory, SCU and application
+// thread by value, so a machine's nodes are one slab (see Init).
 type Node struct {
 	Eng   *event.Engine
 	Rank  int
 	Coord geom.Coord
 
-	Mem *memsys.NodeMemory
+	Mem memsys.NodeMemory
 	CPU ppc440.CPU
-	SCU *scu.SCU
+	SCU scu.SCU
 
 	state     State
 	bootWords int
-	appProc   *event.Proc
+	app       event.Proc // the application thread; see RunProgram
+	ctx       Ctx        // what its program receives: &app and the node
+	prog      Program    // the program it runs
 	appDone   bool
 	appEnd    event.Time // when the application thread returned
 	appErr    error
@@ -108,29 +103,21 @@ const bootReserved = 256 << 10
 
 // New builds a node whose processor and SCU run at clock.
 func New(eng *event.Engine, rank int, coord geom.Coord, clock event.Hz) *Node {
-	mem := memsys.NewNodeMemory()
-	n := &Node{
-		Eng:   eng,
-		Rank:  rank,
-		Coord: coord,
-		Mem:   mem,
-		CPU:   ppc440.At(clock),
-		state: Reset,
-		brk:   bootReserved,
-	}
-	n.SCU = scu.New(eng, n, mem, clock)
+	n := new(Node)
+	n.Init(eng, rank, coord, clock)
 	return n
 }
 
-// String returns the node's name, "node" and its rank, built on demand.
-func (n *Node) String() string { return n.nameWith("") }
-
-// nameWith returns the node's name and suffix in one allocation.
-func (n *Node) nameWith(suffix string) string {
-	var buf [64]byte
-	b := strconv.AppendInt(append(buf[:0], "node"...), int64(n.Rank), 10)
-	return string(append(b, suffix...))
+// Init is New in place, on a zero Node (in state Reset): machine.Build
+// initialises all of a machine's nodes in one slab.
+func (n *Node) Init(eng *event.Engine, rank int, coord geom.Coord, clock event.Hz) {
+	n.Eng, n.Rank, n.Coord, n.CPU, n.brk = eng, rank, coord, ppc440.At(clock), bootReserved
+	n.ctx = Ctx{P: &n.app, N: n}
+	n.SCU.Init(eng, n, &n.Mem, clock)
 }
+
+// String returns the node's name, "node" and its rank, built on demand.
+func (n *Node) String() string { return "node" + strconv.Itoa(n.Rank) }
 
 // State returns the lifecycle state.
 func (n *Node) State() State { return n.state }
@@ -181,40 +168,48 @@ func (n *Node) ForceReady() {
 }
 
 // RunProgram starts the application thread (§3.2: the run kernel has a
-// kernel thread and an application thread; no multitasking). The node
+// kernel thread and an application thread; no multitasking). The thread
+// is the node's own event.Proc with the node as its body, so starting a
+// program allocates only the thread's goroutine (and, once, its channel).
+// The node
 // returns to RunKernel state when the program finishes. A panic in the
-// program is captured as the application error. A kill-panic (the
-// engine unwinding the thread after Crash/Hang fault injection) records
-// ErrCrashed and leaves the crashed/hung facade in place; a kill-panic
-// from engine shutdown re-panics so teardown proceeds as before.
+// program is captured as the application error. A kill by Crash/Hang
+// (even before the thread's first activation: the program never runs)
+// records ErrCrashed and leaves the crashed/hung facade in place; a kill
+// by engine shutdown records nothing.
 func (n *Node) RunProgram(name string, prog Program) error {
 	if n.state != RunKernel {
 		return fmt.Errorf("node %s: cannot run application in state %v", n, n.state)
 	}
-	n.state = AppRunning
-	n.appDone = false
-	n.appErr = nil
-	n.appProc = n.Eng.Spawn(n.nameWith(" app "+name), func(p *event.Proc) {
-		defer func() {
-			r := recover()
-			killed := r != nil && event.IsKillPanic(r)
-			switch {
-			case killed && (n.state == Crashed || n.hung):
-				n.appErr = ErrCrashed
-			case killed:
-				panic(r) // engine teardown, not an application outcome
-			case r != nil:
-				n.appErr = fmt.Errorf("node %s: application panic: %v", n, r)
-			}
-			if !n.hung && n.state == AppRunning {
-				n.state = RunKernel
-			}
-			n.appDone, n.appEnd = true, p.Now()
-		}()
-		prog(&Ctx{P: p, N: n})
-	})
+	n.state, n.appDone, n.appErr, n.prog = AppRunning, false, nil, prog
+	n.Eng.Start(&n.app, name, n)
 	return nil
 }
+
+// RunProc runs the program on the application thread (event.Body).
+func (n *Node) RunProc(*event.Proc) { n.prog(&n.ctx) }
+
+// ExitProc records how the application thread ended; see RunProgram. It
+// implements event.Body; do not call it directly.
+func (n *Node) ExitProc(p *event.Proc, r any) {
+	n.prog = nil // nothing the program captured outlives it
+	killed := event.IsKillPanic(r)
+	switch {
+	case killed && (n.state == Crashed || n.hung):
+		n.appErr = ErrCrashed
+	case killed:
+		return // engine teardown, not an application outcome
+	case r != nil:
+		n.appErr = fmt.Errorf("node %s: application panic: %v", n, r)
+	}
+	if !n.hung && n.state == AppRunning {
+		n.state = RunKernel
+	}
+	n.appDone, n.appEnd = true, p.Now()
+}
+
+// ProcName names the thread "node<rank> app <program>" (event.Body).
+func (n *Node) ProcName(prog string) string { return n.String() + " app " + prog }
 
 // ErrCrashed is the application error recorded when the node's software
 // was lost to an injected crash or hang rather than finishing.
@@ -232,9 +227,7 @@ func (n *Node) Crash() {
 	}
 	n.state = Crashed
 	n.hung = false
-	if n.appProc != nil {
-		n.appProc.Kill()
-	}
+	n.app.Kill()
 }
 
 // Hang models the nastier failure: the software wedges. The lifecycle
@@ -247,9 +240,7 @@ func (n *Node) Hang() {
 		return
 	}
 	n.hung = true
-	if n.appProc != nil {
-		n.appProc.Kill()
-	}
+	n.app.Kill()
 }
 
 // Alive reports whether the node's software is still running (neither
@@ -283,9 +274,6 @@ func (n *Node) AllocWords(words int) uint64 {
 	}
 	return addr
 }
-
-// AllocLevel reports which memory the most recent allocations landed in.
-func (n *Node) AllocLevel() memsys.Level { return memsys.LevelOf(n.brk - 1) }
 
 // WriteF64 stores a float64 at a word address.
 func (n *Node) WriteF64(addr uint64, v float64) {

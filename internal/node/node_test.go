@@ -106,12 +106,11 @@ func TestAllocator(t *testing.T) {
 	if a%8 != 0 {
 		t.Fatal("unaligned allocation")
 	}
-	if n.AllocLevel() != memsys.EDRAM {
+	if memsys.LevelOf(b+8) != memsys.EDRAM {
 		t.Fatal("small allocations should sit in EDRAM")
 	}
 	// Spill into DDR.
-	n.AllocWords((memsys.EDRAMBytes) / 8)
-	if n.AllocLevel() != memsys.DDR {
+	if c := n.AllocWords(memsys.EDRAMBytes / 8); memsys.LevelOf(c+memsys.EDRAMBytes-8) != memsys.DDR {
 		t.Fatal("large allocation should spill to DDR")
 	}
 	// Exhaustion panics (128 MB DDR installed).
@@ -148,5 +147,38 @@ func TestComputeCharges(t *testing.T) {
 	want := n.CPU.KernelTime(k)
 	if elapsed != want {
 		t.Fatalf("charged %v, want %v", elapsed, want)
+	}
+}
+
+// TestCrashBeforeProgramStartRunsNothing: a crash or hang that lands
+// after RunProgram but before the application thread's first activation
+// (same timestamp, earlier in the queue) leaves the program unrun — a
+// crashed node must not start SCU transfers — and the node reports the
+// application lost to the fault.
+func TestCrashBeforeProgramStartRunsNothing(t *testing.T) {
+	for _, fault := range []string{"crash", "hang"} {
+		eng, n := testNode(t)
+		n.ForceReady()
+		ran := false
+		if err := n.RunProgram("victim", func(*Ctx) { ran = true }); err != nil {
+			t.Fatal(err)
+		}
+		if fault == "crash" {
+			n.Crash()
+		} else {
+			n.Hang()
+		}
+		if err := eng.RunAll(); err != nil {
+			t.Fatal(err)
+		}
+		if ran {
+			t.Errorf("%s before the first activation: the program ran", fault)
+		}
+		if done, err := n.AppDone(); !done || err != ErrCrashed {
+			t.Errorf("%s before the first activation: AppDone = %v, %v; want true, ErrCrashed", fault, done, err)
+		}
+		if eng.LiveProcs() != 0 {
+			t.Errorf("%s: %d live processes after the run", fault, eng.LiveProcs())
+		}
 	}
 }

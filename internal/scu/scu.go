@@ -193,11 +193,12 @@ type SCU struct {
 	recs    [2]transfer // the free list's first: a send and a receive take no heap object
 }
 
-// New creates an SCU for a node whose links run at clock (the processor
-// clock; the paper's target is 500 MHz), named in its errors by name.
-// mem is the node's local memory as seen by the DMA engines.
-func New(eng *event.Engine, name fmt.Stringer, mem Memory, clock event.Hz) *SCU {
-	s := &SCU{eng: eng, name: name, mem: mem, clock: clock}
+// Init makes a zero SCU (a node holds its SCU by value) the SCU of a
+// node whose links run at clock (the processor clock; the paper's target
+// is 500 MHz), named in its errors by name. mem is the node's local
+// memory as seen by the DMA engines.
+func (s *SCU) Init(eng *event.Engine, name fmt.Stringer, mem Memory, clock event.Hz) {
+	s.eng, s.name, s.mem, s.clock = eng, name, mem, clock
 	s.rxStartup = clock.Cycles(rxStartupCycles)
 	for i := range s.globalIn {
 		s.globalIn[i] = -1
@@ -207,7 +208,6 @@ func New(eng *event.Engine, name fmt.Stringer, mem Memory, clock event.Hz) *SCU 
 	}
 	s.part.init(s)
 	s.recs[0].next, s.free = &s.recs[1], &s.recs[0]
-	return s
 }
 
 // Errors returned by SCU operations.
@@ -356,24 +356,18 @@ func (s *SCU) LastSupervisor(l geom.Link) uint64 { return s.lastSup[geom.LinkInd
 
 // Stats returns protocol counters summed over all links via the shared
 // field table — the per-link counters are the single source of truth;
-// this aggregate (like the machine-level one) is derived on demand.
+// this aggregate (like the machine-level one) is derived on demand. An
+// unattached link's unit is zero, so it reads as all zero here and below.
 func (s *SCU) Stats() Stats {
 	var total Stats
-	for _, lu := range s.links {
-		if lu != nil {
-			total.Add(&lu.stats)
-		}
+	for i := range s.units {
+		total.Add(&s.units[i].stats)
 	}
 	return total
 }
 
 // LinkStats returns the counters of a single link.
-func (s *SCU) LinkStats(l geom.Link) Stats {
-	if lu := s.links[geom.LinkIndex(l)]; lu != nil {
-		return lu.stats
-	}
-	return Stats{}
-}
+func (s *SCU) LinkStats(l geom.Link) Stats { return s.units[geom.LinkIndex(l)].stats }
 
 // LinkHists holds one link's latency distributions: how long each data
 // word stayed unacknowledged (first transmission to the cumulative ack
@@ -398,12 +392,7 @@ func (s *SCU) EnableLinkHists() {
 
 // LinkHists returns link l's histogram block, or nil when disabled or
 // the link is unattached.
-func (s *SCU) LinkHists(l geom.Link) *LinkHists {
-	if lu := s.links[geom.LinkIndex(l)]; lu != nil {
-		return lu.hist
-	}
-	return nil
-}
+func (s *SCU) LinkHists(l geom.Link) *LinkHists { return s.units[geom.LinkIndex(l)].hist }
 
 // Checksums returns the transmit-side and receive-side end-of-link
 // checksums for link l: the transmit sum covers words sent toward the
@@ -411,10 +400,8 @@ func (s *SCU) LinkHists(l geom.Link) *LinkHists {
 // Comparing the transmit sum with the neighbour's opposite-link receive
 // sum confirms no erroneous data was exchanged (§2.2).
 func (s *SCU) Checksums(l geom.Link) (tx, rx scupkt.Checksum) {
-	if lu := s.links[geom.LinkIndex(l)]; lu != nil {
-		return lu.txSum, lu.rxSum
-	}
-	return
+	lu := &s.units[geom.LinkIndex(l)]
+	return lu.txSum, lu.rxSum
 }
 
 // Engine returns the event engine the SCU runs on.

@@ -77,6 +77,13 @@ type testName string
 
 func (n testName) String() string { return string(n) }
 
+// newSCU builds a test's SCU on its own, as a node builds the one it holds.
+func newSCU(eng *event.Engine, name string, mem Memory) *SCU {
+	s := new(SCU)
+	s.Init(eng, testName(name), mem, testClock)
+	return s
+}
+
 func newPairMem(t *testing.T, eng, engB *event.Engine, ma, mb Memory) *pair {
 	t.Helper()
 	ab := hssl.NewWireBetween(eng, engB, "a->b", hssl.DefaultClock, hssl.DefaultPropagation)
@@ -86,8 +93,8 @@ func newPairMem(t *testing.T, eng, engB *event.Engine, ma, mb Memory) *pair {
 	if err := eng.RunAll(); err != nil {
 		t.Fatal(err)
 	}
-	a := New(eng, testName("A"), ma, testClock)
-	b := New(engB, testName("B"), mb, testClock)
+	a := newSCU(eng, "A", ma)
+	b := newSCU(engB, "B", mb)
 	la := geom.Link{Dim: 0, Dir: geom.Fwd}
 	lb := geom.Link{Dim: 0, Dir: geom.Bwd}
 	a.AttachLink(la, ab, ba)
@@ -480,7 +487,7 @@ func ring(t *testing.T, n int) (*event.Engine, []*SCU, []*testMem) {
 	mems := make([]*testMem, n)
 	for i := 0; i < n; i++ {
 		mems[i] = newTestMem()
-		scus[i] = New(eng, testName(fmt.Sprintf("n%d", i)), mems[i], testClock)
+		scus[i] = newSCU(eng, fmt.Sprintf("n%d", i), mems[i])
 	}
 	for i := 0; i < n; i++ {
 		next := (i + 1) % n
