@@ -79,7 +79,7 @@ tables:
 # Lines of Go by ROADMAP's rule — the number the "least code" north star
 # tracks, and its budget: more non-test Go than LOC_BUDGET fails. bench/
 # is its own module and counted apart.
-LOC_BUDGET = 17675
+LOC_BUDGET = 17673
 NONTEST_LOC = find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' | xargs cat | wc -l
 loc:
 	@printf 'non-test Go: %s lines (budget $(LOC_BUDGET))\n' "$$($(NONTEST_LOC))"

@@ -29,6 +29,9 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
+	"strconv"
+	"strings"
 
 	"qcdoc/internal/checkpoint"
 	"qcdoc/internal/event"
@@ -191,9 +194,30 @@ type attemptLayout struct {
 	lay   Layout
 }
 
-// chunkName is the host-storage path of one rank's solver-state chunk.
+// chunkName is the host-storage path of one rank's solver-state chunk,
+// its iteration zero-padded to six digits.
 func chunkName(attempt, iter, rank int) string {
-	return fmt.Sprintf("ckpt/chaos/a%d/i%06d/r%d", attempt, iter, rank)
+	b := strconv.AppendInt([]byte("ckpt/chaos/a"), int64(attempt), 10)
+	b = append(b, "/i"...)
+	for p := 100000; p > 1 && iter < p; p /= 10 {
+		b = append(b, '0')
+	}
+	b = strconv.AppendInt(b, int64(iter), 10)
+	return string(strconv.AppendInt(append(b, "/r"...), int64(rank), 10))
+}
+
+// parseChunk inverts chunkName; ok is false for any other name.
+func parseChunk(name string) (attempt, iter, rank int, ok bool) {
+	rest, ok1 := strings.CutPrefix(name, "ckpt/chaos/a")
+	a, rest, ok2 := strings.Cut(rest, "/i")
+	i, r, ok3 := strings.Cut(rest, "/r")
+	if !ok1 || !ok2 || !ok3 {
+		return 0, 0, 0, false
+	}
+	attempt, errA := strconv.Atoi(a)
+	iter, errI := strconv.Atoi(i)
+	rank, errR := strconv.Atoi(r)
+	return attempt, iter, rank, errA == nil && errI == nil && errR == nil
 }
 
 // RunChaosWilson runs a distributed Wilson CG solve under the fault
@@ -431,17 +455,16 @@ func runChaosAttempt(cfg ChaosConfig, sup *supervisor, attempt int, shape geom.S
 	return res, nil
 }
 
-// iterationsOf lists the iterations attempt a checkpointed (by rank-0
-// chunk presence).
-func iterationsOf(fs map[string][]byte, a int) map[int]bool {
-	iters := map[int]bool{}
-	prefix := fmt.Sprintf("ckpt/chaos/a%d/i", a)
+// iterationsOf lists, ascending, the iterations attempt a checkpointed
+// (by rank-0 chunk presence).
+func iterationsOf(fs map[string][]byte, a int) []int {
+	var iters []int
 	for name := range fs {
-		var iter, rank int
-		if _, err := fmt.Sscanf(name, prefix+"%06d/r%d", &iter, &rank); err == nil && rank == 0 {
-			iters[iter] = true
+		if at, iter, rank, ok := parseChunk(name); ok && at == a && rank == 0 {
+			iters = append(iters, iter)
 		}
 	}
+	slices.Sort(iters)
 	return iters
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"runtime"
+	"slices"
 	"testing"
 
 	"qcdoc/internal/checkpoint"
@@ -226,6 +227,48 @@ func TestSupervisorRestoreLadder(t *testing.T) {
 	}
 	if !hasRung(&ChaosOutcome{Rungs: cold.rungs}, RungColdStart) {
 		t.Fatalf("cold start not recorded: %v", cold.rungs)
+	}
+}
+
+// TestChunkNameRoundTrip: parseChunk inverts chunkName at any width of
+// the iteration (six digits padded, seven and more as they come), the
+// names keep their stored form, and the manifest and other names are
+// not chunks; newestChunk and iterationsOf see an iteration past
+// 999 999.
+func TestChunkNameRoundTrip(t *testing.T) {
+	for _, c := range []struct {
+		a, i, r int
+		name    string
+	}{
+		{0, 0, 0, "ckpt/chaos/a0/i000000/r0"},
+		{0, 20, 1, "ckpt/chaos/a0/i000020/r1"},
+		{2, 99999, 15, "ckpt/chaos/a2/i099999/r15"},
+		{3, 999999, 7, "ckpt/chaos/a3/i999999/r7"},
+		{12, 1234567, 4095, "ckpt/chaos/a12/i1234567/r4095"},
+	} {
+		if got := chunkName(c.a, c.i, c.r); got != c.name {
+			t.Errorf("chunkName(%d, %d, %d) = %q, want %q", c.a, c.i, c.r, got, c.name)
+		}
+		if a, i, r, ok := parseChunk(c.name); !ok || a != c.a || i != c.i || r != c.r {
+			t.Errorf("parseChunk(%q) = %d, %d, %d, %v", c.name, a, i, r, ok)
+		}
+	}
+	for _, name := range []string{manifestName, "ckpt/chaos/a1/i000001", "ckpt/chaos/ax/i000001/r0", "ckpt/chaos/a1/i00000y/r0", "ckpt/chaos/a1/i000001/r", "out/a1/i000001/r0"} {
+		if _, _, _, ok := parseChunk(name); ok {
+			t.Errorf("parseChunk(%q) accepted a name chunkName does not write", name)
+		}
+	}
+	fs := map[string][]byte{
+		manifestName:             {1},
+		chunkName(1, 999999, 0):  {2},
+		chunkName(1, 1000000, 0): {3},
+		chunkName(1, 1000000, 1): {4},
+	}
+	if got := newestChunk(fs, 0); got != chunkName(1, 1000000, 0) {
+		t.Errorf("newestChunk = %q, want the 7-digit iteration", got)
+	}
+	if got := iterationsOf(fs, 1); !slices.Equal(got, []int{999999, 1000000}) {
+		t.Errorf("iterationsOf = %v, want 999999 and 1000000", got)
 	}
 }
 

@@ -4,7 +4,9 @@ import (
 	"errors"
 	"math"
 	"math/cmplx"
+	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 
 	"qcdoc/internal/fermion"
@@ -91,13 +93,14 @@ func applyOnce[F solver.Field[F]](t *testing.T, shape geom.Shape, global lattice
 		t.Fatal(err)
 	}
 	got := pr.newField(global)
+	geo := newGeometry(dec, pr.reach)
 	err = sess.M.RunSPMD("apply-once", func(rank int) node.Program {
 		return func(ctx *node.Ctx) {
 			var tm team.Team
 			defer tm.Close()
 			comm := qmp.New(ctx, sess.Lay.Fold)
 			gc := GridCoord(comm.Coord())
-			op := pr.newOperator(ctx, comm, &tm, dec)
+			op := pr.newOperator(ctx, comm, &tm, geo)
 			dst := pr.newField(dec.Local)
 			if dag {
 				op.ApplyDag(dst, pr.scatter(pr.b, dec, gc))
@@ -144,6 +147,96 @@ func checkReference[F solver.Field[F]](t *testing.T, shape geom.Shape, global la
 	}
 	if d := cmplx.Abs(uDv - duV); d > 1e-10*cmplx.Abs(uDv) {
 		t.Fatalf("<u,Dv> = %v but <D†u,v> = %v", uDv, duV)
+	}
+}
+
+// rankTables is the site geometry each rank used to build for itself,
+// kept as the oracle of the shared one: the Wilson hop's face lists
+// and distance-1 table (reach 1), ASQTAD's three layers per face and
+// distance-1 and -3 tables (reach 3), ghost slots written as the
+// operators wrote them. It reads the decomposition and not the rank's
+// grid coordinate, so one call stands for every rank.
+func rankTables(dec lattice.Decomp, reach int) (lo, hi [lattice.Ndim][naikReach][]int, nb1, nbR lattice.Neighbors) {
+	l := dec.Local
+	nb1, nbR = l.Neighbors(1), l.Neighbors(reach)
+	for mu := 0; mu < lattice.Ndim; mu++ {
+		if dec.Grid[mu] == 1 {
+			continue
+		}
+		fv := lattice.FaceVolume(l, mu)
+		if reach == 1 {
+			lo[mu][0] = lattice.LayerSites(l, mu, 0)
+			hi[mu][0] = lattice.LayerSites(l, mu, l[mu]-1)
+			for slot, idx := range lo[mu][0] {
+				nb1[idx][lattice.Ndim+mu] = ^int32(slot)
+			}
+			for slot, idx := range hi[mu][0] {
+				nb1[idx][mu] = ^int32(slot)
+			}
+			continue
+		}
+		for k := 0; k < naikReach; k++ {
+			lo[mu][k] = lattice.LayerSites(l, mu, k)
+			hi[mu][k] = lattice.LayerSites(l, mu, l[mu]-naikReach+k)
+			for i, idx := range lo[mu][k] {
+				nbR[idx][lattice.Ndim+mu] = ^int32(k*fv + i)
+				if k == 0 {
+					nb1[idx][lattice.Ndim+mu] = ^int32(i)
+				}
+			}
+			for i, idx := range hi[mu][k] {
+				nbR[idx][mu] = ^int32(k*fv + i)
+				if k == naikReach-1 {
+					nb1[idx][mu] = ^int32(i)
+				}
+			}
+		}
+	}
+	if reach == 1 {
+		nbR = nb1
+	}
+	return lo, hi, nb1, nbR
+}
+
+// TestGeometryMatchesRankTables holds the one geometry a launch builds
+// to the tables every rank used to build for itself, on machines split
+// in one to four directions, local extents 1 to 4 (at an extent equal
+// to the reach the low and high layers are the same sites), at the
+// Wilson reach and at ASQTAD's.
+func TestGeometryMatchesRankTables(t *testing.T) {
+	for _, c := range []struct {
+		shape  geom.Shape
+		global lattice.Shape4
+	}{
+		{geom.MakeShape(2), lattice.Shape4{8, 4, 2, 2}},
+		{geom.MakeShape(2, 2), lattice.Shape4{6, 4, 4, 2}},
+		{geom.MakeShape(2, 2, 2, 2), lattice.Shape4{8, 8, 8, 8}},
+		{geom.MakeShape(2, 2, 2, 2), lattice.Shape4{6, 6, 2, 8}},
+		{geom.MakeShape(2, 2, 2, 2), lattice.Shape4{6, 6, 6, 6}},
+		{geom.MakeShape(4, 2), lattice.Shape4{4, 6, 2, 2}},
+	} {
+		lay, err := NewLayout(c.shape, c.global)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dec := lay.Dec
+		for _, reach := range []int{1, naikReach} {
+			fits := true
+			for mu := 0; mu < lattice.Ndim; mu++ {
+				fits = fits && (dec.Grid[mu] == 1 || dec.Local[mu] >= reach)
+			}
+			if !fits {
+				continue
+			}
+			g := newGeometry(dec, reach)
+			lo, hi, nb1, nbR := rankTables(dec, reach)
+			if !reflect.DeepEqual(g.lo, lo) || !reflect.DeepEqual(g.hi, hi) {
+				t.Fatalf("%v on %v, reach %d: layers differ", c.global, dec.Grid, reach)
+			}
+			if !slices.Equal(g.nb1, nb1) || !slices.Equal(g.nbR, nbR) {
+				t.Fatalf("%v on %v, reach %d: neighbour tables differ", c.global, dec.Grid, reach)
+			}
+		}
 	}
 }
 
@@ -325,6 +418,7 @@ func hopKernelAllocs(t *testing.T, global lattice.Shape4, tm *team.Team) {
 	}
 	defer sess.Close()
 	dec := sess.Lay.Dec
+	hopGeo, stagGeo := newGeometry(dec, 1), newGeometry(dec, naikReach)
 	var exchanges, applies, stagExchange, stagApply float64
 	err = sess.M.RunSPMD("alloc-free", func(rank int) node.Program {
 		return func(ctx *node.Ctx) {
@@ -334,9 +428,9 @@ func hopKernelAllocs(t *testing.T, global lattice.Shape4, tm *team.Team) {
 				defer tm.Close()
 			}
 			comm := qmp.New(ctx, sess.Lay.Fold)
-			op := NewDistWilson(ctx, comm, tm, dec, gauge, nil, 0.3, fermion.Double)
+			op := newDistWilson(ctx, comm, tm, hopGeo, gauge, nil, 0.3, fermion.Double)
 			in := ScatterFermion(src, dec, GridCoord(comm.Coord()))
-			stag := NewDistASQTAD(ctx, comm, tm, dec, asqtad, fermion.Double)
+			stag := newDistASQTAD(ctx, comm, tm, stagGeo, asqtad, fermion.Double)
 			cin, cout := ScatterColor(csrc, dec, GridCoord(comm.Coord())), lattice.NewColorField(dec.Local)
 			mid, out := lattice.NewFermionField(dec.Local), lattice.NewFermionField(dec.Local)
 			twoExchanges := func() {
@@ -373,6 +467,51 @@ func hopKernelAllocs(t *testing.T, global lattice.Shape4, tm *team.Team) {
 	}
 	if stagApply != stagExchange {
 		t.Errorf("DistASQTAD.Apply: %v allocs per call, its halo exchange alone %v", stagApply, stagExchange)
+	}
+}
+
+// solveAllocsPerRankCeiling bounds the heap objects a warm distributed
+// Wilson solve allocates per rank (TestSolveAllocsPerRank): its
+// operator, halo, scattered fields, solver vectors and vector space.
+// The site geometry is one per solve, the space one value, and a halo
+// exchange or a cost descriptor takes no object. Measured: 47–48 per
+// rank at GOMAXPROCS 1, 2 and 8 and under -race; 61 with the space as
+// closures, 86 with per-rank neighbour and face tables, a growing
+// transfer slice and formatted kernel names as well.
+const solveAllocsPerRankCeiling = 60
+
+// TestSolveAllocsPerRank runs the bench's Wilson solve (2x2x2x2
+// machine, 8^4 lattice) twice on one session and fails if the second,
+// warm, solve allocates more heap objects per rank than
+// solveAllocsPerRankCeiling.
+func TestSolveAllocsPerRank(t *testing.T) {
+	if testing.Short() {
+		t.Skip("a 16-node solve")
+	}
+	global := lattice.Shape4{8, 8, 8, 8}
+	sess, err := NewSession(geom.MakeShape(2, 2, 2, 2), global)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+	gauge := lattice.NewGaugeField(global)
+	gauge.Randomize(1)
+	b := lattice.NewFermionField(global)
+	b.Gaussian(2)
+	solve := func() {
+		if _, _, err := sess.SolveWilson(gauge, b, 0.5, fermion.Double, 1e-4, 1000); err != nil {
+			t.Fatal(err)
+		}
+	}
+	solve()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	solve()
+	runtime.ReadMemStats(&after)
+	perRank := float64(after.Mallocs-before.Mallocs) / float64(sess.M.NumNodes())
+	t.Logf("%.1f heap objects per rank", perRank)
+	if perRank > solveAllocsPerRankCeiling {
+		t.Fatalf("a warm solve allocates %.1f heap objects per rank, ceiling %d", perRank, solveAllocsPerRankCeiling)
 	}
 }
 

@@ -24,45 +24,22 @@ import (
 // which is the data reuse behind the DWF kernel's high efficiency (§4).
 type wilsonHop struct {
 	halo
-	Ls    int
-	faces [lattice.Ndim][2][]int // face site lists: the slot order
+	Ls int
 	// sites is the post-exchange site loop on the node's sub-volume of
-	// the configuration. Its neighbour table holds, where a hop leaves
-	// the node, ^slot of the ghost the (mu, end) neighbour packed for
-	// that face site.
+	// the configuration, over the launch's neighbour table.
 	sites fermion.HopKernel
 	team  *team.Team // the rank program's; nil runs every loop on the rank
 	// dag is set while D† runs: its slices travel in reflected order.
 	dag bool
 }
 
-func newWilsonHop(ctx *node.Ctx, comm *qmp.Comm, tm *team.Team, dec lattice.Decomp, gauge *lattice.GaugeField, kind fermion.OpKind, ls int, prec fermion.Precision) wilsonHop {
-	sites := dec.LocalVolume() * ls
-	level := fermion.WorkingSetLevel(kind, prec, sites)
-	cost := fermion.SiteCost(kind, prec, level)
-	if kind == fermion.DWFKind {
-		cost = fermion.DWFSiteCost(prec, level, ls)
-	}
-	w := wilsonHop{
-		halo:  newHalo(ctx, comm, dec, ls*latmath.HalfSpinorWords, cost.Scale(float64(sites))),
+func newWilsonHop(ctx *node.Ctx, comm *qmp.Comm, tm *team.Team, geo *geometry, gauge *lattice.GaugeField, kind fermion.OpKind, ls int, prec fermion.Precision) wilsonHop {
+	return wilsonHop{
+		halo:  newHalo(ctx, comm, geo, ls*latmath.HalfSpinorWords, kind, prec, ls),
 		Ls:    ls,
-		sites: fermion.HopKernel{G: ScatterGauge(gauge, dec, GridCoord(comm.Coord())), Nb: dec.Local.Neighbors(1)},
+		sites: fermion.HopKernel{G: ScatterGauge(gauge, geo.dec, GridCoord(comm.Coord())), Nb: geo.nb1},
 		team:  tm,
 	}
-	for mu := 0; mu < lattice.Ndim; mu++ {
-		if !w.split[mu] {
-			continue
-		}
-		w.faces[mu][0] = lattice.LayerSites(dec.Local, mu, 0)
-		w.faces[mu][1] = lattice.LayerSites(dec.Local, mu, dec.Local[mu]-1)
-		for slot, idx := range w.faces[mu][0] {
-			w.sites.Nb.Dn[mu][idx] = ^int32(slot)
-		}
-		for slot, idx := range w.faces[mu][1] {
-			w.sites.Nb.Up[mu][idx] = ^int32(slot)
-		}
-	}
-	return w
 }
 
 // hop computes dst = diag·src - ½ Σ_mu [(1-sγ_mu)U_mu(x)src(x+mu) +
@@ -80,7 +57,7 @@ func (w *wilsonHop) hop(dst, src []latmath.Spinor, diag complex128, s int) {
 		if !w.split[mu] {
 			continue
 		}
-		lo, hi := w.faces[mu][0], w.faces[mu][1]
+		lo, hi := w.lo[mu][0], w.hi[mu][0]
 		for slot := 0; slot < w.Ls*len(lo); slot++ {
 			sl, i := w.slice(slot/len(lo)), slot%len(lo)
 			h.Project(mu, s, &src[sl*v4+lo[i]])
@@ -112,7 +89,7 @@ func (w *wilsonHop) slice(k int) int {
 type hopGhosts wilsonHop
 
 func (g *hopGhosts) Half(h *latmath.HalfSpinor, mu, end, s, slot int) {
-	g.half(h, mu, end, (*wilsonHop)(g).slice(s)*len(g.faces[mu][end])+slot)
+	g.half(h, mu, end, (*wilsonHop)(g).slice(s)*len(g.lo[mu][0])+slot)
 }
 
 // DistWilson is the distributed Wilson Dirac operator running on one
@@ -127,19 +104,19 @@ type DistWilson struct {
 	term *fermion.CloverTerm // site-local clover term; nil for plain Wilson
 }
 
-// NewDistWilson builds the operator on one node from the global gauge
+// newDistWilson builds the operator on one node from the global gauge
 // field. clover, when non-nil, must be the clover operator constructed
 // on that field.
-func NewDistWilson(ctx *node.Ctx, comm *qmp.Comm, tm *team.Team, dec lattice.Decomp, gauge *lattice.GaugeField, clover *fermion.Clover, mass float64, prec fermion.Precision) *DistWilson {
+func newDistWilson(ctx *node.Ctx, comm *qmp.Comm, tm *team.Team, geo *geometry, gauge *lattice.GaugeField, clover *fermion.Clover, mass float64, prec fermion.Precision) *DistWilson {
 	d := &DistWilson{Mass: mass}
 	kind := fermion.WilsonKind
 	if clover != nil {
 		kind = fermion.CloverKind
-		term := make([][4][4]latmath.Mat3, dec.LocalVolume())
-		forEachSite(dec, GridCoord(comm.Coord()), func(l, g int) { term[l] = clover.TermAt(g) })
+		term := make([][4][4]latmath.Mat3, geo.dec.LocalVolume())
+		forEachSite(geo.dec, GridCoord(comm.Coord()), func(l, g int) { term[l] = clover.TermAt(g) })
 		d.term = fermion.NewCloverTerm(term)
 	}
-	d.wilsonHop = newWilsonHop(ctx, comm, tm, dec, gauge, kind, 1, prec)
+	d.wilsonHop = newWilsonHop(ctx, comm, tm, geo, gauge, kind, 1, prec)
 	return d
 }
 
@@ -166,10 +143,10 @@ type DistDWF struct {
 	fifth  fermion.FifthDimKernel
 }
 
-// NewDistDWF builds the operator on one node from the global gauge
+// newDistDWF builds the operator on one node from the global gauge
 // field.
-func NewDistDWF(ctx *node.Ctx, comm *qmp.Comm, tm *team.Team, dec lattice.Decomp, gauge *lattice.GaugeField, m5, mf float64, ls int, prec fermion.Precision) *DistDWF {
-	return &DistDWF{wilsonHop: newWilsonHop(ctx, comm, tm, dec, gauge, fermion.DWFKind, ls, prec), M5: m5, Mf: mf}
+func newDistDWF(ctx *node.Ctx, comm *qmp.Comm, tm *team.Team, geo *geometry, gauge *lattice.GaugeField, m5, mf float64, ls int, prec fermion.Precision) *DistDWF {
+	return &DistDWF{wilsonHop: newWilsonHop(ctx, comm, tm, geo, gauge, fermion.DWFKind, ls, prec), M5: m5, Mf: mf}
 }
 
 // Apply computes dst = D src.

@@ -317,12 +317,7 @@ func (sup *supervisor) sealGenerations(attempt int, past []attemptLayout, now ev
 	}
 	for a := 0; a < len(past); a++ {
 		vol := past[a].shape.Volume()
-		var iters []int
-		for iter := range iterationsOf(sup.fs, a) {
-			iters = append(iters, iter)
-		}
-		sort.Ints(iters)
-		for _, iter := range iters {
+		for _, iter := range iterationsOf(sup.fs, a) {
 			if known[[2]int{a, iter}] || !presentSet(sup.fs, a, iter, vol) {
 				continue
 			}
@@ -414,8 +409,8 @@ func (h *chaosHost) SuspectNode(rank int) { h.wd.Suspect(rank) }
 func newestChunk(fs map[string][]byte, rank int) string {
 	bestA, bestI := -1, -1
 	for name := range fs {
-		var a, iter, r int
-		if _, err := fmt.Sscanf(name, "ckpt/chaos/a%d/i%06d/r%d", &a, &iter, &r); err != nil || r != rank {
+		a, iter, r, ok := parseChunk(name)
+		if !ok || r != rank {
 			continue
 		}
 		if a > bestA || (a == bestA && iter > bestI) {

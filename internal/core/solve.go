@@ -9,6 +9,7 @@ import (
 	"qcdoc/internal/fermion"
 	"qcdoc/internal/lattice"
 	"qcdoc/internal/node"
+	"qcdoc/internal/ppc440"
 	"qcdoc/internal/qmp"
 	"qcdoc/internal/solver"
 	"qcdoc/internal/team"
@@ -40,7 +41,7 @@ type problem[F solver.Field[F]] struct {
 	kind    fermion.OpKind
 	prec    fermion.Precision
 	ls      int // slices per 4-D site: Ls for domain-wall fields, else 1
-	reach   int // smallest local extent a distributed direction may have
+	reach   int // hop reach: the least local extent a distributed direction may have
 	tol     float64
 	maxIter int
 	mass    float64 // the quark mass (mf for domain-wall fields)
@@ -52,7 +53,7 @@ type problem[F solver.Field[F]] struct {
 	newField     func(lattice.Shape4) F
 	scatter      func(global F, dec lattice.Decomp, gc lattice.Site) F
 	gather       func(global F, dec lattice.Decomp, gc lattice.Site, local F)
-	newOperator  func(ctx *node.Ctx, comm *qmp.Comm, tm *team.Team, dec lattice.Decomp) distOperator[F]
+	newOperator  func(ctx *node.Ctx, comm *qmp.Comm, tm *team.Team, geo *geometry) distOperator[F]
 	warmStart    func() F                                           // global initial iterate, read at launch; nil starts from zero
 	checkpointer func(ctx *node.Ctx, rank int) solver.Checkpoint[F] // nil disables capture
 }
@@ -63,11 +64,11 @@ func wilsonProblem(gauge *lattice.GaugeField, clover *fermion.Clover, b *lattice
 		kind = fermion.CloverKind
 	}
 	return problem[*lattice.FermionField]{
-		kind: kind, prec: prec, ls: 1, tol: tol, maxIter: maxIter, mass: mass,
+		kind: kind, prec: prec, ls: 1, reach: 1, tol: tol, maxIter: maxIter, mass: mass,
 		b: b, gaugeL: gauge.L, bL: b.L, bLs: 1,
 		newField: lattice.NewFermionField, scatter: ScatterFermion, gather: GatherFermion,
-		newOperator: func(ctx *node.Ctx, comm *qmp.Comm, tm *team.Team, dec lattice.Decomp) distOperator[*lattice.FermionField] {
-			return NewDistWilson(ctx, comm, tm, dec, gauge, clover, mass, prec)
+		newOperator: func(ctx *node.Ctx, comm *qmp.Comm, tm *team.Team, geo *geometry) distOperator[*lattice.FermionField] {
+			return newDistWilson(ctx, comm, tm, geo, gauge, clover, mass, prec)
 		},
 	}
 }
@@ -77,8 +78,8 @@ func asqtadProblem(ref *fermion.ASQTAD, b *lattice.ColorField, prec fermion.Prec
 		kind: fermion.AsqtadKind, prec: prec, ls: 1, reach: naikReach, tol: tol, maxIter: maxIter, mass: ref.Mass,
 		b: b, gaugeL: ref.G.L, bL: b.L, bLs: 1,
 		newField: lattice.NewColorField, scatter: ScatterColor, gather: GatherColor,
-		newOperator: func(ctx *node.Ctx, comm *qmp.Comm, tm *team.Team, dec lattice.Decomp) distOperator[*lattice.ColorField] {
-			return NewDistASQTAD(ctx, comm, tm, dec, ref, prec)
+		newOperator: func(ctx *node.Ctx, comm *qmp.Comm, tm *team.Team, geo *geometry) distOperator[*lattice.ColorField] {
+			return newDistASQTAD(ctx, comm, tm, geo, ref, prec)
 		},
 	}
 }
@@ -86,7 +87,7 @@ func asqtadProblem(ref *fermion.ASQTAD, b *lattice.ColorField, prec fermion.Prec
 func dwfProblem(gauge *lattice.GaugeField, b *fermion.Field5, m5, mf float64, ls int, prec fermion.Precision, tol float64, maxIter int) problem[*fermion.Field5] {
 	newField := func(l lattice.Shape4) *fermion.Field5 { return fermion.NewField5(l, ls) }
 	return problem[*fermion.Field5]{
-		kind: fermion.DWFKind, prec: prec, ls: ls, tol: tol, maxIter: maxIter, mass: mf, m5: m5,
+		kind: fermion.DWFKind, prec: prec, ls: ls, reach: 1, tol: tol, maxIter: maxIter, mass: mf, m5: m5,
 		b: b, gaugeL: gauge.L, bL: b.L, bLs: b.Ls,
 		newField: newField,
 		scatter: func(global *fermion.Field5, dec lattice.Decomp, gc lattice.Site) *fermion.Field5 {
@@ -107,8 +108,8 @@ func dwfProblem(gauge *lattice.GaugeField, b *fermion.Field5, m5, mf float64, ls
 				}
 			})
 		},
-		newOperator: func(ctx *node.Ctx, comm *qmp.Comm, tm *team.Team, dec lattice.Decomp) distOperator[*fermion.Field5] {
-			return NewDistDWF(ctx, comm, tm, dec, gauge, m5, mf, ls, prec)
+		newOperator: func(ctx *node.Ctx, comm *qmp.Comm, tm *team.Team, geo *geometry) distOperator[*fermion.Field5] {
+			return newDistDWF(ctx, comm, tm, geo, gauge, m5, mf, ls, prec)
 		},
 	}
 }
@@ -147,13 +148,14 @@ type solveOutput[F any] struct {
 // rankProgram builds the SPMD program of a distributed CGNE solve, the
 // one body every operator and both launchers (Session solves through
 // RunSPMD, chaos attempts through the qdaemon) run: scatter the node's
-// share of b, build the operator and the distributed vector space, run
-// CG on the normal equations — every halo exchange and global sum
-// travelling the simulated network, every kernel charged to the CPU
-// model — and gather x.
+// share of b, build the operator on the launch's geometry (made here)
+// and the distributed vector space, run CG on the normal equations —
+// every halo exchange and global sum travelling the simulated network,
+// every kernel charged to the CPU model — and gather x.
 func rankProgram[F solver.Field[F]](lay Layout, pr problem[F], nodes int) (func(rank int) node.Program, *solveOutput[F]) {
 	dec := lay.Dec
 	out := &solveOutput[F]{solution: pr.newField(dec.Global), errs: make([]error, nodes)}
+	geo := newGeometry(dec, pr.reach)
 	return func(rank int) node.Program {
 		return func(ctx *node.Ctx) {
 			// The rank's site loops fork over this team; the deferred Close
@@ -163,8 +165,8 @@ func rankProgram[F solver.Field[F]](lay Layout, pr problem[F], nodes int) (func(
 			comm := qmp.New(ctx, lay.Fold)
 			gc := GridCoord(comm.Coord())
 			b := pr.scatter(pr.b, dec, gc)
-			op := pr.newOperator(ctx, comm, &tm, dec)
-			sp := distSpace(ctx, comm, &tm, dec, pr)
+			op := pr.newOperator(ctx, comm, &tm, geo)
+			sp := newDistSpace(ctx, comm, &tm, dec, &pr)
 			var x F
 			if pr.warmStart != nil {
 				x = pr.scatter(pr.warmStart(), dec, gc)
@@ -208,55 +210,64 @@ func (k *blas[F]) Range(lo, hi int) {
 // completed machine-wide through the SCU global-sum hardware, each
 // operation charged to the CPU model. Linear-algebra charges scale with
 // the Ls slices a site carries.
-func distSpace[F solver.Field[F]](ctx *node.Ctx, comm *qmp.Comm, tm *team.Team, dec lattice.Decomp, pr problem[F]) solver.Space[F] {
-	n, p := ctx.N, ctx.P
-	sites := dec.LocalVolume() * pr.ls // a field's index range
+type distSpace[F solver.Field[F]] struct {
+	ctx                   *node.Ctx
+	comm                  *qmp.Comm
+	tm                    *team.Team
+	pr                    *problem[F]
+	local                 lattice.Shape4
+	axpyCharge, dotCharge ppc440.KernelCost
+	update                blas[F]
+	iterAt                event.Time // when the previous iteration ended
+}
+
+func newDistSpace[F solver.Field[F]](ctx *node.Ctx, comm *qmp.Comm, tm *team.Team, dec lattice.Decomp, pr *problem[F]) *distSpace[F] {
 	vol := float64(dec.LocalVolume())
 	level := fermion.WorkingSetLevel(pr.kind, pr.prec, dec.LocalVolume())
-	axpyCharge := fermion.AXPYCost(pr.kind, pr.prec, level).Scale(vol).Scale(float64(pr.ls))
-	dotCharge := fermion.DotCost(pr.kind, pr.prec, level).Scale(vol).Scale(float64(pr.ls))
-	globalSum := func(x float64) float64 {
-		n.Compute(p, dotCharge)
-		return comm.GlobalSumFloat64(p, x)
+	return &distSpace[F]{ctx: ctx, comm: comm, tm: tm, pr: pr, local: dec.Local,
+		axpyCharge: fermion.AXPYCost(pr.kind, pr.prec, level).Scale(vol).Scale(float64(pr.ls)),
+		dotCharge:  fermion.DotCost(pr.kind, pr.prec, level).Scale(vol).Scale(float64(pr.ls))}
+}
+
+func (s *distSpace[F]) New() F          { return s.pr.newField(s.local) }
+func (s *distSpace[F]) Copy(dst, src F) { dst.Copy(src) }
+
+func (s *distSpace[F]) Dot(a, b F) complex128 {
+	z := a.Dot(b)
+	re := s.globalSum(real(z))
+	im := s.globalSum(imag(z))
+	return complex(re, im)
+}
+
+func (s *distSpace[F]) Norm2(a F) float64 { return s.globalSum(a.Norm2()) }
+
+func (s *distSpace[F]) globalSum(x float64) float64 {
+	s.ctx.N.Compute(s.ctx.P, s.dotCharge)
+	return s.comm.GlobalSumFloat64(s.ctx.P, x)
+}
+
+func (s *distSpace[F]) AXPY(y F, a complex128, x F) { s.run(blas[F]{y: y, x: x, a: a, axpy: true}) }
+func (s *distSpace[F]) Scale(x F, a complex128)     { s.run(blas[F]{y: x, a: a}) }
+
+func (s *distSpace[F]) run(k blas[F]) {
+	s.ctx.N.Compute(s.ctx.P, s.axpyCharge)
+	s.update = k
+	s.tm.Run(s.local.Volume()*s.pr.ls, &s.update) // a field's index range
+}
+
+// Iterated counts the iteration in the node's telemetry, if enabled, and
+// records its simulated time into the CG-iteration histogram.
+func (s *distSpace[F]) Iterated() {
+	ctr := s.ctx.N.Counters()
+	if ctr == nil {
+		return
 	}
-	local := solver.SpaceOf(func() F { return pr.newField(dec.Local) })
-	sp := local
-	sp.Dot = func(a, b F) complex128 {
-		z := local.Dot(a, b)
-		re := globalSum(real(z))
-		im := globalSum(imag(z))
-		return complex(re, im)
+	ctr.SolverIterations++
+	now := s.ctx.P.Now()
+	if s.iterAt != 0 {
+		ctr.IterTime.Record(uint64(now - s.iterAt))
 	}
-	sp.Norm2 = func(a F) float64 { return globalSum(local.Norm2(a)) }
-	update := new(blas[F])
-	sp.AXPY = func(y F, a complex128, x F) {
-		n.Compute(p, axpyCharge)
-		*update = blas[F]{y: y, x: x, a: a, axpy: true}
-		tm.Run(sites, update)
-	}
-	sp.Scale = func(x F, a complex128) {
-		n.Compute(p, axpyCharge)
-		*update = blas[F]{y: x, a: a}
-		tm.Run(sites, update)
-	}
-	// Feed the solver's per-iteration hook into the node's telemetry
-	// counters (no-op with telemetry disabled): the iteration count, and
-	// the simulated time since the previous iteration into the
-	// CG-iteration histogram.
-	var iterAt event.Time
-	sp.OnIteration = func() {
-		ctr := n.Counters()
-		if ctr == nil {
-			return
-		}
-		ctr.SolverIterations++
-		now := p.Now()
-		if iterAt != 0 {
-			ctr.IterTime.Record(uint64(now - iterAt))
-		}
-		iterAt = now
-	}
-	return sp
+	s.iterAt = now
 }
 
 // solve runs a distributed CGNE solve of pr on the session's machine and

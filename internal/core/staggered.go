@@ -27,64 +27,30 @@ type DistASQTAD struct {
 	Mass float64
 	Naik float64
 
-	// Site lists of the low layers x_mu = 0..2 and the high layers
-	// x_mu = L-3..L-1; layer k of face site i is slot k*faceVolume+i.
-	layers   [lattice.Ndim][naikReach][]int
-	hiLayers [lattice.Ndim][naikReach][]int
 	// sites is the post-exchange site loop on the node's sub-volume of
-	// the links, with the phases of its global position. Its neighbour
-	// tables hold, where a hop leaves the node, ^slot of the ghost the
-	// (mu, end) neighbour packed for it.
+	// the links, with the phases of its global position, over the
+	// launch's neighbour tables.
 	sites fermion.StaggeredKernel
 	team  *team.Team // the rank program's; nil runs the site loop on the rank
 }
 
-// NewDistASQTAD builds the operator on one node. ref must be built on
+// newDistASQTAD builds the operator on one node. ref must be built on
 // the global gauge field; its fat and long links are scattered here.
-func NewDistASQTAD(ctx *node.Ctx, comm *qmp.Comm, tm *team.Team, dec lattice.Decomp, ref *fermion.ASQTAD, prec fermion.Precision) *DistASQTAD {
+func newDistASQTAD(ctx *node.Ctx, comm *qmp.Comm, tm *team.Team, geo *geometry, ref *fermion.ASQTAD, prec fermion.Precision) *DistASQTAD {
+	dec := geo.dec
 	gc := GridCoord(comm.Coord())
-	l := dec.Local
-	level := fermion.WorkingSetLevel(fermion.AsqtadKind, prec, dec.LocalVolume())
-	cost := fermion.SiteCost(fermion.AsqtadKind, prec, level).Scale(float64(dec.LocalVolume()))
 	d := &DistASQTAD{
-		halo: newHalo(ctx, comm, dec, naikReach*latmath.Vec3Words, cost),
+		halo: newHalo(ctx, comm, geo, naikReach*latmath.Vec3Words, fermion.AsqtadKind, prec, 1),
 		Mass: ref.Mass,
 		Naik: ref.Naik,
 		sites: fermion.StaggeredKernel{
 			Fat: ScatterGauge(ref.Fat, dec, gc), Long: ScatterGauge(ref.Long, dec, gc),
-			Nb1: l.Neighbors(1), Nb3: l.Neighbors(naikReach),
-			Eta: fermion.StaggeredPhases(l, dec.GlobalOf(gc, lattice.Site{})),
+			Nb1: geo.nb1, Nb3: geo.nbR,
+			Eta: fermion.StaggeredPhases(dec.Local, dec.GlobalOf(gc, lattice.Site{})),
 		},
 		team: tm,
 	}
 	d.sites.Ghosts = (*asqtadGhosts)(d)
-	nb1, nb3 := d.sites.Nb1, d.sites.Nb3
-	for mu := 0; mu < lattice.Ndim; mu++ {
-		if !d.split[mu] {
-			continue
-		}
-		fv := lattice.FaceVolume(l, mu)
-		for k := 0; k < naikReach; k++ {
-			d.layers[mu][k] = lattice.LayerSites(l, mu, k)
-			d.hiLayers[mu][k] = lattice.LayerSites(l, mu, l[mu]-naikReach+k)
-			// Backward, low layer k reaches the -mu neighbour at distance
-			// 3, layer 0 at distance 1 too (the combined ghost); forward,
-			// high layer k reaches the +mu neighbour's layer k, the top
-			// layer its layer 0 at distance 1.
-			for i, idx := range d.layers[mu][k] {
-				nb3.Dn[mu][idx] = ^int32(k*fv + i)
-				if k == 0 {
-					nb1.Dn[mu][idx] = ^int32(i)
-				}
-			}
-			for i, idx := range d.hiLayers[mu][k] {
-				nb3.Up[mu][idx] = ^int32(k*fv + i)
-				if k == naikReach-1 {
-					nb1.Up[mu][idx] = ^int32(i)
-				}
-			}
-		}
-	}
 	return d
 }
 
@@ -98,21 +64,22 @@ func (d *DistASQTAD) pack(src *lattice.ColorField) {
 		if !d.split[mu] {
 			continue
 		}
-		fv := len(d.layers[mu][0])
+		lo, hi := &d.lo[mu], &d.hi[mu]
+		fv := len(lo[0])
 		for k := 0; k < naikReach; k++ {
-			for i, idx := range d.layers[mu][k] {
+			for i, idx := range lo[k] {
 				d.putVec(mu, 0, k*fv+i, src.V[idx])
 			}
 		}
 		for i := 0; i < fv; i++ {
 			// Target layer 0: fat from our top layer + Naik from layer L-3.
-			yTop := d.hiLayers[mu][2][i] // x_mu = L-1
-			yNk0 := d.hiLayers[mu][0][i] // x_mu = L-3
+			yTop := hi[2][i] // x_mu = L-1
+			yNk0 := hi[0][i] // x_mu = L-3
 			v0 := fat[lattice.Ndim*yTop+mu].DagMulVec(src.V[yTop]).
 				Add(long[lattice.Ndim*yNk0+mu].DagMulVec(src.V[yNk0]).Scale(cn))
 			d.putVec(mu, 1, 0*fv+i, v0)
 			// Target layer 1: Naik from layer L-2.
-			yNk1 := d.hiLayers[mu][1][i]
+			yNk1 := hi[1][i]
 			v1 := long[lattice.Ndim*yNk1+mu].DagMulVec(src.V[yNk1]).Scale(cn)
 			d.putVec(mu, 1, 1*fv+i, v1)
 			// Target layer 2: Naik from layer L-1.

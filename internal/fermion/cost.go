@@ -154,11 +154,23 @@ func DWFSiteCost(prec Precision, level memsys.Level, ls int) ppc440.KernelCost {
 	return siteCostLs(DWFKind, prec, level, ls)
 }
 
+// kernelNames holds every dslash, axpy and dot name, formatted once.
+var kernelNames = func() (n [DWFKind + 1][Single + 1][3]string) {
+	for k := range n {
+		for p := range n[k] {
+			for i, what := range [3]string{"dslash", "axpy", "dot"} {
+				n[k][p][i] = fmt.Sprintf("%s-%s-%s", OpKind(k), what, Precision(p))
+			}
+		}
+	}
+	return n
+}()
+
 func siteCostLs(kind OpKind, prec Precision, level memsys.Level, ls int) ppc440.KernelCost {
 	c := countsFor(kind, ls)
 	rb := prec.realBytes()
 	return ppc440.KernelCost{
-		Name:           fmt.Sprintf("%s-dslash-%s", kind, prec),
+		Name:           kernelNames[kind][prec][0],
 		Flops:          c.flops,
 		FPUOps:         c.fpuOps,
 		LoadBytes:      c.loadReals * rb,
@@ -185,7 +197,7 @@ func AXPYCost(kind OpKind, prec Precision, level memsys.Level) ppc440.KernelCost
 	n := fieldReals(kind)
 	rb := prec.realBytes()
 	return ppc440.KernelCost{
-		Name:       fmt.Sprintf("%s-axpy-%s", kind, prec),
+		Name:       kernelNames[kind][prec][1],
 		Flops:      2 * n,
 		FPUOps:     n,
 		LoadBytes:  2 * n * rb,
@@ -200,7 +212,7 @@ func DotCost(kind OpKind, prec Precision, level memsys.Level) ppc440.KernelCost 
 	n := fieldReals(kind)
 	rb := prec.realBytes()
 	return ppc440.KernelCost{
-		Name:      fmt.Sprintf("%s-dot-%s", kind, prec),
+		Name:      kernelNames[kind][prec][2],
 		Flops:     2 * n,
 		FPUOps:    n,
 		LoadBytes: 2 * n * rb,

@@ -24,9 +24,6 @@ func NewField5(l lattice.Shape4, ls int) *Field5 {
 	return &Field5{L: l, Ls: ls, S: make([]latmath.Spinor, ls*l.Volume())}
 }
 
-// At returns a pointer to ψ(x=idx4, s).
-func (f *Field5) At(s, idx4 int) *latmath.Spinor { return &f.S[s*f.L.Volume()+idx4] }
-
 // Gaussian fills with unit-normal noise, per (s, site) streams.
 func (f *Field5) Gaussian(seed uint64) {
 	v := f.L.Volume()
@@ -36,53 +33,32 @@ func (f *Field5) Gaussian(seed uint64) {
 	}
 }
 
+// flat is f as one spinor field of Ls·V4 sites: the 5-D BLAS is the
+// 4-D field's, in the same site order.
+func (f *Field5) flat() *lattice.FermionField { return &lattice.FermionField{S: f.S} }
+
 // Dot returns the full 5-D inner product.
-func (f *Field5) Dot(g *Field5) complex128 {
-	var sum complex128
-	for i := range f.S {
-		sum += f.S[i].Dot(g.S[i])
-	}
-	return sum
-}
+func (f *Field5) Dot(g *Field5) complex128 { return f.flat().Dot(g.flat()) }
 
 // Norm2 returns |f|².
-func (f *Field5) Norm2() float64 {
-	var sum float64
-	for i := range f.S {
-		sum += f.S[i].Norm2()
-	}
-	return sum
-}
+func (f *Field5) Norm2() float64 { return f.flat().Norm2() }
 
 // AXPYRange computes f += a x in place on 5-D sites [lo, hi).
 func (f *Field5) AXPYRange(lo, hi int, a complex128, x *Field5) {
-	for i := lo; i < hi; i++ {
-		f.S[i].AddScaled(a, &x.S[i])
-	}
+	f.flat().AXPYRange(lo, hi, a, x.flat())
 }
 
 // ScaleRange multiplies 5-D sites [lo, hi) in place.
-func (f *Field5) ScaleRange(lo, hi int, a complex128) {
-	for i := lo; i < hi; i++ {
-		f.S[i].ScaleBy(a)
-	}
-}
+func (f *Field5) ScaleRange(lo, hi int, a complex128) { f.flat().ScaleRange(lo, hi, a) }
 
 // AXPY computes f += a x.
-func (f *Field5) AXPY(a complex128, x *Field5) { f.AXPYRange(0, len(f.S), a, x) }
+func (f *Field5) AXPY(a complex128, x *Field5) { f.flat().AXPY(a, x.flat()) }
 
 // Scale multiplies in place.
-func (f *Field5) Scale(a complex128) { f.ScaleRange(0, len(f.S), a) }
+func (f *Field5) Scale(a complex128) { f.flat().Scale(a) }
 
 // Copy copies x into f.
 func (f *Field5) Copy(x *Field5) { copy(f.S, x.S) }
-
-// Clone deep-copies.
-func (f *Field5) Clone() *Field5 {
-	c := NewField5(f.L, f.Ls)
-	copy(c.S, f.S)
-	return c
-}
 
 // DWF is the Shamir domain-wall operator (§4: "a newer discretization
 // ... domain wall fermions ... naturally five-dimensional"):

@@ -68,7 +68,7 @@ func pathProduct(g *lattice.GaugeField, x lattice.Site, steps []pathStep) latmat
 // distributed ones.
 type HopKernel struct {
 	G  *lattice.GaugeField
-	Nb *lattice.Neighbors
+	Nb lattice.Neighbors
 	// Ghosts serves the hops that leave a node's volume: there Nb holds
 	// ^slot in place of a site index. Nil on a periodic volume.
 	Ghosts Ghosts
@@ -102,10 +102,11 @@ func (k *HopKernel) Range(lo, hi int) {
 		// (none to zero, none that escapes to the ghost reader).
 		h := (*latmath.HalfSpinor)(k.dst[i][:2])
 		var acc latmath.Spinor
+		nb := &k.Nb[idx]
 		for mu := 0; mu < lattice.Ndim; mu++ {
 			// +mu term (1-sγ)U_mu(x)ψ(x+mu); off the high face ψ(x+mu) is
 			// a ghost, already projected, and the link is ours.
-			if up := k.Nb.Up[mu][idx]; up >= 0 {
+			if up := nb[mu]; up >= 0 {
 				h.Project(mu, s, &src[up])
 			} else {
 				k.Ghosts.Half(h, mu, 1, (i-idx)/v4, int(^up))
@@ -114,7 +115,7 @@ func (k *HopKernel) Range(lo, hi int) {
 			acc.AddReconstruct(mu, s, h)
 			// -mu term (1+sγ)U†_mu(x-mu)ψ(x-mu); the low-end sender of a
 			// ghost has applied its link.
-			if dn := k.Nb.Dn[mu][idx]; dn >= 0 {
+			if dn := nb[lattice.Ndim+mu]; dn >= 0 {
 				h.Project(mu, -s, &src[dn])
 				h.DagMulMat(&k.G.U[lattice.Ndim*int(dn)+mu], h)
 			} else {

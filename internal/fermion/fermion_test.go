@@ -1,8 +1,10 @@
 package fermion
 
 import (
+	"fmt"
 	"math"
 	"math/cmplx"
+	"slices"
 	"testing"
 
 	"qcdoc/internal/latmath"
@@ -58,7 +60,7 @@ func TestWilsonMassTerm(t *testing.T) {
 	}
 	dst := lattice.NewFermionField(l)
 	w.Apply(dst, src)
-	want := src.Clone()
+	want := &lattice.FermionField{L: l, S: slices.Clone(src.S)}
 	want.Scale(complex(0.3, 0))
 	want.AXPY(-1, dst)
 	if want.Norm2() > tol {
@@ -127,7 +129,7 @@ func TestWilsonLinearity(t *testing.T) {
 	y.Gaussian(4)
 	a := complex(1.5, -0.5)
 	// D(ax + y)
-	comb := x.Clone()
+	comb := &lattice.FermionField{L: l, S: slices.Clone(x.S)}
 	comb.Scale(a)
 	comb.AXPY(1, y)
 	lhs := lattice.NewFermionField(l)
@@ -213,7 +215,7 @@ func TestStaggeredMassTerm(t *testing.T) {
 	}
 	dst := lattice.NewColorField(l)
 	s.Apply(dst, src)
-	want := src.Clone()
+	want := &lattice.ColorField{L: l, V: slices.Clone(src.V)}
 	want.Scale(complex(0.4, 0))
 	want.AXPY(-1, dst)
 	if want.Norm2() > tol {
@@ -281,7 +283,7 @@ func TestASQTADColdReducesToMass(t *testing.T) {
 	}
 	dst := lattice.NewColorField(l)
 	a.Apply(dst, src)
-	want := src.Clone()
+	want := &lattice.ColorField{L: l, V: slices.Clone(src.V)}
 	want.Scale(complex(0.3, 0))
 	want.AXPY(-1, dst)
 	if want.Norm2() > tol {
@@ -450,5 +452,37 @@ func TestDWFCostLsDependence(t *testing.T) {
 	b32 := DWFSiteCost(Double, memsys.EDRAM, 32).Bytes()
 	if b32 >= b8 {
 		t.Fatalf("Ls=32 bytes %v not below Ls=8 bytes %v", b32, b8)
+	}
+}
+
+// TestKernelNames holds the cost descriptors' kernel names — the keys
+// of a node's cycles-by-kernel telemetry — to "<kind>-<kernel>-<prec>",
+// and building a descriptor to no allocation.
+func TestKernelNames(t *testing.T) {
+	for _, kind := range Kinds() {
+		for _, prec := range []Precision{Double, Single} {
+			for _, c := range []struct {
+				what string
+				cost ppc440.KernelCost
+			}{
+				{"dslash", SiteCost(kind, prec, memsys.EDRAM)},
+				{"axpy", AXPYCost(kind, prec, memsys.DDR)},
+				{"dot", DotCost(kind, prec, memsys.EDRAM)},
+			} {
+				if want := fmt.Sprintf("%s-%s-%s", kind, c.what, prec); c.cost.Name != want {
+					t.Errorf("%s name %q, want %q", c.what, c.cost.Name, want)
+				}
+			}
+		}
+	}
+	if got := DWFSiteCost(Single, memsys.EDRAM, 8).Name; got != "dwf-dslash-single" {
+		t.Errorf("DWFSiteCost name %q", got)
+	}
+	if n := testing.AllocsPerRun(10, func() {
+		SiteCost(CloverKind, Double, memsys.EDRAM)
+		AXPYCost(AsqtadKind, Single, memsys.DDR)
+		DotCost(DWFKind, Double, memsys.EDRAM)
+	}); n != 0 {
+		t.Errorf("cost descriptors allocate %v objects", n)
 	}
 }

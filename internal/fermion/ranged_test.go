@@ -96,14 +96,14 @@ func refHop(acc latmath.Spinor, mu, s, dir int, u latmath.Mat3, psi latmath.Spin
 
 // refHopSlices is the hop with projector sign sign as Ls separate
 // per-slice site loops.
-func refHopSlices(dst, src []latmath.Spinor, g *lattice.GaugeField, nb *lattice.Neighbors, ls int, diag complex128, sign int) {
+func refHopSlices(dst, src []latmath.Spinor, g *lattice.GaugeField, nb lattice.Neighbors, ls int, diag complex128, sign int) {
 	v4 := g.L.Volume()
 	for s := 0; s < ls; s++ {
 		d, f := dst[s*v4:(s+1)*v4], src[s*v4:(s+1)*v4]
 		for idx := range d {
 			var acc latmath.Spinor
 			for mu := 0; mu < lattice.Ndim; mu++ {
-				up, dn := nb.Up[mu][idx], nb.Dn[mu][idx]
+				up, dn := nb[idx][mu], nb[idx][lattice.Ndim+mu]
 				acc = refHop(acc, mu, sign, +1, g.U[lattice.Ndim*idx+mu], f[up])
 				acc = refHop(acc, mu, -sign, -1, g.U[lattice.Ndim*int(dn)+mu], f[dn])
 			}

@@ -23,7 +23,7 @@ type StaggeredKernel struct {
 	// Nb1 and Nb3 are the neighbour tables at distances 1 and 3. Where a
 	// hop leaves a node's volume they hold ^slot of the ghost Ghosts
 	// serves.
-	Nb1, Nb3 *lattice.Neighbors
+	Nb1, Nb3 lattice.Neighbors
 	// Eta holds η per site: bit mu is set where η_mu(x) = -1.
 	Eta []uint8
 	// Ghosts serves the hops that leave a node's volume; nil on a
@@ -78,17 +78,18 @@ func (k *StaggeredKernel) Range(lo, hi int) {
 	var hop, bwd, t, x latmath.Vec3
 	for idx := lo; idx < hi; idx++ {
 		acc := k.src[idx].Scale(k.mass)
+		nb1, nb3 := &k.Nb1[idx], &k.Nb3[idx]
 		for mu := 0; mu < lattice.Ndim; mu++ {
-			x = k.at(k.Nb1.Up[mu][idx], mu, 1)
+			x = k.at(nb1[mu], mu, 1)
 			hop.MulMat(&k.Fat.U[lattice.Ndim*idx+mu], &x)
-			x = k.at(k.Nb3.Up[mu][idx], mu, 1)
+			x = k.at(nb3[mu], mu, 1)
 			t.MulMat(&k.Long.U[lattice.Ndim*idx+mu], &x)
 			hop = hop.Add(t.Scale(k.naik))
-			if dn := k.Nb1.Dn[mu][idx]; dn < 0 {
+			if dn := nb1[lattice.Ndim+mu]; dn < 0 {
 				bwd = k.Ghosts.Vec(mu, 0, int(^dn))
 			} else {
 				bwd.DagMulMat(&k.Fat.U[lattice.Ndim*int(dn)+mu], &k.src[dn])
-				if dn3 := k.Nb3.Dn[mu][idx]; dn3 < 0 {
+				if dn3 := nb3[lattice.Ndim+mu]; dn3 < 0 {
 					t = k.Ghosts.Vec(mu, 0, int(^dn3))
 				} else {
 					t.DagMulMat(&k.Long.U[lattice.Ndim*int(dn3)+mu], &k.src[dn3])

@@ -64,28 +64,22 @@ func (s Shape4) Hop(c Site, mu, k int) Site {
 }
 
 // Neighbors tabulates the periodic neighbours at distance k of every
-// site by lexicographic index — Up[mu][idx] k steps forward along mu,
-// Dn k steps back — so an operator's site loop pays the SiteOf/Hop/Index
-// div-mod chain once per operator instead of per site per direction.
-type Neighbors struct {
-	Up, Dn [Ndim][]int32
-}
+// site: record idx holds the site k steps forward along mu at entry mu,
+// k steps back at Ndim+mu. A site loop loads one record per site, and
+// the SiteOf/Hop/Index div-mod chain runs once per table.
+type Neighbors [][2 * Ndim]int32
 
 // Neighbors builds the distance-k table for this shape.
-func (s Shape4) Neighbors(k int) *Neighbors {
-	v := s.Volume()
-	var n Neighbors
-	for mu := 0; mu < Ndim; mu++ {
-		n.Up[mu], n.Dn[mu] = make([]int32, v), make([]int32, v)
-	}
-	for idx := 0; idx < v; idx++ {
+func (s Shape4) Neighbors(k int) Neighbors {
+	n := make(Neighbors, s.Volume())
+	for idx := range n {
 		x := s.SiteOf(idx)
 		for mu := 0; mu < Ndim; mu++ {
-			n.Up[mu][idx] = int32(s.Index(s.Hop(x, mu, k)))
-			n.Dn[mu][idx] = int32(s.Index(s.Hop(x, mu, -k)))
+			n[idx][mu] = int32(s.Index(s.Hop(x, mu, k)))
+			n[idx][Ndim+mu] = int32(s.Index(s.Hop(x, mu, -k)))
 		}
 	}
-	return &n
+	return n
 }
 
 // GaugeField holds one SU(3) link per site per direction: U[mu](x)
@@ -184,13 +178,6 @@ func (g *GaugeField) Staple(x Site, mu int) latmath.Mat3 {
 	return sum
 }
 
-// Clone deep-copies the field.
-func (g *GaugeField) Clone() *GaugeField {
-	c := &GaugeField{L: g.L, U: make([]latmath.Mat3, len(g.U))}
-	copy(c.U, g.U)
-	return c
-}
-
 // Equal reports bitwise equality of two fields — the comparison of the
 // paper's five-day reproducibility test ("the resulting QCD
 // configuration be identical in all bits").
@@ -267,13 +254,6 @@ func (f *FermionField) Scale(a complex128) { f.ScaleRange(0, len(f.S), a) }
 // Copy copies x into f.
 func (f *FermionField) Copy(x *FermionField) { copy(f.S, x.S) }
 
-// Clone deep-copies.
-func (f *FermionField) Clone() *FermionField {
-	c := NewFermionField(f.L)
-	copy(c.S, f.S)
-	return c
-}
-
 // ColorField is a staggered fermion field: one color vector per site.
 type ColorField struct {
 	L Shape4
@@ -334,10 +314,3 @@ func (f *ColorField) Scale(a complex128) { f.ScaleRange(0, len(f.V), a) }
 
 // Copy copies x into f.
 func (f *ColorField) Copy(x *ColorField) { copy(f.V, x.V) }
-
-// Clone deep-copies.
-func (f *ColorField) Clone() *ColorField {
-	c := NewColorField(f.L)
-	copy(c.V, f.V)
-	return c
-}

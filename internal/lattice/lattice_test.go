@@ -3,6 +3,7 @@ package lattice
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -55,14 +56,40 @@ func TestNeighborsTable(t *testing.T) {
 					fwd[mu] = (fwd[mu] + 1) % l[mu]
 					bwd[mu] = (bwd[mu] + l[mu] - 1) % l[mu]
 				}
-				if up, want := int(nb.Up[mu][idx]), l.Index(fwd); up != want {
-					t.Fatalf("k=%d: Up[%d][%d] = %d, want %d", k, mu, idx, up, want)
+				if up, want := int(nb[idx][mu]), l.Index(fwd); up != want {
+					t.Fatalf("k=%d: site %d up %d = %d, want %d", k, idx, mu, up, want)
 				}
-				if dn, want := int(nb.Dn[mu][idx]), l.Index(bwd); dn != want {
-					t.Fatalf("k=%d: Dn[%d][%d] = %d, want %d", k, mu, idx, dn, want)
+				if dn, want := int(nb[idx][Ndim+mu]), l.Index(bwd); dn != want {
+					t.Fatalf("k=%d: site %d down %d = %d, want %d", k, idx, mu, dn, want)
 				}
-				if k == 3 && mu == 0 && (nb.Up[mu][idx] != int32(idx) || nb.Dn[mu][idx] != int32(idx)) {
+				if k == 3 && mu == 0 && (nb[idx][mu] != int32(idx) || nb[idx][Ndim+mu] != int32(idx)) {
 					t.Fatalf("k=3 on extent 3: site %d's third neighbours are not itself", idx)
+				}
+			}
+		}
+	}
+}
+
+// TestNeighborRecordsMatchHops holds every entry of every site's record
+// to the hop it tabulates, on several shapes (extents 1 to 16; below 3 a
+// third neighbour wraps more than once) at distances 1 and 3: entry mu
+// is Hop(x, mu, +k), entry Ndim+mu is Hop(x, mu, -k).
+func TestNeighborRecordsMatchHops(t *testing.T) {
+	for _, l := range []Shape4{{4, 4, 4, 4}, {3, 1, 2, 5}, {2, 2, 2, 2}, {5, 4, 3, 1}, {16, 8, 8, 8}} {
+		for _, k := range []int{1, 3} {
+			nb := l.Neighbors(k)
+			if len(nb) != l.Volume() {
+				t.Fatalf("%v k=%d: %d records, want %d", l, k, len(nb), l.Volume())
+			}
+			for idx, rec := range nb {
+				x := l.SiteOf(idx)
+				for mu := 0; mu < Ndim; mu++ {
+					if got, want := rec[mu], int32(l.Index(l.Hop(x, mu, k))); got != want {
+						t.Fatalf("%v k=%d site %d: entry %d = %d, want %d", l, k, idx, mu, got, want)
+					}
+					if got, want := rec[Ndim+mu], int32(l.Index(l.Hop(x, mu, -k))); got != want {
+						t.Fatalf("%v k=%d site %d: entry %d = %d, want %d", l, k, idx, Ndim+mu, got, want)
+					}
 				}
 			}
 		}
@@ -117,7 +144,7 @@ func TestGaugeInvarianceOfPlaquette(t *testing.T) {
 	for i := range rot {
 		rot[i] = latmath.RandomSU3(rng)
 	}
-	tr := g.Clone()
+	tr := &GaugeField{L: g.L, U: slices.Clone(g.U)}
 	for idx := 0; idx < l.Volume(); idx++ {
 		x := l.SiteOf(idx)
 		for mu := 0; mu < Ndim; mu++ {
@@ -160,7 +187,7 @@ func TestStapleConsistentWithPlaquette(t *testing.T) {
 	// Replace the link.
 	rng := rand.New(rand.NewSource(9))
 	newU := latmath.RandomSU3(rng)
-	g2 := g.Clone()
+	g2 := &GaugeField{L: g.L, U: slices.Clone(g.U)}
 	g2.SetLink(x, mu, newU)
 	after := actionFromPlaquettes(g2)
 	reStapleAfter := newU.Mul(staple).ReTrace()
@@ -182,7 +209,7 @@ func TestFermionFieldBLAS(t *testing.T) {
 	if math.Abs(real(f.Dot(f))-n2) > 1e-9 {
 		t.Fatal("dot/norm mismatch")
 	}
-	h := f.Clone()
+	h := &FermionField{L: l, S: slices.Clone(f.S)}
 	h.AXPY(complex(2, 0), g)
 	// |f+2g|^2 = |f|^2 + 4Re<f,g> + 4|g|^2
 	want := n2 + 4*real(f.Dot(g)) + 4*g.Norm2()
@@ -204,7 +231,7 @@ func TestColorFieldBLAS(t *testing.T) {
 	if math.Abs(real(f.Dot(f))-f.Norm2()) > 1e-9 {
 		t.Fatal("dot/norm mismatch")
 	}
-	h := f.Clone()
+	h := &ColorField{L: l, V: slices.Clone(f.V)}
 	h.AXPY(-1, g)
 	want := f.Norm2() - 2*real(f.Dot(g)) + g.Norm2()
 	if math.Abs(h.Norm2()-want) > 1e-8*math.Abs(want) {

@@ -21,6 +21,7 @@ import (
 
 	"qcdoc/internal/ethjtag"
 	"qcdoc/internal/event"
+	"qcdoc/internal/memsys"
 	"qcdoc/internal/node"
 )
 
@@ -182,8 +183,12 @@ func (k *Kernel) handleRPC(pkt ethjtag.Packet) {
 		k.reply(pkt, ethjtag.PortRPC, fmt.Sprintf("state=%s boot=%d kernel=%v",
 			k.Node.State(), k.Node.BootWords(), k.kernelLoaded))
 	case "peek":
-		var addr uint64
-		fmt.Sscanf(fields[1], "%x", &addr)
+		// peek <hex byte address of a word, "0x" optional>
+		addr, err := strconv.ParseUint(strings.TrimPrefix(strings.Join(fields[1:], " "), "0x"), 16, 64)
+		if err != nil || addr%8 != 0 || addr >= memsys.DDRBase+memsys.DDRBytes {
+			k.reply(pkt, ethjtag.PortRPC, "err: peek <aligned hex address below the end of DDR>")
+			return
+		}
 		k.reply(pkt, ethjtag.PortRPC, fmt.Sprintf("%#x", k.Node.Mem.ReadWord(addr)))
 	default:
 		k.reply(pkt, ethjtag.PortRPC, "err: unknown rpc "+fields[0])

@@ -1,12 +1,14 @@
 package qos
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
 	"qcdoc/internal/ethjtag"
 	"qcdoc/internal/event"
 	"qcdoc/internal/geom"
+	"qcdoc/internal/memsys"
 	"qcdoc/internal/node"
 )
 
@@ -130,6 +132,36 @@ func TestPeek(t *testing.T) {
 	k.Node.Mem.WriteWord(0x100, 0xABCD)
 	if rep := rpc(t, eng, host, "peek 100"); rep != "0xabcd" {
 		t.Fatalf("peek = %q", rep)
+	}
+}
+
+// TestPeekRPCRejectsMalformed: a peek without one aligned address
+// inside the node's memory is answered with an error, and a "0x" prefix
+// (the form the reply prints) reads the word it names, not address 0.
+func TestPeekRPCRejectsMalformed(t *testing.T) {
+	eng, k, host := rig(t)
+	k.Node.Mem.WriteWord(0, 0x1111)
+	k.Node.Mem.WriteWord(0x10, 0x2222)
+	top := memsys.DDRBase + memsys.DDRBytes - 8
+	k.Node.Mem.WriteWord(top, 0x3333)
+	for _, c := range []struct{ msg, want string }{
+		{"peek", "err"},
+		{"peek 10 18", "err"},
+		{"peek 3", "err"},
+		{"peek zz", "err"},
+		{"peek 0x", "err"},
+		{"peek ffffffffffff", "err"},
+		{fmt.Sprintf("peek %x", top+8), "err"},
+		{"peek 10000000000000000", "err"},
+		{"peek 0x10", "0x2222"},
+		{"peek 10", "0x2222"},
+		{"peek 0", "0x1111"},
+		{fmt.Sprintf("peek %#x", top), "0x3333"},
+	} {
+		rep := rpc(t, eng, host, c.msg)
+		if c.want == "err" && !strings.HasPrefix(rep, "err: ") || c.want != "err" && rep != c.want {
+			t.Errorf("%q = %q, want %s", c.msg, rep, c.want)
+		}
 	}
 }
 

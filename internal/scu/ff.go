@@ -14,6 +14,7 @@ import (
 const (
 	ffMinWords = 128 // a send shorter than this does not arm its pair
 	ffFly      = 4   // frames in flight per wire a snapshot holds
+	ffChunkMax = 16  // ffArm's chunks of pairs double from 4 up to this
 )
 
 // ffEngine is shared by paired SCUs on an engine: H, for Run hRun until reached.
@@ -23,6 +24,7 @@ type ffEngine struct {
 	hRun    uint64
 	owned   func(event.Handler, uint64) bool // isOwned, bound once
 	buf     [512]uint64
+	pairs   []ffPair // the chunk ffArm takes its pairs from, up to its capacity
 }
 
 // isOwned: a closed pair's event, or a transfer completion waking nobody.
@@ -148,7 +150,11 @@ func (lu *linkUnit) ffArm() {
 			es.owned = es.isOwned
 		}
 		lu.scu.ff, p.scu.ff = es, es
-		fp := &ffPair{es: es, lu: [2]*linkUnit{lu, p}}
+		if len(es.pairs) == cap(es.pairs) {
+			es.pairs = make([]ffPair, 0, min(max(2*cap(es.pairs), 4), ffChunkMax))
+		}
+		es.pairs = append(es.pairs, ffPair{es: es, lu: [2]*linkUnit{lu, p}})
+		fp := &es.pairs[len(es.pairs)-1]
 		lu.ff, lu.ffSide, p.ff, p.ffSide = fp, 0, fp, 1
 	}
 	if fp := lu.ff; fp != nil && lu.cur.total >= ffMinWords {

@@ -271,8 +271,10 @@ func (s *SCU) StartSend(l geom.Link, d DMADesc) (Transfer, error) { return s.pos
 // landed in local memory.
 func (s *SCU) StartRecv(l geom.Link, d DMADesc) (Transfer, error) { return s.post(l, d, false) }
 
-// post programs a transfer in a record off the free list (or a new one),
-// every per-transfer field reset. NewGate inlines: no second object.
+// post programs a transfer in a record off the free list, every
+// per-transfer field reset; a dry list takes a block of eight records,
+// one object (a halo exchange keeps a dozen or so live per node).
+// NewGate inlines: no second object.
 func (s *SCU) post(l geom.Link, d DMADesc, send bool) (Transfer, error) {
 	lu, err := s.linkUnit(l)
 	if err == nil {
@@ -281,10 +283,13 @@ func (s *SCU) post(l geom.Link, d DMADesc, send bool) (Transfer, error) {
 	if err != nil {
 		return Transfer{}, err
 	}
-	t := s.free
-	if t == nil {
-		t = new(transfer)
+	if s.free == nil {
+		blk := new([8]transfer)
+		for i := range blk {
+			blk[i].next, s.free = s.free, &blk[i]
+		}
 	}
+	t := s.free
 	s.free = t.next
 	*t = transfer{link: l, desc: d, send: send, total: d.TotalWords(), done: *event.NewGate(s.eng), gen: t.gen + 1, scu: s}
 	s.posts++

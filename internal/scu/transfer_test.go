@@ -117,3 +117,31 @@ func TestRecordResetOnReuse(t *testing.T) {
 		t.Errorf("reused record\n%+v\nwant a fresh one\n%+v", *a, want)
 	}
 }
+
+// TestRecordsComeInBlocks: past its two embedded records an SCU takes
+// transfer records from the heap eight to a block, so the dozen a halo
+// exchange keeps live per node are two objects, not a dozen. Eleven
+// receives posted at once each hold a record of their own.
+func TestRecordsComeInBlocks(t *testing.T) {
+	pr := newPair(t)
+	free := func() (n int) {
+		for r := pr.b.free; r != nil; r = r.next {
+			n++
+		}
+		return n
+	}
+	held := map[*transfer]bool{}
+	for i, want := range []int{1, 0, 7, 6, 5, 4, 3, 2, 1, 0, 7} {
+		rt, err := pr.b.StartRecv(pr.linkB, Contiguous(uint64(0x1000+64*i), 4))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if held[rt.rec] {
+			t.Fatalf("receive %d holds a record already in use", i)
+		}
+		held[rt.rec] = true
+		if got := free(); got != want {
+			t.Fatalf("after receive %d: %d free records, want %d", i, got, want)
+		}
+	}
+}

@@ -22,26 +22,19 @@ import (
 // BLAS-1 operations CG needs. Dot and Norm2 are *global* reductions; in
 // the distributed implementation they are backed by the machine's global
 // sum.
-type Space[T any] struct {
-	New   func() T
-	Copy  func(dst, src T)
-	Dot   func(a, b T) complex128
-	Norm2 func(a T) float64
+type Space[T any] interface {
+	New() T
+	Copy(dst, src T)
+	Dot(a, b T) complex128
+	Norm2(a T) float64
 	// AXPY computes y += a*x in place.
-	AXPY func(y T, a complex128, x T)
+	AXPY(y T, a complex128, x T)
 	// Scale computes x *= a in place.
-	Scale func(x T, a complex128)
-	// OnIteration, if set, is called once after each completed solver
-	// iteration — a pure observation hook (telemetry counters); it must
-	// not mutate solver state.
-	OnIteration func()
-}
-
-// noteIteration fires the per-iteration hook if one is installed.
-func (sp Space[T]) noteIteration() {
-	if sp.OnIteration != nil {
-		sp.OnIteration()
-	}
+	Scale(x T, a complex128)
+	// Iterated is called once after each completed solver iteration — a
+	// pure observation hook (telemetry counters); it must not mutate
+	// solver state.
+	Iterated()
 }
 
 // Op applies a linear operator: dst = A src.
@@ -137,7 +130,7 @@ func CGNE[T any](sp Space[T], applyD, applyDdag Op[T], x, b T, tol float64, maxI
 		sp.AXPY(p, 1, r)
 		rr = rrNew
 		res.Iterations = iter + 1
-		sp.noteIteration()
+		sp.Iterated()
 		if ck.due(res.Iterations) {
 			ck.Save(res.Iterations, x)
 		}

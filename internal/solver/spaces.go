@@ -20,33 +20,32 @@ type Field[T any] interface {
 	ScaleRange(lo, hi int, a complex128)
 }
 
-// SpaceOf is the vector space of a field type, built from the field's
-// own methods; newField allocates a zero field of the space's shape.
-func SpaceOf[T Field[T]](newField func() T) Space[T] {
-	return Space[T]{
-		New:   newField,
-		Copy:  func(dst, src T) { dst.Copy(src) },
-		Dot:   func(a, b T) complex128 { return a.Dot(b) },
-		Norm2: func(a T) float64 { return a.Norm2() },
-		AXPY:  func(y T, a complex128, x T) { y.AXPY(a, x) },
-		Scale: func(x T, a complex128) { x.Scale(a) },
-	}
-}
+// local is the vector space of a field type on one node, built from the
+// field's own methods; calling it allocates a zero field of its shape.
+type local[T Field[T]] func() T
+
+func (s local[T]) New() T                    { return s() }
+func (local[T]) Copy(dst, src T)             { dst.Copy(src) }
+func (local[T]) Dot(a, b T) complex128       { return a.Dot(b) }
+func (local[T]) Norm2(a T) float64           { return a.Norm2() }
+func (local[T]) AXPY(y T, a complex128, x T) { y.AXPY(a, x) }
+func (local[T]) Scale(x T, a complex128)     { x.Scale(a) }
+func (local[T]) Iterated()                   {}
 
 // SolveDirac runs CGNE for a Dirac operator.
 func SolveDirac(op fermion.DiracOperator, x, b *lattice.FermionField, tol float64, maxIter int) (Result, error) {
-	sp := SpaceOf(func() *lattice.FermionField { return lattice.NewFermionField(op.Lattice()) })
+	sp := local[*lattice.FermionField](func() *lattice.FermionField { return lattice.NewFermionField(op.Lattice()) })
 	return CGNE(sp, op.Apply, op.ApplyDag, x, b, tol, maxIter, Checkpoint[*lattice.FermionField]{})
 }
 
 // SolveStaggered runs CGNE for a staggered operator.
 func SolveStaggered(op fermion.StaggeredOperator, x, b *lattice.ColorField, tol float64, maxIter int) (Result, error) {
-	sp := SpaceOf(func() *lattice.ColorField { return lattice.NewColorField(op.Lattice()) })
+	sp := local[*lattice.ColorField](func() *lattice.ColorField { return lattice.NewColorField(op.Lattice()) })
 	return CGNE(sp, op.Apply, op.ApplyDag, x, b, tol, maxIter, Checkpoint[*lattice.ColorField]{})
 }
 
 // SolveDWF runs CGNE for the domain-wall operator.
 func SolveDWF(op *fermion.DWF, x, b *fermion.Field5, tol float64, maxIter int) (Result, error) {
-	sp := SpaceOf(func() *fermion.Field5 { return fermion.NewField5(op.Lattice(), op.Ls) })
+	sp := local[*fermion.Field5](func() *fermion.Field5 { return fermion.NewField5(op.Lattice(), op.Ls) })
 	return CGNE(sp, op.Apply, op.ApplyDag, x, b, tol, maxIter, Checkpoint[*fermion.Field5]{})
 }
