@@ -73,13 +73,15 @@ bench-smoke:
 bench-micro-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x .
 
+# Every table EXPERIMENTS.md carries, as the Markdown of its generated
+# blocks (TestExperimentsMDIsGenerated holds the file to this output).
 tables:
-	$(GO) run ./cmd/benchtables
+	$(GO) run ./cmd/benchtables -functional
 
 # Lines of Go by ROADMAP's rule — the number the "least code" north star
 # tracks, and its budget: more non-test Go than LOC_BUDGET fails. bench/
 # is its own module and counted apart.
-LOC_BUDGET = 17673
+LOC_BUDGET = 17524
 NONTEST_LOC = find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' | xargs cat | wc -l
 loc:
 	@printf 'non-test Go: %s lines (budget $(LOC_BUDGET))\n' "$$($(NONTEST_LOC))"

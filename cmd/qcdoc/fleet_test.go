@@ -64,26 +64,31 @@ func TestFleetRefusesLsZero(t *testing.T) {
 	}
 }
 
-// An extent below 1, a clock below 1 MHz or a machine of fewer than one
-// node is a usage error: exit 2 with a message naming the flag, never a
-// panic or a table computed for it.
+// An extent below 1 or fewer than one worker is a usage error: exit 2
+// with a message naming the flag, never a panic or a run started for it.
 func TestRefusesOutOfRangeInputs(t *testing.T) {
 	for _, c := range []struct{ args, flag string }{
-		{"estimate -local 0,4,4,4", "-local"},
-		{"estimate -grid 0,8,8,16", "-grid"},
-		{"estimate -local 4,4,4", "-local"},
-		{"estimate -clock 0", "-clock"},
-		{"info -clock 0", "-clock"},
-		{"info -nodes 0", "-nodes"},
-		{"info -nodes -5", "-nodes"},
-		{"scaling -lattice 32,32,-32,64", "-lattice"},
+		{"fleet -machine 2,0", "-machine"},
 		{"fleet -lattices 4,4,4,4;0,4,4,4", "-lattices"},
+		{"fleet -lattices 4,4,4", "-lattices"},
 		{"fleet -workers 0", "-workers"},
 		{"fleet -workers -3", "-workers"},
 	} {
 		code, stdout, stderr := qcdoc(t, strings.Fields(c.args)...)
 		if code != 2 || stdout != "" || !strings.Contains(stderr, c.flag) || strings.Contains(stderr, "panic:") {
 			t.Errorf("qcdoc %s: exit %d, stdout:\n%s\nstderr:\n%s", c.args, code, stdout, stderr)
+		}
+	}
+}
+
+// fleet is the one subcommand: the removed info, scaling and estimate
+// (their numbers are benchtables' E6-E9 and E11) and an unknown name are
+// usage errors whose usage line names only fleet.
+func TestOnlyFleetIsACommand(t *testing.T) {
+	for _, args := range [][]string{{"info"}, {"scaling", "-lattice", "32,32,32,64"}, {"estimate"}, {"bogus"}} {
+		code, stdout, stderr := qcdoc(t, args...)
+		if code != 2 || stdout != "" || strings.TrimSpace(stderr) != "usage: qcdoc fleet [flags]" {
+			t.Errorf("qcdoc %s: exit %d, stdout:\n%s\nstderr:\n%s", strings.Join(args, " "), code, stdout, stderr)
 		}
 	}
 }

@@ -33,9 +33,9 @@
 //	internal/perf        analytic model for paper-scale machines
 //	internal/cost        §4 cost table and price/performance
 //	internal/experiments one function per paper table/figure
-//	cmd/qcdoc            machine/solver CLI
+//	cmd/qcdoc            runs every job: solves, chaos drills, campaigns
 //	cmd/qdaemon          host daemon REPL (qcsh)
-//	cmd/benchtables      regenerates every paper table and figure
+//	cmd/benchtables      prints every paper table as EXPERIMENTS.md's Markdown
 //	examples/            runnable walkthroughs
 //
 // See DESIGN.md for the system inventory and experiment index, and

@@ -5,10 +5,7 @@
 package cost
 
 import (
-	"fmt"
-
 	"qcdoc/internal/event"
-	"qcdoc/internal/machine"
 	"qcdoc/internal/perf"
 )
 
@@ -108,24 +105,4 @@ func Twelve288Estimate(clock event.Hz, discount float64) float64 {
 	perNodeHW := MachineCost4096() / 4096
 	total := perNodeHW * (1 - discount) * 12288
 	return PricePerformance(total, 12288, clock, 0.45)
-}
-
-// PowerBudget ties cost to the packaging model: dollars per watt for the
-// 4096-node machine.
-func PowerBudget(clock event.Hz) (watts float64, dollarsPerWatt float64) {
-	p := machine.PackagingFor(4096, clock)
-	return p.PowerWatts, TotalWithRnD4096() / p.PowerWatts
-}
-
-// FormatTable renders the cost breakdown as text rows.
-func FormatTable() string {
-	out := ""
-	for _, it := range Breakdown4096() {
-		out += fmt.Sprintf("  %-45s $%12.2f\n", it.Name, it.Amount)
-	}
-	out += fmt.Sprintf("  %-45s $%12.2f\n", "items sum", MachineCost4096())
-	out += fmt.Sprintf("  %-45s $%12.2f\n", "machine total (paper)", PaperMachineTotal)
-	out += fmt.Sprintf("  %-45s $%12.2f\n", "prorated R&D", RnDProration4096)
-	out += fmt.Sprintf("  %-45s $%12.2f\n", "grand total", TotalWithRnD4096())
-	return out
 }

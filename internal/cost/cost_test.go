@@ -56,21 +56,3 @@ func TestE9PricePerformance(t *testing.T) {
 		t.Errorf("12288-node estimate $%.3f implausibly low", tgt)
 	}
 }
-
-func TestPowerBudget(t *testing.T) {
-	w, dpw := PowerBudget(450 * event.MHz)
-	// 4096 nodes = 4 racks: just under 40 kW.
-	if w < 35000 || w > 42000 {
-		t.Fatalf("power = %v W", w)
-	}
-	if dpw < 40 || dpw > 50 {
-		t.Fatalf("$/W = %v", dpw)
-	}
-}
-
-func TestFormatTable(t *testing.T) {
-	s := FormatTable()
-	if len(s) == 0 {
-		t.Fatal("empty table")
-	}
-}

@@ -1,9 +1,10 @@
 // Package experiments reproduces every quantitative table and figure of
 // the paper's evaluation (§2.2 network numbers, §2.4 packaging, §4
 // performance and cost). Each experiment returns a structured table;
-// cmd/benchtables prints them all, the package's tests check them
-// against the paper, and EXPERIMENTS.md records paper-vs-measured
-// values. The experiment ids match DESIGN.md's index.
+// cmd/benchtables prints them as Markdown, EXPERIMENTS.md carries that
+// output between generated markers, and the package's tests regenerate
+// every block and fail on any difference. The experiment ids match
+// DESIGN.md's index.
 package experiments
 
 import (
@@ -29,33 +30,23 @@ type Table struct {
 	Notes  []string
 }
 
-// Format renders the table as aligned text.
+// Format renders the table as Markdown: the id and title in bold, the
+// header row, its |---| rule, the rows, and the notes as bullets. This
+// is the text EXPERIMENTS.md carries between its generated markers.
 func (t Table) Format() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "%s: %s\n", t.ID, t.Title)
-	widths := make([]int, len(t.Header))
-	for i, h := range t.Header {
-		widths[i] = len(h)
-	}
+	fmt.Fprintf(&b, "**%s: %s**\n\n", t.ID, t.Title)
+	row := func(cells []string) { fmt.Fprintf(&b, "| %s |\n", strings.Join(cells, " | ")) }
+	row(t.Header)
+	b.WriteString(strings.Repeat("|---", len(t.Header)) + "|\n")
 	for _, r := range t.Rows {
-		for i, c := range r {
-			if i < len(widths) && len(c) > widths[i] {
-				widths[i] = len(c)
-			}
-		}
+		row(r)
 	}
-	line := func(cells []string) {
-		for i, c := range cells {
-			fmt.Fprintf(&b, "  %-*s", widths[i], c)
-		}
+	if len(t.Notes) > 0 {
 		b.WriteByte('\n')
 	}
-	line(t.Header)
-	for _, r := range t.Rows {
-		line(r)
-	}
 	for _, n := range t.Notes {
-		fmt.Fprintf(&b, "  note: %s\n", n)
+		fmt.Fprintf(&b, "- %s\n", n)
 	}
 	return b.String()
 }
@@ -167,7 +158,7 @@ func E5() Table {
 		Header: []string{"4-D grid", "hops single", "hops doubled", "latency single", "latency doubled"},
 		Notes: []string{
 			"hop formula: sum(N_i - 1), halved to sum(N_i / 2) in doubled mode (paper's Nx/2+Ny/2+Nz/2+Nt/2)",
-			"model uses the hardware's 8-bit cut-through; the functional simulator (E5 bench) forwards whole frames",
+			"model uses the hardware's 8-bit cut-through; the functional simulator (E5f) forwards whole frames",
 		},
 	}
 	for _, g := range []lattice.Shape4{{4, 4, 4, 2}, {8, 4, 4, 4}, {8, 8, 8, 8}, {16, 8, 8, 12}} {
@@ -329,6 +320,23 @@ func E15() Table {
 // Static returns every experiment that needs no machine simulation.
 func Static() []Table {
 	return []Table{E1(), E2(), E3(), E4(), E5(), E6(), E7(), E8(), E9(), E11(), E15()}
+}
+
+// Functional lists the packet-level machine simulations, in run order.
+// Each costs host seconds, so benchtables runs them only under
+// -functional or when -e names them.
+var Functional = []struct {
+	ID  string
+	Run func() (Table, error)
+}{
+	{"E4f", E4Functional},
+	{"E5f", E5Functional},
+	{"E10", E10},
+	{"E12", E12},
+	{"E13", E13},
+	{"E14", E14},
+	{"E16", E16},
+	{"E1f", E1Functional},
 }
 
 // perfCPU returns the 500 MHz CPU model (helper for sweeps).

@@ -1,6 +1,9 @@
 package experiments
 
 import (
+	"fmt"
+	"os"
+	"regexp"
 	"strconv"
 	"strings"
 	"testing"
@@ -104,60 +107,77 @@ func TestE9MatchesPaper(t *testing.T) {
 	}
 }
 
-// TestFunctionalSmall runs the functional experiments end to end and
-// pins the E1f, E4f, E5f and E12 cells EXPERIMENTS.md quotes: simulated
-// times, iteration counts and efficiencies that stay bit-identical
-// across host-side changes. A pinned row lists its cells from column 1
-// on; "" leaves a cell unpinned.
-func TestFunctionalSmall(t *testing.T) {
-	if testing.Short() {
-		t.Skip("functional experiments")
+// generated matches one generated block of EXPERIMENTS.md: the id its
+// opening marker names, and the text up to the closing marker.
+var generated = regexp.MustCompile(`(?s)<!-- go run \./cmd/benchtables -e (\S+) -->\n(.*?)<!-- end -->`)
+
+// TestExperimentsMDIsGenerated regenerates every table that `go run
+// ./cmd/benchtables -functional` prints and requires EXPERIMENTS.md to
+// carry each exactly once, as a generated block holding exactly that
+// text; a block naming no experiment fails too. It is the one pin of
+// every paper number this package computes: a simulated time, an
+// iteration count or a digest that moves shows here as a changed cell.
+// -short checks the model tables and skips the machine simulations.
+func TestExperimentsMDIsGenerated(t *testing.T) {
+	doc, err := os.ReadFile("../../EXPERIMENTS.md")
+	if err != nil {
+		t.Fatal(err)
 	}
-	anchors := map[string]map[string][]string{
-		// iterations, sim time, Mflops/node, efficiency
-		"E1f": {
-			"wilson":     {"16", "33.1665ms", "", "39.6%"},
-			"clover":     {"17", "42.1475ms", "", "45.7%"},
-			"asqtad":     {"15", "26.9452ms", "", "37.9%"},
-			"dwf (Ls=4)": {"42", "294.042ms", "", "46.9%"},
-		},
-		"E4f": {"1 word": {"599ns"}, "24 words": {"3.911us"}},
-		"E5f": {"single ring": {"1.043us"}, "doubled": {"692ns"}},
-		// run 1 CRC, run 2 CRC, identical, link errors, checksums
-		"E10": {"distributed Wilson CG (4 nodes)": {"", "", "true", "0", "true"}},
-		// clean run, faulty run
-		"E12": {
-			"parity/header errors detected": {"0", "2816"},
-			"hardware resends":              {"0", "45600"},
-			"answers identical":             {"", "true"},
-		},
+	blocks := map[string]string{}
+	for _, m := range generated.FindAllStringSubmatch(string(doc), -1) {
+		if _, dup := blocks[m[1]]; dup {
+			t.Errorf("EXPERIMENTS.md carries %s twice", m[1])
+		}
+		blocks[m[1]] = m[2]
 	}
-	for _, f := range []struct {
-		name string
-		run  func() (Table, error)
-	}{
-		{"E1f", E1Functional},
-		{"E4f", E4Functional},
-		{"E5f", E5Functional},
-		{"E10", E10},
-		{"E12", E12},
-		{"E13", E13},
-		{"E16", E16},
-	} {
-		tab, err := f.run()
+	check := func(tab Table) {
+		block, ok := blocks[tab.ID]
+		if !ok {
+			t.Errorf("EXPERIMENTS.md has no generated block for %s", tab.ID)
+			return
+		}
+		delete(blocks, tab.ID)
+		if d := firstDiff(strings.TrimSpace(block), strings.TrimSpace(tab.Format())); d != "" {
+			t.Errorf("EXPERIMENTS.md's %s block is not `go run ./cmd/benchtables -e %s`: %s", tab.ID, tab.ID, d)
+		}
+	}
+	for _, tab := range Static() {
+		check(tab)
+	}
+	for _, f := range Functional {
+		if testing.Short() {
+			delete(blocks, f.ID)
+			continue
+		}
+		tab, err := f.Run()
 		if err != nil {
-			t.Fatalf("%s: %v", f.name, err)
+			t.Fatalf("%s: %v", f.ID, err)
 		}
-		if len(tab.Rows) == 0 {
-			t.Fatalf("%s: empty", f.name)
+		if tab.ID != f.ID {
+			t.Errorf("Functional lists %s, its table says %s", f.ID, tab.ID)
 		}
-		for row, want := range anchors[f.name] {
-			got := rowByFirstCell(t, tab, row)
-			for i, w := range want {
-				if w != "" && got[1+i] != w {
-					t.Errorf("%s %s %s: measured %s, want %s", f.name, row, tab.Header[1+i], got[1+i], w)
-				}
-			}
+		check(tab)
+	}
+	for id := range blocks {
+		t.Errorf("EXPERIMENTS.md has a generated block %s that names no experiment", id)
+	}
+}
+
+// firstDiff names the first line where have and want part, or returns
+// "" when they are equal.
+func firstDiff(have, want string) string {
+	h, w := strings.Split(have, "\n"), strings.Split(want, "\n")
+	for i := 0; i < len(h) || i < len(w); i++ {
+		var hl, wl string
+		if i < len(h) {
+			hl = h[i]
+		}
+		if i < len(w) {
+			wl = w[i]
+		}
+		if hl != wl {
+			return fmt.Sprintf("line %d is\n\t%s\nwant\n\t%s", i+1, hl, wl)
 		}
 	}
+	return ""
 }
